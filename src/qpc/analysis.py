@@ -1,11 +1,11 @@
 """Parameter extraction and verification for constructed CSS codes.
 
 Distances are exact: Z-type distance is the minimum weight over
-kernel(H_X) minus the row space of H_Z, found by enumerating the whole
-kernel with the stabiliser span and logical completions separated, so
-membership in the row space is read off the combination mask instead of
-being re-solved per vector.  Enumerations beyond the budget (default
-2^24 combinations) are refused, never approximated.
+kernel(H_X) minus the row space of H_Z.  `gf2.min_weight` enumerates the
+kernel with stabiliser rows and logical completions kept apart, so row
+space membership is read off the combination index; each Gray-code step
+scores a packed table of up to 2^16 low combinations.  Enumerations
+beyond the budget (default 2^24 combinations) are refused, never approximated.
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .classical import ClassicalCode
 from .errors import BudgetError, PreconditionError
-from .gf2 import BitMatrix, kernel_basis, matmul, rank, transpose, vstack
+from .gf2 import BitMatrix, add, kernel_basis, matmul, min_weight, rank, rref, transpose, vstack
 from .groups import GroupAlgebraElement, GroupAlgebraMatrix
 from .products import CSSCode, balanced_product, lift_with_regular_actions, lifted_product
 
@@ -72,61 +72,20 @@ def hgp_k_formula(c1: ClassicalCode, c2: ClassicalCode) -> int:
     return k1 * k2 + k1t * k2t
 
 
-def _echelon_reduce(pivots: dict[int, int], vec: int) -> int:
-    while vec:
-        top = vec.bit_length() - 1
-        if top not in pivots:
-            return vec
-        vec ^= pivots[top]
-    return 0
-
-
-def _coset_min_weight(stab_rows: list[int], logical_rows: list[int]) -> int | None:
-    """Minimum weight over span(stab + logical) with a non-zero logical part.
-
-    Gray-code enumeration flips one row per step; the set of currently
-    included logical rows is tracked as a mask, so spotting non-trivial
-    cosets is O(1) per step.
-    """
-    order = logical_rows + stab_rows
-    n_log = len(logical_rows)
-    if n_log == 0:
-        return None
-    best = None
-    current = 0
-    logical_mask = 0
-    for step in range(1, 1 << len(order)):
-        bit = (step & -step).bit_length() - 1
-        current ^= order[bit]
-        if bit < n_log:
-            logical_mask ^= 1 << bit
-        if logical_mask:
-            w = current.bit_count()
-            if best is None or w < best:
-                best = w
-    return best
-
-
 def _directional_distance(h_kernel_side: BitMatrix, h_stab_side: BitMatrix,
                           budget: int) -> int | None:
     """Min weight over kernel(h_kernel_side) outside rowspace(h_stab_side)."""
     kernel_dim = h_kernel_side.cols - rank(h_kernel_side)
     if (1 << kernel_dim) > budget:
         raise BudgetError("distance enumeration", 1 << kernel_dim, budget)
-    pivots: dict[int, int] = {}
-    stab_rows = []
-    for row in h_stab_side.rows_as_ints():
-        residue = _echelon_reduce(pivots, row)
-        if residue:
-            pivots[residue.bit_length() - 1] = residue
-            stab_rows.append(residue)
-    logical_rows = []
-    for row in kernel_basis(h_kernel_side).rows_as_ints():
-        residue = _echelon_reduce(pivots, row)
-        if residue:
-            pivots[residue.bit_length() - 1] = residue
-            logical_rows.append(residue)
-    return _coset_min_weight(stab_rows, logical_rows)
+    stab = rref(h_stab_side)
+    kernel = kernel_basis(h_kernel_side)
+    # Clearing the stabiliser pivot columns leaves logical completions that,
+    # with the stabiliser basis, span the kernel: commuting checks put the
+    # stabilisers inside it.
+    on_pivots = BitMatrix.from_dense(kernel.to_dense()[:, list(stab.pivot_cols)])
+    logical = rref(add(kernel, matmul(on_pivots, stab.basis)))
+    return min_weight(stab.basis, logical.basis)
 
 
 def css_distance(code: CSSCode, budget: int = DEFAULT_BUDGET):

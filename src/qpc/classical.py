@@ -4,9 +4,9 @@ A code is its m x n check matrix H; codewords are the right kernel of H.
 Redundant checks are allowed everywhere (the 3-bit repetition example has
 one), so k is always computed as n - rank(H), never as n - m.
 
-Distances are exact and found by enumerating all non-zero codewords as
-GF(2) combinations of a kernel basis; instances with k > 22 are refused
-rather than estimated.
+Distances are exact: `gf2.min_weight` with an empty stabiliser scores all
+non-zero combinations of a kernel basis, a packed table of low combinations
+per Gray-code step; instances with k > 22 are refused rather than estimated.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, FormatError, PreconditionError
-from .gf2 import BitMatrix, kernel_basis, rank, rref, transpose
+from .gf2 import BitMatrix, kernel_basis, min_weight, rank, rref, transpose
 
 MAX_ENUM_DIMENSION = 22
 
@@ -83,8 +83,8 @@ class ClassicalCode:
     def min_distance(self) -> int | None:
         """Exact minimum weight of a non-zero codeword; None when k = 0.
 
-        Enumerates all 2^k - 1 combinations of a kernel basis by Gray
-        code; refuses when k exceeds MAX_ENUM_DIMENSION.
+        Enumerates all 2^k - 1 combinations of a kernel basis with
+        `gf2.min_weight`; refuses when k exceeds MAX_ENUM_DIMENSION.
         """
         if self._d_known:
             return self._d
@@ -97,8 +97,7 @@ class ClassicalCode:
             raise BudgetError(
                 "minimum-distance enumeration", 2**k, 2**MAX_ENUM_DIMENSION
             )
-        basis = kernel_basis(self.h).rows_as_ints()
-        self._d = _min_weight_gray(basis)
+        self._d = min_weight(BitMatrix.zeros(0, self.n), kernel_basis(self.h))
         self._d_known = True
         return self._d
 
@@ -135,22 +134,6 @@ class ClassicalCode:
 
     def __repr__(self) -> str:
         return f"ClassicalCode(n={self.n}, m={self.m})"
-
-
-def _min_weight_gray(basis_ints: list[int]) -> int:
-    """Minimum weight over all non-zero combinations of the given rows.
-
-    Gray-code order flips one basis row per step, so each candidate is a
-    single XOR and popcount on a Python int.
-    """
-    best = None
-    current = 0
-    for step in range(1, 1 << len(basis_ints)):
-        current ^= basis_ints[(step & -step).bit_length() - 1]
-        w = current.bit_count()
-        if best is None or w < best:
-            best = w
-    return best
 
 
 # -- file formats -----------------------------------------------------------

@@ -5,7 +5,7 @@ All runs are deterministic: identical inputs and seed produce identical
 bytes.  Exit codes: 0 success, 1 parse or I/O failure, 2 precondition
 violation (reported with its witness), 3 enumeration budget exceeded.
 The environment variable QPC_BUDGET overrides the distance-enumeration
-cap.
+cap; a budget that is not a non-negative integer exits 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, classical, render
-from .errors import BudgetError, FormatError, PreconditionError
+from .errors import BudgetError, DimensionError, FormatError, PreconditionError
 from .gf2 import BitMatrix
 from .groups import parse_ring_matrix
 from .products import balanced_product, css_from_matrices, hgp, lifted_product
@@ -45,9 +45,20 @@ def _load_pcm(path: str) -> BitMatrix:
     return classical.parse_pcm_text(text)
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("QPC_BUDGET")
-    return int(raw) if raw else analysis.DEFAULT_BUDGET
+def _budget(option: int) -> int:
+    """--budget when non-zero, else QPC_BUDGET when set, else the default."""
+    name, raw = "--budget", str(option)
+    if not option:
+        name, raw = "QPC_BUDGET", os.environ.get("QPC_BUDGET")
+    if not raw:
+        return analysis.DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise FormatError(f"{name} must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def _write(path: Path, text: str) -> None:
@@ -125,11 +136,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    budget = _budget(args.budget)
     h_x = _load_pcm(args.hx)
     h_z = _load_pcm(args.hz)
     n = h_x.cols
     code = css_from_matrices(h_x, h_z)
-    budget = args.budget if args.budget else _default_budget()
     payload: dict = {"seed": args.seed, "n": n}
     payload["commuting"] = code.commuting
     if not code.commuting:
@@ -264,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--hx", required=True)
     analyze.add_argument("--hz", required=True)
     analyze.add_argument("--budget", type=int, default=0,
-                         help="distance enumeration cap (default QPC_BUDGET or 2^24)")
+                         help="distance enumeration cap; 0 means the default"
+                              " (QPC_BUDGET, else 2^24)")
     analyze.add_argument("--c1", help="classical input for the HGP cross-check")
     analyze.add_argument("--c2", help="classical input for the HGP cross-check")
     analyze.set_defaults(func=cmd_analyze)
@@ -300,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError) as exc:
+    except (FormatError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

@@ -153,6 +153,11 @@ class RrefResult:
     rank: int
     row_ops: BitMatrix
 
+    @property
+    def basis(self) -> BitMatrix:
+        """The non-zero rows of `rref`: a basis of the input's row space."""
+        return BitMatrix(self.rank, self.rref.cols, self.rref._words[: self.rank])
+
 
 def rref(m: BitMatrix) -> RrefResult:
     """Gaussian elimination to reduced row echelon form.
@@ -256,3 +261,43 @@ def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Kronecker product: (a kron b)[i*rb + p, j*cb + q] = a[i,j] b[p,q]."""
     return BitMatrix.from_dense(np.kron(a.to_dense(), b.to_dense()))
+
+
+# Low combinations tabulated per min_weight step: at most 2^16 rows and 1 MiB.
+_TABLE_BITS = 16
+_TABLE_BYTES = 1 << 20
+
+
+def min_weight(stab: BitMatrix, logical: BitMatrix) -> int | None:
+    """Exact minimum weight over span(stab + logical) with a non-zero logical part.
+
+    The logical part is read off the combination index, never re-solved.
+    All 2^t combinations of the first t rows (logical rows first) are
+    tabulated by doubling; the remaining rows are walked in Gray-code
+    order, one XOR per step, and each step scores the whole table at
+    once.  While the walk holds no logical row, only table entries whose
+    index holds one count.  None when `logical` has no rows.
+    """
+    if logical.rows == 0:
+        return None
+    rows = vstack(logical, stab)._words
+    dim, words = rows.shape
+    fit = (_TABLE_BYTES // (8 * max(words, 1))).bit_length() - 1
+    t = max(1, min(dim, _TABLE_BITS, fit))
+    table = np.zeros((1 << t, words), dtype=np.uint64)
+    for i in range(t):
+        np.bitwise_xor(table[: 1 << i], rows[i], out=table[1 << i : 2 << i])
+    low_logical = np.arange(1 << t) & ((1 << min(logical.rows, t)) - 1) != 0
+    tables = (table[low_logical], table)   # by "the walk holds a logical row"
+    best = logical.cols                    # no weight exceeds the width
+    current = np.zeros(words, dtype=np.uint64)
+    walk_logical = 0
+    for step in range(1 << (dim - t)):
+        if step:
+            bit = (step & -step).bit_length() - 1
+            current ^= rows[t + bit]
+            if t + bit < logical.rows:
+                walk_logical ^= 1 << bit
+        scores = np.bitwise_count(tables[walk_logical != 0] ^ current).sum(axis=1)
+        best = min(best, int(scores.min()))
+    return best

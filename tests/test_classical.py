@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from qpc import gf2
 from qpc.classical import (
     ClassicalCode,
     CodeParams,
@@ -76,6 +77,14 @@ class TestMinDistance:
         rng = random.Random(29)
         for _ in range(40):
             code = random_code(rng)
+            assert code.min_distance() == brute_force_distance(code.h)
+
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_small_tables_match_exhaustive_oracle(self, monkeypatch, bits):
+        monkeypatch.setattr(gf2, "_TABLE_BITS", bits)
+        rng = random.Random(31 + bits)
+        for _ in range(25):
+            code = random_code(rng, max_m=4, max_n=10)
             assert code.min_distance() == brute_force_distance(code.h)
 
     def test_refusal_names_the_bound(self):

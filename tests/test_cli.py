@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qpc.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -218,6 +220,40 @@ class TestAnalyze:
         assert code == 0
         assert "commuting: False" in out
         assert "refused" in out
+
+    @pytest.mark.parametrize("env, option", [
+        ("abc", None),
+        ("-3", None),
+        (None, "-3"),
+    ])
+    def test_invalid_budget_exits_1(self, tmp_path, capsys, monkeypatch, env, option):
+        self.build_toric(tmp_path, capsys)
+        if env is not None:
+            monkeypatch.setenv("QPC_BUDGET", env)
+        extra = ["--budget", option] if option is not None else []
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--hx", tmp_path / "toric.hx.pcm",
+            "--hz", tmp_path / "toric.hz.pcm",
+            *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "non-negative integer" in err and "Traceback" not in err
+
+    def test_mismatched_widths_exit_1(self, tmp_path, capsys):
+        self.build_toric(tmp_path, capsys)
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--hx", tmp_path / "toric.hx.pcm",
+            "--hz", FIXTURES / "hamming74.pcm",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: H_X has 18 columns but H_Z has 7\n"
 
 
 class TestLayout:

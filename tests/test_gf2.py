@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from qpc import gf2
+from qpc.classical import ClassicalCode
 from qpc.errors import DimensionError
 from qpc.gf2 import (
     BitMatrix,
@@ -11,6 +13,7 @@ from qpc.gf2 import (
     kernel_basis,
     kron,
     matmul,
+    min_weight,
     rank,
     rref,
     transpose,
@@ -257,3 +260,80 @@ class TestArithmetic:
         assert matmul(empty, BitMatrix.zeros(4, 2)).shape == (0, 2)
         assert transpose(empty).shape == (4, 0)
         assert kron(empty, BitMatrix.identity(2)).shape == (0, 8)
+
+
+def gray_oracle(stab_rows: list[int], logical_rows: list[int]) -> int | None:
+    """Reference: one Python-int XOR and popcount per Gray-code step."""
+    order = logical_rows + stab_rows
+    n_log = len(logical_rows)
+    if n_log == 0:
+        return None
+    best = None
+    current = 0
+    logical_mask = 0
+    for step in range(1, 1 << len(order)):
+        bit = (step & -step).bit_length() - 1
+        current ^= order[bit]
+        if bit < n_log:
+            logical_mask ^= 1 << bit
+        if logical_mask:
+            w = current.bit_count()
+            if best is None or w < best:
+                best = w
+    return best
+
+
+def table_bits(dim: int, cols: int) -> int:
+    """Rows min_weight tabulates for `dim` rows of `cols` bits."""
+    words = max(1, -(-cols // 64))
+    fit = (gf2._TABLE_BYTES // (8 * words)).bit_length() - 1
+    return max(1, min(dim, gf2._TABLE_BITS, fit))
+
+
+class TestMinWeight:
+    def check(self, rng, n_stab, n_log, cols):
+        stab = random_bitmatrix(rng, n_stab, cols) if n_stab else BitMatrix.zeros(0, cols)
+        logical = random_bitmatrix(rng, n_log, cols)
+        expected = gray_oracle(stab.rows_as_ints(), logical.rows_as_ints())
+        assert min_weight(stab, logical) == expected
+
+    def test_empty_logical_is_none(self):
+        rng = random.Random(401)
+        assert min_weight(random_bitmatrix(rng, 4, 9), BitMatrix.zeros(0, 9)) is None
+        assert min_weight(BitMatrix.zeros(0, 9), BitMatrix.zeros(0, 9)) is None
+
+    def test_dimension_below_table_size(self):
+        rng = random.Random(409)
+        for _ in range(40):
+            n_log = rng.randint(1, 5)
+            n_stab = rng.randint(0, 6)
+            assert n_log + n_stab < gf2._TABLE_BITS
+            self.check(rng, n_stab, n_log, rng.randint(1, 40))
+
+    def test_rows_wider_than_one_word(self):
+        rng = random.Random(419)
+        for cols in (65, 130, 200, 2600):
+            n_log = rng.randint(1, 4)
+            n_stab = 13 - n_log
+            if cols == 2600:
+                assert table_bits(13, cols) < 13   # the walk carries rows too
+            self.check(rng, n_stab, n_log, cols)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 5])
+    def test_small_tables_split_logical_rows(self, monkeypatch, bits):
+        monkeypatch.setattr(gf2, "_TABLE_BITS", bits)
+        rng = random.Random(421 + bits)
+        for _ in range(30):
+            n_log = rng.randint(1, 7)
+            n_stab = rng.randint(0, 4)
+            self.check(rng, n_stab, n_log, rng.choice([5, 12, 70]))
+
+    def test_more_logical_rows_than_the_table(self):
+        rng = random.Random(431)
+        code = None
+        while code is None or code.dimension() != 18:
+            code = ClassicalCode(random_bitmatrix(rng, 12, 30))
+        assert table_bits(18, 30) == gf2._TABLE_BITS < 18
+        basis = kernel_basis(code.h)
+        assert code.min_distance() == gray_oracle([], basis.rows_as_ints())
+        self.check(rng, 1, 17, 30)
