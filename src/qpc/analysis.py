@@ -6,6 +6,9 @@ kernel with stabiliser rows and logical completions kept apart, so row
 space membership is read off the combination index; each Gray-code step
 scores a packed table of up to 2^16 low combinations.  Enumerations
 beyond the budget (default 2^24 combinations) are refused, never approximated.
+H_X and H_Z are each reduced once per code (`CSSCode.x_rref`, `z_rref`);
+the logical count, the budget check, the stabiliser split and the kernel
+all read those results.
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .classical import ClassicalCode
 from .errors import BudgetError, PreconditionError
-from .gf2 import BitMatrix, add, kernel_basis, matmul, min_weight, rank, rref, transpose, vstack
+from .gf2 import BitMatrix, RrefResult, add, matmul, min_weight, rank, rref, transpose, vstack
 from .groups import GroupAlgebraElement, GroupAlgebraMatrix
 from .products import CSSCode, balanced_product, lift_with_regular_actions, lifted_product
 
@@ -60,7 +63,7 @@ def logical_count(code: CSSCode) -> int:
         raise PreconditionError(
             "logical count is undefined for non-commuting checks"
         )
-    return code.n - rank(code.h_x) - rank(code.h_z)
+    return code.n - code.x_rref.rank - code.z_rref.rank
 
 
 def hgp_k_formula(c1: ClassicalCode, c2: ClassicalCode) -> int:
@@ -72,14 +75,13 @@ def hgp_k_formula(c1: ClassicalCode, c2: ClassicalCode) -> int:
     return k1 * k2 + k1t * k2t
 
 
-def _directional_distance(h_kernel_side: BitMatrix, h_stab_side: BitMatrix,
+def _directional_distance(kernel_side: RrefResult, stab: RrefResult,
                           budget: int) -> int | None:
-    """Min weight over kernel(h_kernel_side) outside rowspace(h_stab_side)."""
-    kernel_dim = h_kernel_side.cols - rank(h_kernel_side)
+    """Min weight over kernel(kernel_side.source) outside rowspace(stab.source)."""
+    kernel_dim = kernel_side.source.cols - kernel_side.rank
     if (1 << kernel_dim) > budget:
         raise BudgetError("distance enumeration", 1 << kernel_dim, budget)
-    stab = rref(h_stab_side)
-    kernel = kernel_basis(h_kernel_side)
+    kernel = kernel_side.kernel
     # Clearing the stabiliser pivot columns leaves logical completions that,
     # with the stabiliser basis, span the kernel: commuting checks put the
     # stabilisers inside it.
@@ -98,8 +100,8 @@ def css_distance(code: CSSCode, budget: int = DEFAULT_BUDGET):
         raise PreconditionError("distance is undefined for non-commuting checks")
     if logical_count(code) == 0:
         return None, None, None
-    d_z = _directional_distance(code.h_x, code.h_z, budget)
-    d_x = _directional_distance(code.h_z, code.h_x, budget)
+    d_z = _directional_distance(code.x_rref, code.z_rref, budget)
+    d_x = _directional_distance(code.z_rref, code.x_rref, budget)
     d = min(x for x in (d_x, d_z) if x is not None)
     return d_x, d_z, d
 

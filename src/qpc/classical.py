@@ -7,16 +7,23 @@ one), so k is always computed as n - rank(H), never as n - m.
 Distances are exact: `gf2.min_weight` with an empty stabiliser scores all
 non-zero combinations of a kernel basis, a packed table of low combinations
 per Gray-code step; instances with k > 22 are refused rather than estimated.
+
+The plain PCM and alist codecs handle the whole matrix at once.  The PCM
+emitter fills one byte array; the alist emitter finds all entries with one
+np.nonzero.  Each parser tokenises its file once and checks every line
+with numpy, naming the same line and giving the same message as a
+line-by-line reader would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetError, FormatError, PreconditionError
-from .gf2 import BitMatrix, kernel_basis, min_weight, rank, rref, transpose
+from .gf2 import BitMatrix, RrefResult, min_weight, rref, transpose
 
 MAX_ENUM_DIMENSION = 22
 
@@ -50,7 +57,6 @@ class ClassicalCode:
 
     def __init__(self, h: BitMatrix, params: CodeParams | None = None):
         self.h = h
-        self._k: int | None = None
         self._d: int | None = None
         self._d_known = False
         if params is not None:
@@ -74,11 +80,13 @@ class ClassicalCode:
     def m(self) -> int:
         return self.h.rows
 
+    @cached_property
+    def _reduced(self) -> RrefResult:
+        return rref(self.h)
+
     def dimension(self) -> int:
         """Number of logical bits, n - rank(H)."""
-        if self._k is None:
-            self._k = self.n - rank(self.h)
-        return self._k
+        return self.n - self._reduced.rank
 
     def min_distance(self) -> int | None:
         """Exact minimum weight of a non-zero codeword; None when k = 0.
@@ -97,7 +105,7 @@ class ClassicalCode:
             raise BudgetError(
                 "minimum-distance enumeration", 2**k, 2**MAX_ENUM_DIMENSION
             )
-        self._d = min_weight(BitMatrix.zeros(0, self.n), kernel_basis(self.h))
+        self._d = min_weight(BitMatrix.zeros(0, self.n), self._reduced.kernel)
         self._d_known = True
         return self._d
 
@@ -114,7 +122,7 @@ class ClassicalCode:
         k = self.dimension()
         if k == 0:
             raise PreconditionError("k = 0: the code has no codeword basis")
-        reduced = rref(kernel_basis(self.h))
+        reduced = rref(self._reduced.kernel)
         pivots = list(reduced.pivot_cols)
         rest = [c for c in range(self.n) if c not in set(pivots)]
         return SystematicBasis(
@@ -138,10 +146,24 @@ class ClassicalCode:
 
 # -- file formats -----------------------------------------------------------
 
+# Code points that str.split() and str.strip() treat as whitespace.
+_SPACE = np.zeros(0x110000, dtype=bool)
+_SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
+        *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
+
+
+def _code_points(text: str) -> np.ndarray:
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
 
 def parse_pcm_text(text: str) -> BitMatrix:
-    """Plain format: first line "m n", then m lines of n space-separated 0/1."""
-    lines = [ln for ln in text.splitlines()]
+    """Plain format: first line "m n", then m lines of n space-separated 0/1.
+
+    Blank lines are skipped and lines after the m-th row are ignored.
+    """
+    lines = text.splitlines()
     idx = _next_content_line(lines, 0)
     header = lines[idx].split()
     if len(header) != 2:
@@ -150,119 +172,180 @@ def parse_pcm_text(text: str) -> BitMatrix:
         m, n = int(header[0]), int(header[1])
     except ValueError:
         raise FormatError("expected integer header 'm n'", idx + 1) from None
-    rows = []
-    pos = idx
-    for _ in range(m):
-        pos = _next_content_line(lines, pos + 1)
-        fields = lines[pos].split()
-        if len(fields) != n or any(f not in ("0", "1") for f in fields):
-            raise FormatError(f"expected {n} entries of 0/1", pos + 1)
-        rows.append([int(f) for f in fields])
-    dense = np.array(rows, dtype=np.uint8).reshape(m, n)
-    return BitMatrix.from_dense(dense)
+    if m < 0 or n < 0:
+        raise FormatError("expected non-negative header 'm n'", idx + 1)
+    rows = [i for i in range(idx + 1, len(lines)) if lines[i].strip()][:m]
+    codes = _code_points("\n".join(lines[i] for i in rows))
+    word = ~_SPACE[codes]
+    if rows:
+        # A row is good when it holds exactly n one-character tokens 0 or 1.
+        bad = word & (codes != ord("0")) & (codes != ord("1"))
+        bad[1:] |= word[1:] & word[:-1]
+        starts = np.cumsum([0] + [len(lines[i]) + 1 for i in rows[:-1]])
+        chars = np.add.reduceat(word, starts, dtype=np.int64)
+        good = (chars == n) & ~np.logical_or.reduceat(bad, starts)
+        if not good.all():
+            first = rows[int(np.argmin(good))]
+            raise FormatError(f"expected {n} entries of 0/1", first + 1)
+    if len(rows) < m:
+        raise FormatError("unexpected end of file", len(lines))
+    return BitMatrix.from_dense((codes[word] - ord("0")).reshape(m, n))
 
 
 def emit_pcm_text(h: BitMatrix) -> str:
-    lines = [f"{h.rows} {h.cols}"]
-    dense = h.to_dense()
-    for row in dense:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    body = np.full((h.rows, max(2 * h.cols, 1)), ord(" "), dtype=np.uint8)
+    body[:, : 2 * h.cols : 2] = h.to_dense() + ord("0")
+    body[:, -1] = ord("\n")
+    return f"{h.rows} {h.cols}\n" + body.tobytes().decode("ascii")
+
+
+def _int64(values: list[int]) -> np.ndarray:
+    """The values as int64, with -1 for any that int64 cannot hold."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -(2**63) <= v < 2**63 else -1 for v in values], dtype=np.int64)
+
+
+def _parse_ints(words: list[str]) -> tuple[list, np.ndarray]:
+    """int() of each word (0 where int() refuses it) and the mask of refused words."""
+    try:
+        return list(map(int, words)), np.zeros(len(words), dtype=bool)
+    except ValueError:
+        pass
+    values, refused = [], []
+    for w in words:
+        try:
+            values.append(int(w))
+            refused.append(False)
+        except ValueError:
+            values.append(0)
+            refused.append(True)
+    return values, np.array(refused, dtype=bool)
 
 
 def parse_alist(text: str) -> BitMatrix:
     """MacKay alist format, 1-indexed, zero-padded adjacency lists allowed."""
-    tokens_by_line = []
-    for ln_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped:
-            tokens_by_line.append((ln_no, stripped.split()))
-    if len(tokens_by_line) < 4:
+    lines = text.splitlines()
+    body = "\n".join(lines)
+    words = body.split()
+    codes = _code_points(body)
+    edges = np.diff((~_SPACE[codes]).view(np.int8), prepend=0, append=0)
+    token_at = np.flatnonzero(edges == 1)
+    token_len = np.flatnonzero(edges == -1) - token_at
+    token_line = np.cumsum(codes == ord("\n"))[token_at]
+    # Content lines (those holding a token) in order, with their token ranges.
+    content, per_line = np.unique(token_line, return_counts=True)
+    ends = np.cumsum(per_line)
+    if content.size < 4:
         raise FormatError("alist needs header, degree lists and adjacency lists")
-    pos = 0
 
-    def take() -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(tokens_by_line):
-            raise FormatError("unexpected end of alist")
-        item = tokens_by_line[pos]
-        pos += 1
-        return item
+    def line_no(k: int) -> int:
+        return int(content[k]) + 1
 
-    ln, header = take()
+    def line_words(k: int) -> list[str]:
+        return words[ends[k] - per_line[k]: ends[k]]
+
+    header = line_words(0)
     if len(header) != 2:
-        raise FormatError("expected alist header 'n m'", ln)
+        raise FormatError("expected alist header 'n m'", line_no(0))
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise FormatError("expected integer header 'n m'", ln) from None
-    take()  # max degrees, informational
-    def degree_list(tokens, count, what, ln):
+        raise FormatError("expected integer header 'n m'", line_no(0)) from None
+
+    def degree_list(k, count, what):
+        tokens = line_words(k)
         if len(tokens) != count:
-            raise FormatError(f"expected {count} {what} degrees", ln)
+            raise FormatError(f"expected {count} {what} degrees", line_no(k))
         try:
-            return [int(t) for t in tokens]
+            return list(map(int, tokens))
         except ValueError:
-            raise FormatError(f"{what} degrees must be integers", ln) from None
+            raise FormatError(f"{what} degrees must be integers", line_no(k)) from None
 
-    ln, col_deg = take()
-    col_deg = degree_list(col_deg, n, "column", ln)
-    ln, row_deg = take()
-    row_deg = degree_list(row_deg, m, "row", ln)
-    def live_entries(tokens, ln):
-        try:
-            return [int(e) for e in tokens if e != "0"]
-        except ValueError:
-            raise FormatError("adjacency entries must be integers", ln) from None
+    col_deg = degree_list(2, n, "column")
+    row_deg = degree_list(3, m, "row")
+    # Adjacency line a is content line 4 + a: bit a for a < n, then check a - n.
+    lists = min(n + m, content.size - 4)
+    first, last = ends[3], ends[3 + lists]
+    values, refused = _parse_ints(words[first:last])
+    value = _int64(values)
+    owner = np.repeat(np.arange(lists), per_line[4: 4 + lists])
+    live = (token_len[first:last] != 1) | (codes[token_at[first:last]] != ord("0"))
+    listed = np.bincount(owner[live], minlength=lists)
+    degree = _int64(col_deg + row_deg)[:lists]
+    bound = np.where(np.arange(lists) < n, m, n)[owner]
+    out_of_range = live & ((value < 1) | (value > bound))
 
-    dense = np.zeros((m, n), dtype=np.uint8)
-    for j in range(n):
-        ln, entries = take()
-        live = live_entries(entries, ln)
-        if len(live) != int(col_deg[j]):
-            raise FormatError(
-                f"bit {j}: {len(live)} checks listed, degree says {col_deg[j]}", ln
-            )
-        for c in live:
-            if not 1 <= c <= m:
-                raise FormatError(f"check index {c} out of range", ln)
-            dense[c - 1, j] = 1
-    for i in range(m):
-        ln, entries = take()
-        live = live_entries(entries, ln)
-        if len(live) != int(row_deg[i]):
-            raise FormatError(
-                f"check {i}: {len(live)} bits listed, degree says {row_deg[i]}", ln
-            )
-        for b in live:
-            if not 1 <= b <= n:
-                raise FormatError(f"bit index {b} out of range", ln)
-            if not dense[i, b - 1]:
+    def check(lo: int, hi: int, entry_bad: np.ndarray) -> None:
+        """Raise at the first bad list among lists lo..hi-1, or at a missing one."""
+        unparsed = np.bincount(owner[refused], minlength=lists) > 0
+        miscount = listed != degree
+        bad_entry = np.bincount(owner[entry_bad], minlength=lists) > 0
+        bad = np.flatnonzero((unparsed | miscount | bad_entry)[lo:hi])
+        if bad.size:
+            a = lo + int(bad[0])
+            ln = line_no(4 + a)
+            if unparsed[a]:
+                raise FormatError("adjacency entries must be integers", ln)
+            if miscount[a] and a < n:
                 raise FormatError(
-                    f"check {i} lists bit {b} absent from the column lists", ln
+                    f"bit {a}: {listed[a]} checks listed, degree says {col_deg[a]}", ln
                 )
-    return BitMatrix.from_dense(dense)
+            if miscount[a]:
+                raise FormatError(
+                    f"check {a - n}: {listed[a]} bits listed, degree says {row_deg[a - n]}", ln
+                )
+            entry = int(np.flatnonzero(entry_bad & (owner == a))[0])
+            if a < n:
+                raise FormatError(f"check index {values[entry]} out of range", ln)
+            if out_of_range[entry]:
+                raise FormatError(f"bit index {values[entry]} out of range", ln)
+            raise FormatError(
+                f"check {a - n} lists bit {values[entry]} absent from the column lists", ln
+            )
+        if lists < hi:
+            raise FormatError("unexpected end of alist")
+
+    check(0, n, out_of_range)
+    col_entries = live & (owner < n)
+    h = BitMatrix.from_entries(m, n, value[col_entries] - 1, owner[col_entries])
+    row_entries = live & (owner >= n) & ~out_of_range
+    absent = np.zeros(live.size, dtype=bool)
+    absent[row_entries] = ~h.entries(owner[row_entries] - n, value[row_entries] - 1)
+    check(n, n + m, out_of_range | absent)
+    return h
+
+
+def _decimal_rows(values: np.ndarray) -> str:
+    """Rows of integers as text, space-separated, one line per row."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in values.tolist())
+
+
+def _padded_lists(owner: np.ndarray, values: np.ndarray, count: int, width: int) -> np.ndarray:
+    """One row per owner, its values in order, zero-padded to `width` (at least 1)."""
+    out = np.zeros((count, max(width, 1)), dtype=np.int64)
+    sizes = np.bincount(owner, minlength=count)
+    start = np.cumsum(sizes) - sizes
+    out[owner, np.arange(owner.size) - start[owner]] = values
+    return out
 
 
 def emit_alist(h: BitMatrix) -> str:
-    dense = h.to_dense()
-    m, n = dense.shape
-    col_deg = dense.sum(axis=0)
-    row_deg = dense.sum(axis=1)
+    m, n = h.shape
+    check, bit = np.nonzero(h.to_dense())   # row-major: bits ascend within each check
+    col_deg = np.bincount(bit, minlength=n)
+    row_deg = np.bincount(check, minlength=m)
     max_col = int(col_deg.max()) if n else 0
     max_row = int(row_deg.max()) if m else 0
-    lines = [f"{n} {m}", f"{max_col} {max_row}"]
-    lines.append(" ".join(str(int(d)) for d in col_deg))
-    lines.append(" ".join(str(int(d)) for d in row_deg))
-    for j in range(n):
-        hits = [str(i + 1) for i in np.nonzero(dense[:, j])[0]]
-        hits += ["0"] * (max_col - len(hits))
-        lines.append(" ".join(hits) if hits else "0")
-    for i in range(m):
-        hits = [str(j + 1) for j in np.nonzero(dense[i])[0]]
-        hits += ["0"] * (max_row - len(hits))
-        lines.append(" ".join(hits) if hits else "0")
-    return "\n".join(lines) + "\n"
+    by_bit = np.argsort(bit, kind="stable")  # checks ascend within each bit
+    return "".join([
+        f"{n} {m}\n{max_col} {max_row}\n",
+        _decimal_rows(col_deg[None, :]),
+        _decimal_rows(row_deg[None, :]),
+        _decimal_rows(_padded_lists(bit[by_bit], check[by_bit] + 1, n, max_col)),
+        _decimal_rows(_padded_lists(check, bit + 1, m, max_row)),
+    ])
 
 
 def _next_content_line(lines: list[str], start: int) -> int:

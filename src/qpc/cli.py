@@ -186,12 +186,7 @@ def cmd_layout(args) -> int:
     else:
         table, overlays = render.parse_layout(Path(args.input).read_text())
     if args.overlay:
-        data = json.loads(Path(args.overlay).read_text())
-        overlays = overlays + (
-            render.OperatorOverlay(
-                paulis=tuple((int(i), s) for i, s in data["paulis"])
-            ),
-        )
+        overlays = overlays + (render.parse_overlay(Path(args.overlay).read_text()),)
     projection = None
     if table.kind == "3d":
         projection = render.Oblique(x_shear=args.shear, y_scale=args.yscale)

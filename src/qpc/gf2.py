@@ -6,6 +6,12 @@ arithmetic is exact mod 2.  Matrices are immutable by convention: every
 operation returns a fresh value and never mutates its inputs, so values
 can be shared freely across threads.
 
+`transpose` stays on the packed words: each 8x8 bit block sits in one
+word, is transposed by three shift-and-mask steps and moved as bytes.
+`rref` returns the reduced form and its pivots only; the row operations
+and a kernel basis are derived from that result when first read, so a
+rank costs one elimination and nothing more.
+
 Intended scale is "desk size" (a few thousand columns); there is no
 sparse storage and no attempt at asymptotically clever rank algorithms.
 """
@@ -13,6 +19,7 @@ sparse storage and no attempt at asymptotically clever rank algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +77,15 @@ class BitMatrix:
         return cls(rows, cols, words)
 
     @classmethod
+    def from_entries(cls, rows: int, cols: int, i, j) -> "BitMatrix":
+        """Ones at the positions (i[t], j[t]); a position may repeat."""
+        j = np.asarray(j, dtype=np.int64)
+        words = np.zeros((rows, _word_count(cols)), dtype=np.uint64)
+        np.bitwise_or.at(words, (np.asarray(i, dtype=np.int64), j >> 6),
+                         np.uint64(1) << (j & 63).astype(np.uint64))
+        return cls(rows, cols, words)
+
+    @classmethod
     def from_row_ints(cls, ints, cols: int) -> "BitMatrix":
         """Rows given as little-endian integers (bit j of the int = column j)."""
         rows = len(ints)
@@ -102,6 +118,12 @@ class BitMatrix:
 
     def __getitem__(self, ij) -> int:
         return self.get(*ij)
+
+    def entries(self, i, j) -> np.ndarray:
+        """The entries at the positions (i[t], j[t]), as booleans."""
+        j = np.asarray(j, dtype=np.int64)
+        bits = self._words[np.asarray(i, dtype=np.int64), j >> 6] >> (j & 63).astype(np.uint64)
+        return (bits & np.uint64(1)).astype(bool)
 
     def row_int(self, i: int) -> int:
         """Row i as a little-endian integer."""
@@ -142,21 +164,48 @@ class BitMatrix:
 
 @dataclass(frozen=True)
 class RrefResult:
-    """Reduced row echelon form plus the invertible row-operation matrix.
+    """Reduced row echelon form of `source`.
 
-    `row_ops @ input == rref` over GF(2); `pivot_cols` is strictly
-    increasing and has length `rank`.
+    `pivot_cols` is strictly increasing and has length `rank`.  The row
+    operations and the kernel are derived from it only when read.
     """
 
+    source: BitMatrix
     rref: BitMatrix
     pivot_cols: tuple[int, ...]
     rank: int
-    row_ops: BitMatrix
 
     @property
     def basis(self) -> BitMatrix:
         """The non-zero rows of `rref`: a basis of the input's row space."""
         return BitMatrix(self.rank, self.rref.cols, self.rref._words[: self.rank])
+
+    @cached_property
+    def row_ops(self) -> BitMatrix:
+        """An invertible U with `U @ source == rref`.
+
+        Eliminating [source | I] reduces the left block to `rref` and
+        carries the same row operations into the right block.
+        """
+        m = self.source
+        reduced = rref(hstack(m, BitMatrix.identity(m.rows))).rref
+        return BitMatrix.from_dense(reduced.to_dense()[:, m.cols:])
+
+    @property
+    def kernel(self) -> BitMatrix:
+        """Basis of the right kernel of `source`, one vector per free column.
+
+        The vector of free column f has a one at f and, at pivot column
+        pivot_cols[r], entry (r, f) of `rref`.
+        """
+        cols = self.source.cols
+        free = np.ones(cols, dtype=bool)
+        free[list(self.pivot_cols)] = False
+        free = np.flatnonzero(free)
+        dense = np.zeros((free.size, cols), dtype=np.uint8)
+        dense[np.arange(free.size), free] = 1
+        dense[:, list(self.pivot_cols)] = self.basis.to_dense()[:, free].T
+        return BitMatrix.from_dense(dense)
 
 
 def rref(m: BitMatrix) -> RrefResult:
@@ -166,7 +215,6 @@ def rref(m: BitMatrix) -> RrefResult:
     deterministic and reproducible across runs.
     """
     r = m._words.copy()
-    u = BitMatrix.identity(m.rows)._words.copy()
     pivots: list[int] = []
     pr = 0
     for c in range(m.cols):
@@ -181,19 +229,17 @@ def rref(m: BitMatrix) -> RrefResult:
         p = pr + int(hits[0])
         if p != pr:
             r[[pr, p]] = r[[p, pr]]
-            u[[pr, p]] = u[[p, pr]]
         others = np.nonzero((r[:, w] >> bit) & np.uint64(1))[0]
         others = others[others != pr]
         if others.size:
             r[others] ^= r[pr]
-            u[others] ^= u[pr]
         pivots.append(c)
         pr += 1
     return RrefResult(
+        source=m,
         rref=BitMatrix(m.rows, m.cols, r),
         pivot_cols=tuple(pivots),
         rank=len(pivots),
-        row_ops=BitMatrix(m.rows, m.rows, u),
     )
 
 
@@ -205,18 +251,8 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
     """Basis of the right kernel, one vector per row.
 
     The result has `cols - rank(m)` rows; each row v satisfies m v = 0.
-    Built from the RREF by assigning one free column per basis vector.
     """
-    res = rref(m)
-    pivot_set = set(res.pivot_cols)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    dense = np.zeros((len(free), m.cols), dtype=np.uint8)
-    reduced = res.rref.to_dense()
-    for t, f in enumerate(free):
-        dense[t, f] = 1
-        for row, col in enumerate(res.pivot_cols):
-            dense[t, col] = reduced[row, f]
-    return BitMatrix.from_dense(dense) if len(free) else BitMatrix.zeros(0, m.cols)
+    return rref(m).kernel
 
 
 def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -238,8 +274,34 @@ def add(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows, a.cols, a._words ^ b._words)
 
 
+def _transpose_8x8(x: np.ndarray) -> np.ndarray:
+    """Transpose the 8x8 bit block in each word: bit 8r + c moves to 8c + r."""
+    t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AA
+    x = x ^ t ^ (t << 7)
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCC
+    x = x ^ t ^ (t << 14)
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
+    return x ^ t ^ (t << 28)
+
+
 def transpose(m: BitMatrix) -> BitMatrix:
-    return BitMatrix.from_dense(m.to_dense().T)
+    """Transpose on the packed words: 8x8 bit blocks, each one word.
+
+    Rows are padded to a multiple of 64 so that each output row fills
+    whole words; the padding bits stay zero.
+    """
+    if m.rows == 0 or m.cols == 0:
+        return BitMatrix.zeros(m.cols, m.rows)
+    tall = _word_count(m.rows) * _WORD_BITS
+    width = m._words.shape[1] * 8                      # bytes per input row
+    data = np.zeros((tall, width), dtype=np.uint8)
+    data[: m.rows] = np.ascontiguousarray(m._words).view(np.uint8)
+    # Block (I, K) holds input rows 8I..8I+7 of byte column K, byte r = row 8I + r.
+    blocks = data.reshape(tall // 8, 8, width).transpose(0, 2, 1).copy().view(np.uint64)
+    flipped = _transpose_8x8(blocks[..., 0]).view(np.uint8)
+    # Now byte c of block (I, K) holds column 8K + c of rows 8I..8I+7.
+    out = flipped.reshape(tall // 8, width, 8).transpose(1, 2, 0).reshape(width * 8, tall // 8)
+    return BitMatrix(m.cols, m.rows, np.ascontiguousarray(out[: m.cols]).view(np.uint64))
 
 
 def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:

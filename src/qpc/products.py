@@ -10,17 +10,21 @@ Coordinates follow the closed forms of the 2D (hypergraph) and 3D
 (lifted/balanced) arrangements: the x axis runs over first-factor checks
 then bits, the y axis over second-factor bits then checks, and the z
 axis (3D only) over group-element rows anchored at orbit basepoints.
+A code's layout is built on first read, and its incidence edges on
+first read of `layout.edges`: writing files or analysing a code needs
+neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from .classical import ClassicalCode
 from .errors import DimensionError, PreconditionError
-from .gf2 import BitMatrix, hstack, kron, matmul, transpose
+from .gf2 import BitMatrix, RrefResult, hstack, kron, matmul, rref, transpose
 from .groups import (
     GroupAlgebraMatrix,
     binary_map,
@@ -34,23 +38,23 @@ QUBIT_ROLES = ("q1", "q2")
 CHECK_ROLES = ("x", "z")
 
 
-@dataclass(frozen=True)
 class CoordinateTable:
     """One coordinate per X check, Z check and qubit (Q1/Q2 blocks).
 
     2D tables hold (x, y) pairs, 3D tables (x, y, z) triples.  The four
     families never collide; that is validated at construction.  `edges`
-    optionally lists (check, qubit) incidences with block-local indices.
+    optionally lists (check, qubit) incidences with block-local indices;
+    it may be given as a zero-argument function, called on first read.
     """
 
-    kind: str
-    x_checks: tuple
-    z_checks: tuple
-    qubits_q1: tuple
-    qubits_q2: tuple
-    edges: tuple = field(default=())
-
-    def __post_init__(self):
+    def __init__(self, kind: str, x_checks: tuple, z_checks: tuple, qubits_q1: tuple,
+                 qubits_q2: tuple, edges=()):
+        self.kind = kind
+        self.x_checks = x_checks
+        self.z_checks = z_checks
+        self.qubits_q1 = qubits_q1
+        self.qubits_q2 = qubits_q2
+        self._edges = edges
         if self.kind not in ("2d", "3d"):
             raise PreconditionError(f"unknown layout kind {self.kind!r}")
         width = 2 if self.kind == "2d" else 3
@@ -67,6 +71,12 @@ class CoordinateTable:
                     )
                 seen[coord] = f"{role}[{idx}]"
 
+    @property
+    def edges(self) -> tuple:
+        if callable(self._edges):
+            self._edges = self._edges()
+        return self._edges
+
     def families(self) -> dict:
         return {
             "x": self.x_checks,
@@ -77,10 +87,16 @@ class CoordinateTable:
 
 
 class CSSCode:
-    """CSS code as an (H_X, H_Z) pair with provenance and a layout."""
+    """CSS code as an (H_X, H_Z) pair with provenance and a layout.
+
+    `layout` is given as a function of the incidence edges; the table is
+    built on first read of `code.layout`, and its edges on first read of
+    `code.layout.edges`.  The reduced forms of H_X and H_Z are likewise
+    computed once, on first read, and shared by every analysis.
+    """
 
     def __init__(self, h_x: BitMatrix, h_z: BitMatrix, q1_size: int,
-                 layout: CoordinateTable, provenance: dict):
+                 layout: Callable[[Callable[[], tuple]], CoordinateTable], provenance: dict):
         if h_x.cols != h_z.cols:
             raise DimensionError(
                 f"H_X has {h_x.cols} columns but H_Z has {h_z.cols}"
@@ -92,16 +108,29 @@ class CSSCode:
         self.q2_size = self.n - q1_size
         if self.q2_size < 0:
             raise DimensionError(f"q1 block {q1_size} exceeds n = {self.n}")
-        if (
-            len(layout.x_checks) != h_x.rows
-            or len(layout.z_checks) != h_z.rows
-            or len(layout.qubits_q1) != self.q1_size
-            or len(layout.qubits_q2) != self.q2_size
-        ):
-            raise DimensionError("layout does not cover every vertex exactly once")
-        self.layout = layout
+        self._layout = layout
         self.provenance = provenance
         self.commuting = matmul(h_x, transpose(h_z)).is_zero()
+
+    @cached_property
+    def layout(self) -> CoordinateTable:
+        table = self._layout(lambda: _incidence_edges(self.h_x, self.h_z, self.q1_size))
+        if (
+            len(table.x_checks) != self.m_x
+            or len(table.z_checks) != self.m_z
+            or len(table.qubits_q1) != self.q1_size
+            or len(table.qubits_q2) != self.q2_size
+        ):
+            raise DimensionError("layout does not cover every vertex exactly once")
+        return table
+
+    @cached_property
+    def x_rref(self) -> RrefResult:
+        return rref(self.h_x)
+
+    @cached_property
+    def z_rref(self) -> RrefResult:
+        return rref(self.h_z)
 
     @property
     def m_x(self) -> int:
@@ -139,18 +168,21 @@ def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix, q1_size: int | None = None
     """
     if q1_size is None:
         q1_size = h_x.cols
-    layout = CoordinateTable(
-        kind="2d",
-        x_checks=tuple((i, 0) for i in range(h_x.rows)),
-        z_checks=tuple((h_x.rows + i, 0) for i in range(h_z.rows)),
-        qubits_q1=tuple(
-            (h_x.rows + h_z.rows + j, 0) for j in range(q1_size)
-        ),
-        qubits_q2=tuple(
-            (h_x.rows + h_z.rows + j, 0) for j in range(q1_size, h_x.cols)
-        ),
-        edges=_incidence_edges(h_x, h_z, q1_size),
-    )
+
+    def layout(edges) -> CoordinateTable:
+        return CoordinateTable(
+            kind="2d",
+            x_checks=tuple((i, 0) for i in range(h_x.rows)),
+            z_checks=tuple((h_x.rows + i, 0) for i in range(h_z.rows)),
+            qubits_q1=tuple(
+                (h_x.rows + h_z.rows + j, 0) for j in range(q1_size)
+            ),
+            qubits_q2=tuple(
+                (h_x.rows + h_z.rows + j, 0) for j in range(q1_size, h_x.cols)
+            ),
+            edges=edges,
+        )
+
     return CSSCode(h_x, h_z, q1_size=q1_size, layout=layout,
                    provenance={"kind": "from-matrices"})
 
@@ -196,13 +228,11 @@ def hgp(c1: ClassicalCode, c2: ClassicalCode) -> CSSCode:
         kron(BitMatrix.identity(n1), h2),
         kron(transpose(h1), BitMatrix.identity(m2)),
     )
-    q1 = n1 * n2
-    layout = _hgp_layout(m1, n1, m2, n2, _incidence_edges(h_x, h_z, q1))
     return CSSCode(
         h_x,
         h_z,
-        q1_size=q1,
-        layout=layout,
+        q1_size=n1 * n2,
+        layout=partial(_hgp_layout, m1, n1, m2, n2),
         provenance={
             "kind": "hgp",
             "m1": m1, "n1": n1, "m2": m2, "n2": n2,
@@ -256,13 +286,11 @@ def lifted_product(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
     )
     h_x = binary_map(ring_hx)
     h_z = binary_map(ring_hz)
-    q1 = c1 * c2 * l
-    layout = _lp_layout(r1, c1, r2, c2, l, _incidence_edges(h_x, h_z, q1))
     return CSSCode(
         h_x,
         h_z,
-        q1_size=q1,
-        layout=layout,
+        q1_size=c1 * c2 * l,
+        layout=partial(_lp_layout, r1, c1, r2, c2, l),
         provenance={
             "kind": "lifted_product",
             "group": m1.group.spec,
@@ -478,14 +506,16 @@ def balanced_product(
             out.append((a_cls[u] + a_offset, b_cls[v] + b_offset, b_row[v]))
         return tuple(out)
 
-    layout = CoordinateTable(
-        kind="3d",
-        x_checks=coords("x", a_check_cls, 0, b_bit_cls, b_bit_row, 0),
-        z_checks=coords("z", a_bit_cls, m1, b_check_cls, b_check_row, n2),
-        qubits_q1=coords("q1", a_bit_cls, m1, b_bit_cls, b_bit_row, 0),
-        qubits_q2=coords("q2", a_check_cls, 0, b_check_cls, b_check_row, n2),
-        edges=_incidence_edges(h_x, h_z, n_q1),
-    )
+    def layout(edges) -> CoordinateTable:
+        return CoordinateTable(
+            kind="3d",
+            x_checks=coords("x", a_check_cls, 0, b_bit_cls, b_bit_row, 0),
+            z_checks=coords("z", a_bit_cls, m1, b_check_cls, b_check_row, n2),
+            qubits_q1=coords("q1", a_bit_cls, m1, b_bit_cls, b_bit_row, 0),
+            qubits_q2=coords("q2", a_check_cls, 0, b_check_cls, b_check_row, n2),
+            edges=edges,
+        )
+
     total = sum(len(o) for o in orbits.values())
     product_size = (a.check_count + a.bit_count) * (b.check_count + b.bit_count)
     return CSSCode(

@@ -134,39 +134,88 @@ def _emit_json(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def parse_layout(text: str):
-    """Inverse of the JSON emitter; returns (table, overlays)."""
+def _load_object(text: str, what: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return data
+
+
+def _list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise FormatError(f"'{key}' must be a list")
+    return value
+
+
+def _overlay(data) -> OperatorOverlay:
+    if not isinstance(data, dict) or not isinstance(data.get("paulis"), list):
+        raise FormatError("an overlay needs a 'paulis' list of [qubit, letter] pairs")
+    pairs = []
+    for entry in data["paulis"]:
+        try:
+            qubit, letter = entry
+            pairs.append((int(qubit), letter))
+        except (TypeError, ValueError, OverflowError):
+            letter = None
+        if not isinstance(letter, str):
+            raise FormatError(f"overlay entry {entry!r} is not a [qubit, letter] pair")
+    return OperatorOverlay(paulis=tuple(pairs))
+
+
+def parse_overlay(text: str) -> OperatorOverlay:
+    """An overlay file: {"paulis": [[qubit, letter], ...]}."""
+    return _overlay(_load_object(text, "an overlay"))
+
+
+def parse_layout(text: str):
+    """Inverse of the JSON emitter; returns (table, overlays)."""
+    data = _load_object(text, "a layout")
     if data.get("version") != SCHEMA_VERSION:
         raise FormatError(f"unsupported layout version {data.get('version')!r}")
+    if "kind" not in data:
+        raise FormatError("layout has no 'kind'")
     families = {role: [] for role in ROLE_ORDER}
-    for vertex in data.get("vertices", ()):
+    for k, vertex in enumerate(_list(data, "vertices")):
+        if type(vertex) is not dict or "role" not in vertex:
+            raise FormatError(f"vertex {k} has no role")
         role = vertex["role"]
-        if role not in families:
+        rows = families.get(role) if type(role) is str else None
+        if rows is None:
             raise FormatError(f"unknown vertex role {role!r}")
-        families[role].append((vertex["index"], tuple(vertex["coord"])))
+        index, coord = vertex.get("index"), vertex.get("coord")
+        if type(index) is not int or type(coord) is not list:
+            raise FormatError(f"vertex {k} needs an integer index and a coordinate list")
+        rows.append((index, tuple(coord)))
+    if {type(c) for rows in families.values() for _, coord in rows for c in coord} - {int}:
+        raise FormatError("vertex coordinates must be integers")
     for role, rows in families.items():
         rows.sort()
         if [i for i, _ in rows] != list(range(len(rows))):
             raise FormatError(f"{role} indices are not contiguous from zero")
-    edges = tuple(
-        ((a[0], a[1]), (b[0], b[1])) for a, b in data.get("edges", ())
-    )
+    edges = []
+    for edge in _list(data, "edges"):
+        ends = edge if isinstance(edge, list) and len(edge) == 2 else []
+        if not ends or not all(
+            isinstance(end, list) and len(end) == 2 and isinstance(end[0], str)
+            and end[0] in families and isinstance(end[1], int)
+            and 0 <= end[1] < len(families[end[0]])
+            for end in ends
+        ):
+            raise FormatError(f"edge {edge!r} does not join two listed vertices")
+        edges.append((tuple(ends[0]), tuple(ends[1])))
     table = CoordinateTable(
         kind=data["kind"],
         x_checks=tuple(c for _, c in families["x"]),
         z_checks=tuple(c for _, c in families["z"]),
         qubits_q1=tuple(c for _, c in families["q1"]),
         qubits_q2=tuple(c for _, c in families["q2"]),
-        edges=edges,
+        edges=tuple(edges),
     )
-    overlays = tuple(
-        OperatorOverlay(paulis=tuple((int(i), s) for i, s in ov["paulis"]))
-        for ov in data.get("overlays", ())
-    )
+    overlays = tuple(_overlay(ov) for ov in _list(data, "overlays"))
     return table, overlays
 
 

@@ -190,6 +190,16 @@ class TestFormats:
         with pytest.raises(FormatError, match="line 2"):
             parse_pcm_text("1 3\n0 2 1\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("-1 3\n", 1),
+        ("3 -1\n0 1 0\n", 1),
+        ("\n\n-2 -2\n", 3),
+    ])
+    def test_pcm_negative_header(self, text, line):
+        with pytest.raises(FormatError, match="non-negative") as err:
+            parse_pcm_text(text)
+        assert err.value.line == line
+
     def test_alist_roundtrip(self):
         rng = random.Random(47)
         for _ in range(20):

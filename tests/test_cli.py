@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import qpc
+from qpc import analysis, classical, gf2, products
 from qpc.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -256,6 +258,49 @@ class TestAnalyze:
         assert err == "error: H_X has 18 columns but H_Z has 7\n"
 
 
+    def test_negative_pcm_header_exits_1(self, tmp_path, capsys):
+        (tmp_path / "neg.pcm").write_text("-1 3\n")
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "--hx", tmp_path / "neg.pcm",
+            "--hz", tmp_path / "neg.pcm",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 1: expected non-negative header 'm n'\n"
+
+    @pytest.mark.parametrize("extra, exit_code", [([], 0), (["--budget", "1"], 3)])
+    def test_each_check_matrix_reduced_once(self, tmp_path, capsys, monkeypatch,
+                                            extra, exit_code):
+        self.build_toric(tmp_path, capsys)
+        h_x = classical.parse_pcm_text((tmp_path / "toric.hx.pcm").read_text())
+        h_z = classical.parse_pcm_text((tmp_path / "toric.hz.pcm").read_text())
+        assert h_x != h_z
+        reduced = []
+        original = gf2.rref
+
+        def counting(m):
+            reduced.append(m)
+            return original(m)
+
+        for module in (gf2, classical, products, analysis, qpc):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+        code, out, _ = run(
+            capsys,
+            "analyze",
+            "--hx", tmp_path / "toric.hx.pcm",
+            "--hz", tmp_path / "toric.hz.pcm",
+            *extra,
+        )
+        assert code == exit_code
+        assert ("params: [[18,2,3]]" in out) == (exit_code == 0)
+        assert sum(m == h_x for m in reduced) == 1
+        assert sum(m == h_z for m in reduced) == 1
+
+
 class TestLayout:
     def test_render_formats(self, tmp_path, capsys):
         run(
@@ -332,6 +377,57 @@ class TestLayout:
         )
         assert code == 0
         assert (tmp_path / "fig.svg").read_text().count('fill="red"') == 3
+
+
+    @pytest.mark.parametrize("overlay", [
+        {"paulis": 5},
+        {"paulis": [[0]]},
+        {"paulis": [["a", "Z"]]},
+        [[0, "Z"]],
+        "not json",
+    ])
+    def test_malformed_overlay_exits_1(self, tmp_path, capsys, overlay):
+        run(
+            capsys,
+            "construct", "hgp",
+            "--c1", FIXTURES / "rep3.pcm",
+            "--c2", FIXTURES / "rep3.pcm",
+            "--out-prefix", tmp_path / "toric",
+        )
+        text = overlay if isinstance(overlay, str) else json.dumps(overlay)
+        (tmp_path / "ov.json").write_text(text)
+        code, out, err = run(
+            capsys,
+            "layout",
+            "--input", tmp_path / "toric.layout.json",
+            "--format", "svg",
+            "--overlay", tmp_path / "ov.json",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("vertex", [
+        {"index": 0, "coord": [0, 0]},
+        {"role": "x", "coord": [0, 0]},
+        {"role": "x", "index": 0, "coord": 5},
+        {"role": ["x"], "index": 0, "coord": [0, 0]},
+        "x",
+    ])
+    def test_malformed_layout_vertex_exits_1(self, tmp_path, capsys, vertex):
+        layout = {"version": "qpc-layout/1", "kind": "2d", "vertices": [vertex]}
+        (tmp_path / "bad.json").write_text(json.dumps(layout))
+        code, out, err = run(
+            capsys,
+            "layout",
+            "--input", tmp_path / "bad.json",
+            "--format", "svg",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestVerify:

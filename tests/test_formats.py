@@ -1,0 +1,345 @@
+"""Differential tests for the PCM and alist codecs.
+
+The per-entry implementations that the whole-matrix codecs replaced are
+kept below, verbatim, as oracles.  Every case must give the same text,
+the same matrix, or a FormatError with the same line and message in both
+versions.  The one intended difference is that a negative PCM header is
+now refused.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from qpc import classical
+from qpc.classical import emit_alist, emit_pcm_text, parse_alist, parse_pcm_text
+from qpc.errors import FormatError
+from qpc.gf2 import BitMatrix
+
+# -- oracles ----------------------------------------------------------------
+
+
+def _next_content_line(lines: list[str], start: int) -> int:
+    for idx in range(start, len(lines)):
+        if lines[idx].strip():
+            return idx
+    raise FormatError("unexpected end of file", len(lines))
+
+
+def oracle_parse_pcm_text(text: str) -> BitMatrix:
+    lines = [ln for ln in text.splitlines()]
+    idx = _next_content_line(lines, 0)
+    header = lines[idx].split()
+    if len(header) != 2:
+        raise FormatError("expected header 'm n'", idx + 1)
+    try:
+        m, n = int(header[0]), int(header[1])
+    except ValueError:
+        raise FormatError("expected integer header 'm n'", idx + 1) from None
+    rows = []
+    pos = idx
+    for _ in range(m):
+        pos = _next_content_line(lines, pos + 1)
+        fields = lines[pos].split()
+        if len(fields) != n or any(f not in ("0", "1") for f in fields):
+            raise FormatError(f"expected {n} entries of 0/1", pos + 1)
+        rows.append([int(f) for f in fields])
+    dense = np.array(rows, dtype=np.uint8).reshape(m, n)
+    return BitMatrix.from_dense(dense)
+
+
+def oracle_emit_pcm_text(h: BitMatrix) -> str:
+    lines = [f"{h.rows} {h.cols}"]
+    dense = h.to_dense()
+    for row in dense:
+        lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_parse_alist(text: str) -> BitMatrix:
+    tokens_by_line = []
+    for ln_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped:
+            tokens_by_line.append((ln_no, stripped.split()))
+    if len(tokens_by_line) < 4:
+        raise FormatError("alist needs header, degree lists and adjacency lists")
+    pos = 0
+
+    def take() -> tuple[int, list[str]]:
+        nonlocal pos
+        if pos >= len(tokens_by_line):
+            raise FormatError("unexpected end of alist")
+        item = tokens_by_line[pos]
+        pos += 1
+        return item
+
+    ln, header = take()
+    if len(header) != 2:
+        raise FormatError("expected alist header 'n m'", ln)
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise FormatError("expected integer header 'n m'", ln) from None
+    take()  # max degrees, informational
+    def degree_list(tokens, count, what, ln):
+        if len(tokens) != count:
+            raise FormatError(f"expected {count} {what} degrees", ln)
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:
+            raise FormatError(f"{what} degrees must be integers", ln) from None
+
+    ln, col_deg = take()
+    col_deg = degree_list(col_deg, n, "column", ln)
+    ln, row_deg = take()
+    row_deg = degree_list(row_deg, m, "row", ln)
+    def live_entries(tokens, ln):
+        try:
+            return [int(e) for e in tokens if e != "0"]
+        except ValueError:
+            raise FormatError("adjacency entries must be integers", ln) from None
+
+    dense = np.zeros((m, n), dtype=np.uint8)
+    for j in range(n):
+        ln, entries = take()
+        live = live_entries(entries, ln)
+        if len(live) != int(col_deg[j]):
+            raise FormatError(
+                f"bit {j}: {len(live)} checks listed, degree says {col_deg[j]}", ln
+            )
+        for c in live:
+            if not 1 <= c <= m:
+                raise FormatError(f"check index {c} out of range", ln)
+            dense[c - 1, j] = 1
+    for i in range(m):
+        ln, entries = take()
+        live = live_entries(entries, ln)
+        if len(live) != int(row_deg[i]):
+            raise FormatError(
+                f"check {i}: {len(live)} bits listed, degree says {row_deg[i]}", ln
+            )
+        for b in live:
+            if not 1 <= b <= n:
+                raise FormatError(f"bit index {b} out of range", ln)
+            if not dense[i, b - 1]:
+                raise FormatError(
+                    f"check {i} lists bit {b} absent from the column lists", ln
+                )
+    return BitMatrix.from_dense(dense)
+
+
+def oracle_emit_alist(h: BitMatrix) -> str:
+    dense = h.to_dense()
+    m, n = dense.shape
+    col_deg = dense.sum(axis=0)
+    row_deg = dense.sum(axis=1)
+    max_col = int(col_deg.max()) if n else 0
+    max_row = int(row_deg.max()) if m else 0
+    lines = [f"{n} {m}", f"{max_col} {max_row}"]
+    lines.append(" ".join(str(int(d)) for d in col_deg))
+    lines.append(" ".join(str(int(d)) for d in row_deg))
+    for j in range(n):
+        hits = [str(i + 1) for i in np.nonzero(dense[:, j])[0]]
+        hits += ["0"] * (max_col - len(hits))
+        lines.append(" ".join(hits) if hits else "0")
+    for i in range(m):
+        hits = [str(j + 1) for j in np.nonzero(dense[i])[0]]
+        hits += ["0"] * (max_row - len(hits))
+        lines.append(" ".join(hits) if hits else "0")
+    return "\n".join(lines) + "\n"
+
+
+# -- inputs -----------------------------------------------------------------
+
+SHAPES = [(0, 0), (0, 5), (4, 0), (1, 1), (1, 64), (3, 65), (2, 130)]
+
+
+def random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
+    p = rng.choice([0.0, 0.05, 0.3, 0.7, 1.0])
+    dense = np.array(
+        [[rng.random() < p for _ in range(cols)] for _ in range(rows)], dtype=np.uint8
+    ).reshape(rows, cols)
+    return BitMatrix.from_dense(dense)
+
+
+def random_matrices(seed: int, count: int):
+    rng = random.Random(seed)
+    for shape in SHAPES:
+        yield random_matrix(rng, *shape)
+    for _ in range(count):
+        yield random_matrix(rng, rng.randint(0, 9), rng.randint(0, 140))
+
+
+# Replacement bytes: digits, signs, letters, ASCII and Unicode whitespace,
+# and characters that str.splitlines() treats as line breaks.
+BAD_CHARS = ["2", "9", "x", "-", "+", "_", ".", " ", "\t", "\x0b", "\x0c", "\r",
+             "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u3000", "\u0663", "\xe9"]
+TOKENS = ["10", "01", "11", "00", "007", "+1", "-1", "1_0", "2", "99999999999999999999999"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One seeded corruption of an emitted file."""
+    kind = rng.choice(["truncate", "byte", "token", "index", "merge", "blank", "crlf",
+                       "extra", "drop"])
+    lines = text.split("\n")
+    if kind == "truncate":
+        return text[: rng.randrange(len(text) + 1)]
+    if kind == "byte" and text:
+        pos = rng.randrange(len(text))
+        return text[:pos] + rng.choice(BAD_CHARS) + text[pos + 1:]
+    if kind in ("token", "index"):
+        at = rng.randrange(len(lines))
+        words = lines[at].split(" ")
+        if kind == "token":
+            new = rng.choice(TOKENS)
+        else:
+            header = lines[0].split(" ")
+            bound = max((int(t) for t in header if t.isdigit()), default=1)
+            new = str(rng.choice([0, -1, bound, bound + 1, 2 * bound + 3]))
+        words[rng.randrange(len(words))] = new
+        lines[at] = " ".join(words)
+        return "\n".join(lines)
+    if kind == "merge":
+        # two tokens glued together, one more added: the entry count holds
+        at = rng.randrange(len(lines))
+        words = lines[at].split(" ")
+        if len(words) > 1:
+            i = rng.randrange(len(words) - 1)
+            words[i:i + 2] = [words[i] + words[i + 1], rng.choice(["0", "1"])]
+            lines[at] = " ".join(words)
+        return "\n".join(lines)
+    if kind == "blank":
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "\t", " \x0c "]))
+        return "\n".join(lines)
+    if kind == "crlf":
+        return text.replace("\n", rng.choice(["\r\n", "\r", "\x1e"]))
+    if kind == "extra":
+        extra = rng.choice(lines) if lines else "1"
+        lines.insert(rng.randrange(len(lines) + 1), extra)
+        return "\n".join(lines)
+    if kind == "drop" and len(lines) > 1:
+        del lines[rng.randrange(len(lines))]
+        return "\n".join(lines)
+    return text
+
+
+def outcome(parse, text: str):
+    """The matrix, or the FormatError's line and message.
+
+    A header so large that numpy cannot shape the matrix raises a plain
+    ValueError in both versions; only its type is compared.
+    """
+    try:
+        return ("matrix", parse(text))
+    except FormatError as exc:
+        return ("error", exc.line, str(exc))
+    except ValueError as exc:
+        return ("crash", type(exc).__name__)
+
+
+def negative_pcm_header(text: str) -> bool:
+    for line in text.splitlines():
+        if line.strip():
+            header = line.split()
+            try:
+                return len(header) == 2 and min(int(header[0]), int(header[1])) < 0
+            except ValueError:
+                return False
+    return False
+
+
+# -- tests ------------------------------------------------------------------
+
+
+class TestEmitters:
+    def test_pcm_text_matches_oracle(self):
+        for h in random_matrices(101, 60):
+            assert emit_pcm_text(h) == oracle_emit_pcm_text(h), h.shape
+
+    def test_alist_matches_oracle(self):
+        for h in random_matrices(103, 60):
+            assert emit_alist(h) == oracle_emit_alist(h), h.shape
+
+    def test_multi_digit_indices(self):
+        # indices past 9, 99 and 999 exercise every digit count in a line
+        rng = random.Random(107)
+        h = random_matrix(rng, 3, 1200)
+        assert emit_alist(h) == oracle_emit_alist(h)
+        assert emit_alist(BitMatrix.identity(1100)) == oracle_emit_alist(BitMatrix.identity(1100))
+
+
+class TestParsers:
+    def test_whitespace_table_is_str_isspace(self):
+        # the tokeniser must split exactly where str.split() does
+        spaces = [c for c in range(0x110000) if chr(c).isspace()]
+        assert np.flatnonzero(classical._SPACE).tolist() == spaces
+
+    def test_clean_files_match_oracle(self):
+        # Files of a matrix with no rows or no columns do not read back in
+        # either version (blank lines carry no row); they must fail alike.
+        for h in random_matrices(109, 40):
+            for emit, parse, oracle in ((emit_pcm_text, parse_pcm_text, oracle_parse_pcm_text),
+                                        (emit_alist, parse_alist, oracle_parse_alist)):
+                text = emit(h)
+                assert outcome(parse, text) == outcome(oracle, text)
+                if h.rows and h.cols:
+                    assert parse(text) == h
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_pcm_matches_oracle(self, seed):
+        rng = random.Random(1000 + seed)
+        for h in random_matrices(2000 + seed, 40):
+            text = emit_pcm_text(h)
+            for _ in range(12):
+                bad = mutate(rng, text)
+                if negative_pcm_header(bad):
+                    continue
+                want = outcome(oracle_parse_pcm_text, bad)
+                assert outcome(parse_pcm_text, bad) == want, repr(bad)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_alist_matches_oracle(self, seed):
+        rng = random.Random(3000 + seed)
+        for h in random_matrices(4000 + seed, 40):
+            text = emit_alist(h)
+            for _ in range(12):
+                bad = mutate(rng, text)
+                assert outcome(parse_alist, bad) == outcome(oracle_parse_alist, bad), repr(bad)
+
+    @pytest.mark.parametrize("text", [
+        "2 3\n0 1 0\n",                 # truncated
+        "1 3\n0 1\n",                   # short row
+        "1 3\n0 1 1 0\n",               # long row
+        "1 2\n0 10\n",                  # multi-digit token
+        "1 3\n01  0\n",                 # multi-digit token, digit count still n
+        "1 2\n0\u20031\n",              # Unicode space inside a row
+        "1 2\r\n\r\n1 1\r\n",           # CRLF and a blank line
+        "2 2\n1 1\n0 0\n1 1\n",         # extra row, ignored
+        "0 3\n",
+        "2 0\n",
+        "",
+        "1 x\n",
+        "1 2 3\n",
+    ])
+    def test_pcm_edge_cases_match_oracle(self, text):
+        assert outcome(parse_pcm_text, text) == outcome(oracle_parse_pcm_text, text)
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n2 3 0\n",   # zero padding
+        "2 1\n1 2\n1 0\n2\n1\n0\n1 2\n",                         # bit absent from columns
+        "2 1\n1 2\n1 1\n2\n1\n1\n1 02\n",                        # leading zero
+        "2 1\n1 2\n1 1\n2\n1\n1\n1 +2\n",                        # sign
+        "2 1\n1 2\n1 1\n2\n1\n1\n1 3\n",                         # bit index out of range
+        "2 1\n1 2\n1 1\n2\n2\n1\n1 2\n",                         # check index out of range
+        "2 1\n1 2\n1 1\n2\n1 1\n1\n1 2\n",                       # duplicate entry
+        "2 1\n1 2\n1 1\n2\n1\n1\n",                              # truncated
+        "2 1\n1 2\n1 x\n2\n1\n1\n1 2\n",                         # bad degree
+        "2 1\n1 2\n1 1\n2\n1\n00\n1 2\n",                        # 00 is not padding
+        "0 0\n0 0\n\n\n",
+        "1 2\n",
+    ])
+    def test_alist_edge_cases_match_oracle(self, text):
+        assert outcome(parse_alist, text) == outcome(oracle_parse_alist, text)

@@ -179,6 +179,74 @@ class TestKernel:
                 assert rank(basis) == basis.rows
 
 
+    def test_matches_free_column_loop(self):
+        # the per-free-column fill that RrefResult.kernel replaced
+        def loop_kernel(m):
+            res = rref(m)
+            free = [c for c in range(m.cols) if c not in set(res.pivot_cols)]
+            dense = np.zeros((len(free), m.cols), dtype=np.uint8)
+            reduced = res.rref.to_dense()
+            for t, f in enumerate(free):
+                dense[t, f] = 1
+                for row, col in enumerate(res.pivot_cols):
+                    dense[t, col] = reduced[row, f]
+            return BitMatrix.from_dense(dense) if free else BitMatrix.zeros(0, m.cols)
+
+        rng = random.Random(17)
+        for _ in range(60):
+            m = random_bitmatrix(rng, rng.randint(0, 9), rng.randint(0, 150))
+            assert kernel_basis(m) == loop_kernel(m)
+            assert rref(m).kernel == loop_kernel(m)
+
+
+class TestLazyRowOps:
+    def test_rref_does_not_build_row_ops(self):
+        res = rref(bm(CIRC))
+        assert "row_ops" not in vars(res)
+        assert matmul(res.row_ops, bm(CIRC)) == res.rref
+        assert "row_ops" in vars(res)
+
+    def test_row_ops_of_wide_and_empty_inputs(self):
+        rng = random.Random(19)
+        for rows, cols in [(0, 0), (0, 5), (4, 0), (3, 64), (5, 130), (70, 3)]:
+            m = random_bitmatrix(rng, rows, cols) if rows and cols else BitMatrix.zeros(rows, cols)
+            res = rref(m)
+            assert res.row_ops.shape == (rows, rows)
+            assert matmul(res.row_ops, m) == res.rref
+            assert rank(res.row_ops) == rows
+
+
+class TestPackedTranspose:
+    def test_matches_dense_transpose(self):
+        # the dense round trip that the packed transpose replaced
+        rng = np.random.default_rng(23)
+        shapes = [(r, c) for r in (0, 1, 7, 8, 63, 64, 65, 129) for c in (0, 1, 8, 64, 65, 200)]
+        shapes += [tuple(rng.integers(0, 300, 2)) for _ in range(200)]
+        for rows, cols in shapes:
+            dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+            m = BitMatrix.from_dense(dense)
+            t = transpose(m)
+            assert t == BitMatrix.from_dense(dense.T), (rows, cols)
+            assert transpose(t) == m
+
+    def test_padding_bits_stay_zero(self):
+        m = BitMatrix.from_dense(np.ones((70, 3), dtype=np.uint8))
+        t = transpose(m)
+        assert t.weight() == 210
+        assert t.row_weight(0) == 70
+
+
+class TestEntries:
+    def test_from_entries_and_entries(self):
+        rng = np.random.default_rng(29)
+        dense = rng.integers(0, 2, (9, 140), dtype=np.uint8)
+        i, j = np.nonzero(dense)
+        m = BitMatrix.from_entries(9, 140, np.concatenate([i, i]), np.concatenate([j, j]))
+        assert m == BitMatrix.from_dense(dense)
+        qi, qj = rng.integers(0, 9, 500), rng.integers(0, 140, 500)
+        assert np.array_equal(m.entries(qi, qj), dense[qi, qj] == 1)
+
+
 class TestKron:
     def test_identity_left_gives_block_diagonal(self):
         h = bm(CIRC)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from qpc import products
 from qpc.classical import ClassicalCode, repetition_check
 from qpc.errors import PreconditionError
 from qpc.gf2 import BitMatrix, matmul, transpose
@@ -15,6 +16,7 @@ from qpc.groups import (
 from qpc.products import (
     CoordinateTable,
     balanced_product,
+    css_from_matrices,
     hgp,
     hgp_of_lifts,
     layout_of,
@@ -277,3 +279,36 @@ class TestCoordinateTable:
                 qubits_q1=(),
                 qubits_q2=(),
             )
+
+
+class TestLazyLayout:
+    def test_layout_and_edges_are_built_on_first_read(self, monkeypatch):
+        calls = []
+        real = products._incidence_edges
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(products, "_incidence_edges", counted)
+        group = FiniteGroup.cyclic(3)
+        codes = [hgp(rep3(), rep3()), lifted_product(ring_1px(group), ring_1px(group))]
+        a, b, act_a, act_b = lift_with_regular_actions(ring_1px(group), ring_1px(group))
+        codes.append(balanced_product(a, b, act_a, act_b))
+        for code in codes:
+            assert "layout" not in vars(code)
+            table = code.layout
+            assert code.layout is table and calls == []
+            edges = table.edges
+            assert len(calls) == 1 and table.edges is edges
+            assert edges == real(code.h_x, code.h_z, code.q1_size)
+            assert len(edges) == code.h_x.weight() + code.h_z.weight()
+            calls.clear()
+
+    def test_matrices_alone_build_no_layout(self):
+        toric = hgp(rep3(), rep3())
+        code = css_from_matrices(toric.h_x, toric.h_z)
+        assert code.commuting
+        assert "layout" not in vars(code)
+        assert len(code.layout.x_checks) == toric.m_x
+        assert code.layout.edges[0] == (("x", 0), ("q1", 0))
