@@ -174,6 +174,15 @@ def parse_pcm_text(text: str) -> BitMatrix:
         raise FormatError("expected integer header 'm n'", idx + 1) from None
     if m < 0 or n < 0:
         raise FormatError("expected non-negative header 'm n'", idx + 1)
+    if n == 0:
+        # a row without entries is an empty line: the m lines after the header
+        rows = lines[idx + 1: idx + 1 + m]
+        for i, row in enumerate(rows, start=idx + 2):
+            if row.strip():
+                raise FormatError("expected 0 entries of 0/1", i)
+        if len(rows) < m:
+            raise FormatError("unexpected end of file", len(lines))
+        return BitMatrix.zeros(m, 0)
     rows = [i for i in range(idx + 1, len(lines)) if lines[i].strip()][:m]
     codes = _code_points("\n".join(lines[i] for i in rows))
     word = ~_SPACE[codes]
@@ -189,6 +198,8 @@ def parse_pcm_text(text: str) -> BitMatrix:
             raise FormatError(f"expected {n} entries of 0/1", first + 1)
     if len(rows) < m:
         raise FormatError("unexpected end of file", len(lines))
+    if n > np.iinfo(np.intp).max:
+        raise FormatError("header 'm n' exceeds the largest array dimension", idx + 1)
     return BitMatrix.from_dense((codes[word] - ord("0")).reshape(m, n))
 
 
@@ -237,8 +248,6 @@ def parse_alist(text: str) -> BitMatrix:
     # Content lines (those holding a token) in order, with their token ranges.
     content, per_line = np.unique(token_line, return_counts=True)
     ends = np.cumsum(per_line)
-    if content.size < 4:
-        raise FormatError("alist needs header, degree lists and adjacency lists")
 
     def line_no(k: int) -> int:
         return int(content[k]) + 1
@@ -246,6 +255,10 @@ def parse_alist(text: str) -> BitMatrix:
     def line_words(k: int) -> list[str]:
         return words[ends[k] - per_line[k]: ends[k]]
 
+    # A list of no entries is an empty line, so a 0 x 0 matrix has only the
+    # header and the maximum degrees.
+    if content.size < 4 and not (content.size > 1 and line_words(0) == ["0", "0"]):
+        raise FormatError("alist needs header, degree lists and adjacency lists")
     header = line_words(0)
     if len(header) != 2:
         raise FormatError("expected alist header 'n m'", line_no(0))
@@ -263,14 +276,16 @@ def parse_alist(text: str) -> BitMatrix:
         except ValueError:
             raise FormatError(f"{what} degrees must be integers", line_no(k)) from None
 
-    col_deg = degree_list(2, n, "column")
-    row_deg = degree_list(3, m, "row")
-    # Adjacency line a is content line 4 + a: bit a for a < n, then check a - n.
-    lists = min(n + m, content.size - 4)
-    first, last = ends[3], ends[3 + lists]
+    # Degree lists of no entries are empty lines too, and take no content line.
+    col_deg = degree_list(2, n, "column") if n else []
+    row_deg = degree_list(2 + (n > 0), m, "row") if m else []
+    # Adjacency line a is content line top + a: bit a for a < n, then check a - n.
+    top = 2 + (n > 0) + (m > 0)
+    lists = min(n + m, content.size - top)
+    first, last = ends[top - 1], ends[top - 1 + lists]
     values, refused = _parse_ints(words[first:last])
     value = _int64(values)
-    owner = np.repeat(np.arange(lists), per_line[4: 4 + lists])
+    owner = np.repeat(np.arange(lists), per_line[top: top + lists])
     live = (token_len[first:last] != 1) | (codes[token_at[first:last]] != ord("0"))
     listed = np.bincount(owner[live], minlength=lists)
     degree = _int64(col_deg + row_deg)[:lists]
@@ -285,7 +300,7 @@ def parse_alist(text: str) -> BitMatrix:
         bad = np.flatnonzero((unparsed | miscount | bad_entry)[lo:hi])
         if bad.size:
             a = lo + int(bad[0])
-            ln = line_no(4 + a)
+            ln = line_no(top + a)
             if unparsed[a]:
                 raise FormatError("adjacency entries must be integers", ln)
             if miscount[a] and a < n:

@@ -372,36 +372,19 @@ def _product_orbits(act_a: GroupAction, part_a: str, act_b: GroupAction, part_b:
     """Orbits of (u, v) pairs under h . (u, v) = (u . h, h^-1 . v).
 
     With stored left actions both coordinates receive the inverse
-    element's permutation.  Scanning pairs lexicographically makes each
-    orbit's first-seen member its basepoint; freeness on the first
-    factor guarantees that member carries the A-class basepoint.
+    element's permutation.  The action on the first factor is free, so
+    exactly one member of the orbit of (u, v) has the A-class basepoint
+    base(u) first, namely (base(u), pi_B(row(u)^-1) v), and that member is
+    the orbit's lexicographic minimum.  Returns the basepoints (u, v)
+    ascending, as a lexicographic scan meets them, and the class of every
+    pair as a `|A part| x |B part|` array.
     """
-    group = act_a.group
-    order = group.order
-    pa = act_a.perms[part_a]
+    bases, cls, row = part_orbits(act_a, part_a)
     pb = act_b.perms[part_b]
     size_b = pb.shape[1]
-    inv = [group.inverse(h) for h in range(order)]
-    seen = np.zeros(pa.shape[1] * size_b, dtype=bool)
-    orbits = []
-    index = {}
-    for u in range(pa.shape[1]):
-        for v in range(size_b):
-            key = u * size_b + v
-            if seen[key]:
-                continue
-            members = []
-            for h in range(order):
-                w = (int(pa[inv[h], u]), int(pb[inv[h], v]))
-                wkey = w[0] * size_b + w[1]
-                if not seen[wkey]:
-                    seen[wkey] = True
-                    members.append(w)
-            class_id = len(orbits)
-            for w in members:
-                index[w] = class_id
-            orbits.append(((u, v), members))
-    return orbits, index
+    keys = bases[cls][:, None] * size_b + pb[act_a.group.inv[row]]
+    reps, index = np.unique(keys, return_inverse=True)
+    return np.divmod(reps, size_b), index.reshape(keys.shape)
 
 
 def balanced_product(
@@ -434,89 +417,61 @@ def balanced_product(
             "first factor has an edge pinned by a non-identity element", witness
         )
 
-    orbits = {}
-    index = {}
-    for name, (part_a, part_b) in {
-        "q1": ("bit", "bit"),
-        "q2": ("check", "check"),
-        "x": ("check", "bit"),
-        "z": ("bit", "check"),
-    }.items():
-        orbits[name], index[name] = _product_orbits(act_a, part_a, act_b, part_b)
+    families = {"q1": ("bit", "bit"), "q2": ("check", "check"),
+                "x": ("check", "bit"), "z": ("bit", "check")}
+    reps, index = {}, {}
+    for name, (part_a, part_b) in families.items():
+        reps[name], index[name] = _product_orbits(act_a, part_a, act_b, part_b)
+    orbits_a = {part: part_orbits(act_a, part) for part in ("check", "bit")}
+    orbits_b = {part: part_orbits(act_b, part) for part in ("check", "bit")}
+    m1, n1 = (orbits_a[part][0].size for part in ("check", "bit"))
+    m2, n2 = (orbits_b[part][0].size for part in ("check", "bit"))
 
-    a_orbit_check = part_orbits(act_a, "check")
-    a_orbit_bit = part_orbits(act_a, "bit")
-    b_orbit_check = part_orbits(act_b, "check")
-    b_orbit_bit = part_orbits(act_b, "bit")
-    m1, n1 = len(a_orbit_check), len(a_orbit_bit)
-    m2, n2 = len(b_orbit_check), len(b_orbit_bit)
-
-    def class_maps(orbit_list):
-        cls = {}
-        row = {}
-        for ci, (base, members, rows) in enumerate(orbit_list):
-            for w in members:
-                cls[w] = ci
-                row[w] = rows[w]
-        return cls, row
-
-    a_check_cls, _ = class_maps(a_orbit_check)
-    a_bit_cls, _ = class_maps(a_orbit_bit)
-    b_check_cls, b_check_row = class_maps(b_orbit_check)
-    b_bit_cls, b_bit_row = class_maps(b_orbit_bit)
-
-    n_q1 = len(orbits["q1"])
-    n_q2 = len(orbits["q2"])
+    n_q1 = reps["q1"][0].size
+    n = n_q1 + reps["q2"][0].size
+    offset = {"q1": 0, "q2": n_q1}
     reduced = 0
 
     def fill(check_name):
+        # An edge of A at u keeps v and an edge of B at v keeps u.  From an X
+        # check (check u, bit v) the first reaches a bit x bit pair (Q1), the
+        # second a check x check pair (Q2); from a Z check the other way round.
         nonlocal reduced
-        rows = len(orbits[check_name])
-        counts_q1 = np.zeros((rows, n_q1), dtype=np.int64)
-        counts_q2 = np.zeros((rows, n_q2), dtype=np.int64)
-        for row_idx, (rep, _members) in enumerate(orbits[check_name]):
-            u, v = rep
-            if check_name == "x":
-                # A-edges (check u, bit a') keep the B part: land in Q1
-                for (c, a2), mult in a.edges.items():
-                    if c == u:
-                        counts_q1[row_idx, index["q1"][(a2, v)]] += mult
-                # B-edges (check g, bit v) keep the A part: land in Q2
-                for (g, b2), mult in b.edges.items():
-                    if b2 == v:
-                        counts_q2[row_idx, index["q2"][(u, g)]] += mult
-            else:
-                # Z check: rep is (bit u, check v)
-                for (g, b2), mult in b.edges.items():
-                    if g == v:
-                        counts_q1[row_idx, index["q1"][(u, b2)]] += mult
-                for (c, a2), mult in a.edges.items():
-                    if a2 == u:
-                        counts_q2[row_idx, index["q2"][(c, v)]] += mult
-        reduced += int((counts_q1 > 1).sum() + (counts_q2 > 1).sum())
-        return np.concatenate([counts_q1 % 2, counts_q2 % 2], axis=1).astype(np.uint8)
+        u, v = reps[check_name]
+        part_a, part_b = families[check_name]
+        a_family, b_family = ("q1", "q2") if check_name == "x" else ("q2", "q1")
+        at_a, w_a, m_a = a.view.neighbours(part_a, u)
+        at_b, w_b, m_b = b.view.neighbours(part_b, v)
+        cols = np.concatenate([index[a_family][w_a, v[at_a]] + offset[a_family],
+                               index[b_family][u[at_b], w_b] + offset[b_family]])
+        cells, inverse = np.unique(np.concatenate([at_a, at_b]) * n + cols,
+                                   return_inverse=True)
+        counts = np.bincount(inverse.ravel(), np.concatenate([m_a, m_b]), cells.size)
+        reduced += int((counts > 1).sum())
+        odd = cells[counts % 2 == 1]
+        return BitMatrix.from_entries(u.size, n, odd // n, odd % n)
 
-    h_x = BitMatrix.from_dense(fill("x"))
-    h_z = BitMatrix.from_dense(fill("z"))
+    h_x = fill("x")
+    h_z = fill("z")
 
-    def coords(name, a_cls, a_offset, b_cls, b_row, b_offset):
-        out = []
-        for rep, _members in orbits[name]:
-            u, v = rep
-            out.append((a_cls[u] + a_offset, b_cls[v] + b_offset, b_row[v]))
-        return tuple(out)
+    def coords(name, a_offset, b_offset):
+        u, v = reps[name]
+        part_a, part_b = families[name]
+        _, b_cls, b_row = orbits_b[part_b]
+        return tuple(zip((orbits_a[part_a][1][u] + a_offset).tolist(),
+                         (b_cls[v] + b_offset).tolist(), b_row[v].tolist()))
 
     def layout(edges) -> CoordinateTable:
         return CoordinateTable(
             kind="3d",
-            x_checks=coords("x", a_check_cls, 0, b_bit_cls, b_bit_row, 0),
-            z_checks=coords("z", a_bit_cls, m1, b_check_cls, b_check_row, n2),
-            qubits_q1=coords("q1", a_bit_cls, m1, b_bit_cls, b_bit_row, 0),
-            qubits_q2=coords("q2", a_check_cls, 0, b_check_cls, b_check_row, n2),
+            x_checks=coords("x", 0, 0),
+            z_checks=coords("z", m1, n2),
+            qubits_q1=coords("q1", m1, 0),
+            qubits_q2=coords("q2", 0, n2),
             edges=edges,
         )
 
-    total = sum(len(o) for o in orbits.values())
+    total = sum(u.size for u, _ in reps.values())
     product_size = (a.check_count + a.bit_count) * (b.check_count + b.bit_count)
     return CSSCode(
         h_x,

@@ -250,13 +250,22 @@ def _bounds(points):
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def _emit_svg(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
-    scale = spec.scale
-    margin = scale
+def _projected(table: CoordinateTable, spec: RenderSpec, overlays):
+    """Flattened points of every role, and the colour of each overlaid qubit."""
     projected = {
         role: [_project(c, spec) for c in table.families()[role]]
         for role in ROLE_ORDER
     }
+    colors = {
+        qubit: PAULI_COLORS[letter] for overlay in overlays for qubit, letter in overlay.paulis
+    }
+    return projected, colors
+
+
+def _emit_svg(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
+    scale = spec.scale
+    margin = scale
+    projected, overlay_colors = _projected(table, spec, overlays)
     everything = [p for pts in projected.values() for p in pts]
     x0, x1, y0, y1 = _bounds(everything)
     width = (x1 - x0) * scale + 2 * margin
@@ -274,12 +283,9 @@ def _emit_svg(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
         f' height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">'
     ]
     if spec.include_edges and table.edges:
-        lookup = {
-            role: projected[role] for role in ROLE_ORDER
-        }
         for (role_a, ia), (role_b, ib) in table.edges:
-            xa, ya = place(lookup[role_a][ia])
-            xb, yb = place(lookup[role_b][ib])
+            xa, ya = place(projected[role_a][ia])
+            xb, yb = place(projected[role_b][ib])
             lines.append(
                 f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}"'
                 ' stroke="gray" stroke-width="0.5"/>'
@@ -297,10 +303,6 @@ def _emit_svg(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
             f' height="{2 * half:.2f}" fill="white" stroke="black">'
             f"<title>z{idx}</title></rect>"
         )
-    overlay_colors = {}
-    for overlay in overlays:
-        for qubit, letter in overlay.paulis:
-            overlay_colors[qubit] = PAULI_COLORS[letter]
     q1 = len(table.qubits_q1)
     for role, offset in (("q1", 0), ("q2", q1)):
         for idx, p in enumerate(projected[role]):
@@ -315,10 +317,7 @@ def _emit_svg(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
 
 
 def _emit_tikz(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
-    projected = {
-        role: [_project(c, spec) for c in table.families()[role]]
-        for role in ROLE_ORDER
-    }
+    projected, overlay_colors = _projected(table, spec, overlays)
     lines = [
         "\\documentclass[tikz]{standalone}",
         "\\begin{document}",
@@ -341,10 +340,6 @@ def _emit_tikz(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
             f"\\draw ({x - 0.1:.2f},{y - 0.1:.2f}) rectangle"
             f" ({x + 0.1:.2f},{y + 0.1:.2f});"
         )
-    overlay_colors = {}
-    for overlay in overlays:
-        for qubit, letter in overlay.paulis:
-            overlay_colors[qubit] = PAULI_COLORS[letter]
     q1 = len(table.qubits_q1)
     for role, offset in (("q1", 0), ("q2", q1)):
         for idx, (x, y) in enumerate(projected[role]):

@@ -6,10 +6,26 @@ collapsing them silently would falsify every size claim downstream, so
 multiplicity is first class.  The GF(2) biadjacency reduces multiplicity
 mod 2 and reports when that reduction changed anything.
 
+The `Counter` in `graph.edges` is the public multiset.  Every algorithm
+here reads one view derived from it, `graph.view` (an `EdgeView`, built on
+first use): int64 arrays of the two ends and the multiplicity of each
+distinct edge in `edges` insertion order, plus a CSR neighbour index per
+vertex part.  So a check over all edges is one array operation, and a
+neighbourhood is one slice, never a rescan of the Counter.
+
 Actions are stored one permutation per group element per vertex part,
-composing as a left action (perm(gh) = perm(g) after perm(h)).  Orbit
-basepoints are always the lowest vertex index so that layouts, quotient
-labellings and golden files are reproducible.
+composing as a left action (perm(gh) = perm(g) after perm(h)).  They are
+validated on the group's generating set S (`FiniteGroup.generators`)
+only: perm(s g) = perm(s) perm(g) for each s in S and every g, and each s
+preserves the edge multiset.  Both are exact.  With perm(e) = id checked,
+induction on word length gives perm(w g) = perm(w) perm(g) for every
+product w of generators, that is for every element; and a composition of
+edge-preserving permutations preserves the edges.  Each generator is the
+lowest element the earlier ones do not generate, so the lowest failing
+element of a full scan is always a generator: refusals name the same
+witness as a check of every element would.  Orbit basepoints are always
+the lowest vertex index so that layouts, quotient labellings and golden
+files are reproducible.
 """
 
 from __future__ import annotations
@@ -25,14 +41,107 @@ from .gf2 import BitMatrix
 from .groups import FiniteGroup, GroupAlgebraMatrix, binary_map, parse_group_spec
 
 
-class TannerGraph:
+class EdgeView:
+    """The distinct edges of a graph as arrays, with a CSR index per part.
+
+    `end0`, `end1` and `mult` list the edges in `edges` insertion order;
+    end0 lies in the part `ends[0]`, end1 in `ends[1]`.  `csr[part]` is
+    `(ptr, nbr, mult)`: vertex v of that part has the neighbours
+    `nbr[ptr[v]:ptr[v + 1]]`, in edge order, with their multiplicities.
+    A plain-graph loop appears once in its vertex's list.
+    """
+
+    __slots__ = ("ends", "end0", "end1", "mult", "csr", "_width")
+
+    def __init__(self, graph, end0: np.ndarray, end1: np.ndarray, mult: np.ndarray):
+        self.end0, self.end1, self.mult = end0, end1, mult
+        sizes = graph.part_sizes()
+        first = next(iter(graph.NEIGHBOUR_PART))
+        self.ends = (first, graph.NEIGHBOUR_PART[first])
+        self._width = sizes[self.ends[1]]
+        if self.ends[0] != self.ends[1]:
+            self.csr = {
+                self.ends[0]: _csr(sizes[self.ends[0]], end0, end1, mult),
+                self.ends[1]: _csr(sizes[self.ends[1]], end1, end0, mult),
+            }
+        else:
+            # both ends of every edge, edge by edge; a loop only once
+            keep = np.stack([np.ones(end0.size, dtype=bool), end0 != end1], axis=1).ravel()
+            vertex = np.stack([end0, end1], axis=1).ravel()[keep]
+            nbr = np.stack([end1, end0], axis=1).ravel()[keep]
+            self.csr = {first: _csr(sizes[first], vertex, nbr, np.repeat(mult, 2)[keep])}
+
+    def keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Edge keys of the ends (a, b), as in `end0`, `end1`; plain pairs unordered."""
+        if self.ends[0] == self.ends[1]:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        return a * self._width + b
+
+    def mapped_keys(self, action: "GroupAction", g: int) -> np.ndarray:
+        """Keys of the images of every edge under element g."""
+        return self.keys(action.perms[self.ends[0]][g][self.end0],
+                         action.perms[self.ends[1]][g][self.end1])
+
+    def neighbours(self, part: str, vertices: np.ndarray):
+        """(i, w, m) for each edge of multiplicity m from vertices[i] to w, row by row."""
+        ptr, nbr, mult = self.csr[part]
+        start = ptr[vertices]
+        degree = ptr[vertices + 1] - start
+        at = np.repeat(np.arange(len(vertices)), degree)
+        pos = np.arange(at.size) + np.repeat(start - (np.cumsum(degree) - degree), degree)
+        return at, nbr[pos], mult[pos]
+
+    def neighbour_counts(self, part: str, v: int, relabel=None) -> dict:
+        """Neighbour multiplicities of one vertex, in edge order, optionally relabelled."""
+        ptr, nbr, mult = self.csr[part]
+        ws = nbr[ptr[v]:ptr[v + 1]]
+        out: Counter = Counter()
+        for w, m in zip((ws if relabel is None else relabel[ws]).tolist(),
+                        mult[ptr[v]:ptr[v + 1]].tolist()):
+            out[w] += m
+        return dict(out)
+
+
+def _csr(size: int, vertex: np.ndarray, nbr: np.ndarray, mult: np.ndarray):
+    order = np.argsort(vertex, kind="stable")
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vertex, minlength=size), out=ptr[1:])
+    return ptr, nbr[order], mult[order]
+
+
+class _Graph:
+    """Edge multiset plus its `EdgeView`, built on first use; `edges` stays fixed after."""
+
+    __slots__ = ("edges", "_view")
+    NEIGHBOUR_PART: dict[str, str] = {}
+
+    @property
+    def view(self) -> EdgeView:
+        if self._view is None:
+            ends = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+            mult = np.fromiter(self.edges.values(), dtype=np.int64, count=len(self.edges))
+            self._view = EdgeView(self, ends[:, 0], ends[:, 1], mult)
+        return self._view
+
+    def edge_count(self) -> int:
+        return sum(self.edges.values())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.part_sizes() == other.part_sizes() and self.edges == other.edges
+
+
+class TannerGraph(_Graph):
     """Bipartite multigraph with check and bit parts."""
 
-    __slots__ = ("check_count", "bit_count", "edges")
+    __slots__ = ("check_count", "bit_count")
+    NEIGHBOUR_PART = {"check": "bit", "bit": "check"}
 
     def __init__(self, check_count: int, bit_count: int, edges):
         self.check_count = check_count
         self.bit_count = bit_count
+        self._view = None
         counter: Counter = Counter()
         items = edges.items() if isinstance(edges, Counter) else ((e, 1) for e in edges)
         for (c, b), mult in items:
@@ -47,38 +156,20 @@ class TannerGraph:
 
     @classmethod
     def from_bitmatrix(cls, h: BitMatrix) -> "TannerGraph":
-        dense = h.to_dense()
-        return cls(
-            h.rows, h.cols, [(int(i), int(j)) for i, j in zip(*np.nonzero(dense))]
-        )
+        checks, bits = np.nonzero(h.to_dense())
+        graph = cls(h.rows, h.cols, Counter(dict.fromkeys(zip(checks.tolist(), bits.tolist()), 1)))
+        graph._view = EdgeView(graph, checks, bits, np.ones(checks.size, dtype=np.int64))
+        return graph
+
+    def part_sizes(self) -> dict[str, int]:
+        return {"check": self.check_count, "bit": self.bit_count}
 
     def biadjacency(self) -> tuple[BitMatrix, int]:
         """Mod-2 check/bit adjacency plus the number of entries changed by reduction."""
-        dense = np.zeros((self.check_count, self.bit_count), dtype=np.uint8)
-        changed = 0
-        for (c, b), mult in self.edges.items():
-            dense[c, b] = mult % 2
-            if mult > 1:
-                changed += 1
-        return BitMatrix.from_dense(dense), changed
-
-    def edge_count(self) -> int:
-        return sum(self.edges.values())
-
-    def check_neighbourhood(self, c: int) -> Counter:
-        return Counter({b: m for (cc, b), m in self.edges.items() if cc == c})
-
-    def bit_neighbourhood(self, b: int) -> Counter:
-        return Counter({c: m for (c, bb), m in self.edges.items() if bb == b})
-
-    def __eq__(self, other):
-        if not isinstance(other, TannerGraph):
-            return NotImplemented
-        return (
-            self.check_count == other.check_count
-            and self.bit_count == other.bit_count
-            and self.edges == other.edges
-        )
+        view = self.view
+        odd = view.mult % 2 == 1
+        h = BitMatrix.from_entries(self.check_count, self.bit_count, view.end0[odd], view.end1[odd])
+        return h, int((view.mult > 1).sum())
 
     def __repr__(self):
         return (
@@ -87,13 +178,15 @@ class TannerGraph:
         )
 
 
-class PlainGraph:
+class PlainGraph(_Graph):
     """Undirected multigraph; loops allowed, edges stored as sorted pairs."""
 
-    __slots__ = ("vertex_count", "edges")
+    __slots__ = ("vertex_count",)
+    NEIGHBOUR_PART = {"vertex": "vertex"}
 
     def __init__(self, vertex_count: int, edges):
         self.vertex_count = vertex_count
+        self._view = None
         counter: Counter = Counter()
         items = edges.items() if isinstance(edges, Counter) else ((e, 1) for e in edges)
         for (u, v), mult in items:
@@ -112,22 +205,8 @@ class PlainGraph:
     def path(cls, n: int) -> "PlainGraph":
         return cls(n, [(i, i + 1) for i in range(n - 1)])
 
-    def edge_count(self) -> int:
-        return sum(self.edges.values())
-
-    def neighbourhood(self, v: int) -> Counter:
-        out: Counter = Counter()
-        for (u, w), m in self.edges.items():
-            if u == v:
-                out[w] += m
-            elif w == v:
-                out[u] += m
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, PlainGraph):
-            return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
+    def part_sizes(self) -> dict[str, int]:
+        return {"vertex": self.vertex_count}
 
     def __repr__(self):
         return f"PlainGraph(vertices={self.vertex_count}, edges={self.edge_count()})"
@@ -141,7 +220,8 @@ class GroupAction:
 
     `perms[part][g]` is the permutation applied by element g; the table
     composes as a left action and is validated for the homomorphism
-    property and edge-multiset invariance at construction.
+    property and edge-multiset invariance at construction, on the
+    group's generating set (exact; see the module docstring).
     """
 
     def __init__(self, group: FiniteGroup, graph, perms: dict):
@@ -169,26 +249,28 @@ class GroupAction:
                 f"group {group.spec} needs {len(gens)} generator permutations,"
                 f" got {len(gen_perms)}"
             )
-        parts = _expected_parts(graph)
         sizes = _part_sizes(graph)
+        gen_arrs = [
+            {part: np.asarray(perm[_perm_key(part)], dtype=np.int64) for part in sizes}
+            for perm in gen_perms
+        ]
         full = {
-            part: np.full((group.order, sizes[part]), -1, dtype=np.int64)
-            for part in parts
+            part: np.full((group.order, size), -1, dtype=np.int64)
+            for part, size in sizes.items()
         }
-        for part in parts:
-            full[part][0] = np.arange(sizes[part])
+        for part, size in sizes.items():
+            full[part][0] = np.arange(size)
         known = {0}
         frontier = [0]
         while frontier:
             nxt = []
             for g in frontier:
-                for s_idx, s in enumerate(gens):
+                for s, arrs in zip(gens, gen_arrs):
                     h = group.multiply(s, g)
                     if h in known:
                         continue
-                    for part in parts:
-                        gen_arr = np.asarray(gen_perms[s_idx][_perm_key(part)], dtype=np.int64)
-                        full[part][h] = gen_arr[full[part][g]]
+                    for part in sizes:
+                        full[part][h] = arrs[part][full[part][g]]
                     known.add(h)
                     nxt.append(h)
             frontier = nxt
@@ -205,38 +287,43 @@ class GroupAction:
         return int(self.perms[part][g, v])
 
     def _validate(self) -> None:
-        graph = self.graph
-        parts = _expected_parts(graph)
-        sizes = _part_sizes(graph)
-        if set(self.perms) != set(parts):
+        sizes = _part_sizes(self.graph)
+        if set(self.perms) != set(sizes):
             raise PreconditionError(
-                f"action parts {sorted(self.perms)} do not match graph parts {sorted(parts)}"
+                f"action parts {sorted(self.perms)} do not match graph parts {sorted(sizes)}"
             )
         order = self.group.order
-        for part in parts:
+        gens = self.group.generators
+        for part, size in sizes.items():
             arr = self.perms[part]
-            if arr.shape != (order, sizes[part]):
+            if arr.shape != (order, size):
                 raise DimensionError(
                     f"{part} permutation table has shape {arr.shape},"
-                    f" expected {(order, sizes[part])}"
+                    f" expected {(order, size)}"
                 )
-            idx = np.arange(sizes[part])
+            idx = np.arange(size)
             if not np.array_equal(arr[0], idx):
                 raise PreconditionError(f"identity element must act trivially on {part}s")
-            for g in range(order):
-                if not np.array_equal(np.sort(arr[g]), idx):
-                    raise PreconditionError(f"element {g} is not a permutation of {part}s")
-            for g in range(order):
-                for h in range(order):
-                    gh = self.group.multiply(g, h)
-                    if not np.array_equal(arr[gh], arr[g][arr[h]]):
-                        raise PreconditionError(
-                            f"homomorphism fails on {part}s at ({g}, {h})"
-                        )
-        for g in range(1, order):
-            if _mapped_edges(graph, self, g) != graph.edges:
+            bad = np.flatnonzero((np.sort(arr, axis=1) != idx).any(axis=1))
+            if bad.size:
+                raise PreconditionError(f"element {bad[0]} is not a permutation of {part}s")
+            for s in gens:
+                # perm(s g) against perm(s) after perm(g), for every g at once
+                bad = np.flatnonzero((arr[self.group.mul[s]] != arr[s][arr]).any(axis=1))
+                if bad.size:
+                    raise PreconditionError(
+                        f"homomorphism fails on {part}s at ({s}, {bad[0]})"
+                    )
+        view = self.graph.view
+        keys = view.keys(view.end0, view.end1)
+        order_k = np.argsort(keys)
+        for s in gens:
+            mapped = view.mapped_keys(self, s)
+            order_m = np.argsort(mapped)
+            if not (np.array_equal(mapped[order_m], keys[order_k])
+                    and np.array_equal(view.mult[order_m], view.mult[order_k])):
                 raise PreconditionError(
-                    f"element {g} does not preserve the edge multiset"
+                    f"element {s} does not preserve the edge multiset"
                 )
 
 
@@ -245,32 +332,13 @@ def _perm_key(part: str) -> str:
 
 
 def _expected_parts(graph) -> tuple[str, ...]:
-    if isinstance(graph, TannerGraph):
-        return ("check", "bit")
-    if isinstance(graph, PlainGraph):
-        return ("vertex",)
-    raise PreconditionError(f"unsupported graph type {type(graph).__name__}")
+    return tuple(_part_sizes(graph))
 
 
 def _part_sizes(graph) -> dict[str, int]:
-    if isinstance(graph, TannerGraph):
-        return {"check": graph.check_count, "bit": graph.bit_count}
-    return {"vertex": graph.vertex_count}
-
-
-def _mapped_edges(graph, action: GroupAction, g: int) -> Counter:
-    out: Counter = Counter()
-    if isinstance(graph, TannerGraph):
-        cp = action.perms["check"][g]
-        bp = action.perms["bit"][g]
-        for (c, b), m in graph.edges.items():
-            out[(int(cp[c]), int(bp[b]))] += m
-    else:
-        vp = action.perms["vertex"][g]
-        for (u, v), m in graph.edges.items():
-            a, b = int(vp[u]), int(vp[v])
-            out[(min(a, b), max(a, b))] += m
-    return out
+    if not isinstance(graph, _Graph):
+        raise PreconditionError(f"unsupported graph type {type(graph).__name__}")
+    return graph.part_sizes()
 
 
 def generator_indices(group: FiniteGroup) -> list[int]:
@@ -286,13 +354,13 @@ def generator_indices(group: FiniteGroup) -> list[int]:
 
 def is_free(action: GroupAction) -> tuple[bool, tuple | None]:
     """True iff no non-identity element fixes any vertex; witness otherwise."""
-    for g in range(1, action.group.order):
-        for part in action.parts():
-            arr = action.perms[part][g]
-            fixed = np.nonzero(arr == np.arange(arr.size))[0]
-            if fixed.size:
-                return False, (g, (part, int(fixed[0])))
-    return True, None
+    witness = None
+    for part in action.parts():
+        fixed = action.perms[part][1:] == np.arange(action.perms[part].shape[1])
+        rows = np.flatnonzero(fixed.any(axis=1))
+        if rows.size and (witness is None or rows[0] + 1 < witness[0]):
+            witness = (int(rows[0]) + 1, (part, int(fixed[rows[0]].argmax())))
+    return witness is None, witness
 
 
 def has_fixed_edge(action: GroupAction) -> tuple[bool, tuple | None]:
@@ -303,19 +371,16 @@ def has_fixed_edge(action: GroupAction) -> tuple[bool, tuple | None]:
     vacuous across parts, so the check is instead for an edge fixed
     setwise by a non-identity element.
     """
-    graph = action.graph
+    view = action.graph.view
+    e0, e1 = view.end0, view.end1
+    p0, p1 = (action.perms[part] for part in view.ends)
+    tanner = isinstance(action.graph, TannerGraph)
     for g in range(1, action.group.order):
-        if isinstance(graph, TannerGraph):
-            cp = action.perms["check"][g]
-            bp = action.perms["bit"][g]
-            for (c, b) in graph.edges:
-                if cp[c] == c and bp[b] == b:
-                    return True, (g, (c, b))
-        else:
-            vp = action.perms["vertex"][g]
-            for (u, v) in graph.edges:
-                if vp[u] == v or vp[v] == u:
-                    return True, (g, (u, v))
+        a, b = p0[g][e0], p1[g][e1]
+        hit = (a == e0) & (b == e1) if tanner else (a == e1) | (b == e0)
+        if hit.any():
+            k = int(hit.argmax())
+            return True, (g, (int(e0[k]), int(e1[k])))
     return False, None
 
 
@@ -345,27 +410,17 @@ class QuotientLayout:
 
 
 def part_orbits(action: GroupAction, part: str):
-    """Orbits of one part in basepoint-ascending order, plus row labels."""
+    """Orbits of one part as arrays: (basepoints, class of each vertex, row of each vertex).
+
+    Basepoints are the orbit minima in ascending order, so class c has
+    basepoint `basepoints[c]`; `row[w]` is the lowest group element
+    carrying the basepoint of w onto w.
+    """
     arr = action.perms[part]
-    size = arr.shape[1]
-    order = action.group.order
-    seen = np.zeros(size, dtype=bool)
-    orbits = []
-    for v in range(size):
-        if seen[v]:
-            continue
-        members = []
-        row = {}
-        for g in range(order):
-            w = int(arr[g, v])
-            if not seen[w]:
-                seen[w] = True
-                members.append(w)
-            if w not in row:
-                # lowest group element carrying the basepoint v onto w
-                row[w] = g
-        orbits.append((v, sorted(members), row))
-    return orbits
+    base_of = arr.min(axis=0)
+    basepoints, cls = np.unique(base_of, return_inverse=True)
+    row = (arr[:, base_of] == np.arange(arr.shape[1])).argmax(axis=0)
+    return basepoints, cls.ravel(), row
 
 
 def quotient(graph, action: GroupAction):
@@ -373,63 +428,42 @@ def quotient(graph, action: GroupAction):
 
     Edge multiplicity carries over from the input (all members of an
     orbit share it); several edge orbits between the same vertex classes
-    stack up as parallel edges.
+    stack up as parallel edges.  Each edge orbit is represented by its
+    member of lowest key, found as a running minimum over the group.
     """
-    if action.graph is not graph and not _same_graph(action.graph, graph):
+    if action.graph is not graph and action.graph != graph:
         raise PreconditionError("action was built for a different graph")
-    parts = _expected_parts(graph)
     class_lists = []
     basepoints = []
     row_of = {}
-    class_index = {}
-    per_part_count = {}
-    for part in parts:
-        orbits = part_orbits(action, part)
-        per_part_count[part] = len(orbits)
-        for local_ci, (base, members, row) in enumerate(orbits):
-            class_lists.append(tuple((part, w) for w in members))
-            basepoints.append((part, base))
-            for w in members:
-                row_of[(part, w)] = row[w]
-                class_index[(part, w)] = local_ci
+    class_of = {}
+    counts = []
+    for part in _expected_parts(graph):
+        bases, cls, row = part_orbits(action, part)
+        class_of[part] = cls
+        counts.append(bases.size)
+        members = np.split(np.argsort(cls, kind="stable"),
+                           np.cumsum(np.bincount(cls, minlength=bases.size))[:-1])
+        for ws in members:
+            ws = ws.tolist()
+            class_lists.append(tuple((part, w) for w in ws))
+            row_of.update(((part, w), int(row[w])) for w in ws)
+        basepoints.extend((part, v) for v in bases.tolist())
     layout = QuotientLayout(tuple(class_lists), tuple(basepoints), row_of)
 
-    order = action.group.order
-    seen_edges = set()
+    view = graph.view
+    keys = view.keys(view.end0, view.end1)
+    lowest = keys.copy()
+    for g in range(1, action.group.order):
+        np.minimum(lowest, view.mapped_keys(action, g), out=lowest)
+    reps = np.flatnonzero(lowest == keys)
+    reps = reps[np.argsort(keys[reps])]
+    ends = zip(class_of[view.ends[0]][view.end0[reps]].tolist(),
+               class_of[view.ends[1]][view.end1[reps]].tolist())
     quotient_edges: Counter = Counter()
-    if isinstance(graph, TannerGraph):
-        cp = action.perms["check"]
-        bp = action.perms["bit"]
-        for (c, b), mult in sorted(graph.edges.items()):
-            if (c, b) in seen_edges:
-                continue
-            orbit = {(int(cp[g, c]), int(bp[g, b])) for g in range(order)}
-            seen_edges |= orbit
-            quotient_edges[
-                (class_index[("check", c)], class_index[("bit", b)])
-            ] += mult
-        result = TannerGraph(
-            per_part_count["check"], per_part_count["bit"], quotient_edges
-        )
-    else:
-        vp = action.perms["vertex"]
-        for (u, v), mult in sorted(graph.edges.items()):
-            if (u, v) in seen_edges:
-                continue
-            orbit = set()
-            for g in range(order):
-                a, b = int(vp[g, u]), int(vp[g, v])
-                orbit.add((min(a, b), max(a, b)))
-            seen_edges |= orbit
-            cu = class_index[("vertex", u)]
-            cv = class_index[("vertex", v)]
-            quotient_edges[(min(cu, cv), max(cu, cv))] += mult
-        result = PlainGraph(per_part_count["vertex"], quotient_edges)
-    return result, layout
-
-
-def _same_graph(a, b) -> bool:
-    return type(a) is type(b) and a == b
+    for pair, mult in zip(ends, view.mult[reps].tolist()):
+        quotient_edges[pair] += mult
+    return type(graph)(*counts, quotient_edges), layout
 
 
 # -- covering maps ------------------------------------------------------------
@@ -463,64 +497,59 @@ def verify_covering(cm: CoveringMap) -> CoveringReport:
     cover, base = cm.cover, cm.base
     if type(cover) is not type(base):
         raise PreconditionError("cover and base must be the same kind of graph")
-    parts = _expected_parts(cover)
-    if set(cm.maps) != set(parts):
-        raise PreconditionError(
-            f"vertex map parts {sorted(cm.maps)} do not match graph parts {sorted(parts)}"
-        )
     cover_sizes = _part_sizes(cover)
     base_sizes = _part_sizes(base)
-    for part in parts:
+    if set(cm.maps) != set(cover_sizes):
+        raise PreconditionError(
+            f"vertex map parts {sorted(cm.maps)} do not match graph parts {sorted(cover_sizes)}"
+        )
+    maps = {}
+    for part, size in cover_sizes.items():
         arr = np.asarray(cm.maps[part], dtype=np.int64)
-        if arr.shape != (cover_sizes[part],):
+        if arr.shape != (size,):
             raise PreconditionError(f"{part} map must list every cover vertex")
         if arr.size and (arr.min() < 0 or arr.max() >= base_sizes[part]):
             raise PreconditionError(f"{part} map has out-of-range images")
+        maps[part] = arr
 
-    def check_vertex(part, v, cover_nbhd, base_nbhd, other_part):
-        mapped = Counter()
-        other = np.asarray(cm.maps[other_part], dtype=np.int64)
-        for u, mult in cover_nbhd.items():
-            mapped[int(other[u])] += mult
-        if mapped != base_nbhd:
+    for part, size in cover_sizes.items():
+        other = cover.NEIGHBOUR_PART[part]
+        width = base_sizes[other]
+        # (cover vertex, base neighbour) cells with summed multiplicities, from
+        # the vertex's mapped edges and from its image's edges: a cell found
+        # on one side only marks the vertex
+        at, w, m = cover.view.neighbours(part, np.arange(size))
+        base_at, base_w, base_m = base.view.neighbours(part, maps[part])
+        cells, seen = np.unique(
+            np.concatenate([_tally(at * width + maps[other][w], m),
+                            _tally(base_at * width + base_w, base_m)]),
+            axis=0, return_counts=True,
+        )
+        for v in np.unique(cells[seen == 1, 0] // width).tolist():
+            image = int(maps[part][v])
             report.valid = False
             report.violations.append(
-                f"{part} {v}: incident edges map to {dict(mapped)},"
-                f" base vertex {int(np.asarray(cm.maps[part])[v])} has {dict(base_nbhd)}"
+                f"{part} {v}: incident edges map to"
+                f" {cover.view.neighbour_counts(part, v, maps[other])},"
+                f" base vertex {image} has {base.view.neighbour_counts(part, image)}"
             )
 
-    if isinstance(cover, TannerGraph):
-        for c in range(cover.check_count):
-            base_c = int(np.asarray(cm.maps["check"])[c])
-            check_vertex("check", c, cover.check_neighbourhood(c),
-                         base.check_neighbourhood(base_c), "bit")
-        for b in range(cover.bit_count):
-            base_b = int(np.asarray(cm.maps["bit"])[b])
-            check_vertex("bit", b, cover.bit_neighbourhood(b),
-                         base.bit_neighbourhood(base_b), "check")
-    else:
-        arr = np.asarray(cm.maps["vertex"], dtype=np.int64)
-        for v in range(cover.vertex_count):
-            mapped = Counter()
-            for u, mult in cover.neighbourhood(v).items():
-                mapped[int(arr[u])] += mult
-            base_nbhd = base.neighbourhood(int(arr[v]))
-            if mapped != base_nbhd:
-                report.valid = False
-                report.violations.append(
-                    f"vertex {v}: incident edges map to {dict(mapped)},"
-                    f" base vertex {int(arr[v])} has {dict(base_nbhd)}"
-                )
-
     sizes = set()
-    for part in parts:
-        arr = np.asarray(cm.maps[part], dtype=np.int64)
+    for part in cover_sizes:
+        arr = maps[part]
         counts = np.bincount(arr, minlength=base_sizes[part]) if arr.size else np.array([])
         report.fibre_sizes[part] = counts.tolist()
         sizes.update(int(c) for c in counts)
     if len(sizes) == 1:
         report.lift_size = sizes.pop()
     return report
+
+
+def _tally(keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows (key, summed weight), one per distinct key, keys ascending."""
+    cells, inverse = np.unique(keys, return_inverse=True)
+    totals = np.bincount(inverse.ravel(), weights, cells.size).astype(np.int64)
+    return np.stack([cells, totals], axis=1)
 
 
 @dataclass(frozen=True)
@@ -624,15 +653,9 @@ def product_action_plain(
 
 def parse_graph(text: str):
     """Header "checks <m> bits <n>" or "vertices <v>", then one edge per line."""
-    lines = text.splitlines()
-    header = None
-    pos = 0
-    for idx, raw in enumerate(lines):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            header = stripped.split()
-            pos = idx
-            break
+    content = ((ln, fields) for ln, raw in enumerate(text.splitlines(), start=1)
+               if (fields := raw.split("#", 1)[0].split()))
+    pos, header = next(content, (0, None))
     if header is None:
         raise FormatError("empty graph file")
 
@@ -642,56 +665,35 @@ def parse_graph(text: str):
         except ValueError:
             raise FormatError(f"expected an integer, got {token!r}", ln) from None
 
-    edges = []
     if header[:1] == ["checks"]:
         if len(header) != 4 or header[2] != "bits":
-            raise FormatError("expected 'checks <m> bits <n>'", pos + 1)
-        m, n = as_int(header[1], pos + 1), as_int(header[3], pos + 1)
-        for ln in range(pos + 1, len(lines)):
-            stripped = lines[ln].split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if (
-                len(fields) != 2
-                or not fields[0].startswith("c")
-                or not fields[1].startswith("b")
-            ):
-                raise FormatError("expected edge 'c<i> b<j>'", ln + 1)
-            edges.append((as_int(fields[0][1:], ln + 1), as_int(fields[1][1:], ln + 1)))
-        try:
-            return TannerGraph(m, n, edges)
-        except PreconditionError as exc:
-            raise FormatError(str(exc)) from exc
-    if header[:1] == ["vertices"]:
+            raise FormatError("expected 'checks <m> bits <n>'", pos)
+        cls, sizes, (first, second) = TannerGraph, (as_int(header[1], pos),
+                                                    as_int(header[3], pos)), "cb"
+    elif header[:1] == ["vertices"]:
         if len(header) != 2:
-            raise FormatError("expected 'vertices <v>'", pos + 1)
-        v = as_int(header[1], pos + 1)
-        for ln in range(pos + 1, len(lines)):
-            stripped = lines[ln].split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if len(fields) != 2 or not all(f.startswith("v") for f in fields):
-                raise FormatError("expected edge 'v<i> v<j>'", ln + 1)
-            edges.append((as_int(fields[0][1:], ln + 1), as_int(fields[1][1:], ln + 1)))
-        try:
-            return PlainGraph(v, edges)
-        except PreconditionError as exc:
-            raise FormatError(str(exc)) from exc
-    raise FormatError(f"unknown graph header {' '.join(header)!r}", pos + 1)
+            raise FormatError("expected 'vertices <v>'", pos)
+        cls, sizes, (first, second) = PlainGraph, (as_int(header[1], pos),), "vv"
+    else:
+        raise FormatError(f"unknown graph header {' '.join(header)!r}", pos)
+    edges = []
+    for ln, fields in content:
+        if len(fields) != 2 or not (fields[0].startswith(first) and fields[1].startswith(second)):
+            raise FormatError(f"expected edge '{first}<i> {second}<j>'", ln)
+        edges.append((as_int(fields[0][1:], ln), as_int(fields[1][1:], ln)))
+    try:
+        return cls(*sizes, edges)
+    except PreconditionError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def emit_graph(graph) -> str:
-    lines = []
     if isinstance(graph, TannerGraph):
-        lines.append(f"checks {graph.check_count} bits {graph.bit_count}")
-        for (c, b), mult in sorted(graph.edges.items()):
-            lines.extend([f"c{c} b{b}"] * mult)
+        lines, ends = [f"checks {graph.check_count} bits {graph.bit_count}"], "cb"
     else:
-        lines.append(f"vertices {graph.vertex_count}")
-        for (u, v), mult in sorted(graph.edges.items()):
-            lines.extend([f"v{u} v{v}"] * mult)
+        lines, ends = [f"vertices {graph.vertex_count}"], "vv"
+    for (u, v), mult in sorted(graph.edges.items()):
+        lines.extend([f"{ends[0]}{u} {ends[1]}{v}"] * mult)
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from qpc import analysis, classical, gf2, products
 from qpc.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -269,6 +273,39 @@ class TestAnalyze:
         assert code == 1
         assert out == ""
         assert err == "error: line 1: expected non-negative header 'm n'\n"
+
+    def test_huge_pcm_header_exits_1_without_traceback(self, tmp_path):
+        (tmp_path / "huge.pcm").write_text("0 99999999999999999999\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpc.cli", "analyze", "--hx", "huge.pcm", "--hz", "huge.pcm"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "error: line 1: header 'm n' exceeds the largest array dimension\n"
+        )
+
+    def test_degenerate_lifted_product_files_read_back(self, tmp_path, capsys):
+        # a 0 x 1 ring matrix gives check matrices with no rows
+        (tmp_path / "empty.ring").write_text("0 1 group=Z3\n")
+        code, out, _ = run(
+            capsys,
+            "construct", "lp",
+            "--m1", tmp_path / "empty.ring",
+            "--m2", tmp_path / "empty.ring",
+            "--out-prefix", tmp_path / "lp",
+        )
+        assert code == 0 and "m_x: 0" in out
+        for ext in ("alist", "pcm"):
+            code, out, err = run(
+                capsys, "analyze", "--hx", tmp_path / f"lp.hx.{ext}",
+                "--hz", tmp_path / f"lp.hz.{ext}",
+            )
+            assert (code, err) == (0, "")
+            assert "params: [[3,3,1]]" in out
 
     @pytest.mark.parametrize("extra, exit_code", [([], 0), (["--budget", "1"], 3)])
     def test_each_check_matrix_reduced_once(self, tmp_path, capsys, monkeypatch,

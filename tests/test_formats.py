@@ -1,10 +1,13 @@
 """Differential tests for the PCM and alist codecs.
 
 The per-entry implementations that the whole-matrix codecs replaced are
-kept below, verbatim, as oracles.  Every case must give the same text,
-the same matrix, or a FormatError with the same line and message in both
-versions.  The one intended difference is that a negative PCM header is
-now refused.
+kept below as oracles.  Every case must give the same text, the same
+matrix, or a FormatError with the same line and message in both versions.
+A negative PCM header is refused by the new parser only.  The oracles
+carry the two rules added after them, so that every emitted file reads
+back: a row, column or degree list with no entries is an empty line
+(the m lines after a "m 0" PCM header, and no content line in an alist),
+and a PCM header past the largest numpy dimension is a FormatError.
 """
 
 import random
@@ -37,6 +40,13 @@ def oracle_parse_pcm_text(text: str) -> BitMatrix:
         m, n = int(header[0]), int(header[1])
     except ValueError:
         raise FormatError("expected integer header 'm n'", idx + 1) from None
+    if n == 0:
+        for pos in range(idx + 1, idx + 1 + m):
+            if pos >= len(lines):
+                raise FormatError("unexpected end of file", len(lines))
+            if lines[pos].strip():
+                raise FormatError("expected 0 entries of 0/1", pos + 1)
+        return BitMatrix.zeros(m, 0)
     rows = []
     pos = idx
     for _ in range(m):
@@ -45,6 +55,8 @@ def oracle_parse_pcm_text(text: str) -> BitMatrix:
         if len(fields) != n or any(f not in ("0", "1") for f in fields):
             raise FormatError(f"expected {n} entries of 0/1", pos + 1)
         rows.append([int(f) for f in fields])
+    if n >= 2**63:
+        raise FormatError("header 'm n' exceeds the largest array dimension", idx + 1)
     dense = np.array(rows, dtype=np.uint8).reshape(m, n)
     return BitMatrix.from_dense(dense)
 
@@ -63,7 +75,9 @@ def oracle_parse_alist(text: str) -> BitMatrix:
         stripped = raw.strip()
         if stripped:
             tokens_by_line.append((ln_no, stripped.split()))
-    if len(tokens_by_line) < 4:
+    if len(tokens_by_line) < 4 and not (
+        len(tokens_by_line) > 1 and tokens_by_line[0][1] == ["0", "0"]
+    ):
         raise FormatError("alist needs header, degree lists and adjacency lists")
     pos = 0
 
@@ -91,10 +105,13 @@ def oracle_parse_alist(text: str) -> BitMatrix:
         except ValueError:
             raise FormatError(f"{what} degrees must be integers", ln) from None
 
-    ln, col_deg = take()
-    col_deg = degree_list(col_deg, n, "column", ln)
-    ln, row_deg = take()
-    row_deg = degree_list(row_deg, m, "row", ln)
+    col_deg, row_deg = [], []
+    if n:
+        ln, col_deg = take()
+        col_deg = degree_list(col_deg, n, "column", ln)
+    if m:
+        ln, row_deg = take()
+        row_deg = degree_list(row_deg, m, "row", ln)
     def live_entries(tokens, ln):
         try:
             return [int(e) for e in tokens if e != "0"]
@@ -278,15 +295,33 @@ class TestParsers:
         assert np.flatnonzero(classical._SPACE).tolist() == spaces
 
     def test_clean_files_match_oracle(self):
-        # Files of a matrix with no rows or no columns do not read back in
-        # either version (blank lines carry no row); they must fail alike.
+        # Every emitted file reads back, matrices with no rows or no columns
+        # included.
         for h in random_matrices(109, 40):
             for emit, parse, oracle in ((emit_pcm_text, parse_pcm_text, oracle_parse_pcm_text),
                                         (emit_alist, parse_alist, oracle_parse_alist)):
                 text = emit(h)
+                assert parse(text) == h, (h.shape, text)
                 assert outcome(parse, text) == outcome(oracle, text)
-                if h.rows and h.cols:
-                    assert parse(text) == h
+
+    def test_empty_rows_are_the_lines_after_the_header(self):
+        assert parse_pcm_text("2 0\n\n \n1 0 1\n") == BitMatrix.zeros(2, 0)
+        with pytest.raises(FormatError, match="line 3: expected 0 entries"):
+            parse_pcm_text("2 0\n\n0\n")
+        with pytest.raises(FormatError, match="line 2: unexpected end of file"):
+            parse_pcm_text("2 0\n\n")
+
+    def test_empty_alist_lists_take_no_line(self):
+        assert parse_alist("0 0\n0 0\n") == BitMatrix.zeros(0, 0)
+        assert parse_alist("0 2\n0 0\n0 0\n0\n0\n") == BitMatrix.zeros(2, 0)
+        with pytest.raises(FormatError, match="alist needs header"):
+            parse_alist("0 1\n0 0\n")
+        with pytest.raises(FormatError, match="line 3: expected 2 row degrees"):
+            parse_alist("0 2\n0 0\n0 0 0\n0\n0\n")
+
+    def test_huge_pcm_header_is_a_format_error(self):
+        with pytest.raises(FormatError, match="largest array dimension"):
+            parse_pcm_text("0 99999999999999999999\n")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mutated_pcm_matches_oracle(self, seed):

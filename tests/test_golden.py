@@ -4,8 +4,10 @@ Each command of the README (plus a few fixture commands with asymmetric
 shapes and alist inputs) runs through `cli.main` with the working
 directory set to a fresh `tmp_path`, so the relative output paths printed
 on stdout are the same on every run.  The manifest was recorded before the
-vectorised emitters and the packed kernels existed; any byte that moves
-fails here.
+vectorised emitters and the packed kernels existed, and the entries for the
+failing `verify` commands (covering violation, non-free action with a
+pinned edge) before the edge-array graph view; any byte that moves fails
+here.
 
 `python tests/test_golden.py` prints the manifest of the qpc on the
 import path, in the format of `golden_manifest.json`.
@@ -58,6 +60,13 @@ COMMANDS = (
                         "--out", "out/lp.tex"]),
     ("layout_graph_dot_edges", ["layout", "--graph", _f("lift_1px_z3.graph"), "--format", "dot",
                                 "--edges"]),
+    ("verify_covering_violation", ["verify", "covering", "--cover", _f("line3_2lift.graph"),
+                                   "--base", _f("line3.graph"),
+                                   "--map", _f("line3_2lift_bad.map.json")]),
+    ("verify_action_not_free", ["verify", "action", "--graph", _f("b4.graph"),
+                                "--action", _f("b4_z3.action.json")]),
+    ("verify_action_not_free_lenient", ["verify", "action", "--graph", _f("b4.graph"),
+                                        "--action", _f("b4_z3.action.json"), "--lenient"]),
 )
 
 

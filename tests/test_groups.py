@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,46 @@ class TestGroupConstruction:
         ]
         with pytest.raises(PreconditionError, match="associat"):
             FiniteGroup(loop)
+
+    @pytest.mark.parametrize("order, a", [(512, 3), (1024, 2)])
+    def test_large_nonassociative_loop_rejected(self, order, a):
+        # Swapping an intercalate of the cyclic table keeps a Latin square
+        # with identity 0 but breaks associativity at a handful of triples,
+        # which no sample of 20,000 triples is likely to hit.
+        idx = np.arange(order)
+        mul = (idx[:, None] + idx[None, :]) % order
+        b = a + order // 2
+        mul[[a, a, b, b], [a, b, a, b]] = mul[[a, a, b, b], [b, a, b, a]]
+        assert (np.sort(mul, axis=0) == idx[:, None]).all()
+        assert (np.sort(mul, axis=1) == idx).all()
+        with pytest.raises(PreconditionError, match="associativity fails at triple"):
+            FiniteGroup(mul)
+
+    def test_associativity_witness_is_a_failing_triple(self):
+        loop = np.array([
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0],
+            [4, 2, 0, 1, 3],
+        ])
+        with pytest.raises(PreconditionError) as info:
+            FiniteGroup(loop)
+        x, s, y = map(int, re.findall(r"\d+", str(info.value)))
+        assert loop[loop[x, s], y] != loop[x, loop[s, y]]
+
+    @pytest.mark.parametrize("group", [
+        FiniteGroup.cyclic(1), FiniteGroup.cyclic(12), FiniteGroup.direct_product(4, 6),
+        FiniteGroup.direct_product(1, 5),
+    ])
+    def test_generators_generate_greedily(self, group):
+        reached = {0}
+        for _ in range(group.order):
+            reached |= {group.multiply(w, s) for w in reached for s in group.generators}
+        assert reached == set(range(group.order))
+        assert 0 not in group.generators
+        assert len(group.generators) <= max(group.order.bit_length() - 1, 0)
+        assert list(group.generators) == sorted(group.generators)
 
     def test_missing_identity_rejected(self):
         with pytest.raises(PreconditionError):
