@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .classical import ClassicalCode
 from .errors import BudgetError, PreconditionError
-from .gf2 import BitMatrix, RrefResult, add, matmul, min_weight, rank, rref, transpose, vstack
+from .gf2 import (BitMatrix, RrefResult, add, hstack, kron, matmul, min_weight, rank, rref,
+                  transpose, vstack)
 from .groups import GroupAlgebraElement, GroupAlgebraMatrix
 from .products import CSSCode, balanced_product, lift_with_regular_actions, lifted_product
 
@@ -51,10 +52,8 @@ def check_commutation(code: CSSCode) -> tuple[bool, list[tuple[int, int]]]:
     product = matmul(code.h_x, transpose(code.h_z))
     if product.is_zero():
         return True, []
-    dense = product.to_dense()
-    pairs = [(int(i), int(j)) for i in range(dense.shape[0])
-             for j in range(dense.shape[1]) if dense[i, j]]
-    return False, pairs
+    rows, cols = product.nonzero()
+    return False, list(zip(rows.tolist(), cols.tolist()))
 
 
 def logical_count(code: CSSCode) -> int:
@@ -79,8 +78,8 @@ def _directional_distance(kernel_side: RrefResult, stab: RrefResult,
                           budget: int) -> int | None:
     """Min weight over kernel(kernel_side.source) outside rowspace(stab.source)."""
     kernel_dim = kernel_side.source.cols - kernel_side.rank
-    if (1 << kernel_dim) > budget:
-        raise BudgetError("distance enumeration", 1 << kernel_dim, budget)
+    if kernel_dim >= budget.bit_length():               # 2^kernel_dim > budget
+        raise BudgetError("distance enumeration", kernel_dim, budget)
     kernel = kernel_side.kernel
     # Clearing the stabiliser pivot columns leaves logical completions that,
     # with the stabiliser basis, span the kernel: commuting checks put the
@@ -132,88 +131,38 @@ def hgp_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBasis
     """Canonical anticommuting pairs from systematic classical bases.
 
     Z logicals place a codeword of the first code along a Q1 row at one
-    of the second code's systematic bits (and the transpose analogue on
-    Q2); X logicals are dual.  The pairing matrix comes out exactly the
-    identity, which also certifies that no representative sits in the
-    opposite stabiliser row space.
+    of the second code's systematic bits, kron(G1, U2) with U2 the unit
+    rows at those bits, and the transpose analogue on Q2; X logicals are
+    dual.  The pairing matrix comes out exactly the identity, which also
+    certifies that no representative sits in the opposite stabiliser
+    row space.
     """
-    k1, k2 = c1.dimension(), c2.dimension()
     c1t, c2t = c1.transpose_code(), c2.transpose_code()
-    k1t, k2t = c1t.dimension(), c2t.dimension()
-    total = k1 * k2 + k1t * k2t
-    if total == 0:
+    if c1.dimension() * c2.dimension() + c1t.dimension() * c2t.dimension() == 0:
         raise PreconditionError("code has no logical qubits")
-    n1, m1 = c1.n, c1.m
-    n2, m2 = c2.n, c2.m
-    n = n1 * n2 + m1 * m2
 
-    def pack(rows):
-        return BitMatrix.from_row_ints(rows, n)
+    def units(basis) -> BitMatrix:
+        k = basis.generator.rows
+        return BitMatrix.from_entries(k, len(basis.column_permutation), range(k),
+                                      basis.column_permutation[:k])
 
-    z_rows = []
-    x_rows = []
-    if k1 * k2:
-        sys1 = c1.systematic_basis()
-        sys2 = c2.systematic_basis()
-        gen1 = sys1.generator.rows_as_ints()
-        gen2 = sys2.generator.rows_as_ints()
-        for a in range(k1):
-            for b in range(k2):
-                word = gen1[a]
-                pos = sys2.column_permutation[b]
-                vec = 0
-                j1 = 0
-                while word:
-                    if word & 1:
-                        vec |= 1 << (j1 * n2 + pos)
-                    word >>= 1
-                    j1 += 1
-                z_rows.append(vec)
-                word2 = gen2[b]
-                posa = sys1.column_permutation[a]
-                vec2 = 0
-                j2 = 0
-                while word2:
-                    if word2 & 1:
-                        vec2 |= 1 << (posa * n2 + j2)
-                    word2 >>= 1
-                    j2 += 1
-                x_rows.append(vec2)
-    if k1t * k2t:
-        sys1t = c1t.systematic_basis()
-        sys2t = c2t.systematic_basis()
-        gen1t = sys1t.generator.rows_as_ints()
-        gen2t = sys2t.generator.rows_as_ints()
-        offset = n1 * n2
-        for c in range(k1t):
-            for d in range(k2t):
-                posc = sys1t.column_permutation[c]
-                word = gen2t[d]
-                vec = 0
-                j2 = 0
-                while word:
-                    if word & 1:
-                        vec |= 1 << (offset + posc * m2 + j2)
-                    word >>= 1
-                    j2 += 1
-                z_rows.append(vec)
-                word2 = gen1t[c]
-                posd = sys2t.column_permutation[d]
-                vec2 = 0
-                j1 = 0
-                while word2:
-                    if word2 & 1:
-                        vec2 |= 1 << (offset + j1 * m2 + posd)
-                    word2 >>= 1
-                    j1 += 1
-                x_rows.append(vec2)
+    def blocks(a: ClassicalCode, b: ClassicalCode) -> tuple[BitMatrix, BitMatrix]:
+        """kron(G_a, U_b) and kron(U_a, G_b); no rows when either code has k = 0."""
+        if a.dimension() * b.dimension() == 0:
+            return (BitMatrix.zeros(0, a.n * b.n),) * 2
+        sa, sb = a.systematic_basis(), b.systematic_basis()
+        return kron(sa.generator, units(sb)), kron(units(sa), sb.generator)
 
-    basis = LogicalBasis(
-        x_logicals=pack(x_rows),
-        z_logicals=pack(z_rows),
-        pairing=matmul(pack(x_rows), transpose(pack(z_rows))),
-    )
-    if basis.pairing != BitMatrix.identity(total):
+    z_q1, x_q1 = blocks(c1, c2)
+    x_q2, z_q2 = blocks(c1t, c2t)
+
+    def place(q1: BitMatrix, q2: BitMatrix) -> BitMatrix:
+        return vstack(hstack(q1, BitMatrix.zeros(q1.rows, q2.cols)),
+                      hstack(BitMatrix.zeros(q2.rows, q1.cols), q2))
+
+    x_logicals, z_logicals = place(x_q1, x_q2), place(z_q1, z_q2)
+    basis = LogicalBasis(x_logicals, z_logicals, matmul(x_logicals, transpose(z_logicals)))
+    if basis.pairing != BitMatrix.identity(x_logicals.rows):
         raise AssertionError("canonical logical pairing failed to reduce to identity")
     return basis
 

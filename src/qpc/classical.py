@@ -103,7 +103,7 @@ class ClassicalCode:
             return None
         if k > MAX_ENUM_DIMENSION:
             raise BudgetError(
-                "minimum-distance enumeration", 2**k, 2**MAX_ENUM_DIMENSION
+                "minimum-distance enumeration", k, 2**MAX_ENUM_DIMENSION
             )
         self._d = min_weight(BitMatrix.zeros(0, self.n), self._reduced.kernel)
         self._d_known = True
@@ -348,7 +348,7 @@ def _padded_lists(owner: np.ndarray, values: np.ndarray, count: int, width: int)
 
 def emit_alist(h: BitMatrix) -> str:
     m, n = h.shape
-    check, bit = np.nonzero(h.to_dense())   # row-major: bits ascend within each check
+    check, bit = h.nonzero()   # row-major: bits ascend within each check
     col_deg = np.bincount(bit, minlength=n)
     row_deg = np.bincount(check, minlength=m)
     max_col = int(col_deg.max()) if n else 0

@@ -162,7 +162,7 @@ def cmd_analyze(args) -> int:
             payload["d"] = d
             payload["params"] = f"[[{n},{k},{d}]]"
         except BudgetError as exc:
-            payload["d"] = f"budget exceeded ({exc.required} > {exc.limit})"
+            payload["d"] = f"budget exceeded ({exc.required_text} > {exc.limit})"
             _report(args, payload)
             return EXIT_BUDGET
     if args.c1 and args.c2:

@@ -1,20 +1,33 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible; the message carries both shapes."""
 
 
 class BudgetError(RuntimeError):
-    """An exact enumeration would exceed its configured bound."""
+    """An exact enumeration of 2^exponent steps would exceed its bound.
 
-    def __init__(self, what: str, required: int, limit: int):
-        super().__init__(
-            f"{what} refused: needs {required} steps, limit is {limit}"
-        )
+    `required_text` is 2^exponent in decimal while that has at most 4300
+    digits (Python's default limit for int-to-text conversion), else the
+    text `2^exponent`; the integer itself is built only when printed.
+    """
+
+    def __init__(self, what: str, exponent: int, limit: int):
         self.what = what
-        self.required = required
+        self.exponent = exponent
         self.limit = limit
+        decimal = exponent * math.log10(2) < 4300
+        self.required_text = str(1 << exponent) if decimal else f"2^{exponent}"
+        super().__init__(
+            f"{what} refused: needs {self.required_text} steps, limit is {limit}"
+        )
+
+    @property
+    def required(self) -> int:
+        return 1 << self.exponent
 
 
 class PreconditionError(ValueError):

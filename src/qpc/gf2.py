@@ -6,11 +6,15 @@ arithmetic is exact mod 2.  Matrices are immutable by convention: every
 operation returns a fresh value and never mutates its inputs, so values
 can be shared freely across threads.
 
-`transpose` stays on the packed words: each 8x8 bit block sits in one
-word, is transposed by three shift-and-mask steps and moved as bytes.
-`rref` returns the reduced form and its pivots only; the row operations
-and a kernel basis are derived from that result when first read, so a
-rank costs one elimination and nothing more.
+Every kernel stays on the packed words.  `transpose` moves 8x8 bit
+blocks, one word each.  `rref` works one 64-column word block at a time
+with the block's columns as Python-int row masks, so numpy is called
+only to swap rows and to XOR a pivot row into the rows it clears.  It
+returns the reduced form and its pivots only; the row operations and a
+kernel basis are derived from that result when first read, so a rank
+costs one elimination and nothing more.  `BitMatrix.nonzero` unpacks
+only the non-zero words; `matmul` XOR-reduces the rows of b gathered at
+a's entries, in chunks of bounded size, and `kron` maps entries.
 
 Intended scale is "desk size" (a few thousand columns); there is no
 sparse storage and no attempt at asymptotically clever rank algorithms.
@@ -56,7 +60,7 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
+        return cls.from_entries(n, n, np.arange(n), np.arange(n))
 
     @classmethod
     def from_dense(cls, array) -> "BitMatrix":
@@ -124,6 +128,18 @@ class BitMatrix:
         j = np.asarray(j, dtype=np.int64)
         bits = self._words[np.asarray(i, dtype=np.int64), j >> 6] >> (j & 63).astype(np.uint64)
         return (bits & np.uint64(1)).astype(bool)
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the ones, row-major with columns ascending.
+
+        The same arrays as `np.nonzero(self.to_dense())`; only the
+        non-zero words are unpacked.
+        """
+        wi, wj = np.nonzero(self._words)
+        bits = np.unpackbits(self._words[wi, wj].view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+        word, bit = np.nonzero(bits)
+        return wi[word], wj[word] * _WORD_BITS + bit
 
     def row_int(self, i: int) -> int:
         """Row i as a little-endian integer."""
@@ -208,33 +224,67 @@ class RrefResult:
         return BitMatrix.from_dense(dense)
 
 
+def _set_bits(x: int):
+    """Indices of the ones of a non-negative int, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+# A pivot clearing more rows than this reads their indices with one numpy unpack
+# (cost grows with the row count), fewer bit by bit (cost grows with the rows cleared).
+_FEW_ROWS = 16
+
+
 def rref(m: BitMatrix) -> RrefResult:
     """Gaussian elimination to reduced row echelon form.
 
-    Pivot ties go to the lowest-index candidate row so the output is
-    deterministic and reproducible across runs.
+    Per 64-column word block, bit i of `masks[b]` is entry (i, b) of the
+    block.  The pivot of column b is the lowest set bit at or below row
+    pr (ties go to the lowest index; the reduced form is unique anyway),
+    and the rows it clears are the mask's other bits.  Rows from pr down
+    are zero left of the column, so swaps and XORs start at this block,
+    and the masks follow them from this block's words alone: a swap
+    flips rows p and pr where those rows differ, and clearing flips the
+    cleared rows where the pivot row has a one.
     """
     r = m._words.copy()
     pivots: list[int] = []
     pr = 0
-    for c in range(m.cols):
+    for w in range(r.shape[1]):
         if pr == m.rows:
             break
-        w = c >> 6
-        bit = np.uint64(c & 63)
-        column = (r[pr:, w] >> bit) & np.uint64(1)
-        hits = np.nonzero(column)[0]
-        if hits.size == 0:
-            continue
-        p = pr + int(hits[0])
-        if p != pr:
-            r[[pr, p]] = r[[p, pr]]
-        others = np.nonzero((r[:, w] >> bit) & np.uint64(1))[0]
-        others = others[others != pr]
-        if others.size:
-            r[others] ^= r[pr]
-        pivots.append(c)
-        pr += 1
+        block = transpose(BitMatrix(m.rows, _WORD_BITS, np.ascontiguousarray(r[:, w:w + 1])))
+        size = block._words.shape[1] * 8                   # bytes per mask
+        raw = block._words.tobytes()
+        masks = [int.from_bytes(raw[b * size:(b + 1) * size], "little") for b in range(_WORD_BITS)]
+        for b in range(min(_WORD_BITS, m.cols - w * _WORD_BITS)):
+            below = masks[b] >> pr
+            if not below:
+                continue
+            p = pr + (below & -below).bit_length() - 1
+            if p != pr:
+                flip = (1 << p) | (1 << pr)
+                for j in _set_bits(int(r[p, w] ^ r[pr, w])):
+                    masks[j] ^= flip
+                row = r[pr, w:].copy()
+                r[pr, w:] = r[p, w:]
+                r[p, w:] = row
+            clear = masks[b] ^ (1 << pr)
+            if clear:
+                if clear.bit_count() > _FEW_ROWS:
+                    flags = np.frombuffer(clear.to_bytes(size, "little"), dtype=np.uint8)
+                    targets = np.flatnonzero(np.unpackbits(flags, bitorder="little"))
+                else:
+                    targets = list(_set_bits(clear))
+                r[targets, w:] ^= r[pr, w:]
+                for j in _set_bits(int(r[pr, w])):
+                    masks[j] ^= clear
+            pivots.append(w * _WORD_BITS + b)
+            pr += 1
+            if pr == m.rows:
+                break
     return RrefResult(
         source=m,
         rref=BitMatrix(m.rows, m.cols, r),
@@ -255,16 +305,31 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
     return rref(m).kernel
 
 
+# Rows of the right factor gathered at once by matmul: at most 1 MiB, or one row of a.
+_GATHER_BYTES = 1 << 20
+
+
 def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2): XOR of b's rows selected by a's entries."""
+    """Matrix product over GF(2): row i is the XOR of b's rows at a's ones in row i.
+
+    b's rows are gathered at the entries of a chunk of a's rows and each
+    row's run is reduced with one `reduceat`.  A chunk holds as many rows
+    as keep the gather within _GATHER_BYTES, and at least one.
+    """
     if a.cols != b.rows:
         raise DimensionError(f"matmul: inner shapes differ, {a.shape} x {b.shape}")
     out = np.zeros((a.rows, b._words.shape[1]), dtype=np.uint64)
-    dense_a = a.to_dense()
-    for i in range(a.rows):
-        picked = np.nonzero(dense_a[i])[0]
-        if picked.size:
-            out[i] = np.bitwise_xor.reduce(b._words[picked], axis=0)
+    cap = _GATHER_BYTES // max(b._words.itemsize * b._words.shape[1], 1)
+    ends = np.cumsum(np.bitwise_count(a._words).sum(axis=1))   # entries up to each row
+    start = 0
+    while start < a.rows:
+        before = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + cap, side="right")))
+        i, j = BitMatrix(stop - start, a.cols, a._words[start:stop]).nonzero()
+        if i.size:
+            first = np.flatnonzero(np.diff(i, prepend=-1))
+            out[start + i[first]] = np.bitwise_xor.reduceat(b._words[j], first, axis=0)
+        start = stop
     return BitMatrix(a.rows, b.cols, out)
 
 
@@ -305,11 +370,18 @@ def transpose(m: BitMatrix) -> BitMatrix:
 
 
 def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """[a | b]: b's words shifted left by a.cols % 64 bits, spilling into the next word."""
     if a.rows != b.rows:
         raise DimensionError(f"hstack: row counts differ, {a.shape} vs {b.shape}")
-    return BitMatrix.from_dense(
-        np.concatenate([a.to_dense(), b.to_dense()], axis=1)
-    )
+    cols = a.cols + b.cols
+    out = np.zeros((a.rows, _word_count(cols)), dtype=np.uint64)
+    out[:, : a._words.shape[1]] = a._words
+    k, shift = divmod(a.cols, _WORD_BITS)
+    out[:, k : k + b._words.shape[1]] |= b._words << np.uint64(shift)
+    # numpy shifts by 64 to zero; spilled words past the last are padding zeros
+    high = b._words >> np.uint64(_WORD_BITS - shift)
+    out[:, k + 1 :] |= high[:, : out.shape[1] - k - 1]
+    return BitMatrix(a.rows, cols, out)
 
 
 def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -322,7 +394,12 @@ def vstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Kronecker product: (a kron b)[i*rb + p, j*cb + q] = a[i,j] b[p,q]."""
-    return BitMatrix.from_dense(np.kron(a.to_dense(), b.to_dense()))
+    ai, aj = a.nonzero()
+    bi, bj = b.nonzero()
+    return BitMatrix.from_entries(
+        a.rows * b.rows, a.cols * b.cols,
+        (ai[:, None] * b.rows + bi).ravel(), (aj[:, None] * b.cols + bj).ravel(),
+    )
 
 
 # Low combinations tabulated per min_weight step: at most 2^16 rows and 1 MiB.

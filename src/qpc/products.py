@@ -190,8 +190,7 @@ def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix, q1_size: int | None = None
 def _incidence_edges(h_x: BitMatrix, h_z: BitMatrix, q1_size: int) -> tuple:
     edges = []
     for role, h in (("x", h_x), ("z", h_z)):
-        dense = h.to_dense()
-        for i, j in zip(*np.nonzero(dense)):
+        for i, j in zip(*h.nonzero()):
             j = int(j)
             if j < q1_size:
                 target = ("q1", j)

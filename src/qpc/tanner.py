@@ -156,7 +156,7 @@ class TannerGraph(_Graph):
 
     @classmethod
     def from_bitmatrix(cls, h: BitMatrix) -> "TannerGraph":
-        checks, bits = np.nonzero(h.to_dense())
+        checks, bits = h.nonzero()
         graph = cls(h.rows, h.cols, Counter(dict.fromkeys(zip(checks.tolist(), bits.tolist()), 1)))
         graph._view = EdgeView(graph, checks, bits, np.ones(checks.size, dtype=np.int64))
         return graph
@@ -251,8 +251,9 @@ class GroupAction:
             )
         sizes = _part_sizes(graph)
         gen_arrs = [
-            {part: np.asarray(perm[_perm_key(part)], dtype=np.int64) for part in sizes}
-            for perm in gen_perms
+            {part: _permutation(perm[_perm_key(part)], size, f"generator {i}: {part}")
+             for part, size in sizes.items()}
+            for i, perm in enumerate(gen_perms)
         ]
         full = {
             part: np.full((group.order, size), -1, dtype=np.int64)
@@ -329,6 +330,16 @@ class GroupAction:
 
 def _perm_key(part: str) -> str:
     return f"{part}_perm"
+
+
+def _permutation(values, size: int, where: str) -> np.ndarray:
+    """A permutation list from an action file, with `size` entries in 0..size-1."""
+    if len(values) != size:
+        raise PreconditionError(f"{where} permutation has {len(values)} entries, expected {size}")
+    bad = [v for v in values if type(v) is not int or not 0 <= v < size]
+    if bad:
+        raise PreconditionError(f"{where} permutation entry {bad[0]!r} is not in 0..{size - 1}")
+    return np.asarray(values, dtype=np.int64)
 
 
 def _expected_parts(graph) -> tuple[str, ...]:
@@ -717,7 +728,9 @@ def parse_action(text: str, graph) -> GroupAction:
                 )
             perms = {}
             for part, key in zip(parts, keys):
-                perms[part] = [entry[key] for entry in element_perms]
+                size = _part_sizes(graph)[part]
+                perms[part] = [_permutation(entry[key], size, f"element {g}: {part}")
+                               for g, entry in enumerate(element_perms)]
             return GroupAction(group, graph, perms)
         if "generators" in data:
             return GroupAction.from_generators(group, graph, data["generators"])

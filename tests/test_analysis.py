@@ -6,6 +6,7 @@ import pytest
 
 from qpc.analysis import (
     CSSParams,
+    LogicalBasis,
     check_commutation,
     css_distance,
     css_params,
@@ -104,6 +105,9 @@ class TestCommutation:
         assert not ok and len(pairs) >= 1
         i, j = pairs[0]
         assert 0 <= i < code.m_x and 0 <= j < code.m_z
+        # every anticommuting pair, row-major, as a scan of the dense product lists them
+        dense = code.h_x.to_dense().astype(int) @ code.h_z.to_dense().T.astype(int) % 2
+        assert pairs == [(i, j) for i in range(code.m_x) for j in range(code.m_z) if dense[i, j]]
 
 
 class TestLogicalCount:
@@ -179,6 +183,22 @@ class TestDistance:
             css_distance(code, budget=1 << 10)
         assert err.value.limit == 1 << 10
 
+    def test_budget_edge_is_exact(self):
+        # toric [[18,2,3]]: each kernel has dimension 18 - 8 = 10
+        rep = ClassicalCode(repetition_check(3))
+        code = hgp(rep, rep)
+        assert css_distance(code, budget=1 << 10) == (3, 3, 3)
+        with pytest.raises(BudgetError) as err:
+            css_distance(code, budget=(1 << 10) - 1)
+        assert (err.value.exponent, err.value.required) == (10, 1 << 10)
+        assert str(err.value) == "distance enumeration refused: needs 1024 steps, limit is 1023"
+
+    def test_refusal_text_stays_decimal_while_python_can_print_it(self):
+        # 2^14284 has 4300 digits, the most Python converts to text by default
+        assert BudgetError("x", 14284, 1).required_text == str(1 << 14284)
+        assert BudgetError("x", 14285, 1).required_text == "2^14285"
+        assert str(BudgetError("x", 10**15, 7)) == "x refused: needs 2^1000000000000000 steps, limit is 7"
+
     def test_matches_brute_force_on_small_random(self):
         rng = random.Random(139)
         tried = 0
@@ -246,6 +266,89 @@ class TestDistanceBound:
         assert d == hgp_distance_bound(rep3(), rep3())
 
 
+def oracle_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBasis:
+    """Reference: the bit-scatter loops that the packed kron replaced."""
+    k1, k2 = c1.dimension(), c2.dimension()
+    c1t, c2t = c1.transpose_code(), c2.transpose_code()
+    k1t, k2t = c1t.dimension(), c2t.dimension()
+    total = k1 * k2 + k1t * k2t
+    if total == 0:
+        raise PreconditionError("code has no logical qubits")
+    n1, m1 = c1.n, c1.m
+    n2, m2 = c2.n, c2.m
+    n = n1 * n2 + m1 * m2
+
+    def pack(rows):
+        return BitMatrix.from_row_ints(rows, n)
+
+    z_rows = []
+    x_rows = []
+    if k1 * k2:
+        sys1 = c1.systematic_basis()
+        sys2 = c2.systematic_basis()
+        gen1 = sys1.generator.rows_as_ints()
+        gen2 = sys2.generator.rows_as_ints()
+        for a in range(k1):
+            for b in range(k2):
+                word = gen1[a]
+                pos = sys2.column_permutation[b]
+                vec = 0
+                j1 = 0
+                while word:
+                    if word & 1:
+                        vec |= 1 << (j1 * n2 + pos)
+                    word >>= 1
+                    j1 += 1
+                z_rows.append(vec)
+                word2 = gen2[b]
+                posa = sys1.column_permutation[a]
+                vec2 = 0
+                j2 = 0
+                while word2:
+                    if word2 & 1:
+                        vec2 |= 1 << (posa * n2 + j2)
+                    word2 >>= 1
+                    j2 += 1
+                x_rows.append(vec2)
+    if k1t * k2t:
+        sys1t = c1t.systematic_basis()
+        sys2t = c2t.systematic_basis()
+        gen1t = sys1t.generator.rows_as_ints()
+        gen2t = sys2t.generator.rows_as_ints()
+        offset = n1 * n2
+        for c in range(k1t):
+            for d in range(k2t):
+                posc = sys1t.column_permutation[c]
+                word = gen2t[d]
+                vec = 0
+                j2 = 0
+                while word:
+                    if word & 1:
+                        vec |= 1 << (offset + posc * m2 + j2)
+                    word >>= 1
+                    j2 += 1
+                z_rows.append(vec)
+                word2 = gen1t[c]
+                posd = sys2t.column_permutation[d]
+                vec2 = 0
+                j1 = 0
+                while word2:
+                    if word2 & 1:
+                        vec2 |= 1 << (offset + j1 * m2 + posd)
+                    word2 >>= 1
+                    j1 += 1
+                x_rows.append(vec2)
+
+    basis = LogicalBasis(
+        x_logicals=pack(x_rows),
+        z_logicals=pack(z_rows),
+        pairing=matmul(pack(x_rows), transpose(pack(z_rows))),
+    )
+    if basis.pairing != BitMatrix.identity(total):
+        raise AssertionError("canonical logical pairing failed to reduce to identity")
+    return basis
+
+
 class TestCanonicalLogicals:
     def test_toric_pairs(self):
         basis = hgp_canonical_logicals(rep3(), rep3())
@@ -296,6 +399,20 @@ class TestCanonicalLogicals:
             basis = hgp_canonical_logicals(c1, c2)
             verify_logical_basis(hgp(c1, c2), basis)
             assert basis.x_logicals.rows == hgp_k_formula(c1, c2)
+
+    def test_matches_bit_scatter_loops(self):
+        rng = random.Random(907)
+        pairs = [(rep3(), rep3()), (ClassicalCode(hamming_7_4_check()), rep3()),
+                 (ClassicalCode(BitMatrix.from_dense([[1], [1]])),) * 2,
+                 (ClassicalCode(repetition_check(5)), ClassicalCode(hamming_7_4_check()))]
+        while len(pairs) < 60:
+            c1, c2 = (ClassicalCode(BitMatrix.from_dense(np.array(
+                [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            ))) for n in (rng.randint(1, 6), rng.randint(1, 6)))
+            if hgp_k_formula(c1, c2):
+                pairs.append((c1, c2))
+        for c1, c2 in pairs:
+            assert hgp_canonical_logicals(c1, c2) == oracle_canonical_logicals(c1, c2)
 
 
 class TestLpBpCoincidence:

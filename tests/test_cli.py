@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(cwd, *argv):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "qpc.cli", *map(str, argv)],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
 class TestConstruct:
     def test_hgp_toric(self, tmp_path, capsys):
         code, out, _ = run(
@@ -276,16 +285,39 @@ class TestAnalyze:
 
     def test_huge_pcm_header_exits_1_without_traceback(self, tmp_path):
         (tmp_path / "huge.pcm").write_text("0 99999999999999999999\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "qpc.cli", "analyze", "--hx", "huge.pcm", "--hz", "huge.pcm"],
-            cwd=tmp_path, capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
+        proc = run_process(tmp_path, "analyze", "--hx", "huge.pcm", "--hz", "huge.pcm")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr == (
             "error: line 1: header 'm n' exceeds the largest array dimension\n"
+        )
+
+    @pytest.mark.parametrize("width, required", [
+        (10**15, "2^1000000000000000"),        # 2^width is never built
+        (100000, "2^100000"),                   # too many digits to print
+        (4000, str(2**4000)),                   # 1205 digits: printed in full
+    ])
+    def test_wide_empty_code_is_refused_by_budget(self, tmp_path, width, required):
+        (tmp_path / "wide.pcm").write_text(f"0 {width}\n")
+        proc = run_process(tmp_path, "analyze", "--hx", "wide.pcm", "--hz", "wide.pcm")
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-2:] == [
+            f"k: {width}", f"d: budget exceeded ({required} > 16777216)"]
+
+    def test_classical_refusal_beyond_decimal_limit(self, tmp_path, capsys):
+        self.build_toric(tmp_path, capsys)
+        (tmp_path / "wide.pcm").write_text("0 100000\n")
+        proc = run_process(
+            tmp_path, "analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm",
+            "--c1", "wide.pcm", "--c2", "wide.pcm",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "budget exceeded: minimum-distance enumeration refused:"
+            " needs 2^100000 steps, limit is 4194304\n"
         )
 
     def test_degenerate_lifted_product_files_read_back(self, tmp_path, capsys):
@@ -514,6 +546,28 @@ class TestVerify:
         assert code == 0
         assert "free: True" in out
         assert "vertex_classes: 2" in out
+
+    @pytest.mark.parametrize("perm, message", [
+        ([1, 2], "vertex permutation has 2 entries, expected 4"),
+        ([1, 2, 0, 3, 3], "vertex permutation has 5 entries, expected 4"),
+        ([1, 2, 0, 4], "vertex permutation entry 4 is not in 0..3"),
+        ([1, 2, 0, -1], "vertex permutation entry -1 is not in 0..3"),
+    ])
+    @pytest.mark.parametrize("form", ["generators", "elements"])
+    def test_malformed_permutation_exits_2(self, tmp_path, perm, message, form):
+        perms = [{"vertex_perm": perm}]
+        if form == "elements":   # a valid identity first, so the bad list is element 1
+            perms.insert(0, {"vertex_perm": [0, 1, 2, 3]})
+            perms.append({"vertex_perm": [2, 0, 1, 3]})
+        (tmp_path / "bad.action.json").write_text(json.dumps({"group": "Z3", form: perms}))
+        proc = run_process(
+            tmp_path, "verify", "action",
+            "--graph", FIXTURES / "b4.graph", "--action", "bad.action.json",
+        )
+        where = "generator 0" if form == "generators" else "element 1"
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"precondition violated: {where}: {message}\n"
 
     def test_fixed_vertex_action_fails_with_witness(self, capsys):
         code, out, _ = run(

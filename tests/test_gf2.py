@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpc import gf2
-from qpc.classical import ClassicalCode
+from qpc.classical import ClassicalCode, repetition_check
 from qpc.errors import DimensionError
 from qpc.gf2 import (
     BitMatrix,
@@ -19,6 +19,7 @@ from qpc.gf2 import (
     transpose,
     vstack,
 )
+from qpc.products import hgp
 
 # Circulant parity check of the 3-bit repetition code; its rows sum to zero.
 CIRC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -328,6 +329,110 @@ class TestArithmetic:
         assert matmul(empty, BitMatrix.zeros(4, 2)).shape == (0, 2)
         assert transpose(empty).shape == (4, 0)
         assert kron(empty, BitMatrix.identity(2)).shape == (0, 8)
+
+
+def oracle_rref(m: BitMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reference: the per-column elimination that block elimination replaced."""
+    r = m._words.copy()
+    pivots: list[int] = []
+    pr = 0
+    for c in range(m.cols):
+        if pr == m.rows:
+            break
+        w = c >> 6
+        bit = np.uint64(c & 63)
+        hits = np.nonzero((r[pr:, w] >> bit) & np.uint64(1))[0]
+        if hits.size == 0:
+            continue
+        p = pr + int(hits[0])
+        if p != pr:
+            r[[pr, p]] = r[[p, pr]]
+        others = np.nonzero((r[:, w] >> bit) & np.uint64(1))[0]
+        others = others[others != pr]
+        if others.size:
+            r[others] ^= r[pr]
+        pivots.append(c)
+        pr += 1
+    return r, tuple(pivots)
+
+
+def oracle_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Reference: the dense-row matmul that the packed gather replaced."""
+    out = np.zeros((a.rows, b._words.shape[1]), dtype=np.uint64)
+    dense_a = a.to_dense()
+    for i in range(a.rows):
+        picked = np.nonzero(dense_a[i])[0]
+        if picked.size:
+            out[i] = np.bitwise_xor.reduce(b._words[picked], axis=0)
+    return BitMatrix(a.rows, b.cols, out)
+
+
+def oracle_shapes():
+    """Seeded matrices of the shapes block elimination and the packed kernels must handle."""
+    rng = np.random.default_rng(2024)
+    out = [np.zeros((0, 0)), np.zeros((0, 7)), np.zeros((5, 0)), np.zeros((0, 129))]
+    for cols in (1, 63, 64, 65, 127, 129):
+        for rows in (1, 7, 64, 150):                  # 150 rows exceed most widths
+            for density in (0.02, 0.5):
+                out.append(rng.random((rows, cols)) < density)
+        out.append(np.ones((9, cols)))
+        half = rng.integers(0, 2, (6, cols))
+        out.append(half[rng.integers(0, 6, 12)])      # duplicate rows
+    for _ in range(40):
+        rows, cols = rng.integers(1, 90, 2)
+        out.append(rng.random((rows, cols)) < rng.choice([0.01, 0.1, 0.5, 0.9]))
+    return [BitMatrix.from_dense(d.astype(np.uint8)) for d in out]
+
+
+class TestAgainstOracles:
+    def test_rref_matches_per_column_loop(self):
+        for m in oracle_shapes():
+            res = rref(m)
+            words, pivots = oracle_rref(m)
+            assert np.array_equal(res.rref._words, words), m.shape
+            assert res.pivot_cols == pivots, m.shape
+            assert res.rank == len(pivots)
+
+    def test_rref_of_toric_code_matches(self):
+        # 1600 x 3200: many word blocks, few rows cleared per pivot, many swaps
+        code = ClassicalCode(repetition_check(40))
+        h_x = hgp(code, code).h_x
+        res = rref(h_x)
+        words, pivots = oracle_rref(h_x)
+        assert np.array_equal(res.rref._words, words)
+        assert res.pivot_cols == pivots
+
+    @pytest.mark.parametrize("cap", [8, 64, 1000, gf2._GATHER_BYTES])
+    def test_matmul_matches_dense_rows(self, monkeypatch, cap):
+        monkeypatch.setattr(gf2, "_GATHER_BYTES", cap)
+        rng = np.random.default_rng(cap)
+        for a in oracle_shapes():
+            b = BitMatrix.from_dense(rng.random((a.cols, rng.integers(0, 140))) < 0.3)
+            assert matmul(a, b) == oracle_matmul(a, b), (a.shape, b.shape)
+            assert matmul(a, transpose(a)) == oracle_matmul(a, transpose(a))
+
+    def test_nonzero_matches_dense(self):
+        for m in oracle_shapes():
+            rows, cols = m.nonzero()
+            want = np.nonzero(m.to_dense())
+            assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+            assert rows.dtype == cols.dtype == np.int64
+
+    def test_kron_and_hstack_match_dense(self):
+        shapes = oracle_shapes()
+        rng = random.Random(99)
+        for a in shapes:
+            b = shapes[rng.randrange(len(shapes))]
+            if a.rows * b.rows * a.cols * b.cols <= 1 << 20:
+                assert np.array_equal(kron(a, b).to_dense(), np.kron(a.to_dense(), b.to_dense()))
+            c = BitMatrix.from_dense(
+                np.random.default_rng(a.cols).random((a.rows, rng.choice([0, 1, 63, 64, 65, 130]))) < 0.5
+            )
+            for left, right in ((a, c), (c, a)):
+                out = hstack(left, right)
+                assert np.array_equal(out.to_dense(), np.concatenate(
+                    [left.to_dense(), right.to_dense()], axis=1))
+                assert out == BitMatrix.from_dense(out.to_dense())   # padding bits stay zero
 
 
 def gray_oracle(stab_rows: list[int], logical_rows: list[int]) -> int | None:

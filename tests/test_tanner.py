@@ -103,6 +103,27 @@ class TestActionValidation:
                 group, graph, [{"vertex_perm": [1, 2, 0, 3]}]
             )
 
+    @pytest.mark.parametrize("perm, message", [
+        ([1, 2], "generator 0: vertex permutation has 2 entries, expected 4"),
+        ([1, 2, 0, 3, 3], "generator 0: vertex permutation has 5 entries, expected 4"),
+        ([1, 2, 0, 4], "generator 0: vertex permutation entry 4 is not in 0..3"),
+        ([1, 2, 0, -1], "generator 0: vertex permutation entry -1 is not in 0..3"),
+        ([1, 2, 0, 3.0], "generator 0: vertex permutation entry 3.0 is not in 0..3"),
+    ])
+    def test_generator_permutation_shape_and_range(self, perm, message):
+        graph, _ = paper_b_graph()
+        with pytest.raises(PreconditionError) as err:
+            GroupAction.from_generators(FiniteGroup.cyclic(3), graph, [{"vertex_perm": perm}])
+        assert str(err.value) == message
+
+    def test_generator_permutations_checked_per_part(self):
+        graph, action = regular_cyclic_tanner(
+            GroupAlgebraMatrix(FiniteGroup.cyclic(3), [[GroupAlgebraElement(FiniteGroup.cyclic(3), 3)]])
+        )
+        good = action.perms["check"][1].tolist()
+        with pytest.raises(PreconditionError, match="generator 0: bit permutation has 2 entries, expected 3"):
+            GroupAction.from_generators(action.group, graph, [{"check_perm": good, "bit_perm": [1, 2]}])
+
     def test_homomorphism_enforced(self):
         # order-3 element cannot act as a transposition
         graph = PlainGraph(2, [(0, 1)])
@@ -362,6 +383,18 @@ class TestFileFormats:
         }
         action = parse_action(json.dumps(payload), graph)
         assert action.apply(1, "vertex", 0) == 1
+
+    @pytest.mark.parametrize("second, message", [
+        ([1], "element 1: vertex permutation has 1 entries, expected 2"),   # ragged table
+        ([1, 2], "element 1: vertex permutation entry 2 is not in 0..1"),
+        ([1, -2], "element 1: vertex permutation entry -2 is not in 0..1"),
+    ])
+    def test_action_elements_checked_like_generators(self, second, message):
+        graph = PlainGraph(2, Counter({(0, 1): 2}))
+        payload = {"group": "Z2", "elements": [{"vertex_perm": [0, 1]}, {"vertex_perm": second}]}
+        with pytest.raises(PreconditionError) as err:
+            parse_action(json.dumps(payload), graph)
+        assert str(err.value) == message
 
     def test_covering_parse(self):
         base = PlainGraph.path(3)
