@@ -32,7 +32,6 @@ from .products import (
     css_from_matrices,
     hgp,
     hgp_of_lifts,
-    layout_of,
     lift_with_regular_actions,
     lifted_product,
 )

@@ -105,10 +105,9 @@ def css_distance(code: CSSCode, budget: int = DEFAULT_BUDGET):
     return d_x, d_z, d
 
 
-def css_params(code: CSSCode, budget: int = DEFAULT_BUDGET,
-               with_distance: bool = True) -> CSSParams:
+def css_params(code: CSSCode, budget: int = DEFAULT_BUDGET) -> CSSParams:
     k = logical_count(code)
-    if not with_distance or k == 0:
+    if k == 0:
         return CSSParams(n=code.n, k=k)
     d_x, d_z, d = css_distance(code, budget)
     return CSSParams(n=code.n, k=k, d=d, d_x=d_x, d_z=d_z)

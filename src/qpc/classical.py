@@ -109,10 +109,6 @@ class ClassicalCode:
         self._d_known = True
         return self._d
 
-    def params(self, with_distance: bool = False) -> CodeParams:
-        d = self.min_distance() if with_distance else self._d
-        return CodeParams(n=self.n, k=self.dimension(), m=self.m, d=d)
-
     def transpose_code(self) -> "ClassicalCode":
         """The code of H^T: checks and bits exchanged."""
         return ClassicalCode(transpose(self.h))

@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Subcommands: `construct` (hgp | lp | bp), `analyze`, `layout`, `verify`.
-All runs are deterministic: identical inputs and seed produce identical
-bytes.  Exit codes: 0 success, 1 parse or I/O failure, 2 precondition
-violation (reported with its witness), 3 enumeration budget exceeded.
-The environment variable QPC_BUDGET overrides the distance-enumeration
-cap; a budget that is not a non-negative integer exits 1.
+The grammar is declared per command: `construct hgp | lp | bp`,
+`analyze`, `layout` and `verify covering | action` each take only the
+options they use, and any other option is a usage error.  `--seed` and
+`--json-out` are global and come before the command.  All runs are
+deterministic: identical inputs and seed produce identical bytes.  Exit
+codes: 0 success, 1 usage, parse or I/O failure, 2 precondition
+violation (reported with its witness), 3 enumeration budget exceeded;
+every failure prints one line on stderr.  The environment variable
+QPC_BUDGET overrides the distance-enumeration cap; a budget that is not a
+non-negative integer exits 1.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import analysis, classical, render
@@ -86,39 +91,11 @@ def _emit_code_files(code, prefix: str) -> list[str]:
 def _report(args, payload: dict) -> None:
     for key, value in payload.items():
         print(f"{key}: {value}")
-    if getattr(args, "json_out", None):
+    if args.json_out:
         _write(Path(args.json_out), json.dumps(payload, indent=2) + "\n")
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise FormatError(
-            f"{args.product if hasattr(args, 'product') else args.what}:"
-            f" missing required option(s) --{', --'.join(missing)}"
-        )
-
-
-def cmd_construct(args) -> int:
-    if args.product == "hgp":
-        _require(args, ["c1", "c2"])
-        c1 = classical.ClassicalCode(_load_pcm(args.c1))
-        c2 = classical.ClassicalCode(_load_pcm(args.c2))
-        code = hgp(c1, c2)
-    elif args.product == "lp":
-        _require(args, ["m1", "m2"])
-        m1 = parse_ring_matrix(Path(args.m1).read_text())
-        m2 = parse_ring_matrix(Path(args.m2).read_text())
-        code = lifted_product(m1, m2)
-    else:
-        _require(args, ["graph-a", "graph-b", "action-a", "action-b"])
-        graph_a = parse_graph(Path(args.graph_a).read_text())
-        graph_b = parse_graph(Path(args.graph_b).read_text())
-        if not isinstance(graph_a, TannerGraph) or not isinstance(graph_b, TannerGraph):
-            raise FormatError("balanced products need Tanner graphs, not plain graphs")
-        act_a = parse_action(Path(args.action_a).read_text(), graph_a)
-        act_b = parse_action(Path(args.action_b).read_text(), graph_b)
-        code = balanced_product(graph_a, graph_b, act_a, act_b)
+def _construct(args, code) -> int:
     files = _emit_code_files(code, args.out_prefix)
     _report(
         args,
@@ -135,7 +112,31 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def cmd_hgp(args) -> int:
+    c1 = classical.ClassicalCode(_load_pcm(args.c1))
+    c2 = classical.ClassicalCode(_load_pcm(args.c2))
+    return _construct(args, hgp(c1, c2))
+
+
+def cmd_lp(args) -> int:
+    m1 = parse_ring_matrix(Path(args.m1).read_text())
+    m2 = parse_ring_matrix(Path(args.m2).read_text())
+    return _construct(args, lifted_product(m1, m2))
+
+
+def cmd_bp(args) -> int:
+    graph_a = parse_graph(Path(args.graph_a).read_text())
+    graph_b = parse_graph(Path(args.graph_b).read_text())
+    if not isinstance(graph_a, TannerGraph) or not isinstance(graph_b, TannerGraph):
+        raise FormatError("balanced products need Tanner graphs, not plain graphs")
+    act_a = parse_action(Path(args.action_a).read_text(), graph_a)
+    act_b = parse_action(Path(args.action_b).read_text(), graph_b)
+    return _construct(args, balanced_product(graph_a, graph_b, act_a, act_b))
+
+
 def cmd_analyze(args) -> int:
+    if (args.c1 is None) != (args.c2 is None):
+        raise FormatError("qpc analyze: --c1 and --c2 must be given together")
     budget = _budget(args.budget)
     h_x = _load_pcm(args.hx)
     h_z = _load_pcm(args.hz)
@@ -165,7 +166,7 @@ def cmd_analyze(args) -> int:
             payload["d"] = f"budget exceeded ({exc.required_text} > {exc.limit})"
             _report(args, payload)
             return EXIT_BUDGET
-    if args.c1 and args.c2:
+    if args.c1 is not None:
         c1 = classical.ClassicalCode(_load_pcm(args.c1))
         c2 = classical.ClassicalCode(_load_pcm(args.c2))
         formula = analysis.hgp_k_formula(c1, c2)
@@ -178,9 +179,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    if bool(args.input) == bool(args.graph):
-        raise FormatError("layout needs exactly one of --input or --graph")
-    if args.graph:
+    if args.input is None:
         graph = parse_graph(Path(args.graph).read_text())
         table, overlays = render.line_layout_table(graph), ()
     else:
@@ -205,22 +204,22 @@ def cmd_layout(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    if args.what == "covering":
-        _require(args, ["cover", "base", "map"])
-        cover = parse_graph(Path(args.cover).read_text())
-        base = parse_graph(Path(args.base).read_text())
-        cm = parse_covering(Path(args.map).read_text(), cover, base)
-        report = verify_covering(cm)
-        payload = {
-            "check": "covering",
-            "valid": report.valid,
-            "lift_size": report.lift_size,
-            "violations": report.violations,
-        }
-        _report(args, payload)
-        return EXIT_OK if report.valid else EXIT_PRECONDITION
-    _require(args, ["graph", "action"])
+def cmd_covering(args) -> int:
+    cover = parse_graph(Path(args.cover).read_text())
+    base = parse_graph(Path(args.base).read_text())
+    cm = parse_covering(Path(args.map).read_text(), cover, base)
+    report = verify_covering(cm)
+    payload = {
+        "check": "covering",
+        "valid": report.valid,
+        "lift_size": report.lift_size,
+        "violations": report.violations,
+    }
+    _report(args, payload)
+    return EXIT_OK if report.valid else EXIT_PRECONDITION
+
+
+def cmd_action(args) -> int:
     graph = parse_graph(Path(args.graph).read_text())
     action = parse_action(Path(args.action).read_text(), graph)
     free, free_witness = is_free(action)
@@ -237,14 +236,43 @@ def cmd_verify(args) -> int:
         "edge_classes": q.edge_count(),
     }
     _report(args, payload)
-    ok = free and not pinned
-    if args.lenient:
-        return EXIT_OK
-    return EXIT_OK if ok else EXIT_PRECONDITION
+    return EXIT_OK if args.lenient or (free and not pinned) else EXIT_PRECONDITION
+
+
+class _Once(argparse.Action):
+    """Stores an option's value (`const` for a flag); a second occurrence is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Declares every option with `_Once`; a usage error is a `FormatError` (exit 1, one line)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", None, _Once)
+        self.register("action", "store_true", partial(_Once, nargs=0, const=True, default=False))
+
+    def error(self, message: str):
+        raise FormatError(f"{self.prog}: {message}")
+
+
+def _command(sub, name: str, func, summary: str, inputs: dict[str, str]) -> argparse.ArgumentParser:
+    """A subcommand handled by `func` that requires every option in `inputs`."""
+    parser = sub.add_parser(name, help=summary)
+    for option, text in inputs.items():
+        parser.add_argument(option, required=True, help=text)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpc",
         description="Construct and verify quantum CSS product codes.",
     )
@@ -253,32 +281,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json-out", help="also write the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    construct = sub.add_parser("construct", help="build a product code")
-    construct.add_argument("product", choices=["hgp", "lp", "bp"])
-    construct.add_argument("--c1", help="first classical PCM (hgp)")
-    construct.add_argument("--c2", help="second classical PCM (hgp)")
-    construct.add_argument("--m1", help="first ring matrix (lp)")
-    construct.add_argument("--m2", help="second ring matrix (lp)")
-    construct.add_argument("--graph-a", help="first Tanner graph (bp)")
-    construct.add_argument("--graph-b", help="second Tanner graph (bp)")
-    construct.add_argument("--action-a", help="action on the first graph (bp)")
-    construct.add_argument("--action-b", help="action on the second graph (bp)")
-    construct.add_argument("--out-prefix", required=True)
-    construct.set_defaults(func=cmd_construct)
+    products = sub.add_parser("construct", help="build a product code").add_subparsers(
+        dest="product", required=True)
+    for name, func, summary, inputs in (
+        ("hgp", cmd_hgp, "hypergraph product of two classical codes",
+         {"--c1": "first classical PCM", "--c2": "second classical PCM"}),
+        ("lp", cmd_lp, "lifted product of two ring matrices",
+         {"--m1": "first ring matrix", "--m2": "second ring matrix"}),
+        ("bp", cmd_bp, "balanced product of two Tanner graphs",
+         {"--graph-a": "first Tanner graph", "--graph-b": "second Tanner graph",
+          "--action-a": "action on the first graph",
+          "--action-b": "action on the second graph"}),
+    ):
+        _command(products, name, func, summary, inputs).add_argument(
+            "--out-prefix", required=True, help="path prefix of the written files")
 
-    analyze = sub.add_parser("analyze", help="report code parameters")
-    analyze.add_argument("--hx", required=True)
-    analyze.add_argument("--hz", required=True)
+    analyze = _command(sub, "analyze", cmd_analyze, "report code parameters",
+                       {"--hx": "X-check PCM (.pcm or .alist)",
+                        "--hz": "Z-check PCM (.pcm or .alist)"})
     analyze.add_argument("--budget", type=int, default=0,
                          help="distance enumeration cap; 0 means the default"
                               " (QPC_BUDGET, else 2^24)")
-    analyze.add_argument("--c1", help="classical input for the HGP cross-check")
-    analyze.add_argument("--c2", help="classical input for the HGP cross-check")
-    analyze.set_defaults(func=cmd_analyze)
+    analyze.add_argument("--c1", help="classical input for the HGP cross-check (with --c2)")
+    analyze.add_argument("--c2", help="classical input for the HGP cross-check (with --c1)")
 
-    layout = sub.add_parser("layout", help="render a layout JSON file or a graph")
-    layout.add_argument("--input", help="layout JSON file")
-    layout.add_argument("--graph", help="Tanner graph file (1D line layout)")
+    layout = _command(sub, "layout", cmd_layout, "render a layout JSON file or a graph", {})
+    source = layout.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="layout JSON file")
+    source.add_argument("--graph", help="Tanner graph file (1D line layout)")
     layout.add_argument("--format", required=True,
                         choices=["svg", "tikz", "dot", "json"])
     layout.add_argument("--out", help="output file (default stdout)")
@@ -287,27 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
     layout.add_argument("--scale", type=float, default=12.0)
     layout.add_argument("--shear", type=float, default=0.45)
     layout.add_argument("--yscale", type=float, default=0.3)
-    layout.set_defaults(func=cmd_layout)
 
-    verify = sub.add_parser("verify", help="check coverings and actions")
-    verify.add_argument("what", choices=["covering", "action"])
-    verify.add_argument("--cover", help="cover graph (covering)")
-    verify.add_argument("--base", help="base graph (covering)")
-    verify.add_argument("--map", help="vertex map JSON (covering)")
-    verify.add_argument("--graph", help="graph file (action)")
-    verify.add_argument("--action", help="action JSON (action)")
-    verify.add_argument("--lenient", action="store_true",
-                        help="exit 0 even when freeness or edge checks fail")
-    verify.set_defaults(func=cmd_verify)
+    checks = sub.add_parser("verify", help="check coverings and actions").add_subparsers(
+        dest="check", required=True)
+    _command(checks, "covering", cmd_covering, "check a covering map",
+             {"--cover": "cover graph", "--base": "base graph", "--map": "vertex map JSON"})
+    _command(checks, "action", cmd_action, "check a group action",
+             {"--graph": "graph file", "--action": "action JSON"}).add_argument(
+        "--lenient", action="store_true",
+        help="exit 0 even when freeness or edge checks fail")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (FormatError, DimensionError, OSError) as exc:
+    except (FormatError, DimensionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the typed JSON reader, shared across the package."""
 
+import json
 import math
 
 
@@ -48,3 +49,32 @@ class FormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def load_object(text: str, what: str) -> dict:
+    """`text` as one JSON object; anything else is a `FormatError` naming `what`."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also integers beyond 4300 digits
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    return typed(data, dict, what)
+
+
+def typed(value, kind: type, what: str):
+    """`value` when its type is exactly `kind` (so a bool is no int), else a `FormatError`."""
+    if type(value) is not kind:
+        raise FormatError(f"{what} must be {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def typed_list(data: dict, key: str, kind: type | None = None, where: str = "") -> list:
+    """`data[key]` (default empty) as a list, each entry of type `kind` when given."""
+    value = typed(data.get(key, []), list, f"{where}{key!r}")
+    if kind is not None:
+        for k, entry in enumerate(value):
+            typed(entry, kind, f"{where}{key!r} entry {k}")
+    return value

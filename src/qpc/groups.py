@@ -16,6 +16,7 @@ B(conj_transpose(M)) equals B(M) transposed.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,6 +96,8 @@ class FiniteGroup:
                 continue
             if len(values) != order:
                 raise FormatError(f"expected {order} entries", ln_no)
+            if not all(0 <= v < order for v in values):
+                raise PreconditionError("table entries out of range")
             rows.append(values)
         if order is None or len(rows) != order:
             raise FormatError(f"expected {order or '?'} table rows, got {len(rows)}")
@@ -183,15 +186,22 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     """Accepted specs: "Z<l>", "Z<a>xZ<b>", "table:<path>"."""
     spec = spec.strip()
     if spec.startswith("table:"):
-        path = Path(spec[len("table:"):])
-        return FiniteGroup.from_table_text(path.read_text(), spec=spec)
-    m = re.fullmatch(r"Z(\d+)xZ(\d+)", spec)
-    if m:
-        return FiniteGroup.direct_product(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"Z(\d+)", spec)
-    if m:
-        return FiniteGroup.cyclic(int(m.group(1)))
-    raise FormatError(f"unrecognised group spec {spec!r}")
+        path = spec[len("table:"):]
+        if "\0" in path:
+            raise FormatError("group table path holds a null byte")
+        return FiniteGroup.from_table_text(Path(path).read_text(), spec=spec)
+    m = re.fullmatch(r"Z(\d+)(?:xZ(\d+))?", spec)
+    if not m:
+        raise FormatError(f"unrecognised group spec {spec!r}")
+    try:
+        factors = [int(f) for f in m.groups() if f is not None]
+    except ValueError:  # more digits than Python converts
+        factors = None
+    if factors is None or 8 * math.prod(factors) ** 2 > np.iinfo(np.intp).max:
+        raise FormatError("group table would exceed the largest array size")
+    if len(factors) == 2:
+        return FiniteGroup.direct_product(*factors)
+    return FiniteGroup.cyclic(*factors)
 
 
 @dataclass(frozen=True)
@@ -214,13 +224,6 @@ class GroupAlgebraElement:
         if not 0 <= g < group.order:
             raise PreconditionError(f"element {g} out of range")
         return cls(group, 1 << g)
-
-    @classmethod
-    def from_indices(cls, group: FiniteGroup, indices) -> "GroupAlgebraElement":
-        mask = 0
-        for g in indices:
-            mask ^= 1 << g
-        return cls(group, mask)
 
     def support(self) -> tuple[int, ...]:
         out = []
@@ -298,12 +301,6 @@ class GroupAlgebraMatrix:
             group,
             [[GroupAlgebraElement(group, int(m)) for m in row] for row in masks],
         )
-
-    @classmethod
-    def identity(cls, n: int, group: FiniteGroup) -> "GroupAlgebraMatrix":
-        one = GroupAlgebraElement.one(group)
-        zero = GroupAlgebraElement.zero(group)
-        return cls(group, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -433,7 +430,11 @@ def _parse_term(term: str, group: FiniteGroup, ln: int) -> int:
         match = _TERM_RE.match(factor.strip())
         if not match:
             raise FormatError(f"cannot parse term {term!r}", ln)
-        base_name, power = match.group(1), int(match.group(2) or 1)
+        base_name = match.group(1)
+        try:
+            power = int(match.group(2) or 1)
+        except ValueError:  # more digits than Python converts
+            raise FormatError("exponent has more than 4300 digits", ln) from None
         if base_name in gens:
             base = gens[base_name]
         elif base_name.startswith("g") and base_name[1:].isdigit():
@@ -442,7 +443,7 @@ def _parse_term(term: str, group: FiniteGroup, ln: int) -> int:
                 raise FormatError(f"element {base_name} out of range", ln)
         else:
             raise FormatError(f"unknown generator {base_name!r}", ln)
-        for _ in range(power):
+        for _ in range(power % group.order):  # exact: g^|G| is the identity
             acc = group.multiply(acc, base)
     # term written with the identity on the left, so acc already is g^k...
     return acc
@@ -475,6 +476,8 @@ def parse_ring_matrix(text: str) -> GroupAlgebraMatrix:
         m, n = int(header[0]), int(header[1])
     except ValueError:
         raise FormatError("expected integer dimensions", header_idx + 1) from None
+    if m < 0 or n < 0:
+        raise FormatError("expected non-negative dimensions", header_idx + 1)
     group = parse_group_spec(header[2][len("group="):])
     rows = []
     pos = header_idx

@@ -34,9 +34,6 @@ from .groups import (
 )
 from .tanner import GroupAction, TannerGraph, has_fixed_edge, is_free, part_orbits
 
-QUBIT_ROLES = ("q1", "q2")
-CHECK_ROLES = ("x", "z")
-
 
 class CoordinateTable:
     """One coordinate per X check, Z check and qubit (Q1/Q2 blocks).
@@ -143,21 +140,12 @@ class CSSCode:
     def total_vertices(self) -> int:
         return self.n + self.m_x + self.m_z
 
-    def qubit_role(self, j: int) -> tuple[str, int]:
-        if j < self.q1_size:
-            return ("q1", j)
-        return ("q2", j - self.q1_size)
-
     def __repr__(self):
         kind = self.provenance.get("kind", "css")
         return (
             f"CSSCode({kind}, n={self.n}, m_x={self.m_x}, m_z={self.m_z},"
             f" commuting={self.commuting})"
         )
-
-
-def layout_of(code: CSSCode) -> CoordinateTable:
-    return code.layout
 
 
 def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix, q1_size: int | None = None) -> CSSCode:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import FormatError, PreconditionError
+from .errors import FormatError, PreconditionError, load_object, typed_list
 from .products import CoordinateTable
 
 SCHEMA_VERSION = "qpc-layout/1"
@@ -81,13 +81,6 @@ def _project(coord, spec: RenderSpec):
     return float(x) + p.x_shear * float(y), float(z) + p.y_scale * float(y)
 
 
-def _qubit_position(table: CoordinateTable, spec: RenderSpec, index: int):
-    q1 = len(table.qubits_q1)
-    if index < q1:
-        return _project(table.qubits_q1[index], spec)
-    return _project(table.qubits_q2[index - q1], spec)
-
-
 def emit(table: CoordinateTable, spec: RenderSpec, overlays, fmt: str) -> str:
     """Serialise a layout; identical inputs give identical bytes."""
     overlays = tuple(overlays)
@@ -134,52 +127,30 @@ def _emit_json(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def _load_object(text: str, what: str) -> dict:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FormatError(f"{what} must be a JSON object")
-    return data
-
-
-def _list(data: dict, key: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise FormatError(f"'{key}' must be a list")
-    return value
-
-
 def _overlay(data) -> OperatorOverlay:
-    if not isinstance(data, dict) or not isinstance(data.get("paulis"), list):
+    if type(data) is not dict or "paulis" not in data:
         raise FormatError("an overlay needs a 'paulis' list of [qubit, letter] pairs")
-    pairs = []
-    for entry in data["paulis"]:
-        try:
-            qubit, letter = entry
-            pairs.append((int(qubit), letter))
-        except (TypeError, ValueError, OverflowError):
-            letter = None
-        if not isinstance(letter, str):
+    pairs = typed_list(data, "paulis", list)
+    for entry in pairs:
+        if len(entry) != 2 or type(entry[0]) is not int or type(entry[1]) is not str:
             raise FormatError(f"overlay entry {entry!r} is not a [qubit, letter] pair")
-    return OperatorOverlay(paulis=tuple(pairs))
+    return OperatorOverlay(paulis=tuple(map(tuple, pairs)))
 
 
 def parse_overlay(text: str) -> OperatorOverlay:
     """An overlay file: {"paulis": [[qubit, letter], ...]}."""
-    return _overlay(_load_object(text, "an overlay"))
+    return _overlay(load_object(text, "an overlay file"))
 
 
 def parse_layout(text: str):
     """Inverse of the JSON emitter; returns (table, overlays)."""
-    data = _load_object(text, "a layout")
+    data = load_object(text, "a layout file")
     if data.get("version") != SCHEMA_VERSION:
         raise FormatError(f"unsupported layout version {data.get('version')!r}")
-    if "kind" not in data:
-        raise FormatError("layout has no 'kind'")
+    if data.get("kind") not in ("2d", "3d"):
+        raise FormatError(f"layout kind {data.get('kind')!r} is not '2d' or '3d'")
     families = {role: [] for role in ROLE_ORDER}
-    for k, vertex in enumerate(_list(data, "vertices")):
+    for k, vertex in enumerate(typed_list(data, "vertices")):
         if type(vertex) is not dict or "role" not in vertex:
             raise FormatError(f"vertex {k} has no role")
         role = vertex["role"]
@@ -197,7 +168,7 @@ def parse_layout(text: str):
         if [i for i, _ in rows] != list(range(len(rows))):
             raise FormatError(f"{role} indices are not contiguous from zero")
     edges = []
-    for edge in _list(data, "edges"):
+    for edge in typed_list(data, "edges"):
         ends = edge if isinstance(edge, list) and len(edge) == 2 else []
         if not ends or not all(
             isinstance(end, list) and len(end) == 2 and isinstance(end[0], str)
@@ -215,7 +186,7 @@ def parse_layout(text: str):
         qubits_q2=tuple(c for _, c in families["q2"]),
         edges=tuple(edges),
     )
-    overlays = tuple(_overlay(ov) for ov in _list(data, "overlays"))
+    overlays = tuple(_overlay(ov) for ov in typed_list(data, "overlays"))
     return table, overlays
 
 

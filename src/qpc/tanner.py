@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, PreconditionError
+from .errors import DimensionError, FormatError, PreconditionError, load_object, typed, typed_list
 from .gf2 import BitMatrix
 from .groups import FiniteGroup, GroupAlgebraMatrix, binary_map, parse_group_spec
 
@@ -233,14 +233,6 @@ class GroupAction:
     # part layout: TannerGraph -> ("check", "bit"); PlainGraph -> ("vertex",)
 
     @classmethod
-    def on_tanner(cls, group, graph: TannerGraph, check_perms, bit_perms) -> "GroupAction":
-        return cls(group, graph, {"check": check_perms, "bit": bit_perms})
-
-    @classmethod
-    def on_plain(cls, group, graph: PlainGraph, vertex_perms) -> "GroupAction":
-        return cls(group, graph, {"vertex": vertex_perms})
-
-    @classmethod
     def from_generators(cls, group, graph, gen_perms: list[dict]) -> "GroupAction":
         """Extend per-generator permutations to the whole group by composition."""
         gens = generator_indices(group)
@@ -409,16 +401,6 @@ class QuotientLayout:
     basepoints: tuple[tuple[str, int], ...]
     row_of: dict
 
-    def class_of(self, part: str, v: int) -> int:
-        return self._index[(part, v)]
-
-    def __post_init__(self):
-        lookup = {}
-        for ci, members in enumerate(self.classes):
-            for vertex in members:
-                lookup[vertex] = ci
-        object.__setattr__(self, "_index", lookup)
-
 
 def part_orbits(action: GroupAction, part: str):
     """Orbits of one part as arrays: (basepoints, class of each vertex, row of each vertex).
@@ -516,12 +498,12 @@ def verify_covering(cm: CoveringMap) -> CoveringReport:
         )
     maps = {}
     for part, size in cover_sizes.items():
-        arr = np.asarray(cm.maps[part], dtype=np.int64)
-        if arr.shape != (size,):
+        images = cm.maps[part]
+        if np.shape(images) != (size,):
             raise PreconditionError(f"{part} map must list every cover vertex")
-        if arr.size and (arr.min() < 0 or arr.max() >= base_sizes[part]):
+        if not all(0 <= v < base_sizes[part] for v in images):
             raise PreconditionError(f"{part} map has out-of-range images")
-        maps[part] = arr
+        maps[part] = np.asarray(images, dtype=np.int64)
 
     for part, size in cover_sizes.items():
         other = cover.NEIGHBOUR_PART[part]
@@ -656,7 +638,7 @@ def product_action_plain(
         pa = act_a.perms["vertex"][hinv]
         pb = act_b.perms["vertex"][hinv]
         perms[h] = (pa[np.arange(na * nb) // nb] * nb) + pb[np.arange(na * nb) % nb]
-    return GroupAction.on_plain(group, product, perms)
+    return GroupAction(group, product, {"vertex": perms})
 
 
 # -- file formats --------------------------------------------------------------
@@ -687,6 +669,8 @@ def parse_graph(text: str):
         cls, sizes, (first, second) = PlainGraph, (as_int(header[1], pos),), "vv"
     else:
         raise FormatError(f"unknown graph header {' '.join(header)!r}", pos)
+    if not all(0 <= size <= np.iinfo(np.intp).max for size in sizes):
+        raise FormatError("graph sizes must be non-negative and fit an array dimension", pos)
     edges = []
     for ln, fields in content:
         if len(fields) != 2 or not (fields[0].startswith(first) and fields[1].startswith(second)):
@@ -709,34 +693,30 @@ def emit_graph(graph) -> str:
 
 
 def parse_action(text: str, graph) -> GroupAction:
-    """JSON action file: group spec plus per-generator permutation arrays."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    """JSON action file: group spec plus per-generator (or per-element) permutation lists."""
+    data = load_object(text, "an action file")
     if "group" not in data:
         raise FormatError("action file needs a 'group' spec")
-    group = parse_group_spec(data["group"])
-    parts = _expected_parts(graph)
-    keys = [_perm_key(p) for p in parts]
-    try:
-        if "elements" in data:
-            element_perms = data["elements"]
-            if len(element_perms) != group.order:
-                raise FormatError(
-                    f"'elements' must list all {group.order} permutations"
-                )
-            perms = {}
-            for part, key in zip(parts, keys):
-                size = _part_sizes(graph)[part]
-                perms[part] = [_permutation(entry[key], size, f"element {g}: {part}")
-                               for g, entry in enumerate(element_perms)]
-            return GroupAction(group, graph, perms)
-        if "generators" in data:
-            return GroupAction.from_generators(group, graph, data["generators"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed action file: missing {exc}") from exc
-    raise FormatError("action file needs 'generators' or 'elements'")
+    group = parse_group_spec(typed(data["group"], str, "'group'"))
+    form = next((key for key in ("elements", "generators") if key in data), None)
+    if form is None:
+        raise FormatError("action file needs 'generators' or 'elements'")
+    entries = typed_list(data, form, dict)
+    sizes = _part_sizes(graph)
+    for i, entry in enumerate(entries):
+        for key in map(_perm_key, sizes):
+            if key not in entry:
+                raise FormatError(f"{form[:-1]} {i} has no {key!r}")
+            typed_list(entry, key, int, f"{form[:-1]} {i}: ")
+    if form == "generators":
+        return GroupAction.from_generators(group, graph, entries)
+    if len(entries) != group.order:
+        raise FormatError(f"'elements' must list all {group.order} permutations")
+    return GroupAction(group, graph, {
+        part: [_permutation(entry[_perm_key(part)], size, f"element {g}: {part}")
+               for g, entry in enumerate(entries)]
+        for part, size in sizes.items()
+    })
 
 
 def emit_action(action: GroupAction) -> str:
@@ -755,16 +735,12 @@ def emit_action(action: GroupAction) -> str:
 
 
 def parse_covering(text: str, cover, base) -> CoveringMap:
-    """JSON covering file: one map array per vertex part."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    parts = _expected_parts(cover)
+    """JSON covering file: one list of base-vertex indices per vertex part."""
+    data = load_object(text, "a covering file")
     maps = {}
-    for part in parts:
+    for part in _expected_parts(cover):
         key = f"{part}_map"
         if key not in data:
             raise FormatError(f"covering file needs {key!r}")
-        maps[part] = data[key]
+        maps[part] = typed_list(data, key, int)
     return CoveringMap(cover=cover, base=base, maps=maps)

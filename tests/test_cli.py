@@ -579,3 +579,61 @@ class TestVerify:
         assert code == 2
         assert "free: False" in out
         assert "free_witness" in out and "3" in out
+
+
+class TestUsageErrors:
+    """Each usage error exits 1 with one `error:` line: no usage text, no traceback."""
+
+    F = FIXTURES
+    HGP = ["construct", "hgp", "--c1", F / "rep3.pcm", "--c2", F / "rep3.pcm"]
+    LP = ["construct", "lp", "--m1", F / "rep3_z3.ring", "--m2", F / "rep3_z3.ring"]
+    BP = ["construct", "bp", "--graph-a", F / "lift_1px_z3.graph",
+          "--graph-b", F / "lift_1px_z3.graph", "--action-a", F / "bp_a_z3.action.json",
+          "--action-b", F / "bp_b_z3.action.json"]
+    ANALYZE = ["analyze", "--hx", F / "rep3.pcm", "--hz", F / "rep3.pcm"]
+    LAYOUT = ["layout", "--graph", F / "lift_1px_z3.graph", "--format", "svg"]
+    COVERING = ["verify", "covering", "--cover", F / "line3_2lift.graph",
+                "--base", F / "line3.graph", "--map", F / "line3_2lift.map.json"]
+    ACTION = ["verify", "action", "--graph", F / "cycle6.graph",
+              "--action", F / "cycle6_z3.action.json"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (ANALYZE + ["--budget", "abc"], "qpc analyze: argument --budget: invalid int value: 'abc'"),
+        (["frob"], "qpc: argument command: invalid choice: 'frob'"),
+        (["construct", "xx", "--out-prefix", "x"], "qpc construct: argument product: invalid choice: 'xx'"),
+        (["verify", "both"], "qpc verify: argument check: invalid choice: 'both'"),
+        (HGP[:-2], "qpc construct hgp: the following arguments are required: --c2, --out-prefix"),
+        (LP[:2] + ["--out-prefix", "x"], "qpc construct lp: the following arguments are required: --m1, --m2"),
+        (BP, "qpc construct bp: the following arguments are required: --out-prefix"),
+        (ANALYZE[:3], "qpc analyze: the following arguments are required: --hz"),
+        (LAYOUT[:3], "qpc layout: the following arguments are required: --format"),
+        (COVERING[:-2], "qpc verify covering: the following arguments are required: --map"),
+        (ACTION[:4], "qpc verify action: the following arguments are required: --action"),
+        (LP + ["--out-prefix", "x", "--c1", "f"], "qpc: unrecognized arguments: --c1 f"),
+        (COVERING + ["--lenient"], "qpc: unrecognized arguments: --lenient"),
+        (LAYOUT + ["--input", "f"], "qpc layout: argument --input: not allowed with argument --graph"),
+        (LAYOUT[:1] + LAYOUT[3:], "qpc layout: one of the arguments --input --graph is required"),
+        (ANALYZE + ["--c1", F / "rep3.pcm"], "qpc analyze: --c1 and --c2 must be given together"),
+        (ANALYZE + ["--c2", F / "rep3.pcm"], "qpc analyze: --c1 and --c2 must be given together"),
+        (ACTION + ["--lenient", "--lenient"], "qpc verify action: argument --lenient: given more than once"),
+        (HGP + ["--c1", F / "rep3.pcm"], "qpc construct hgp: argument --c1: given more than once"),
+    ])
+    def test_exits_1_with_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "usage:" not in err and "Traceback" not in err
+
+    def test_budget_abc_in_a_fresh_process(self, tmp_path):
+        proc = run_process(tmp_path, *self.ANALYZE, "--budget", "abc")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: qpc analyze: argument --budget: invalid int value: 'abc'\n"
+
+    def test_well_formed_commands_still_run(self, tmp_path, capsys):
+        for argv in (self.HGP + ["--out-prefix", tmp_path / "h"],
+                     self.LP + ["--out-prefix", tmp_path / "l"],
+                     self.BP + ["--out-prefix", tmp_path / "b"],
+                     self.ANALYZE + ["--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"],
+                     self.LAYOUT, self.COVERING, self.ACTION, self.ACTION + ["--lenient"]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv

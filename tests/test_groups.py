@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +335,37 @@ class TestRingMatrixFormat:
         assert conj_transpose(empty).shape == (2, 0)
         assert binary_map(empty).shape == (0, 6)
         assert parse_ring_matrix(emit_ring_matrix(empty)).shape == (0, 2)
+
+    def test_exponents_reduce_mod_the_order(self):
+        group = FiniteGroup.cyclic(3)
+        for power in (0, 1, 2, 3, 7, 3_000_000):
+            assert parse_element(f"x^{power}", group).support() == (power % 3,)
+        s3 = FiniteGroup.from_table_text(
+            (Path(__file__).resolve().parent.parent / "fixtures" / "s3.table").read_text())
+        for g in range(1, 6):
+            loop = 0
+            for _ in range(13):
+                loop = s3.multiply(loop, g)
+            assert parse_element(f"g{g}^13", s3).support() == (loop,)
+
+    def test_exponent_beyond_int_conversion_names_the_line(self):
+        with pytest.raises(FormatError, match="^line 3: exponent has more than 4300 digits$"):
+            parse_ring_matrix("2 1 group=Z3\n1\nx^" + "7" * 5000 + "\n")
+
+    @pytest.mark.parametrize("spec", [
+        "Z99999999999999999999", "Z" + "9" * 5000, "Z2000000000", "Z100000xZ100000",
+    ])
+    def test_group_beyond_the_largest_array_is_refused(self, spec):
+        with pytest.raises(FormatError, match="^group table would exceed the largest array size$"):
+            parse_group_spec(spec)
+
+    def test_negative_dimensions_refused(self):
+        for header in ("-1 1", "1 -1"):
+            with pytest.raises(FormatError, match="^line 1: expected non-negative dimensions$"):
+                parse_ring_matrix(f"{header} group=Z3\n1\n")
+
+    def test_table_file_faults(self):
+        with pytest.raises(PreconditionError, match="table entries out of range"):
+            FiniteGroup.from_table_text("2\n0 1\n1 99999999999999999999\n")
+        with pytest.raises(FormatError, match="null byte"):
+            parse_group_spec("table:s3\0.table")

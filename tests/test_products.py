@@ -19,7 +19,6 @@ from qpc.products import (
     css_from_matrices,
     hgp,
     hgp_of_lifts,
-    layout_of,
     lift_with_regular_actions,
     lifted_product,
 )
@@ -82,7 +81,7 @@ class TestHgp:
 
     def test_layout_closed_forms(self):
         code = hgp(rep3(), rep3())
-        table = layout_of(code)
+        table = code.layout
         m1 = n1 = m2 = n2 = 3
         for i, coord in enumerate(table.x_checks):
             assert coord == (i // n2, i % n2)

@@ -80,6 +80,12 @@ class TestJson:
         with pytest.raises(FormatError):
             parse_layout(json.dumps({"version": "other", "kind": "2d"}))
 
+    @pytest.mark.parametrize("kind", [None, 5, "4d", ["2d"]])
+    def test_parse_rejects_unknown_kind(self, kind):
+        payload = {"version": "qpc-layout/1", "kind": kind, "vertices": []}
+        with pytest.raises(FormatError, match="layout kind .* is not '2d' or '3d'"):
+            parse_layout(json.dumps(payload))
+
     def test_parse_rejects_gappy_indices(self):
         payload = {
             "version": "qpc-layout/1",

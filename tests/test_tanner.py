@@ -403,3 +403,18 @@ class TestFileFormats:
             json.dumps({"vertex_map": [0, 0, 1, 1, 2, 2]}), cover, base
         )
         assert verify_covering(cm).valid
+
+
+@pytest.mark.parametrize("header", [
+    "checks 99999999999999999999 bits 1", "checks 1 bits -1", "vertices -2",
+    "vertices 99999999999999999999",
+])
+def test_graph_sizes_must_fit_an_array(header):
+    with pytest.raises(FormatError, match="^line 1: graph sizes must be non-negative"):
+        parse_graph(header + "\n")
+
+
+def test_covering_map_beyond_int64_is_out_of_range():
+    cm = CoveringMap(PlainGraph.path(3), PlainGraph.path(3), {"vertex": [0, 1, 10**30]})
+    with pytest.raises(PreconditionError, match="vertex map has out-of-range images"):
+        verify_covering(cm)
