@@ -1,62 +1,42 @@
-"""Workbench for constructing and verifying quantum CSS product codes."""
+"""Workbench for constructing and verifying quantum CSS product codes.
 
-from .analysis import (
-    CSSParams,
-    LogicalBasis,
-    check_commutation,
-    css_distance,
-    css_params,
-    hgp_canonical_logicals,
-    hgp_distance_bound,
-    hgp_k_formula,
-    logical_count,
-    lp_bp_coincide,
-    search_noncommuting_lp,
-)
-from .classical import ClassicalCode, CodeParams, SystematicBasis
-from .errors import BudgetError, DimensionError, FormatError, PreconditionError
-from .gf2 import BitMatrix, RrefResult, kernel_basis, kron, matmul, rank, rref
-from .groups import (
-    FiniteGroup,
-    GroupAlgebraElement,
-    GroupAlgebraMatrix,
-    binary_map,
-    conj_transpose,
-    parse_group_spec,
-    ring_kron_identity,
-)
-from .products import (
-    CoordinateTable,
-    CSSCode,
-    balanced_product,
-    css_from_matrices,
-    hgp,
-    hgp_of_lifts,
-    lift_with_regular_actions,
-    lifted_product,
-)
-from .render import (
-    Oblique,
-    OperatorOverlay,
-    RenderSpec,
-    emit,
-    line_layout_table,
-    parse_layout,
-)
-from .tanner import (
-    CoveringMap,
-    GroupAction,
-    PlainGraph,
-    QuotientLayout,
-    TannerGraph,
-    cartesian_product_plain,
-    has_fixed_edge,
-    is_free,
-    lift_from_ring_matrix,
-    product_action_plain,
-    quotient,
-    verify_covering,
-)
+Each public name is imported from its home module on first access
+(PEP 562), so `import qpc` loads no submodule and no numpy.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+# The submodule that defines each public name.
+_EXPORTS = {
+    "analysis": "CSSParams LogicalBasis check_commutation css_distance css_params"
+                " hgp_canonical_logicals hgp_distance_bound hgp_k_formula logical_count"
+                " lp_bp_coincide search_noncommuting_lp",
+    "classical": "ClassicalCode CodeParams SystematicBasis",
+    "errors": "BudgetError DimensionError FormatError PreconditionError",
+    "gf2": "BitMatrix RrefResult kernel_basis kron matmul rank rref",
+    "groups": "FiniteGroup GroupAlgebraElement GroupAlgebraMatrix binary_map conj_transpose"
+              " parse_group_spec ring_kron_identity",
+    "products": "CSSCode balanced_product css_from_matrices hgp hgp_of_lifts"
+                " lift_with_regular_actions lifted_product",
+    "render": "CoordinateTable Oblique OperatorOverlay RenderSpec emit line_layout_table"
+              " parse_layout",
+    "tanner": "CoveringMap GroupAction PlainGraph QuotientLayout TannerGraph"
+              " cartesian_product_plain has_fixed_edge is_free lift_from_ring_matrix"
+              " product_action_plain quotient verify_covering",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .classical import ClassicalCode
 from .errors import BudgetError, PreconditionError
 from .gf2 import (BitMatrix, RrefResult, add, hstack, kron, matmul, min_weight, rank, rref,
                   transpose, vstack)
-from .groups import GroupAlgebraElement, GroupAlgebraMatrix
 from .products import CSSCode, balanced_product, lift_with_regular_actions, lifted_product
+
+if TYPE_CHECKING:
+    from .groups import GroupAlgebraMatrix
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -210,6 +213,8 @@ def search_noncommuting_lp(group, max_rows: int, max_cols: int, draws: int,
     Returns (m1, m2, draw_index) for the first non-commuting instance,
     or None when every draw commutes.
     """
+    from .groups import GroupAlgebraMatrix
+
     rng = random.Random(seed)
 
     def random_matrix():
@@ -219,13 +224,7 @@ def search_noncommuting_lp(group, max_rows: int, max_cols: int, draws: int,
             [rng.getrandbits(group.order) for _ in range(cols)]
             for _ in range(rows)
         ]
-        return GroupAlgebraMatrix(
-            group,
-            [
-                [GroupAlgebraElement(group, m) for m in row]
-                for row in masks
-            ],
-        )
+        return GroupAlgebraMatrix.from_masks(group, masks)
 
     for draw in range(draws):
         m1 = random_matrix()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -272,9 +273,15 @@ def parse_alist(text: str) -> BitMatrix:
         except ValueError:
             raise FormatError(f"{what} degrees must be integers", line_no(k)) from None
 
-    # Degree lists of no entries are empty lines too, and take no content line.
+    # Line 2 holds the largest column and row degrees (0 for no entries).  Degree
+    # lists of no entries are empty lines too, and take no content line.
+    max_deg = degree_list(1, 2, "maximum")
     col_deg = degree_list(2, n, "column") if n else []
     row_deg = degree_list(2 + (n > 0), m, "row") if m else []
+    largest = [max(col_deg, default=0), max(row_deg, default=0)]
+    if max_deg != largest:
+        raise FormatError(f"maximum degrees {max_deg[0]} {max_deg[1]}, degree lists give"
+                          f" {largest[0]} {largest[1]}", line_no(1))
     # Adjacency line a is content line top + a: bit a for a < n, then check a - n.
     top = 2 + (n > 0) + (m > 0)
     lists = min(n + m, content.size - top)
@@ -340,6 +347,12 @@ def _padded_lists(owner: np.ndarray, values: np.ndarray, count: int, width: int)
     start = np.cumsum(sizes) - sizes
     out[owner, np.arange(owner.size) - start[owner]] = values
     return out
+
+
+def read_check_matrix(path: str) -> BitMatrix:
+    """A check matrix file: alist when the name ends in `.alist`, plain PCM otherwise."""
+    text = Path(path).read_text()
+    return parse_alist(text) if path.endswith(".alist") else parse_pcm_text(text)
 
 
 def emit_alist(h: BitMatrix) -> str:

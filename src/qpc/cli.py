@@ -9,7 +9,8 @@ codes: 0 success, 1 usage, parse or I/O failure, 2 precondition
 violation (reported with its witness), 3 enumeration budget exceeded;
 every failure prints one line on stderr.  The environment variable
 QPC_BUDGET overrides the distance-enumeration cap; a budget that is not a
-non-negative integer exits 1.
+non-negative integer exits 1.  Each command imports only the layers it
+runs, so `layout --input` never loads numpy.
 """
 
 from __future__ import annotations
@@ -21,21 +22,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import analysis, classical, render
 from .errors import BudgetError, DimensionError, FormatError, PreconditionError
-from .gf2 import BitMatrix
-from .groups import parse_ring_matrix
-from .products import balanced_product, css_from_matrices, hgp, lifted_product
-from .tanner import (
-    TannerGraph,
-    has_fixed_edge,
-    is_free,
-    parse_action,
-    parse_covering,
-    parse_graph,
-    quotient,
-    verify_covering,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -43,20 +30,13 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 
 
-def _load_pcm(path: str) -> BitMatrix:
-    text = Path(path).read_text()
-    if path.endswith(".alist"):
-        return classical.parse_alist(text)
-    return classical.parse_pcm_text(text)
-
-
-def _budget(option: int) -> int:
-    """--budget when non-zero, else QPC_BUDGET when set, else the default."""
+def _budget(option: int, default: int) -> int:
+    """--budget when non-zero, else QPC_BUDGET when set, else `default`."""
     name, raw = "--budget", str(option)
     if not option:
         name, raw = "QPC_BUDGET", os.environ.get("QPC_BUDGET")
     if not raw:
-        return analysis.DEFAULT_BUDGET
+        return default
     try:
         budget = int(raw)
     except ValueError:
@@ -72,6 +52,8 @@ def _write(path: Path, text: str) -> None:
 
 
 def _emit_code_files(code, prefix: str) -> list[str]:
+    from . import classical, render
+
     base = Path(prefix)
     written = []
     for name, matrix in (("hx", code.h_x), ("hz", code.h_z)):
@@ -113,18 +95,25 @@ def _construct(args, code) -> int:
 
 
 def cmd_hgp(args) -> int:
-    c1 = classical.ClassicalCode(_load_pcm(args.c1))
-    c2 = classical.ClassicalCode(_load_pcm(args.c2))
-    return _construct(args, hgp(c1, c2))
+    from . import classical, products
+
+    c1 = classical.ClassicalCode(classical.read_check_matrix(args.c1))
+    c2 = classical.ClassicalCode(classical.read_check_matrix(args.c2))
+    return _construct(args, products.hgp(c1, c2))
 
 
 def cmd_lp(args) -> int:
-    m1 = parse_ring_matrix(Path(args.m1).read_text())
-    m2 = parse_ring_matrix(Path(args.m2).read_text())
-    return _construct(args, lifted_product(m1, m2))
+    from . import groups, products
+
+    m1 = groups.parse_ring_matrix(Path(args.m1).read_text())
+    m2 = groups.parse_ring_matrix(Path(args.m2).read_text())
+    return _construct(args, products.lifted_product(m1, m2))
 
 
 def cmd_bp(args) -> int:
+    from .products import balanced_product
+    from .tanner import TannerGraph, parse_action, parse_graph
+
     graph_a = parse_graph(Path(args.graph_a).read_text())
     graph_b = parse_graph(Path(args.graph_b).read_text())
     if not isinstance(graph_a, TannerGraph) or not isinstance(graph_b, TannerGraph):
@@ -135,13 +124,15 @@ def cmd_bp(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, classical, products
+
     if (args.c1 is None) != (args.c2 is None):
         raise FormatError("qpc analyze: --c1 and --c2 must be given together")
-    budget = _budget(args.budget)
-    h_x = _load_pcm(args.hx)
-    h_z = _load_pcm(args.hz)
+    budget = _budget(args.budget, analysis.DEFAULT_BUDGET)
+    h_x = classical.read_check_matrix(args.hx)
+    h_z = classical.read_check_matrix(args.hz)
     n = h_x.cols
-    code = css_from_matrices(h_x, h_z)
+    code = products.css_from_matrices(h_x, h_z)
     payload: dict = {"seed": args.seed, "n": n}
     payload["commuting"] = code.commuting
     if not code.commuting:
@@ -167,8 +158,8 @@ def cmd_analyze(args) -> int:
             _report(args, payload)
             return EXIT_BUDGET
     if args.c1 is not None:
-        c1 = classical.ClassicalCode(_load_pcm(args.c1))
-        c2 = classical.ClassicalCode(_load_pcm(args.c2))
+        c1 = classical.ClassicalCode(classical.read_check_matrix(args.c1))
+        c2 = classical.ClassicalCode(classical.read_check_matrix(args.c2))
         formula = analysis.hgp_k_formula(c1, c2)
         payload["hgp_k_formula"] = formula
         payload["hgp_k_matches"] = formula == k
@@ -179,7 +170,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_layout(args) -> int:
+    from . import render
+
     if args.input is None:
+        from .tanner import parse_graph
+
         graph = parse_graph(Path(args.graph).read_text())
         table, overlays = render.line_layout_table(graph), ()
     else:
@@ -205,6 +200,8 @@ def cmd_layout(args) -> int:
 
 
 def cmd_covering(args) -> int:
+    from .tanner import parse_covering, parse_graph, verify_covering
+
     cover = parse_graph(Path(args.cover).read_text())
     base = parse_graph(Path(args.base).read_text())
     cm = parse_covering(Path(args.map).read_text(), cover, base)
@@ -220,6 +217,8 @@ def cmd_covering(args) -> int:
 
 
 def cmd_action(args) -> int:
+    from .tanner import has_fixed_edge, is_free, parse_action, parse_graph, quotient
+
     graph = parse_graph(Path(args.graph).read_text())
     action = parse_action(Path(args.action).read_text(), graph)
     free, free_witness = is_free(action)

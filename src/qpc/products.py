@@ -12,75 +12,25 @@ then bits, the y axis over second-factor bits then checks, and the z
 axis (3D only) over group-element rows anchored at orbit basepoints.
 A code's layout is built on first read, and its incidence edges on
 first read of `layout.edges`: writing files or analysing a code needs
-neither.
+neither.  `groups` and `tanner` are imported by the constructors that
+use them, so hypergraph products and analysis load neither.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .classical import ClassicalCode
 from .errors import DimensionError, PreconditionError
 from .gf2 import BitMatrix, RrefResult, hstack, kron, matmul, rref, transpose
-from .groups import (
-    GroupAlgebraMatrix,
-    binary_map,
-    conj_transpose,
-    ring_hstack,
-    ring_kron_identity,
-)
-from .tanner import GroupAction, TannerGraph, has_fixed_edge, is_free, part_orbits
+from .render import CoordinateTable
 
-
-class CoordinateTable:
-    """One coordinate per X check, Z check and qubit (Q1/Q2 blocks).
-
-    2D tables hold (x, y) pairs, 3D tables (x, y, z) triples.  The four
-    families never collide; that is validated at construction.  `edges`
-    optionally lists (check, qubit) incidences with block-local indices;
-    it may be given as a zero-argument function, called on first read.
-    """
-
-    def __init__(self, kind: str, x_checks: tuple, z_checks: tuple, qubits_q1: tuple,
-                 qubits_q2: tuple, edges=()):
-        self.kind = kind
-        self.x_checks = x_checks
-        self.z_checks = z_checks
-        self.qubits_q1 = qubits_q1
-        self.qubits_q2 = qubits_q2
-        self._edges = edges
-        if self.kind not in ("2d", "3d"):
-            raise PreconditionError(f"unknown layout kind {self.kind!r}")
-        width = 2 if self.kind == "2d" else 3
-        seen = {}
-        for role, coords in self.families().items():
-            for idx, coord in enumerate(coords):
-                if len(coord) != width:
-                    raise PreconditionError(
-                        f"{role}[{idx}] has {len(coord)} components, expected {width}"
-                    )
-                if coord in seen:
-                    raise PreconditionError(
-                        f"coordinate clash: {role}[{idx}] and {seen[coord]} at {coord}"
-                    )
-                seen[coord] = f"{role}[{idx}]"
-
-    @property
-    def edges(self) -> tuple:
-        if callable(self._edges):
-            self._edges = self._edges()
-        return self._edges
-
-    def families(self) -> dict:
-        return {
-            "x": self.x_checks,
-            "z": self.z_checks,
-            "q1": self.qubits_q1,
-            "q2": self.qubits_q2,
-        }
+if TYPE_CHECKING:
+    from .groups import GroupAlgebraMatrix
+    from .tanner import GroupAction, TannerGraph
 
 
 class CSSCode:
@@ -255,6 +205,8 @@ def lifted_product(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
 
     Checks are not guaranteed to commute; inspect the `commuting` flag.
     """
+    from .groups import binary_map, conj_transpose, ring_hstack, ring_kron_identity
+
     if not m1.group.same_group(m2.group):
         raise PreconditionError(
             f"lifted product needs one shared group, got {m1.group.spec}"
@@ -293,6 +245,8 @@ def hgp_of_lifts(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
     Total vertex count is l times that of the lifted product of the same
     inputs.
     """
+    from .groups import binary_map
+
     if not m1.group.same_group(m2.group):
         raise PreconditionError("hgp_of_lifts needs one shared group")
     code = hgp(ClassicalCode(binary_map(m1)), ClassicalCode(binary_map(m2)))
@@ -317,6 +271,9 @@ def lift_with_regular_actions(
     the second graph when the group is abelian, so non-abelian inputs
     are rejected by action validation.
     """
+    from .groups import binary_map
+    from .tanner import GroupAction, TannerGraph
+
     group = m1.group
     if not group.same_group(m2.group):
         raise PreconditionError("both matrices must share one group")
@@ -355,7 +312,7 @@ def lift_with_regular_actions(
 # -- balanced product ---------------------------------------------------------
 
 
-def _product_orbits(act_a: GroupAction, part_a: str, act_b: GroupAction, part_b: str):
+def _product_orbits(orbits_a: tuple, act_b: GroupAction, part_b: str):
     """Orbits of (u, v) pairs under h . (u, v) = (u . h, h^-1 . v).
 
     With stored left actions both coordinates receive the inverse
@@ -364,12 +321,13 @@ def _product_orbits(act_a: GroupAction, part_a: str, act_b: GroupAction, part_b:
     base(u) first, namely (base(u), pi_B(row(u)^-1) v), and that member is
     the orbit's lexicographic minimum.  Returns the basepoints (u, v)
     ascending, as a lexicographic scan meets them, and the class of every
-    pair as a `|A part| x |B part|` array.
+    pair as a `|A part| x |B part|` array.  `orbits_a` are the
+    `part_orbits` of the first factor's part.
     """
-    bases, cls, row = part_orbits(act_a, part_a)
+    bases, cls, row = orbits_a
     pb = act_b.perms[part_b]
     size_b = pb.shape[1]
-    keys = bases[cls][:, None] * size_b + pb[act_a.group.inv[row]]
+    keys = bases[cls][:, None] * size_b + pb[act_b.group.inv[row]]
     reps, index = np.unique(keys, return_inverse=True)
     return np.divmod(reps, size_b), index.reshape(keys.shape)
 
@@ -389,6 +347,8 @@ def balanced_product(
     parity-check matrices, with the reduction count recorded in
     provenance.
     """
+    from .tanner import has_fixed_edge, is_free, part_orbits
+
     group = act_a.group
     if not group.same_group(act_b.group):
         raise PreconditionError("balanced product needs one shared group")
@@ -406,11 +366,11 @@ def balanced_product(
 
     families = {"q1": ("bit", "bit"), "q2": ("check", "check"),
                 "x": ("check", "bit"), "z": ("bit", "check")}
-    reps, index = {}, {}
-    for name, (part_a, part_b) in families.items():
-        reps[name], index[name] = _product_orbits(act_a, part_a, act_b, part_b)
     orbits_a = {part: part_orbits(act_a, part) for part in ("check", "bit")}
     orbits_b = {part: part_orbits(act_b, part) for part in ("check", "bit")}
+    reps, index = {}, {}
+    for name, (part_a, part_b) in families.items():
+        reps[name], index[name] = _product_orbits(orbits_a[part_a], act_b, part_b)
     m1, n1 = (orbits_a[part][0].size for part in ("check", "bit"))
     m2, n2 = (orbits_b[part][0].size for part in ("check", "bit"))
 

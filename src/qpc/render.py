@@ -18,11 +18,58 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import FormatError, PreconditionError, load_object, typed_list
-from .products import CoordinateTable
 
 SCHEMA_VERSION = "qpc-layout/1"
 PAULI_COLORS = {"Z": "red", "Y": "green", "X": "blue"}
 ROLE_ORDER = ("x", "z", "q1", "q2")
+
+
+class CoordinateTable:
+    """One coordinate per X check, Z check and qubit (Q1/Q2 blocks).
+
+    2D tables hold (x, y) pairs, 3D tables (x, y, z) triples.  The four
+    families never collide; that is validated at construction.  `edges`
+    optionally lists (check, qubit) incidences with block-local indices;
+    it may be given as a zero-argument function, called on first read.
+    """
+
+    def __init__(self, kind: str, x_checks: tuple, z_checks: tuple, qubits_q1: tuple,
+                 qubits_q2: tuple, edges=()):
+        self.kind = kind
+        self.x_checks = x_checks
+        self.z_checks = z_checks
+        self.qubits_q1 = qubits_q1
+        self.qubits_q2 = qubits_q2
+        self._edges = edges
+        if self.kind not in ("2d", "3d"):
+            raise PreconditionError(f"unknown layout kind {self.kind!r}")
+        width = 2 if self.kind == "2d" else 3
+        seen = {}
+        for role, coords in self.families().items():
+            for idx, coord in enumerate(coords):
+                if len(coord) != width:
+                    raise PreconditionError(
+                        f"{role}[{idx}] has {len(coord)} components, expected {width}"
+                    )
+                if coord in seen:
+                    raise PreconditionError(
+                        f"coordinate clash: {role}[{idx}] and {seen[coord]} at {coord}"
+                    )
+                seen[coord] = f"{role}[{idx}]"
+
+    @property
+    def edges(self) -> tuple:
+        if callable(self._edges):
+            self._edges = self._edges()
+        return self._edges
+
+    def families(self) -> dict:
+        return {
+            "x": self.x_checks,
+            "z": self.z_checks,
+            "q1": self.qubits_q1,
+            "q2": self.qubits_q2,
+        }
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,17 @@ class TestAnalyze:
         assert code == 0
         assert "params: [[18,2,3]]" in out
 
+    def test_alist_wrong_maximum_degrees_exit_1(self, tmp_path, capsys):
+        self.build_toric(tmp_path, capsys)
+        path = tmp_path / "toric.hx.alist"
+        lines = path.read_text().split("\n")
+        assert lines[1] == "2 4"
+        path.write_text("\n".join([lines[0], "2 5", *lines[2:]]))
+        result = run_process(tmp_path, "analyze", "--hx", path, "--hz", tmp_path / "toric.hz.alist")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: line 2: maximum degrees 2 5, degree lists give 2 4\n"
+
     def test_checkless_code(self, tmp_path, capsys):
         (tmp_path / "empty.pcm").write_text("0 3\n")
         code, out, _ = run(

@@ -173,15 +173,10 @@ def test_bad_tokens_in_text_files(work):
             continue
         text = path.read_text()
         spans = [m.span() for m in re.finditer(r"[^\s,+*=:]+", text)]
-        # the maximum degrees (line 2 of an alist) are informational and not parsed
-        lenient = range(0)
-        if path.suffix == ".alist":
-            line2 = text.index("\n") + 1
-            lenient = range(line2, text.index("\n", line2))
         for _ in range(MUTATIONS_PER_FILE):
             start, end = rng.choice(spans)
             bad = text[:start] + rng.choice(BAD_TOKENS) + text[end:]
-            run_mutant(work, name, k, path, bad, must_fail=start not in lenient)
+            run_mutant(work, name, k, path, bad, must_fail=True)
 
 
 def test_out_of_range_indices_in_text_files(work):

@@ -4,10 +4,12 @@ The per-entry implementations that the whole-matrix codecs replaced are
 kept below as oracles.  Every case must give the same text, the same
 matrix, or a FormatError with the same line and message in both versions.
 A negative PCM header is refused by the new parser only.  The oracles
-carry the two rules added after them, so that every emitted file reads
-back: a row, column or degree list with no entries is an empty line
-(the m lines after a "m 0" PCM header, and no content line in an alist),
-and a PCM header past the largest numpy dimension is a FormatError.
+carry the three rules added after them.  Every emitted file reads back:
+a row, column or degree list with no entries is an empty line (the m
+lines after a "m 0" PCM header, and no content line in an alist).  A PCM
+header past the largest numpy dimension is a FormatError.  Line 2 of an
+alist must hold exactly the largest column and row degrees, 0 for an
+empty list.
 """
 
 import random
@@ -96,7 +98,6 @@ def oracle_parse_alist(text: str) -> BitMatrix:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise FormatError("expected integer header 'n m'", ln) from None
-    take()  # max degrees, informational
     def degree_list(tokens, count, what, ln):
         if len(tokens) != count:
             raise FormatError(f"expected {count} {what} degrees", ln)
@@ -105,6 +106,8 @@ def oracle_parse_alist(text: str) -> BitMatrix:
         except ValueError:
             raise FormatError(f"{what} degrees must be integers", ln) from None
 
+    max_ln, max_deg = take()
+    max_col, max_row = degree_list(max_deg, 2, "maximum", max_ln)
     col_deg, row_deg = [], []
     if n:
         ln, col_deg = take()
@@ -112,6 +115,13 @@ def oracle_parse_alist(text: str) -> BitMatrix:
     if m:
         ln, row_deg = take()
         row_deg = degree_list(row_deg, m, "row", ln)
+    want_col = max(col_deg) if col_deg else 0
+    want_row = max(row_deg) if row_deg else 0
+    if (max_col, max_row) != (want_col, want_row):
+        raise FormatError(
+            f"maximum degrees {max_col} {max_row}, degree lists give {want_col} {want_row}",
+            max_ln,
+        )
     def live_entries(tokens, ln):
         try:
             return [int(e) for e in tokens if e != "0"]
@@ -344,6 +354,39 @@ class TestParsers:
                 bad = mutate(rng, text)
                 assert outcome(parse_alist, bad) == outcome(oracle_parse_alist, bad), repr(bad)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_max_degree_line_matches_oracle(self, seed):
+        # Line 2 reads back only when it holds the two largest degrees.
+        rng = random.Random(5000 + seed)
+        for h in random_matrices(6000 + seed, 40):
+            lines = emit_alist(h).split("\n")
+            right = lines[1].split()
+            for _ in range(8):
+                words = list(right)
+                kind = rng.choice(["shift", "swap", "drop", "extra", "token"])
+                at = rng.randrange(2)
+                if kind == "shift":
+                    words[at] = str(int(words[at]) + rng.choice([-1, 1, 7]))
+                elif kind == "swap":
+                    words.reverse()
+                elif kind == "drop":
+                    del words[at]
+                elif kind == "extra":
+                    words.insert(rng.randrange(3), rng.choice(["0", words[at]]))
+                else:
+                    words[at] = rng.choice(TOKENS + ["x", "1.0", "-0"])
+                text = "\n".join([lines[0], " ".join(words), *lines[2:]])
+                got = outcome(parse_alist, text)
+                assert got == outcome(oracle_parse_alist, text), repr(text)
+                try:
+                    same = [int(w) for w in words] == [int(w) for w in right]
+                except ValueError:
+                    same = False
+                if same:
+                    assert got == ("matrix", h), repr(text)
+                else:
+                    assert got[:2] == ("error", 2), repr(text)
+
     @pytest.mark.parametrize("text", [
         "2 3\n0 1 0\n",                 # truncated
         "1 3\n0 1\n",                   # short row
@@ -375,6 +418,13 @@ class TestParsers:
         "2 1\n1 2\n1 1\n2\n1\n00\n1 2\n",                        # 00 is not padding
         "0 0\n0 0\n\n\n",
         "1 2\n",
+        "2 1\n1 3\n1 1\n2\n1\n1\n1 2\n",                         # maximum above the lists
+        "2 1\n2 1\n1 1\n2\n1\n1\n1 2\n",                         # maxima swapped
+        "2 1\n2\n1 1\n2\n1\n1\n1 2\n",                           # one maximum
+        "2 1\n1 2 2\n1 1\n2\n1\n1\n1 2\n",                       # three maxima
+        "2 1\n1 y\n1 1\n2\n1\n1\n1 2\n",                         # not an integer
+        "2 1\n1 3\n1 x\n2\n1\n1\n1 2\n",                         # bad degree first
+        "0 0\n0 1\n",                                            # 0 for empty lists
     ])
     def test_alist_edge_cases_match_oracle(self, text):
         assert outcome(parse_alist, text) == outcome(oracle_parse_alist, text)

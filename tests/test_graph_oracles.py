@@ -598,7 +598,7 @@ def test_balanced_product_matches_oracle(seed):
             act_a, act_b = GroupAction(group, a, perms_a), GroupAction(group, b, perms_b)
         for part_a, part_b in (("bit", "bit"), ("check", "check"), ("check", "bit"),
                                ("bit", "check")):
-            (u, v), index = _product_orbits(act_a, part_a, act_b, part_b)
+            (u, v), index = _product_orbits(part_orbits(act_a, part_a), act_b, part_b)
             orbits, want_index = oracle_product_orbits(act_a, part_a, act_b, part_b)
             assert list(zip(u.tolist(), v.tolist())) == [rep for rep, _ in orbits]
             assert {w: int(index[w]) for w in want_index} == want_index

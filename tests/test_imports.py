@@ -1,0 +1,148 @@
+"""Which modules each command loads, and the lazily resolved public API.
+
+Each command runs through `qpc.cli.main` in a fresh interpreter, which
+then lists the qpc modules and numpy in its `sys.modules`.  `import qpc`
+loads no submodule; `layout --input` loads only `cli`, `errors` and
+`render`, so it runs where numpy cannot be imported at all.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qpc
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+RENDER_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.render"}
+
+# `qpc.__all__` as it stood when every submodule was imported eagerly.
+PUBLIC = [
+    "BitMatrix", "BudgetError", "CSSCode", "CSSParams", "ClassicalCode", "CodeParams",
+    "CoordinateTable", "CoveringMap", "DimensionError", "FiniteGroup", "FormatError",
+    "GroupAction", "GroupAlgebraElement", "GroupAlgebraMatrix", "LogicalBasis", "Oblique",
+    "OperatorOverlay", "PlainGraph", "PreconditionError", "QuotientLayout", "RenderSpec",
+    "RrefResult", "SystematicBasis", "TannerGraph", "analysis", "balanced_product",
+    "binary_map", "cartesian_product_plain", "check_commutation", "classical",
+    "conj_transpose", "css_distance", "css_from_matrices", "css_params", "emit", "errors",
+    "gf2", "groups", "has_fixed_edge", "hgp", "hgp_canonical_logicals",
+    "hgp_distance_bound", "hgp_k_formula", "hgp_of_lifts", "is_free", "kernel_basis", "kron",
+    "lift_from_ring_matrix", "lift_with_regular_actions", "lifted_product",
+    "line_layout_table", "logical_count", "lp_bp_coincide", "matmul", "parse_group_spec",
+    "parse_layout", "product_action_plain", "products", "quotient", "rank", "render",
+    "ring_kron_identity", "rref", "search_noncommuting_lp", "tanner", "verify_covering",
+]
+
+
+def loaded(cwd: Path, prelude: str, *argv) -> set[str]:
+    """The qpc modules and numpy loaded by `prelude` and then, if given, `main(argv)`."""
+    lines = ["import json, sys", prelude]
+    if argv:
+        lines += ["from qpc.cli import main",
+                  f"assert main({[str(a) for a in argv]!r}) == 0"]
+    lines.append('print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod is not None'
+                 ' and (m == "numpy" or m.split(".")[0] == "qpc"))))')
+    result = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], cwd=cwd, capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """A 2D and a 3D layout written by `construct`, and an overlay file."""
+    root = tmp_path_factory.mktemp("imports")
+    from qpc.cli import main
+
+    assert main(["construct", "hgp", "--c1", str(FIXTURES / "rep3.pcm"),
+                 "--c2", str(FIXTURES / "rep3.pcm"), "--out-prefix", str(root / "toric")]) == 0
+    assert main(["construct", "lp", "--m1", str(FIXTURES / "rep3_z3.ring"),
+                 "--m2", str(FIXTURES / "rep3_z3.ring"), "--out-prefix", str(root / "lp")]) == 0
+    (root / "z.overlay.json").write_text('{"paulis": [[0, "Z"], [4, "X"]]}')
+    return root
+
+
+class TestImportSets:
+    def test_import_qpc_loads_no_submodule(self, tmp_path):
+        assert loaded(tmp_path, "import qpc") == {"qpc"}
+
+    def test_import_cli_loads_errors_only(self, tmp_path):
+        assert loaded(tmp_path, "import qpc.cli") == {"qpc", "qpc.cli", "qpc.errors"}
+
+    @pytest.mark.parametrize("layout", ["toric", "lp"])
+    @pytest.mark.parametrize("fmt", ["svg", "tikz", "dot", "json"])
+    def test_layout_input_loads_render_only(self, work, layout, fmt):
+        modules = loaded(work, "", "layout", "--input", work / f"{layout}.layout.json",
+                         "--overlay", work / "z.overlay.json", "--format", fmt,
+                         "--out", work / f"{layout}.{fmt}")
+        assert modules == RENDER_ONLY
+
+    def test_layout_input_runs_with_numpy_blocked(self, work):
+        modules = loaded(work, 'sys.modules["numpy"] = None', "layout", "--input",
+                         work / "lp.layout.json", "--format", "svg", "--edges",
+                         "--out", work / "blocked.svg")
+        assert modules == RENDER_ONLY
+        assert (work / "blocked.svg").read_bytes().startswith(b"<svg")
+
+    def test_analyze_loads_neither_groups_nor_tanner(self, work):
+        modules = loaded(work, "", "analyze", "--hx", work / "toric.hx.alist",
+                         "--hz", work / "toric.hz.pcm",
+                         "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm")
+        assert "numpy" in modules and "qpc.analysis" in modules
+        assert not modules & {"qpc.groups", "qpc.tanner"}
+
+    def test_construct_hgp_loads_neither_groups_nor_tanner(self, work):
+        modules = loaded(work, "", "construct", "hgp", "--c1", FIXTURES / "hamming74.pcm",
+                         "--c2", FIXTURES / "rep3.pcm", "--out-prefix", work / "ham")
+        assert "qpc.products" in modules
+        assert not modules & {"qpc.groups", "qpc.tanner"}
+
+    def test_layout_graph_loads_tanner(self, work):
+        # the probe sees a lazily imported layer when the command needs it
+        modules = loaded(work, "", "layout", "--graph", FIXTURES / "lift_1px_z3.graph",
+                         "--format", "tikz", "--out", work / "lift.tex")
+        assert {"numpy", "qpc.tanner", "qpc.render"} <= modules
+
+
+class TestPublicApi:
+    def test_all_is_unchanged(self):
+        assert qpc.__all__ == PUBLIC
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_name_is_its_home_object(self, name):
+        value = getattr(qpc, name)
+        if isinstance(value, type(qpc)):
+            assert value is importlib.import_module(f"qpc.{name}")
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value
+            assert value.__module__.startswith("qpc.")
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from qpc import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == PUBLIC
+        assert all(namespace[name] is getattr(qpc, name) for name in PUBLIC)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            qpc.no_such_name
+        assert not hasattr(qpc, "_no_such_private")
+        with pytest.raises(ImportError):
+            exec("from qpc import no_such_name", {})
+
+    def test_dir_lists_every_public_name(self):
+        assert set(PUBLIC) <= set(dir(qpc))
+
+    def test_coordinate_table_keeps_its_products_name(self):
+        from qpc import products, render
+
+        assert products.CoordinateTable is render.CoordinateTable is qpc.CoordinateTable
