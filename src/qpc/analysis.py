@@ -1,11 +1,9 @@
 """Parameter extraction and verification for constructed CSS codes.
 
 Distances are exact: Z-type distance is the minimum weight over
-kernel(H_X) minus the row space of H_Z.  `gf2.min_weight` enumerates the
-kernel with stabiliser rows and logical completions kept apart, so row
-space membership is read off the combination index; each Gray-code step
-scores a packed table of up to 2^16 low combinations.  Enumerations
-beyond the budget (default 2^24 combinations) are refused, never approximated.
+kernel(H_X) minus the row space of H_Z.  `gf2.coset_min_weight` gives it,
+and the classical distances of the HGP cross-check, under one budget
+(default 2^24 steps); beyond it they are refused, never approximated.
 H_X and H_Z are each reduced once per code (`CSSCode.x_rref`, `z_rref`);
 the logical count, the budget check, the stabiliser split and the kernel
 all read those results.
@@ -21,15 +19,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .classical import ClassicalCode
-from .errors import BudgetError, PreconditionError
-from .gf2 import (BitMatrix, RrefResult, add, hstack, kron, matmul, min_weight, rank, rref,
+from .errors import PreconditionError
+from .gf2 import (DEFAULT_BUDGET, BitMatrix, coset_min_weight, hstack, kron, matmul, rank,
                   transpose, vstack)
 from .products import CSSCode, balanced_product, lift_with_regular_actions, lifted_product
 
 if TYPE_CHECKING:
     from .groups import GroupAlgebraMatrix
-
-DEFAULT_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -77,21 +73,6 @@ def hgp_k_formula(c1: ClassicalCode, c2: ClassicalCode) -> int:
     return k1 * k2 + k1t * k2t
 
 
-def _directional_distance(kernel_side: RrefResult, stab: RrefResult,
-                          budget: int) -> int | None:
-    """Min weight over kernel(kernel_side.source) outside rowspace(stab.source)."""
-    kernel_dim = kernel_side.source.cols - kernel_side.rank
-    if kernel_dim >= budget.bit_length():               # 2^kernel_dim > budget
-        raise BudgetError("distance enumeration", kernel_dim, budget)
-    kernel = kernel_side.kernel
-    # Clearing the stabiliser pivot columns leaves logical completions that,
-    # with the stabiliser basis, span the kernel: commuting checks put the
-    # stabilisers inside it.
-    on_pivots = BitMatrix.from_dense(kernel.to_dense()[:, list(stab.pivot_cols)])
-    logical = rref(add(kernel, matmul(on_pivots, stab.basis)))
-    return min_weight(stab.basis, logical.basis)
-
-
 def css_distance(code: CSSCode, budget: int = DEFAULT_BUDGET):
     """Exact (d_x, d_z, d) by coset enumeration; refuses beyond `budget`.
 
@@ -102,8 +83,8 @@ def css_distance(code: CSSCode, budget: int = DEFAULT_BUDGET):
         raise PreconditionError("distance is undefined for non-commuting checks")
     if logical_count(code) == 0:
         return None, None, None
-    d_z = _directional_distance(code.x_rref, code.z_rref, budget)
-    d_x = _directional_distance(code.z_rref, code.x_rref, budget)
+    d_z = coset_min_weight(code.x_rref, code.z_rref, budget)
+    d_x = coset_min_weight(code.z_rref, code.x_rref, budget)
     d = min(x for x in (d_x, d_z) if x is not None)
     return d_x, d_z, d
 
@@ -116,14 +97,15 @@ def css_params(code: CSSCode, budget: int = DEFAULT_BUDGET) -> CSSParams:
     return CSSParams(n=code.n, k=k, d=d, d_x=d_x, d_z=d_z)
 
 
-def hgp_distance_bound(c1: ClassicalCode, c2: ClassicalCode) -> int | None:
-    """min over the defined members of {d1, d2, d1^T, d2^T}.
+def hgp_distance_bound(c1: ClassicalCode, c2: ClassicalCode,
+                       budget: int = DEFAULT_BUDGET) -> int | None:
+    """min over the defined members of {d1, d2, d1^T, d2^T}; refuses beyond `budget`.
 
     Codes with k = 0 contribute nothing; None when all four are empty.
     """
     candidates = []
     for code in (c1, c2, c1.transpose_code(), c2.transpose_code()):
-        d = code.min_distance()
+        d = code.min_distance(budget)
         if d is not None:
             candidates.append(d)
     return min(candidates) if candidates else None

@@ -4,9 +4,10 @@ A code is its m x n check matrix H; codewords are the right kernel of H.
 Redundant checks are allowed everywhere (the 3-bit repetition example has
 one), so k is always computed as n - rank(H), never as n - m.
 
-Distances are exact: `gf2.min_weight` with an empty stabiliser scores all
+Distances are exact: `gf2.coset_min_weight` with no stabiliser scores all
 non-zero combinations of a kernel basis, a packed table of low combinations
-per Gray-code step; instances with k > 22 are refused rather than estimated.
+per Gray-code step; codes with 2^k beyond the budget are refused rather
+than estimated.
 
 The plain PCM and alist codecs handle the whole matrix at once.  The PCM
 emitter fills one byte array; the alist emitter finds all entries with one
@@ -19,14 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError, FormatError, PreconditionError
-from .gf2 import BitMatrix, RrefResult, min_weight, rref, transpose
-
-MAX_ENUM_DIMENSION = 22
+from .errors import FormatError, PreconditionError, read_file
+from .gf2 import DEFAULT_BUDGET, BitMatrix, RrefResult, coset_min_weight, rref, transpose
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,8 @@ class ClassicalCode:
 
     def __init__(self, h: BitMatrix, params: CodeParams | None = None):
         self.h = h
-        self._d: int | None = None
-        self._d_known = False
+        self._transpose: ClassicalCode | None = None
+        self._d: int | None = params.d if params is not None else None
         if params is not None:
             if params.n != h.cols or params.m != h.rows:
                 raise PreconditionError(
@@ -69,9 +67,6 @@ class ClassicalCode:
                 raise PreconditionError(
                     f"cached k={params.k} disagrees with n - rank = {self.dimension()}"
                 )
-            if params.d is not None:
-                self._d = params.d
-                self._d_known = True
 
     @property
     def n(self) -> int:
@@ -89,30 +84,22 @@ class ClassicalCode:
         """Number of logical bits, n - rank(H)."""
         return self.n - self._reduced.rank
 
-    def min_distance(self) -> int | None:
+    def min_distance(self, budget: int = DEFAULT_BUDGET) -> int | None:
         """Exact minimum weight of a non-zero codeword; None when k = 0.
 
-        Enumerates all 2^k - 1 combinations of a kernel basis with
-        `gf2.min_weight`; refuses when k exceeds MAX_ENUM_DIMENSION.
+        `gf2.coset_min_weight` with an empty stabiliser enumerates the
+        2^k - 1 combinations of a kernel basis; refuses when 2^k exceeds
+        `budget`.  A code with k = 0 is never refused.
         """
-        if self._d_known:
-            return self._d
-        k = self.dimension()
-        if k == 0:
-            self._d_known = True
-            self._d = None
-            return None
-        if k > MAX_ENUM_DIMENSION:
-            raise BudgetError(
-                "minimum-distance enumeration", k, 2**MAX_ENUM_DIMENSION
-            )
-        self._d = min_weight(BitMatrix.zeros(0, self.n), self._reduced.kernel)
-        self._d_known = True
+        if self._d is None and self.dimension():
+            self._d = coset_min_weight(self._reduced, rref(BitMatrix.zeros(0, self.n)), budget)
         return self._d
 
     def transpose_code(self) -> "ClassicalCode":
-        """The code of H^T: checks and bits exchanged."""
-        return ClassicalCode(transpose(self.h))
+        """The code of H^T: checks and bits exchanged; one object, so H^T is reduced once."""
+        if self._transpose is None:
+            self._transpose = ClassicalCode(transpose(self.h))
+        return self._transpose
 
     def systematic_basis(self) -> SystematicBasis:
         """Codeword basis whose leading block is the identity after a column permutation."""
@@ -133,9 +120,7 @@ class ClassicalCode:
         for b in keep:
             if not 0 <= b < self.n:
                 raise PreconditionError(f"puncture: bit {b} out of range [0, {self.n})")
-        dense = self.h.to_dense()
-        sub = dense[:, keep] if keep else np.zeros((self.m, 0), dtype=np.uint8)
-        return ClassicalCode(BitMatrix.from_dense(sub))
+        return ClassicalCode(self.h.columns(keep))
 
     def __repr__(self) -> str:
         return f"ClassicalCode(n={self.n}, m={self.m})"
@@ -351,8 +336,7 @@ def _padded_lists(owner: np.ndarray, values: np.ndarray, count: int, width: int)
 
 def read_check_matrix(path: str) -> BitMatrix:
     """A check matrix file: alist when the name ends in `.alist`, plain PCM otherwise."""
-    text = Path(path).read_text()
-    return parse_alist(text) if path.endswith(".alist") else parse_pcm_text(text)
+    return read_file(path, parse_alist if path.endswith(".alist") else parse_pcm_text)
 
 
 def emit_alist(h: BitMatrix) -> str:
@@ -381,11 +365,8 @@ def _next_content_line(lines: list[str], start: int) -> int:
 
 def repetition_check(n: int) -> BitMatrix:
     """Circulant n x n check matrix of the n-bit cyclic repetition code."""
-    dense = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n):
-        dense[i, i] = 1
-        dense[i, (i + 1) % n] = 1
-    return BitMatrix.from_dense(dense)
+    i = np.arange(n)
+    return BitMatrix.from_entries(n, n, np.concatenate([i, i]), np.concatenate([i, (i + 1) % n]))
 
 
 def hamming_7_4_check() -> BitMatrix:

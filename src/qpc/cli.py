@@ -7,10 +7,11 @@ options they use, and any other option is a usage error.  `--seed` and
 deterministic: identical inputs and seed produce identical bytes.  Exit
 codes: 0 success, 1 usage, parse or I/O failure, 2 precondition
 violation (reported with its witness), 3 enumeration budget exceeded;
-every failure prints one line on stderr.  The environment variable
-QPC_BUDGET overrides the distance-enumeration cap; a budget that is not a
-non-negative integer exits 1.  Each command imports only the layers it
-runs, so `layout --input` never loads numpy.
+every failure prints one line on stderr, naming the input file of a
+parse error.  The environment variable QPC_BUDGET overrides the
+distance-enumeration cap, which also bounds the `--c1/--c2` cross-check;
+a budget that is not a non-negative integer exits 1.  Each command
+imports only the layers it runs, so `layout --input` never loads numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .errors import BudgetError, DimensionError, FormatError, PreconditionError
+from .errors import BudgetError, DimensionError, FormatError, PreconditionError, read_file
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -105,8 +106,8 @@ def cmd_hgp(args) -> int:
 def cmd_lp(args) -> int:
     from . import groups, products
 
-    m1 = groups.parse_ring_matrix(Path(args.m1).read_text())
-    m2 = groups.parse_ring_matrix(Path(args.m2).read_text())
+    m1 = read_file(args.m1, groups.parse_ring_matrix)
+    m2 = read_file(args.m2, groups.parse_ring_matrix)
     return _construct(args, products.lifted_product(m1, m2))
 
 
@@ -114,12 +115,12 @@ def cmd_bp(args) -> int:
     from .products import balanced_product
     from .tanner import TannerGraph, parse_action, parse_graph
 
-    graph_a = parse_graph(Path(args.graph_a).read_text())
-    graph_b = parse_graph(Path(args.graph_b).read_text())
+    graph_a = read_file(args.graph_a, parse_graph)
+    graph_b = read_file(args.graph_b, parse_graph)
     if not isinstance(graph_a, TannerGraph) or not isinstance(graph_b, TannerGraph):
         raise FormatError("balanced products need Tanner graphs, not plain graphs")
-    act_a = parse_action(Path(args.action_a).read_text(), graph_a)
-    act_b = parse_action(Path(args.action_b).read_text(), graph_b)
+    act_a = read_file(args.action_a, parse_action, graph_a)
+    act_b = read_file(args.action_b, parse_action, graph_b)
     return _construct(args, balanced_product(graph_a, graph_b, act_a, act_b))
 
 
@@ -163,7 +164,7 @@ def cmd_analyze(args) -> int:
         formula = analysis.hgp_k_formula(c1, c2)
         payload["hgp_k_formula"] = formula
         payload["hgp_k_matches"] = formula == k
-        bound = analysis.hgp_distance_bound(c1, c2)
+        bound = analysis.hgp_distance_bound(c1, c2, budget)
         payload["hgp_distance_bound"] = bound
     _report(args, payload)
     return EXIT_OK
@@ -175,12 +176,12 @@ def cmd_layout(args) -> int:
     if args.input is None:
         from .tanner import parse_graph
 
-        graph = parse_graph(Path(args.graph).read_text())
+        graph = read_file(args.graph, parse_graph)
         table, overlays = render.line_layout_table(graph), ()
     else:
-        table, overlays = render.parse_layout(Path(args.input).read_text())
+        table, overlays = read_file(args.input, render.parse_layout)
     if args.overlay:
-        overlays = overlays + (render.parse_overlay(Path(args.overlay).read_text()),)
+        overlays = overlays + (read_file(args.overlay, render.parse_overlay),)
     projection = None
     if table.kind == "3d":
         projection = render.Oblique(x_shear=args.shear, y_scale=args.yscale)
@@ -202,9 +203,9 @@ def cmd_layout(args) -> int:
 def cmd_covering(args) -> int:
     from .tanner import parse_covering, parse_graph, verify_covering
 
-    cover = parse_graph(Path(args.cover).read_text())
-    base = parse_graph(Path(args.base).read_text())
-    cm = parse_covering(Path(args.map).read_text(), cover, base)
+    cover = read_file(args.cover, parse_graph)
+    base = read_file(args.base, parse_graph)
+    cm = read_file(args.map, parse_covering, cover, base)
     report = verify_covering(cm)
     payload = {
         "check": "covering",
@@ -219,8 +220,8 @@ def cmd_covering(args) -> int:
 def cmd_action(args) -> int:
     from .tanner import has_fixed_edge, is_free, parse_action, parse_graph, quotient
 
-    graph = parse_graph(Path(args.graph).read_text())
-    action = parse_action(Path(args.action).read_text(), graph)
+    graph = read_file(args.graph, parse_graph)
+    action = read_file(args.action, parse_action, graph)
     free, free_witness = is_free(action)
     pinned, pin_witness = has_fixed_edge(action)
     q, layout = quotient(graph, action)

@@ -1,7 +1,8 @@
-"""Exception types, and the typed JSON reader, shared across the package."""
+"""Exception types, the input-file reader and the typed JSON reader, shared across the package."""
 
 import json
 import math
+from pathlib import Path
 
 
 class DimensionError(ValueError):
@@ -49,6 +50,14 @@ class FormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_file(path: str, parse, *args):
+    """`parse(text, *args)` of the file at `path`; a parse or decode error names the file."""
+    try:
+        return parse(Path(path).read_text(), *args)
+    except (FormatError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",

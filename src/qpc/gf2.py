@@ -13,8 +13,11 @@ only to swap rows and to XOR a pivot row into the rows it clears.  It
 returns the reduced form and its pivots only; the row operations and a
 kernel basis are derived from that result when first read, so a rank
 costs one elimination and nothing more.  `BitMatrix.nonzero` unpacks
-only the non-zero words; `matmul` XOR-reduces the rows of b gathered at
-a's entries, in chunks of bounded size, and `kron` maps entries.
+only the non-zero words, and `BitMatrix.columns` gathers columns as rows
+of the transpose; `matmul` XOR-reduces the rows of b gathered at a's
+entries, in chunks of bounded size, and `kron` maps entries.
+`coset_min_weight` is the one exact-distance entry, for classical and
+CSS codes, with the one budget `DEFAULT_BUDGET`.
 
 Intended scale is "desk size" (a few thousand columns); there is no
 sparse storage and no attempt at asymptotically clever rank algorithms.
@@ -27,9 +30,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import BudgetError, DimensionError
 
 _WORD_BITS = 64
+
+# Steps an exact distance may take: codes whose kernel has dimension 24 or less.
+DEFAULT_BUDGET = 1 << 24
 
 
 def _word_count(cols: int) -> int:
@@ -141,6 +147,11 @@ class BitMatrix:
         word, bit = np.nonzero(bits)
         return wi[word], wj[word] * _WORD_BITS + bit
 
+    def columns(self, idx) -> "BitMatrix":
+        """The columns at `idx`, in that order (an index may repeat): rows of the transpose."""
+        rows = transpose(self)._words[np.asarray(idx, dtype=np.int64)]
+        return transpose(BitMatrix(rows.shape[0], self.rows, rows))
+
     def row_int(self, i: int) -> int:
         """Row i as a little-endian integer."""
         return int.from_bytes(self._words[i].tobytes(), "little")
@@ -205,23 +216,23 @@ class RrefResult:
         """
         m = self.source
         reduced = rref(hstack(m, BitMatrix.identity(m.rows))).rref
-        return BitMatrix.from_dense(reduced.to_dense()[:, m.cols:])
+        return reduced.columns(range(m.cols, m.cols + m.rows))
 
     @property
     def kernel(self) -> BitMatrix:
         """Basis of the right kernel of `source`, one vector per free column.
 
         The vector of free column f has a one at f and, at pivot column
-        pivot_cols[r], entry (r, f) of `rref`.
+        pivot_cols[r], entry (r, f) of `rref`: the transpose has a unit row
+        at each free column and row r of `basis` at the free columns at
+        pivot_cols[r].
         """
         cols = self.source.cols
-        free = np.ones(cols, dtype=bool)
-        free[list(self.pivot_cols)] = False
-        free = np.flatnonzero(free)
-        dense = np.zeros((free.size, cols), dtype=np.uint8)
-        dense[np.arange(free.size), free] = 1
-        dense[:, list(self.pivot_cols)] = self.basis.to_dense()[:, free].T
-        return BitMatrix.from_dense(dense)
+        pivots = np.array(self.pivot_cols, dtype=np.int64)
+        free = np.delete(np.arange(cols), pivots)     # np.setdiff1d would import numpy.ma
+        rows = BitMatrix.from_entries(cols, free.size, free, np.arange(free.size))._words
+        rows[pivots] = self.basis.columns(free)._words
+        return transpose(BitMatrix(cols, free.size, rows))
 
 
 def _set_bits(x: int):
@@ -440,3 +451,22 @@ def min_weight(stab: BitMatrix, logical: BitMatrix) -> int | None:
         scores = np.bitwise_count(tables[walk_logical != 0] ^ current).sum(axis=1)
         best = min(best, int(scores.min()))
     return best
+
+
+def coset_min_weight(checks: RrefResult, stab: RrefResult,
+                     budget: int = DEFAULT_BUDGET) -> int | None:
+    """Exact minimum weight over kernel(checks.source) outside rowspace(stab.source).
+
+    The one exact-distance entry: a classical code passes an empty stabiliser,
+    a CSS code calls it once per direction.  Refused before any kernel is built
+    when 2^(kernel dimension) exceeds `budget`; None when no vector is outside.
+    """
+    dim = checks.source.cols - checks.rank
+    if dim >= budget.bit_length():                     # 2^dim > budget
+        raise BudgetError("distance enumeration", dim, budget)
+    kernel = checks.kernel
+    # Clearing the stabiliser pivot columns leaves logical completions that,
+    # with the stabiliser basis, span the kernel: commuting checks put the
+    # stabilisers inside it.
+    logical = rref(add(kernel, matmul(kernel.columns(stab.pivot_cols), stab.basis)))
+    return min_weight(stab.basis, logical.basis)

@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, PreconditionError
+from .errors import DimensionError, FormatError, PreconditionError, read_file
 from .gf2 import BitMatrix
 
 
@@ -189,7 +188,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         path = spec[len("table:"):]
         if "\0" in path:
             raise FormatError("group table path holds a null byte")
-        return FiniteGroup.from_table_text(Path(path).read_text(), spec=spec)
+        return read_file(path, FiniteGroup.from_table_text, spec)
     m = re.fullmatch(r"Z(\d+)(?:xZ(\d+))?", spec)
     if not m:
         raise FormatError(f"unrecognised group spec {spec!r}")
@@ -332,18 +331,17 @@ class GroupAlgebraMatrix:
 def binary_map(m: GroupAlgebraMatrix) -> BitMatrix:
     """Expand every entry by the left regular representation.
 
-    B(g)[p, q] = 1 iff g * q = p; sums of group elements expand to sums
-    of permutation matrices mod 2.  The output is ml x nl.
+    B(g)[p, q] = 1 iff g * q = p; a sum of distinct group elements expands
+    to the sum of their permutation matrices, whose supports are disjoint.
+    The output is ml x nl.
     """
     l = m.group.order
-    mul = m.group.mul
-    cols_idx = np.arange(l)
-    dense = np.zeros((m.rows * l, m.cols * l), dtype=np.uint8)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            for g in m.entries[i][j].support():
-                dense[i * l + mul[g], j * l + cols_idx] ^= 1
-    return BitMatrix.from_dense(dense)
+    i, j, g = np.array([(r, c, h) for r, row in enumerate(m.entries)
+                        for c, e in enumerate(row) for h in e.support()],
+                       dtype=np.int64).reshape(-1, 3).T
+    return BitMatrix.from_entries(m.rows * l, m.cols * l,
+                                  (i[:, None] * l + m.group.mul[g]).ravel(),
+                                  (j[:, None] * l + np.arange(l)).ravel())
 
 
 def conj_transpose(m: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
@@ -401,18 +399,6 @@ def ring_matmul(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMat
             row.append(acc)
         out.append(row)
     return GroupAlgebraMatrix(a.group, out, cols=b.cols)
-
-
-def ring_hstack(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
-    if a.rows != b.rows:
-        raise DimensionError(f"ring hstack: row counts differ, {a.shape} vs {b.shape}")
-    if not a.group.same_group(b.group):
-        raise PreconditionError("ring hstack: group mismatch")
-    return GroupAlgebraMatrix(
-        a.group,
-        [ra + rb for ra, rb in zip(a.entries, b.entries)],
-        cols=a.cols + b.cols,
-    )
 
 
 # -- text format ------------------------------------------------------------

@@ -4,7 +4,9 @@ Every constructor returns a CSSCode whose column order is Q1 block then
 Q2 block; all layouts and golden files depend on that order, so it is
 never permuted.  Commutation is computed, never assumed: lifted products
 over non-commuting entries legitimately fail it and are returned with
-`commuting=False` for downstream code to refuse.
+`commuting=False` for downstream code to refuse.  One formula builds
+both algebraic products: the lifted product is the HGP formula with
+l x l blocks, applied to the binary maps of its ring matrices.
 
 Coordinates follow the closed forms of the 2D (hypergraph) and 3D
 (lifted/balanced) arrangements: the x axis runs over first-factor checks
@@ -152,19 +154,28 @@ def _hgp_layout(m1, n1, m2, n2, edges=()) -> CoordinateTable:
     )
 
 
+def _kron_identity(h: BitMatrix, r: int, l: int) -> BitMatrix:
+    """H (x) I_r over l x l blocks: block (i, j) of H goes to (i r + p, j r + p), p < r."""
+    a, b = h.nonzero()
+    p = np.arange(r) * l
+    return BitMatrix.from_entries(h.rows * r, h.cols * r,
+                                  ((a + a // l * (r - 1) * l)[:, None] + p).ravel(),
+                                  ((b + b // l * (r - 1) * l)[:, None] + p).ravel())
+
+
+def _product(h1: BitMatrix, h2: BitMatrix, l: int) -> tuple[BitMatrix, BitMatrix]:
+    """H_X = (H1 x I | I x H2^T), H_Z = (I x H2 | H1^T x I) over l x l blocks as entries."""
+    m1, n1, m2, n2 = h1.rows // l, h1.cols // l, h2.rows // l, h2.cols // l
+    h_x = hstack(_kron_identity(h1, n2, l), kron(BitMatrix.identity(m1), transpose(h2)))
+    h_z = hstack(kron(BitMatrix.identity(n1), h2), _kron_identity(transpose(h1), m2, l))
+    return h_x, h_z
+
+
 def hgp(c1: ClassicalCode, c2: ClassicalCode) -> CSSCode:
     """Hypergraph product: H_X = (H1 x I | I x H2^T), H_Z = (I x H2 | H1^T x I)."""
-    h1, h2 = c1.h, c2.h
-    m1, n1 = h1.rows, h1.cols
-    m2, n2 = h2.rows, h2.cols
-    h_x = hstack(
-        kron(h1, BitMatrix.identity(n2)),
-        kron(BitMatrix.identity(m1), transpose(h2)),
-    )
-    h_z = hstack(
-        kron(BitMatrix.identity(n1), h2),
-        kron(transpose(h1), BitMatrix.identity(m2)),
-    )
+    m1, n1 = c1.h.shape
+    m2, n2 = c2.h.shape
+    h_x, h_z = _product(c1.h, c2.h, 1)
     return CSSCode(
         h_x,
         h_z,
@@ -203,9 +214,11 @@ def _lp_layout(m1, n1, m2, n2, l, edges=()) -> CoordinateTable:
 def lifted_product(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
     """Hypergraph product over the group algebra, expanded by the binary map.
 
+    The binary map B is a ring homomorphism with B(M*) = B(M)^T, so this
+    is the HGP formula applied to B(m1) and B(m2) with |G| x |G| blocks.
     Checks are not guaranteed to commute; inspect the `commuting` flag.
     """
-    from .groups import binary_map, conj_transpose, ring_hstack, ring_kron_identity
+    from .groups import binary_map
 
     if not m1.group.same_group(m2.group):
         raise PreconditionError(
@@ -215,16 +228,7 @@ def lifted_product(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
     l = m1.group.order
     r1, c1 = m1.shape
     r2, c2 = m2.shape
-    ring_hx = ring_hstack(
-        ring_kron_identity(m1, c2, "right"),
-        ring_kron_identity(conj_transpose(m2), r1, "left"),
-    )
-    ring_hz = ring_hstack(
-        ring_kron_identity(m2, c1, "left"),
-        ring_kron_identity(conj_transpose(m1), r2, "right"),
-    )
-    h_x = binary_map(ring_hx)
-    h_z = binary_map(ring_hz)
+    h_x, h_z = _product(binary_map(m1), binary_map(m2), l)
     return CSSCode(
         h_x,
         h_z,

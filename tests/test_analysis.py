@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from qpc import classical
 from qpc.analysis import (
     CSSParams,
     LogicalBasis,
@@ -20,7 +21,7 @@ from qpc.analysis import (
 )
 from qpc.classical import ClassicalCode, hamming_7_4_check, repetition_check
 from qpc.errors import BudgetError, PreconditionError
-from qpc.gf2 import BitMatrix, matmul, rank, transpose, vstack
+from qpc.gf2 import BitMatrix, coset_min_weight, matmul, rank, rref, transpose, vstack
 from qpc.groups import (
     FiniteGroup,
     GroupAlgebraMatrix,
@@ -84,6 +85,89 @@ def brute_force_css_distance(code):
         if matmul(code.h_z, col).is_zero() and not in_rowspace(vec, code.h_x):
             best_x = w if best_x is None else min(best_x, w)
     return best_x, best_z
+
+
+def brute_force_coset(checks: BitMatrix, stab: BitMatrix) -> int | None:
+    """Oracle: the lightest of all 2^n vectors in kernel(checks) outside rowspace(stab)."""
+    n = checks.cols
+    vectors = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1   # bit j of v is column j
+    in_kernel = ~(vectors @ checks.to_dense().T.astype(np.int64) % 2).any(axis=1)
+    span = {0}
+    for row in stab.rows_as_ints():
+        span |= {s ^ row for s in span}
+    outside = [v for v in np.flatnonzero(in_kernel).tolist() if v not in span]
+    return min((v.bit_count() for v in outside), default=None)
+
+
+def random_check_matrix(rng, max_m, max_n, min_n=1):
+    m, n = rng.randint(0, max_m), rng.randint(min_n, max_n)
+    return BitMatrix.from_dense(np.array(
+        [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], dtype=np.uint8
+    ).reshape(m, n))
+
+
+def random_small_css_codes(rng, count):
+    """Seeded HGP and commuting LP codes of at most 14 qubits, with k > 0."""
+    groups = [FiniteGroup.cyclic(l) for l in range(1, 8)]
+    groups += [FiniteGroup.direct_product(2, 2), FiniteGroup.direct_product(2, 3)]
+    codes = []
+    while len(codes) < count:
+        if len(codes) % 2:
+            group = rng.choice(groups)
+            shapes = [(1, 1), (1, 1)] if group.order > 3 else [(1, rng.randint(1, 2)), (1, 1)]
+            m1, m2 = (GroupAlgebraMatrix.from_masks(
+                group, [[rng.getrandbits(group.order) for _ in range(c)] for _ in range(r)])
+                for r, c in shapes)
+            code = lifted_product(m1, m2)
+        else:
+            code = hgp(ClassicalCode(random_check_matrix(rng, 3, 4, 2)),
+                       ClassicalCode(random_check_matrix(rng, 2, 3, 2)))
+        if code.n <= 14 and code.commuting and logical_count(code):
+            codes.append(code)
+    return codes
+
+
+class TestCosetMinWeight:
+    def test_classical_codes_match_brute_force(self):
+        rng = random.Random(211)
+        for _ in range(60):
+            h = random_check_matrix(rng, 6, 12)
+            empty = BitMatrix.zeros(0, h.cols)
+            expected = brute_force_coset(h, empty)
+            assert coset_min_weight(rref(h), rref(empty)) == expected
+            assert ClassicalCode(h).min_distance() == expected
+
+    def test_css_codes_match_brute_force(self):
+        rng = random.Random(223)
+        kinds = set()
+        for code in random_small_css_codes(rng, 40):
+            kinds.add(code.provenance["kind"])
+            d_z = brute_force_coset(code.h_x, code.h_z)
+            d_x = brute_force_coset(code.h_z, code.h_x)
+            assert coset_min_weight(code.x_rref, code.z_rref) == d_z
+            assert coset_min_weight(code.z_rref, code.x_rref) == d_x
+            assert css_distance(code) == (d_x, d_z, min(d_x, d_z))
+        assert kinds == {"hgp", "lifted_product"}
+
+    def test_classical_and_css_share_the_refusal_boundary(self):
+        # budget 2^dim decides, 2^dim - 1 refuses, with the same message on both paths
+        def boundary(decide, dim, expected):
+            assert decide(1 << dim) == expected
+            with pytest.raises(BudgetError) as err:
+                decide((1 << dim) - 1)
+            assert str(err.value) == (f"distance enumeration refused: needs {1 << dim} steps,"
+                                      f" limit is {(1 << dim) - 1}")
+
+        rng = random.Random(227)
+        for _ in range(30):
+            h = random_check_matrix(rng, 5, 10)
+            k = ClassicalCode(h).dimension()
+            if k:
+                boundary(lambda budget: ClassicalCode(h).min_distance(budget), k,
+                         brute_force_coset(h, BitMatrix.zeros(0, h.cols)))
+        for code in random_small_css_codes(rng, 20):
+            dim = code.n - min(code.x_rref.rank, code.z_rref.rank)
+            boundary(lambda budget: css_distance(code, budget), dim, css_distance(code))
 
 
 class TestCommutation:
@@ -260,6 +344,18 @@ class TestDistanceBound:
                 continue
             checked += 1
             assert d >= bound
+
+    def test_each_transposed_code_is_reduced_once(self, monkeypatch):
+        # the HGP cross-check: hgp_k_formula, then hgp_distance_bound
+        calls = []
+        real = classical.rref
+        monkeypatch.setattr(classical, "rref", lambda m: calls.append(m) or real(m))
+        c1, c2 = ClassicalCode(hamming_7_4_check()), rep3()
+        assert hgp_k_formula(c1, c2) == 4
+        assert hgp_distance_bound(c1, c2) == 3
+        assert c1.transpose_code() is c1.transpose_code()
+        for code in (c1, c2, c1.transpose_code(), c2.transpose_code()):
+            assert sum(m is code.h for m in calls) == 1
 
     def test_toric_meets_bound_exactly(self):
         _, _, d = css_distance(toric())

@@ -16,7 +16,7 @@ from qpc.classical import (
     repetition_check,
 )
 from qpc.errors import BudgetError, FormatError, PreconditionError
-from qpc.gf2 import BitMatrix, matmul, rank, transpose
+from qpc.gf2 import DEFAULT_BUDGET, BitMatrix, matmul, rank, transpose
 
 
 def rep3():
@@ -92,7 +92,10 @@ class TestMinDistance:
         with pytest.raises(BudgetError) as err:
             big.min_distance()
         assert err.value.required == 2**30
-        assert err.value.limit == 2**22
+        assert err.value.limit == DEFAULT_BUDGET
+        with pytest.raises(BudgetError) as err:
+            big.min_distance(budget=2**29)
+        assert (err.value.required, err.value.limit) == (2**30, 2**29)
 
     def test_hamming_distance(self):
         assert ClassicalCode(hamming_7_4_check()).min_distance() == 3

@@ -221,7 +221,8 @@ class TestAnalyze:
         result = run_process(tmp_path, "analyze", "--hx", path, "--hz", tmp_path / "toric.hz.alist")
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr == "error: line 2: maximum degrees 2 5, degree lists give 2 4\n"
+        assert result.stderr == (
+            f"error: {path}: line 2: maximum degrees 2 5, degree lists give 2 4\n")
 
     def test_checkless_code(self, tmp_path, capsys):
         (tmp_path / "empty.pcm").write_text("0 3\n")
@@ -292,7 +293,7 @@ class TestAnalyze:
         )
         assert code == 1
         assert out == ""
-        assert err == "error: line 1: expected non-negative header 'm n'\n"
+        assert err == f"error: {tmp_path / 'neg.pcm'}: line 1: expected non-negative header 'm n'\n"
 
     def test_huge_pcm_header_exits_1_without_traceback(self, tmp_path):
         (tmp_path / "huge.pcm").write_text("0 99999999999999999999\n")
@@ -301,7 +302,7 @@ class TestAnalyze:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr == (
-            "error: line 1: header 'm n' exceeds the largest array dimension\n"
+            "error: huge.pcm: line 1: header 'm n' exceeds the largest array dimension\n"
         )
 
     @pytest.mark.parametrize("width, required", [
@@ -327,9 +328,35 @@ class TestAnalyze:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "budget exceeded: minimum-distance enumeration refused:"
-            " needs 2^100000 steps, limit is 4194304\n"
+            "budget exceeded: distance enumeration refused:"
+            " needs 2^100000 steps, limit is 16777216\n"
         )
+
+    @pytest.mark.parametrize("option, env, refused", [
+        ("1024", None, True),
+        (None, "1024", True),
+        ("4096", None, False),
+        (None, "4096", False),
+    ])
+    def test_budget_bounds_the_cross_check(self, tmp_path, capsys, monkeypatch,
+                                           option, env, refused):
+        # The toric kernels have dimension 10, the 12-bit checkless code k = 12.
+        self.build_toric(tmp_path, capsys)
+        (tmp_path / "wide.pcm").write_text("0 12\n")
+        if env is not None:
+            monkeypatch.setenv("QPC_BUDGET", env)
+        extra = ["--budget", option] if option is not None else []
+        code, out, err = run(
+            capsys, "analyze", "--hx", tmp_path / "toric.hx.pcm", "--hz", tmp_path / "toric.hz.pcm",
+            "--c1", tmp_path / "wide.pcm", "--c2", FIXTURES / "rep3.pcm", *extra,
+        )
+        if refused:
+            assert (code, out) == (3, "")
+            assert err == ("budget exceeded: distance enumeration refused:"
+                           " needs 4096 steps, limit is 1024\n")
+        else:
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == "hgp_distance_bound: 1"
 
     def test_degenerate_lifted_product_files_read_back(self, tmp_path, capsys):
         # a 0 x 1 ring matrix gives check matrices with no rows

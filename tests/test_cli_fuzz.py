@@ -270,7 +270,7 @@ def test_action_type_faults_name_the_type(work, doc, message):
     (work / "typed.action.json").write_text(json.dumps(doc))
     code, out, err = run("verify", "action", "--graph", work / "b4.graph",
                          "--action", work / "typed.action.json")
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {work / 'typed.action.json'}: {message}\n")
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -284,7 +284,7 @@ def test_covering_type_faults_name_the_type(work, doc, message):
     (work / "typed.map.json").write_text(json.dumps(doc))
     code, out, err = run("verify", "covering", "--cover", work / "line3_2lift.graph",
                          "--base", work / "line3.graph", "--map", work / "typed.map.json")
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {work / 'typed.map.json'}: {message}\n")
 
 
 def test_huge_covering_image_is_out_of_range(work):

@@ -200,6 +200,28 @@ class TestKernel:
             assert rref(m).kernel == loop_kernel(m)
 
 
+    def test_matches_dense_oracle_across_word_boundaries(self):
+        # kernel of the dense rref: identity on free columns, the rref's free
+        # columns (transposed) on pivot columns
+        rng = np.random.default_rng(31)
+        shapes = [(0, 0), (0, 70), (70, 0), (1, 64), (64, 1), (70, 150), (150, 70), (130, 130)]
+        shapes += [tuple(rng.integers(0, 160, 2)) for _ in range(40)]
+        for rows, cols in shapes:
+            dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+            if rows > 2:
+                dense[rows // 2:] = dense[: rows - rows // 2] ^ dense[rows - rows // 2 - 1]
+            res = rref(BitMatrix.from_dense(dense))
+            reduced = res.rref.to_dense()
+            free = [c for c in range(cols) if c not in res.pivot_cols]
+            oracle = np.zeros((len(free), cols), dtype=np.uint8)
+            oracle[np.arange(len(free)), free] = 1
+            oracle[:, list(res.pivot_cols)] = reduced[: res.rank][:, free].T
+            kernel = res.kernel
+            assert kernel.shape == (len(free), cols)
+            assert np.array_equal(kernel.to_dense(), oracle), (rows, cols)
+            assert not (dense.astype(int) @ oracle.T.astype(int) % 2).any()
+
+
 class TestLazyRowOps:
     def test_rref_does_not_build_row_ops(self):
         res = rref(bm(CIRC))
@@ -235,6 +257,25 @@ class TestPackedTranspose:
         t = transpose(m)
         assert t.weight() == 210
         assert t.row_weight(0) == 70
+
+
+class TestColumns:
+    def test_matches_dense_column_gather(self):
+        rng = np.random.default_rng(29)
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 64), (64, 3), (65, 130), (130, 65)]
+        shapes += [tuple(rng.integers(0, 200, 2)) for _ in range(60)]
+        for rows, cols in shapes:
+            dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+            m = BitMatrix.from_dense(dense)
+            picks = [[]]
+            if cols:
+                picks += [rng.permutation(cols).tolist(),               # every column, unsorted
+                          rng.integers(0, cols, 2 * cols + 3).tolist(),   # repeats
+                          sorted(rng.choice(cols, (cols + 1) // 2, replace=False).tolist())]
+            for idx in picks:
+                sub = m.columns(idx)
+                assert sub.shape == (rows, len(idx)), (rows, cols, idx)
+                assert np.array_equal(sub.to_dense(), dense[:, idx].reshape(rows, len(idx)))
 
 
 class TestEntries:

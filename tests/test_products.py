@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from qpc import products
 from qpc.classical import ClassicalCode, repetition_check
 from qpc.errors import PreconditionError
-from qpc.gf2 import BitMatrix, matmul, transpose
+from qpc.gf2 import BitMatrix, hstack, matmul, transpose
 from qpc.groups import (
     FiniteGroup,
     GroupAlgebraMatrix,
     binary_map,
+    conj_transpose,
     parse_element,
+    ring_kron_identity,
 )
 from qpc.products import (
     CoordinateTable,
@@ -156,6 +159,43 @@ class TestLiftedProduct:
             lifted_product(
                 ring_1px(FiniteGroup.cyclic(3)), ring_1px(FiniteGroup.cyclic(4))
             )
+
+    def test_matches_binary_map_of_the_ring_formula(self):
+        # H_X = (m1 (x) I | I (x) m2*), H_Z = (I (x) m2 | m1* (x) I) over F2[G],
+        # expanded by the dense loop that the entry-wise binary_map replaced
+        def dense_binary_map(m):
+            l, mul = m.group.order, m.group.mul
+            dense = np.zeros((m.rows * l, m.cols * l), dtype=np.uint8)
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    for g in m.entries[i][j].support():
+                        dense[i * l + mul[g], j * l + np.arange(l)] ^= 1
+            return BitMatrix.from_dense(dense)
+
+        def ring_formula(m1, m2):
+            (r1, c1), (r2, c2) = m1.shape, m2.shape
+            h_x = hstack(dense_binary_map(ring_kron_identity(m1, c2, "right")),
+                         dense_binary_map(ring_kron_identity(conj_transpose(m2), r1, "left")))
+            h_z = hstack(dense_binary_map(ring_kron_identity(m2, c1, "left")),
+                         dense_binary_map(ring_kron_identity(conj_transpose(m1), r2, "right")))
+            return h_x, h_z
+
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        s3 = FiniteGroup.from_table_text((fixtures / "s3.table").read_text(), spec="S3")
+        groups = [FiniteGroup.cyclic(l) for l in (1, 2, 3, 5, 8)]
+        groups += [FiniteGroup.direct_product(2, 3), FiniteGroup.direct_product(4, 2), s3]
+        rng = random.Random(233)
+        commuting = {True: 0, False: 0}
+        for group in groups:
+            for _ in range(8):
+                m1, m2 = (GroupAlgebraMatrix.from_masks(group, [
+                    [rng.getrandbits(group.order) for _ in range(cols)] for _ in range(rows)])
+                    for rows, cols in ((rng.randint(0, 3), rng.randint(1, 3)) for _ in range(2)))
+                code = lifted_product(m1, m2)
+                assert (code.h_x, code.h_z) == ring_formula(m1, m2)
+                assert binary_map(m1) == dense_binary_map(m1)
+                commuting[code.commuting] += 1
+        assert commuting[True] and commuting[False]
 
     def test_factor_l_saving(self):
         group = FiniteGroup.cyclic(3)
