@@ -177,7 +177,8 @@ def _validate_group_table(mul: np.ndarray) -> tuple[int, ...]:
             members = np.flatnonzero(reached)
             grown = np.concatenate([mul[np.ix_(fresh, members)].ravel(),
                                     mul[np.ix_(members, fresh)].ravel()])
-            fresh = np.unique(grown[~reached[grown]])
+            # a count, not np.unique, which would import numpy.ma
+            fresh = np.flatnonzero((np.bincount(grown, minlength=order) > 0) & ~reached)
     return tuple(gens)
 
 

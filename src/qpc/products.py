@@ -8,10 +8,10 @@ over non-commuting entries legitimately fail it and are returned with
 both algebraic products: the lifted product is the HGP formula with
 l x l blocks, applied to the binary maps of its ring matrices.
 
-Coordinates follow the closed forms of the 2D (hypergraph) and 3D
-(lifted/balanced) arrangements: the x axis runs over first-factor checks
-then bits, the y axis over second-factor bits then checks, and the z
-axis (3D only) over group-element rows anchored at orbit basepoints.
+All three layouts follow one rule, `_layout`, in 2D (hypergraph) and
+3D (lifted/balanced): the x axis runs over first-factor checks then
+bits, the y axis over second-factor bits then checks, and the z axis
+(3D only) over group-element rows anchored at orbit basepoints.
 A code's layout is built on first read, and its incidence edges on
 first read of `layout.edges`: writing files or analysing a code needs
 neither.  `groups` and `tanner` are imported by the constructors that
@@ -20,7 +20,7 @@ use them, so hypergraph products and analysis load neither.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -100,14 +100,13 @@ class CSSCode:
         )
 
 
-def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix, q1_size: int | None = None) -> CSSCode:
+def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix) -> CSSCode:
     """Wrap raw check matrices, e.g. read back from files.
 
-    Without block provenance the qubits get the 1D line layout (checks
-    first, then qubits, by index), mirroring the classical convention.
+    Without block provenance every qubit is in Q1, and the qubits get the
+    1D line layout (checks first, then qubits, by index), mirroring the
+    classical convention.
     """
-    if q1_size is None:
-        q1_size = h_x.cols
 
     def layout(edges) -> CoordinateTable:
         return CoordinateTable(
@@ -115,15 +114,13 @@ def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix, q1_size: int | None = None
             x_checks=tuple((i, 0) for i in range(h_x.rows)),
             z_checks=tuple((h_x.rows + i, 0) for i in range(h_z.rows)),
             qubits_q1=tuple(
-                (h_x.rows + h_z.rows + j, 0) for j in range(q1_size)
+                (h_x.rows + h_z.rows + j, 0) for j in range(h_x.cols)
             ),
-            qubits_q2=tuple(
-                (h_x.rows + h_z.rows + j, 0) for j in range(q1_size, h_x.cols)
-            ),
+            qubits_q2=(),
             edges=edges,
         )
 
-    return CSSCode(h_x, h_z, q1_size=q1_size, layout=layout,
+    return CSSCode(h_x, h_z, q1_size=h_x.cols, layout=layout,
                    provenance={"kind": "from-matrices"})
 
 
@@ -140,18 +137,41 @@ def _incidence_edges(h_x: BitMatrix, h_z: BitMatrix, q1_size: int) -> tuple:
     return tuple(edges)
 
 
+# The factor parts each vertex family pairs: X checks are first-factor
+# checks with second-factor bits, Z checks the reverse, Q1 bits with bits
+# and Q2 checks with checks.
+_FAMILIES = {"x": ("check", "bit"), "z": ("bit", "check"),
+             "q1": ("bit", "bit"), "q2": ("check", "check")}
+
+
+def _layout(kind: str, m1: int, n2: int, families: dict, edges) -> CoordinateTable:
+    """The coordinates of every product layout.
+
+    `families[name]` holds the (first-factor class, second-factor class,
+    row) arrays of one vertex family in code order.  x is the first-factor
+    class, offset by m1 for bits; y the second-factor class, offset by n2
+    for checks; z the row, dropped in "2d".
+    """
+
+    def coords(name):
+        a, b, row = families[name]
+        part_a, part_b = _FAMILIES[name]
+        axes = [(a + m1 * (part_a == "bit")).tolist(), (b + n2 * (part_b == "check")).tolist()]
+        return tuple(zip(*axes, *([row.tolist()] if kind == "3d" else [])))
+
+    return CoordinateTable(kind=kind, x_checks=coords("x"), z_checks=coords("z"),
+                           qubits_q1=coords("q1"), qubits_q2=coords("q2"), edges=edges)
+
+
+def _grid(m1: int, n1: int, m2: int, n2: int, l: int) -> dict:
+    """Families indexed (a * cols + b) * l + g, the order of the product matrices."""
+    first, second = {"check": m1, "bit": n1}, {"check": m2, "bit": n2}
+    return {name: np.unravel_index(np.arange(first[pa] * second[pb] * l),
+                                   (first[pa], second[pb], l))
+            for name, (pa, pb) in _FAMILIES.items()}
+
+
 # -- hypergraph product -------------------------------------------------------
-
-
-def _hgp_layout(m1, n1, m2, n2, edges=()) -> CoordinateTable:
-    return CoordinateTable(
-        kind="2d",
-        x_checks=tuple((i // n2, i % n2) for i in range(m1 * n2)),
-        z_checks=tuple((i // m2 + m1, (i % m2) + n2) for i in range(n1 * m2)),
-        qubits_q1=tuple((j // n2 + m1, j % n2) for j in range(n1 * n2)),
-        qubits_q2=tuple((j // m2, (j % m2) + n2) for j in range(m1 * m2)),
-        edges=edges,
-    )
 
 
 def _kron_identity(h: BitMatrix, r: int, l: int) -> BitMatrix:
@@ -180,7 +200,7 @@ def hgp(c1: ClassicalCode, c2: ClassicalCode) -> CSSCode:
         h_x,
         h_z,
         q1_size=n1 * n2,
-        layout=partial(_hgp_layout, m1, n1, m2, n2),
+        layout=lambda edges: _layout("2d", m1, n2, _grid(m1, n1, m2, n2, 1), edges),
         provenance={
             "kind": "hgp",
             "m1": m1, "n1": n1, "m2": m2, "n2": n2,
@@ -189,26 +209,6 @@ def hgp(c1: ClassicalCode, c2: ClassicalCode) -> CSSCode:
 
 
 # -- lifted product -----------------------------------------------------------
-
-
-def _lp_layout(m1, n1, m2, n2, l, edges=()) -> CoordinateTable:
-    return CoordinateTable(
-        kind="3d",
-        x_checks=tuple(
-            (i // (n2 * l), (i // l) % n2, i % l) for i in range(m1 * n2 * l)
-        ),
-        z_checks=tuple(
-            (i // (m2 * l) + m1, ((i // l) % m2) + n2, i % l)
-            for i in range(n1 * m2 * l)
-        ),
-        qubits_q1=tuple(
-            (j // (n2 * l) + m1, (j // l) % n2, j % l) for j in range(n1 * n2 * l)
-        ),
-        qubits_q2=tuple(
-            (j // (m2 * l), ((j // l) % m2) + n2, j % l) for j in range(m1 * m2 * l)
-        ),
-        edges=edges,
-    )
 
 
 def lifted_product(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
@@ -233,7 +233,7 @@ def lifted_product(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
         h_x,
         h_z,
         q1_size=c1 * c2 * l,
-        layout=partial(_lp_layout, r1, c1, r2, c2, l),
+        layout=lambda edges: _layout("3d", r1, c2, _grid(r1, c1, r2, c2, l), edges),
         provenance={
             "kind": "lifted_product",
             "group": m1.group.spec,
@@ -368,12 +368,10 @@ def balanced_product(
             "first factor has an edge pinned by a non-identity element", witness
         )
 
-    families = {"q1": ("bit", "bit"), "q2": ("check", "check"),
-                "x": ("check", "bit"), "z": ("bit", "check")}
     orbits_a = {part: part_orbits(act_a, part) for part in ("check", "bit")}
     orbits_b = {part: part_orbits(act_b, part) for part in ("check", "bit")}
     reps, index = {}, {}
-    for name, (part_a, part_b) in families.items():
+    for name, (part_a, part_b) in _FAMILIES.items():
         reps[name], index[name] = _product_orbits(orbits_a[part_a], act_b, part_b)
     m1, n1 = (orbits_a[part][0].size for part in ("check", "bit"))
     m2, n2 = (orbits_b[part][0].size for part in ("check", "bit"))
@@ -389,10 +387,10 @@ def balanced_product(
         # second a check x check pair (Q2); from a Z check the other way round.
         nonlocal reduced
         u, v = reps[check_name]
-        part_a, part_b = families[check_name]
+        part_a, part_b = _FAMILIES[check_name]
         a_family, b_family = ("q1", "q2") if check_name == "x" else ("q2", "q1")
-        at_a, w_a, m_a = a.view.neighbours(part_a, u)
-        at_b, w_b, m_b = b.view.neighbours(part_b, v)
+        at_a, w_a, m_a = a.neighbours(part_a, u)
+        at_b, w_b, m_b = b.neighbours(part_b, v)
         cols = np.concatenate([index[a_family][w_a, v[at_a]] + offset[a_family],
                                index[b_family][u[at_b], w_b] + offset[b_family]])
         cells, inverse = np.unique(np.concatenate([at_a, at_b]) * n + cols,
@@ -405,22 +403,13 @@ def balanced_product(
     h_x = fill("x")
     h_z = fill("z")
 
-    def coords(name, a_offset, b_offset):
-        u, v = reps[name]
-        part_a, part_b = families[name]
-        _, b_cls, b_row = orbits_b[part_b]
-        return tuple(zip((orbits_a[part_a][1][u] + a_offset).tolist(),
-                         (b_cls[v] + b_offset).tolist(), b_row[v].tolist()))
-
     def layout(edges) -> CoordinateTable:
-        return CoordinateTable(
-            kind="3d",
-            x_checks=coords("x", 0, 0),
-            z_checks=coords("z", m1, n2),
-            qubits_q1=coords("q1", m1, 0),
-            qubits_q2=coords("q2", 0, n2),
-            edges=edges,
-        )
+        classes = {}
+        for name, (u, v) in reps.items():
+            part_a, part_b = _FAMILIES[name]
+            _, b_cls, b_row = orbits_b[part_b]
+            classes[name] = (orbits_a[part_a][1][u], b_cls[v], b_row[v])
+        return _layout("3d", m1, n2, classes, edges)
 
     total = sum(u.size for u, _ in reps.values())
     product_size = (a.check_count + a.bit_count) * (b.check_count + b.bit_count)

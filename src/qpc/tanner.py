@@ -6,12 +6,11 @@ collapsing them silently would falsify every size claim downstream, so
 multiplicity is first class.  The GF(2) biadjacency reduces multiplicity
 mod 2 and reports when that reduction changed anything.
 
-The `Counter` in `graph.edges` is the public multiset.  Every algorithm
-here reads one view derived from it, `graph.view` (an `EdgeView`, built on
-first use): int64 arrays of the two ends and the multiplicity of each
-distinct edge in `edges` insertion order, plus a CSR neighbour index per
-vertex part.  So a check over all edges is one array operation, and a
-neighbourhood is one slice, never a rescan of the Counter.
+A graph is its edge arrays: int64 `end0`, `end1` and `mult`, one entry
+per distinct edge in first-listed order, plus a CSR neighbour index per
+vertex part, built on the first neighbour query.  So a check over all
+edges is one array operation, and a neighbourhood is one slice.  The
+`Counter` in `graph.edges` is derived from the arrays when read.
 
 Actions are stored one permutation per group element per vertex part,
 composing as a left action (perm(gh) = perm(g) after perm(h)).  They are
@@ -41,50 +40,73 @@ from .gf2 import BitMatrix
 from .groups import FiniteGroup, GroupAlgebraMatrix, binary_map, parse_group_spec
 
 
-class EdgeView:
-    """The distinct edges of a graph as arrays, with a CSR index per part.
+class _Graph:
+    """Distinct edges as arrays, with a CSR index per part built on first query.
 
-    `end0`, `end1` and `mult` list the edges in `edges` insertion order;
-    end0 lies in the part `ends[0]`, end1 in `ends[1]`.  `csr[part]` is
-    `(ptr, nbr, mult)`: vertex v of that part has the neighbours
-    `nbr[ptr[v]:ptr[v + 1]]`, in edge order, with their multiplicities.
-    A plain-graph loop appears once in its vertex's list.
+    `end0`, `end1` and `mult` list each distinct edge once, in the order
+    its first copy was given; end0 lies in the part `ENDS[0]`, end1 in
+    `ENDS[1]`.  The CSR index of a part is `(ptr, nbr, mult)`: vertex v
+    has the neighbours `nbr[ptr[v]:ptr[v + 1]]`, in edge order, with their
+    multiplicities.  A plain-graph loop appears once in its vertex's list.
     """
 
-    __slots__ = ("ends", "end0", "end1", "mult", "csr", "_width")
+    __slots__ = ("end0", "end1", "mult", "_csr")
+    ENDS: tuple[str, str]
 
-    def __init__(self, graph, end0: np.ndarray, end1: np.ndarray, mult: np.ndarray):
-        self.end0, self.end1, self.mult = end0, end1, mult
-        sizes = graph.part_sizes()
-        first = next(iter(graph.NEIGHBOUR_PART))
-        self.ends = (first, graph.NEIGHBOUR_PART[first])
-        self._width = sizes[self.ends[1]]
-        if self.ends[0] != self.ends[1]:
-            self.csr = {
-                self.ends[0]: _csr(sizes[self.ends[0]], end0, end1, mult),
-                self.ends[1]: _csr(sizes[self.ends[1]], end1, end0, mult),
-            }
-        else:
-            # both ends of every edge, edge by edge; a loop only once
-            keep = np.stack([np.ones(end0.size, dtype=bool), end0 != end1], axis=1).ravel()
-            vertex = np.stack([end0, end1], axis=1).ravel()[keep]
-            nbr = np.stack([end1, end0], axis=1).ravel()[keep]
-            self.csr = {first: _csr(sizes[first], vertex, nbr, np.repeat(mult, 2)[keep])}
+    def _merge(self, edges, sizes: tuple[int, int], range_note: str) -> None:
+        """Validate (end0, end1) pairs, or a Counter of them, and sum repeated edges."""
+        counter: Counter = Counter()
+        items = edges.items() if isinstance(edges, Counter) else ((e, 1) for e in edges)
+        plain = self.ENDS[0] == self.ENDS[1]
+        for (u, v), mult in items:
+            if not (0 <= u < sizes[0] and 0 <= v < sizes[1]):
+                raise PreconditionError(f"edge ({u}, {v}) out of range{range_note}")
+            if mult < 1:
+                raise PreconditionError(f"edge ({u}, {v}) has multiplicity {mult}")
+            counter[(min(u, v), max(u, v)) if plain else (u, v)] += mult
+        ends = np.array(list(counter), dtype=np.int64).reshape(-1, 2)
+        self.end0, self.end1 = ends[:, 0], ends[:, 1]
+        self.mult = np.fromiter(counter.values(), dtype=np.int64, count=len(counter))
+        self._csr = None
+
+    @property
+    def edges(self) -> Counter:
+        """The edge multiset in edge order, as a new Counter derived on each read."""
+        return Counter(dict(zip(zip(self.end0.tolist(), self.end1.tolist()), self.mult.tolist())))
+
+    def edge_count(self) -> int:
+        return int(self.mult.sum())
 
     def keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Edge keys of the ends (a, b), as in `end0`, `end1`; plain pairs unordered."""
-        if self.ends[0] == self.ends[1]:
+        if self.ENDS[0] == self.ENDS[1]:
             a, b = np.minimum(a, b), np.maximum(a, b)
-        return a * self._width + b
+        return a * self.part_sizes()[self.ENDS[1]] + b
 
     def mapped_keys(self, action: "GroupAction", g: int) -> np.ndarray:
         """Keys of the images of every edge under element g."""
-        return self.keys(action.perms[self.ends[0]][g][self.end0],
-                         action.perms[self.ends[1]][g][self.end1])
+        return self.keys(action.perms[self.ENDS[0]][g][self.end0],
+                         action.perms[self.ENDS[1]][g][self.end1])
+
+    def _index(self, part: str):
+        if self._csr is None:
+            sizes = self.part_sizes()
+            first, second = self.ENDS
+            end0, end1, mult = self.end0, self.end1, self.mult
+            if first != second:
+                self._csr = {first: _csr(sizes[first], end0, end1, mult),
+                             second: _csr(sizes[second], end1, end0, mult)}
+            else:
+                # both ends of every edge, edge by edge; a loop only once
+                keep = np.stack([np.ones(end0.size, dtype=bool), end0 != end1], axis=1).ravel()
+                vertex = np.stack([end0, end1], axis=1).ravel()[keep]
+                nbr = np.stack([end1, end0], axis=1).ravel()[keep]
+                self._csr = {first: _csr(sizes[first], vertex, nbr, np.repeat(mult, 2)[keep])}
+        return self._csr[part]
 
     def neighbours(self, part: str, vertices: np.ndarray):
         """(i, w, m) for each edge of multiplicity m from vertices[i] to w, row by row."""
-        ptr, nbr, mult = self.csr[part]
+        ptr, nbr, mult = self._index(part)
         start = ptr[vertices]
         degree = ptr[vertices + 1] - start
         at = np.repeat(np.arange(len(vertices)), degree)
@@ -93,13 +115,18 @@ class EdgeView:
 
     def neighbour_counts(self, part: str, v: int, relabel=None) -> dict:
         """Neighbour multiplicities of one vertex, in edge order, optionally relabelled."""
-        ptr, nbr, mult = self.csr[part]
+        ptr, nbr, mult = self._index(part)
         ws = nbr[ptr[v]:ptr[v + 1]]
         out: Counter = Counter()
         for w, m in zip((ws if relabel is None else relabel[ws]).tolist(),
                         mult[ptr[v]:ptr[v + 1]].tolist()):
             out[w] += m
         return dict(out)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.part_sizes() == other.part_sizes() and self.edges == other.edges
 
 
 def _csr(size: int, vertex: np.ndarray, nbr: np.ndarray, mult: np.ndarray):
@@ -109,56 +136,23 @@ def _csr(size: int, vertex: np.ndarray, nbr: np.ndarray, mult: np.ndarray):
     return ptr, nbr[order], mult[order]
 
 
-class _Graph:
-    """Edge multiset plus its `EdgeView`, built on first use; `edges` stays fixed after."""
-
-    __slots__ = ("edges", "_view")
-    NEIGHBOUR_PART: dict[str, str] = {}
-
-    @property
-    def view(self) -> EdgeView:
-        if self._view is None:
-            ends = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
-            mult = np.fromiter(self.edges.values(), dtype=np.int64, count=len(self.edges))
-            self._view = EdgeView(self, ends[:, 0], ends[:, 1], mult)
-        return self._view
-
-    def edge_count(self) -> int:
-        return sum(self.edges.values())
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.part_sizes() == other.part_sizes() and self.edges == other.edges
-
-
 class TannerGraph(_Graph):
     """Bipartite multigraph with check and bit parts."""
 
     __slots__ = ("check_count", "bit_count")
-    NEIGHBOUR_PART = {"check": "bit", "bit": "check"}
+    ENDS = ("check", "bit")
 
     def __init__(self, check_count: int, bit_count: int, edges):
         self.check_count = check_count
         self.bit_count = bit_count
-        self._view = None
-        counter: Counter = Counter()
-        items = edges.items() if isinstance(edges, Counter) else ((e, 1) for e in edges)
-        for (c, b), mult in items:
-            if not (0 <= c < check_count and 0 <= b < bit_count):
-                raise PreconditionError(
-                    f"edge ({c}, {b}) out of range for {check_count} checks, {bit_count} bits"
-                )
-            if mult < 1:
-                raise PreconditionError(f"edge ({c}, {b}) has multiplicity {mult}")
-            counter[(c, b)] += mult
-        self.edges = counter
+        self._merge(edges, (check_count, bit_count),
+                    f" for {check_count} checks, {bit_count} bits")
 
     @classmethod
     def from_bitmatrix(cls, h: BitMatrix) -> "TannerGraph":
-        checks, bits = h.nonzero()
-        graph = cls(h.rows, h.cols, Counter(dict.fromkeys(zip(checks.tolist(), bits.tolist()), 1)))
-        graph._view = EdgeView(graph, checks, bits, np.ones(checks.size, dtype=np.int64))
+        graph = cls(h.rows, h.cols, ())
+        graph.end0, graph.end1 = h.nonzero()
+        graph.mult = np.ones(graph.end0.size, dtype=np.int64)
         return graph
 
     def part_sizes(self) -> dict[str, int]:
@@ -166,10 +160,9 @@ class TannerGraph(_Graph):
 
     def biadjacency(self) -> tuple[BitMatrix, int]:
         """Mod-2 check/bit adjacency plus the number of entries changed by reduction."""
-        view = self.view
-        odd = view.mult % 2 == 1
-        h = BitMatrix.from_entries(self.check_count, self.bit_count, view.end0[odd], view.end1[odd])
-        return h, int((view.mult > 1).sum())
+        odd = self.mult % 2 == 1
+        h = BitMatrix.from_entries(self.check_count, self.bit_count, self.end0[odd], self.end1[odd])
+        return h, int((self.mult > 1).sum())
 
     def __repr__(self):
         return (
@@ -182,20 +175,11 @@ class PlainGraph(_Graph):
     """Undirected multigraph; loops allowed, edges stored as sorted pairs."""
 
     __slots__ = ("vertex_count",)
-    NEIGHBOUR_PART = {"vertex": "vertex"}
+    ENDS = ("vertex", "vertex")
 
     def __init__(self, vertex_count: int, edges):
         self.vertex_count = vertex_count
-        self._view = None
-        counter: Counter = Counter()
-        items = edges.items() if isinstance(edges, Counter) else ((e, 1) for e in edges)
-        for (u, v), mult in items:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise PreconditionError(f"edge ({u}, {v}) out of range")
-            if mult < 1:
-                raise PreconditionError(f"edge ({u}, {v}) has multiplicity {mult}")
-            counter[(min(u, v), max(u, v))] += mult
-        self.edges = counter
+        self._merge(edges, (vertex_count, vertex_count), "")
 
     @classmethod
     def cycle(cls, n: int) -> "PlainGraph":
@@ -307,14 +291,14 @@ class GroupAction:
                     raise PreconditionError(
                         f"homomorphism fails on {part}s at ({s}, {bad[0]})"
                     )
-        view = self.graph.view
-        keys = view.keys(view.end0, view.end1)
+        graph = self.graph
+        keys = graph.keys(graph.end0, graph.end1)
         order_k = np.argsort(keys)
         for s in gens:
-            mapped = view.mapped_keys(self, s)
+            mapped = graph.mapped_keys(self, s)
             order_m = np.argsort(mapped)
             if not (np.array_equal(mapped[order_m], keys[order_k])
-                    and np.array_equal(view.mult[order_m], view.mult[order_k])):
+                    and np.array_equal(graph.mult[order_m], graph.mult[order_k])):
                 raise PreconditionError(
                     f"element {s} does not preserve the edge multiset"
                 )
@@ -374,10 +358,10 @@ def has_fixed_edge(action: GroupAction) -> tuple[bool, tuple | None]:
     vacuous across parts, so the check is instead for an edge fixed
     setwise by a non-identity element.
     """
-    view = action.graph.view
-    e0, e1 = view.end0, view.end1
-    p0, p1 = (action.perms[part] for part in view.ends)
-    tanner = isinstance(action.graph, TannerGraph)
+    graph = action.graph
+    e0, e1 = graph.end0, graph.end1
+    p0, p1 = (action.perms[part] for part in graph.ENDS)
+    tanner = isinstance(graph, TannerGraph)
     for g in range(1, action.group.order):
         a, b = p0[g][e0], p1[g][e1]
         hit = (a == e0) & (b == e1) if tanner else (a == e1) | (b == e0)
@@ -444,17 +428,16 @@ def quotient(graph, action: GroupAction):
         basepoints.extend((part, v) for v in bases.tolist())
     layout = QuotientLayout(tuple(class_lists), tuple(basepoints), row_of)
 
-    view = graph.view
-    keys = view.keys(view.end0, view.end1)
+    keys = graph.keys(graph.end0, graph.end1)
     lowest = keys.copy()
     for g in range(1, action.group.order):
-        np.minimum(lowest, view.mapped_keys(action, g), out=lowest)
+        np.minimum(lowest, graph.mapped_keys(action, g), out=lowest)
     reps = np.flatnonzero(lowest == keys)
     reps = reps[np.argsort(keys[reps])]
-    ends = zip(class_of[view.ends[0]][view.end0[reps]].tolist(),
-               class_of[view.ends[1]][view.end1[reps]].tolist())
+    ends = zip(class_of[graph.ENDS[0]][graph.end0[reps]].tolist(),
+               class_of[graph.ENDS[1]][graph.end1[reps]].tolist())
     quotient_edges: Counter = Counter()
-    for pair, mult in zip(ends, view.mult[reps].tolist()):
+    for pair, mult in zip(ends, graph.mult[reps].tolist()):
         quotient_edges[pair] += mult
     return type(graph)(*counts, quotient_edges), layout
 
@@ -506,25 +489,27 @@ def verify_covering(cm: CoveringMap) -> CoveringReport:
         maps[part] = np.asarray(images, dtype=np.int64)
 
     for part, size in cover_sizes.items():
-        other = cover.NEIGHBOUR_PART[part]
+        other = cover.ENDS[0] if part == cover.ENDS[1] else cover.ENDS[1]
         width = base_sizes[other]
         # (cover vertex, base neighbour) cells with summed multiplicities, from
         # the vertex's mapped edges and from its image's edges: a cell found
         # on one side only marks the vertex
-        at, w, m = cover.view.neighbours(part, np.arange(size))
-        base_at, base_w, base_m = base.view.neighbours(part, maps[part])
+        at, w, m = cover.neighbours(part, np.arange(size))
+        base_at, base_w, base_m = base.neighbours(part, maps[part])
         cells, seen = np.unique(
             np.concatenate([_tally(at * width + maps[other][w], m),
                             _tally(base_at * width + base_w, base_m)]),
             axis=0, return_counts=True,
         )
-        for v in np.unique(cells[seen == 1, 0] // width).tolist():
+        # a count, not np.unique, which would import numpy.ma
+        marked = np.bincount(cells[seen == 1, 0] // width, minlength=size)
+        for v in np.flatnonzero(marked).tolist():
             image = int(maps[part][v])
             report.valid = False
             report.violations.append(
                 f"{part} {v}: incident edges map to"
-                f" {cover.view.neighbour_counts(part, v, maps[other])},"
-                f" base vertex {image} has {base.view.neighbour_counts(part, image)}"
+                f" {cover.neighbour_counts(part, v, maps[other])},"
+                f" base vertex {image} has {base.neighbour_counts(part, image)}"
             )
 
     sizes = set()

@@ -13,7 +13,9 @@ from qpc.groups import (
     GroupAlgebraMatrix,
     binary_map,
     parse_element,
+    parse_group_spec,
 )
+from qpc.products import lift_with_regular_actions
 from qpc.tanner import (
     CoveringMap,
     GroupAction,
@@ -403,6 +405,96 @@ class TestFileFormats:
             json.dumps({"vertex_map": [0, 0, 1, 1, 2, 2]}), cover, base
         )
         assert verify_covering(cm).valid
+
+
+def random_pairs(rng: random.Random, tanner: bool):
+    """Sizes and edge pairs of a seeded multigraph.
+
+    About three pairs in ten get a parallel copy at a random position,
+    reversed on plain graphs; plain graphs get a loop; vertex counts leave
+    some vertices isolated; and about one graph in six has no edge.
+    """
+    sizes = (rng.randrange(0, 7), rng.randrange(0, 7))
+    if not tanner:
+        sizes = (sizes[0], sizes[0])
+    pairs = [] if 0 in sizes or rng.random() < 0.15 else [
+        (rng.randrange(sizes[0]), rng.randrange(sizes[1])) for _ in range(rng.randrange(1, 12))
+    ]
+    for u, v in list(pairs):
+        if rng.random() < 0.3:
+            pairs.insert(rng.randrange(len(pairs) + 1), (u, v) if tanner else (v, u))
+    if pairs and not tanner:
+        loop = rng.randrange(sizes[0])
+        pairs.insert(rng.randrange(len(pairs) + 1), (loop, loop))
+    return sizes, pairs
+
+
+def make_graph(sizes, pairs, tanner: bool):
+    return TannerGraph(*sizes, pairs) if tanner else PlainGraph(sizes[0], pairs)
+
+
+def random_ring_matrix(rng: random.Random, group: FiniteGroup, monomial: bool):
+    """A matrix of at most 3 x 3 entries over `group`, about a quarter of them zero.
+
+    The other entries are monomials, or any element when `monomial` is false,
+    so that quotients get parallel edges.
+    """
+    def entry() -> int:
+        if rng.random() < 0.25:
+            return 0
+        return 1 << rng.randrange(group.order) if monomial else rng.randrange(1, 1 << group.order)
+
+    rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
+    return GroupAlgebraMatrix.from_masks(group, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+class TestGraphProperties:
+    """Seeded random Tanner and plain multigraphs, against their input pairs."""
+
+    @pytest.mark.parametrize("tanner", [True, False])
+    def test_emit_parse_round_trip(self, tanner):
+        rng = random.Random(901 + tanner)
+        for _ in range(80):
+            g = make_graph(*random_pairs(rng, tanner), tanner)
+            back = parse_graph(emit_graph(g))
+            assert type(back) is type(g) and back == g
+            assert back.edge_count() == g.edge_count()
+
+    @pytest.mark.parametrize("tanner", [True, False])
+    def test_edges_in_first_listed_order(self, tanner):
+        rng = random.Random(903 + tanner)
+        for _ in range(80):
+            sizes, pairs = random_pairs(rng, tanner)
+            g = make_graph(sizes, pairs, tanner)
+            keys = [pair if tanner else tuple(sorted(pair)) for pair in pairs]
+            counts = Counter(keys)
+            assert list(g.edges.items()) == [(k, counts[k]) for k in dict.fromkeys(keys)]
+            assert g.edge_count() == len(pairs)
+
+    def test_from_bitmatrix_biadjacency_is_the_matrix(self):
+        rng = np.random.default_rng(905)
+        for rows, cols in [(0, 0), (0, 5), (4, 0), (1, 1), (3, 7), (5, 64), (7, 65), (9, 130)]:
+            for density in (0.0, 0.3, 1.0):
+                h = BitMatrix.from_dense((rng.random((rows, cols)) < density).astype(np.uint8))
+                g = TannerGraph.from_bitmatrix(h)
+                assert g.biadjacency() == (h, 0)
+                assert g == TannerGraph(rows, cols, list(zip(*(a.tolist() for a in h.nonzero()))))
+
+    @pytest.mark.parametrize("monomial", [True, False])
+    @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z5", "Z2xZ2", "Z2xZ3"])
+    def test_free_regular_quotient_collapses_by_group_order(self, spec, monomial):
+        group = parse_group_spec(spec)
+        rng = random.Random(907)
+        for _ in range(6):
+            graph_a, graph_b, act_a, act_b = lift_with_regular_actions(
+                random_ring_matrix(rng, group, monomial), random_ring_matrix(rng, group, monomial))
+            for graph, action in ((graph_a, act_a), (graph_b, act_b)):
+                assert is_free(action)[0]
+                q, layout = quotient(graph, action)
+                assert q.check_count * group.order == graph.check_count
+                assert q.bit_count * group.order == graph.bit_count
+                assert len(layout.classes) == q.check_count + q.bit_count
+                assert q.edge_count() * group.order == graph.edge_count()
 
 
 @pytest.mark.parametrize("header", [
