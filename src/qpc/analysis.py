@@ -158,9 +158,9 @@ def verify_logical_basis(code: CSSCode, basis: LogicalBasis) -> None:
     if not matmul(code.h_x, transpose(basis.z_logicals)).is_zero():
         raise AssertionError("a Z logical leaves kernel(H_X)")
     k = basis.x_logicals.rows
-    if rank(vstack(code.h_x, basis.x_logicals)) != rank(code.h_x) + k:
+    if rank(vstack(code.h_x, basis.x_logicals)) != code.x_rref.rank + k:
         raise AssertionError("an X logical lies in the X stabiliser row space")
-    if rank(vstack(code.h_z, basis.z_logicals)) != rank(code.h_z) + k:
+    if rank(vstack(code.h_z, basis.z_logicals)) != code.z_rref.rank + k:
         raise AssertionError("a Z logical lies in the Z stabiliser row space")
 
 

@@ -87,12 +87,12 @@ class ClassicalCode:
     def min_distance(self, budget: int = DEFAULT_BUDGET) -> int | None:
         """Exact minimum weight of a non-zero codeword; None when k = 0.
 
-        `gf2.coset_min_weight` with an empty stabiliser enumerates the
-        2^k - 1 combinations of a kernel basis; refuses when 2^k exceeds
-        `budget`.  A code with k = 0 is never refused.
+        `gf2.coset_min_weight` with no stabiliser enumerates the 2^k - 1
+        combinations of a kernel basis; refuses when 2^k exceeds `budget`.
+        A code with k = 0 is never refused.
         """
         if self._d is None and self.dimension():
-            self._d = coset_min_weight(self._reduced, rref(BitMatrix.zeros(0, self.n)), budget)
+            self._d = coset_min_weight(self._reduced, budget=budget)
         return self._d
 
     def transpose_code(self) -> "ClassicalCode":

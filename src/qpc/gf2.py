@@ -7,20 +7,24 @@ operation returns a fresh value and never mutates its inputs, so values
 can be shared freely across threads.
 
 Every kernel stays on the packed words.  `transpose` moves 8x8 bit
-blocks, one word each.  `rref` works one 64-column word block at a time
-with the block's columns as Python-int row masks, so numpy is called
-only to swap rows and to XOR a pivot row into the rows it clears.  It
-returns the reduced form and its pivots only; the row operations and a
-kernel basis are derived from that result when first read, so a rank
-costs one elimination and nothing more.  `BitMatrix.nonzero` unpacks
-only the non-zero words, and `BitMatrix.columns` gathers columns as rows
-of the transpose; `matmul` XOR-reduces the rows of b gathered at a's
-entries, in chunks of bounded size, and `kron` maps entries.
-`coset_min_weight` is the one exact-distance entry, for classical and
-CSS codes, with the one budget `DEFAULT_BUDGET`.
+blocks, one word each.  `rref` eliminates one 64-column word block per
+pass, in the manner of the Method of Four Russians (Albrecht, Bard &
+Hart, "Algorithm 898", ACM TOMS 37(1), 2010): the block's pivot rows are
+found and reduced among themselves as Python ints, and every other row
+is cleared at once, by a gather per pivot it holds or by tables of 8
+pivot rows' XOR combinations, whichever reads fewer rows, so numpy is
+called per block rather than per pivot.  `rref` returns the reduced form
+and its pivots only; the row operations and a kernel basis are derived
+from that result when first read, so a rank costs one elimination and
+nothing more.  `BitMatrix.nonzero` unpacks only the non-zero words, and
+`BitMatrix.columns` gathers columns as rows of the transpose; `matmul`
+XOR-reduces the rows of b gathered at a's entries, in chunks of bounded
+size, and `kron` maps entries.  `coset_min_weight` is the one
+exact-distance entry, for classical and CSS codes, with the one budget
+`DEFAULT_BUDGET`.
 
 Intended scale is "desk size" (a few thousand columns); there is no
-sparse storage and no attempt at asymptotically clever rank algorithms.
+sparse storage and no rank algorithm below cubic time.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 from .errors import BudgetError, DimensionError
 
 _WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
 
 # Steps an exact distance may take: codes whose kernel has dimension 24 or less.
 DEFAULT_BUDGET = 1 << 24
@@ -235,67 +240,126 @@ class RrefResult:
         return transpose(BitMatrix(cols, free.size, rows))
 
 
-def _set_bits(x: int):
-    """Indices of the ones of a non-negative int, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """All 2^t XOR combinations of t rows, by doubling: entry i XORs the rows at i's ones."""
+    table = np.zeros((1 << rows.shape[0], rows.shape[1]), dtype=np.uint64)
+    for i in range(rows.shape[0]):
+        np.bitwise_xor(table[: 1 << i], rows[i], out=table[1 << i : 2 << i])
+    return table
 
 
-# A pivot clearing more rows than this reads their indices with one numpy unpack
-# (cost grows with the row count), fewer bit by bit (cost grows with the rows cleared).
-_FEW_ROWS = 16
+def _combine(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row t is the XOR of the rows at the ones of the word codes[t]; no code is zero.
+
+    Either the picks are peeled lowest first, one gather per pick, or (Four
+    Russians) each code byte reads a table of its 8 rows' 256 combinations
+    where it is non-zero.  The tables are built when they save more row
+    reads than they cost.
+    """
+    out = np.zeros((codes.size, rows.shape[1]), dtype=np.uint64)
+    code_bytes = codes.view(np.uint8).reshape(-1, 8)
+    in_use = np.flatnonzero(code_bytes.any(axis=0))
+    # the picks a table saves (all but one per non-zero byte) against its 256 rows
+    if int(np.bitwise_count(codes).sum()) - np.count_nonzero(code_bytes) <= in_use.size << 8:
+        left = np.arange(codes.size)
+        while left.size:
+            low = codes & -codes
+            out[left] ^= rows[np.bitwise_count(low - 1)]
+            codes = codes ^ low
+            keep = np.flatnonzero(codes)
+            left, codes = left[keep], codes[keep]
+        return out
+    for g in in_use.tolist():
+        hit = np.flatnonzero(code_bytes[:, g])
+        out[hit] ^= _xor_table(rows[8 * g : 8 * g + 8])[code_bytes[hit, g]]
+    return out
 
 
 def rref(m: BitMatrix) -> RrefResult:
-    """Gaussian elimination to reduced row echelon form.
+    """Gaussian elimination to reduced row echelon form, one 64-column word block per pass.
 
-    Per 64-column word block, bit i of `masks[b]` is entry (i, b) of the
-    block.  The pivot of column b is the lowest set bit at or below row
-    pr (ties go to the lowest index; the reduced form is unique anyway),
-    and the rows it clears are the mask's other bits.  Rows from pr down
-    are zero left of the column, so swaps and XORs start at this block,
-    and the masks follow them from this block's words alone: a swap
-    flips rows p and pr where those rows differ, and clearing flips the
-    cleared rows where the pivot row has a one.
+    Rows from pr down are zero left of block w.  Per block:
+
+    1. each row from pr down with a non-zero block word becomes a Python
+       int over the word columns those rows touch, the block word lowest;
+       their block words pick an echelon basis of the block, a lead being a
+       block word's lowest one, 64 rows at a time, stopping once it holds as
+       many rows as the block has columns in use.  After 64 rows that were
+       mostly dependent, the rows left that the basis spans are dropped with
+       one numpy pass per lead;
+    2. the basis is reduced at its leads: these are the block's pivot rows;
+    3. every other row with a one at a lead XORs in the pivot rows at its
+       leads, all rows at once (`_combine`), over the pivot rows' words only;
+    4. the pivot rows take rows pr.. in lead order, and the rows they
+       displace take the chosen rows' places.
+
+    The reduced form is unique, so which rows are chosen does not matter.
     """
     r = m._words.copy()
+    flat = r.reshape(-1)
     pivots: list[int] = []
     pr = 0
     for w in range(r.shape[1]):
         if pr == m.rows:
             break
-        block = transpose(BitMatrix(m.rows, _WORD_BITS, np.ascontiguousarray(r[:, w:w + 1])))
-        size = block._words.shape[1] * 8                   # bytes per mask
-        raw = block._words.tobytes()
-        masks = [int.from_bytes(raw[b * size:(b + 1) * size], "little") for b in range(_WORD_BITS)]
-        for b in range(min(_WORD_BITS, m.cols - w * _WORD_BITS)):
-            below = masks[b] >> pr
-            if not below:
-                continue
-            p = pr + (below & -below).bit_length() - 1
-            if p != pr:
-                flip = (1 << p) | (1 << pr)
-                for j in _set_bits(int(r[p, w] ^ r[pr, w])):
-                    masks[j] ^= flip
-                row = r[pr, w:].copy()
-                r[pr, w:] = r[p, w:]
-                r[p, w:] = row
-            clear = masks[b] ^ (1 << pr)
-            if clear:
-                if clear.bit_count() > _FEW_ROWS:
-                    flags = np.frombuffer(clear.to_bytes(size, "little"), dtype=np.uint8)
-                    targets = np.flatnonzero(np.unpackbits(flags, bitorder="little"))
-                else:
-                    targets = list(_set_bits(clear))
-                r[targets, w:] ^= r[pr, w:]
-                for j in _set_bits(int(r[pr, w])):
-                    masks[j] ^= clear
-            pivots.append(w * _WORD_BITS + b)
-            pr += 1
-            if pr == m.rows:
-                break
+        nz = np.flatnonzero(r[:, w])
+        first = int(np.searchsorted(nz, pr))
+        if first == nz.size:
+            continue
+        rows = r[nz[first:], w:]
+        used = np.flatnonzero(rows.any(axis=0))            # words the rows touch; 0 is the block
+        size = used.size * 8
+        raw = np.ascontiguousarray(rows[:, used]).tobytes()
+        rank_bound = int(np.bitwise_or.reduce(rows[:, 0])).bit_count()
+        basis: dict[int, int] = {}                          # lead bit -> row over `used`
+        picked: list[int] = []                              # places in nz of the chosen rows
+        left = np.arange(nz.size - first)                   # rows not yet scanned
+        while left.size and len(picked) < rank_bound:
+            chunk, before = left[:_WORD_BITS], len(picked)
+            for t in chunk.tolist():
+                v = int.from_bytes(raw[t * size : (t + 1) * size], "little")
+                while v & -v in basis:
+                    v ^= basis[v & -v]
+                if v & _WORD_MASK:
+                    basis[v & -v] = v
+                    picked.append(first + t)
+                    if len(picked) == rank_bound:
+                        break
+            left = left[_WORD_BITS:]
+            if left.size and len(picked) < rank_bound and 2 * (len(picked) - before) < chunk.size:
+                # mostly dependent rows: drop, at once, the rows left that the basis spans
+                words = rows[left, 0]
+                for lead in sorted(basis):
+                    words[words & np.uint64(lead) != 0] ^= np.uint64(basis[lead] & _WORD_MASK)
+                left = left[words != 0]
+        lead_mask = sum(basis)
+        for lead in sorted(basis, reverse=True):            # higher leads are reduced already
+            v = basis[lead]
+            x = v & lead_mask ^ lead
+            while x:
+                v ^= basis[x & -x]
+                x &= x - 1
+            basis[lead] = v
+        by_bit = np.frombuffer(
+            b"".join(basis.get(1 << b, 0).to_bytes(size, "little") for b in range(_WORD_BITS)),
+            dtype=np.uint64).reshape(_WORD_BITS, used.size)
+        hit = np.delete(nz, picked)
+        codes = r[hit, w] & np.uint64(lead_mask)
+        hit, codes = hit[codes != 0], codes[codes != 0]
+        if hit.size:
+            support = np.flatnonzero(by_bit.any(axis=0))
+            change = _combine(codes, by_bit[:, support])
+            flat[(hit[:, None] * r.shape[1] + w + used[support]).ravel()] ^= change.ravel()
+        at_leads = [lead.bit_length() - 1 for lead in sorted(basis)]
+        chosen = nz[picked].tolist()
+        k = len(chosen)
+        taken = set(chosen)
+        displaced = [i for i in range(pr, pr + k) if i not in taken]
+        r[[i for i in chosen if i >= pr + k], w:] = r[displaced, w:]
+        r[pr : pr + k, w:] = 0
+        r[pr : pr + k, w + used] = by_bit[at_leads]
+        pivots.extend(w * _WORD_BITS + b for b in at_leads)
+        pr += k
     return RrefResult(
         source=m,
         rref=BitMatrix(m.rows, m.cols, r),
@@ -350,21 +414,25 @@ def add(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.rows, a.cols, a._words ^ b._words)
 
 
-def _transpose_8x8(x: np.ndarray) -> np.ndarray:
-    """Transpose the 8x8 bit block in each word: bit 8r + c moves to 8c + r."""
-    t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AA
-    x = x ^ t ^ (t << 7)
-    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCC
-    x = x ^ t ^ (t << 14)
-    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
-    return x ^ t ^ (t << 28)
+def _transpose_8x8(x: np.ndarray) -> None:
+    """Transpose the 8x8 bit block in each word in place: bit 8r + c moves to 8c + r."""
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
 
 
 def transpose(m: BitMatrix) -> BitMatrix:
     """Transpose on the packed words: 8x8 bit blocks, each one word.
 
     Rows are padded to a multiple of 64 so that each output row fills
-    whole words; the padding bits stay zero.
+    whole words; the padding bits stay zero.  The blocks are transposed
+    as words first, so the closing byte shuffle stays within one block
+    column at a time.
     """
     if m.rows == 0 or m.cols == 0:
         return BitMatrix.zeros(m.cols, m.rows)
@@ -373,10 +441,11 @@ def transpose(m: BitMatrix) -> BitMatrix:
     data = np.zeros((tall, width), dtype=np.uint8)
     data[: m.rows] = np.ascontiguousarray(m._words).view(np.uint8)
     # Block (I, K) holds input rows 8I..8I+7 of byte column K, byte r = row 8I + r.
-    blocks = data.reshape(tall // 8, 8, width).transpose(0, 2, 1).copy().view(np.uint64)
-    flipped = _transpose_8x8(blocks[..., 0]).view(np.uint8)
+    blocks = data.reshape(tall // 8, 8, width).transpose(0, 2, 1).copy().view(np.uint64)[..., 0]
+    _transpose_8x8(blocks)
     # Now byte c of block (I, K) holds column 8K + c of rows 8I..8I+7.
-    out = flipped.reshape(tall // 8, width, 8).transpose(1, 2, 0).reshape(width * 8, tall // 8)
+    columns = np.ascontiguousarray(blocks.T).view(np.uint8).reshape(width, tall // 8, 8)
+    out = columns.transpose(0, 2, 1).reshape(width * 8, tall // 8)
     return BitMatrix(m.cols, m.rows, np.ascontiguousarray(out[: m.cols]).view(np.uint64))
 
 
@@ -434,9 +503,7 @@ def min_weight(stab: BitMatrix, logical: BitMatrix) -> int | None:
     dim, words = rows.shape
     fit = (_TABLE_BYTES // (8 * max(words, 1))).bit_length() - 1
     t = max(1, min(dim, _TABLE_BITS, fit))
-    table = np.zeros((1 << t, words), dtype=np.uint64)
-    for i in range(t):
-        np.bitwise_xor(table[: 1 << i], rows[i], out=table[1 << i : 2 << i])
+    table = _xor_table(rows[:t])
     low_logical = np.arange(1 << t) & ((1 << min(logical.rows, t)) - 1) != 0
     tables = (table[low_logical], table)   # by "the walk holds a logical row"
     best = logical.cols                    # no weight exceeds the width
@@ -453,11 +520,11 @@ def min_weight(stab: BitMatrix, logical: BitMatrix) -> int | None:
     return best
 
 
-def coset_min_weight(checks: RrefResult, stab: RrefResult,
+def coset_min_weight(checks: RrefResult, stab: RrefResult | None = None,
                      budget: int = DEFAULT_BUDGET) -> int | None:
     """Exact minimum weight over kernel(checks.source) outside rowspace(stab.source).
 
-    The one exact-distance entry: a classical code passes an empty stabiliser,
+    The one exact-distance entry: a classical code passes no stabiliser,
     a CSS code calls it once per direction.  Refused before any kernel is built
     when 2^(kernel dimension) exceeds `budget`; None when no vector is outside.
     """
@@ -465,6 +532,9 @@ def coset_min_weight(checks: RrefResult, stab: RrefResult,
     if dim >= budget.bit_length():                     # 2^dim > budget
         raise BudgetError("distance enumeration", dim, budget)
     kernel = checks.kernel
+    # with no stabiliser there is nothing to clear: the kernel basis is the logicals
+    if stab is None or not stab.rank:
+        return min_weight(BitMatrix.zeros(0, kernel.cols), kernel)
     # Clearing the stabiliser pivot columns leaves logical completions that,
     # with the stabiliser basis, span the kernel: commuting checks put the
     # stabilisers inside it.

@@ -1,5 +1,9 @@
 import itertools
 import random
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,31 @@ class TestCosetMinWeight:
         for code in random_small_css_codes(rng, 20):
             dim = code.n - min(code.x_rref.rank, code.z_rref.rank)
             boundary(lambda budget: css_distance(code, budget), dim, css_distance(code))
+
+    def test_hamming_rep3_analyze_reduces_each_matrix_once(self, tmp_path, monkeypatch):
+        # H_X and H_Z, then per classical code H and its kernel's logicals;
+        # with no stabiliser nothing is cleared, so the kernel is not reduced again
+        from qpc import cli, gf2
+
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        original = gf2.rref
+        shapes = []
+
+        def counted(m):
+            shapes.append(m.shape)
+            return original(m)
+
+        monkeypatch.chdir(tmp_path)
+        codes = ["--c1", str(fixtures / "hamming74.pcm"), "--c2", str(fixtures / "rep3.pcm")]
+        with redirect_stdout(StringIO()):
+            assert cli.main(["construct", "hgp", *codes, "--out-prefix", "ham"]) == 0
+            for module in map(sys.modules.get, [n for n in sys.modules if n.startswith("qpc.")]):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
+            analyze = ["analyze", "--hx", "ham.hx.alist", "--hz", "ham.hz.alist", *codes]
+            assert cli.main(analyze) == 0
+        assert len(shapes) == 8, shapes
 
 
 class TestCommutation:

@@ -19,7 +19,8 @@ from qpc.gf2 import (
     transpose,
     vstack,
 )
-from qpc.products import hgp
+from qpc.groups import FiniteGroup, GroupAlgebraMatrix
+from qpc.products import hgp, lifted_product
 
 # Circulant parity check of the 3-bit repetition code; its rows sum to zero.
 CIRC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -425,6 +426,37 @@ def oracle_shapes():
     return [BitMatrix.from_dense(d.astype(np.uint8)) for d in out]
 
 
+def block_edge_cases():
+    """Seeded matrices at the edges of block elimination, each tried against the oracle."""
+    rng = np.random.default_rng(127)
+    group = FiniteGroup.cyclic(127)
+    ring = lambda: GroupAlgebraMatrix.from_masks(  # noqa: E731  two-term entries over Z127
+        group, [[sum(1 << int(e) for e in rng.choice(127, 2, replace=False)) for _ in range(3)]
+                for _ in range(2)])
+    lifted = lifted_product(ring(), ring())
+    out = [lifted.h_x, lifted.h_z]                       # 762 x 1651 each
+    gaps = rng.random((150, 320)) < 0.5
+    gaps[:, 64:192] = False                             # zero word blocks between non-zero ones
+    gaps[:, 256:] &= rng.random((150, 64)) < 0.05
+    out.append(gaps)
+    sparse = np.zeros((90, 400), dtype=bool)
+    sparse[rng.integers(0, 90, 30), rng.integers(0, 400, 30)] = True
+    sparse[:, 130:260] = False
+    out.append(sparse)
+    # 200 rows active in block 0 with rank 40 there, then random blocks
+    low_rank = (rng.integers(0, 2, (200, 40)) @ rng.integers(0, 2, (40, 64))) % 2
+    out.append(np.hstack([low_rank, rng.random((200, 100)) < 0.5]))
+    out.append(np.hstack([low_rank[:, :50], np.zeros((200, 100)), low_rank]))
+    # block 0: 100 rows of rank 10, then 200 rows adding rank 20, so rows survive the span filter
+    first, later = (rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, 64)) % 2
+                    for rows, rank in ((100, 10), (200, 20)))
+    out.append(np.hstack([np.vstack([first, later]), rng.random((300, 80)) < 0.5]))
+    for shape in ((300, 700), (700, 300), (500, 1000), (129, 1000)):
+        out.append(rng.random(shape) < 0.5)
+    return [m if isinstance(m, BitMatrix) else BitMatrix.from_dense(m.astype(np.uint8))
+            for m in out]
+
+
 class TestAgainstOracles:
     def test_rref_matches_per_column_loop(self):
         for m in oracle_shapes():
@@ -435,13 +467,24 @@ class TestAgainstOracles:
             assert res.rank == len(pivots)
 
     def test_rref_of_toric_code_matches(self):
-        # 1600 x 3200: many word blocks, few rows cleared per pivot, many swaps
+        # 1600 x 3200: many word blocks, few rows cleared per pivot, many swaps;
+        # H_Z's cyclic I (x) H2 blocks combine into dense pivot rows
         code = ClassicalCode(repetition_check(40))
-        h_x = hgp(code, code).h_x
-        res = rref(h_x)
-        words, pivots = oracle_rref(h_x)
-        assert np.array_equal(res.rref._words, words)
-        assert res.pivot_cols == pivots
+        product = hgp(code, code)
+        for h in (product.h_x, product.h_z):
+            res = rref(h)
+            words, pivots = oracle_rref(h)
+            assert np.array_equal(res.rref._words, words)
+            assert res.pivot_cols == pivots
+            assert transpose(h) == BitMatrix.from_dense(h.to_dense().T)
+
+    def test_rref_of_block_edge_cases_matches(self):
+        for m in block_edge_cases():
+            res = rref(m)
+            words, pivots = oracle_rref(m)
+            assert np.array_equal(res.rref._words, words), m.shape
+            assert res.pivot_cols == pivots, m.shape
+            assert transpose(m) == BitMatrix.from_dense(m.to_dense().T), m.shape
 
     @pytest.mark.parametrize("cap", [8, 64, 1000, gf2._GATHER_BYTES])
     def test_matmul_matches_dense_rows(self, monkeypatch, cap):
