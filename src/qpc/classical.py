@@ -11,17 +11,22 @@ than estimated.
 
 The plain PCM and alist codecs handle the whole matrix at once.  The PCM
 emitter fills one byte array; the alist emitter finds all entries with one
-np.nonzero.  Each parser tokenises its file once and checks every line
-with numpy, naming the same line and giving the same message as a
-line-by-line reader would.
+np.nonzero.  The PCM parser accepts a file in a few whole-file passes
+(one bytes.translate deletes the spaces, the line ends give the rows, one
+strided gather takes them) and reads a refused file line by line; the
+alist parser tokenises its file once and checks every line with numpy.
+Both name the same line and give the same message as a line-by-line
+reader would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, PreconditionError, read_file
 from .gf2 import DEFAULT_BUDGET, BitMatrix, RrefResult, coset_min_weight, rref, transpose
@@ -132,6 +137,9 @@ class ClassicalCode:
 _SPACE = np.zeros(0x110000, dtype=bool)
 _SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
         *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
+# PCM text: "\r\n" and every line break str.splitlines() knows become "\n", other spaces " ".
+_PCM_NORMAL = [("\r\n", "\n")] + [(chr(c), "\n" if len(f"a{chr(c)}a".splitlines()) == 2 else " ")
+                                  for c in np.flatnonzero(_SPACE).tolist() if c not in (10, 32)]
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -143,10 +151,46 @@ def _code_points(text: str) -> np.ndarray:
 def parse_pcm_text(text: str) -> BitMatrix:
     """Plain format: first line "m n", then m lines of n space-separated 0/1.
 
-    Blank lines are skipped and lines after the m-th row are ignored.
+    Blank lines are skipped and lines after the m-th row are ignored.  A
+    few whole-file passes accept a file; `_pcm_error` names a refused one.
     """
+    for char, normal in _PCM_NORMAL:  # lines and tokens stay, so `_pcm_error` reads the result
+        if char[0] in text:  # one character: a fast scan
+            text = text.replace(char, normal)
+    text += "" if text[-1:] in ("", "\n") else "\n"  # every line ends in "\n"
+    start = len(text) - len(text.lstrip())
+    end = text.find("\n", start)  # the header line's end
+    try:
+        m, n = map(int, text[start:end].split())
+    except ValueError:
+        return _pcm_error(text)
+    if m < 0 or not 0 <= n <= np.iinfo(np.intp).max:
+        return _pcm_error(text)
+    data = text.encode("ascii", "replace")  # one byte per character, "?" past ASCII
+    solid = np.frombuffer(data.translate(None, b" "), dtype=np.uint8)
+    ends = np.flatnonzero(solid == ord("\n"))
+    width = np.diff(ends, prepend=-1) - 1  # non-space characters per line
+    # rows are the first m non-blank lines after the header; with n = 0, the next m lines
+    top = text.count("\n", 0, end) + 1
+    rows = top + (np.flatnonzero(width[top:])[:m] if n else np.arange(min(m, width.size - top)))
+    if rows.size < m or (width[rows] != n).any():
+        return _pcm_error(text)
+    if not (m and n):
+        return BitMatrix.zeros(m, n)
+    entries = sliding_window_view(solid, n)[ends[rows] - n]
+    # entries are single characters: the first two that touch lie past row m
+    codes = np.frombuffer(data, dtype=np.uint8)
+    pair = np.minimum(codes[end + 1:], codes[end:-1])
+    if entries.min() < ord("0") or entries.max() > ord("1") or pair.max() > ord(" ") and (
+            data.count(b"\n", 0, end + int(np.argmax(pair > ord(" ")))) <= rows[-1]):
+        return _pcm_error(text)
+    return BitMatrix.from_dense(entries)
+
+
+def _pcm_error(text: str) -> NoReturn:
+    """Raise for a refused PCM text, read line by line: its first bad line, else the width."""
     lines = text.splitlines()
-    idx = _next_content_line(lines, 0)
+    idx = _next_line(lines, 0)
     header = lines[idx].split()
     if len(header) != 2:
         raise FormatError("expected header 'm n'", idx + 1)
@@ -156,33 +200,14 @@ def parse_pcm_text(text: str) -> BitMatrix:
         raise FormatError("expected integer header 'm n'", idx + 1) from None
     if m < 0 or n < 0:
         raise FormatError("expected non-negative header 'm n'", idx + 1)
-    if n == 0:
+    pos = idx
+    for _ in range(m):
         # a row without entries is an empty line: the m lines after the header
-        rows = lines[idx + 1: idx + 1 + m]
-        for i, row in enumerate(rows, start=idx + 2):
-            if row.strip():
-                raise FormatError("expected 0 entries of 0/1", i)
-        if len(rows) < m:
-            raise FormatError("unexpected end of file", len(lines))
-        return BitMatrix.zeros(m, 0)
-    rows = [i for i in range(idx + 1, len(lines)) if lines[i].strip()][:m]
-    codes = _code_points("\n".join(lines[i] for i in rows))
-    word = ~_SPACE[codes]
-    if rows:
-        # A row is good when it holds exactly n one-character tokens 0 or 1.
-        bad = word & (codes != ord("0")) & (codes != ord("1"))
-        bad[1:] |= word[1:] & word[:-1]
-        starts = np.cumsum([0] + [len(lines[i]) + 1 for i in rows[:-1]])
-        chars = np.add.reduceat(word, starts, dtype=np.int64)
-        good = (chars == n) & ~np.logical_or.reduceat(bad, starts)
-        if not good.all():
-            first = rows[int(np.argmin(good))]
-            raise FormatError(f"expected {n} entries of 0/1", first + 1)
-    if len(rows) < m:
-        raise FormatError("unexpected end of file", len(lines))
-    if n > np.iinfo(np.intp).max:
-        raise FormatError("header 'm n' exceeds the largest array dimension", idx + 1)
-    return BitMatrix.from_dense((codes[word] - ord("0")).reshape(m, n))
+        pos = _next_line(lines, pos + 1, blank=n == 0)
+        fields = lines[pos].split()
+        if len(fields) != n or not set(fields) <= {"0", "1"}:
+            raise FormatError(f"expected {n} entries of 0/1", pos + 1)
+    raise FormatError("header 'm n' exceeds the largest array dimension", idx + 1)
 
 
 def emit_pcm_text(h: BitMatrix) -> str:
@@ -356,9 +381,9 @@ def emit_alist(h: BitMatrix) -> str:
     ])
 
 
-def _next_content_line(lines: list[str], start: int) -> int:
+def _next_line(lines: list[str], start: int, blank: bool = False) -> int:
     for idx in range(start, len(lines)):
-        if lines[idx].strip():
+        if blank or lines[idx].strip():
             return idx
     raise FormatError("unexpected end of file", len(lines))
 

@@ -79,7 +79,7 @@ class BitMatrix:
         dense = np.atleast_2d(np.asarray(array))
         if dense.ndim != 2:
             raise DimensionError(f"expected 2-D input, got shape {dense.shape}")
-        dense = (dense.astype(np.uint8) & 1).astype(np.uint8)
+        dense = dense.astype(np.uint8, copy=False) & 1
         rows, cols = dense.shape
         nw = _word_count(cols)
         if rows == 0 or cols == 0:

@@ -26,6 +26,10 @@ from .errors import DimensionError, FormatError, PreconditionError, read_file
 from .gf2 import BitMatrix
 
 
+# Z<l> and Z<a>xZ<b> build their l x l int64 table (32 MiB here, ~200 MB to check it).
+MAX_GROUP_ORDER = 2048
+
+
 class FiniteGroup:
     """Finite group as an explicit l x l multiplication table, identity 0."""
 
@@ -199,6 +203,8 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         factors = None
     if factors is None or 8 * math.prod(factors) ** 2 > np.iinfo(np.intp).max:
         raise FormatError("group table would exceed the largest array size")
+    if (order := math.prod(factors)) > MAX_GROUP_ORDER:
+        raise FormatError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
     if len(factors) == 2:
         return FiniteGroup.direct_product(*factors)
     return FiniteGroup.cyclic(*factors)

@@ -22,6 +22,8 @@ from .errors import FormatError, PreconditionError, load_object, typed_list
 SCHEMA_VERSION = "qpc-layout/1"
 PAULI_COLORS = {"Z": "red", "Y": "green", "X": "blue"}
 ROLE_ORDER = ("x", "z", "q1", "q2")
+# A graph file names its part sizes without listing the vertices: a line layout is capped.
+MAX_LINE_LAYOUT_VERTICES = 2**20
 
 
 class CoordinateTable:
@@ -247,6 +249,9 @@ def line_layout_table(graph) -> CoordinateTable:
 
     if not isinstance(graph, TannerGraph):
         raise PreconditionError("line layout needs a Tanner graph")
+    if (vertices := graph.check_count + graph.bit_count) > MAX_LINE_LAYOUT_VERTICES:
+        raise PreconditionError(
+            f"line layout of {vertices} vertices exceeds the limit {MAX_LINE_LAYOUT_VERTICES}")
     edges = tuple(
         (("x", c), ("q1", b)) for (c, b) in sorted(graph.edges)
     )

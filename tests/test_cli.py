@@ -20,12 +20,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(cwd, *argv):
-    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+def run_process(cwd, *argv, address_space: int | None = None):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr.
+
+    With `address_space`, the child's RLIMIT_AS is capped at that many bytes.
+    """
+    env, limit = {**os.environ, "PYTHONPATH": str(SRC)}, None
+    if address_space is not None:
+        resource = pytest.importorskip("resource")
+        env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread BLAS buffers count against the cap
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "qpc.cli", *map(str, argv)],
-        cwd=cwd, capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        cwd=cwd, capture_output=True, text=True, timeout=120, preexec_fn=limit, env=env,
     )
 
 
@@ -617,6 +627,35 @@ class TestVerify:
         assert code == 2
         assert "free: False" in out
         assert "free_witness" in out and "3" in out
+
+
+class TestResourceTraps:
+    """A header that names a huge size is refused before anything that size is built.
+
+    Each command runs in a child capped at 512 MiB of address space, so a
+    refusal that comes too late ends there in a MemoryError and a traceback,
+    and never takes the memory of the host.
+    """
+
+    CAP = 512 * 2**20
+
+    @pytest.mark.parametrize("spec, order", [
+        ("Z100000", 100000), ("Z1000xZ1000", 1000000), ("Z2049", 2049), ("Z2xZ1025", 2050),
+    ])
+    def test_group_past_the_order_limit_exits_1(self, tmp_path, spec, order):
+        (tmp_path / "big.ring").write_text(f"1 1 group={spec}\n1\n")
+        proc = run_process(tmp_path, "construct", "lp", "--m1", "big.ring", "--m2", "big.ring",
+                           "--out-prefix", "lp", address_space=self.CAP)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: big.ring: group order {order} exceeds the limit 2048\n"
+
+    def test_line_layout_past_the_vertex_limit_exits_2(self, tmp_path):
+        (tmp_path / "huge.graph").write_text("checks 1000000000000 bits 1\n")
+        proc = run_process(tmp_path, "layout", "--graph", "huge.graph", "--format", "svg",
+                           address_space=self.CAP)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("precondition violated: line layout of 1000000000001 vertices"
+                               " exceeds the limit 1048576\n")
 
 
 class TestUsageErrors:

@@ -428,3 +428,77 @@ class TestParsers:
     ])
     def test_alist_edge_cases_match_oracle(self, text):
         assert outcome(parse_alist, text) == outcome(oracle_parse_alist, text)
+
+
+class TestLargePcm:
+    """One seeded 400 x 1000 file, read whole by the parser and line by line by the oracle.
+
+    The short files above stop at 9 rows, so a check that names the wrong
+    row of a long file would pass them; these corruptions land on every
+    part of the file.
+    """
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        dense = np.random.default_rng(8101).random((400, 1000)) < 0.3
+        h = BitMatrix.from_dense(dense)
+        return h, emit_pcm_text(h)
+
+    @staticmethod
+    def variants(text: str, rng: random.Random) -> dict[str, str]:
+        head, *rows = text.splitlines()
+
+        def spaced(row: str) -> str:
+            return rng.choice(["\t", "   ", " \t "]).join(row.split(" "))
+
+        def blanks() -> str:
+            return "".join(rng.choice(["", "  ", "\t \t"]) + "\n" for _ in range(rng.randint(0, 2)))
+
+        def with_separator(k: int, sep: str) -> str:
+            entries = rows[k].split(" ")
+            return " ".join(entries[:500]) + sep + " ".join(entries[500:])
+
+        breaks = ["\n", "\r\n", "\r", "\x0b", "\x1e", "\u2028"]
+        return {
+            "spacing": head + "\n" + "".join(blanks() + spaced(r) + "\n" for r in rows),
+            "breaks": "".join(ln + rng.choice(breaks) for ln in [head, *rows])
+                      + "1 1\nextra \xe9 rows after m\n0\n",
+            # a no-break space between entries of row 390, a line separator after row 394
+            "late unicode": "\n".join([head, *rows[:390], with_separator(390, "\xa0"),
+                                       *rows[391:395]]) + "\u2028" + "\n".join(rows[395:]),
+            # bad rows near the end, which a check over the first rows would miss
+            "late split": "\n".join([head, *rows[:398], with_separator(398, "\u2028"),
+                                     *rows[399:]]),
+            "late glued entries": "\n".join([head, *rows[:397], rows[397].replace(" ", "", 1),
+                                             *rows[398:]]),
+            "late long row": "\n".join([head, *rows[:396], rows[396] + " 1", *rows[397:]]),
+            "late short row": "\n".join([head, *rows[:399], rows[399][2:]]),
+        }
+
+    def test_layout_variants_match_oracle(self, large):
+        h, text = large
+        got = {}
+        for name, variant in self.variants(text, random.Random(8103)).items():
+            got[name] = outcome(parse_pcm_text, variant)
+            assert got[name] == outcome(oracle_parse_pcm_text, variant), name
+        for name, line in (("late split", 400), ("late glued entries", 399),
+                           ("late long row", 398), ("late short row", 401)):
+            assert got.pop(name) == ("error", line, f"line {line}: expected 1000 entries of 0/1")
+        assert set(got.values()) == {("matrix", h)}
+
+    def test_mutations_match_oracle(self, large):
+        h, text = large
+        rng = random.Random(8107)
+        spacing = self.variants(text, random.Random(8109))["spacing"]
+        bad_lines = []
+        for source, count in ((text, 24), (spacing, 6)):
+            while count:
+                bad = mutate(rng, source)
+                if negative_pcm_header(bad):
+                    continue
+                want = outcome(oracle_parse_pcm_text, bad)
+                assert outcome(parse_pcm_text, bad) == want, want
+                bad_lines += [want[1]] if want[0] == "error" else []
+                count -= 1
+        # the corruptions reach both ends of the file
+        assert min(bad_lines) < 100 and max(bad_lines) > 300, bad_lines

@@ -9,6 +9,7 @@ import pytest
 from qpc.errors import FormatError, PreconditionError
 from qpc.gf2 import BitMatrix, add, matmul, transpose
 from qpc.groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupAlgebraElement,
     GroupAlgebraMatrix,
@@ -358,6 +359,12 @@ class TestRingMatrixFormat:
     def test_group_beyond_the_largest_array_is_refused(self, spec):
         with pytest.raises(FormatError, match="^group table would exceed the largest array size$"):
             parse_group_spec(spec)
+
+    def test_group_order_limit(self):
+        assert parse_group_spec(f"Z32xZ{MAX_GROUP_ORDER // 32}").order == MAX_GROUP_ORDER
+        for spec in (f"Z{MAX_GROUP_ORDER + 1}", f"Z2xZ{MAX_GROUP_ORDER // 2 + 1}"):
+            with pytest.raises(FormatError, match=f"exceeds the limit {MAX_GROUP_ORDER}$"):
+                parse_group_spec(spec)
 
     def test_negative_dimensions_refused(self):
         for header in ("-1 1", "1 -1"):

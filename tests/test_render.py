@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from qpc.errors import FormatError, PreconditionError
 from qpc.groups import FiniteGroup, GroupAlgebraMatrix, parse_element
 from qpc.products import CoordinateTable, hgp, lifted_product
 from qpc.render import (
+    ROLE_ORDER,
     Oblique,
     OperatorOverlay,
     RenderSpec,
@@ -94,6 +96,36 @@ class TestJson:
         }
         with pytest.raises(FormatError):
             parse_layout(json.dumps(payload))
+
+    @pytest.mark.parametrize("kind", ["2d", "3d"])
+    def test_seeded_layouts_round_trip_byte_identical(self, kind):
+        # Distinct integer coordinates in four families of 0-6 vertices each,
+        # edges between any listed vertices and up to two overlays.
+        rng = random.Random(71 + len(kind))
+        width = 2 if kind == "2d" else 3
+        for _ in range(60):
+            sizes = [rng.randrange(7) for _ in ROLE_ORDER]
+            box = [tuple(rng.randrange(-5, 6) for _ in range(width)) for _ in range(80)]
+            coords = iter(rng.sample(sorted(set(box)), sum(sizes)))
+            families = [tuple(next(coords) for _ in range(size)) for size in sizes]
+            listed = [(role, i) for role, size in zip(ROLE_ORDER, sizes) for i in range(size)]
+            count = rng.randrange(6) if len(listed) > 1 else 0
+            edges = tuple(tuple(rng.sample(listed, 2)) for _ in range(count))
+            table = CoordinateTable(kind, *families, edges=edges)
+            qubits = range(sizes[2] + sizes[3])
+            overlays = tuple(
+                OperatorOverlay(tuple((q, rng.choice("XYZ"))
+                                      for q in sorted(rng.sample(qubits, len(qubits) // 2))))
+                for _ in range(rng.randrange(3)))
+            spec = RenderSpec(include_edges=rng.random() < 0.5)
+            doc = emit(table, spec, overlays, "json")
+            back, back_overlays = parse_layout(doc)
+            assert emit(back, spec, back_overlays, "json") == doc
+            # the vertex list in any order reads back to the same file
+            data = json.loads(doc)
+            rng.shuffle(data["vertices"])
+            back, back_overlays = parse_layout(json.dumps(data))
+            assert emit(back, spec, back_overlays, "json") == doc
 
 
 class TestProjection:

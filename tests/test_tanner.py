@@ -496,6 +496,32 @@ class TestGraphProperties:
                 assert len(layout.classes) == q.check_count + q.bit_count
                 assert q.edge_count() * group.order == graph.edge_count()
 
+    @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z5", "Z2xZ2", "Z2xZ3"])
+    def test_action_emit_parse_round_trip(self, spec):
+        # Deck actions of seeded lifts, each carried to a seeded relabelling
+        # of its graph: p'[sigma[v]] = sigma[p[v]] in every part.
+        group = parse_group_spec(spec)
+        rng = random.Random(909)
+        for _ in range(6):
+            lifts = lift_with_regular_actions(random_ring_matrix(rng, group, False),
+                                              random_ring_matrix(rng, group, False))
+            for graph, action in zip(lifts[:2], lifts[2:]):
+                sigma = {part: np.array(rng.sample(range(size), size), dtype=np.int64)
+                         for part, size in graph.part_sizes().items()}
+                relabelled = TannerGraph(graph.check_count, graph.bit_count, [
+                    (int(sigma["check"][c]), int(sigma["bit"][b]))
+                    for (c, b), mult in graph.edges.items() for _ in range(mult)])
+                perms = {}
+                for part, p in action.perms.items():
+                    perms[part] = np.empty_like(p)
+                    perms[part][:, sigma[part]] = sigma[part][p]
+                moved = GroupAction(group, relabelled, perms)
+                text = emit_action(moved)
+                back = parse_action(text, relabelled)
+                for part in moved.parts():
+                    assert np.array_equal(back.perms[part], moved.perms[part])
+                assert emit_action(back) == text
+
 
 @pytest.mark.parametrize("header", [
     "checks 99999999999999999999 bits 1", "checks 1 bits -1", "vertices -2",
