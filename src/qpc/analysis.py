@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 
 from .classical import ClassicalCode
 from .errors import PreconditionError
-from .gf2 import (DEFAULT_BUDGET, BitMatrix, coset_min_weight, hstack, kron, matmul, rank,
-                  transpose, vstack)
+from .gf2 import (DEFAULT_BUDGET, BitMatrix, coset_min_weight, hstack, kron, matmul_t, rank,
+                  vstack)
 from .products import CSSCode, balanced_product, lift_with_regular_actions, lifted_product
 
 if TYPE_CHECKING:
@@ -48,7 +48,7 @@ class LogicalBasis:
 
 def check_commutation(code: CSSCode) -> tuple[bool, list[tuple[int, int]]]:
     """True iff H_X H_Z^T = 0; otherwise every anticommuting pair is listed."""
-    product = matmul(code.h_x, transpose(code.h_z))
+    product = matmul_t(code.h_x, code.h_z)
     if product.is_zero():
         return True, []
     rows, cols = product.nonzero()
@@ -145,7 +145,7 @@ def hgp_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBasis
                       hstack(BitMatrix.zeros(q2.rows, q1.cols), q2))
 
     x_logicals, z_logicals = place(x_q1, x_q2), place(z_q1, z_q2)
-    basis = LogicalBasis(x_logicals, z_logicals, matmul(x_logicals, transpose(z_logicals)))
+    basis = LogicalBasis(x_logicals, z_logicals, matmul_t(x_logicals, z_logicals))
     if basis.pairing != BitMatrix.identity(x_logicals.rows):
         raise AssertionError("canonical logical pairing failed to reduce to identity")
     return basis
@@ -153,9 +153,9 @@ def hgp_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBasis
 
 def verify_logical_basis(code: CSSCode, basis: LogicalBasis) -> None:
     """Kernel membership and stabiliser-independence of every representative."""
-    if not matmul(code.h_z, transpose(basis.x_logicals)).is_zero():
+    if not matmul_t(code.h_z, basis.x_logicals).is_zero():
         raise AssertionError("an X logical leaves kernel(H_Z)")
-    if not matmul(code.h_x, transpose(basis.z_logicals)).is_zero():
+    if not matmul_t(code.h_x, basis.z_logicals).is_zero():
         raise AssertionError("a Z logical leaves kernel(H_X)")
     k = basis.x_logicals.rows
     if rank(vstack(code.h_x, basis.x_logicals)) != code.x_rref.rank + k:

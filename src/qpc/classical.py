@@ -11,12 +11,14 @@ than estimated.
 
 The plain PCM and alist codecs handle the whole matrix at once.  The PCM
 emitter fills one byte array; the alist emitter finds all entries with one
-np.nonzero.  The PCM parser accepts a file in a few whole-file passes
-(one bytes.translate deletes the spaces, the line ends give the rows, one
-strided gather takes them) and reads a refused file line by line; the
-alist parser tokenises its file once and checks every line with numpy.
-Both name the same line and give the same message as a line-by-line
-reader would.
+np.nonzero.  Both parsers accept a file in a few whole-file passes over
+its bytes, and read a refused file line by line, naming the same line
+with the same message as a line-by-line reader would.  The PCM parser
+deletes the spaces with one bytes.translate, finds the rows at the line
+ends and takes them with one strided gather.  The alist parser finds its
+tokens and their lines with flatnonzero and searchsorted, reads their
+values from the digits, one place value per pass, and checks every list
+with numpy.
 """
 
 from __future__ import annotations
@@ -137,15 +139,17 @@ class ClassicalCode:
 _SPACE = np.zeros(0x110000, dtype=bool)
 _SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
         *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
-# PCM text: "\r\n" and every line break str.splitlines() knows become "\n", other spaces " ".
-_PCM_NORMAL = [("\r\n", "\n")] + [(chr(c), "\n" if len(f"a{chr(c)}a".splitlines()) == 2 else " ")
-                                  for c in np.flatnonzero(_SPACE).tolist() if c not in (10, 32)]
+# "\r\n" and every line break str.splitlines() knows become "\n", other spaces " ".
+_NORMAL = [("\r\n", "\n")] + [(chr(c), "\n" if len(f"a{chr(c)}a".splitlines()) == 2 else " ")
+                              for c in np.flatnonzero(_SPACE).tolist() if c not in (10, 32)]
 
 
-def _code_points(text: str) -> np.ndarray:
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+def _normalised(text: str) -> str:
+    """The text with the same lines and tokens, and only "\n" and " " as whitespace."""
+    for char, normal in _NORMAL:
+        if char[0] in text:  # one character: a fast scan
+            text = text.replace(char, normal)
+    return text
 
 
 def parse_pcm_text(text: str) -> BitMatrix:
@@ -154,9 +158,7 @@ def parse_pcm_text(text: str) -> BitMatrix:
     Blank lines are skipped and lines after the m-th row are ignored.  A
     few whole-file passes accept a file; `_pcm_error` names a refused one.
     """
-    for char, normal in _PCM_NORMAL:  # lines and tokens stay, so `_pcm_error` reads the result
-        if char[0] in text:  # one character: a fast scan
-            text = text.replace(char, normal)
+    text = _normalised(text)  # lines and tokens stay, so `_pcm_error` reads the result
     text += "" if text[-1:] in ("", "\n") else "\n"  # every line ends in "\n"
     start = len(text) - len(text.lstrip())
     end = text.find("\n", start)  # the header line's end
@@ -217,132 +219,147 @@ def emit_pcm_text(h: BitMatrix) -> str:
     return f"{h.rows} {h.cols}\n" + body.tobytes().decode("ascii")
 
 
-def _int64(values: list[int]) -> np.ndarray:
-    """The values as int64, with -1 for any that int64 cannot hold."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array([v if -(2**63) <= v < 2**63 else -1 for v in values], dtype=np.int64)
-
-
-def _parse_ints(words: list[str]) -> tuple[list, np.ndarray]:
-    """int() of each word (0 where int() refuses it) and the mask of refused words."""
-    try:
-        return list(map(int, words)), np.zeros(len(words), dtype=bool)
-    except ValueError:
-        pass
-    values, refused = [], []
-    for w in words:
-        try:
-            values.append(int(w))
-            refused.append(False)
-        except ValueError:
-            values.append(0)
-            refused.append(True)
-    return values, np.array(refused, dtype=bool)
-
-
 def parse_alist(text: str) -> BitMatrix:
-    """MacKay alist format, 1-indexed, zero-padded adjacency lists allowed."""
-    lines = text.splitlines()
-    body = "\n".join(lines)
-    words = body.split()
-    codes = _code_points(body)
-    edges = np.diff((~_SPACE[codes]).view(np.int8), prepend=0, append=0)
-    token_at = np.flatnonzero(edges == 1)
-    token_len = np.flatnonzero(edges == -1) - token_at
-    token_line = np.cumsum(codes == ord("\n"))[token_at]
-    # Content lines (those holding a token) in order, with their token ranges.
-    content, per_line = np.unique(token_line, return_counts=True)
-    ends = np.cumsum(per_line)
+    """MacKay alist format, read in a few whole-file passes.
 
-    def line_no(k: int) -> int:
-        return int(content[k]) + 1
-
-    def line_words(k: int) -> list[str]:
-        return words[ends[k] - per_line[k]: ends[k]]
-
-    # A list of no entries is an empty line, so a 0 x 0 matrix has only the
-    # header and the maximum degrees.
-    if content.size < 4 and not (content.size > 1 and line_words(0) == ["0", "0"]):
-        raise FormatError("alist needs header, degree lists and adjacency lists")
-    header = line_words(0)
-    if len(header) != 2:
-        raise FormatError("expected alist header 'n m'", line_no(0))
+    Tokens are split at any whitespace and lines at any line break that
+    str.split() and str.splitlines() know; blank lines are skipped.  The
+    other lines are, in order: the header "n m"; the largest column and
+    row degrees (0 for no entries); the n column degrees; the m row
+    degrees; n column lists of 1-indexed checks; m row lists of 1-indexed
+    bits.  The degree line of zero columns or rows takes no line; "0"
+    pads a list, so a list of no entries is a line of "0"s.  A token is an
+    integer as int() reads it.  Each list holds as many entries as its
+    degree says, each in range, and each row entry is in the column lists;
+    lines after the last list are ignored.
+    `_alist_error` reads a refused file line by line and names its first
+    bad line.
+    """
+    text = _normalised(text)
+    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    edge = np.flatnonzero(np.diff((data != ord(" ")) & (data != ord("\n")),
+                                  prepend=False, append=False))
+    start, stop = edge[::2], edge[1::2]
+    # tokens per line, then per non-blank line, and each non-blank line's first token
+    count = np.diff(np.searchsorted(start, np.flatnonzero(data == ord("\n"))),
+                    prepend=0, append=start.size)
+    count = count[count > 0]
+    head = np.cumsum(count) - count
+    if not head.size or count[0] != 2:
+        return _alist_error(text)
+    header = [text[s:e] for s, e in zip(start[:2].tolist(), stop[:2].tolist())]
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = map(int, header)
     except ValueError:
-        raise FormatError("expected integer header 'n m'", line_no(0)) from None
+        return _alist_error(text)
+    top = 2 + (n > 0) + (m > 0)  # the first list's line
+    if ((head.size < 4 and header != ["0", "0"]) or min(n, m) < 0 or head.size < top + n + m
+            or count[1:top].tolist() != [2] + [n] * (n > 0) + [m] * (m > 0)):
+        return _alist_error(text)
+    # tokens from line 2 to the last list, and from the first list on
+    read = slice(head[1], head[top + n + m] if head.size > top + n + m else start.size)
+    lists = slice(head[top] if n + m else read.stop, read.stop)
+    value = _integers(text, data, start[read], stop[read])
+    if value is None:
+        return _alist_error(text)
+    degree, entry = value[2: 2 + n + m], value[lists.start - read.start:]
+    largest = [int(degree[:n].max()) if n else 0, int(degree[n:].max()) if m else 0]
+    owner = np.repeat(np.arange(n + m), count[top: top + n + m])
+    live = (stop[lists] - start[lists] != 1) | (data[start[lists]] != ord("0"))
+    if (value[:2].tolist() != largest
+            or (np.bincount(owner[live], minlength=n + m) != degree).any()
+            or ((entry < 1) | (entry > np.where(owner < n, m, n)))[live].any()):
+        return _alist_error(text)
+    col, row = live & (owner < n), live & (owner >= n)
+    h = BitMatrix.from_entries(m, n, entry[col] - 1, owner[col])
+    if not h.entries(owner[row] - n, entry[row] - 1).all():
+        return _alist_error(text)
+    return h
 
-    def degree_list(k, count, what):
-        tokens = line_words(k)
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _integers(text: str, data: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """int() of each token as int64, or None when int() or int64 refuses one.
+
+    Tokens of at most 18 digits are read from their bytes, all at once,
+    one place value per pass; any other token goes through int().
+    """
+    length = stop - start
+    value = np.zeros(start.size, dtype=np.int64)
+    odd = length > 18
+    for p in range(min(int(length.max()), 18)):
+        has = length > p
+        digit = data[stop - 1 - p] - np.uint8(ord("0"))  # other bytes land past 9
+        odd |= has & (digit > 9)
+        value += np.where(has, digit, 0) * _POW10[p]
+    for t in np.flatnonzero(odd).tolist():
+        try:
+            value[t] = int(text[start[t]:stop[t]])
+        except (ValueError, OverflowError):  # not an integer, or beyond int64
+            return None
+    return value
+
+
+def _alist_error(text: str) -> NoReturn:
+    """Raise for a refused alist text, read line by line: the error of its first bad line."""
+    content = [(k + 1, line.split()) for k, line in enumerate(text.splitlines()) if line.strip()]
+    if len(content) < 4 and not (len(content) > 1 and content[0][1] == ["0", "0"]):
+        raise FormatError("alist needs header, degree lists and adjacency lists")
+    lines = iter(content)
+
+    def take() -> tuple[int, list[str]]:
+        item = next(lines, None)
+        if item is None:
+            raise FormatError("unexpected end of alist")
+        return item
+
+    ln, header = take()
+    if len(header) != 2:
+        raise FormatError("expected alist header 'n m'", ln)
+    try:
+        n, m = map(int, header)
+    except ValueError:
+        raise FormatError("expected integer header 'n m'", ln) from None
+
+    def degrees(count: int, what: str) -> list[int]:
+        ln, tokens = take()
         if len(tokens) != count:
-            raise FormatError(f"expected {count} {what} degrees", line_no(k))
+            raise FormatError(f"expected {count} {what} degrees", ln)
         try:
             return list(map(int, tokens))
         except ValueError:
-            raise FormatError(f"{what} degrees must be integers", line_no(k)) from None
+            raise FormatError(f"{what} degrees must be integers", ln) from None
 
-    # Line 2 holds the largest column and row degrees (0 for no entries).  Degree
-    # lists of no entries are empty lines too, and take no content line.
-    max_deg = degree_list(1, 2, "maximum")
-    col_deg = degree_list(2, n, "column") if n else []
-    row_deg = degree_list(2 + (n > 0), m, "row") if m else []
+    max_deg = degrees(2, "maximum")
+    col_deg = degrees(n, "column") if n else []
+    row_deg = degrees(m, "row") if m else []
     largest = [max(col_deg, default=0), max(row_deg, default=0)]
     if max_deg != largest:
         raise FormatError(f"maximum degrees {max_deg[0]} {max_deg[1]}, degree lists give"
-                          f" {largest[0]} {largest[1]}", line_no(1))
-    # Adjacency line a is content line top + a: bit a for a < n, then check a - n.
-    top = 2 + (n > 0) + (m > 0)
-    lists = min(n + m, content.size - top)
-    first, last = ends[top - 1], ends[top - 1 + lists]
-    values, refused = _parse_ints(words[first:last])
-    value = _int64(values)
-    owner = np.repeat(np.arange(lists), per_line[top: top + lists])
-    live = (token_len[first:last] != 1) | (codes[token_at[first:last]] != ord("0"))
-    listed = np.bincount(owner[live], minlength=lists)
-    degree = _int64(col_deg + row_deg)[:lists]
-    bound = np.where(np.arange(lists) < n, m, n)[owner]
-    out_of_range = live & ((value < 1) | (value > bound))
-
-    def check(lo: int, hi: int, entry_bad: np.ndarray) -> None:
-        """Raise at the first bad list among lists lo..hi-1, or at a missing one."""
-        unparsed = np.bincount(owner[refused], minlength=lists) > 0
-        miscount = listed != degree
-        bad_entry = np.bincount(owner[entry_bad], minlength=lists) > 0
-        bad = np.flatnonzero((unparsed | miscount | bad_entry)[lo:hi])
-        if bad.size:
-            a = lo + int(bad[0])
-            ln = line_no(top + a)
-            if unparsed[a]:
-                raise FormatError("adjacency entries must be integers", ln)
-            if miscount[a] and a < n:
-                raise FormatError(
-                    f"bit {a}: {listed[a]} checks listed, degree says {col_deg[a]}", ln
-                )
-            if miscount[a]:
-                raise FormatError(
-                    f"check {a - n}: {listed[a]} bits listed, degree says {row_deg[a - n]}", ln
-                )
-            entry = int(np.flatnonzero(entry_bad & (owner == a))[0])
+                          f" {largest[0]} {largest[1]}", content[1][0])
+    columns = set()  # (check, bit) of each column-list entry
+    for a, degree in enumerate(col_deg + row_deg):
+        ln, tokens = take()
+        try:
+            live = [int(t) for t in tokens if t != "0"]
+        except ValueError:
+            raise FormatError("adjacency entries must be integers", ln) from None
+        if len(live) != degree:
+            raise FormatError(f"bit {a}: {len(live)} checks listed, degree says {degree}" if a < n
+                              else f"check {a - n}: {len(live)} bits listed, degree says {degree}",
+                              ln)
+        for v in live:
             if a < n:
-                raise FormatError(f"check index {values[entry]} out of range", ln)
-            if out_of_range[entry]:
-                raise FormatError(f"bit index {values[entry]} out of range", ln)
-            raise FormatError(
-                f"check {a - n} lists bit {values[entry]} absent from the column lists", ln
-            )
-        if lists < hi:
-            raise FormatError("unexpected end of alist")
-
-    check(0, n, out_of_range)
-    col_entries = live & (owner < n)
-    h = BitMatrix.from_entries(m, n, value[col_entries] - 1, owner[col_entries])
-    row_entries = live & (owner >= n) & ~out_of_range
-    absent = np.zeros(live.size, dtype=bool)
-    absent[row_entries] = ~h.entries(owner[row_entries] - n, value[row_entries] - 1)
-    check(n, n + m, out_of_range | absent)
-    return h
+                if not 1 <= v <= m:
+                    raise FormatError(f"check index {v} out of range", ln)
+                columns.add((v - 1, a))
+            elif not 1 <= v <= n:
+                raise FormatError(f"bit index {v} out of range", ln)
+            elif (a - n, v - 1) not in columns:
+                raise FormatError(f"check {a - n} lists bit {v} absent from the column lists", ln)
+    raise AssertionError("parse_alist refused an alist that reads line by line")
 
 
 def _decimal_rows(values: np.ndarray) -> str:

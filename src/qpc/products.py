@@ -15,7 +15,8 @@ bits, the y axis over second-factor bits then checks, and the z axis
 A code's layout is built on first read, and its incidence edges on
 first read of `layout.edges`: writing files or analysing a code needs
 neither.  `groups` and `tanner` are imported by the constructors that
-use them, so hypergraph products and analysis load neither.
+use them, and `render` by the layout builders, so hypergraph products
+load neither of the first two and analysis loads none of the three.
 """
 
 from __future__ import annotations
@@ -27,12 +28,21 @@ import numpy as np
 
 from .classical import ClassicalCode
 from .errors import DimensionError, PreconditionError
-from .gf2 import BitMatrix, RrefResult, hstack, kron, matmul, rref, transpose
-from .render import CoordinateTable
+from .gf2 import BitMatrix, RrefResult, hstack, kron, matmul_t, rref, transpose
 
 if TYPE_CHECKING:
     from .groups import GroupAlgebraMatrix
+    from .render import CoordinateTable
     from .tanner import GroupAction, TannerGraph
+
+
+def __getattr__(name: str):
+    """`CoordinateTable` is `render.CoordinateTable`, imported on first read."""
+    if name == "CoordinateTable":
+        from .render import CoordinateTable
+
+        return CoordinateTable
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CSSCode:
@@ -59,7 +69,7 @@ class CSSCode:
             raise DimensionError(f"q1 block {q1_size} exceeds n = {self.n}")
         self._layout = layout
         self.provenance = provenance
-        self.commuting = matmul(h_x, transpose(h_z)).is_zero()
+        self.commuting = matmul_t(h_x, h_z).is_zero()
 
     @cached_property
     def layout(self) -> CoordinateTable:
@@ -109,6 +119,8 @@ def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix) -> CSSCode:
     """
 
     def layout(edges) -> CoordinateTable:
+        from .render import CoordinateTable
+
         return CoordinateTable(
             kind="2d",
             x_checks=tuple((i, 0) for i in range(h_x.rows)),
@@ -152,6 +164,8 @@ def _layout(kind: str, m1: int, n2: int, families: dict, edges) -> CoordinateTab
     class, offset by m1 for bits; y the second-factor class, offset by n2
     for checks; z the row, dropped in "2d".
     """
+
+    from .render import CoordinateTable
 
     def coords(name):
         a, b, row = families[name]

@@ -31,7 +31,7 @@ from qpc.groups import (
     GroupAlgebraMatrix,
     parse_element,
 )
-from qpc.products import hgp, lifted_product
+from qpc.products import css_from_matrices, hgp, lifted_product
 
 
 def rep3():
@@ -221,6 +221,20 @@ class TestCommutation:
         # every anticommuting pair, row-major, as a scan of the dense product lists them
         dense = code.h_x.to_dense().astype(int) @ code.h_z.to_dense().T.astype(int) % 2
         assert pairs == [(i, j) for i in range(code.m_x) for j in range(code.m_z) if dense[i, j]]
+
+    def test_seeded_pairs_match_a_dense_scan(self):
+        # a tall H_Z with light columns takes the entry-pair product, the rest the packed one
+        rng = np.random.default_rng(4321)
+        for density in (0.0005, 0.002, 0.02, 0.3):
+            for _ in range(5):
+                n = int(rng.integers(1, 300))
+                h_x = rng.random((rng.integers(0, 100), n)) < density
+                h_z = rng.random((rng.integers(0, 3000), n)) < density
+                ok, pairs = check_commutation(css_from_matrices(BitMatrix.from_dense(h_x),
+                                                                BitMatrix.from_dense(h_z)))
+                dense = h_x.astype(np.float32) @ h_z.T.astype(np.float32) % 2
+                assert pairs == list(zip(*map(np.ndarray.tolist, np.nonzero(dense))))
+                assert ok == (not pairs)
 
 
 class TestLogicalCount:

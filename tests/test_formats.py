@@ -502,3 +502,95 @@ class TestLargePcm:
                 count -= 1
         # the corruptions reach both ends of the file
         assert min(bad_lines) < 100 and max(bad_lines) > 300, bad_lines
+
+
+class TestLargeAlist:
+    """One seeded 400 x 1000 alist, read whole by the parser and line by line by the oracle.
+
+    Lines 5-1004 hold the column lists and lines 1005-1404 the row lists,
+    so a check that names the wrong list of a long file, or looks only at
+    its first lists, fails here.
+    """
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        dense = np.random.default_rng(8201).random((400, 1000)) < 0.01
+        h = BitMatrix.from_dense(dense)
+        return h, emit_alist(h)
+
+    @staticmethod
+    def variants(h: BitMatrix, text: str, rng: random.Random) -> dict[str, str]:
+        lines = text.split("\n")
+        dense = h.to_dense()
+
+        def edit(at: int, word: int, new: str) -> str:
+            """The text with word `word` of line index `at` replaced."""
+            words = lines[at].split(" ")
+            words[word] = new
+            return "\n".join([*lines[:at], " ".join(words), *lines[at + 1:]])
+
+        def mixed(sep: str) -> str:
+            return "".join(ln + (sep if rng.random() < 0.3 else "\n") for ln in lines[:-1])
+
+        last = lines[1403].split(" ")
+        absent = next(b for b in range(1, 1001) if not dense[399, b - 1])
+        value, under = last[0], lines[1401].split(" ")[0]
+        return {
+            # files that read back, in spellings a line-by-line reader accepts
+            "crlf": text.replace("\n", "\r\n"),
+            "line separators": mixed("\u2028"),
+            "next lines and form feeds": mixed(rng.choice(["\x85", "\x0c"])),
+            "no-break spaces": text.replace(" ", "\xa0", 700),
+            "late no-break spaces": "\n".join([*lines[:1300], *(ln.replace(" ", " \xa0")
+                                                                for ln in lines[1300:])]),
+            "blank lines": "\n".join(ln + rng.choice(["", "", "\n", "\n \t"]) for ln in lines),
+            "signed entry": edit(1403, 0, "+" + value),
+            "underscored entry": edit(1401, 0, under[0] + "_" + under[1:]),
+            "leading zeros past int64": edit(1402, 0, "0" * 30 + lines[1402].split(" ")[0]),
+            "arabic-indic digit": edit(2, 0, chr(0x660 + int(lines[2].split(" ")[0]))),
+            "lines after the lists": text + "extra 1 2\n\xe9\n",
+            # refused files, near the start and near the end
+            "early bad token": edit(4, 0, "x1"),
+            "late bad token": edit(1403, 0, "1.0"),
+            "early check out of range": edit(5, 0, "401"),
+            "late bit out of range": edit(1402, 0, "1001"),
+            "late negative bit": edit(1401, 0, "-3"),
+            "late token past int64": edit(1403, 0, "9" * 25),
+            "late absent bit": edit(1403, 0, str(absent)),
+            "early degree": edit(2, 1, str(int(lines[2].split(" ")[1]) + 1)),
+            "late degree": edit(3, 399, str(int(lines[3].split(" ")[399]) + 1)),
+            "late list short": edit(1403, 0, "0"),
+            "missing last list": "\n".join(lines[:1403]) + "\n",
+            "maximum degrees": edit(1, 0, str(int(lines[1].split(" ")[0]) + 1)),
+            "header token": edit(0, 1, "4OO"),
+        }
+
+    def test_variants_match_oracle(self, large):
+        h, text = large
+        got = {}
+        for name, variant in self.variants(h, text, random.Random(8203)).items():
+            got[name] = outcome(parse_alist, variant)
+            assert got[name] == outcome(oracle_parse_alist, variant), name
+        for name, line in (("early bad token", 5), ("late bad token", 1404),
+                           ("early check out of range", 6), ("late bit out of range", 1403),
+                           ("late negative bit", 1402), ("late token past int64", 1404),
+                           ("late absent bit", 1404), ("late list short", 1404)):
+            assert got.pop(name)[:2] == ("error", line), name
+        for name in ("early degree", "late degree", "missing last list", "maximum degrees",
+                     "header token"):
+            assert got.pop(name)[0] == "error", name
+        assert set(got.values()) == {("matrix", h)}, [k for k, v in got.items() if v != ("matrix", h)]
+
+    def test_mutations_match_oracle(self, large):
+        h, text = large
+        rng = random.Random(8207)
+        spaced = self.variants(h, text, random.Random(8209))["blank lines"]
+        bad_lines = []
+        for source, count in ((text, 30), (spaced, 8)):
+            for _ in range(count):
+                bad = mutate(rng, source)
+                want = outcome(oracle_parse_alist, bad)
+                assert outcome(parse_alist, bad) == want, want
+                bad_lines += [want[1]] if want[0] == "error" and want[1] else []
+        # most corruptions are refused at a numbered line, from the first third to the last
+        assert len(bad_lines) >= 20 and min(bad_lines) < 400 and max(bad_lines) > 1000, bad_lines

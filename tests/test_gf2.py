@@ -13,6 +13,7 @@ from qpc.gf2 import (
     kernel_basis,
     kron,
     matmul,
+    matmul_t,
     min_weight,
     rank,
     rref,
@@ -289,6 +290,24 @@ class TestEntries:
         qi, qj = rng.integers(0, 9, 500), rng.integers(0, 140, 500)
         assert np.array_equal(m.entries(qi, qj), dense[qi, qj] == 1)
 
+    def test_from_entries_matches_dense_with_repeats(self):
+        assert BitMatrix.from_entries(0, 0, [], []) == BitMatrix.zeros(0, 0)
+        assert BitMatrix.from_entries(5, 70, [], []) == BitMatrix.zeros(5, 70)
+        assert BitMatrix.from_entries(0, 70, [], []) == BitMatrix.zeros(0, 70)
+        assert BitMatrix.from_entries(2, 3, range(2), [2, 0]) == bm([[0, 0, 1], [1, 0, 0]])
+        rng = np.random.default_rng(1213)
+        for rows, cols in ((1, 1), (3, 64), (9, 65), (40, 300), (200, 1)):
+            for count in (1, 10, 500):
+                i, j = rng.integers(0, rows, count), rng.integers(0, cols, count)
+                # a third of the positions again, and the bits of one word all set twice
+                i = np.concatenate([i, i[::3], np.zeros(min(cols, 64), dtype=np.int64)])
+                j = np.concatenate([j, j[::3], np.arange(min(cols, 64))])
+                i, j = np.concatenate([i, i]), np.concatenate([j, j])
+                dense = np.zeros((rows, cols), dtype=np.uint8)
+                dense[i, j] = 1
+                got = BitMatrix.from_entries(rows, cols, i, j)
+                assert got == BitMatrix.from_dense(dense), (rows, cols, count)
+
 
 class TestKron:
     def test_identity_left_gives_block_diagonal(self):
@@ -457,6 +476,23 @@ def block_edge_cases():
             for m in out]
 
 
+def word_views():
+    """Seeded matrices, and matrices on views of other matrices' words.
+
+    A reduced basis shares the words of its rref; every other row, and the
+    first word column of a wider matrix, are views that are not contiguous.
+    """
+    rng = np.random.default_rng(1212)
+    out = oracle_shapes()
+    for rows, cols in ((0, 130), (7, 0), (40, 64), (33, 200), (9, 129)):
+        m = BitMatrix.from_dense(rng.random((rows, cols)) < 0.3)
+        out.append(rref(m).basis)
+        out.append(BitMatrix((rows + 1) // 2, cols, m._words[::2]))
+        if cols > 64:
+            out.append(BitMatrix(rows, 64, m._words[:, :1]))
+    return out
+
+
 class TestAgainstOracles:
     def test_rref_matches_per_column_loop(self):
         for m in oracle_shapes():
@@ -496,10 +532,12 @@ class TestAgainstOracles:
             assert matmul(a, transpose(a)) == oracle_matmul(a, transpose(a))
 
     def test_nonzero_matches_dense(self):
-        for m in oracle_shapes():
+        views = word_views()
+        assert sum(not m._words.flags.c_contiguous for m in views) >= 5
+        for m in views:
             rows, cols = m.nonzero()
             want = np.nonzero(m.to_dense())
-            assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+            assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1]), m.shape
             assert rows.dtype == cols.dtype == np.int64
 
     def test_kron_and_hstack_match_dense(self):
@@ -517,6 +555,60 @@ class TestAgainstOracles:
                 assert np.array_equal(out.to_dense(), np.concatenate(
                     [left.to_dense(), right.to_dense()], axis=1))
                 assert out == BitMatrix.from_dense(out.to_dense())   # padding bits stay zero
+
+
+class TestMatmulT:
+    """`matmul_t` against dense numpy, on both sides of its cost rule."""
+
+    @pytest.fixture
+    def packed(self, monkeypatch):
+        """One entry per product that took the packed path, `matmul(a, transpose(b))`."""
+        calls = []
+        matmul_packed = gf2.matmul
+        monkeypatch.setattr(gf2, "matmul", lambda a, b: calls.append(a.shape) or matmul_packed(a, b))
+        return calls
+
+    def test_matmul_t_matches_numpy_on_both_paths(self, packed):
+        # pairs win when b's columns are light against its row count, as in a tall
+        # sparse check matrix; b's first rows against b meet themselves at each of
+        # their ones, so a row of even weight gives a zero
+        rng = np.random.default_rng(1214)
+        took = {"pairs": 0, "packed": 0}
+        for _ in range(60):
+            cols = int(rng.integers(0, 200))
+            density = rng.choice([0.0005, 0.002, 0.01, 0.1, 0.5])
+            a = rng.random((rng.integers(0, 300), cols)) < density
+            b = rng.random((rng.integers(0, 3000), cols)) < density
+            for left, right in ((a, b), (b[:50], b)):
+                before = len(packed)
+                got = matmul_t(BitMatrix.from_dense(left), BitMatrix.from_dense(right))
+                want = left.astype(np.float32) @ right.T.astype(np.float32) % 2  # exact counts
+                assert np.array_equal(got.to_dense(), want), (left.shape, right.shape, density)
+                took["packed" if len(packed) > before else "pairs"] += 1
+        assert min(took.values()) >= 30, took
+
+    def test_matmul_t_on_codes(self, packed):
+        # toric codes take the pairs, the Z127 lifted product the packed path;
+        # H_X H_X^T does not vanish, so pairs met an odd number of times count
+        code = ClassicalCode(repetition_check(40))
+        toric = hgp(code, code)
+        lifted = block_edge_cases()[:2]
+        for a, b, path in ((toric.h_x, toric.h_z, "pairs"), (toric.h_x, toric.h_x, "pairs"),
+                           (toric.h_z, toric.h_z, "pairs"), (*lifted, "packed"),
+                           (lifted[0], lifted[0], "packed")):
+            before = len(packed)
+            got = matmul_t(a, b)
+            assert ("packed" if len(packed) > before else "pairs") == path, (a.shape, path)
+            assert got == oracle_matmul(a, transpose(b)), (a.shape, b.shape)
+        assert matmul_t(toric.h_x, toric.h_z).is_zero()
+        assert not matmul_t(toric.h_x, toric.h_x).is_zero()
+
+    def test_matmul_t_shapes(self):
+        assert matmul_t(BitMatrix.zeros(0, 5), BitMatrix.zeros(3, 5)) == BitMatrix.zeros(0, 3)
+        assert matmul_t(BitMatrix.zeros(4, 0), BitMatrix.zeros(2, 0)) == BitMatrix.zeros(4, 2)
+        assert matmul_t(BitMatrix.zeros(0, 10**15), BitMatrix.zeros(0, 10**15)).shape == (0, 0)
+        with pytest.raises(DimensionError, match=r"\(2, 3\) vs \(2, 4\)"):
+            matmul_t(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 4))
 
 
 def gray_oracle(stab_rows: list[int], logical_rows: list[int]) -> int | None:

@@ -3,7 +3,8 @@
 Each command runs through `qpc.cli.main` in a fresh interpreter, which
 then lists the qpc modules, numpy and `numpy.ma` in its `sys.modules`.
 `import qpc` loads no submodule; `layout --input` loads only `cli`,
-`errors` and `render`, so it runs where numpy cannot be imported at all.
+`errors` and `render`, so it runs where numpy cannot be imported at all,
+and `analyze` loads no `render`.
 No command loads `numpy.ma`, which `np.unique` without return options
 imports at a cost of about 17 ms per process.
 """
@@ -100,6 +101,15 @@ class TestImportSets:
                          "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm")
         assert "numpy" in modules and "qpc.analysis" in modules
         assert not modules & {"qpc.groups", "qpc.tanner"}
+
+    @pytest.mark.parametrize("cross_check", [False, True], ids=["checks", "with-c1-c2"])
+    def test_analyze_loads_no_render(self, work, cross_check):
+        # the layout builders import render on first read of a layout; analyze reads none
+        codes = ["--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"] * cross_check
+        modules = loaded(work, "", "analyze", "--hx", work / "toric.hx.alist",
+                         "--hz", work / "toric.hz.alist", *codes)
+        assert {"qpc.products", "qpc.analysis"} <= modules
+        assert "qpc.render" not in modules
 
     def test_construct_hgp_loads_neither_groups_nor_tanner(self, work):
         modules = loaded(work, "", "construct", "hgp", "--c1", FIXTURES / "hamming74.pcm",
