@@ -174,7 +174,8 @@ def parse_pcm_text(text: str) -> BitMatrix:
     width = np.diff(ends, prepend=-1) - 1  # non-space characters per line
     # rows are the first m non-blank lines after the header; with n = 0, the next m lines
     top = text.count("\n", 0, end) + 1
-    rows = top + (np.flatnonzero(width[top:])[:m] if n else np.arange(min(m, width.size - top)))
+    rows = top + (np.flatnonzero(width[top:] != 0)[:m] if n
+                  else np.arange(min(m, width.size - top)))
     if rows.size < m or (width[rows] != n).any():
         return _pcm_error(text)
     if not (m and n):

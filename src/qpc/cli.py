@@ -8,9 +8,9 @@ deterministic: identical inputs and seed produce identical bytes.  Exit
 codes: 0 success, 1 usage, parse or I/O failure, 2 precondition
 violation (reported with its witness), 3 enumeration budget exceeded;
 every failure prints one line on stderr, naming the input file of a
-parse error.  The environment variable QPC_BUDGET overrides the
+parse error.  `analyze --budget` is the one setter of the
 distance-enumeration cap, which also bounds the `--c1/--c2` cross-check;
-a budget that is not a non-negative integer exits 1.  Each command
+0 means the default and a negative budget exits 1.  Each command
 imports only the layers it runs, so `layout --input` never loads numpy.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -29,22 +28,6 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
-
-
-def _budget(option: int, default: int) -> int:
-    """--budget when non-zero, else QPC_BUDGET when set, else `default`."""
-    name, raw = "--budget", str(option)
-    if not option:
-        name, raw = "QPC_BUDGET", os.environ.get("QPC_BUDGET")
-    if not raw:
-        return default
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise FormatError(f"{name} must be a non-negative integer, got {raw!r}")
-    return budget
 
 
 def _write(path: Path, text: str) -> None:
@@ -129,7 +112,9 @@ def cmd_analyze(args) -> int:
 
     if (args.c1 is None) != (args.c2 is None):
         raise FormatError("qpc analyze: --c1 and --c2 must be given together")
-    budget = _budget(args.budget, analysis.DEFAULT_BUDGET)
+    if args.budget < 0:
+        raise FormatError(f"--budget must be a non-negative integer, got '{args.budget}'")
+    budget = args.budget or analysis.DEFAULT_BUDGET
     h_x = classical.read_check_matrix(args.hx)
     h_z = classical.read_check_matrix(args.hz)
     n = h_x.cols
@@ -182,15 +167,9 @@ def cmd_layout(args) -> int:
         table, overlays = read_file(args.input, render.parse_layout)
     if args.overlay:
         overlays = overlays + (read_file(args.overlay, render.parse_overlay),)
-    projection = None
-    if table.kind == "3d":
-        projection = render.Oblique(x_shear=args.shear, y_scale=args.yscale)
     include_edges = args.edges or (args.format == "json" and bool(table.edges))
-    spec = render.RenderSpec(
-        projection=projection,
-        scale=args.scale,
-        include_edges=include_edges,
-    )
+    spec = render.RenderSpec(projection=render.Oblique(args.shear, args.yscale),
+                             scale=args.scale, include_edges=include_edges)
     doc = render.emit(table, spec, overlays, args.format)
     if args.out:
         _write(Path(args.out), doc)
@@ -300,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                        {"--hx": "X-check PCM (.pcm or .alist)",
                         "--hz": "Z-check PCM (.pcm or .alist)"})
     analyze.add_argument("--budget", type=int, default=0,
-                         help="distance enumeration cap; 0 means the default"
-                              " (QPC_BUDGET, else 2^24)")
+                         help="distance enumeration cap; 0 means the default (2^24)")
     analyze.add_argument("--c1", help="classical input for the HGP cross-check (with --c2)")
     analyze.add_argument("--c2", help="classical input for the HGP cross-check (with --c1)")
 
@@ -315,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     layout.add_argument("--overlay", help="overlay JSON file")
     layout.add_argument("--edges", action="store_true", help="draw edges")
     layout.add_argument("--scale", type=float, default=12.0)
-    layout.add_argument("--shear", type=float, default=0.45)
-    layout.add_argument("--yscale", type=float, default=0.3)
+    layout.add_argument("--shear", type=float, default=0.45, help="oblique shear (3D only)")
+    layout.add_argument("--yscale", type=float, default=0.3, help="oblique y scale (3D only)")
 
     checks = sub.add_parser("verify", help="check coverings and actions").add_subparsers(
         dest="check", required=True)

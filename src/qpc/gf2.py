@@ -279,7 +279,7 @@ def _combine(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
             low = codes & -codes
             out[left] ^= rows[np.bitwise_count(low - 1)]
             codes = codes ^ low
-            keep = np.flatnonzero(codes)
+            keep = np.flatnonzero(codes != 0)
             left, codes = left[keep], codes[keep]
         return out
     for g in in_use.tolist():
@@ -315,7 +315,7 @@ def rref(m: BitMatrix) -> RrefResult:
     for w in range(r.shape[1]):
         if pr == m.rows:
             break
-        nz = np.flatnonzero(r[:, w])
+        nz = np.flatnonzero(r[:, w] != 0)
         first = int(np.searchsorted(nz, pr))
         if first == nz.size:
             continue
@@ -415,7 +415,7 @@ def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         stop = max(start + 1, int(np.searchsorted(ends, before + cap, side="right")))
         i, j = BitMatrix(stop - start, a.cols, a._words[start:stop]).nonzero()
         if i.size:
-            first = np.flatnonzero(np.diff(i, prepend=-1))
+            first = np.flatnonzero(np.diff(i, prepend=-1) != 0)
             out[start + i[first]] = np.bitwise_xor.reduceat(b._words[j], first, axis=0)
         start = stop
     return BitMatrix(a.rows, b.cols, out)

@@ -113,24 +113,15 @@ class CSSCode:
 def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix) -> CSSCode:
     """Wrap raw check matrices, e.g. read back from files.
 
-    Without block provenance every qubit is in Q1, and the qubits get the
-    1D line layout (checks first, then qubits, by index), mirroring the
-    classical convention.
+    Without block provenance every qubit is in Q1, and the code gets the
+    line layout of `render.line_table` (X checks, then Z checks, then
+    qubits, by index), mirroring the classical convention.
     """
 
     def layout(edges) -> CoordinateTable:
-        from .render import CoordinateTable
+        from .render import line_table
 
-        return CoordinateTable(
-            kind="2d",
-            x_checks=tuple((i, 0) for i in range(h_x.rows)),
-            z_checks=tuple((h_x.rows + i, 0) for i in range(h_z.rows)),
-            qubits_q1=tuple(
-                (h_x.rows + h_z.rows + j, 0) for j in range(h_x.cols)
-            ),
-            qubits_q2=(),
-            edges=edges,
-        )
+        return line_table(h_x.rows, h_z.rows, h_x.cols, edges)
 
     return CSSCode(h_x, h_z, q1_size=h_x.cols, layout=layout,
                    provenance={"kind": "from-matrices"})

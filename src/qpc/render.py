@@ -3,19 +3,21 @@
 JSON (schema "qpc-layout/1") is the normative format: it lists every
 vertex with role, index and coordinate, plus optional edges and Pauli
 overlays, and round-trips byte-identically.  The drawing formats are
-derived views with one glyph convention throughout: qubits are circles,
-X checks filled squares, Z checks open squares, and operator overlays
-colour qubits red (Z), green (Y) or blue (X).
+derived views drawn by one loop, `_draw`, with one glyph convention
+throughout: qubits are circles, X checks filled squares, Z checks open
+squares, and operator overlays colour qubits red (Z), green (Y) or blue
+(X).  Each drawing format is data in `_FORMATS`: its opening and closing
+lines and the templates of an edge and of each glyph.
 
-3D tables are flattened by an oblique projection
-(x, y, z) -> (x + shear * y, z + y_scale * y); 2D tables must not carry
-a projection.
+The spec's oblique projection (x, y, z) -> (x + shear * y, z + y_scale * y)
+flattens 3D tables; 2D tables are drawn as they are and ignore it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import FormatError, PreconditionError, load_object, typed_list
 
@@ -51,12 +53,10 @@ class CoordinateTable:
             for idx, coord in enumerate(coords):
                 if len(coord) != width:
                     raise PreconditionError(
-                        f"{role}[{idx}] has {len(coord)} components, expected {width}"
-                    )
+                        f"{role}[{idx}] has {len(coord)} components, expected {width}")
                 if coord in seen:
                     raise PreconditionError(
-                        f"coordinate clash: {role}[{idx}] and {seen[coord]} at {coord}"
-                    )
+                        f"coordinate clash: {role}[{idx}] and {seen[coord]} at {coord}")
                 seen[coord] = f"{role}[{idx}]"
 
     @property
@@ -66,12 +66,7 @@ class CoordinateTable:
         return self._edges
 
     def families(self) -> dict:
-        return {
-            "x": self.x_checks,
-            "z": self.z_checks,
-            "q1": self.qubits_q1,
-            "q2": self.qubits_q2,
-        }
+        return dict(zip(ROLE_ORDER, (self.x_checks, self.z_checks, self.qubits_q1, self.qubits_q2)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ class Oblique:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    projection: Oblique | None = None
+    projection: Oblique = Oblique()
     scale: float = 12.0
     include_edges: bool = False
 
@@ -108,26 +103,9 @@ class OperatorOverlay:
     def validate(self, n_qubits: int) -> None:
         for idx, letter in self.paulis:
             if not 0 <= idx < n_qubits:
-                raise PreconditionError(
-                    f"overlay index {idx} out of range [0, {n_qubits})"
-                )
+                raise PreconditionError(f"overlay index {idx} out of range [0, {n_qubits})")
             if letter not in PAULI_COLORS:
                 raise PreconditionError(f"unknown Pauli letter {letter!r}")
-
-
-def _check_projection(table: CoordinateTable, spec: RenderSpec) -> None:
-    if table.kind == "3d" and spec.projection is None:
-        raise PreconditionError("3D layouts require an oblique projection")
-    if table.kind == "2d" and spec.projection is not None:
-        raise PreconditionError("2D layouts must not carry a projection")
-
-
-def _project(coord, spec: RenderSpec):
-    if len(coord) == 2:
-        return float(coord[0]), float(coord[1])
-    x, y, z = coord
-    p = spec.projection
-    return float(x) + p.x_shear * float(y), float(z) + p.y_scale * float(y)
 
 
 def emit(table: CoordinateTable, spec: RenderSpec, overlays, fmt: str) -> str:
@@ -138,41 +116,19 @@ def emit(table: CoordinateTable, spec: RenderSpec, overlays, fmt: str) -> str:
         overlay.validate(n_qubits)
     if fmt == "json":
         return _emit_json(table, spec, overlays)
-    if fmt == "svg":
-        _check_projection(table, spec)
-        return _emit_svg(table, spec, overlays)
-    if fmt == "tikz":
-        _check_projection(table, spec)
-        return _emit_tikz(table, spec, overlays)
-    if fmt == "dot":
-        _check_projection(table, spec)
-        return _emit_dot(table, spec)
+    if fmt in _FORMATS:
+        return _draw(table, spec, overlays, _FORMATS[fmt])
     raise FormatError(f"unknown output format {fmt!r}")
 
 
 def _emit_json(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
-    vertices = []
-    for role in ROLE_ORDER:
-        coords = table.families()[role]
-        for idx, coord in enumerate(coords):
-            vertices.append(
-                {"role": role, "index": idx, "coord": [int(c) for c in coord]}
-            )
-    payload = {
-        "version": SCHEMA_VERSION,
-        "kind": table.kind,
-        "vertices": vertices,
-    }
+    vertices = [{"role": role, "index": idx, "coord": [int(c) for c in coord]}
+                for role, coords in table.families().items() for idx, coord in enumerate(coords)]
+    payload = {"version": SCHEMA_VERSION, "kind": table.kind, "vertices": vertices}
     if spec.include_edges and table.edges:
-        payload["edges"] = [
-            [[a_role, a_idx], [b_role, b_idx]]
-            for (a_role, a_idx), (b_role, b_idx) in table.edges
-        ]
+        payload["edges"] = [[list(a), list(b)] for a, b in table.edges]
     if overlays:
-        payload["overlays"] = [
-            {"paulis": [[idx, letter] for idx, letter in ov.paulis]}
-            for ov in overlays
-        ]
+        payload["overlays"] = [{"paulis": [list(p) for p in ov.paulis]} for ov in overlays]
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
@@ -227,14 +183,8 @@ def parse_layout(text: str):
         ):
             raise FormatError(f"edge {edge!r} does not join two listed vertices")
         edges.append((tuple(ends[0]), tuple(ends[1])))
-    table = CoordinateTable(
-        kind=data["kind"],
-        x_checks=tuple(c for _, c in families["x"]),
-        z_checks=tuple(c for _, c in families["z"]),
-        qubits_q1=tuple(c for _, c in families["q1"]),
-        qubits_q2=tuple(c for _, c in families["q2"]),
-        edges=tuple(edges),
-    )
+    coords = (tuple(c for _, c in rows) for rows in families.values())
+    table = CoordinateTable(data["kind"], *coords, edges=tuple(edges))
     overlays = tuple(_overlay(ov) for ov in typed_list(data, "overlays"))
     return table, overlays
 
@@ -252,142 +202,128 @@ def line_layout_table(graph) -> CoordinateTable:
     if (vertices := graph.check_count + graph.bit_count) > MAX_LINE_LAYOUT_VERTICES:
         raise PreconditionError(
             f"line layout of {vertices} vertices exceeds the limit {MAX_LINE_LAYOUT_VERTICES}")
-    edges = tuple(
-        (("x", c), ("q1", b)) for (c, b) in sorted(graph.edges)
-    )
-    return CoordinateTable(
-        kind="2d",
-        x_checks=tuple((i, 0) for i in range(graph.check_count)),
-        z_checks=(),
-        qubits_q1=tuple(
-            (graph.check_count + j, 0) for j in range(graph.bit_count)
-        ),
-        qubits_q2=(),
-        edges=edges,
-    )
+    edges = tuple((("x", c), ("q1", b)) for c, b in sorted(graph.edges))
+    return line_table(graph.check_count, 0, graph.bit_count, edges)
 
 
-def _bounds(points):
-    xs = [p[0] for p in points] or [0.0]
-    ys = [p[1] for p in points] or [0.0]
-    return min(xs), max(xs), min(ys), max(ys)
+def line_table(x_count: int, z_count: int, bit_count: int, edges) -> CoordinateTable:
+    """The line rule: X checks, then Z checks, then bits (all Q1) at x = 0, 1, ... on y = 0."""
+    line = [(i, 0) for i in range(x_count + z_count + bit_count)]
+    bits = x_count + z_count
+    return CoordinateTable("2d", tuple(line[:x_count]), tuple(line[x_count:bits]),
+                           tuple(line[bits:]), (), edges)
 
 
-def _projected(table: CoordinateTable, spec: RenderSpec, overlays):
-    """Flattened points of every role, and the colour of each overlaid qubit."""
-    projected = {
-        role: [_project(c, spec) for c in table.families()[role]]
-        for role in ROLE_ORDER
-    }
-    colors = {
-        qubit: PAULI_COLORS[letter] for overlay in overlays for qubit, letter in overlay.paulis
-    }
-    return projected, colors
+@dataclass(frozen=True)
+class _Format:
+    """A drawing format as data: its opening and closing lines and its templates.
+
+    `x`, `z` and `qubit` are (template, columns) glyphs; a template is filled by
+    one %-format from the columns it names, the edge's from the `ends` columns
+    of both its ends, or from their (role, index) when `ends` is empty.
+    Columns: x, y the drawn centre; x-, y-, x+, y+ a check square's corners,
+    h, w its half side and side; i the index; role; c a qubit's colour,
+    `paint[0]` filled with an overlay colour, else `paint[1]`.  A `placed`
+    format is scaled, flipped and offset to a box with a margin.
+    """
+
+    head: str
+    edge: str
+    ends: str
+    x: tuple
+    z: tuple
+    qubit: tuple
+    tail: str
+    paint: tuple = ("%s", "black")
+    placed: bool = False
+    edges_last: bool = False
 
 
-def _emit_svg(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
-    scale = spec.scale
-    margin = scale
-    projected, overlay_colors = _projected(table, spec, overlays)
-    everything = [p for pts in projected.values() for p in pts]
-    x0, x1, y0, y1 = _bounds(everything)
-    width = (x1 - x0) * scale + 2 * margin
-    height = (y1 - y0) * scale + 2 * margin
-
-    def place(p):
-        return (
-            (p[0] - x0) * scale + margin,
-            (y1 - p[1]) * scale + margin,
-        )
-
-    half = scale * 0.22
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}"'
-        f' height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">'
-    ]
-    if spec.include_edges and table.edges:
-        for (role_a, ia), (role_b, ib) in table.edges:
-            xa, ya = place(projected[role_a][ia])
-            xb, yb = place(projected[role_b][ib])
-            lines.append(
-                f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}"'
-                ' stroke="gray" stroke-width="0.5"/>'
-            )
-    for idx, p in enumerate(projected["x"]):
-        cx, cy = place(p)
-        lines.append(
-            f'<rect x="{cx - half:.2f}" y="{cy - half:.2f}" width="{2 * half:.2f}"'
-            f' height="{2 * half:.2f}" fill="black"><title>x{idx}</title></rect>'
-        )
-    for idx, p in enumerate(projected["z"]):
-        cx, cy = place(p)
-        lines.append(
-            f'<rect x="{cx - half:.2f}" y="{cy - half:.2f}" width="{2 * half:.2f}"'
-            f' height="{2 * half:.2f}" fill="white" stroke="black">'
-            f"<title>z{idx}</title></rect>"
-        )
-    q1 = len(table.qubits_q1)
-    for role, offset in (("q1", 0), ("q2", q1)):
-        for idx, p in enumerate(projected[role]):
-            cx, cy = place(p)
-            color = overlay_colors.get(offset + idx, "black")
-            lines.append(
-                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{half:.2f}"'
-                f' fill="{color}"><title>{role}[{idx}]</title></circle>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+_RECT = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill='
+_FORMATS = {
+    "svg": _Format(
+        head='<svg xmlns="http://www.w3.org/2000/svg" width="%.1f" height="%.1f"'
+             ' viewBox="0 0 %.1f %.1f">',
+        edge='<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="gray" stroke-width="0.5"/>',
+        ends="x y",
+        x=(_RECT + '"black"><title>x%d</title></rect>', "x- y- w w i"),
+        z=(_RECT + '"white" stroke="black"><title>z%d</title></rect>', "x- y- w w i"),
+        qubit=('<circle cx="%.2f" cy="%.2f" r="%.2f" fill="%s"><title>%s[%d]</title></circle>',
+               "x y h c role i"),
+        tail="</svg>",
+        placed=True,
+    ),
+    "tikz": _Format(
+        head="\\documentclass[tikz]{standalone}\n\\begin{document}\n"
+             "\\begin{tikzpicture}[scale=0.8]",
+        edge="\\draw[gray] (%.2f,%.2f) -- (%.2f,%.2f);",
+        ends="x y",
+        x=("\\filldraw (%.2f,%.2f) rectangle (%.2f,%.2f);", "x- y- x+ y+"),
+        z=("\\draw (%.2f,%.2f) rectangle (%.2f,%.2f);", "x- y- x+ y+"),
+        qubit=("\\filldraw%s (%.2f,%.2f) circle (3pt);", "c x y"),
+        tail="\\end{tikzpicture}\n\\end{document}",
+        paint=("[%s]", ""),
+    ),
+    "dot": _Format(
+        head="graph layout {",
+        edge='  "%s%d" -- "%s%d";',
+        ends="",
+        x=('  "x%d" [shape=box style=filled pos="%.2f,%.2f!"];', "i x y"),
+        z=('  "z%d" [shape=square style=solid pos="%.2f,%.2f!"];', "i x y"),
+        qubit=('  "%s%d" [shape=circle style=solid pos="%.2f,%.2f!"];', "role i x y"),
+        tail="}",
+        edges_last=True,
+    ),
+}
 
 
-def _emit_tikz(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
-    projected, overlay_colors = _projected(table, spec, overlays)
-    lines = [
-        "\\documentclass[tikz]{standalone}",
-        "\\begin{document}",
-        "\\begin{tikzpicture}[scale=0.8]",
-    ]
-    if spec.include_edges and table.edges:
-        for (role_a, ia), (role_b, ib) in table.edges:
-            xa, ya = projected[role_a][ia]
-            xb, yb = projected[role_b][ib]
-            lines.append(
-                f"\\draw[gray] ({xa:.2f},{ya:.2f}) -- ({xb:.2f},{yb:.2f});"
-            )
-    for x, y in projected["x"]:
-        lines.append(
-            f"\\filldraw ({x - 0.1:.2f},{y - 0.1:.2f}) rectangle"
-            f" ({x + 0.1:.2f},{y + 0.1:.2f});"
-        )
-    for x, y in projected["z"]:
-        lines.append(
-            f"\\draw ({x - 0.1:.2f},{y - 0.1:.2f}) rectangle"
-            f" ({x + 0.1:.2f},{y + 0.1:.2f});"
-        )
-    q1 = len(table.qubits_q1)
-    for role, offset in (("q1", 0), ("q2", q1)):
-        for idx, (x, y) in enumerate(projected[role]):
-            color = overlay_colors.get(offset + idx)
-            if color:
-                lines.append(f"\\filldraw[{color}] ({x:.2f},{y:.2f}) circle (3pt);")
-            else:
-                lines.append(f"\\filldraw ({x:.2f},{y:.2f}) circle (3pt);")
-    lines.extend(["\\end{tikzpicture}", "\\end{document}"])
-    return "\n".join(lines) + "\n"
+def _draw(table: CoordinateTable, spec: RenderSpec, overlays, fmt: _Format) -> str:
+    """One drawing loop: project once, then fill the format's templates."""
+    if table.kind == "2d":
+        points = {role: ([float(c[0]) for c in coords], [float(c[1]) for c in coords])
+                  for role, coords in table.families().items()}
+    else:
+        shear, lift = spec.projection.x_shear, spec.projection.y_scale
+        points = {role: ([float(x) + shear * float(y) for x, y, _ in coords],
+                         [float(z) + lift * float(y) for _, y, z in coords])
+                  for role, coords in table.families().items()}
+    head, half = fmt.head, 0.1
+    if fmt.placed:
+        scale = spec.scale
+        every_x = [x for xs, _ in points.values() for x in xs] or [0.0]
+        every_y = [y for _, ys in points.values() for y in ys] or [0.0]
+        x0, y1 = min(every_x), max(every_y)
+        width = (max(every_x) - x0) * scale + 2 * scale
+        height = (y1 - min(every_y)) * scale + 2 * scale
+        head %= (width, height, width, height)
+        points = {role: ([(x - x0) * scale + scale for x in xs],
+                         [(y1 - y) * scale + scale for y in ys])
+                  for role, (xs, ys) in points.items()}
+        half = scale * 0.22
+    painted = {qubit: fmt.paint[0] % PAULI_COLORS[letter]
+               for overlay in overlays for qubit, letter in overlay.paulis}
+    offsets = {"q1": 0, "q2": len(table.qubits_q1)}
 
+    def rows(role: str, names: str):
+        xs, ys = points[role]
+        columns = {
+            "x": lambda: xs, "y": lambda: ys,
+            "x-": lambda: [x - half for x in xs], "y-": lambda: [y - half for y in ys],
+            "x+": lambda: [x + half for x in xs], "y+": lambda: [y + half for y in ys],
+            "h": lambda: repeat(half), "w": lambda: repeat(2 * half),
+            "i": lambda: range(len(xs)), "role": lambda: repeat(role),
+            "c": lambda: [painted.get(offsets[role] + i, fmt.paint[1]) for i in range(len(xs))],
+        }
+        return zip(*[columns[name]() for name in names.split()])
 
-def _emit_dot(table: CoordinateTable, spec: RenderSpec) -> str:
-    shapes = {"x": "box", "z": "square", "q1": "circle", "q2": "circle"}
-    styles = {"x": "filled", "z": "solid", "q1": "solid", "q2": "solid"}
-    lines = ["graph layout {"]
-    for role in ROLE_ORDER:
-        for idx, coord in enumerate(table.families()[role]):
-            px, py = _project(coord, spec)
-            lines.append(
-                f'  "{role}{idx}" [shape={shapes[role]} style={styles[role]}'
-                f' pos="{px:.2f},{py:.2f}!"];'
-            )
-    if spec.include_edges and table.edges:
-        for (role_a, ia), (role_b, ib) in table.edges:
-            lines.append(f'  "{role_a}{ia}" -- "{role_b}{ib}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    glyphs = [template % row
+              for role, (template, names) in zip(ROLE_ORDER, (fmt.x, fmt.z, fmt.qubit, fmt.qubit))
+              for row in rows(role, names)]
+    edges = table.edges if spec.include_edges else ()
+    if fmt.ends and edges:
+        ends = {role: list(rows(role, fmt.ends)) for role in ROLE_ORDER}
+        edges = [fmt.edge % (ends[a][i] + ends[b][j]) for (a, i), (b, j) in edges]
+    else:  # an edge end named by its (role, index)
+        edges = [fmt.edge % (a + b) for a, b in edges]
+    body = glyphs + edges if fmt.edges_last else edges + glyphs
+    return "\n".join([head, *body, fmt.tail]) + "\n"

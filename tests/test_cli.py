@@ -200,16 +200,18 @@ class TestAnalyze:
         assert code == 3
         assert "budget exceeded" in out
 
-    def test_env_budget(self, tmp_path, capsys, monkeypatch):
+    def test_qpc_budget_env_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # --budget is the one setter of the cap: QPC_BUDGET no longer refuses the toric code
         self.build_toric(tmp_path, capsys)
         monkeypatch.setenv("QPC_BUDGET", "4")
-        code, _, _ = run(
+        code, out, _ = run(
             capsys,
             "analyze",
             "--hx", tmp_path / "toric.hx.pcm",
             "--hz", tmp_path / "toric.hz.pcm",
         )
-        assert code == 3
+        assert code == 0
+        assert "params: [[18,2,3]]" in out
 
     def test_alist_inputs(self, tmp_path, capsys):
         self.build_toric(tmp_path, capsys)
@@ -258,22 +260,14 @@ class TestAnalyze:
         assert "commuting: False" in out
         assert "refused" in out
 
-    @pytest.mark.parametrize("env, option", [
-        ("abc", None),
-        ("-3", None),
-        (None, "-3"),
-    ])
-    def test_invalid_budget_exits_1(self, tmp_path, capsys, monkeypatch, env, option):
+    def test_invalid_budget_exits_1(self, tmp_path, capsys):
         self.build_toric(tmp_path, capsys)
-        if env is not None:
-            monkeypatch.setenv("QPC_BUDGET", env)
-        extra = ["--budget", option] if option is not None else []
         code, out, err = run(
             capsys,
             "analyze",
             "--hx", tmp_path / "toric.hx.pcm",
             "--hz", tmp_path / "toric.hz.pcm",
-            *extra,
+            "--budget", "-3",
         )
         assert code == 1
         assert out == ""
@@ -342,23 +336,15 @@ class TestAnalyze:
             " needs 2^100000 steps, limit is 16777216\n"
         )
 
-    @pytest.mark.parametrize("option, env, refused", [
-        ("1024", None, True),
-        (None, "1024", True),
-        ("4096", None, False),
-        (None, "4096", False),
-    ])
-    def test_budget_bounds_the_cross_check(self, tmp_path, capsys, monkeypatch,
-                                           option, env, refused):
-        # The toric kernels have dimension 10, the 12-bit checkless code k = 12.
+    @pytest.mark.parametrize("option, refused", [("1024", True), ("4096", False), ("0", False)])
+    def test_budget_bounds_the_cross_check(self, tmp_path, capsys, option, refused):
+        # The toric kernels have dimension 10, the 12-bit checkless code k = 12;
+        # --budget 0 is the default cap, 2^24.
         self.build_toric(tmp_path, capsys)
         (tmp_path / "wide.pcm").write_text("0 12\n")
-        if env is not None:
-            monkeypatch.setenv("QPC_BUDGET", env)
-        extra = ["--budget", option] if option is not None else []
         code, out, err = run(
             capsys, "analyze", "--hx", tmp_path / "toric.hx.pcm", "--hz", tmp_path / "toric.hz.pcm",
-            "--c1", tmp_path / "wide.pcm", "--c2", FIXTURES / "rep3.pcm", *extra,
+            "--c1", tmp_path / "wide.pcm", "--c2", FIXTURES / "rep3.pcm", "--budget", option,
         )
         if refused:
             assert (code, out) == (3, "")

@@ -6,8 +6,10 @@ directory set to a fresh `tmp_path`, so the relative output paths printed
 on stdout are the same on every run.  The manifest was recorded before the
 vectorised emitters and the packed kernels existed, and the entries for the
 failing `verify` commands (covering violation, non-free action with a
-pinned edge) before the edge-array graph view; any byte that moves fails
-here.
+pinned edge) before the edge-array graph view, and the drawing entries
+with edges and overlays (`layout_lp_*_edges_overlay`,
+`layout_toric_*_overlay`) before svg, tikz and dot were drawn by one loop;
+any byte that moves fails here.
 
 `python tests/test_golden.py` prints the manifest of the qpc on the
 import path, in the format of `golden_manifest.json`.
@@ -67,6 +69,16 @@ COMMANDS = (
                                 "--action", _f("b4_z3.action.json")]),
     ("verify_action_not_free_lenient", ["verify", "action", "--graph", _f("b4.graph"),
                                         "--action", _f("b4_z3.action.json"), "--lenient"]),
+    ("layout_lp_svg_edges_overlay", ["layout", "--input", "out/lp.layout.json", "--format", "svg",
+                                     "--edges", "--overlay", _f("zyx.overlay.json")]),
+    ("layout_lp_tikz_edges_overlay", ["layout", "--input", "out/lp.layout.json", "--format", "tikz",
+                                      "--edges", "--overlay", _f("zyx.overlay.json")]),
+    ("layout_lp_dot_edges_overlay", ["layout", "--input", "out/lp.layout.json", "--format", "dot",
+                                     "--edges", "--overlay", _f("zyx.overlay.json")]),
+    ("layout_toric_tikz_overlay", ["layout", "--input", "out/toric.layout.json", "--format", "tikz",
+                                   "--overlay", _f("zyx.overlay.json")]),
+    ("layout_toric_dot_overlay", ["layout", "--input", "out/toric.layout.json", "--format", "dot",
+                                  "--overlay", _f("zyx.overlay.json")]),
 )
 
 

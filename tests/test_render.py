@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from qpc.errors import FormatError, PreconditionError
 from qpc.groups import FiniteGroup, GroupAlgebraMatrix, parse_element
 from qpc.products import CoordinateTable, hgp, lifted_product
 from qpc.render import (
+    PAULI_COLORS,
     ROLE_ORDER,
     Oblique,
     OperatorOverlay,
@@ -15,6 +17,8 @@ from qpc.render import (
     emit,
     parse_layout,
 )
+
+DRAWN = ("svg", "tikz", "dot")
 
 
 def toric():
@@ -129,15 +133,18 @@ class TestJson:
 
 
 class TestProjection:
-    def test_3d_requires_projection(self):
-        code = lp_code()
-        with pytest.raises(PreconditionError):
-            emit(code.layout, RenderSpec(), (), "svg")
+    def test_3d_defaults_to_oblique(self):
+        layout = lp_code().layout
+        for fmt in DRAWN:
+            default = emit(layout, RenderSpec(), (), fmt)
+            assert default == emit(layout, RenderSpec(Oblique()), (), fmt)
+            assert default != emit(layout, RenderSpec(Oblique(1, 1)), (), fmt)
 
-    def test_2d_forbids_projection(self):
-        code = toric()
-        with pytest.raises(PreconditionError):
-            emit(code.layout, RenderSpec(projection=Oblique()), (), "svg")
+    def test_2d_ignores_projection(self):
+        layout = toric().layout
+        for fmt in DRAWN:
+            default = emit(layout, RenderSpec(), (), fmt)
+            assert emit(layout, RenderSpec(Oblique(0.9, 2.0)), (), fmt) == default
 
     def test_oblique_formula(self):
         # (x, y, z) -> (x + shear y, z + y_scale y)
@@ -216,3 +223,166 @@ class TestOtherFormats:
         code = toric()
         with pytest.raises(FormatError):
             emit(code.layout, RenderSpec(), (), "png")
+
+
+# The three drawing emitters as separate functions, each walking the edges,
+# the four vertex families and the overlay colours itself: the reference
+# that `emit` must match byte for byte.  A 3D table needs a projection here.
+
+
+def ref_project(coord, spec):
+    if len(coord) == 2:
+        return float(coord[0]), float(coord[1])
+    x, y, z = coord
+    p = spec.projection
+    return float(x) + p.x_shear * float(y), float(z) + p.y_scale * float(y)
+
+
+def ref_projected(table, spec, overlays):
+    projected = {role: [ref_project(c, spec) for c in table.families()[role]]
+                 for role in ROLE_ORDER}
+    colors = {qubit: PAULI_COLORS[letter]
+              for overlay in overlays for qubit, letter in overlay.paulis}
+    return projected, colors
+
+
+def ref_svg(table, spec, overlays):
+    scale = spec.scale
+    margin = scale
+    projected, overlay_colors = ref_projected(table, spec, overlays)
+    everything = [p for pts in projected.values() for p in pts]
+    xs = [p[0] for p in everything] or [0.0]
+    ys = [p[1] for p in everything] or [0.0]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    width = (x1 - x0) * scale + 2 * margin
+    height = (y1 - y0) * scale + 2 * margin
+
+    def place(p):
+        return (p[0] - x0) * scale + margin, (y1 - p[1]) * scale + margin
+
+    half = scale * 0.22
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}"'
+        f' height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">'
+    ]
+    if spec.include_edges and table.edges:
+        for (role_a, ia), (role_b, ib) in table.edges:
+            xa, ya = place(projected[role_a][ia])
+            xb, yb = place(projected[role_b][ib])
+            lines.append(
+                f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}"'
+                ' stroke="gray" stroke-width="0.5"/>'
+            )
+    for idx, p in enumerate(projected["x"]):
+        cx, cy = place(p)
+        lines.append(
+            f'<rect x="{cx - half:.2f}" y="{cy - half:.2f}" width="{2 * half:.2f}"'
+            f' height="{2 * half:.2f}" fill="black"><title>x{idx}</title></rect>'
+        )
+    for idx, p in enumerate(projected["z"]):
+        cx, cy = place(p)
+        lines.append(
+            f'<rect x="{cx - half:.2f}" y="{cy - half:.2f}" width="{2 * half:.2f}"'
+            f' height="{2 * half:.2f}" fill="white" stroke="black">'
+            f"<title>z{idx}</title></rect>"
+        )
+    q1 = len(table.qubits_q1)
+    for role, offset in (("q1", 0), ("q2", q1)):
+        for idx, p in enumerate(projected[role]):
+            cx, cy = place(p)
+            color = overlay_colors.get(offset + idx, "black")
+            lines.append(
+                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{half:.2f}"'
+                f' fill="{color}"><title>{role}[{idx}]</title></circle>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def ref_tikz(table, spec, overlays):
+    projected, overlay_colors = ref_projected(table, spec, overlays)
+    lines = [
+        "\\documentclass[tikz]{standalone}",
+        "\\begin{document}",
+        "\\begin{tikzpicture}[scale=0.8]",
+    ]
+    if spec.include_edges and table.edges:
+        for (role_a, ia), (role_b, ib) in table.edges:
+            xa, ya = projected[role_a][ia]
+            xb, yb = projected[role_b][ib]
+            lines.append(f"\\draw[gray] ({xa:.2f},{ya:.2f}) -- ({xb:.2f},{yb:.2f});")
+    for x, y in projected["x"]:
+        lines.append(
+            f"\\filldraw ({x - 0.1:.2f},{y - 0.1:.2f}) rectangle"
+            f" ({x + 0.1:.2f},{y + 0.1:.2f});"
+        )
+    for x, y in projected["z"]:
+        lines.append(
+            f"\\draw ({x - 0.1:.2f},{y - 0.1:.2f}) rectangle"
+            f" ({x + 0.1:.2f},{y + 0.1:.2f});"
+        )
+    q1 = len(table.qubits_q1)
+    for role, offset in (("q1", 0), ("q2", q1)):
+        for idx, (x, y) in enumerate(projected[role]):
+            color = overlay_colors.get(offset + idx)
+            if color:
+                lines.append(f"\\filldraw[{color}] ({x:.2f},{y:.2f}) circle (3pt);")
+            else:
+                lines.append(f"\\filldraw ({x:.2f},{y:.2f}) circle (3pt);")
+    lines.extend(["\\end{tikzpicture}", "\\end{document}"])
+    return "\n".join(lines) + "\n"
+
+
+def ref_dot(table, spec, overlays):
+    shapes = {"x": "box", "z": "square", "q1": "circle", "q2": "circle"}
+    styles = {"x": "filled", "z": "solid", "q1": "solid", "q2": "solid"}
+    lines = ["graph layout {"]
+    for role in ROLE_ORDER:
+        for idx, coord in enumerate(table.families()[role]):
+            px, py = ref_project(coord, spec)
+            lines.append(
+                f'  "{role}{idx}" [shape={shapes[role]} style={styles[role]}'
+                f' pos="{px:.2f},{py:.2f}!"];'
+            )
+    if spec.include_edges and table.edges:
+        for (role_a, ia), (role_b, ib) in table.edges:
+            lines.append(f'  "{role_a}{ia}" -- "{role_b}{ib}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+REFERENCE = {"svg": ref_svg, "tikz": ref_tikz, "dot": ref_dot}
+
+
+class TestDrawingLoopMatchesReference:
+    def test_seeded_tables(self):
+        # Distinct integer coordinates in four families of 0-7 vertices each,
+        # edges between any listed vertices, 0-2 overlays, and random scale,
+        # shear and y-scale; every format x kind x edges x overlay count.
+        rng = random.Random(1313)
+        reached = Counter()
+        for _ in range(1200):
+            kind = rng.choice(("2d", "3d"))
+            width = 2 if kind == "2d" else 3
+            sizes = [rng.randrange(8) for _ in ROLE_ORDER]
+            box = [tuple(rng.randrange(-6, 7) for _ in range(width)) for _ in range(90)]
+            coords = iter(rng.sample(sorted(set(box)), sum(sizes)))
+            families = [tuple(next(coords) for _ in range(size)) for size in sizes]
+            listed = [(role, i) for role, size in zip(ROLE_ORDER, sizes) for i in range(size)]
+            count = rng.randrange(8) if len(listed) > 1 else 0
+            edges = tuple(tuple(rng.sample(listed, 2)) for _ in range(count))
+            table = CoordinateTable(kind, *families, edges=edges)
+            qubits = range(sizes[2] + sizes[3])
+            overlays = tuple(
+                OperatorOverlay(tuple((q, rng.choice("XYZ")) for q in
+                                      sorted(rng.sample(qubits, rng.randrange(len(qubits) + 1)))))
+                for _ in range(rng.randrange(3)))
+            projection = Oblique(rng.choice((0.45, 0.0, -0.7, rng.uniform(-2, 2))),
+                                 rng.choice((0.3, 1.0, -0.25, rng.uniform(-2, 2))))
+            spec = RenderSpec(projection, scale=rng.choice((12.0, 1.0, 7.5, rng.uniform(0.1, 40))),
+                              include_edges=rng.random() < 0.5)
+            fmt = rng.choice(DRAWN)
+            assert emit(table, spec, overlays, fmt) == REFERENCE[fmt](table, spec, overlays)
+            reached[fmt, kind, spec.include_edges and bool(edges), len(overlays)] += 1
+        assert len(reached) == len(DRAWN) * 2 * 2 * 3
+        assert min(reached.values()) >= 10
