@@ -11,18 +11,16 @@ _EXPORTS = {
     "analysis": "CSSParams LogicalBasis check_commutation css_distance css_params"
                 " hgp_canonical_logicals hgp_distance_bound hgp_k_formula logical_count"
                 " lp_bp_coincide search_noncommuting_lp",
-    "classical": "ClassicalCode CodeParams SystematicBasis",
+    "classical": "ClassicalCode SystematicBasis",
     "errors": "BudgetError DimensionError FormatError PreconditionError",
     "gf2": "BitMatrix RrefResult kernel_basis kron matmul rank rref",
-    "groups": "FiniteGroup GroupAlgebraElement GroupAlgebraMatrix binary_map conj_transpose"
-              " parse_group_spec ring_kron_identity",
+    "groups": "FiniteGroup GroupAlgebraElement GroupAlgebraMatrix binary_map parse_group_spec",
     "products": "CSSCode balanced_product css_from_matrices hgp hgp_of_lifts"
                 " lift_with_regular_actions lifted_product",
     "render": "CoordinateTable Oblique OperatorOverlay RenderSpec emit line_layout_table"
               " parse_layout",
     "tanner": "CoveringMap GroupAction PlainGraph QuotientLayout TannerGraph"
-              " cartesian_product_plain has_fixed_edge is_free lift_from_ring_matrix"
-              " product_action_plain quotient verify_covering",
+              " has_fixed_edge is_free lift_from_ring_matrix quotient verify_covering",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

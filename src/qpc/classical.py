@@ -35,16 +35,6 @@ from .gf2 import DEFAULT_BUDGET, BitMatrix, RrefResult, coset_min_weight, rref, 
 
 
 @dataclass(frozen=True)
-class CodeParams:
-    """[n, k, d] plus the check count m; d is None when unknown or k = 0."""
-
-    n: int
-    k: int
-    m: int
-    d: int | None = None
-
-
-@dataclass(frozen=True)
 class SystematicBasis:
     """Codeword basis in systematic order.
 
@@ -61,19 +51,10 @@ class SystematicBasis:
 class ClassicalCode:
     """A binary linear code defined by a parity-check matrix."""
 
-    def __init__(self, h: BitMatrix, params: CodeParams | None = None):
+    def __init__(self, h: BitMatrix):
         self.h = h
         self._transpose: ClassicalCode | None = None
-        self._d: int | None = params.d if params is not None else None
-        if params is not None:
-            if params.n != h.cols or params.m != h.rows:
-                raise PreconditionError(
-                    f"cached params {params} disagree with matrix shape {h.shape}"
-                )
-            if params.k != self.dimension():
-                raise PreconditionError(
-                    f"cached k={params.k} disagrees with n - rank = {self.dimension()}"
-                )
+        self._d: int | None = None
 
     @property
     def n(self) -> int:

@@ -14,12 +14,13 @@ found and reduced among themselves as Python ints, and every other row
 is cleared at once, by a gather per pivot it holds or by tables of 8
 pivot rows' XOR combinations, whichever reads fewer rows, so numpy is
 called per block rather than per pivot.  `rref` returns the reduced form
-and its pivots only; the row operations and a kernel basis are derived
-from that result when first read, so a rank costs one elimination and
-nothing more.  `BitMatrix.nonzero` unpacks only the non-zero words,
+and its pivots only; a kernel basis is derived from that result when
+read, so a rank costs one elimination and nothing more.
+`BitMatrix.nonzero` unpacks only the non-zero words,
 `BitMatrix.from_entries` sorts the positions and ORs each word's bits
-with one reduceat, and `BitMatrix.columns` gathers columns as rows of
-the transpose; `matmul` XOR-reduces the rows of b gathered at a's
+with one reduceat, `BitMatrix.entries` reads the entries at given
+positions, and `BitMatrix.columns` gathers columns as rows of the
+transpose; `matmul` XOR-reduces the rows of b gathered at a's
 entries, in chunks of bounded size, `matmul_t` builds a b^T from the
 pairs of entries that share a column when they are few, and `kron` maps
 entries.  `coset_min_weight` is the one exact-distance entry, for
@@ -32,7 +33,6 @@ sparse storage and no rank algorithm below cubic time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -113,19 +113,6 @@ class BitMatrix:
         """Ones at the positions (i[t], j[t]), each inside the shape; a position may repeat."""
         return cls(rows, cols, _scatter(rows, cols, i, j, np.bitwise_or))
 
-    @classmethod
-    def from_row_ints(cls, ints, cols: int) -> "BitMatrix":
-        """Rows given as little-endian integers (bit j of the int = column j)."""
-        rows = len(ints)
-        nw = _word_count(cols)
-        words = np.zeros((rows, nw), dtype=np.uint64)
-        for i, value in enumerate(ints):
-            if value < 0 or value >> cols:
-                raise DimensionError(f"row {i} does not fit in {cols} columns")
-            raw = int(value).to_bytes(nw * 8, "little")
-            words[i] = np.frombuffer(raw, dtype=np.uint64)
-        return cls(rows, cols, words)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -138,14 +125,6 @@ class BitMatrix:
         raw = np.ascontiguousarray(self._words).view(np.uint8)
         bits = np.unpackbits(raw, axis=1, bitorder="little")
         return np.ascontiguousarray(bits[:, : self.cols])
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) out of range for {self.shape}")
-        return int(self._words[i, j >> 6] >> np.uint64(j & 63) & np.uint64(1))
-
-    def __getitem__(self, ij) -> int:
-        return self.get(*ij)
 
     def entries(self, i, j) -> np.ndarray:
         """The entries at the positions (i[t], j[t]), as booleans."""
@@ -170,25 +149,12 @@ class BitMatrix:
         rows = transpose(self)._words[np.asarray(idx, dtype=np.int64)]
         return transpose(BitMatrix(rows.shape[0], self.rows, rows))
 
-    def row_int(self, i: int) -> int:
-        """Row i as a little-endian integer."""
-        return int.from_bytes(self._words[i].tobytes(), "little")
-
-    def rows_as_ints(self) -> list[int]:
-        return [self.row_int(i) for i in range(self.rows)]
-
-    def row_weight(self, i: int) -> int:
-        return int(np.bitwise_count(self._words[i]).sum())
-
     def weight(self) -> int:
         """Total number of non-zero entries."""
         return int(np.bitwise_count(self._words).sum())
 
     def is_zero(self) -> bool:
         return not self._words.any()
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self._words.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
@@ -211,8 +177,8 @@ class BitMatrix:
 class RrefResult:
     """Reduced row echelon form of `source`.
 
-    `pivot_cols` is strictly increasing and has length `rank`.  The row
-    operations and the kernel are derived from it only when read.
+    `pivot_cols` is strictly increasing and has length `rank`.  The kernel
+    is derived from it only when read.
     """
 
     source: BitMatrix
@@ -224,17 +190,6 @@ class RrefResult:
     def basis(self) -> BitMatrix:
         """The non-zero rows of `rref`: a basis of the input's row space."""
         return BitMatrix(self.rank, self.rref.cols, self.rref._words[: self.rank])
-
-    @cached_property
-    def row_ops(self) -> BitMatrix:
-        """An invertible U with `U @ source == rref`.
-
-        Eliminating [source | I] reduces the left block to `rref` and
-        carries the same row operations into the right block.
-        """
-        m = self.source
-        reduced = rref(hstack(m, BitMatrix.identity(m.rows))).rref
-        return reduced.columns(range(m.cols, m.cols + m.rows))
 
     @property
     def kernel(self) -> BitMatrix:

@@ -5,13 +5,13 @@ index 0; element ordering is frozen at construction so that the binary
 expansion of any algebra element is bit-for-bit reproducible.  Tables
 are checked exactly at every order: Latin square, identity, and Light's
 associativity test on a greedy generating set, which the group keeps as
-`generators` (group actions are validated on the same set).
+`generators` (group actions are validated on the same set).  A cyclic
+group or a product of two names its generators x (and y); any other
+table, read from a file or built in code, names g1 .. g(l-1).
 
 `binary_map` sends a group element to its left regular representation
 (B(g)[p, q] = 1 iff g * q = p) and extends linearly, which makes it a
-ring homomorphism into binary matrices.  The conjugate transpose
-transposes the grid and inverts every group element, so that
-B(conj_transpose(M)) equals B(M) transposed.
+ring homomorphism into binary matrices.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class FiniteGroup:
     __slots__ = ("order", "mul", "inv", "generators", "spec", "_gen_names", "_cyclic_shape")
 
     def __init__(self, mul_table, spec: str | None = None,
-                 gen_names: dict[str, int] | None = None,
                  cyclic_shape: tuple[int, ...] | None = None):
         mul = np.asarray(mul_table, dtype=np.int64)
         order = mul.shape[0]
@@ -49,8 +48,12 @@ class FiniteGroup:
         self.mul = mul
         self.inv = np.argmax(mul == 0, axis=1)  # associative, so also the left inverse
         self.spec = spec or f"table:{order}"
-        self._gen_names = dict(gen_names or {})
         self._cyclic_shape = cyclic_shape
+        if cyclic_shape is None:
+            self._gen_names = {f"g{i}": i for i in range(1, order)}
+        else:  # x steps the first cyclic factor, y the second; a factor of order 1 has none
+            steps = {"x": math.prod(cyclic_shape[1:]), "y": 1}
+            self._gen_names = {n: steps[n] for n, size in zip("xy", cyclic_shape) if size > 1}
 
     # -- constructors --------------------------------------------------
 
@@ -60,8 +63,7 @@ class FiniteGroup:
             raise PreconditionError(f"cyclic group order must be >= 1, got {l}")
         idx = np.arange(l)
         mul = (idx[:, None] + idx[None, :]) % l
-        gens = {"x": 1} if l > 1 else {}
-        return cls(mul, spec=f"Z{l}", gen_names=gens, cyclic_shape=(l,))
+        return cls(mul, spec=f"Z{l}", cyclic_shape=(l,))
 
     @classmethod
     def direct_product(cls, a: int, b: int) -> "FiniteGroup":
@@ -71,12 +73,7 @@ class FiniteGroup:
         ia = np.arange(a * b) // b
         ib = np.arange(a * b) % b
         mul = ((ia[:, None] + ia[None, :]) % a) * b + (ib[:, None] + ib[None, :]) % b
-        gens: dict[str, int] = {}
-        if a > 1:
-            gens["x"] = b  # (1, 0)
-        if b > 1:
-            gens["y"] = 1  # (0, 1)
-        return cls(mul, spec=f"Z{a}xZ{b}", gen_names=gens, cyclic_shape=(a, b))
+        return cls(mul, spec=f"Z{a}xZ{b}", cyclic_shape=(a, b))
 
     @classmethod
     def from_table_text(cls, text: str, spec: str | None = None) -> "FiniteGroup":
@@ -104,13 +101,9 @@ class FiniteGroup:
             rows.append(values)
         if order is None or len(rows) != order:
             raise FormatError(f"expected {order or '?'} table rows, got {len(rows)}")
-        gens = {f"g{i}": i for i in range(1, order)}
-        return cls(np.array(rows), spec=spec, gen_names=gens)
+        return cls(np.array(rows), spec=spec)
 
     # -- structure -----------------------------------------------------
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
 
     def multiply(self, g: int, h: int) -> int:
         return int(self.mul[g, h])
@@ -203,6 +196,8 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         factors = None
     if factors is None or 8 * math.prod(factors) ** 2 > np.iinfo(np.intp).max:
         raise FormatError("group table would exceed the largest array size")
+    if 0 in factors:
+        raise FormatError(f"group spec {spec!r} has a cyclic factor of order 0")
     if (order := math.prod(factors)) > MAX_GROUP_ORDER:
         raise FormatError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
     if len(factors) == 2:
@@ -349,63 +344,6 @@ def binary_map(m: GroupAlgebraMatrix) -> BitMatrix:
     return BitMatrix.from_entries(m.rows * l, m.cols * l,
                                   (i[:, None] * l + m.group.mul[g]).ravel(),
                                   (j[:, None] * l + np.arange(l)).ravel())
-
-
-def conj_transpose(m: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
-    """Transpose the grid and invert every group element in each entry."""
-    return GroupAlgebraMatrix(
-        m.group,
-        [[m.entries[i][j].conj() for i in range(m.rows)] for j in range(m.cols)],
-        cols=m.rows,
-    )
-
-
-def ring_kron_identity(m: GroupAlgebraMatrix, r: int, side: str) -> GroupAlgebraMatrix:
-    """Kronecker with an r x r identity over the ring.
-
-    side="right" builds m (x) I_r (each entry smeared over an r-block
-    diagonal); side="left" builds I_r (x) m (r diagonal copies of m).
-    """
-    zero = GroupAlgebraElement.zero(m.group)
-    if side == "right":
-        ent = [
-            [
-                m.entries[i // r][j // r] if i % r == j % r else zero
-                for j in range(m.cols * r)
-            ]
-            for i in range(m.rows * r)
-        ]
-    elif side == "left":
-        ent = [
-            [
-                m.entries[i % m.rows][j % m.cols]
-                if i // m.rows == j // m.cols
-                else zero
-                for j in range(m.cols * r)
-            ]
-            for i in range(m.rows * r)
-        ]
-    else:
-        raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-    return GroupAlgebraMatrix(m.group, ent, cols=m.cols * r)
-
-
-def ring_matmul(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
-    if a.cols != b.rows:
-        raise DimensionError(f"ring matmul: inner shapes differ, {a.shape} x {b.shape}")
-    if not a.group.same_group(b.group):
-        raise PreconditionError("ring matmul: group mismatch")
-    zero = GroupAlgebraElement.zero(a.group)
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = zero
-            for k in range(a.cols):
-                acc = acc + a.entries[i][k] * b.entries[k][j]
-            row.append(acc)
-        out.append(row)
-    return GroupAlgebraMatrix(a.group, out, cols=b.cols)
 
 
 # -- text format ------------------------------------------------------------

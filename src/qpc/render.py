@@ -270,8 +270,9 @@ _FORMATS = {
         ends="",
         x=('  "x%d" [shape=box style=filled pos="%.2f,%.2f!"];', "i x y"),
         z=('  "z%d" [shape=square style=solid pos="%.2f,%.2f!"];', "i x y"),
-        qubit=('  "%s%d" [shape=circle style=solid pos="%.2f,%.2f!"];', "role i x y"),
+        qubit=('  "%s%d" [shape=circle style=solid pos="%.2f,%.2f!"%s];', "role i x y c"),
         tail="}",
+        paint=(" color=%s", ""),
         edges_last=True,
     ),
 }

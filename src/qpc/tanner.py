@@ -581,51 +581,6 @@ def lift_from_ring_matrix(m: GroupAlgebraMatrix) -> LiftResult:
     )
 
 
-# -- cartesian products and the shared-group action ----------------------------
-
-
-def cartesian_product_plain(a: PlainGraph, b: PlainGraph) -> PlainGraph:
-    """Vertices are pairs (u, v) indexed u * |B| + v; edges vary one side."""
-    nb = b.vertex_count
-    edges: Counter = Counter()
-    for (u, w), mult in a.edges.items():
-        for v in range(nb):
-            x, y = u * nb + v, w * nb + v
-            edges[(min(x, y), max(x, y))] += mult
-    for (v, w), mult in b.edges.items():
-        for u in range(a.vertex_count):
-            x, y = u * nb + v, u * nb + w
-            edges[(min(x, y), max(x, y))] += mult
-    return PlainGraph(a.vertex_count * nb, edges)
-
-
-def product_action_plain(
-    product: PlainGraph, act_a: GroupAction, act_b: GroupAction
-) -> GroupAction:
-    """Action h . (u, v) = (u . h, h^-1 . v) on the Cartesian product.
-
-    With stored left actions the right action on the first factor is
-    pi_A(h^-1), so element h applies pi_A(h^-1) and pi_B(h^-1) to the two
-    coordinates; this composes as a genuine left action for any group.
-    """
-    group = act_a.group
-    if not group.same_group(act_b.group):
-        raise PreconditionError("factors carry actions of different groups")
-    na = act_a.graph.vertex_count
-    nb = act_b.graph.vertex_count
-    if product.vertex_count != na * nb:
-        raise DimensionError(
-            f"product has {product.vertex_count} vertices, factors give {na * nb}"
-        )
-    perms = np.empty((group.order, na * nb), dtype=np.int64)
-    for h in range(group.order):
-        hinv = group.inverse(h)
-        pa = act_a.perms["vertex"][hinv]
-        pb = act_b.perms["vertex"][hinv]
-        perms[h] = (pa[np.arange(na * nb) // nb] * nb) + pb[np.arange(na * nb) % nb]
-    return GroupAction(group, product, {"vertex": perms})
-
-
 # -- file formats --------------------------------------------------------------
 
 

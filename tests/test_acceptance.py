@@ -39,14 +39,14 @@ from qpc.render import OperatorOverlay, RenderSpec, emit, parse_layout
 from qpc.tanner import (
     GroupAction,
     TannerGraph,
-    cartesian_product_plain,
     is_free,
     parse_covering,
     parse_graph,
-    product_action_plain,
     quotient,
     verify_covering,
 )
+
+from oracles import cartesian_product_plain, product_action_plain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -7,7 +7,6 @@ import pytest
 from qpc import gf2
 from qpc.classical import (
     ClassicalCode,
-    CodeParams,
     emit_alist,
     emit_pcm_text,
     hamming_7_4_check,
@@ -55,12 +54,6 @@ class TestDimension:
 
     def test_zero_single_check(self):
         assert ClassicalCode(BitMatrix.zeros(1, 4)).dimension() == 4
-
-    def test_param_cache_must_agree(self):
-        good = CodeParams(n=3, k=1, m=3)
-        ClassicalCode(repetition_check(3), params=good)
-        with pytest.raises(PreconditionError):
-            ClassicalCode(repetition_check(3), params=CodeParams(n=3, k=2, m=3))
 
 
 class TestMinDistance:

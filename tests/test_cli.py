@@ -615,6 +615,22 @@ class TestVerify:
         assert "free_witness" in out and "3" in out
 
 
+class TestGroupSpecs:
+    @pytest.mark.parametrize("spec", ["Z0", "Z2xZ0", "Z0xZ3"])
+    @pytest.mark.parametrize("kind", ["ring", "action"])
+    def test_zero_order_factor_exits_1_naming_the_file(self, tmp_path, spec, kind):
+        if kind == "ring":
+            (tmp_path / "g.ring").write_text(f"1 1 group={spec}\n1\n")
+            argv = ["construct", "lp", "--m1", "g.ring", "--m2", "g.ring", "--out-prefix", "lp"]
+        else:
+            (tmp_path / "g.action").write_text(json.dumps({"group": spec, "generators": []}))
+            argv = ["verify", "action", "--graph", FIXTURES / "cycle6.graph", "--action", "g.action"]
+        proc = run_process(tmp_path, *argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: g.{kind}: group spec {spec!r}"
+                               " has a cyclic factor of order 0\n")
+
+
 class TestResourceTraps:
     """A header that names a huge size is refused before anything that size is built.
 

@@ -23,6 +23,8 @@ from qpc.gf2 import (
 from qpc.groups import FiniteGroup, GroupAlgebraMatrix
 from qpc.products import hgp, lifted_product
 
+from oracles import from_row_ints, row_int, row_ops, row_weight, rows_as_ints
+
 # Circulant parity check of the 3-bit repetition code; its rows sum to zero.
 CIRC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
 
@@ -53,12 +55,12 @@ class TestStorage:
 
     def test_entry_access(self):
         m = bm(CIRC)
-        assert m[0, 0] == 1 and m[0, 2] == 0 and m[2, 1] == 0
+        assert m.entries([0, 0, 2], [0, 2, 1]).tolist() == [True, False, False]
 
     def test_row_ints(self):
         m = bm([[1, 0, 1, 1]])
-        assert m.row_int(0) == 0b1101
-        back = BitMatrix.from_row_ints([0b1101], 4)
+        assert row_int(m, 0) == 0b1101
+        back = from_row_ints([0b1101], 4)
         assert back == m
 
     def test_wide_matrix_crosses_word_boundary(self):
@@ -67,7 +69,7 @@ class TestStorage:
         dense[1, 63] = 1
         dense[1, 64] = 1
         m = BitMatrix.from_dense(dense)
-        assert m[0, 149] == 1 and m[1, 63] == 1 and m[1, 64] == 1
+        assert m.entries([0, 1, 1], [149, 63, 64]).all()
         assert m.weight() == 3
 
 
@@ -110,9 +112,9 @@ class TestRref:
         for _ in range(40):
             m = random_bitmatrix(rng, rng.randint(1, 7), rng.randint(1, 9))
             res = rref(m)
-            assert matmul(res.row_ops, m) == res.rref
+            assert matmul(row_ops(m), m) == res.rref
             # row_ops is invertible
-            assert rank(res.row_ops) == m.rows
+            assert rank(row_ops(m)) == m.rows
 
     def test_pivot_cols_strictly_increasing(self):
         rng = random.Random(5)
@@ -151,7 +153,7 @@ class TestRref:
             m = BitMatrix.from_dense(dense)
             res = rref(m)
             assert res.rank == dense_rank(dense)
-            assert matmul(res.row_ops, m) == res.rref
+            assert matmul(row_ops(m), m) == res.rref
             basis = kernel_basis(m)
             assert basis.rows == cols - res.rank
             assert matmul(m, transpose(basis)).is_zero()
@@ -225,20 +227,14 @@ class TestKernel:
 
 
 class TestLazyRowOps:
-    def test_rref_does_not_build_row_ops(self):
-        res = rref(bm(CIRC))
-        assert "row_ops" not in vars(res)
-        assert matmul(res.row_ops, bm(CIRC)) == res.rref
-        assert "row_ops" in vars(res)
-
     def test_row_ops_of_wide_and_empty_inputs(self):
         rng = random.Random(19)
         for rows, cols in [(0, 0), (0, 5), (4, 0), (3, 64), (5, 130), (70, 3)]:
             m = random_bitmatrix(rng, rows, cols) if rows and cols else BitMatrix.zeros(rows, cols)
-            res = rref(m)
-            assert res.row_ops.shape == (rows, rows)
-            assert matmul(res.row_ops, m) == res.rref
-            assert rank(res.row_ops) == rows
+            res, ops = rref(m), row_ops(m)
+            assert ops.shape == (rows, rows)
+            assert matmul(ops, m) == res.rref
+            assert rank(ops) == rows
 
 
 class TestPackedTranspose:
@@ -258,7 +254,7 @@ class TestPackedTranspose:
         m = BitMatrix.from_dense(np.ones((70, 3), dtype=np.uint8))
         t = transpose(m)
         assert t.weight() == 210
-        assert t.row_weight(0) == 70
+        assert row_weight(t, 0) == 70
 
 
 class TestColumns:
@@ -320,11 +316,11 @@ class TestKron:
 
     def test_right_identity_matches_index_rule(self):
         # (H kron I_r)[i, j] = H[i//r, j//r] when i = j mod r, else 0
-        h = bm(CIRC)
+        h = bm(CIRC).to_dense()
         r = 2
-        out = kron(h, BitMatrix.identity(r))
-        for i in range(out.rows):
-            for j in range(out.cols):
+        out = kron(bm(CIRC), BitMatrix.identity(r)).to_dense()
+        for i in range(out.shape[0]):
+            for j in range(out.shape[1]):
                 expect = h[i // r, j // r] if i % r == j % r else 0
                 assert out[i, j] == expect
 
@@ -334,9 +330,10 @@ class TestKron:
         for _ in range(10):
             m_rows, n_cols, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
             h = random_bitmatrix(rng, m_rows, n_cols)
-            out = kron(BitMatrix.identity(r), h)
-            for i in range(out.rows):
-                for j in range(out.cols):
+            out = kron(BitMatrix.identity(r), h).to_dense()
+            h = h.to_dense()
+            for i in range(out.shape[0]):
+                for j in range(out.shape[1]):
                     expect = (
                         h[i % m_rows, j % n_cols]
                         if i // m_rows == j // n_cols
@@ -643,7 +640,7 @@ class TestMinWeight:
     def check(self, rng, n_stab, n_log, cols):
         stab = random_bitmatrix(rng, n_stab, cols) if n_stab else BitMatrix.zeros(0, cols)
         logical = random_bitmatrix(rng, n_log, cols)
-        expected = gray_oracle(stab.rows_as_ints(), logical.rows_as_ints())
+        expected = gray_oracle(rows_as_ints(stab), rows_as_ints(logical))
         assert min_weight(stab, logical) == expected
 
     def test_empty_logical_is_none(self):
@@ -684,5 +681,5 @@ class TestMinWeight:
             code = ClassicalCode(random_bitmatrix(rng, 12, 30))
         assert table_bits(18, 30) == gf2._TABLE_BITS < 18
         basis = kernel_basis(code.h)
-        assert code.min_distance() == gray_oracle([], basis.rows_as_ints())
+        assert code.min_distance() == gray_oracle([], rows_as_ints(basis))
         self.check(rng, 1, 17, 30)

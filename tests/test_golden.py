@@ -8,8 +8,10 @@ vectorised emitters and the packed kernels existed, and the entries for the
 failing `verify` commands (covering violation, non-free action with a
 pinned edge) before the edge-array graph view, and the drawing entries
 with edges and overlays (`layout_lp_*_edges_overlay`,
-`layout_toric_*_overlay`) before svg, tikz and dot were drawn by one loop;
-any byte that moves fails here.
+`layout_toric_*_overlay`) before svg, tikz and dot were drawn by one loop,
+except the two dot ones (`layout_lp_dot_edges_overlay`,
+`layout_toric_dot_overlay`), recorded again when dot began to colour
+overlaid qubits; any byte that moves fails here.
 
 `python tests/test_golden.py` prints the manifest of the qpc on the
 import path, in the format of `golden_manifest.json`.

@@ -12,6 +12,7 @@ imports at a cost of about 17 ms per process.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,24 +23,25 @@ import qpc
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 RENDER_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.render"}
 
-# `qpc.__all__` as it stood when every submodule was imported eagerly.
+# `qpc.__all__` as it stood when every submodule was imported eagerly, less
+# `CodeParams` (deleted) and four functions only the tests used (now in oracles.py).
 PUBLIC = [
-    "BitMatrix", "BudgetError", "CSSCode", "CSSParams", "ClassicalCode", "CodeParams",
-    "CoordinateTable", "CoveringMap", "DimensionError", "FiniteGroup", "FormatError",
-    "GroupAction", "GroupAlgebraElement", "GroupAlgebraMatrix", "LogicalBasis", "Oblique",
-    "OperatorOverlay", "PlainGraph", "PreconditionError", "QuotientLayout", "RenderSpec",
-    "RrefResult", "SystematicBasis", "TannerGraph", "analysis", "balanced_product",
-    "binary_map", "cartesian_product_plain", "check_commutation", "classical",
-    "conj_transpose", "css_distance", "css_from_matrices", "css_params", "emit", "errors",
-    "gf2", "groups", "has_fixed_edge", "hgp", "hgp_canonical_logicals",
+    "BitMatrix", "BudgetError", "CSSCode", "CSSParams", "ClassicalCode", "CoordinateTable",
+    "CoveringMap", "DimensionError", "FiniteGroup", "FormatError", "GroupAction",
+    "GroupAlgebraElement", "GroupAlgebraMatrix", "LogicalBasis", "Oblique", "OperatorOverlay",
+    "PlainGraph", "PreconditionError", "QuotientLayout", "RenderSpec", "RrefResult",
+    "SystematicBasis", "TannerGraph", "analysis", "balanced_product", "binary_map",
+    "check_commutation", "classical", "css_distance", "css_from_matrices", "css_params",
+    "emit", "errors", "gf2", "groups", "has_fixed_edge", "hgp", "hgp_canonical_logicals",
     "hgp_distance_bound", "hgp_k_formula", "hgp_of_lifts", "is_free", "kernel_basis", "kron",
     "lift_from_ring_matrix", "lift_with_regular_actions", "lifted_product",
     "line_layout_table", "logical_count", "lp_bp_coincide", "matmul", "parse_group_spec",
-    "parse_layout", "product_action_plain", "products", "quotient", "rank", "render",
-    "ring_kron_identity", "rref", "search_noncommuting_lp", "tanner", "verify_covering",
+    "parse_layout", "products", "quotient", "rank", "render", "rref", "search_noncommuting_lp",
+    "tanner", "verify_covering",
 ]
 
 
@@ -170,6 +172,20 @@ class TestPublicApi:
 
     def test_dir_lists_every_public_name(self):
         assert set(PUBLIC) <= set(dir(qpc))
+
+    def test_readme_library_sketch_prints_its_comments(self, tmp_path):
+        # each print(...) line's comment is its output; "..." stands for any text
+        sketch = re.search(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+        expected = [line.split("# ", 1)[1] for line in sketch.splitlines() if line.startswith("print(")]
+        result = subprocess.run(
+            [sys.executable, "-c", sketch], cwd=tmp_path, capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 0, result.stderr
+        printed = result.stdout.splitlines()
+        assert len(printed) == len(expected) > 0
+        for got, want in zip(printed, expected):
+            assert re.fullmatch(".*".join(map(re.escape, want.split("..."))), got), (got, want)
 
     def test_coordinate_table_keeps_its_products_name(self):
         from qpc import products, render

@@ -12,9 +12,7 @@ from qpc.groups import (
     FiniteGroup,
     GroupAlgebraMatrix,
     binary_map,
-    conj_transpose,
     parse_element,
-    ring_kron_identity,
 )
 from qpc.products import (
     CoordinateTable,
@@ -26,6 +24,8 @@ from qpc.products import (
     lifted_product,
 )
 from qpc.tanner import GroupAction, TannerGraph
+
+from oracles import conj_transpose, ring_kron_identity
 
 
 def rep3():

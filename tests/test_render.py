@@ -214,6 +214,15 @@ class TestOtherFormats:
         doc = emit(code.layout, RenderSpec(), (overlay,), "tikz")
         assert "\\filldraw[blue]" in doc
 
+    def test_dot_overlay_color(self):
+        code = toric()
+        overlay = OperatorOverlay.from_dict({2: "X", 10: "Z"})
+        doc = emit(code.layout, RenderSpec(), (overlay,), "dot")
+        assert [line for line in doc.splitlines() if "color=" in line] == [
+            '  "q12" [shape=circle style=solid pos="3.00,2.00!" color=blue];',
+            '  "q21" [shape=circle style=solid pos="0.00,4.00!" color=red];',
+        ]
+
     def test_dot_edges(self):
         code = toric()
         doc = emit(code.layout, RenderSpec(include_edges=True), (), "dot")
@@ -336,13 +345,17 @@ def ref_tikz(table, spec, overlays):
 def ref_dot(table, spec, overlays):
     shapes = {"x": "box", "z": "square", "q1": "circle", "q2": "circle"}
     styles = {"x": "filled", "z": "solid", "q1": "solid", "q2": "solid"}
+    _, overlay_colors = ref_projected(table, spec, overlays)
+    offsets = {"q1": 0, "q2": len(table.qubits_q1)}
     lines = ["graph layout {"]
     for role in ROLE_ORDER:
         for idx, coord in enumerate(table.families()[role]):
             px, py = ref_project(coord, spec)
+            color = overlay_colors.get(offsets[role] + idx) if role in offsets else None
+            paint = f" color={color}" if color else ""
             lines.append(
                 f'  "{role}{idx}" [shape={shapes[role]} style={styles[role]}'
-                f' pos="{px:.2f},{py:.2f}!"];'
+                f' pos="{px:.2f},{py:.2f}!"{paint}];'
             )
     if spec.include_edges and table.edges:
         for (role_a, ia), (role_b, ib) in table.edges:

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from qpc.tanner import (
     GroupAction,
     PlainGraph,
     TannerGraph,
-    cartesian_product_plain,
     emit_action,
     emit_graph,
     has_fixed_edge,
@@ -30,10 +30,11 @@ from qpc.tanner import (
     parse_action,
     parse_covering,
     parse_graph,
-    product_action_plain,
     quotient,
     verify_covering,
 )
+
+from oracles import cartesian_product_plain, product_action_plain
 
 
 def six_cycle_action():
@@ -95,6 +96,21 @@ class TestGraphs:
 class TestActionValidation:
     def test_six_cycle_action_valid(self):
         six_cycle_action()
+
+    def test_table_built_in_code_names_the_generators_of_its_file(self):
+        # S3 acting on itself by left multiplication, which keeps each edge v -- v * g3
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        read = parse_group_spec(f"table:{fixtures / 's3.table'}")
+        built = FiniteGroup(read.mul)
+        assert built.generator_names() == read.generator_names() == {
+            f"g{i}": i for i in range(1, 6)}
+        graph = PlainGraph(6, [(v, int(read.mul[v, 3])) for v in range(6)])
+        perms = [{"vertex_perm": read.mul[g].tolist()} for g in range(1, 6)]
+        actions = [GroupAction.from_generators(group, graph, perms) for group in (built, read)]
+        assert np.array_equal(actions[0].perms["vertex"], actions[1].perms["vertex"])
+        assert np.array_equal(actions[0].perms["vertex"], read.mul)
+        emitted = [json.loads(emit_action(action))["generators"] for action in actions]
+        assert emitted[0] == emitted[1] == perms
 
     def test_edge_breaking_permutation_rejected(self):
         # rotating only three vertices of a plain 4-cycle tears its edges
