@@ -11,7 +11,8 @@ every failure prints one line on stderr, naming the input file of a
 parse error.  `analyze --budget` is the one setter of the
 distance-enumeration cap, which also bounds the `--c1/--c2` cross-check;
 0 means the default and a negative budget exits 1.  Each command
-imports only the layers it runs, so `layout --input` never loads numpy.
+imports only the layers it runs, so `layout --input`, `layout --graph`
+and `verify covering` never load numpy.
 """
 
 from __future__ import annotations

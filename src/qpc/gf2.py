@@ -127,9 +127,11 @@ class BitMatrix:
         return np.ascontiguousarray(bits[:, : self.cols])
 
     def entries(self, i, j) -> np.ndarray:
-        """The entries at the positions (i[t], j[t]), as booleans."""
-        j = np.asarray(j, dtype=np.int64)
-        bits = self._words[np.asarray(i, dtype=np.int64), j >> 6] >> (j & 63).astype(np.uint64)
+        """The entries at the positions (i[t], j[t]), as booleans; IndexError outside the shape."""
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        if ((i < 0) | (i >= self.rows) | (j < 0) | (j >= self.cols)).any():
+            raise IndexError(f"a position is out of range for {self.shape}")
+        bits = self._words[i, j >> 6] >> (j & 63).astype(np.uint64)
         return (bits & np.uint64(1)).astype(bool)
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
@@ -369,11 +371,16 @@ def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         before = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, before + cap, side="right")))
         i, j = BitMatrix(stop - start, a.cols, a._words[start:stop]).nonzero()
-        if i.size:
-            first = np.flatnonzero(np.diff(i, prepend=-1) != 0)
-            out[start + i[first]] = np.bitwise_xor.reduceat(b._words[j], first, axis=0)
+        _xor_rows(out[start:stop], i, j, b._words)
         start = stop
     return BitMatrix(a.rows, b.cols, out)
+
+
+def _xor_rows(out: np.ndarray, i: np.ndarray, j: np.ndarray, words: np.ndarray) -> None:
+    """XOR `words[j[t]]` into `out[i[t]]` for each t, with `i` ascending."""
+    if i.size:
+        first = np.flatnonzero(np.diff(i, prepend=-1) != 0)
+        out[i[first]] ^= np.bitwise_xor.reduceat(words[j], first, axis=0)
 
 
 # matmul_t weighs a pair of entries as 8 words gathered by `matmul`.  The two
@@ -391,8 +398,9 @@ def matmul_t(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     When few pairs of entries share a column, the product is built from
     those pairs: each entry (i, j) of a meets each entry (k, j) of b, found
     among b's entries sorted by column, and an (i, k) met an odd number of
-    times is a one.  Otherwise it is `matmul(a, transpose(b))`, which
-    gathers words(b.rows) words per entry of a.
+    times is a one.  Otherwise it is `matmul(a, transpose(b))`, run on
+    the entries of a already unpacked here: words(b.rows) words gathered
+    per entry of a, in chunks of at most _GATHER_BYTES.
     """
     if a.cols != b.cols:
         raise DimensionError(f"matmul_t: column counts differ, {a.shape} vs {b.shape}")
@@ -404,7 +412,12 @@ def matmul_t(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     meets = per_col[aj]                                # the pairs of each entry of a
     pairs = int(meets.sum())
     if pairs > _MAX_PAIRS or pairs * _PAIR_WORDS > ai.size * _word_count(b.rows):
-        return matmul(a, transpose(b))
+        words = transpose(b)._words
+        out = np.zeros((a.rows, words.shape[1]), dtype=np.uint64)
+        step = max(_GATHER_BYTES // max(words.itemsize * words.shape[1], 1), 1)
+        for at in range(0, ai.size, step):
+            _xor_rows(out, ai[at:at + step], aj[at:at + step], words)
+        return BitMatrix(a.rows, b.rows, out)
     by_col = bk[np.argsort(bj)]                        # column j: by_col[first[j]:][:per_col[j]]
     first = np.cumsum(per_col) - per_col
     place = np.arange(pairs) + np.repeat(first[aj] - (np.cumsum(meets) - meets), meets)

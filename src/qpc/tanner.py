@@ -6,11 +6,13 @@ collapsing them silently would falsify every size claim downstream, so
 multiplicity is first class.  The GF(2) biadjacency reduces multiplicity
 mod 2 and reports when that reduction changed anything.
 
-A graph is its edge arrays: int64 `end0`, `end1` and `mult`, one entry
-per distinct edge in first-listed order, plus a CSR neighbour index per
-vertex part, built on the first neighbour query.  So a check over all
-edges is one array operation, and a neighbourhood is one slice.  The
-`Counter` in `graph.edges` is derived from the arrays when read.
+A graph is a `Counter` of its distinct edges in first-listed order, read
+in pure Python by parsing, emitting, drawing and the covering check, so
+those never import numpy.  The action half reads numpy views built on
+demand: int64 `end0`, `end1` and `mult`, and on Tanner graphs a CSR
+neighbour index, so a check over all edges is one array operation and a
+neighbourhood one slice.  It imports numpy, `gf2` and `groups` inside
+the functions that use them.
 
 Actions are stored one permutation per group element per vertex part,
 composing as a left action (perm(gh) = perm(g) after perm(h)).  They are
@@ -30,27 +32,32 @@ files are reproducible.
 from __future__ import annotations
 
 import json
-from collections import Counter
+import operator
+import sys
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionError, FormatError, PreconditionError, load_object, typed, typed_list
-from .gf2 import BitMatrix
-from .groups import FiniteGroup, GroupAlgebraMatrix, binary_map, parse_group_spec
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .gf2 import BitMatrix
+    from .groups import FiniteGroup, GroupAlgebraMatrix
 
 
 class _Graph:
-    """Distinct edges as arrays, with a CSR index per part built on first query.
+    """Distinct edges in a Counter, with numpy views built on first read.
 
-    `end0`, `end1` and `mult` list each distinct edge once, in the order
-    its first copy was given; end0 lies in the part `ENDS[0]`, end1 in
-    `ENDS[1]`.  The CSR index of a part is `(ptr, nbr, mult)`: vertex v
-    has the neighbours `nbr[ptr[v]:ptr[v + 1]]`, in edge order, with their
-    multiplicities.  A plain-graph loop appears once in its vertex's list.
+    `_edges` maps each distinct edge (end0, end1) to its multiplicity, in
+    the order its first copy was given; end0 lies in the part `ENDS[0]`,
+    end1 in `ENDS[1]`.  `end0`, `end1` and `mult` are int64 arrays of the
+    same edges in the same order, built from `_edges` on the first read of
+    any of them.
     """
 
-    __slots__ = ("end0", "end1", "mult", "_csr")
+    __slots__ = ("_edges", "end0", "end1", "mult")
     ENDS: tuple[str, str]
 
     def _merge(self, edges, sizes: tuple[int, int], range_note: str) -> None:
@@ -64,23 +71,31 @@ class _Graph:
             if mult < 1:
                 raise PreconditionError(f"edge ({u}, {v}) has multiplicity {mult}")
             counter[(min(u, v), max(u, v)) if plain else (u, v)] += mult
-        ends = np.array(list(counter), dtype=np.int64).reshape(-1, 2)
+        self._edges = counter
+
+    def __getattr__(self, name: str):
+        # only an unset slot reaches here: build the three views at once
+        if name not in ("end0", "end1", "mult"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np
+
+        ends = np.array(list(self._edges), dtype=np.int64).reshape(-1, 2)
         self.end0, self.end1 = ends[:, 0], ends[:, 1]
-        self.mult = np.fromiter(counter.values(), dtype=np.int64, count=len(counter))
-        self._csr = None
+        self.mult = np.fromiter(self._edges.values(), dtype=np.int64, count=len(self._edges))
+        return getattr(self, name)
 
     @property
     def edges(self) -> Counter:
-        """The edge multiset in edge order, as a new Counter derived on each read."""
-        return Counter(dict(zip(zip(self.end0.tolist(), self.end1.tolist()), self.mult.tolist())))
+        """The edge multiset in edge order, as a new Counter on each read."""
+        return self._edges.copy()
 
     def edge_count(self) -> int:
-        return int(self.mult.sum())
+        return sum(self._edges.values())
 
     def keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Edge keys of the ends (a, b), as in `end0`, `end1`; plain pairs unordered."""
         if self.ENDS[0] == self.ENDS[1]:
-            a, b = np.minimum(a, b), np.maximum(a, b)
+            a, b = a.clip(max=b), a.clip(min=b)  # the lower and the higher end
         return a * self.part_sizes()[self.ENDS[1]] + b
 
     def mapped_keys(self, action: "GroupAction", g: int) -> np.ndarray:
@@ -88,78 +103,78 @@ class _Graph:
         return self.keys(action.perms[self.ENDS[0]][g][self.end0],
                          action.perms[self.ENDS[1]][g][self.end1])
 
-    def _index(self, part: str):
-        if self._csr is None:
-            sizes = self.part_sizes()
-            first, second = self.ENDS
-            end0, end1, mult = self.end0, self.end1, self.mult
-            if first != second:
-                self._csr = {first: _csr(sizes[first], end0, end1, mult),
-                             second: _csr(sizes[second], end1, end0, mult)}
-            else:
-                # both ends of every edge, edge by edge; a loop only once
-                keep = np.stack([np.ones(end0.size, dtype=bool), end0 != end1], axis=1).ravel()
-                vertex = np.stack([end0, end1], axis=1).ravel()[keep]
-                nbr = np.stack([end1, end0], axis=1).ravel()[keep]
-                self._csr = {first: _csr(sizes[first], vertex, nbr, np.repeat(mult, 2)[keep])}
-        return self._csr[part]
+    def _tallies(self, part: str, relabel) -> dict[int, dict]:
+        """Neighbour tallies of each vertex of `part` that has an edge.
+
+        A tally maps each neighbour, relabelled by `relabel`, to its summed
+        multiplicity, in edge order; a plain-graph loop counts once.
+        """
+        first, second = self.ENDS
+        items = self._edges.items()
+        if first == second:
+            items = [(e, m) for (u, v), m in items for e in ((u, v), (v, u))[:1 + (u != v)]]
+        elif part == second:
+            items = [((v, u), m) for (u, v), m in items]
+        tallies: dict = defaultdict(dict)
+        for (at, w), m in items:
+            w, tally = relabel[w], tallies[at]
+            tally[w] = tally.get(w, 0) + m
+        return tallies
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.part_sizes() == other.part_sizes() and self._edges == other._edges
+
+
+class TannerGraph(_Graph):
+    """Bipartite multigraph with check and bit parts."""
+
+    __slots__ = ("check_count", "bit_count", "_csr")
+    ENDS = ("check", "bit")
+
+    def __init__(self, check_count: int, bit_count: int, edges):
+        self.check_count = check_count
+        self.bit_count = bit_count
+        self._csr = None
+        self._merge(edges, (check_count, bit_count),
+                    f" for {check_count} checks, {bit_count} bits")
+
+    @classmethod
+    def from_bitmatrix(cls, h: BitMatrix) -> "TannerGraph":
+        rows, cols = h.nonzero()
+        return cls(h.rows, h.cols, zip(rows.tolist(), cols.tolist()))
+
+    def part_sizes(self) -> dict[str, int]:
+        return {"check": self.check_count, "bit": self.bit_count}
 
     def neighbours(self, part: str, vertices: np.ndarray):
-        """(i, w, m) for each edge of multiplicity m from vertices[i] to w, row by row."""
-        ptr, nbr, mult = self._index(part)
+        """(i, w, m) for each edge of multiplicity m from vertices[i] to w, row by row.
+
+        Read from the part's CSR index `(ptr, nbr, mult)`, built on the first
+        query: vertex v has the neighbours `nbr[ptr[v]:ptr[v + 1]]`, in edge order.
+        """
+        import numpy as np
+
+        if self._csr is None:
+            self._csr = {}
+            for name, size, vertex, nbr in (("check", self.check_count, self.end0, self.end1),
+                                            ("bit", self.bit_count, self.end1, self.end0)):
+                order = np.argsort(vertex, kind="stable")
+                ptr = np.zeros(size + 1, dtype=np.int64)
+                np.cumsum(np.bincount(vertex, minlength=size), out=ptr[1:])
+                self._csr[name] = ptr, nbr[order], self.mult[order]
+        ptr, nbr, mult = self._csr[part]
         start = ptr[vertices]
         degree = ptr[vertices + 1] - start
         at = np.repeat(np.arange(len(vertices)), degree)
         pos = np.arange(at.size) + np.repeat(start - (np.cumsum(degree) - degree), degree)
         return at, nbr[pos], mult[pos]
 
-    def neighbour_counts(self, part: str, v: int, relabel=None) -> dict:
-        """Neighbour multiplicities of one vertex, in edge order, optionally relabelled."""
-        ptr, nbr, mult = self._index(part)
-        ws = nbr[ptr[v]:ptr[v + 1]]
-        out: Counter = Counter()
-        for w, m in zip((ws if relabel is None else relabel[ws]).tolist(),
-                        mult[ptr[v]:ptr[v + 1]].tolist()):
-            out[w] += m
-        return dict(out)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.part_sizes() == other.part_sizes() and self.edges == other.edges
-
-
-def _csr(size: int, vertex: np.ndarray, nbr: np.ndarray, mult: np.ndarray):
-    order = np.argsort(vertex, kind="stable")
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(vertex, minlength=size), out=ptr[1:])
-    return ptr, nbr[order], mult[order]
-
-
-class TannerGraph(_Graph):
-    """Bipartite multigraph with check and bit parts."""
-
-    __slots__ = ("check_count", "bit_count")
-    ENDS = ("check", "bit")
-
-    def __init__(self, check_count: int, bit_count: int, edges):
-        self.check_count = check_count
-        self.bit_count = bit_count
-        self._merge(edges, (check_count, bit_count),
-                    f" for {check_count} checks, {bit_count} bits")
-
-    @classmethod
-    def from_bitmatrix(cls, h: BitMatrix) -> "TannerGraph":
-        graph = cls(h.rows, h.cols, ())
-        graph.end0, graph.end1 = h.nonzero()
-        graph.mult = np.ones(graph.end0.size, dtype=np.int64)
-        return graph
-
-    def part_sizes(self) -> dict[str, int]:
-        return {"check": self.check_count, "bit": self.bit_count}
-
     def biadjacency(self) -> tuple[BitMatrix, int]:
         """Mod-2 check/bit adjacency plus the number of entries changed by reduction."""
+        from .gf2 import BitMatrix
+
         odd = self.mult % 2 == 1
         h = BitMatrix.from_entries(self.check_count, self.bit_count, self.end0[odd], self.end1[odd])
         return h, int((self.mult > 1).sum())
@@ -209,6 +224,8 @@ class GroupAction:
     """
 
     def __init__(self, group: FiniteGroup, graph, perms: dict):
+        import numpy as np
+
         self.group = group
         self.graph = graph
         self.perms = {part: np.asarray(p, dtype=np.int64) for part, p in perms.items()}
@@ -219,6 +236,8 @@ class GroupAction:
     @classmethod
     def from_generators(cls, group, graph, gen_perms: list[dict]) -> "GroupAction":
         """Extend per-generator permutations to the whole group by composition."""
+        import numpy as np
+
         gens = generator_indices(group)
         if len(gen_perms) != len(gens):
             raise PreconditionError(
@@ -264,6 +283,8 @@ class GroupAction:
         return int(self.perms[part][g, v])
 
     def _validate(self) -> None:
+        import numpy as np
+
         sizes = _part_sizes(self.graph)
         if set(self.perms) != set(sizes):
             raise PreconditionError(
@@ -310,6 +331,8 @@ def _perm_key(part: str) -> str:
 
 def _permutation(values, size: int, where: str) -> np.ndarray:
     """A permutation list from an action file, with `size` entries in 0..size-1."""
+    import numpy as np
+
     if len(values) != size:
         raise PreconditionError(f"{where} permutation has {len(values)} entries, expected {size}")
     bad = [v for v in values if type(v) is not int or not 0 <= v < size]
@@ -343,8 +366,8 @@ def is_free(action: GroupAction) -> tuple[bool, tuple | None]:
     """True iff no non-identity element fixes any vertex; witness otherwise."""
     witness = None
     for part in action.parts():
-        fixed = action.perms[part][1:] == np.arange(action.perms[part].shape[1])
-        rows = np.flatnonzero(fixed.any(axis=1))
+        fixed = action.perms[part][1:] == action.perms[part][0]  # the identity, validated
+        rows = fixed.any(axis=1).nonzero()[0]
         if rows.size and (witness is None or rows[0] + 1 < witness[0]):
             witness = (int(rows[0]) + 1, (part, int(fixed[rows[0]].argmax())))
     return witness is None, witness
@@ -393,6 +416,8 @@ def part_orbits(action: GroupAction, part: str):
     basepoint `basepoints[c]`; `row[w]` is the lowest group element
     carrying the basepoint of w onto w.
     """
+    import numpy as np
+
     arr = action.perms[part]
     base_of = arr.min(axis=0)
     basepoints, cls = np.unique(base_of, return_inverse=True)
@@ -408,6 +433,8 @@ def quotient(graph, action: GroupAction):
     stack up as parallel edges.  Each edge orbit is represented by its
     member of lowest key, found as a running minimum over the group.
     """
+    import numpy as np
+
     if action.graph is not graph and action.graph != graph:
         raise PreconditionError("action was built for a different graph")
     class_lists = []
@@ -481,53 +508,37 @@ def verify_covering(cm: CoveringMap) -> CoveringReport:
         )
     maps = {}
     for part, size in cover_sizes.items():
-        images = cm.maps[part]
-        if np.shape(images) != (size,):
+        try:
+            maps[part] = [operator.index(v) for v in cm.maps[part]]
+        except TypeError:  # not a list, or an entry that is not an integer
+            maps[part] = None
+        if maps[part] is None or len(maps[part]) != size:
             raise PreconditionError(f"{part} map must list every cover vertex")
-        if not all(0 <= v < base_sizes[part] for v in images):
+        if not all(0 <= v < base_sizes[part] for v in maps[part]):
             raise PreconditionError(f"{part} map has out-of-range images")
-        maps[part] = np.asarray(images, dtype=np.int64)
 
-    for part, size in cover_sizes.items():
+    for part in cover_sizes:
         other = cover.ENDS[0] if part == cover.ENDS[1] else cover.ENDS[1]
-        width = base_sizes[other]
-        # (cover vertex, base neighbour) cells with summed multiplicities, from
-        # the vertex's mapped edges and from its image's edges: a cell found
-        # on one side only marks the vertex
-        at, w, m = cover.neighbours(part, np.arange(size))
-        base_at, base_w, base_m = base.neighbours(part, maps[part])
-        cells, seen = np.unique(
-            np.concatenate([_tally(at * width + maps[other][w], m),
-                            _tally(base_at * width + base_w, base_m)]),
-            axis=0, return_counts=True,
-        )
-        # a count, not np.unique, which would import numpy.ma
-        marked = np.bincount(cells[seen == 1, 0] // width, minlength=size)
-        for v in np.flatnonzero(marked).tolist():
-            image = int(maps[part][v])
-            report.valid = False
-            report.violations.append(
-                f"{part} {v}: incident edges map to"
-                f" {cover.neighbour_counts(part, v, maps[other])},"
-                f" base vertex {image} has {base.neighbour_counts(part, image)}"
-            )
+        got = cover._tallies(part, maps[other])
+        want = base._tallies(part, range(base_sizes[other]))
+        for v, w in enumerate(maps[part]):
+            mapped, has = got.get(v, {}), want.get(w, {})
+            if mapped != has:
+                report.valid = False
+                report.violations.append(
+                    f"{part} {v}: incident edges map to {mapped}, base vertex {w} has {has}"
+                )
 
     sizes = set()
-    for part in cover_sizes:
-        arr = maps[part]
-        counts = np.bincount(arr, minlength=base_sizes[part]) if arr.size else np.array([])
-        report.fibre_sizes[part] = counts.tolist()
-        sizes.update(int(c) for c in counts)
+    for part, images in maps.items():
+        counts = [0] * base_sizes[part] if images else []
+        for v in images:
+            counts[v] += 1
+        report.fibre_sizes[part] = counts
+        sizes.update(counts)
     if len(sizes) == 1:
         report.lift_size = sizes.pop()
     return report
-
-
-def _tally(keys: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Rows (key, summed weight), one per distinct key, keys ascending."""
-    cells, inverse = np.unique(keys, return_inverse=True)
-    totals = np.bincount(inverse.ravel(), weights, cells.size).astype(np.int64)
-    return np.stack([cells, totals], axis=1)
 
 
 @dataclass(frozen=True)
@@ -549,6 +560,8 @@ class LiftResult:
 
 
 def lift_from_ring_matrix(m: GroupAlgebraMatrix) -> LiftResult:
+    from .groups import binary_map
+
     l = m.group.order
     graph = TannerGraph.from_bitmatrix(binary_map(m))
     base_edges: Counter = Counter()
@@ -609,7 +622,7 @@ def parse_graph(text: str):
         cls, sizes, (first, second) = PlainGraph, (as_int(header[1], pos),), "vv"
     else:
         raise FormatError(f"unknown graph header {' '.join(header)!r}", pos)
-    if not all(0 <= size <= np.iinfo(np.intp).max for size in sizes):
+    if not all(0 <= size <= sys.maxsize for size in sizes):
         raise FormatError("graph sizes must be non-negative and fit an array dimension", pos)
     edges = []
     for ln, fields in content:
@@ -634,6 +647,8 @@ def emit_graph(graph) -> str:
 
 def parse_action(text: str, graph) -> GroupAction:
     """JSON action file: group spec plus per-generator (or per-element) permutation lists."""
+    from .groups import parse_group_spec
+
     data = load_object(text, "an action file")
     if "group" not in data:
         raise FormatError("action file needs a 'group' spec")

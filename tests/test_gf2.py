@@ -57,6 +57,13 @@ class TestStorage:
         m = bm(CIRC)
         assert m.entries([0, 0, 2], [0, 2, 1]).tolist() == [True, False, False]
 
+    @pytest.mark.parametrize("i, j", [([0], [40]), ([0], [-1]), ([3], [0]), ([-1], [0]),
+                                      ([0, 2], [1, 3]), (0, 64)])
+    def test_entries_outside_the_shape_raise(self, i, j):
+        # (0, 40) and (0, -1) lie in row 0's word, past the last column
+        with pytest.raises(IndexError, match=r"out of range for \(3, 3\)"):
+            bm(CIRC).entries(i, j)
+
     def test_row_ints(self):
         m = bm([[1, 0, 1, 1]])
         assert row_int(m, 0) == 0b1101
@@ -559,10 +566,14 @@ class TestMatmulT:
 
     @pytest.fixture
     def packed(self, monkeypatch):
-        """One entry per product that took the packed path, `matmul(a, transpose(b))`."""
+        """One entry per product that took the packed path, `matmul(a, transpose(b))`.
+
+        That path gathers the rows of `transpose(b)` at the entries of a it has
+        already unpacked, so it is seen by its one call of `transpose`.
+        """
         calls = []
-        matmul_packed = gf2.matmul
-        monkeypatch.setattr(gf2, "matmul", lambda a, b: calls.append(a.shape) or matmul_packed(a, b))
+        transpose = gf2.transpose
+        monkeypatch.setattr(gf2, "transpose", lambda b: calls.append(b.shape) or transpose(b))
         return calls
 
     def test_matmul_t_matches_numpy_on_both_paths(self, packed):

@@ -4,6 +4,8 @@ The edge-scanning loops that `tanner` and `products.balanced_product` used
 before the edge-array view are kept below as oracles: action validation
 over every element pair, freeness, the fixed-edge test, quotients,
 covering checks, product orbits and the balanced product's matrices.
+The covering check, now a pure-Python pass over each vertex's edges, is
+also compared under maps with images moved, swapped and shuffled.
 Seeded random Tanner and plain graphs (parallel edges, loops on plain
 graphs) carry free and non-free actions of Z_l, Z_a x Z_b and S3; every
 result must be equal, witnesses and message text included, and a refused
@@ -560,6 +562,49 @@ def test_coverings_match_oracle(seed):
             assert (report.valid, report.violations, report.lift_size, report.fibre_sizes) == want
             valid += report.valid
     assert valid
+
+
+def corrupt_map(rng, maps, parts):
+    """Move one image, swap two (the fibres keep their sizes) or shuffle a part."""
+    maps = {name: list(images) for name, images in maps.items()}
+    k = rng.randrange(len(parts))
+    images = maps[list(maps)[k]]
+    kind = rng.randrange(3)
+    if kind == 0:
+        images[rng.randrange(len(images))] = rng.randrange(parts[k])
+    elif kind == 1 and len(images) > 1:
+        i, j = rng.sample(range(len(images)), 2)
+        images[i], images[j] = images[j], images[i]
+    else:
+        rng.shuffle(images)
+    return maps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_multigraph_coverings_under_corrupted_maps_match_oracle(seed):
+    # plain lifts always may carry loops; maps are corrupted cumulatively
+    rng = random.Random(7400 + seed)
+    seen = Counter()
+    for _ in range(30):
+        group = random_group(rng)
+        parts = (rng.randint(1, 3), rng.randint(1, 4)) if rng.random() < 0.3 \
+            else (rng.randint(1, 4),)
+        cover, _, base = lift(rng, group, parts, loops=True)
+        names = ("check", "bit") if len(parts) == 2 else ("vertex",)
+        maps = {name: [v // group.order for v in range(p * group.order)]
+                for name, p in zip(names, parts)}
+        for _ in range(4):
+            cm = CoveringMap(cover=cover, base=base, maps=maps)
+            report = verify_covering(cm)
+            want = oracle_verify_covering(cm)
+            assert (report.valid, report.violations, report.lift_size, report.fibre_sizes) == want
+            plain = len(parts) == 1
+            seen["plain loop"] += plain and any(u == v for u, v in cover.edges)
+            seen["plain parallel"] += plain and any(m > 1 for m in cover.edges.values())
+            seen["refused, fibres equal"] += not report.valid and report.lift_size is not None
+            seen["refused"] += not report.valid
+            maps = corrupt_map(rng, maps, parts)
+    assert min(seen.values()) > 0, seen
 
 
 def test_covering_violation_counts_loops_once():

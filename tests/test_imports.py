@@ -3,8 +3,10 @@
 Each command runs through `qpc.cli.main` in a fresh interpreter, which
 then lists the qpc modules, numpy and `numpy.ma` in its `sys.modules`.
 `import qpc` loads no submodule; `layout --input` loads only `cli`,
-`errors` and `render`, so it runs where numpy cannot be imported at all,
-and `analyze` loads no `render`.
+`errors` and `render`, and `verify covering` and `layout --graph` only
+`cli`, `errors` and `tanner` (plus `render` for the layout), so these
+commands run where numpy cannot be imported at all, with the same
+output.  `analyze` loads no `render`.
 No command loads `numpy.ma`, which `np.unique` without return options
 imports at a cost of about 17 ms per process.
 """
@@ -26,6 +28,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 RENDER_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.render"}
+GRAPH_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.tanner"}
+LINE3 = ["verify", "covering", "--cover", FIXTURES / "line3_2lift.graph",
+         "--base", FIXTURES / "line3.graph", "--map"]
+LIFT_Z3 = ["verify", "covering", "--cover", FIXTURES / "lift_1px_z3.graph", "--map", "z3.map.json",
+           "--base"]  # files without a directory are written by `work`
 
 # `qpc.__all__` as it stood when every submodule was imported eagerly, less
 # `CodeParams` (deleted) and four functions only the tests used (now in oracles.py).
@@ -45,25 +52,40 @@ PUBLIC = [
 ]
 
 
-def loaded(cwd: Path, prelude: str, *argv) -> set[str]:
-    """The qpc modules, numpy and numpy.ma loaded by `prelude` and then `main(argv)`, if given."""
-    lines = ["import json, sys", prelude]
+def probe(cwd: Path, prelude: str, *argv) -> tuple[int | None, str, set[str]]:
+    """Run `prelude` and then `main(argv)`, if given, in a fresh interpreter.
+
+    Returns the exit code of `main`, its stdout, and the qpc modules, numpy
+    and numpy.ma then loaded, which the interpreter prints as its last
+    line of stderr.
+    """
+    lines = ["import json, sys", prelude, "code = None"]
     if argv:
-        lines += ["from qpc.cli import main",
-                  f"assert main({[str(a) for a in argv]!r}) == 0"]
-    lines.append('print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod is not None'
-                 ' and (m in ("numpy", "numpy.ma") or m.split(".")[0] == "qpc"))))')
+        lines += ["from qpc.cli import main", f"code = main({[str(a) for a in argv]!r})"]
+    lines.append('print(json.dumps([code, sorted(m for m, mod in sys.modules.items()'
+                 ' if mod is not None and (m in ("numpy", "numpy.ma")'
+                 ' or m.split(".")[0] == "qpc"))]), file=sys.stderr)')
     result = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)], cwd=cwd, capture_output=True, text=True,
         timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    code, modules = json.loads(result.stderr.splitlines()[-1])
+    return code, result.stdout, set(modules)
+
+
+def loaded(cwd: Path, prelude: str, *argv) -> set[str]:
+    """The modules `probe` lists after `prelude` and a command that exits 0."""
+    code, _, modules = probe(cwd, prelude, *argv)
+    assert code in (None, 0)
+    return modules
 
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
-    """A 2D and a 3D layout written by `construct`, and an overlay file."""
+    """A 2D and a 3D layout written by `construct`, an overlay file, and the
+    Tanner graph of 1 + x over Z3 as a 3-lift of a double edge (and not of
+    a single edge)."""
     root = tmp_path_factory.mktemp("imports")
     from qpc.cli import main
 
@@ -72,6 +94,9 @@ def work(tmp_path_factory):
     assert main(["construct", "lp", "--m1", str(FIXTURES / "rep3_z3.ring"),
                  "--m2", str(FIXTURES / "rep3_z3.ring"), "--out-prefix", str(root / "lp")]) == 0
     (root / "z.overlay.json").write_text('{"paulis": [[0, "Z"], [4, "X"]]}')
+    (root / "double.graph").write_text("checks 1 bits 1\nc0 b0\nc0 b0\n")
+    (root / "single.graph").write_text("checks 1 bits 1\nc0 b0\n")
+    (root / "z3.map.json").write_text('{"check_map": [0, 0, 0], "bit_map": [0, 0, 0]}')
     return root
 
 
@@ -137,10 +162,39 @@ class TestImportSets:
         assert "numpy.ma" not in modules
 
     def test_layout_graph_loads_tanner(self, work):
-        # the probe sees a lazily imported layer when the command needs it
+        # the probe sees a lazily imported layer when the command needs it; the
+        # graph half of tanner needs no numpy
         modules = loaded(work, "", "layout", "--graph", FIXTURES / "lift_1px_z3.graph",
                          "--format", "tikz", "--out", work / "lift.tex")
-        assert {"numpy", "qpc.tanner", "qpc.render"} <= modules
+        assert modules == GRAPH_ONLY | RENDER_ONLY
+
+    @pytest.mark.parametrize("fmt, edges", [("dot", False), ("dot", True), ("svg", False),
+                                            ("svg", True), ("tikz", True)])
+    def test_layout_graph_skips_numpy(self, work, fmt, edges):
+        modules = loaded(work, "", "layout", "--graph", FIXTURES / "lift_1px_z3.graph",
+                         "--format", fmt, *["--edges"] * edges, "--out", work / f"lift.{fmt}")
+        assert modules == GRAPH_ONLY | RENDER_ONLY
+
+    @pytest.mark.parametrize("map_file", ["line3_2lift.map.json", "line3_2lift_bad.map.json"])
+    def test_verify_covering_skips_numpy(self, work, map_file):
+        code, _, modules = probe(work, "", *LINE3, FIXTURES / map_file)
+        assert modules == GRAPH_ONLY
+        assert code == (0 if map_file == "line3_2lift.map.json" else 2)
+
+    @pytest.mark.parametrize("argv", [
+        [*LINE3, FIXTURES / "line3_2lift.map.json"],
+        [*LINE3, FIXTURES / "line3_2lift_bad.map.json"],
+        [*LIFT_Z3, "double.graph"],
+        [*LIFT_Z3, "single.graph"],
+        ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "tikz"],
+        ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "svg", "--edges"],
+        ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "dot", "--edges"],
+    ], ids=["covering", "covering-bad", "covering-tanner", "covering-tanner-bad", "layout-tikz",
+            "layout-svg-edges", "layout-dot-edges"])
+    def test_graph_commands_run_with_numpy_blocked(self, work, argv):
+        code, out, modules = probe(work, 'sys.modules["numpy"] = None', *argv)
+        assert (code, out, modules) == probe(work, "", *argv)
+        assert out and "numpy" not in modules
 
 
 class TestPublicApi:

@@ -329,6 +329,41 @@ class TestCovering:
         assert report.lift_size is None
         assert any("vertex" in v for v in report.violations)
 
+    @pytest.mark.parametrize("images, fault", [
+        ([[0], [0], [1], [1], [2], [2]], "must list every cover vertex"),
+        ([[0, 0], [1, 1], [2, 2]], "must list every cover vertex"),
+        ([0, 0, 1, 1, 2], "must list every cover vertex"),
+        ([0, 0, 1, 1, 2, 2, 0], "must list every cover vertex"),
+        ([0, 0, 1, 1, 2, "2"], "must list every cover vertex"),
+        ([0, 0, 1, 1, 2, None], "must list every cover vertex"),
+        ([0, 0, 1, 1, 2, 2.0], "must list every cover vertex"),
+        (6, "must list every cover vertex"),
+        ("001122", "must list every cover vertex"),
+        ([0, 0, 1, 1, 2, 3], "has out-of-range images"),
+        ([0, 0, 1, 1, 2, -1], "has out-of-range images"),
+    ], ids=["nested", "pairs", "short", "long", "str", "none", "float", "int", "text",
+            "past-end", "negative"])
+    def test_malformed_map_is_refused(self, images, fault):
+        cm = self.line_two_lift()
+        with pytest.raises(PreconditionError, match=f"^vertex map {fault}$"):
+            verify_covering(CoveringMap(cm.cover, cm.base, {"vertex": images}))
+
+    def test_malformed_map_of_the_second_part_is_named(self):
+        graph = TannerGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+        cm = CoveringMap(graph, graph, {"check": [0, 1], "bit": [0, 1, [2]]})
+        with pytest.raises(PreconditionError, match="^bit map must list every cover vertex$"):
+            verify_covering(cm)
+
+    def test_empty_cover_has_no_fibres(self):
+        report = verify_covering(CoveringMap(PlainGraph(0, []), PlainGraph.path(2), {"vertex": []}))
+        assert (report.valid, report.fibre_sizes, report.lift_size) == (True, {"vertex": []}, None)
+
+    def test_integer_array_map_is_accepted(self):
+        cm = self.line_two_lift()
+        report = verify_covering(CoveringMap(cm.cover, cm.base,
+                                             {"vertex": np.array([0, 0, 1, 1, 2, 2])}))
+        assert report.valid and report.lift_size == 2
+
 
 class TestLiftFromRing:
     def test_one_plus_z_covers_double_edge_base(self):
