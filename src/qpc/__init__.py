@@ -19,7 +19,7 @@ _EXPORTS = {
                 " lift_with_regular_actions lifted_product",
     "render": "CoordinateTable Oblique OperatorOverlay RenderSpec emit line_layout_table"
               " parse_layout",
-    "tanner": "CoveringMap GroupAction PlainGraph QuotientLayout TannerGraph"
+    "tanner": "CoveringMap GroupAction PlainGraph TannerGraph"
               " has_fixed_edge is_free lift_from_ring_matrix quotient verify_covering",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -204,7 +204,7 @@ def cmd_action(args) -> int:
     action = read_file(args.action, parse_action, graph)
     free, free_witness = is_free(action)
     pinned, pin_witness = has_fixed_edge(action)
-    q, layout = quotient(graph, action)
+    q, _ = quotient(graph, action)
     payload = {
         "check": "action",
         "valid": True,
@@ -212,7 +212,7 @@ def cmd_action(args) -> int:
         "free_witness": free_witness,
         "fixed_edge": pinned,
         "fixed_edge_witness": pin_witness,
-        "vertex_classes": len(layout.classes),
+        "vertex_classes": sum(q.part_sizes().values()),
         "edge_classes": q.edge_count(),
     }
     _report(args, payload)

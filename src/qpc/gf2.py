@@ -21,10 +21,11 @@ read, so a rank costs one elimination and nothing more.
 with one reduceat, `BitMatrix.entries` reads the entries at given
 positions, and `BitMatrix.columns` gathers columns as rows of the
 transpose; `matmul` XOR-reduces the rows of b gathered at a's
-entries, in chunks of bounded size, `matmul_t` builds a b^T from the
-pairs of entries that share a column when they are few, and `kron` maps
-entries.  `coset_min_weight` is the one exact-distance entry, for
-classical and CSS codes, with the one budget `DEFAULT_BUDGET`.
+entries, in chunks of bounded size (`_xor_rows`), `matmul_t` builds
+a b^T from the pairs of entries that share a column when they are few
+and otherwise gathers as `matmul` does, and `kron` maps entries.
+`coset_min_weight` is the one exact-distance entry, for classical and
+CSS codes, with the one budget `DEFAULT_BUDGET`.
 
 Intended scale is "desk size" (a few thousand columns); there is no
 sparse storage and no rank algorithm below cubic time.
@@ -350,37 +351,32 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
     return rref(m).kernel
 
 
-# Rows of the right factor gathered at once by matmul: at most 1 MiB, or one row of a.
+# Rows gathered at once by `_xor_rows`: at most 1 MiB, or one row.
 _GATHER_BYTES = 1 << 20
 
 
 def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2): row i is the XOR of b's rows at a's ones in row i.
-
-    b's rows are gathered at the entries of a chunk of a's rows and each
-    row's run is reduced with one `reduceat`.  A chunk holds as many rows
-    as keep the gather within _GATHER_BYTES, and at least one.
-    """
+    """Matrix product over GF(2): row i is the XOR of b's rows at a's ones in row i."""
     if a.cols != b.rows:
         raise DimensionError(f"matmul: inner shapes differ, {a.shape} x {b.shape}")
-    out = np.zeros((a.rows, b._words.shape[1]), dtype=np.uint64)
-    cap = _GATHER_BYTES // max(b._words.itemsize * b._words.shape[1], 1)
-    ends = np.cumsum(np.bitwise_count(a._words).sum(axis=1))   # entries up to each row
-    start = 0
-    while start < a.rows:
-        before = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, before + cap, side="right")))
-        i, j = BitMatrix(stop - start, a.cols, a._words[start:stop]).nonzero()
-        _xor_rows(out[start:stop], i, j, b._words)
-        start = stop
-    return BitMatrix(a.rows, b.cols, out)
+    return BitMatrix(a.rows, b.cols, _xor_rows(a.rows, *a.nonzero(), b._words))
 
 
-def _xor_rows(out: np.ndarray, i: np.ndarray, j: np.ndarray, words: np.ndarray) -> None:
-    """XOR `words[j[t]]` into `out[i[t]]` for each t, with `i` ascending."""
-    if i.size:
-        first = np.flatnonzero(np.diff(i, prepend=-1) != 0)
-        out[i[first]] ^= np.bitwise_xor.reduceat(words[j], first, axis=0)
+def _xor_rows(rows: int, i: np.ndarray, j: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """`rows` rows of words; row r is the XOR of `words[j[t]]` over the t with i[t] = r.
+
+    With `i` ascending, the rows of `words` are gathered at a chunk of the
+    entries (i, j) at a time, as many as keep the gather within
+    _GATHER_BYTES and at least one, and each row's run in the chunk is
+    reduced with one `reduceat`.
+    """
+    out = np.zeros((rows, words.shape[1]), dtype=np.uint64)
+    step = max(_GATHER_BYTES // max(words.itemsize * words.shape[1], 1), 1)
+    for at in range(0, i.size, step):
+        ci, cj = i[at:at + step], j[at:at + step]
+        first = np.flatnonzero(np.diff(ci, prepend=-1) != 0)
+        out[ci[first]] ^= np.bitwise_xor.reduceat(words[cj], first, axis=0)
+    return out
 
 
 # matmul_t weighs a pair of entries as 8 words gathered by `matmul`.  The two
@@ -400,7 +396,7 @@ def matmul_t(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     among b's entries sorted by column, and an (i, k) met an odd number of
     times is a one.  Otherwise it is `matmul(a, transpose(b))`, run on
     the entries of a already unpacked here: words(b.rows) words gathered
-    per entry of a, in chunks of at most _GATHER_BYTES.
+    per entry of a by `_xor_rows`.
     """
     if a.cols != b.cols:
         raise DimensionError(f"matmul_t: column counts differ, {a.shape} vs {b.shape}")
@@ -412,12 +408,7 @@ def matmul_t(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     meets = per_col[aj]                                # the pairs of each entry of a
     pairs = int(meets.sum())
     if pairs > _MAX_PAIRS or pairs * _PAIR_WORDS > ai.size * _word_count(b.rows):
-        words = transpose(b)._words
-        out = np.zeros((a.rows, words.shape[1]), dtype=np.uint64)
-        step = max(_GATHER_BYTES // max(words.itemsize * words.shape[1], 1), 1)
-        for at in range(0, ai.size, step):
-            _xor_rows(out, ai[at:at + step], aj[at:at + step], words)
-        return BitMatrix(a.rows, b.rows, out)
+        return BitMatrix(a.rows, b.rows, _xor_rows(a.rows, ai, aj, transpose(b)._words))
     by_col = bk[np.argsort(bj)]                        # column j: by_col[first[j]:][:per_col[j]]
     first = np.cumsum(per_col) - per_col
     place = np.arange(pairs) + np.repeat(first[aj] - (np.cumsum(meets) - meets), meets)

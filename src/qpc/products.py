@@ -273,49 +273,20 @@ def lift_with_regular_actions(
 ) -> tuple[TannerGraph, TannerGraph, GroupAction, GroupAction]:
     """Expanded Tanner graphs of both inputs with their deck actions.
 
-    The first factor carries slot right-multiplication (stored as the
+    `lift_from_ring_matrix(m1)` and `lift_from_ring_matrix(m2, left=True)`:
+    the first factor carries slot right-multiplication (stored as the
     left action s -> s * h^-1), the second slot left-multiplication;
     feeding these to `balanced_product` reproduces the lifted product
     under the identity labelling.  Left multiplication only preserves
-    the second graph when the group is abelian, so non-abelian inputs
-    are rejected by action validation.
+    the second graph when conjugation fixes its entries, as in an
+    abelian group, so other inputs are rejected by action validation.
     """
-    from .groups import binary_map
-    from .tanner import GroupAction, TannerGraph
+    from .tanner import lift_from_ring_matrix
 
-    group = m1.group
-    if not group.same_group(m2.group):
+    if not m1.group.same_group(m2.group):
         raise PreconditionError("both matrices must share one group")
-    l = group.order
-    graph_a = TannerGraph.from_bitmatrix(binary_map(m1))
-    graph_b = TannerGraph.from_bitmatrix(binary_map(m2))
-
-    def slot_perms(count: int, table_column) -> np.ndarray:
-        base = (np.arange(count * l) // l) * l
-        slot = np.arange(count * l) % l
-        return base + table_column[slot]
-
-    act_a_perms = {
-        "check": np.stack(
-            [
-                slot_perms(m1.rows, group.mul[:, group.inverse(h)])
-                for h in range(l)
-            ]
-        ),
-        "bit": np.stack(
-            [
-                slot_perms(m1.cols, group.mul[:, group.inverse(h)])
-                for h in range(l)
-            ]
-        ),
-    }
-    act_b_perms = {
-        "check": np.stack([slot_perms(m2.rows, group.mul[h, :]) for h in range(l)]),
-        "bit": np.stack([slot_perms(m2.cols, group.mul[h, :]) for h in range(l)]),
-    }
-    act_a = GroupAction(group, graph_a, act_a_perms)
-    act_b = GroupAction(group, graph_b, act_b_perms)
-    return graph_a, graph_b, act_a, act_b
+    a, b = lift_from_ring_matrix(m1), lift_from_ring_matrix(m2, left=True)
+    return a.graph, b.graph, a.action, b.action
 
 
 # -- balanced product ---------------------------------------------------------

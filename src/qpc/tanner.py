@@ -26,7 +26,12 @@ lowest element the earlier ones do not generate, so the lowest failing
 element of a full scan is always a generator: refusals name the same
 witness as a check of every element would.  Orbit basepoints are always
 the lowest vertex index so that layouts, quotient labellings and golden
-files are reproducible.
+files are reproducible; `quotient` returns the `part_orbits` arrays it
+numbered the quotient's vertices by.
+
+A lift of a ring matrix m is built in one place, `lift_from_ring_matrix`:
+the Tanner graph of B(m), the group's deck action on it, the base graph
+of m and the covering map onto that base, one `Lift`.
 """
 
 from __future__ import annotations
@@ -276,12 +281,6 @@ class GroupAction:
             )
         return cls(group, graph, full)
 
-    def parts(self) -> tuple[str, ...]:
-        return _expected_parts(self.graph)
-
-    def apply(self, g: int, part: str, v: int) -> int:
-        return int(self.perms[part][g, v])
-
     def _validate(self) -> None:
         import numpy as np
 
@@ -341,10 +340,6 @@ def _permutation(values, size: int, where: str) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def _expected_parts(graph) -> tuple[str, ...]:
-    return tuple(_part_sizes(graph))
-
-
 def _part_sizes(graph) -> dict[str, int]:
     if not isinstance(graph, _Graph):
         raise PreconditionError(f"unsupported graph type {type(graph).__name__}")
@@ -352,20 +347,18 @@ def _part_sizes(graph) -> dict[str, int]:
 
 
 def generator_indices(group: FiniteGroup) -> list[int]:
-    """Canonical generator list: x (and y) for cyclic products, every
-    non-identity element for table-supplied groups."""
+    """The generators an action file lists: x (then y) for cyclic groups and
+    their products, `FiniteGroup.generators` for any other table."""
     names = group.generator_names()
-    if not names:
-        return []
     if set(names) <= {"x", "y"}:
         return [names[k] for k in ("x", "y") if k in names]
-    return [names[f"g{i}"] for i in range(1, group.order)]
+    return list(group.generators)
 
 
 def is_free(action: GroupAction) -> tuple[bool, tuple | None]:
     """True iff no non-identity element fixes any vertex; witness otherwise."""
     witness = None
-    for part in action.parts():
+    for part in _part_sizes(action.graph):
         fixed = action.perms[part][1:] == action.perms[part][0]  # the identity, validated
         rows = fixed.any(axis=1).nonzero()[0]
         if rows.size and (witness is None or rows[0] + 1 < witness[0]):
@@ -394,21 +387,6 @@ def has_fixed_edge(action: GroupAction) -> tuple[bool, tuple | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class QuotientLayout:
-    """Orbit bookkeeping for a quotient graph.
-
-    Vertices are addressed as (part, index).  `row_of` maps each vertex
-    to the index of the (lowest) group element carrying its class
-    basepoint onto it, so basepoints sit in row 0 and free classes fill
-    all rows.
-    """
-
-    classes: tuple[tuple[tuple[str, int], ...], ...]
-    basepoints: tuple[tuple[str, int], ...]
-    row_of: dict
-
-
 def part_orbits(action: GroupAction, part: str):
     """Orbits of one part as arrays: (basepoints, class of each vertex, row of each vertex).
 
@@ -426,47 +404,33 @@ def part_orbits(action: GroupAction, part: str):
 
 
 def quotient(graph, action: GroupAction):
-    """Quotient graph: one vertex per vertex orbit, one edge per edge orbit.
+    """Quotient graph and the orbits it was read from.
 
-    Edge multiplicity carries over from the input (all members of an
-    orbit share it); several edge orbits between the same vertex classes
-    stack up as parallel edges.  Each edge orbit is represented by its
-    member of lowest key, found as a running minimum over the group.
+    One vertex per vertex orbit, numbered by `part_orbits` class, and one
+    edge per edge orbit.  Returns `(quotient_graph, orbits)` with
+    `orbits[part]` the `part_orbits` of each part.  Edge multiplicity
+    carries over from the input (all members of an orbit share it);
+    several edge orbits between the same vertex classes stack up as
+    parallel edges.  Each edge orbit is represented by its member of
+    lowest key, found as a running minimum over the group.
     """
     import numpy as np
 
     if action.graph is not graph and action.graph != graph:
         raise PreconditionError("action was built for a different graph")
-    class_lists = []
-    basepoints = []
-    row_of = {}
-    class_of = {}
-    counts = []
-    for part in _expected_parts(graph):
-        bases, cls, row = part_orbits(action, part)
-        class_of[part] = cls
-        counts.append(bases.size)
-        members = np.split(np.argsort(cls, kind="stable"),
-                           np.cumsum(np.bincount(cls, minlength=bases.size))[:-1])
-        for ws in members:
-            ws = ws.tolist()
-            class_lists.append(tuple((part, w) for w in ws))
-            row_of.update(((part, w), int(row[w])) for w in ws)
-        basepoints.extend((part, v) for v in bases.tolist())
-    layout = QuotientLayout(tuple(class_lists), tuple(basepoints), row_of)
-
+    orbits = {part: part_orbits(action, part) for part in _part_sizes(graph)}
     keys = graph.keys(graph.end0, graph.end1)
     lowest = keys.copy()
     for g in range(1, action.group.order):
         np.minimum(lowest, graph.mapped_keys(action, g), out=lowest)
     reps = np.flatnonzero(lowest == keys)
     reps = reps[np.argsort(keys[reps])]
-    ends = zip(class_of[graph.ENDS[0]][graph.end0[reps]].tolist(),
-               class_of[graph.ENDS[1]][graph.end1[reps]].tolist())
+    first, second = (orbits[part][1] for part in graph.ENDS)   # the class of each vertex
+    ends = zip(first[graph.end0[reps]].tolist(), second[graph.end1[reps]].tolist())
     quotient_edges: Counter = Counter()
     for pair, mult in zip(ends, graph.mult[reps].tolist()):
         quotient_edges[pair] += mult
-    return type(graph)(*counts, quotient_edges), layout
+    return type(graph)(*(bases.size for bases, _, _ in orbits.values()), quotient_edges), orbits
 
 
 # -- covering maps ------------------------------------------------------------
@@ -542,56 +506,47 @@ def verify_covering(cm: CoveringMap) -> CoveringReport:
 
 
 @dataclass(frozen=True)
-class LiftResult:
-    """Tanner graph of B(m) with its projection onto the base matrix graph.
+class Lift:
+    """Tanner graph of B(m), its deck action, and its covering of the base graph.
 
-    The base carries one edge per non-zero coefficient, so the projection
-    is always a genuine covering; `covers_simple_base` records whether the
-    base is also the plain Tanner graph of a binary matrix (every entry a
-    monomial).  When it is not, `notes` says which entries would need
-    parallel base edges.
+    Block i of each part holds the slots i*l + s, one per group element s.
+    The base has one vertex per block and one edge per term of each entry,
+    so an entry of weight w gives w parallel edges and the projection of
+    every slot onto its block is always a covering.
     """
 
     graph: TannerGraph
+    action: GroupAction
     base: TannerGraph
     covering: CoveringMap
-    covers_simple_base: bool
-    notes: tuple[str, ...]
 
 
-def lift_from_ring_matrix(m: GroupAlgebraMatrix) -> LiftResult:
+def lift_from_ring_matrix(m: GroupAlgebraMatrix, left: bool = False) -> Lift:
+    """Expand m by the binary map, with the group acting on every block's slots.
+
+    Element h sends slot s to s*h^-1, which is a deck action for every
+    group (B(g) is left multiplication by g, and right multiplications
+    commute with it).  With `left`, h sends s to h*s instead; that keeps
+    the edges only when conjugation by each h fixes each entry's support,
+    as it does for every abelian group, and action validation refuses
+    anything else.
+    """
+    import numpy as np
+
     from .groups import binary_map
 
-    l = m.group.order
+    group, l = m.group, m.group.order
     graph = TannerGraph.from_bitmatrix(binary_map(m))
-    base_edges: Counter = Counter()
-    notes = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            weight = len(m.entry(i, j).support())
-            if weight:
-                base_edges[(i, j)] = weight
-            if weight > 1:
-                notes.append(
-                    f"entry ({i}, {j}) has {weight} terms: base needs"
-                    f" {weight} parallel edges"
-                )
-    base = TannerGraph(m.rows, m.cols, base_edges)
-    covering = CoveringMap(
-        cover=graph,
-        base=base,
-        maps={
-            "check": [i // l for i in range(m.rows * l)],
-            "bit": [j // l for j in range(m.cols * l)],
-        },
-    )
-    return LiftResult(
-        graph=graph,
-        base=base,
-        covering=covering,
-        covers_simple_base=m.is_monomial(),
-        notes=tuple(notes),
-    )
+    table = group.mul if left else group.mul.T[group.inv]      # table[h, s]: the image of s
+    action = GroupAction(group, graph, {
+        part: (table[:, None, :] + l * np.arange(count)[:, None]).reshape(l, count * l)
+        for part, count in (("check", m.rows), ("bit", m.cols))})
+    base = TannerGraph(m.rows, m.cols, Counter({
+        (i, j): weight for i, row in enumerate(m.entries) for j, e in enumerate(row)
+        if (weight := len(e.support()))}))
+    maps = {part: [v // l for v in range(count * l)]
+            for part, count in (("check", m.rows), ("bit", m.cols))}
+    return Lift(graph, action, base, CoveringMap(cover=graph, base=base, maps=maps))
 
 
 # -- file formats --------------------------------------------------------------
@@ -681,7 +636,7 @@ def emit_action(action: GroupAction) -> str:
         "generators": [
             {
                 _perm_key(part): action.perms[part][g].tolist()
-                for part in action.parts()
+                for part in _part_sizes(action.graph)
             }
             for g in gens
         ],
@@ -693,7 +648,7 @@ def parse_covering(text: str, cover, base) -> CoveringMap:
     """JSON covering file: one list of base-vertex indices per vertex part."""
     data = load_object(text, "a covering file")
     maps = {}
-    for part in _expected_parts(cover):
+    for part in _part_sizes(cover):
         key = f"{part}_map"
         if key not in data:
             raise FormatError(f"covering file needs {key!r}")

@@ -9,7 +9,8 @@ or a view of a value that only the tests need:
   matrix product and the conjugate transpose, whose binary maps the
   lifted product is checked against;
 - the Cartesian product of plain graphs and the shared-group action on it,
-  whose quotient is the balanced product of the paper's worked example.
+  whose quotient is the balanced product of the paper's worked example;
+- the deck action tables of a lift, stacked one group element at a time.
 
 This file is not collected by pytest; test modules import it by name.
 """
@@ -171,3 +172,23 @@ def product_action_plain(
         pb = act_b.perms["vertex"][hinv]
         perms[h] = (pa[np.arange(na * nb) // nb] * nb) + pb[np.arange(na * nb) % nb]
     return GroupAction(group, product, {"vertex": perms})
+
+
+# -- deck actions of a lift ----------------------------------------------------
+
+
+def slot_perms(m: GroupAlgebraMatrix, left: bool) -> dict:
+    """Per part, element h's permutation of the slots of B(m), one row per h.
+
+    Slot s of block i is vertex i * l + s; h sends it to s * h^-1 (the
+    right action, stored as a left one) or, with `left`, to h * s.
+    """
+    group, l = m.group, m.group.order
+
+    def stack(count: int) -> np.ndarray:
+        base = (np.arange(count * l) // l) * l
+        slot = np.arange(count * l) % l
+        return np.stack([base + (group.mul[h, :] if left
+                                 else group.mul[:, group.inverse(h)])[slot] for h in range(l)])
+
+    return {"check": stack(m.rows), "bit": stack(m.cols)}

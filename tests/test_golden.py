@@ -11,7 +11,11 @@ with edges and overlays (`layout_lp_*_edges_overlay`,
 `layout_toric_*_overlay`) before svg, tikz and dot were drawn by one loop,
 except the two dot ones (`layout_lp_dot_edges_overlay`,
 `layout_toric_dot_overlay`), recorded again when dot began to colour
-overlaid qubits; any byte that moves fails here.
+overlaid qubits; any byte that moves fails here.  `verify_action_s3`
+was recorded when action files over table groups began to list the
+group's generating set, and its action file names its table by the
+relative path `fixtures/s3.table`, which `run_commands` copies into the
+working directory first.
 
 `python tests/test_golden.py` prints the manifest of the qpc on the
 import path, in the format of `golden_manifest.json`.
@@ -20,6 +24,7 @@ import path, in the format of `golden_manifest.json`.
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -71,6 +76,8 @@ COMMANDS = (
                                 "--action", _f("b4_z3.action.json")]),
     ("verify_action_not_free_lenient", ["verify", "action", "--graph", _f("b4.graph"),
                                         "--action", _f("b4_z3.action.json"), "--lenient"]),
+    ("verify_action_s3", ["verify", "action", "--graph", _f("s3_lift.graph"),
+                          "--action", _f("s3_lift.action.json")]),
     ("layout_lp_svg_edges_overlay", ["layout", "--input", "out/lp.layout.json", "--format", "svg",
                                      "--edges", "--overlay", _f("zyx.overlay.json")]),
     ("layout_lp_tikz_edges_overlay", ["layout", "--input", "out/lp.layout.json", "--format", "tikz",
@@ -93,7 +100,9 @@ def run_commands(workdir: Path) -> dict:
     from qpc.cli import main
 
     manifest = {}
-    before = set()
+    (workdir / "fixtures").mkdir()
+    shutil.copyfile(FIXTURES / "s3.table", workdir / "fixtures" / "s3.table")
+    before = {str(Path("fixtures") / "s3.table")}
     cwd = os.getcwd()
     os.chdir(workdir)
     try:

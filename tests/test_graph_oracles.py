@@ -111,7 +111,7 @@ def oracle_biadjacency(graph):
 
 def oracle_is_free(action):
     for g in range(1, action.group.order):
-        for part in action.parts():
+        for part in _parts(action.graph):
             arr = action.perms[part][g]
             fixed = np.nonzero(arr == np.arange(arr.size))[0]
             if fixed.size:
@@ -483,18 +483,23 @@ def test_valid_actions_match_oracles(seed):
             assert graph.biadjacency() == oracle_biadjacency(graph)
         assert is_free(action) == oracle_is_free(action)
         assert has_fixed_edge(action) == oracle_has_fixed_edge(action)
-        for part in action.parts():
+        for part in _parts(action.graph):
             bases, cls, row = part_orbits(action, part)
             want = oracle_part_orbits(action, part)
             assert bases.tolist() == [v for v, _, _ in want]
             for ci, (_, members, rows) in enumerate(want):
                 assert np.flatnonzero(cls == ci).tolist() == members
                 assert all(int(row[w]) == rows[w] for w in members)
-        got, layout = quotient(graph, action)
+        got, orbits = quotient(graph, action)
         want, (classes, basepoints, row_of) = oracle_quotient(graph, action)
         assert got == want and list(got.edges.items()) == list(want.edges.items())
-        assert layout.classes == classes and layout.basepoints == basepoints
-        assert layout.row_of == row_of and list(layout.row_of) == list(row_of)
+        assert list(orbits) == list(_parts(graph))
+        assert [(part, v) for part, (bases, _, _) in orbits.items()
+                for v in bases.tolist()] == list(basepoints)
+        assert [tuple((part, w) for w in np.flatnonzero(cls == c).tolist())
+                for part, (bases, cls, _) in orbits.items() for c in range(bases.size)] == list(classes)
+        assert {(part, w): r for part, (_, _, row) in orbits.items()
+                for w, r in enumerate(row.tolist())} == row_of
 
 
 def test_non_free_instances_are_generated():

@@ -35,12 +35,13 @@ LIFT_Z3 = ["verify", "covering", "--cover", FIXTURES / "lift_1px_z3.graph", "--m
            "--base"]  # files without a directory are written by `work`
 
 # `qpc.__all__` as it stood when every submodule was imported eagerly, less
-# `CodeParams` (deleted) and four functions only the tests used (now in oracles.py).
+# `CodeParams` and `QuotientLayout` (deleted) and four functions only the tests
+# used (now in oracles.py).
 PUBLIC = [
     "BitMatrix", "BudgetError", "CSSCode", "CSSParams", "ClassicalCode", "CoordinateTable",
     "CoveringMap", "DimensionError", "FiniteGroup", "FormatError", "GroupAction",
     "GroupAlgebraElement", "GroupAlgebraMatrix", "LogicalBasis", "Oblique", "OperatorOverlay",
-    "PlainGraph", "PreconditionError", "QuotientLayout", "RenderSpec", "RrefResult",
+    "PlainGraph", "PreconditionError", "RenderSpec", "RrefResult",
     "SystematicBasis", "TannerGraph", "analysis", "balanced_product", "binary_map",
     "check_commutation", "classical", "css_distance", "css_from_matrices", "css_params",
     "emit", "errors", "gf2", "groups", "has_fixed_edge", "hgp", "hgp_canonical_logicals",

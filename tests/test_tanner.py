@@ -34,7 +34,9 @@ from qpc.tanner import (
     verify_covering,
 )
 
-from oracles import cartesian_product_plain, product_action_plain
+from oracles import cartesian_product_plain, product_action_plain, slot_perms
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def six_cycle_action():
@@ -99,13 +101,14 @@ class TestActionValidation:
 
     def test_table_built_in_code_names_the_generators_of_its_file(self):
         # S3 acting on itself by left multiplication, which keeps each edge v -- v * g3
-        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
-        read = parse_group_spec(f"table:{fixtures / 's3.table'}")
+        read = parse_group_spec(f"table:{FIXTURES / 's3.table'}")
         built = FiniteGroup(read.mul)
         assert built.generator_names() == read.generator_names() == {
             f"g{i}": i for i in range(1, 6)}
+        # an action file lists the permutations of the generating set, not all 5
+        assert built.generators == read.generators == (1, 2)
         graph = PlainGraph(6, [(v, int(read.mul[v, 3])) for v in range(6)])
-        perms = [{"vertex_perm": read.mul[g].tolist()} for g in range(1, 6)]
+        perms = [{"vertex_perm": read.mul[g].tolist()} for g in read.generators]
         actions = [GroupAction.from_generators(group, graph, perms) for group in (built, read)]
         assert np.array_equal(actions[0].perms["vertex"], actions[1].perms["vertex"])
         assert np.array_equal(actions[0].perms["vertex"], read.mul)
@@ -233,15 +236,16 @@ class TestFixedEdge:
 class TestQuotient:
     def test_six_cycle_mod_z3_is_double_edge(self):
         graph, action = six_cycle_action()
-        q, layout = quotient(graph, action)
+        q, orbits = quotient(graph, action)
         assert q.vertex_count == 2
         assert q.edge_count() == 2
         assert q.edges == Counter({(0, 1): 2})
-        assert layout.basepoints == (("vertex", 0), ("vertex", 1))
-        assert layout.row_of[("vertex", 0)] == 0
+        bases, cls, row = orbits["vertex"]
+        assert bases.tolist() == [0, 1] and cls.tolist() == [0, 1, 0, 1, 0, 1]
+        assert row[0] == 0
         # class {0, 2, 4}: 2 = basepoint shifted once, 4 = shifted twice
-        assert layout.row_of[("vertex", 2)] == 1
-        assert layout.row_of[("vertex", 4)] == 2
+        assert row[2] == 1
+        assert row[4] == 2
 
     def test_trivial_group_gives_isomorphic_copy(self):
         graph = PlainGraph.cycle(5)
@@ -257,26 +261,28 @@ class TestQuotient:
         action = product_action_plain(product, a_action, b_action)
         free, _ = is_free(action)
         assert free  # free on A suffices
-        q, layout = quotient(product, action)
+        q, orbits = quotient(product, action)
         assert q.vertex_count == 8
-        assert len(layout.classes) == 8
-        assert all(len(members) == 3 for members in layout.classes)
+        bases, cls, _ = orbits["vertex"]
+        assert bases.size == 8
+        assert np.bincount(cls).tolist() == [3] * 8
 
     def test_free_action_quotient_size(self):
         # free action: class count is exactly |V| / |H|
         graph, action = six_cycle_action()
-        q, layout = quotient(graph, action)
+        q, orbits = quotient(graph, action)
         assert q.vertex_count == graph.vertex_count // action.group.order
-        for members in layout.classes:
-            rows = sorted(layout.row_of[v] for v in members)
-            assert rows == list(range(action.group.order))
+        bases, cls, row = orbits["vertex"]
+        for c in range(bases.size):
+            assert sorted(row[cls == c].tolist()) == list(range(action.group.order))
 
     def test_nonfree_class_rows_are_coset_representatives(self):
         _, action = paper_b_graph()
-        _, layout = quotient(action.graph, action)
-        fixed_class = [m for m in layout.classes if len(m) == 1]
-        assert fixed_class == [(("vertex", 3),)]
-        assert layout.row_of[("vertex", 3)] == 0
+        _, orbits = quotient(action.graph, action)
+        bases, cls, row = orbits["vertex"]
+        sizes = np.bincount(cls)
+        assert np.flatnonzero(sizes[cls] == 1).tolist() == [3]
+        assert row[3] == 0
 
     def test_tanner_quotient_recovers_ring_base(self):
         # quotient of the lifted graph by the slot shift == multiplicity base
@@ -292,6 +298,9 @@ class TestQuotient:
         q, _ = quotient(graph, action)
         lifted = lift_from_ring_matrix(mat)
         assert q == lifted.base
+        assert q.edges == lifted.base.edges == Counter({(0, 0): 2, (0, 1): 1, (1, 1): 3})
+        # the lift's own deck action is the slot shift, so it gives the same quotient
+        assert quotient(lifted.graph, lifted.action)[0] == q
 
 
 class TestCovering:
@@ -374,13 +383,13 @@ class TestLiftFromRing:
         assert lifted.base.edges == Counter({(0, 0): 2})
         report = verify_covering(lifted.covering)
         assert report.valid and report.lift_size == 3
-        assert not lifted.covers_simple_base
+        assert is_free(lifted.action) == (True, None)
 
     def test_monomial_over_z2_gives_disjoint_edges(self):
         group = FiniteGroup.cyclic(2)
         mat = GroupAlgebraMatrix(group, [[GroupAlgebraElement.one(group)]])
         lifted = lift_from_ring_matrix(mat)
-        assert lifted.covers_simple_base
+        assert lifted.base.edges == Counter({(0, 0): 1})
         assert lifted.graph.edges == Counter({(0, 0): 1, (1, 1): 1})
         assert verify_covering(lifted.covering).valid
 
@@ -388,8 +397,8 @@ class TestLiftFromRing:
         group = FiniteGroup.cyclic(3)
         mat = GroupAlgebraMatrix(group, [[parse_element("1+x+x^2", group)]])
         lifted = lift_from_ring_matrix(mat)
-        assert not lifted.covers_simple_base
-        assert "3 parallel edges" in lifted.notes[0]
+        assert not mat.is_monomial()
+        assert lifted.base.edges == Counter({(0, 0): 3})
 
     def test_random_monomials_always_cover(self):
         rng = random.Random(101)
@@ -401,8 +410,53 @@ class TestLiftFromRing:
             ]
             mat = GroupAlgebraMatrix.from_masks(group, masks)
             lifted = lift_from_ring_matrix(mat)
-            assert lifted.covers_simple_base
+            assert set(lifted.base.edges.values()) <= {1}
+            assert lifted.base.edge_count() == sum(m != 0 for row in masks for m in row)
             assert verify_covering(lifted.covering).valid
+
+
+    @pytest.mark.parametrize("spec", ["Z1", "Z3", "Z2xZ2", "Z2xZ3", "S3"])
+    def test_deck_actions_are_the_slot_permutations(self, spec):
+        # right multiplication is a deck action of every lift; left multiplication
+        # is refused exactly where its table fails validation
+        group = parse_group_spec(f"table:{FIXTURES / 's3.table'}" if spec == "S3" else spec)
+        rng = random.Random(913)
+        refused = 0
+        for _ in range(16):
+            mat = random_ring_matrix(rng, group, rng.random() < 0.3)
+            lifted = lift_from_ring_matrix(mat)
+            for part, want in slot_perms(mat, left=False).items():
+                assert np.array_equal(lifted.action.perms[part], want)
+            report = verify_covering(lifted.covering)
+            assert report.valid and report.lift_size == group.order
+            want = slot_perms(mat, left=True)
+            try:
+                GroupAction(group, lifted.graph, want)
+            except PreconditionError as exc:
+                refused += 1
+                with pytest.raises(PreconditionError) as got:
+                    lift_from_ring_matrix(mat, left=True)
+                assert str(got.value) == str(exc)
+            else:
+                action = lift_from_ring_matrix(mat, left=True).action
+                for part in want:
+                    assert np.array_equal(action.perms[part], want[part])
+        assert (refused > 0) == (spec == "S3")
+
+    def test_s3_fixtures_are_a_lift(self):
+        # fixtures/s3_lift.* as written by emit_graph and emit_action, from the
+        # repository root: the action file names the table by a relative path
+        group = FiniteGroup.from_table_text((FIXTURES / "s3.table").read_text(),
+                                            "table:fixtures/s3.table")
+        mat = GroupAlgebraMatrix(group, [[parse_element(t, group) for t in row] for row in
+                                         [["g1+g3", "g2", "0"], ["1", "g4+g5", "g3"]]])
+        lifted = lift_from_ring_matrix(mat)
+        assert emit_graph(lifted.graph) == (FIXTURES / "s3_lift.graph").read_text()
+        text = (FIXTURES / "s3_lift.action.json").read_text()
+        assert emit_action(lifted.action) == text
+        assert len(json.loads(text)["generators"]) == len(group.generators) == 2
+        assert is_free(lifted.action) == (True, None)
+        assert has_fixed_edge(lifted.action) == (False, None)
 
 
 class TestFileFormats:
@@ -435,7 +489,7 @@ class TestFileFormats:
             "elements": [{"vertex_perm": [0, 1]}, {"vertex_perm": [1, 0]}],
         }
         action = parse_action(json.dumps(payload), graph)
-        assert action.apply(1, "vertex", 0) == 1
+        assert action.perms["vertex"].tolist() == [[0, 1], [1, 0]]
 
     @pytest.mark.parametrize("second, message", [
         ([1], "element 1: vertex permutation has 1 entries, expected 2"),   # ragged table
@@ -541,10 +595,11 @@ class TestGraphProperties:
                 random_ring_matrix(rng, group, monomial), random_ring_matrix(rng, group, monomial))
             for graph, action in ((graph_a, act_a), (graph_b, act_b)):
                 assert is_free(action)[0]
-                q, layout = quotient(graph, action)
+                q, orbits = quotient(graph, action)
                 assert q.check_count * group.order == graph.check_count
                 assert q.bit_count * group.order == graph.bit_count
-                assert len(layout.classes) == q.check_count + q.bit_count
+                assert [orbits[part][0].size for part in ("check", "bit")] == [
+                    q.check_count, q.bit_count]
                 assert q.edge_count() * group.order == graph.edge_count()
 
     @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z5", "Z2xZ2", "Z2xZ3"])
@@ -569,7 +624,7 @@ class TestGraphProperties:
                 moved = GroupAction(group, relabelled, perms)
                 text = emit_action(moved)
                 back = parse_action(text, relabelled)
-                for part in moved.parts():
+                for part in graph.part_sizes():
                     assert np.array_equal(back.perms[part], moved.perms[part])
                 assert emit_action(back) == text
 
