@@ -17,10 +17,9 @@ _EXPORTS = {
     "groups": "FiniteGroup GroupAlgebraElement GroupAlgebraMatrix binary_map parse_group_spec",
     "products": "CSSCode balanced_product css_from_matrices hgp hgp_of_lifts"
                 " lift_with_regular_actions lifted_product",
-    "render": "CoordinateTable Oblique OperatorOverlay RenderSpec emit line_layout_table"
-              " parse_layout",
-    "tanner": "CoveringMap GroupAction PlainGraph TannerGraph"
-              " has_fixed_edge is_free lift_from_ring_matrix quotient verify_covering",
+    "render": "CoordinateTable OperatorOverlay RenderSpec emit line_layout_table parse_layout",
+    "tanner": "GroupAction PlainGraph TannerGraph has_fixed_edge is_free lift_from_ring_matrix"
+              " quotient verify_covering",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -15,8 +15,7 @@ computations refuse them loudly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import ClassicalCode
 from .errors import PreconditionError
@@ -28,8 +27,7 @@ if TYPE_CHECKING:
     from .groups import GroupAlgebraMatrix
 
 
-@dataclass(frozen=True)
-class CSSParams:
+class CSSParams(NamedTuple):
     n: int
     k: int
     d: int | None = None
@@ -37,8 +35,7 @@ class CSSParams:
     d_z: int | None = None
 
 
-@dataclass(frozen=True)
-class LogicalBasis:
+class LogicalBasis(NamedTuple):
     """Paired logical representatives: pairing[i][j] = <x_i, z_j> = delta_ij."""
 
     x_logicals: BitMatrix

@@ -23,9 +23,8 @@ with numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,8 +33,7 @@ from .errors import FormatError, PreconditionError, read_file
 from .gf2 import DEFAULT_BUDGET, BitMatrix, RrefResult, coset_min_weight, rref, transpose
 
 
-@dataclass(frozen=True)
-class SystematicBasis:
+class SystematicBasis(NamedTuple):
     """Codeword basis in systematic order.
 
     Permuting columns by `column_permutation` (new position p holds old

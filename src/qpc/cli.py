@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -90,8 +91,9 @@ def cmd_hgp(args) -> int:
 def cmd_lp(args) -> int:
     from . import groups, products
 
-    m1 = read_file(args.m1, groups.parse_ring_matrix)
-    m2 = read_file(args.m2, groups.parse_ring_matrix)
+    # a `table:` group path is read from the directory of the file that names it
+    m1 = read_file(args.m1, groups.parse_ring_matrix, Path(args.m1).parent)
+    m2 = read_file(args.m2, groups.parse_ring_matrix, Path(args.m2).parent)
     return _construct(args, products.lifted_product(m1, m2))
 
 
@@ -103,8 +105,8 @@ def cmd_bp(args) -> int:
     graph_b = read_file(args.graph_b, parse_graph)
     if not isinstance(graph_a, TannerGraph) or not isinstance(graph_b, TannerGraph):
         raise FormatError("balanced products need Tanner graphs, not plain graphs")
-    act_a = read_file(args.action_a, parse_action, graph_a)
-    act_b = read_file(args.action_b, parse_action, graph_b)
+    act_a = read_file(args.action_a, parse_action, graph_a, Path(args.action_a).parent)
+    act_b = read_file(args.action_b, parse_action, graph_b, Path(args.action_b).parent)
     return _construct(args, balanced_product(graph_a, graph_b, act_a, act_b))
 
 
@@ -120,13 +122,11 @@ def cmd_analyze(args) -> int:
     h_z = classical.read_check_matrix(args.hz)
     n = h_x.cols
     code = products.css_from_matrices(h_x, h_z)
-    payload: dict = {"seed": args.seed, "n": n}
-    payload["commuting"] = code.commuting
+    payload: dict = {"seed": args.seed, "n": n, "commuting": code.commuting}
     if not code.commuting:
         _, pairs = analysis.check_commutation(code)
-        payload["anticommuting_pairs"] = pairs[:10]
-        payload["k"] = "refused (non-commuting checks)"
-        payload["d"] = "refused (non-commuting checks)"
+        refused = "refused (non-commuting checks)"
+        payload.update(anticommuting_pairs=pairs[:10], k=refused, d=refused)
         _report(args, payload)
         return EXIT_OK
     k = analysis.logical_count(code)
@@ -136,10 +136,7 @@ def cmd_analyze(args) -> int:
     else:
         try:
             d_x, d_z, d = analysis.css_distance(code, budget)
-            payload["d_x"] = d_x
-            payload["d_z"] = d_z
-            payload["d"] = d
-            payload["params"] = f"[[{n},{k},{d}]]"
+            payload.update(d_x=d_x, d_z=d_z, d=d, params=f"[[{n},{k},{d}]]")
         except BudgetError as exc:
             payload["d"] = f"budget exceeded ({exc.required_text} > {exc.limit})"
             _report(args, payload)
@@ -148,10 +145,8 @@ def cmd_analyze(args) -> int:
         c1 = classical.ClassicalCode(classical.read_check_matrix(args.c1))
         c2 = classical.ClassicalCode(classical.read_check_matrix(args.c2))
         formula = analysis.hgp_k_formula(c1, c2)
-        payload["hgp_k_formula"] = formula
-        payload["hgp_k_matches"] = formula == k
-        bound = analysis.hgp_distance_bound(c1, c2, budget)
-        payload["hgp_distance_bound"] = bound
+        payload.update(hgp_k_formula=formula, hgp_k_matches=formula == k,
+                       hgp_distance_bound=analysis.hgp_distance_bound(c1, c2, budget))
     _report(args, payload)
     return EXIT_OK
 
@@ -169,8 +164,7 @@ def cmd_layout(args) -> int:
     if args.overlay:
         overlays = overlays + (read_file(args.overlay, render.parse_overlay),)
     include_edges = args.edges or (args.format == "json" and bool(table.edges))
-    spec = render.RenderSpec(projection=render.Oblique(args.shear, args.yscale),
-                             scale=args.scale, include_edges=include_edges)
+    spec = render.RenderSpec(args.scale, include_edges, args.shear, args.yscale)
     doc = render.emit(table, spec, overlays, args.format)
     if args.out:
         _write(Path(args.out), doc)
@@ -185,8 +179,7 @@ def cmd_covering(args) -> int:
 
     cover = read_file(args.cover, parse_graph)
     base = read_file(args.base, parse_graph)
-    cm = read_file(args.map, parse_covering, cover, base)
-    report = verify_covering(cm)
+    report = verify_covering(cover, base, read_file(args.map, parse_covering, cover))
     payload = {
         "check": "covering",
         "valid": report.valid,
@@ -201,7 +194,7 @@ def cmd_action(args) -> int:
     from .tanner import has_fixed_edge, is_free, parse_action, parse_graph, quotient
 
     graph = read_file(args.graph, parse_graph)
-    action = read_file(args.action, parse_action, graph)
+    action = read_file(args.action, parse_action, graph, Path(args.action).parent)
     free, free_witness = is_free(action)
     pinned, pin_witness = has_fixed_edge(action)
     q, _ = quotient(graph, action)
@@ -240,6 +233,18 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise FormatError(f"{self.prog}: {message}")
+
+
+def _finite(text: str, positive: bool = False) -> float:
+    """A finite number (positive when asked) as an option value, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a {'positive ' * positive}finite number, got {text!r}")
+    return value
 
 
 def _command(sub, name: str, func, summary: str, inputs: dict[str, str]) -> argparse.ArgumentParser:
@@ -293,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     layout.add_argument("--out", help="output file (default stdout)")
     layout.add_argument("--overlay", help="overlay JSON file")
     layout.add_argument("--edges", action="store_true", help="draw edges")
-    layout.add_argument("--scale", type=float, default=12.0)
-    layout.add_argument("--shear", type=float, default=0.45, help="oblique shear (3D only)")
-    layout.add_argument("--yscale", type=float, default=0.3, help="oblique y scale (3D only)")
+    layout.add_argument("--scale", type=partial(_finite, positive=True), default=12.0,
+                        help="svg units per layout unit, positive")
+    layout.add_argument("--shear", type=_finite, default=0.45, help="oblique shear (3D only)")
+    layout.add_argument("--yscale", type=_finite, default=0.3, help="oblique y scale (3D only)")
 
     checks = sub.add_parser("verify", help="check coverings and actions").add_subparsers(
         dest="check", required=True)

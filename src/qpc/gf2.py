@@ -33,7 +33,7 @@ sparse storage and no rank algorithm below cubic time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,18 +176,20 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     """Reduced row echelon form of `source`.
 
-    `pivot_cols` is strictly increasing and has length `rank`.  The kernel
-    is derived from it only when read.
+    `pivot_cols` is strictly increasing; the rank is its length.  The
+    kernel is derived from it only when read.
     """
 
     source: BitMatrix
     rref: BitMatrix
     pivot_cols: tuple[int, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
 
     @property
     def basis(self) -> BitMatrix:
@@ -331,12 +333,7 @@ def rref(m: BitMatrix) -> RrefResult:
         r[pr : pr + k, w + used] = by_bit[at_leads]
         pivots.extend(w * _WORD_BITS + b for b in at_leads)
         pr += k
-    return RrefResult(
-        source=m,
-        rref=BitMatrix(m.rows, m.cols, r),
-        pivot_cols=tuple(pivots),
-        rank=len(pivots),
-    )
+    return RrefResult(m, BitMatrix(m.rows, m.cols, r), tuple(pivots))
 
 
 def rank(m: BitMatrix) -> int:

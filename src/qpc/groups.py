@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,14 +180,14 @@ def _validate_group_table(mul: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def parse_group_spec(spec: str) -> FiniteGroup:
-    """Accepted specs: "Z<l>", "Z<a>xZ<b>", "table:<path>"."""
+def parse_group_spec(spec: str, root: str | Path = "") -> FiniteGroup:
+    """Accepted specs: "Z<l>", "Z<a>xZ<b>", "table:<path>", a relative path read from `root`."""
     spec = spec.strip()
     if spec.startswith("table:"):
         path = spec[len("table:"):]
         if "\0" in path:
             raise FormatError("group table path holds a null byte")
-        return read_file(path, FiniteGroup.from_table_text, spec)
+        return read_file(Path(root, path), FiniteGroup.from_table_text, spec)
     m = re.fullmatch(r"Z(\d+)(?:xZ(\d+))?", spec)
     if not m:
         raise FormatError(f"unrecognised group spec {spec!r}")
@@ -205,8 +206,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     return FiniteGroup.cyclic(*factors)
 
 
-@dataclass(frozen=True)
-class GroupAlgebraElement:
+class GroupAlgebraElement(NamedTuple):
     """Element of F2[G], stored as a bit mask over the group's elements."""
 
     group: FiniteGroup
@@ -390,8 +390,9 @@ def parse_element(text: str, group: FiniteGroup, ln: int = 0) -> GroupAlgebraEle
     return GroupAlgebraElement(group, mask)
 
 
-def parse_ring_matrix(text: str) -> GroupAlgebraMatrix:
-    """Header "m n group=<spec>", then m comma-separated polynomial rows."""
+def parse_ring_matrix(text: str, root: str | Path = "") -> GroupAlgebraMatrix:
+    """Header "m n group=<spec>", then m comma-separated polynomial rows;
+    a `table:` path in the spec is read from the directory `root`."""
     lines = text.splitlines()
     header_idx = None
     for idx, raw in enumerate(lines):
@@ -409,7 +410,7 @@ def parse_ring_matrix(text: str) -> GroupAlgebraMatrix:
         raise FormatError("expected integer dimensions", header_idx + 1) from None
     if m < 0 or n < 0:
         raise FormatError("expected non-negative dimensions", header_idx + 1)
-    group = parse_group_spec(header[2][len("group="):])
+    group = parse_group_spec(header[2][len("group="):], root)
     rows = []
     pos = header_idx
     for _ in range(m):

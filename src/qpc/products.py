@@ -36,15 +36,6 @@ if TYPE_CHECKING:
     from .tanner import GroupAction, TannerGraph
 
 
-def __getattr__(name: str):
-    """`CoordinateTable` is `render.CoordinateTable`, imported on first read."""
-    if name == "CoordinateTable":
-        from .render import CoordinateTable
-
-        return CoordinateTable
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class CSSCode:
     """CSS code as an (H_X, H_Z) pair with provenance and a layout.
 

@@ -9,15 +9,16 @@ squares, and operator overlays colour qubits red (Z), green (Y) or blue
 (X).  Each drawing format is data in `_FORMATS`: its opening and closing
 lines and the templates of an edge and of each glyph.
 
-The spec's oblique projection (x, y, z) -> (x + shear * y, z + y_scale * y)
+A `RenderSpec` holds the svg scale, whether edges are drawn, and the
+oblique projection (x, y, z) -> (x + x_shear * y, z + y_scale * y) that
 flattens 3D tables; 2D tables are drawn as they are and ignore it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 from .errors import FormatError, PreconditionError, load_object, typed_list
 
@@ -69,36 +70,25 @@ class CoordinateTable:
         return dict(zip(ROLE_ORDER, (self.x_checks, self.z_checks, self.qubits_q1, self.qubits_q2)))
 
 
-@dataclass(frozen=True)
-class Oblique:
-    """Oblique flattening (x, y, z) -> (x + x_shear*y, z + y_scale*y).
+class RenderSpec(NamedTuple):
+    """How to draw: the svg scale, whether to draw edges, and the oblique
+    flattening (x, y, z) -> (x + x_shear*y, z + y_scale*y) of a 3D table.
 
     The defaults 9/20 and 3/10 keep integer lattice points distinct
     until the y extent reaches 20, so desk-scale 3D layouts never get
     coincident glyph centres.
     """
 
+    scale: float = 12.0
+    include_edges: bool = False
     x_shear: float = 0.45
     y_scale: float = 0.3
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    projection: Oblique = Oblique()
-    scale: float = 12.0
-    include_edges: bool = False
+class OperatorOverlay(NamedTuple):
+    """Pauli letters on (global) qubit indices, as (qubit, letter) pairs."""
 
-
-@dataclass(frozen=True)
-class OperatorOverlay:
-    """Pauli letters on (global) qubit indices."""
-
-    paulis: tuple = field(default=())
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "OperatorOverlay":
-        items = tuple(sorted((int(k), v) for k, v in mapping.items()))
-        return cls(paulis=items)
+    paulis: tuple = ()
 
     def validate(self, n_qubits: int) -> None:
         for idx, letter in self.paulis:
@@ -139,7 +129,7 @@ def _overlay(data) -> OperatorOverlay:
     for entry in pairs:
         if len(entry) != 2 or type(entry[0]) is not int or type(entry[1]) is not str:
             raise FormatError(f"overlay entry {entry!r} is not a [qubit, letter] pair")
-    return OperatorOverlay(paulis=tuple(map(tuple, pairs)))
+    return OperatorOverlay(tuple(map(tuple, pairs)))
 
 
 def parse_overlay(text: str) -> OperatorOverlay:
@@ -214,8 +204,7 @@ def line_table(x_count: int, z_count: int, bit_count: int, edges) -> CoordinateT
                            tuple(line[bits:]), (), edges)
 
 
-@dataclass(frozen=True)
-class _Format:
+class _Format(NamedTuple):
     """A drawing format as data: its opening and closing lines and its templates.
 
     `x`, `z` and `qubit` are (template, columns) glyphs; a template is filled by
@@ -284,7 +273,7 @@ def _draw(table: CoordinateTable, spec: RenderSpec, overlays, fmt: _Format) -> s
         points = {role: ([float(c[0]) for c in coords], [float(c[1]) for c in coords])
                   for role, coords in table.families().items()}
     else:
-        shear, lift = spec.projection.x_shear, spec.projection.y_scale
+        shear, lift = spec.x_shear, spec.y_scale
         points = {role: ([float(x) + shear * float(y) for x, y, _ in coords],
                          [float(z) + lift * float(y) for _, y, z in coords])
                   for role, coords in table.families().items()}

@@ -29,9 +29,11 @@ the lowest vertex index so that layouts, quotient labellings and golden
 files are reproducible; `quotient` returns the `part_orbits` arrays it
 numbered the quotient's vertices by.
 
-A lift of a ring matrix m is built in one place, `lift_from_ring_matrix`:
-the Tanner graph of B(m), the group's deck action on it, the base graph
-of m and the covering map onto that base, one `Lift`.
+A covering map is a dict of base-vertex lists, one per part, checked by
+`verify_covering(cover, base, maps)`.  A lift of a ring matrix m is built
+in one place, `lift_from_ring_matrix`: one `Lift` of the Tanner graph of
+B(m), the group's deck action on it, the base graph of m and the
+covering map onto that base.  Records are `NamedTuple`s.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import json
 import operator
 import sys
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionError, FormatError, PreconditionError, load_object, typed, typed_list
 
@@ -436,89 +437,80 @@ def quotient(graph, action: GroupAction):
 # -- covering maps ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoveringMap:
-    """Vertex map from a cover onto a base graph, type preserving."""
+class CoveringReport(NamedTuple):
+    """The violations of a vertex map, its lift size l (None unless every
+    fibre has l vertices) and each part's fibre sizes, one per base vertex."""
 
-    cover: object
-    base: object
-    maps: dict
+    violations: list
+    lift_size: int | None
+    fibre_sizes: dict
 
-
-@dataclass
-class CoveringReport:
-    valid: bool
-    violations: list = field(default_factory=list)
-    lift_size: int | None = None
-    fibre_sizes: dict = field(default_factory=dict)
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
-def verify_covering(cm: CoveringMap) -> CoveringReport:
-    """Check the local-bijection property at every cover vertex.
+def verify_covering(cover, base, maps: dict) -> CoveringReport:
+    """Check that `maps`, one list of base vertices per part, is a covering.
 
     Valid iff every vertex's incident edges map one-to-one onto the
     incident edges of its image.  Also reports whether the map is an
     l-lift (all fibres the same size l).
     """
-    report = CoveringReport(valid=True)
-    cover, base = cm.cover, cm.base
     if type(cover) is not type(base):
         raise PreconditionError("cover and base must be the same kind of graph")
     cover_sizes = _part_sizes(cover)
     base_sizes = _part_sizes(base)
-    if set(cm.maps) != set(cover_sizes):
+    if set(maps) != set(cover_sizes):
         raise PreconditionError(
-            f"vertex map parts {sorted(cm.maps)} do not match graph parts {sorted(cover_sizes)}"
+            f"vertex map parts {sorted(maps)} do not match graph parts {sorted(cover_sizes)}"
         )
-    maps = {}
+    images = {}
     for part, size in cover_sizes.items():
         try:
-            maps[part] = [operator.index(v) for v in cm.maps[part]]
+            images[part] = [operator.index(v) for v in maps[part]]
         except TypeError:  # not a list, or an entry that is not an integer
-            maps[part] = None
-        if maps[part] is None or len(maps[part]) != size:
+            images[part] = None
+        if images[part] is None or len(images[part]) != size:
             raise PreconditionError(f"{part} map must list every cover vertex")
-        if not all(0 <= v < base_sizes[part] for v in maps[part]):
+        if not all(0 <= v < base_sizes[part] for v in images[part]):
             raise PreconditionError(f"{part} map has out-of-range images")
 
+    violations = []
     for part in cover_sizes:
         other = cover.ENDS[0] if part == cover.ENDS[1] else cover.ENDS[1]
-        got = cover._tallies(part, maps[other])
+        got = cover._tallies(part, images[other])
         want = base._tallies(part, range(base_sizes[other]))
-        for v, w in enumerate(maps[part]):
+        for v, w in enumerate(images[part]):
             mapped, has = got.get(v, {}), want.get(w, {})
             if mapped != has:
-                report.valid = False
-                report.violations.append(
+                violations.append(
                     f"{part} {v}: incident edges map to {mapped}, base vertex {w} has {has}"
                 )
 
-    sizes = set()
-    for part, images in maps.items():
-        counts = [0] * base_sizes[part] if images else []
-        for v in images:
+    fibre_sizes, sizes = {}, set()
+    for part, fibre in images.items():
+        counts = [0] * base_sizes[part] if fibre else []
+        for v in fibre:
             counts[v] += 1
-        report.fibre_sizes[part] = counts
+        fibre_sizes[part] = counts
         sizes.update(counts)
-    if len(sizes) == 1:
-        report.lift_size = sizes.pop()
-    return report
+    return CoveringReport(violations, sizes.pop() if len(sizes) == 1 else None, fibre_sizes)
 
 
-@dataclass(frozen=True)
-class Lift:
-    """Tanner graph of B(m), its deck action, and its covering of the base graph.
+class Lift(NamedTuple):
+    """Tanner graph of B(m), its deck action, its base graph and the covering map onto it.
 
-    Block i of each part holds the slots i*l + s, one per group element s.
-    The base has one vertex per block and one edge per term of each entry,
-    so an entry of weight w gives w parallel edges and the projection of
-    every slot onto its block is always a covering.
+    Block i of each part holds the slots i*l + s, one per group element s,
+    and `maps` sends each slot to its block.  The base has one vertex per
+    block and one edge per term of each entry, so an entry of weight w
+    gives w parallel edges and `maps` is always a covering.
     """
 
     graph: TannerGraph
     action: GroupAction
     base: TannerGraph
-    covering: CoveringMap
+    maps: dict
 
 
 def lift_from_ring_matrix(m: GroupAlgebraMatrix, left: bool = False) -> Lift:
@@ -546,7 +538,7 @@ def lift_from_ring_matrix(m: GroupAlgebraMatrix, left: bool = False) -> Lift:
         if (weight := len(e.support()))}))
     maps = {part: [v // l for v in range(count * l)]
             for part, count in (("check", m.rows), ("bit", m.cols))}
-    return Lift(graph, action, base, CoveringMap(cover=graph, base=base, maps=maps))
+    return Lift(graph, action, base, maps)
 
 
 # -- file formats --------------------------------------------------------------
@@ -600,14 +592,15 @@ def emit_graph(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_action(text: str, graph) -> GroupAction:
-    """JSON action file: group spec plus per-generator (or per-element) permutation lists."""
+def parse_action(text: str, graph, root="") -> GroupAction:
+    """JSON action file: group spec plus per-generator (or per-element) permutation lists;
+    a `table:` path in the spec is read from the directory `root`."""
     from .groups import parse_group_spec
 
     data = load_object(text, "an action file")
     if "group" not in data:
         raise FormatError("action file needs a 'group' spec")
-    group = parse_group_spec(typed(data["group"], str, "'group'"))
+    group = parse_group_spec(typed(data["group"], str, "'group'"), root)
     form = next((key for key in ("elements", "generators") if key in data), None)
     if form is None:
         raise FormatError("action file needs 'generators' or 'elements'")
@@ -644,8 +637,8 @@ def emit_action(action: GroupAction) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_covering(text: str, cover, base) -> CoveringMap:
-    """JSON covering file: one list of base-vertex indices per vertex part."""
+def parse_covering(text: str, cover) -> dict:
+    """JSON covering file: one list of base-vertex indices per vertex part of `cover`."""
     data = load_object(text, "a covering file")
     maps = {}
     for part in _part_sizes(cover):
@@ -653,4 +646,4 @@ def parse_covering(text: str, cover, base) -> CoveringMap:
         if key not in data:
             raise FormatError(f"covering file needs {key!r}")
         maps[part] = typed_list(data, key, int)
-    return CoveringMap(cover=cover, base=base, maps=maps)
+    return maps

@@ -363,13 +363,11 @@ def test_criterion_8_plane_structure():
 def test_criterion_9_covering_verification():
     cover = parse_graph((FIXTURES / "line3_2lift.graph").read_text())
     base = parse_graph((FIXTURES / "line3.graph").read_text())
-    good = parse_covering((FIXTURES / "line3_2lift.map.json").read_text(), cover, base)
-    good_report = verify_covering(good)
+    good = parse_covering((FIXTURES / "line3_2lift.map.json").read_text(), cover)
+    good_report = verify_covering(cover, base, good)
     assert good_report.valid and good_report.lift_size == 2
-    bad = parse_covering(
-        (FIXTURES / "line3_2lift_bad.map.json").read_text(), cover, base
-    )
-    bad_report = verify_covering(bad)
+    bad = parse_covering((FIXTURES / "line3_2lift_bad.map.json").read_text(), cover)
+    bad_report = verify_covering(cover, base, bad)
     assert not bad_report.valid
     assert bad_report.violations and "vertex" in bad_report.violations[0]
     report(
@@ -392,7 +390,7 @@ def test_criterion_10_layout_exactness():
     for j, coord in enumerate(table.qubits_q2):
         assert coord == (j // m2, (j % m2) + n2)
 
-    overlay = OperatorOverlay.from_dict({0: "Z", 3: "Z", 6: "Z"})
+    overlay = OperatorOverlay(((0, "Z"), (3, "Z"), (6, "Z")))
     for include_edges in (False, True):
         spec = RenderSpec(include_edges=include_edges)
         doc = emit(table, spec, (overlay,), "json")

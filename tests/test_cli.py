@@ -570,6 +570,23 @@ class TestVerify:
         assert code == 0
         assert "lift_size: 1" in out
 
+    def test_table_paths_are_read_beside_the_file(self, tmp_path, capsys, monkeypatch):
+        # an action file and a ring file name their `table:` group by a path
+        # relative to their own directory, whatever the working directory
+        ring_dir, elsewhere = tmp_path / "rings", tmp_path / "elsewhere"
+        ring_dir.mkdir()
+        elsewhere.mkdir()
+        (ring_dir / "s3.table").write_bytes((FIXTURES / "s3.table").read_bytes())
+        (ring_dir / "s3.ring").write_text("1 2 group=table:s3.table\ng1+g2,1\n")
+        monkeypatch.chdir(elsewhere)
+        code, out, err = run(capsys, "verify", "action", "--graph", FIXTURES / "s3_lift.graph",
+                             "--action", FIXTURES / "s3_lift.action.json")
+        assert (code, err) == (0, "") and "free: True" in out
+        code, out, err = run(capsys, "construct", "lp", "--m1", "../rings/s3.ring",
+                             "--m2", ring_dir / "s3.ring", "--out-prefix", "lp")
+        assert (code, err) == (0, "") and "n: 30" in out
+        assert (elsewhere / "lp.hx.pcm").exists()
+
     def test_free_action_passes(self, capsys):
         code, out, _ = run(
             capsys,
@@ -702,6 +719,26 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "usage:" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--scale", "nan"), ("--scale", "inf"), ("--scale", "-inf"), ("--scale", "0"),
+        ("--scale", "-1"), ("--scale", "abc"), ("--shear", "nan"), ("--shear", "inf"),
+        ("--shear", "-inf"), ("--yscale", "nan"), ("--yscale", "inf"), ("--yscale", "-inf"),
+    ])
+    def test_layout_number_out_of_range(self, capsys, option, value):
+        # `--scale=-inf`: argparse reads a lone "-inf" as an option, not a value
+        kind = "a positive finite" if option == "--scale" else "a finite"
+        code, out, err = run(capsys, *self.LAYOUT, f"{option}={value}")
+        assert (code, out) == (1, "")
+        assert err == f"error: qpc layout: argument {option}: expected {kind} number, got '{value}'\n"
+
+    @pytest.mark.parametrize("option, value", [
+        ("--scale", "1e-3"), ("--scale", "40"), ("--shear", "0"), ("--shear", "-0.7"),
+        ("--yscale", "0"), ("--yscale", "-2"),
+    ])
+    def test_layout_finite_numbers_are_accepted(self, capsys, option, value):
+        code, out, err = run(capsys, *self.LAYOUT, option, value)
+        assert (code, err) == (0, "") and out.startswith("<svg")
 
     def test_budget_abc_in_a_fresh_process(self, tmp_path):
         proc = run_process(tmp_path, *self.ANALYZE, "--budget", "abc")

@@ -13,9 +13,8 @@ except the two dot ones (`layout_lp_dot_edges_overlay`,
 `layout_toric_dot_overlay`), recorded again when dot began to colour
 overlaid qubits; any byte that moves fails here.  `verify_action_s3`
 was recorded when action files over table groups began to list the
-group's generating set, and its action file names its table by the
-relative path `fixtures/s3.table`, which `run_commands` copies into the
-working directory first.
+group's generating set; its action file names its table by the path
+`s3.table`, which is read from the action file's own directory.
 
 `python tests/test_golden.py` prints the manifest of the qpc on the
 import path, in the format of `golden_manifest.json`.
@@ -24,7 +23,6 @@ import path, in the format of `golden_manifest.json`.
 import hashlib
 import json
 import os
-import shutil
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -100,9 +98,7 @@ def run_commands(workdir: Path) -> dict:
     from qpc.cli import main
 
     manifest = {}
-    (workdir / "fixtures").mkdir()
-    shutil.copyfile(FIXTURES / "s3.table", workdir / "fixtures" / "s3.table")
-    before = {str(Path("fixtures") / "s3.table")}
+    before = set()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:

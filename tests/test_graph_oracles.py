@@ -24,7 +24,6 @@ from qpc.gf2 import BitMatrix
 from qpc.groups import FiniteGroup, GroupAlgebraMatrix
 from qpc.products import _product_orbits, balanced_product, lift_with_regular_actions
 from qpc.tanner import (
-    CoveringMap,
     GroupAction,
     PlainGraph,
     TannerGraph,
@@ -218,35 +217,34 @@ def _neighbourhood(graph, v):
     return out
 
 
-def oracle_verify_covering(cm):
+def oracle_verify_covering(cover, base, maps):
     """Returns (valid, violations, lift_size, fibre_sizes)."""
     violations = []
-    cover, base = cm.cover, cm.base
     parts = _parts(cover)
     base_sizes = _sizes(base)
 
     def check_vertex(part, v, cover_nbhd, base_nbhd, other_part):
         mapped = Counter()
-        other = np.asarray(cm.maps[other_part], dtype=np.int64)
+        other = np.asarray(maps[other_part], dtype=np.int64)
         for u, mult in cover_nbhd.items():
             mapped[int(other[u])] += mult
         if mapped != base_nbhd:
             violations.append(
                 f"{part} {v}: incident edges map to {dict(mapped)},"
-                f" base vertex {int(np.asarray(cm.maps[part])[v])} has {dict(base_nbhd)}"
+                f" base vertex {int(np.asarray(maps[part])[v])} has {dict(base_nbhd)}"
             )
 
     if isinstance(cover, TannerGraph):
         for c in range(cover.check_count):
-            base_c = int(np.asarray(cm.maps["check"])[c])
+            base_c = int(np.asarray(maps["check"])[c])
             check_vertex("check", c, _check_neighbourhood(cover, c),
                          _check_neighbourhood(base, base_c), "bit")
         for b in range(cover.bit_count):
-            base_b = int(np.asarray(cm.maps["bit"])[b])
+            base_b = int(np.asarray(maps["bit"])[b])
             check_vertex("bit", b, _bit_neighbourhood(cover, b),
                          _bit_neighbourhood(base, base_b), "check")
     else:
-        arr = np.asarray(cm.maps["vertex"], dtype=np.int64)
+        arr = np.asarray(maps["vertex"], dtype=np.int64)
         for v in range(cover.vertex_count):
             mapped = Counter()
             for u, mult in _neighbourhood(cover, v).items():
@@ -259,7 +257,7 @@ def oracle_verify_covering(cm):
                 )
     sizes, fibres = set(), {}
     for part in parts:
-        arr = np.asarray(cm.maps[part], dtype=np.int64)
+        arr = np.asarray(maps[part], dtype=np.int64)
         counts = np.bincount(arr, minlength=base_sizes[part]) if arr.size else np.array([])
         fibres[part] = counts.tolist()
         sizes.update(int(c) for c in counts)
@@ -561,9 +559,9 @@ def test_coverings_match_oracle(seed):
             if trial:
                 k = rng.randrange(len(names))
                 maps[names[k]][rng.randrange(maps[names[k]].size)] = rng.randrange(parts[k])
-            cm = CoveringMap(cover=cover, base=base, maps={k: v.tolist() for k, v in maps.items()})
-            report = verify_covering(cm)
-            want = oracle_verify_covering(cm)
+            lists = {k: v.tolist() for k, v in maps.items()}
+            report = verify_covering(cover, base, lists)
+            want = oracle_verify_covering(cover, base, lists)
             assert (report.valid, report.violations, report.lift_size, report.fibre_sizes) == want
             valid += report.valid
     assert valid
@@ -599,9 +597,8 @@ def test_multigraph_coverings_under_corrupted_maps_match_oracle(seed):
         maps = {name: [v // group.order for v in range(p * group.order)]
                 for name, p in zip(names, parts)}
         for _ in range(4):
-            cm = CoveringMap(cover=cover, base=base, maps=maps)
-            report = verify_covering(cm)
-            want = oracle_verify_covering(cm)
+            report = verify_covering(cover, base, maps)
+            want = oracle_verify_covering(cover, base, maps)
             assert (report.valid, report.violations, report.lift_size, report.fibre_sizes) == want
             plain = len(parts) == 1
             seen["plain loop"] += plain and any(u == v for u, v in cover.edges)
@@ -615,9 +612,9 @@ def test_multigraph_coverings_under_corrupted_maps_match_oracle(seed):
 def test_covering_violation_counts_loops_once():
     base = PlainGraph(2, [(0, 0), (0, 1), (0, 1)])
     cover = PlainGraph(4, [(0, 0), (0, 1), (0, 3), (2, 2), (2, 3), (1, 2)])
-    cm = CoveringMap(cover=cover, base=base, maps={"vertex": [0, 1, 0, 0]})
-    report = verify_covering(cm)
-    assert report.violations == oracle_verify_covering(cm)[1]
+    maps = {"vertex": [0, 1, 0, 0]}
+    report = verify_covering(cover, base, maps)
+    assert report.violations == oracle_verify_covering(cover, base, maps)[1]
     assert report.violations[0] == (
         "vertex 0: incident edges map to {0: 2, 1: 1}, base vertex 0 has {0: 1, 1: 2}"
     )

@@ -1,14 +1,18 @@
 """Which modules each command loads, and the lazily resolved public API.
 
 Each command runs through `qpc.cli.main` in a fresh interpreter, which
-then lists the qpc modules, numpy and `numpy.ma` in its `sys.modules`.
+then lists the qpc modules, numpy, `numpy.ma`, `dataclasses` and
+`inspect` in its `sys.modules`.
 `import qpc` loads no submodule; `layout --input` loads only `cli`,
 `errors` and `render`, and `verify covering` and `layout --graph` only
 `cli`, `errors` and `tanner` (plus `render` for the layout), so these
 commands run where numpy cannot be imported at all, with the same
 output.  `analyze` loads no `render`.
 No command loads `numpy.ma`, which `np.unique` without return options
-imports at a cost of about 17 ms per process.
+imports at a cost of about 17 ms per process, and none loads
+`dataclasses`, which pulls in `inspect`, `ast`, `dis` and `tokenize`:
+qpc's records are `typing.NamedTuple`s, so the commands without numpy
+load no `inspect` either.
 """
 
 import importlib
@@ -27,6 +31,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+WATCHED = ("numpy", "numpy.ma", "dataclasses", "inspect")
 RENDER_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.render"}
 GRAPH_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.tanner"}
 LINE3 = ["verify", "covering", "--cover", FIXTURES / "line3_2lift.graph",
@@ -35,12 +40,12 @@ LIFT_Z3 = ["verify", "covering", "--cover", FIXTURES / "lift_1px_z3.graph", "--m
            "--base"]  # files without a directory are written by `work`
 
 # `qpc.__all__` as it stood when every submodule was imported eagerly, less
-# `CodeParams` and `QuotientLayout` (deleted) and four functions only the tests
-# used (now in oracles.py).
+# `CodeParams`, `QuotientLayout`, `CoveringMap` and `Oblique` (deleted) and four
+# functions only the tests used (now in oracles.py).
 PUBLIC = [
     "BitMatrix", "BudgetError", "CSSCode", "CSSParams", "ClassicalCode", "CoordinateTable",
-    "CoveringMap", "DimensionError", "FiniteGroup", "FormatError", "GroupAction",
-    "GroupAlgebraElement", "GroupAlgebraMatrix", "LogicalBasis", "Oblique", "OperatorOverlay",
+    "DimensionError", "FiniteGroup", "FormatError", "GroupAction",
+    "GroupAlgebraElement", "GroupAlgebraMatrix", "LogicalBasis", "OperatorOverlay",
     "PlainGraph", "PreconditionError", "RenderSpec", "RrefResult",
     "SystematicBasis", "TannerGraph", "analysis", "balanced_product", "binary_map",
     "check_commutation", "classical", "css_distance", "css_from_matrices", "css_params",
@@ -56,15 +61,15 @@ PUBLIC = [
 def probe(cwd: Path, prelude: str, *argv) -> tuple[int | None, str, set[str]]:
     """Run `prelude` and then `main(argv)`, if given, in a fresh interpreter.
 
-    Returns the exit code of `main`, its stdout, and the qpc modules, numpy
-    and numpy.ma then loaded, which the interpreter prints as its last
-    line of stderr.
+    Returns the exit code of `main`, its stdout, and the qpc modules and
+    the `WATCHED` ones then loaded, which the interpreter prints as its
+    last line of stderr.
     """
     lines = ["import json, sys", prelude, "code = None"]
     if argv:
         lines += ["from qpc.cli import main", f"code = main({[str(a) for a in argv]!r})"]
     lines.append('print(json.dumps([code, sorted(m for m, mod in sys.modules.items()'
-                 ' if mod is not None and (m in ("numpy", "numpy.ma")'
+                 f' if mod is not None and (m in {WATCHED!r}'
                  ' or m.split(".")[0] == "qpc"))]), file=sys.stderr)')
     result = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)], cwd=cwd, capture_output=True, text=True,
@@ -128,7 +133,7 @@ class TestImportSets:
                          "--hz", work / "toric.hz.pcm",
                          "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm")
         assert "numpy" in modules and "qpc.analysis" in modules
-        assert not modules & {"qpc.groups", "qpc.tanner"}
+        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses"}
 
     @pytest.mark.parametrize("cross_check", [False, True], ids=["checks", "with-c1-c2"])
     def test_analyze_loads_no_render(self, work, cross_check):
@@ -137,13 +142,13 @@ class TestImportSets:
         modules = loaded(work, "", "analyze", "--hx", work / "toric.hx.alist",
                          "--hz", work / "toric.hz.alist", *codes)
         assert {"qpc.products", "qpc.analysis"} <= modules
-        assert "qpc.render" not in modules
+        assert not modules & {"qpc.render", "dataclasses"}
 
     def test_construct_hgp_loads_neither_groups_nor_tanner(self, work):
         modules = loaded(work, "", "construct", "hgp", "--c1", FIXTURES / "hamming74.pcm",
                          "--c2", FIXTURES / "rep3.pcm", "--out-prefix", work / "ham")
         assert "qpc.products" in modules
-        assert not modules & {"qpc.groups", "qpc.tanner"}
+        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses"}
 
     @pytest.mark.parametrize("argv", [
         ["construct", "lp", "--m1", FIXTURES / "rep3_z3.ring", "--m2", FIXTURES / "rep3_z3.ring",
@@ -160,7 +165,7 @@ class TestImportSets:
     def test_group_and_graph_commands_skip_numpy_ma(self, work, argv):
         modules = loaded(work, "", *argv)
         assert "qpc.tanner" in modules or "qpc.groups" in modules
-        assert "numpy.ma" not in modules
+        assert not modules & {"numpy.ma", "dataclasses"}
 
     def test_layout_graph_loads_tanner(self, work):
         # the probe sees a lazily imported layer when the command needs it; the
@@ -241,8 +246,3 @@ class TestPublicApi:
         assert len(printed) == len(expected) > 0
         for got, want in zip(printed, expected):
             assert re.fullmatch(".*".join(map(re.escape, want.split("..."))), got), (got, want)
-
-    def test_coordinate_table_keeps_its_products_name(self):
-        from qpc import products, render
-
-        assert products.CoordinateTable is render.CoordinateTable is qpc.CoordinateTable

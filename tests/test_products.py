@@ -15,7 +15,6 @@ from qpc.groups import (
     parse_element,
 )
 from qpc.products import (
-    CoordinateTable,
     balanced_product,
     css_from_matrices,
     hgp,
@@ -23,6 +22,7 @@ from qpc.products import (
     lift_with_regular_actions,
     lifted_product,
 )
+from qpc.render import CoordinateTable
 from qpc.tanner import GroupAction, TannerGraph
 
 from oracles import conj_transpose, ring_kron_identity

@@ -7,11 +7,11 @@ import pytest
 from qpc.classical import ClassicalCode, repetition_check
 from qpc.errors import FormatError, PreconditionError
 from qpc.groups import FiniteGroup, GroupAlgebraMatrix, parse_element
-from qpc.products import CoordinateTable, hgp, lifted_product
+from qpc.products import hgp, lifted_product
 from qpc.render import (
     PAULI_COLORS,
     ROLE_ORDER,
-    Oblique,
+    CoordinateTable,
     OperatorOverlay,
     RenderSpec,
     emit,
@@ -74,7 +74,7 @@ class TestJson:
 
     def test_roundtrip_is_byte_identical(self):
         code = toric()
-        overlay = OperatorOverlay.from_dict({0: "Z", 3: "Z", 6: "Z"})
+        overlay = OperatorOverlay(((0, "Z"), (3, "Z"), (6, "Z")))
         for include_edges in (False, True):
             spec = RenderSpec(include_edges=include_edges)
             doc = emit(code.layout, spec, (overlay,), "json")
@@ -137,19 +137,19 @@ class TestProjection:
         layout = lp_code().layout
         for fmt in DRAWN:
             default = emit(layout, RenderSpec(), (), fmt)
-            assert default == emit(layout, RenderSpec(Oblique()), (), fmt)
-            assert default != emit(layout, RenderSpec(Oblique(1, 1)), (), fmt)
+            assert default == emit(layout, RenderSpec(x_shear=0.45, y_scale=0.3), (), fmt)
+            assert default != emit(layout, RenderSpec(x_shear=1, y_scale=1), (), fmt)
 
     def test_2d_ignores_projection(self):
         layout = toric().layout
         for fmt in DRAWN:
             default = emit(layout, RenderSpec(), (), fmt)
-            assert emit(layout, RenderSpec(Oblique(0.9, 2.0)), (), fmt) == default
+            assert emit(layout, RenderSpec(x_shear=0.9, y_scale=2.0), (), fmt) == default
 
     def test_oblique_formula(self):
         # (x, y, z) -> (x + shear y, z + y_scale y)
         code = lp_code()
-        spec = RenderSpec(projection=Oblique(x_shear=0.5, y_scale=0.25))
+        spec = RenderSpec(x_shear=0.5, y_scale=0.25)
         doc = emit(code.layout, spec, (), "dot")
         # X check 0 sits at (0, 0, 0) -> projected (0, 0)
         assert '"x0" [shape=box style=filled pos="0.00,0.00!"];' in doc
@@ -174,19 +174,19 @@ class TestSvg:
     def test_overlay_renders_red_row(self):
         # canonical Z logical on Q1: three red circles
         code = toric()
-        overlay = OperatorOverlay.from_dict({0: "Z", 3: "Z", 6: "Z"})
+        overlay = OperatorOverlay(((0, "Z"), (3, "Z"), (6, "Z")))
         doc = emit(code.layout, RenderSpec(), (overlay,), "svg")
         assert doc.count('fill="red"') == 3
 
     def test_overlay_out_of_range_rejected(self):
         code = toric()
-        overlay = OperatorOverlay.from_dict({99: "Z"})
+        overlay = OperatorOverlay(((99, "Z"),))
         with pytest.raises(PreconditionError):
             emit(code.layout, RenderSpec(), (overlay,), "svg")
 
     def test_deterministic_output(self):
         code = lp_code()
-        spec = RenderSpec(projection=Oblique(), include_edges=True)
+        spec = RenderSpec(include_edges=True)
         assert emit(code.layout, spec, (), "svg") == emit(code.layout, spec, (), "svg")
 
     def test_3d_centres_stay_distinct_under_default_projection(self):
@@ -195,7 +195,7 @@ class TestSvg:
         m1 = GroupAlgebraMatrix.from_masks(group, [[1, 2], [2, 1]])
         m2 = GroupAlgebraMatrix.from_masks(group, [[1, 2, 1]])
         code = lifted_product(m1, m2)
-        doc = emit(code.layout, RenderSpec(projection=Oblique()), (), "svg")
+        doc = emit(code.layout, RenderSpec(), (), "svg")
         centres = svg_centres(doc, scale=12.0)
         assert len(centres) == len(set(centres)) == code.total_vertices()
 
@@ -210,13 +210,13 @@ class TestOtherFormats:
 
     def test_tikz_overlay_color(self):
         code = toric()
-        overlay = OperatorOverlay.from_dict({2: "X"})
+        overlay = OperatorOverlay(((2, "X"),))
         doc = emit(code.layout, RenderSpec(), (overlay,), "tikz")
         assert "\\filldraw[blue]" in doc
 
     def test_dot_overlay_color(self):
         code = toric()
-        overlay = OperatorOverlay.from_dict({2: "X", 10: "Z"})
+        overlay = OperatorOverlay(((2, "X"), (10, "Z")))
         doc = emit(code.layout, RenderSpec(), (overlay,), "dot")
         assert [line for line in doc.splitlines() if "color=" in line] == [
             '  "q12" [shape=circle style=solid pos="3.00,2.00!" color=blue];',
@@ -243,8 +243,7 @@ def ref_project(coord, spec):
     if len(coord) == 2:
         return float(coord[0]), float(coord[1])
     x, y, z = coord
-    p = spec.projection
-    return float(x) + p.x_shear * float(y), float(z) + p.y_scale * float(y)
+    return float(x) + spec.x_shear * float(y), float(z) + spec.y_scale * float(y)
 
 
 def ref_projected(table, spec, overlays):
@@ -390,10 +389,10 @@ class TestDrawingLoopMatchesReference:
                 OperatorOverlay(tuple((q, rng.choice("XYZ")) for q in
                                       sorted(rng.sample(qubits, rng.randrange(len(qubits) + 1)))))
                 for _ in range(rng.randrange(3)))
-            projection = Oblique(rng.choice((0.45, 0.0, -0.7, rng.uniform(-2, 2))),
-                                 rng.choice((0.3, 1.0, -0.25, rng.uniform(-2, 2))))
-            spec = RenderSpec(projection, scale=rng.choice((12.0, 1.0, 7.5, rng.uniform(0.1, 40))),
-                              include_edges=rng.random() < 0.5)
+            spec = RenderSpec(scale=rng.choice((12.0, 1.0, 7.5, rng.uniform(0.1, 40))),
+                              include_edges=rng.random() < 0.5,
+                              x_shear=rng.choice((0.45, 0.0, -0.7, rng.uniform(-2, 2))),
+                              y_scale=rng.choice((0.3, 1.0, -0.25, rng.uniform(-2, 2))))
             fmt = rng.choice(DRAWN)
             assert emit(table, spec, overlays, fmt) == REFERENCE[fmt](table, spec, overlays)
             reached[fmt, kind, spec.include_edges and bool(edges), len(overlays)] += 1

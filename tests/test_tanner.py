@@ -18,7 +18,6 @@ from qpc.groups import (
 )
 from qpc.products import lift_with_regular_actions
 from qpc.tanner import (
-    CoveringMap,
     GroupAction,
     PlainGraph,
     TannerGraph,
@@ -307,33 +306,29 @@ class TestCovering:
     def line_two_lift(self):
         base = PlainGraph.path(3)
         cover = PlainGraph(6, [(0, 3), (1, 2), (2, 4), (3, 5)])
-        cm = CoveringMap(cover=cover, base=base, maps={"vertex": [0, 0, 1, 1, 2, 2]})
-        return cm
+        return cover, base, {"vertex": [0, 0, 1, 1, 2, 2]}
 
     def test_two_lift_of_line_graph(self):
-        report = verify_covering(self.line_two_lift())
+        report = verify_covering(*self.line_two_lift())
         assert report.valid
         assert report.lift_size == 2
 
     def test_identity_map_is_a_one_lift(self):
         graph = PlainGraph.cycle(4)
-        cm = CoveringMap(cover=graph, base=graph, maps={"vertex": list(range(4))})
-        report = verify_covering(cm)
+        report = verify_covering(graph, graph, {"vertex": list(range(4))})
         assert report.valid and report.lift_size == 1
 
     def test_collapsing_adjacent_vertices_fails(self):
         base = PlainGraph(2, [(0, 1)])
         cover = PlainGraph(3, [(0, 1), (1, 2)])
-        cm = CoveringMap(cover=cover, base=base, maps={"vertex": [0, 1, 0]})
-        report = verify_covering(cm)
+        report = verify_covering(cover, base, {"vertex": [0, 1, 0]})
         assert not report.valid
         assert report.violations
         assert "vertex 1" in report.violations[0]
 
     def test_corrupted_two_lift_reports_witness(self):
-        cm = self.line_two_lift()
-        bad = CoveringMap(cover=cm.cover, base=cm.base, maps={"vertex": [0, 0, 1, 1, 2, 0]})
-        report = verify_covering(bad)
+        cover, base, _ = self.line_two_lift()
+        report = verify_covering(cover, base, {"vertex": [0, 0, 1, 1, 2, 0]})
         assert not report.valid
         assert report.lift_size is None
         assert any("vertex" in v for v in report.violations)
@@ -353,24 +348,22 @@ class TestCovering:
     ], ids=["nested", "pairs", "short", "long", "str", "none", "float", "int", "text",
             "past-end", "negative"])
     def test_malformed_map_is_refused(self, images, fault):
-        cm = self.line_two_lift()
+        cover, base, _ = self.line_two_lift()
         with pytest.raises(PreconditionError, match=f"^vertex map {fault}$"):
-            verify_covering(CoveringMap(cm.cover, cm.base, {"vertex": images}))
+            verify_covering(cover, base, {"vertex": images})
 
     def test_malformed_map_of_the_second_part_is_named(self):
         graph = TannerGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
-        cm = CoveringMap(graph, graph, {"check": [0, 1], "bit": [0, 1, [2]]})
         with pytest.raises(PreconditionError, match="^bit map must list every cover vertex$"):
-            verify_covering(cm)
+            verify_covering(graph, graph, {"check": [0, 1], "bit": [0, 1, [2]]})
 
     def test_empty_cover_has_no_fibres(self):
-        report = verify_covering(CoveringMap(PlainGraph(0, []), PlainGraph.path(2), {"vertex": []}))
+        report = verify_covering(PlainGraph(0, []), PlainGraph.path(2), {"vertex": []})
         assert (report.valid, report.fibre_sizes, report.lift_size) == (True, {"vertex": []}, None)
 
     def test_integer_array_map_is_accepted(self):
-        cm = self.line_two_lift()
-        report = verify_covering(CoveringMap(cm.cover, cm.base,
-                                             {"vertex": np.array([0, 0, 1, 1, 2, 2])}))
+        cover, base, _ = self.line_two_lift()
+        report = verify_covering(cover, base, {"vertex": np.array([0, 0, 1, 1, 2, 2])})
         assert report.valid and report.lift_size == 2
 
 
@@ -381,7 +374,7 @@ class TestLiftFromRing:
         lifted = lift_from_ring_matrix(mat)
         assert lifted.graph.check_count == 3 and lifted.graph.bit_count == 3
         assert lifted.base.edges == Counter({(0, 0): 2})
-        report = verify_covering(lifted.covering)
+        report = verify_covering(lifted.graph, lifted.base, lifted.maps)
         assert report.valid and report.lift_size == 3
         assert is_free(lifted.action) == (True, None)
 
@@ -391,7 +384,7 @@ class TestLiftFromRing:
         lifted = lift_from_ring_matrix(mat)
         assert lifted.base.edges == Counter({(0, 0): 1})
         assert lifted.graph.edges == Counter({(0, 0): 1, (1, 1): 1})
-        assert verify_covering(lifted.covering).valid
+        assert verify_covering(lifted.graph, lifted.base, lifted.maps).valid
 
     def test_three_term_entry_flagged(self):
         group = FiniteGroup.cyclic(3)
@@ -412,7 +405,7 @@ class TestLiftFromRing:
             lifted = lift_from_ring_matrix(mat)
             assert set(lifted.base.edges.values()) <= {1}
             assert lifted.base.edge_count() == sum(m != 0 for row in masks for m in row)
-            assert verify_covering(lifted.covering).valid
+            assert verify_covering(lifted.graph, lifted.base, lifted.maps).valid
 
 
     @pytest.mark.parametrize("spec", ["Z1", "Z3", "Z2xZ2", "Z2xZ3", "S3"])
@@ -427,7 +420,7 @@ class TestLiftFromRing:
             lifted = lift_from_ring_matrix(mat)
             for part, want in slot_perms(mat, left=False).items():
                 assert np.array_equal(lifted.action.perms[part], want)
-            report = verify_covering(lifted.covering)
+            report = verify_covering(lifted.graph, lifted.base, lifted.maps)
             assert report.valid and report.lift_size == group.order
             want = slot_perms(mat, left=True)
             try:
@@ -444,10 +437,9 @@ class TestLiftFromRing:
         assert (refused > 0) == (spec == "S3")
 
     def test_s3_fixtures_are_a_lift(self):
-        # fixtures/s3_lift.* as written by emit_graph and emit_action, from the
-        # repository root: the action file names the table by a relative path
-        group = FiniteGroup.from_table_text((FIXTURES / "s3.table").read_text(),
-                                            "table:fixtures/s3.table")
+        # fixtures/s3_lift.* as written by emit_graph and emit_action: the action
+        # file names the table by its path from the fixtures directory
+        group = FiniteGroup.from_table_text((FIXTURES / "s3.table").read_text(), "table:s3.table")
         mat = GroupAlgebraMatrix(group, [[parse_element(t, group) for t in row] for row in
                                          [["g1+g3", "g2", "0"], ["1", "g4+g5", "g3"]]])
         lifted = lift_from_ring_matrix(mat)
@@ -506,10 +498,9 @@ class TestFileFormats:
     def test_covering_parse(self):
         base = PlainGraph.path(3)
         cover = PlainGraph(6, [(0, 3), (1, 2), (2, 4), (3, 5)])
-        cm = parse_covering(
-            json.dumps({"vertex_map": [0, 0, 1, 1, 2, 2]}), cover, base
-        )
-        assert verify_covering(cm).valid
+        maps = parse_covering(json.dumps({"vertex_map": [0, 0, 1, 1, 2, 2]}), cover)
+        assert maps == {"vertex": [0, 0, 1, 1, 2, 2]}
+        assert verify_covering(cover, base, maps).valid
 
 
 def random_pairs(rng: random.Random, tanner: bool):
@@ -639,6 +630,6 @@ def test_graph_sizes_must_fit_an_array(header):
 
 
 def test_covering_map_beyond_int64_is_out_of_range():
-    cm = CoveringMap(PlainGraph.path(3), PlainGraph.path(3), {"vertex": [0, 1, 10**30]})
+    path = PlainGraph.path(3)
     with pytest.raises(PreconditionError, match="vertex map has out-of-range images"):
-        verify_covering(cm)
+        verify_covering(path, path, {"vertex": [0, 1, 10**30]})
