@@ -4,9 +4,9 @@ Distances are exact: Z-type distance is the minimum weight over
 kernel(H_X) minus the row space of H_Z.  `gf2.coset_min_weight` gives it,
 and the classical distances of the HGP cross-check, under one budget
 (default 2^24 steps); beyond it they are refused, never approximated.
-H_X and H_Z are each reduced once per code (`CSSCode.x_rref`, `z_rref`);
-the logical count, the budget check, the stabiliser split and the kernel
-all read those results.
+The logical count and the budget check read `CSSCode.ranks`, so toric and
+planar codes are refused without eliminating; H_X and H_Z are reduced at
+most once per code (`x_rref`, `z_rref`), and a decided distance reads both.
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.
@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import ClassicalCode
 from .errors import PreconditionError
-from .gf2 import (DEFAULT_BUDGET, BitMatrix, coset_min_weight, hstack, kron, matmul_t, rank,
-                  vstack)
+from .gf2 import (DEFAULT_BUDGET, BitMatrix, check_budget, coset_min_weight, hstack, kron,
+                  matmul_t, rank, vstack)
 from .products import CSSCode, balanced_product, lift_with_regular_actions, lifted_product
 
 if TYPE_CHECKING:
@@ -58,7 +58,7 @@ def logical_count(code: CSSCode) -> int:
         raise PreconditionError(
             "logical count is undefined for non-commuting checks"
         )
-    return code.n - code.x_rref.rank - code.z_rref.rank
+    return code.n - sum(code.ranks)
 
 
 def hgp_k_formula(c1: ClassicalCode, c2: ClassicalCode) -> int:
@@ -80,6 +80,10 @@ def css_distance(code: CSSCode, budget: int = DEFAULT_BUDGET):
         raise PreconditionError("distance is undefined for non-commuting checks")
     if logical_count(code) == 0:
         return None, None, None
+    for r in code.ranks:                               # H_X first: d_z is refused first
+        check_budget(code.n, r, budget)
+    if (code.x_rref.rank, code.z_rref.rank) != code.ranks:
+        raise AssertionError("an elimination's pivot count differs from its component count")
     d_z = coset_min_weight(code.x_rref, code.z_rref, budget)
     d_x = coset_min_weight(code.z_rref, code.x_rref, budget)
     d = min(x for x in (d_x, d_z) if x is not None)
@@ -155,9 +159,9 @@ def verify_logical_basis(code: CSSCode, basis: LogicalBasis) -> None:
     if not matmul_t(code.h_x, basis.z_logicals).is_zero():
         raise AssertionError("a Z logical leaves kernel(H_X)")
     k = basis.x_logicals.rows
-    if rank(vstack(code.h_x, basis.x_logicals)) != code.x_rref.rank + k:
+    if rank(vstack(code.h_x, basis.x_logicals)) != code.ranks[0] + k:
         raise AssertionError("an X logical lies in the X stabiliser row space")
-    if rank(vstack(code.h_z, basis.z_logicals)) != code.z_rref.rank + k:
+    if rank(vstack(code.h_z, basis.z_logicals)) != code.ranks[1] + k:
         raise AssertionError("a Z logical lies in the Z stabiliser row space")
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, PreconditionError, read_file
-from .gf2 import DEFAULT_BUDGET, BitMatrix, RrefResult, coset_min_weight, rref, transpose
+from .gf2 import DEFAULT_BUDGET, BitMatrix, RrefResult, coset_min_weight, rank, rref, transpose
 
 
 class SystematicBasis(NamedTuple):
@@ -68,7 +68,7 @@ class ClassicalCode:
 
     def dimension(self) -> int:
         """Number of logical bits, n - rank(H)."""
-        return self.n - self._reduced.rank
+        return self.n - rank(self.h, lambda: self._reduced)
 
     def min_distance(self, budget: int = DEFAULT_BUDGET) -> int | None:
         """Exact minimum weight of a non-zero codeword; None when k = 0.
@@ -77,7 +77,9 @@ class ClassicalCode:
         combinations of a kernel basis; refuses when 2^k exceeds `budget`.
         A code with k = 0 is never refused.
         """
-        if self._d is None and self.dimension():
+        if self._d is None and (k := self.dimension()):
+            if self._reduced.rank != self.n - k:
+                raise AssertionError("the elimination's pivots differ from the component count")
             self._d = coset_min_weight(self._reduced, budget=budget)
         return self._d
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -228,6 +229,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
+        # a lone "-inf", "-nan" or "-1e5" is a value, as "-1" is, so its option's type names it
+        self._negative_number_matcher = re.compile(
+            r"^-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[+-]?\d+)?)$", re.IGNORECASE)
         self.register("action", None, _Once)
         self.register("action", "store_true", partial(_Once, nargs=0, const=True, default=False))
 

@@ -15,7 +15,8 @@ is cleared at once, by a gather per pivot it holds or by tables of 8
 pivot rows' XOR combinations, whichever reads fewer rows, so numpy is
 called per block rather than per pivot.  `rref` returns the reduced form
 and its pivots only; a kernel basis is derived from that result when
-read, so a rank costs one elimination and nothing more.
+read.  `rank` eliminates only a matrix with a column of three ones, and
+ranks any other by its graph's components (LaMacchia & Odlyzko, 1990).
 `BitMatrix.nonzero` unpacks only the non-zero words,
 `BitMatrix.from_entries` sorts the positions and ORs each word's bits
 with one reduceat, `BitMatrix.entries` reads the entries at given
@@ -25,15 +26,15 @@ entries, in chunks of bounded size (`_xor_rows`), `matmul_t` builds
 a b^T from the pairs of entries that share a column when they are few
 and otherwise gathers as `matmul` does, and `kron` maps entries.
 `coset_min_weight` is the one exact-distance entry, for classical and
-CSS codes, with the one budget `DEFAULT_BUDGET`.
+CSS codes, with the one budget `DEFAULT_BUDGET` (`check_budget`).
 
 Intended scale is "desk size" (a few thousand columns); there is no
-sparse storage and no rank algorithm below cubic time.
+sparse storage, and a matrix with heavier columns is ranked in cubic time.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -336,8 +337,30 @@ def rref(m: BitMatrix) -> RrefResult:
     return RrefResult(m, BitMatrix(m.rows, m.cols, r), tuple(pivots))
 
 
-def rank(m: BitMatrix) -> int:
-    return rref(m).rank
+def rank(m: BitMatrix, reduce: Callable[[], RrefResult] | None = None) -> int:
+    """The rank of m, by its components when no column holds three ones, else `reduce().rank`.
+
+    Such an m is a graph on its rows and a ground node, a two-one column joining its rows
+    and a one-one column its row and ground: a spanning forest is a basis of the columns'
+    span, so the rank is the joins one union-find pass makes.  Any other m is eliminated:
+    `reduce` reads a caller's cached rref(m), and defaults to rref(m).
+    """
+    row, col = m.nonzero()
+    per_col = np.bincount(col)                          # columns up to the last with a one
+    if per_col.max(initial=0) > 2:
+        return (reduce() if reduce else rref(m)).rank
+    ones = per_col[per_col > 0]
+    row, end = row[np.argsort(col, kind="stable")], np.cumsum(ones)
+    parent = list(range(m.rows + 1))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]           # path halving
+        return x
+
+    for a, b in zip(row[end - ones].tolist(), np.where(ones == 2, row[end - 1], m.rows).tolist()):
+        parent[root(a)] = root(b)
+    return sum(p != x for x, p in enumerate(parent))    # each join makes one root a child
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
@@ -525,6 +548,12 @@ def min_weight(stab: BitMatrix, logical: BitMatrix) -> int | None:
     return best
 
 
+def check_budget(cols: int, rank: int, budget: int) -> None:
+    """Refuse to enumerate a kernel of dimension cols - rank in 2^dim steps over `budget`."""
+    if cols - rank >= budget.bit_length():
+        raise BudgetError("distance enumeration", cols - rank, budget)
+
+
 def coset_min_weight(checks: RrefResult, stab: RrefResult | None = None,
                      budget: int = DEFAULT_BUDGET) -> int | None:
     """Exact minimum weight over kernel(checks.source) outside rowspace(stab.source).
@@ -533,9 +562,7 @@ def coset_min_weight(checks: RrefResult, stab: RrefResult | None = None,
     a CSS code calls it once per direction.  Refused before any kernel is built
     when 2^(kernel dimension) exceeds `budget`; None when no vector is outside.
     """
-    dim = checks.source.cols - checks.rank
-    if dim >= budget.bit_length():                     # 2^dim > budget
-        raise BudgetError("distance enumeration", dim, budget)
+    check_budget(checks.source.cols, checks.rank, budget)
     kernel = checks.kernel
     # with no stabiliser there is nothing to clear: the kernel basis is the logicals
     if stab is None or not stab.rank:

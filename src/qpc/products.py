@@ -28,7 +28,7 @@ import numpy as np
 
 from .classical import ClassicalCode
 from .errors import DimensionError, PreconditionError
-from .gf2 import BitMatrix, RrefResult, hstack, kron, matmul_t, rref, transpose
+from .gf2 import BitMatrix, RrefResult, hstack, kron, matmul_t, rank, rref, transpose
 
 if TYPE_CHECKING:
     from .groups import GroupAlgebraMatrix
@@ -81,6 +81,11 @@ class CSSCode:
     @cached_property
     def z_rref(self) -> RrefResult:
         return rref(self.h_z)
+
+    @cached_property
+    def ranks(self) -> tuple[int, int]:
+        """(rank H_X, rank H_Z) by `gf2.rank`, which reads x_rref or z_rref only to eliminate."""
+        return rank(self.h_x, lambda: self.x_rref), rank(self.h_z, lambda: self.z_rref)
 
     @property
     def m_x(self) -> int:

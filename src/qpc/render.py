@@ -17,6 +17,7 @@ flattens 3D tables; 2D tables are drawn as they are and ignore it.
 from __future__ import annotations
 
 import json
+import math
 from itertools import repeat
 from typing import NamedTuple
 
@@ -269,6 +270,7 @@ _FORMATS = {
 
 def _draw(table: CoordinateTable, spec: RenderSpec, overlays, fmt: _Format) -> str:
     """One drawing loop: project once, then fill the format's templates."""
+    bent = []                                          # the options that bend each axis (3D)
     if table.kind == "2d":
         points = {role: ([float(c[0]) for c in coords], [float(c[1]) for c in coords])
                   for role, coords in table.families().items()}
@@ -277,6 +279,10 @@ def _draw(table: CoordinateTable, spec: RenderSpec, overlays, fmt: _Format) -> s
         points = {role: ([float(x) + shear * float(y) for x, y, _ in coords],
                          [float(z) + lift * float(y) for _, y, z in coords])
                   for role, coords in table.families().items()}
+        bent = [f"--shear {shear:g}", f"--yscale {lift:g}"]
+        for axis, option in enumerate(bent):
+            if not all(math.isfinite(v) for p in points.values() for v in p[axis]):
+                raise FormatError(f"{option} makes a drawn coordinate infinite")
     head, half = fmt.head, 0.1
     if fmt.placed:
         scale = spec.scale
@@ -285,6 +291,11 @@ def _draw(table: CoordinateTable, spec: RenderSpec, overlays, fmt: _Format) -> s
         x0, y1 = min(every_x), max(every_y)
         width = (max(every_x) - x0) * scale + 2 * scale
         height = (y1 - min(every_y)) * scale + 2 * scale
+        for axis, size in enumerate((width, height)):      # a finite size bounds every point
+            if not math.isfinite(size):
+                options = " with ".join([f"--scale {scale:g}", *bent[axis:axis + 1]])
+                side = ("width", "height")[axis]
+                raise FormatError(f"{options} makes the drawing's {side} infinite")
         head %= (width, height, width, height)
         points = {role: ([(x - x0) * scale + scale for x in xs],
                          [(y1 - y) * scale + scale for y in ys])

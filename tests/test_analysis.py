@@ -322,6 +322,16 @@ class TestDistance:
         assert (err.value.exponent, err.value.required) == (10, 1 << 10)
         assert str(err.value) == "distance enumeration refused: needs 1024 steps, limit is 1023"
 
+    def test_decided_distance_checks_pivots_against_components(self, monkeypatch):
+        code = toric()
+        x, z = code.ranks
+        code.__dict__["ranks"] = (x - 1, z + 1)         # same k, wrong split
+        with pytest.raises(AssertionError, match="component count"):
+            css_distance(code)
+        monkeypatch.setattr(classical, "rank", lambda m, reduce=None: 1)
+        with pytest.raises(AssertionError, match="component count"):
+            ClassicalCode(repetition_check(3)).min_distance()
+
     def test_refusal_text_stays_decimal_while_python_can_print_it(self):
         # 2^14284 has 4300 digits, the most Python converts to text by default
         assert BudgetError("x", 14284, 1).required_text == str(1 << 14284)

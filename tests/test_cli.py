@@ -400,8 +400,32 @@ class TestAnalyze:
         )
         assert code == exit_code
         assert ("params: [[18,2,3]]" in out) == (exit_code == 0)
-        assert sum(m == h_x for m in reduced) == 1
-        assert sum(m == h_z for m in reduced) == 1
+        # a refusal is read off the component ranks, so only a decided run eliminates
+        assert sum(m == h_x for m in reduced) == (exit_code == 0)
+        assert sum(m == h_z for m in reduced) == (exit_code == 0)
+
+    def test_refused_toric_16_eliminates_nothing(self, tmp_path, capsys, monkeypatch):
+        rep = classical.ClassicalCode(classical.repetition_check(16))
+        code = products.hgp(rep, rep)
+        (tmp_path / "hx.pcm").write_text(classical.emit_pcm_text(code.h_x))
+        (tmp_path / "hz.pcm").write_text(classical.emit_pcm_text(code.h_z))
+        original = gf2.rref
+
+        def refuse(m):
+            raise AssertionError(f"{m} was eliminated")
+
+        for name, module in list(sys.modules.items()):
+            if name == "qpc" or name.startswith("qpc."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        assert gf2.rref is refuse and products.rref is refuse
+        code, out, err = run(capsys, "analyze", "--hx", tmp_path / "hx.pcm",
+                             "--hz", tmp_path / "hz.pcm")
+        assert (code, err) == (3, "")
+        # the bytes the elimination-based refusal printed: each kernel has dimension 257
+        assert out == ("seed: 0\nn: 512\ncommuting: True\nk: 2\n"
+                       f"d: budget exceeded ({2**257} > 16777216)\n")
 
 
 class TestLayout:
@@ -726,7 +750,6 @@ class TestUsageErrors:
         ("--shear", "-inf"), ("--yscale", "nan"), ("--yscale", "inf"), ("--yscale", "-inf"),
     ])
     def test_layout_number_out_of_range(self, capsys, option, value):
-        # `--scale=-inf`: argparse reads a lone "-inf" as an option, not a value
         kind = "a positive finite" if option == "--scale" else "a finite"
         code, out, err = run(capsys, *self.LAYOUT, f"{option}={value}")
         assert (code, out) == (1, "")
@@ -739,6 +762,36 @@ class TestUsageErrors:
     def test_layout_finite_numbers_are_accepted(self, capsys, option, value):
         code, out, err = run(capsys, *self.LAYOUT, option, value)
         assert (code, err) == (0, "") and out.startswith("<svg")
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    @pytest.mark.parametrize("option", ["--scale", "--shear", "--yscale"])
+    def test_layout_lone_negative_value_is_a_value(self, capsys, option, value):
+        # argparse would read a lone "-inf" as an option and say "expected one argument"
+        code, out, err = run(capsys, *self.LAYOUT, option, value)
+        assert (code, out, err) == run(capsys, *self.LAYOUT, f"{option}={value}")
+        assert code == 1 and err.endswith(f"number, got '{value}'\n")
+
+    # x, z and a qubit at depths y = 0, 2, 1: a huge shear or y scale overflows
+    LAYOUT_3D = json.dumps({"version": "qpc-layout/1", "kind": "3d", "vertices": [
+        {"role": "x", "index": 0, "coord": [0, 0, 0]},
+        {"role": "z", "index": 0, "coord": [0, 2, 0]},
+        {"role": "q1", "index": 0, "coord": [1, 1, 1]}]})
+
+    @pytest.mark.parametrize("kind, fmt, option, message", [
+        ("2d", "svg", "--scale", "--scale 1e+308 makes the drawing's width infinite"),
+        ("3d", "svg", "--scale", "--scale 1e+308 with --shear 0.45 makes the drawing's width infinite"),
+        ("3d", "svg", "--shear", "--shear 1e+308 makes a drawn coordinate infinite"),
+        ("3d", "tikz", "--shear", "--shear 1e+308 makes a drawn coordinate infinite"),
+        ("3d", "tikz", "--yscale", "--yscale 1e+308 makes a drawn coordinate infinite"),
+    ])
+    def test_layout_that_overflows_is_refused(self, tmp_path, capsys, kind, fmt, option, message):
+        (tmp_path / "3d.json").write_text(self.LAYOUT_3D)
+        source = self.LAYOUT[1:3] if kind == "2d" else ["--input", tmp_path / "3d.json"]
+        out_file = tmp_path / f"drawing.{fmt}"
+        code, out, err = run(capsys, "layout", *source, "--format", fmt, option, "1e308",
+                             "--out", out_file)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_file.exists()
 
     def test_budget_abc_in_a_fresh_process(self, tmp_path):
         proc = run_process(tmp_path, *self.ANALYZE, "--budget", "abc")

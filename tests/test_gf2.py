@@ -97,6 +97,72 @@ class TestRank:
             assert rank(m) == rank(transpose(m))
 
 
+def int_rank(row_ints: list[int]) -> int:
+    """Rank by Python-int elimination: each row is reduced by the basis rows at its lowest ones."""
+    basis: dict[int, int] = {}
+    for v in row_ints:
+        while v and v & -v in basis:
+            v ^= basis[v & -v]
+        if v:
+            basis[v & -v] = v
+    return len(basis)
+
+
+def graph_matrix(rng: random.Random) -> tuple[int, int, list[list[int]]]:
+    """rows, cols and each column's rows: none, one or two, from one block of rows.
+
+    Row r is in block r % blocks, so several components are common, and
+    some rows hold no one.
+    """
+    rows = rng.randint(0, rng.choice((4, 12, 12, 80)))
+    cols = rng.randint(0, rng.choice((6, 24, 24, 140)))
+    blocks = rng.randint(1, max(rows, 1))
+    column_rows = []
+    for _ in range(cols):
+        block = range(rng.randrange(blocks), rows, blocks)
+        column_rows.append(rng.sample(block, min(rng.choice((0, 1, 2, 2)), len(block))))
+    return rows, cols, column_rows
+
+
+def from_columns(rows: int, cols: int, column_rows: list[list[int]]) -> BitMatrix:
+    entries = [(r, c) for c, rs in enumerate(column_rows) for r in rs]
+    return BitMatrix.from_entries(rows, cols, [r for r, _ in entries], [c for _, c in entries])
+
+
+class TestComponentRank:
+    """`rank` of a matrix whose columns hold at most two ones reads no elimination."""
+
+    def test_against_int_elimination(self):
+        rng = random.Random(1818)
+        seen = {"empty": 0, "one_one": 0, "empty_row": 0, "components": 0, "three": 0}
+        for trial in range(2400):
+            rows, cols, column_rows = graph_matrix(rng)
+            three = trial % 6 == 0 and rows >= 3 and cols
+            if three:                                   # one column with three ones
+                column_rows[rng.randrange(cols)] = rng.sample(range(rows), 3)
+            m = from_columns(rows, cols, column_rows)
+            expected = int_rank([sum(1 << c for c, rs in enumerate(column_rows) if r in rs)
+                                 for r in range(rows)])
+            reduced = []
+            got = rank(m, lambda: reduced.append(m) or rref(m))
+            assert got == expected, (rows, cols, column_rows)
+            assert len(reduced) == bool(three)           # only a three-one column eliminates
+            touched = {r for rs in column_rows for r in rs}
+            seen["empty"] += rows == 0 or cols == 0
+            seen["one_one"] += any(len(rs) == 1 for rs in column_rows)
+            seen["empty_row"] += 0 < len(touched) < rows
+            seen["components"] += rows - expected > 1
+            seen["three"] += bool(three)
+        assert min(seen.values()) >= 50, seen
+
+    def test_toric_checks_have_one_unmarked_component(self):
+        # the L x L toric code's H_X: L^2 checks in one component, no one-one column
+        c = ClassicalCode(repetition_check(16))
+        code = hgp(c, c)
+        assert code.ranks == (255, 255)
+        assert "x_rref" not in vars(code) and "z_rref" not in vars(code)
+
+
 class TestRref:
     def test_identity_already_reduced(self):
         res = rref(BitMatrix.identity(2))
