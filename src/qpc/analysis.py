@@ -4,9 +4,9 @@ Distances are exact: Z-type distance is the minimum weight over
 kernel(H_X) minus the row space of H_Z.  `gf2.coset_min_weight` gives it,
 and the classical distances of the HGP cross-check, under one budget
 (default 2^24 steps); beyond it they are refused, never approximated.
-The logical count and the budget check read `CSSCode.ranks`, so toric and
-planar codes are refused without eliminating; H_X and H_Z are reduced at
-most once per code (`x_rref`, `z_rref`), and a decided distance reads both.
+The logical count and the budget check read `gf2.rank`, so toric and
+planar codes are refused without eliminating; a decided distance reads
+`gf2.reduced`, which reduces each check matrix at most once.
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.
@@ -45,10 +45,9 @@ class LogicalBasis(NamedTuple):
 
 def check_commutation(code: CSSCode) -> tuple[bool, list[tuple[int, int]]]:
     """True iff H_X H_Z^T = 0; otherwise every anticommuting pair is listed."""
-    product = matmul_t(code.h_x, code.h_z)
-    if product.is_zero():
+    if code.commuting:
         return True, []
-    rows, cols = product.nonzero()
+    rows, cols = code.commutator.nonzero()
     return False, list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -58,7 +57,7 @@ def logical_count(code: CSSCode) -> int:
         raise PreconditionError(
             "logical count is undefined for non-commuting checks"
         )
-    return code.n - sum(code.ranks)
+    return code.n - rank(code.h_x) - rank(code.h_z)
 
 
 def hgp_k_formula(c1: ClassicalCode, c2: ClassicalCode) -> int:
@@ -80,12 +79,10 @@ def css_distance(code: CSSCode, budget: int = DEFAULT_BUDGET):
         raise PreconditionError("distance is undefined for non-commuting checks")
     if logical_count(code) == 0:
         return None, None, None
-    for r in code.ranks:                               # H_X first: d_z is refused first
-        check_budget(code.n, r, budget)
-    if (code.x_rref.rank, code.z_rref.rank) != code.ranks:
-        raise AssertionError("an elimination's pivot count differs from its component count")
-    d_z = coset_min_weight(code.x_rref, code.z_rref, budget)
-    d_x = coset_min_weight(code.z_rref, code.x_rref, budget)
+    for h in (code.h_x, code.h_z):                     # H_X first: d_z is refused first
+        check_budget(code.n, rank(h), budget)
+    d_z = coset_min_weight(code.h_x, code.h_z, budget)
+    d_x = coset_min_weight(code.h_z, code.h_x, budget)
     d = min(x for x in (d_x, d_z) if x is not None)
     return d_x, d_z, d
 
@@ -159,9 +156,9 @@ def verify_logical_basis(code: CSSCode, basis: LogicalBasis) -> None:
     if not matmul_t(code.h_x, basis.z_logicals).is_zero():
         raise AssertionError("a Z logical leaves kernel(H_X)")
     k = basis.x_logicals.rows
-    if rank(vstack(code.h_x, basis.x_logicals)) != code.ranks[0] + k:
+    if rank(vstack(code.h_x, basis.x_logicals)) != rank(code.h_x) + k:
         raise AssertionError("an X logical lies in the X stabiliser row space")
-    if rank(vstack(code.h_z, basis.z_logicals)) != code.ranks[1] + k:
+    if rank(vstack(code.h_z, basis.z_logicals)) != rank(code.h_z) + k:
         raise AssertionError("a Z logical lies in the Z stabiliser row space")
 
 

@@ -6,8 +6,9 @@ one), so k is always computed as n - rank(H), never as n - m.
 
 Distances are exact: `gf2.coset_min_weight` with no stabiliser scores all
 non-zero combinations of a kernel basis, a packed table of low combinations
-per Gray-code step; codes with 2^k beyond the budget are refused rather
-than estimated.
+per Gray-code step; codes with 2^k beyond the budget are refused from the
+rank of H, before any elimination, rather than estimated.  H's rank and
+reduced form are remembered by H itself (`gf2.rank`, `gf2.reduced`).
 
 The plain PCM and alist codecs handle the whole matrix at once.  The PCM
 emitter fills one byte array; the alist emitter finds all entries with one
@@ -23,14 +24,13 @@ with numpy.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, NoReturn
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, PreconditionError, read_file
-from .gf2 import DEFAULT_BUDGET, BitMatrix, RrefResult, coset_min_weight, rank, rref, transpose
+from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, rank, reduced, rref, transpose
 
 
 class SystematicBasis(NamedTuple):
@@ -52,7 +52,6 @@ class ClassicalCode:
     def __init__(self, h: BitMatrix):
         self.h = h
         self._transpose: ClassicalCode | None = None
-        self._d: int | None = None
 
     @property
     def n(self) -> int:
@@ -62,13 +61,9 @@ class ClassicalCode:
     def m(self) -> int:
         return self.h.rows
 
-    @cached_property
-    def _reduced(self) -> RrefResult:
-        return rref(self.h)
-
     def dimension(self) -> int:
         """Number of logical bits, n - rank(H)."""
-        return self.n - rank(self.h, lambda: self._reduced)
+        return self.n - rank(self.h)
 
     def min_distance(self, budget: int = DEFAULT_BUDGET) -> int | None:
         """Exact minimum weight of a non-zero codeword; None when k = 0.
@@ -77,11 +72,7 @@ class ClassicalCode:
         combinations of a kernel basis; refuses when 2^k exceeds `budget`.
         A code with k = 0 is never refused.
         """
-        if self._d is None and (k := self.dimension()):
-            if self._reduced.rank != self.n - k:
-                raise AssertionError("the elimination's pivots differ from the component count")
-            self._d = coset_min_weight(self._reduced, budget=budget)
-        return self._d
+        return coset_min_weight(self.h, budget=budget) if self.dimension() else None
 
     def transpose_code(self) -> "ClassicalCode":
         """The code of H^T: checks and bits exchanged; one object, so H^T is reduced once."""
@@ -91,16 +82,12 @@ class ClassicalCode:
 
     def systematic_basis(self) -> SystematicBasis:
         """Codeword basis whose leading block is the identity after a column permutation."""
-        k = self.dimension()
-        if k == 0:
+        if self.dimension() == 0:
             raise PreconditionError("k = 0: the code has no codeword basis")
-        reduced = rref(self._reduced.kernel)
-        pivots = list(reduced.pivot_cols)
+        basis = rref(reduced(self.h).kernel)
+        pivots = list(basis.pivot_cols)
         rest = [c for c in range(self.n) if c not in set(pivots)]
-        return SystematicBasis(
-            column_permutation=tuple(pivots + rest),
-            generator=reduced.rref,
-        )
+        return SystematicBasis(column_permutation=tuple(pivots + rest), generator=basis.rref)
 
     def puncture(self, keep_bits) -> "ClassicalCode":
         """Restrict to a subset of bit columns, keeping every check."""

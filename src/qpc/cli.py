@@ -3,7 +3,8 @@
 The grammar is declared per command: `construct hgp | lp | bp`,
 `analyze`, `layout` and `verify covering | action` each take only the
 options they use, and any other option is a usage error.  `--seed` and
-`--json-out` are global and come before the command.  All runs are
+`--json-out` are global and come before the command; `--json-out` is a
+usage error before `layout`, which prints no report.  All runs are
 deterministic: identical inputs and seed produce identical bytes.  Exit
 codes: 0 success, 1 usage, parse or I/O failure, 2 precondition
 violation (reported with its witness), 3 enumeration budget exceeded;
@@ -155,6 +156,8 @@ def cmd_analyze(args) -> int:
 def cmd_layout(args) -> int:
     from . import render
 
+    if args.json_out:
+        raise FormatError("qpc: --json-out applies to the commands that print a report, not layout")
     if args.input is None:
         from .tanner import parse_graph
 

@@ -2,9 +2,9 @@
 
 Rows are packed little-endian into 64-bit words so that row operations
 (the inner loop of Gaussian elimination) are word-parallel XORs.  All
-arithmetic is exact mod 2.  Matrices are immutable by convention: every
-operation returns a fresh value and never mutates its inputs, so values
-can be shared freely across threads.
+arithmetic is exact mod 2.  A matrix's words never change once it is
+built (every operation returns a fresh value), so the rank and reduced
+form it remembers once read cannot go stale.
 
 Every kernel stays on the packed words.  `transpose` moves 8x8 bit
 blocks, one word each.  `rref` eliminates one 64-column word block per
@@ -15,8 +15,9 @@ is cleared at once, by a gather per pivot it holds or by tables of 8
 pivot rows' XOR combinations, whichever reads fewer rows, so numpy is
 called per block rather than per pivot.  `rref` returns the reduced form
 and its pivots only; a kernel basis is derived from that result when
-read.  `rank` eliminates only a matrix with a column of three ones, and
-ranks any other by its graph's components (LaMacchia & Odlyzko, 1990).
+read; `reduced` runs it at most once per matrix.  `rank` eliminates only
+a matrix with a column of three ones, and ranks any other by its graph's
+components (LaMacchia & Odlyzko, 1990).
 `BitMatrix.nonzero` unpacks only the non-zero words,
 `BitMatrix.from_entries` sorts the positions and ORs each word's bits
 with one reduceat, `BitMatrix.entries` reads the entries at given
@@ -34,7 +35,7 @@ sparse storage, and a matrix with heavier columns is ranked in cubic time.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def _scatter(rows: int, cols: int, i, j, op: np.ufunc) -> np.ndarray:
 class BitMatrix:
     """Dense matrix over GF(2); `words[i, j // 64] >> (j % 64) & 1` is entry (i, j)."""
 
-    __slots__ = ("rows", "cols", "_words")
+    __slots__ = ("rows", "cols", "_words", "_rank", "_rref")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         if rows < 0 or cols < 0:
@@ -81,6 +82,7 @@ class BitMatrix:
         self.rows = rows
         self.cols = cols
         self._words = words
+        self._rank = self._rref = None  # filled on first read by rank(m) and reduced(m)
 
     # -- constructors ------------------------------------------------------
 
@@ -178,13 +180,12 @@ class BitMatrix:
 
 
 class RrefResult(NamedTuple):
-    """Reduced row echelon form of `source`.
+    """A matrix's reduced row echelon form `rref`, of the same shape.
 
     `pivot_cols` is strictly increasing; the rank is its length.  The
     kernel is derived from it only when read.
     """
 
-    source: BitMatrix
     rref: BitMatrix
     pivot_cols: tuple[int, ...]
 
@@ -199,14 +200,14 @@ class RrefResult(NamedTuple):
 
     @property
     def kernel(self) -> BitMatrix:
-        """Basis of the right kernel of `source`, one vector per free column.
+        """Basis of the right kernel of the reduced matrix, one vector per free column.
 
         The vector of free column f has a one at f and, at pivot column
         pivot_cols[r], entry (r, f) of `rref`: the transpose has a unit row
         at each free column and row r of `basis` at the free columns at
         pivot_cols[r].
         """
-        cols = self.source.cols
+        cols = self.rref.cols
         pivots = np.array(self.pivot_cols, dtype=np.int64)
         free = np.delete(np.arange(cols), pivots)     # np.setdiff1d would import numpy.ma
         rows = BitMatrix.from_entries(cols, free.size, free, np.arange(free.size))._words
@@ -334,21 +335,32 @@ def rref(m: BitMatrix) -> RrefResult:
         r[pr : pr + k, w + used] = by_bit[at_leads]
         pivots.extend(w * _WORD_BITS + b for b in at_leads)
         pr += k
-    return RrefResult(m, BitMatrix(m.rows, m.cols, r), tuple(pivots))
+    return RrefResult(BitMatrix(m.rows, m.cols, r), tuple(pivots))
 
 
-def rank(m: BitMatrix, reduce: Callable[[], RrefResult] | None = None) -> int:
-    """The rank of m, by its components when no column holds three ones, else `reduce().rank`.
+def reduced(m: BitMatrix) -> RrefResult:
+    """rref(m), eliminated at most once per matrix; it must agree with a rank already found."""
+    if m._rref is None:
+        result = rref(m)
+        if m._rank not in (None, result.rank):
+            raise AssertionError("an elimination's pivot count differs from its component count")
+        m._rank, m._rref = result.rank, result
+    return m._rref
+
+
+def rank(m: BitMatrix) -> int:
+    """The rank of m, by its components when no column holds three ones, else `reduced(m).rank`.
 
     Such an m is a graph on its rows and a ground node, a two-one column joining its rows
     and a one-one column its row and ground: a spanning forest is a basis of the columns'
-    span, so the rank is the joins one union-find pass makes.  Any other m is eliminated:
-    `reduce` reads a caller's cached rref(m), and defaults to rref(m).
+    span, so the rank is the joins one union-find pass makes.  Either way it is found once.
     """
+    if m._rank is not None:
+        return m._rank
     row, col = m.nonzero()
     per_col = np.bincount(col)                          # columns up to the last with a one
     if per_col.max(initial=0) > 2:
-        return (reduce() if reduce else rref(m)).rank
+        return reduced(m).rank                          # which remembers it
     ones = per_col[per_col > 0]
     row, end = row[np.argsort(col, kind="stable")], np.cumsum(ones)
     parent = list(range(m.rows + 1))
@@ -360,7 +372,8 @@ def rank(m: BitMatrix, reduce: Callable[[], RrefResult] | None = None) -> int:
 
     for a, b in zip(row[end - ones].tolist(), np.where(ones == 2, row[end - 1], m.rows).tolist()):
         parent[root(a)] = root(b)
-    return sum(p != x for x, p in enumerate(parent))    # each join makes one root a child
+    m._rank = sum(p != x for x, p in enumerate(parent))  # each join makes one root a child
+    return m._rank
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
@@ -554,21 +567,23 @@ def check_budget(cols: int, rank: int, budget: int) -> None:
         raise BudgetError("distance enumeration", cols - rank, budget)
 
 
-def coset_min_weight(checks: RrefResult, stab: RrefResult | None = None,
+def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
                      budget: int = DEFAULT_BUDGET) -> int | None:
-    """Exact minimum weight over kernel(checks.source) outside rowspace(stab.source).
+    """Exact minimum weight over kernel(checks) outside rowspace(stab).
 
     The one exact-distance entry: a classical code passes no stabiliser,
-    a CSS code calls it once per direction.  Refused before any kernel is built
-    when 2^(kernel dimension) exceeds `budget`; None when no vector is outside.
+    a CSS code calls it once per direction.  Refused from `rank(checks)`,
+    before any elimination, when 2^(kernel dimension) exceeds `budget`;
+    None when no vector is outside.
     """
-    check_budget(checks.source.cols, checks.rank, budget)
-    kernel = checks.kernel
+    check_budget(checks.cols, rank(checks), budget)
+    kernel = reduced(checks).kernel
     # with no stabiliser there is nothing to clear: the kernel basis is the logicals
-    if stab is None or not stab.rank:
+    if stab is None or not rank(stab):
         return min_weight(BitMatrix.zeros(0, kernel.cols), kernel)
     # Clearing the stabiliser pivot columns leaves logical completions that,
     # with the stabiliser basis, span the kernel: commuting checks put the
     # stabilisers inside it.
-    logical = rref(add(kernel, matmul(kernel.columns(stab.pivot_cols), stab.basis)))
-    return min_weight(stab.basis, logical.basis)
+    basis, pivots = reduced(stab).basis, reduced(stab).pivot_cols
+    logical = rref(add(kernel, matmul(kernel.columns(pivots), basis)))
+    return min_weight(basis, logical.basis)

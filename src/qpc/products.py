@@ -28,7 +28,7 @@ import numpy as np
 
 from .classical import ClassicalCode
 from .errors import DimensionError, PreconditionError
-from .gf2 import BitMatrix, RrefResult, hstack, kron, matmul_t, rank, rref, transpose
+from .gf2 import BitMatrix, hstack, kron, matmul_t, transpose
 
 if TYPE_CHECKING:
     from .groups import GroupAlgebraMatrix
@@ -41,8 +41,8 @@ class CSSCode:
 
     `layout` is given as a function of the incidence edges; the table is
     built on first read of `code.layout`, and its edges on first read of
-    `code.layout.edges`.  The reduced forms of H_X and H_Z are likewise
-    computed once, on first read, and shared by every analysis.
+    `code.layout.edges`.  `commutator` is H_X H_Z^T, computed once; the
+    ranks and reduced forms of H_X and H_Z are remembered by the matrices.
     """
 
     def __init__(self, h_x: BitMatrix, h_z: BitMatrix, q1_size: int,
@@ -60,7 +60,11 @@ class CSSCode:
             raise DimensionError(f"q1 block {q1_size} exceeds n = {self.n}")
         self._layout = layout
         self.provenance = provenance
-        self.commuting = matmul_t(h_x, h_z).is_zero()
+        self.commutator = matmul_t(h_x, h_z)
+
+    @property
+    def commuting(self) -> bool:
+        return self.commutator.is_zero()
 
     @cached_property
     def layout(self) -> CoordinateTable:
@@ -73,19 +77,6 @@ class CSSCode:
         ):
             raise DimensionError("layout does not cover every vertex exactly once")
         return table
-
-    @cached_property
-    def x_rref(self) -> RrefResult:
-        return rref(self.h_x)
-
-    @cached_property
-    def z_rref(self) -> RrefResult:
-        return rref(self.h_z)
-
-    @cached_property
-    def ranks(self) -> tuple[int, int]:
-        """(rank H_X, rank H_Z) by `gf2.rank`, which reads x_rref or z_rref only to eliminate."""
-        return rank(self.h_x, lambda: self.x_rref), rank(self.h_z, lambda: self.z_rref)
 
     @property
     def m_x(self) -> int:

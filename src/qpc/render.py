@@ -270,15 +270,21 @@ _FORMATS = {
 
 def _draw(table: CoordinateTable, spec: RenderSpec, overlays, fmt: _Format) -> str:
     """One drawing loop: project once, then fill the format's templates."""
-    bent = []                                          # the options that bend each axis (3D)
-    if table.kind == "2d":
-        points = {role: ([float(c[0]) for c in coords], [float(c[1]) for c in coords])
-                  for role, coords in table.families().items()}
-    else:
-        shear, lift = spec.x_shear, spec.y_scale
-        points = {role: ([float(x) + shear * float(y) for x, y, _ in coords],
-                         [float(z) + lift * float(y) for _, y, z in coords])
-                  for role, coords in table.families().items()}
+    bent, families = [], table.families()              # the options that bend each axis (3D)
+    try:
+        if table.kind == "2d":
+            points = {role: ([float(c[0]) for c in coords], [float(c[1]) for c in coords])
+                      for role, coords in families.items()}
+        else:
+            shear, lift = spec.x_shear, spec.y_scale
+            points = {role: ([float(x) + shear * float(y) for x, y, _ in coords],
+                             [float(z) + lift * float(y) for _, y, z in coords])
+                      for role, coords in families.items()}
+    except OverflowError:                              # float() of an int from 2^1024 - 2^970 up
+        role, idx = next((role, idx) for role, coords in families.items()
+                         for idx, c in enumerate(coords) if max(map(abs, c)) >= 2**1024 - 2**970)
+        raise FormatError(f"vertex {role}[{idx}] has a coordinate too large to draw") from None
+    if table.kind == "3d":
         bent = [f"--shear {shear:g}", f"--yscale {lift:g}"]
         for axis, option in enumerate(bent):
             if not all(math.isfinite(v) for p in points.values() for v in p[axis]):

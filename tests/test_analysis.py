@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpc import classical
+from qpc import analysis, gf2
 from qpc.analysis import (
     CSSParams,
     LogicalBasis,
@@ -25,7 +25,7 @@ from qpc.analysis import (
 )
 from qpc.classical import ClassicalCode, hamming_7_4_check, repetition_check
 from qpc.errors import BudgetError, PreconditionError
-from qpc.gf2 import BitMatrix, coset_min_weight, matmul, rank, rref, transpose, vstack
+from qpc.gf2 import BitMatrix, coset_min_weight, matmul, rank, transpose, vstack
 from qpc.groups import (
     FiniteGroup,
     GroupAlgebraMatrix,
@@ -140,7 +140,7 @@ class TestCosetMinWeight:
             h = random_check_matrix(rng, 6, 12)
             empty = BitMatrix.zeros(0, h.cols)
             expected = brute_force_coset(h, empty)
-            assert coset_min_weight(rref(h), rref(empty)) == expected
+            assert coset_min_weight(h, empty) == expected
             assert ClassicalCode(h).min_distance() == expected
 
     def test_css_codes_match_brute_force(self):
@@ -150,8 +150,8 @@ class TestCosetMinWeight:
             kinds.add(code.provenance["kind"])
             d_z = brute_force_coset(code.h_x, code.h_z)
             d_x = brute_force_coset(code.h_z, code.h_x)
-            assert coset_min_weight(code.x_rref, code.z_rref) == d_z
-            assert coset_min_weight(code.z_rref, code.x_rref) == d_x
+            assert coset_min_weight(code.h_x, code.h_z) == d_z
+            assert coset_min_weight(code.h_z, code.h_x) == d_x
             assert css_distance(code) == (d_x, d_z, min(d_x, d_z))
         assert kinds == {"hgp", "lifted_product"}
 
@@ -172,7 +172,7 @@ class TestCosetMinWeight:
                 boundary(lambda budget: ClassicalCode(h).min_distance(budget), k,
                          brute_force_coset(h, BitMatrix.zeros(0, h.cols)))
         for code in random_small_css_codes(rng, 20):
-            dim = code.n - min(code.x_rref.rank, code.z_rref.rank)
+            dim = code.n - min(rank(code.h_x), rank(code.h_z))
             boundary(lambda budget: css_distance(code, budget), dim, css_distance(code))
 
     def test_hamming_rep3_analyze_reduces_each_matrix_once(self, tmp_path, monkeypatch):
@@ -223,6 +223,13 @@ class TestCommutation:
         # every anticommuting pair, row-major, as a scan of the dense product lists them
         dense = code.h_x.to_dense().astype(int) @ code.h_z.to_dense().T.astype(int) % 2
         assert pairs == [(i, j) for i in range(code.m_x) for j in range(code.m_z) if dense[i, j]]
+
+    def test_pairs_are_read_off_the_kept_commutator(self, monkeypatch):
+        m1, m2, _ = search_noncommuting_lp(s3(), 2, 2, 10_000, seed=11)
+        code = lifted_product(m1, m2)
+        monkeypatch.setattr(analysis, "matmul_t", lambda a, b: pytest.fail("H_X H_Z^T again"))
+        ok, pairs = check_commutation(code)
+        assert not ok and len(pairs) == code.commutator.weight() > 0
 
     def test_seeded_pairs_match_a_dense_scan(self):
         # a tall H_Z with light columns takes the entry-pair product, the rest the packed one
@@ -322,15 +329,15 @@ class TestDistance:
         assert (err.value.exponent, err.value.required) == (10, 1 << 10)
         assert str(err.value) == "distance enumeration refused: needs 1024 steps, limit is 1023"
 
-    def test_decided_distance_checks_pivots_against_components(self, monkeypatch):
+    def test_decided_distance_checks_pivots_against_components(self):
         code = toric()
-        x, z = code.ranks
-        code.__dict__["ranks"] = (x - 1, z + 1)         # same k, wrong split
+        code.h_x._rank, code.h_z._rank = rank(code.h_x) - 1, rank(code.h_z) + 1  # same k
         with pytest.raises(AssertionError, match="component count"):
             css_distance(code)
-        monkeypatch.setattr(classical, "rank", lambda m, reduce=None: 1)
+        rep = ClassicalCode(repetition_check(3))
+        rep.h._rank = 1
         with pytest.raises(AssertionError, match="component count"):
-            ClassicalCode(repetition_check(3)).min_distance()
+            rep.min_distance()
 
     def test_refusal_text_stays_decimal_while_python_can_print_it(self):
         # 2^14284 has 4300 digits, the most Python converts to text by default
@@ -403,8 +410,8 @@ class TestDistanceBound:
     def test_each_transposed_code_is_reduced_once(self, monkeypatch):
         # the HGP cross-check: hgp_k_formula, then hgp_distance_bound
         calls = []
-        real = classical.rref
-        monkeypatch.setattr(classical, "rref", lambda m: calls.append(m) or real(m))
+        real = gf2.rref
+        monkeypatch.setattr(gf2, "rref", lambda m: calls.append(m) or real(m))
         c1, c2 = ClassicalCode(hamming_7_4_check()), rep3()
         assert hgp_k_formula(c1, c2) == 4
         assert hgp_distance_bound(c1, c2) == 3

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,33 @@ class TestMinDistance:
 
     def test_hamming_distance(self):
         assert ClassicalCode(hamming_7_4_check()).min_distance() == 3
+
+    def test_refused_distance_eliminates_nothing(self, monkeypatch):
+        # each column holds one or two ones, so the rank is a component count
+        rng = np.random.default_rng(19)
+        ends = rng.integers(0, 300, size=(2, 600))
+        h = BitMatrix.from_entries(300, 600, ends.ravel(), np.tile(np.arange(600), 2))
+        original = gf2.rref
+
+        def refuse(m):
+            raise AssertionError(f"{m} was eliminated")
+
+        for name, module in list(sys.modules.items()):
+            if name == "qpc" or name.startswith("qpc."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        code = ClassicalCode(h)
+        with pytest.raises(BudgetError) as err:
+            code.min_distance(budget=1024)
+        assert err.value.exponent == code.dimension() > 300
+
+    def test_budget_decides_whatever_was_asked_before(self):
+        code = ClassicalCode(repetition_check(12))
+        assert code.min_distance() == 12
+        with pytest.raises(BudgetError):
+            code.min_distance(budget=1)                  # k = 1: two steps
+        assert code.min_distance(budget=2) == 12
 
 
 class TestTransposeCode:

@@ -419,7 +419,7 @@ class TestAnalyze:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, refuse)
-        assert gf2.rref is refuse and products.rref is refuse
+        assert gf2.rref is refuse and classical.rref is refuse
         code, out, err = run(capsys, "analyze", "--hx", tmp_path / "hx.pcm",
                              "--hz", tmp_path / "hz.pcm")
         assert (code, err) == (3, "")
@@ -776,6 +776,11 @@ class TestUsageErrors:
         {"role": "x", "index": 0, "coord": [0, 0, 0]},
         {"role": "z", "index": 0, "coord": [0, 2, 0]},
         {"role": "q1", "index": 0, "coord": [1, 1, 1]}]})
+    # an integer coordinate that no float holds, on the second vertex
+    LAYOUT_HUGE = {kind: json.dumps({"version": "qpc-layout/1", "kind": kind, "vertices": [
+        {"role": "x", "index": 0, "coord": [0] * width},
+        {"role": "z", "index": 0, "coord": [10**400] + [0] * (width - 1)}]})
+        for kind, width in (("2d", 2), ("3d", 3))}
 
     @pytest.mark.parametrize("kind, fmt, option, message", [
         ("2d", "svg", "--scale", "--scale 1e+308 makes the drawing's width infinite"),
@@ -783,15 +788,32 @@ class TestUsageErrors:
         ("3d", "svg", "--shear", "--shear 1e+308 makes a drawn coordinate infinite"),
         ("3d", "tikz", "--shear", "--shear 1e+308 makes a drawn coordinate infinite"),
         ("3d", "tikz", "--yscale", "--yscale 1e+308 makes a drawn coordinate infinite"),
+        ("2d huge", "svg", None, "vertex z[0] has a coordinate too large to draw"),
+        ("3d huge", "tikz", None, "vertex z[0] has a coordinate too large to draw"),
     ])
     def test_layout_that_overflows_is_refused(self, tmp_path, capsys, kind, fmt, option, message):
-        (tmp_path / "3d.json").write_text(self.LAYOUT_3D)
-        source = self.LAYOUT[1:3] if kind == "2d" else ["--input", tmp_path / "3d.json"]
+        layout = tmp_path / "layout.json"
+        layout.write_text(self.LAYOUT_HUGE[kind[:2]] if option is None else self.LAYOUT_3D)
+        source = self.LAYOUT[1:3] if kind == "2d" else ["--input", layout]
         out_file = tmp_path / f"drawing.{fmt}"
-        code, out, err = run(capsys, "layout", *source, "--format", fmt, option, "1e308",
-                             "--out", out_file)
+        code, out, err = run(capsys, "layout", *source, "--format", fmt,
+                             *([option, "1e308"] if option else []), "--out", out_file)
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_file.exists()
+        if option is None:                              # json keeps the exact integers
+            code, emitted, err = run(capsys, "layout", *source, "--format", "json")
+            layout.write_text(emitted)
+            assert (code, err) == (0, "") and "1" + "0" * 400 in emitted
+            assert run(capsys, "layout", *source, "--format", "json") == (0, emitted, "")
+
+    @pytest.mark.parametrize("target", ["r.json", "."])
+    def test_json_out_before_layout_is_refused(self, tmp_path, capsys, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "--json-out", target, *self.LAYOUT, "--out", "l.svg")
+        assert (code, out) == (1, "")
+        assert err == ("error: qpc: --json-out applies to the commands that print a report,"
+                       " not layout\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_budget_abc_in_a_fresh_process(self, tmp_path):
         proc = run_process(tmp_path, *self.ANALYZE, "--budget", "abc")

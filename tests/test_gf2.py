@@ -144,7 +144,10 @@ class TestComponentRank:
             expected = int_rank([sum(1 << c for c, rs in enumerate(column_rows) if r in rs)
                                  for r in range(rows)])
             reduced = []
-            got = rank(m, lambda: reduced.append(m) or rref(m))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gf2, "rref", lambda m: reduced.append(m) or rref(m))
+                got = rank(m)
+                assert rank(m) == got                    # remembered: no second elimination
             assert got == expected, (rows, cols, column_rows)
             assert len(reduced) == bool(three)           # only a three-one column eliminates
             touched = {r for rs in column_rows for r in rs}
@@ -159,8 +162,17 @@ class TestComponentRank:
         # the L x L toric code's H_X: L^2 checks in one component, no one-one column
         c = ClassicalCode(repetition_check(16))
         code = hgp(c, c)
-        assert code.ranks == (255, 255)
-        assert "x_rref" not in vars(code) and "z_rref" not in vars(code)
+        assert (rank(code.h_x), rank(code.h_z)) == (255, 255)
+        assert code.h_x._rref is None and code.h_z._rref is None
+
+    def test_reduced_refuses_a_rank_it_disagrees_with(self):
+        m = repetition_check(5)
+        assert rank(m) == 4
+        m._rank = 3
+        with pytest.raises(AssertionError, match="component count"):
+            gf2.reduced(m)
+        m._rank = 4
+        assert gf2.reduced(m) is gf2.reduced(m) and gf2.reduced(m).rank == 4
 
 
 class TestRref:

@@ -81,7 +81,7 @@ def test_css_params_repr_is_the_readme_line():
 def test_rref_rank_is_the_pivot_count(rows):
     result = rref(BitMatrix.from_dense(rows))
     assert result.rank == len(result.pivot_cols)
-    assert result._fields == ("source", "rref", "pivot_cols")
+    assert result._fields == ("rref", "pivot_cols")
 
 
 def test_covering_report_valid_is_no_violation():
