@@ -14,7 +14,6 @@ computations refuse them loudly.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, NamedTuple
 
 from .classical import ClassicalCode
@@ -149,19 +148,6 @@ def hgp_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBasis
     return basis
 
 
-def verify_logical_basis(code: CSSCode, basis: LogicalBasis) -> None:
-    """Kernel membership and stabiliser-independence of every representative."""
-    if not matmul_t(code.h_z, basis.x_logicals).is_zero():
-        raise AssertionError("an X logical leaves kernel(H_Z)")
-    if not matmul_t(code.h_x, basis.z_logicals).is_zero():
-        raise AssertionError("a Z logical leaves kernel(H_X)")
-    k = basis.x_logicals.rows
-    if rank(vstack(code.h_x, basis.x_logicals)) != rank(code.h_x) + k:
-        raise AssertionError("an X logical lies in the X stabiliser row space")
-    if rank(vstack(code.h_z, basis.z_logicals)) != rank(code.h_z) + k:
-        raise AssertionError("a Z logical lies in the Z stabiliser row space")
-
-
 def lp_bp_coincide(
     m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix
 ) -> tuple[bool, list[int] | None]:
@@ -184,32 +170,3 @@ def lp_bp_coincide(
     if bp.h_x == lp.h_x and bp.h_z == lp.h_z:
         return True, list(range(lp.n))
     return False, None
-
-
-def search_noncommuting_lp(group, max_rows: int, max_cols: int, draws: int,
-                           seed: int):
-    """Seeded random hunt for a lifted product with anticommuting checks.
-
-    Returns (m1, m2, draw_index) for the first non-commuting instance,
-    or None when every draw commutes.
-    """
-    from .groups import GroupAlgebraMatrix
-
-    rng = random.Random(seed)
-
-    def random_matrix():
-        rows = rng.randint(1, max_rows)
-        cols = rng.randint(1, max_cols)
-        masks = [
-            [rng.getrandbits(group.order) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-        return GroupAlgebraMatrix.from_masks(group, masks)
-
-    for draw in range(draws):
-        m1 = random_matrix()
-        m2 = random_matrix()
-        code = lifted_product(m1, m2)
-        if not code.commuting:
-            return m1, m2, draw
-    return None

@@ -89,14 +89,6 @@ class ClassicalCode:
         rest = [c for c in range(self.n) if c not in set(pivots)]
         return SystematicBasis(column_permutation=tuple(pivots + rest), generator=basis.rref)
 
-    def puncture(self, keep_bits) -> "ClassicalCode":
-        """Restrict to a subset of bit columns, keeping every check."""
-        keep = sorted(set(keep_bits))
-        for b in keep:
-            if not 0 <= b < self.n:
-                raise PreconditionError(f"puncture: bit {b} out of range [0, {self.n})")
-        return ClassicalCode(self.h.columns(keep))
-
     def __repr__(self) -> str:
         return f"ClassicalCode(n={self.n}, m={self.m})"
 
@@ -372,15 +364,3 @@ def _next_line(lines: list[str], start: int, blank: bool = False) -> int:
         if blank or lines[idx].strip():
             return idx
     raise FormatError("unexpected end of file", len(lines))
-
-
-def repetition_check(n: int) -> BitMatrix:
-    """Circulant n x n check matrix of the n-bit cyclic repetition code."""
-    i = np.arange(n)
-    return BitMatrix.from_entries(n, n, np.concatenate([i, i]), np.concatenate([i, (i + 1) % n]))
-
-
-def hamming_7_4_check() -> BitMatrix:
-    """3 x 7 check matrix whose columns are all non-zero 3-bit vectors."""
-    cols = [[(j >> b) & 1 for j in range(1, 8)] for b in range(3)]
-    return BitMatrix.from_dense(np.array(cols, dtype=np.uint8))

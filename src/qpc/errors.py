@@ -27,10 +27,6 @@ class BudgetError(RuntimeError):
             f"{what} refused: needs {self.required_text} steps, limit is {limit}"
         )
 
-    @property
-    def required(self) -> int:
-        return 1 << self.exponent
-
 
 class PreconditionError(ValueError):
     """A documented precondition failed; carries a witness when one exists."""

@@ -34,7 +34,7 @@ MAX_GROUP_ORDER = 2048
 class FiniteGroup:
     """Finite group as an explicit l x l multiplication table, identity 0."""
 
-    __slots__ = ("order", "mul", "inv", "generators", "spec", "_gen_names", "_cyclic_shape")
+    __slots__ = ("order", "mul", "inv", "generators", "spec", "_gen_names")
 
     def __init__(self, mul_table, spec: str | None = None,
                  cyclic_shape: tuple[int, ...] | None = None):
@@ -49,7 +49,6 @@ class FiniteGroup:
         self.mul = mul
         self.inv = np.argmax(mul == 0, axis=1)  # associative, so also the left inverse
         self.spec = spec or f"table:{order}"
-        self._cyclic_shape = cyclic_shape
         if cyclic_shape is None:
             self._gen_names = {f"g{i}": i for i in range(1, order)}
         else:  # x steps the first cyclic factor, y the second; a factor of order 1 has none
@@ -109,26 +108,8 @@ class FiniteGroup:
     def multiply(self, g: int, h: int) -> int:
         return int(self.mul[g, h])
 
-    def inverse(self, g: int) -> int:
-        return int(self.inv[g])
-
     def generator_names(self) -> dict[str, int]:
         return dict(self._gen_names)
-
-    def element_name(self, i: int) -> str:
-        if i == 0:
-            return "1"
-        if self._cyclic_shape is not None:
-            if len(self._cyclic_shape) == 1:
-                return "x" if i == 1 else f"x^{i}"
-            a, b = divmod(i, self._cyclic_shape[1])
-            parts = []
-            if a:
-                parts.append("x" if a == 1 else f"x^{a}")
-            if b:
-                parts.append("y" if b == 1 else f"y^{b}")
-            return "*".join(parts)
-        return f"g{i}"
 
     def same_group(self, other: "FiniteGroup") -> bool:
         return self is other or (
@@ -216,16 +197,6 @@ class GroupAlgebraElement(NamedTuple):
     def zero(cls, group: FiniteGroup) -> "GroupAlgebraElement":
         return cls(group, 0)
 
-    @classmethod
-    def one(cls, group: FiniteGroup) -> "GroupAlgebraElement":
-        return cls(group, 1)
-
-    @classmethod
-    def monomial(cls, group: FiniteGroup, g: int) -> "GroupAlgebraElement":
-        if not 0 <= g < group.order:
-            raise PreconditionError(f"element {g} out of range")
-        return cls(group, 1 << g)
-
     def support(self) -> tuple[int, ...]:
         out = []
         mask = self.mask
@@ -234,13 +205,6 @@ class GroupAlgebraElement(NamedTuple):
             out.append(low.bit_length() - 1)
             mask ^= low
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return self.mask == 0
-
-    def is_monomial(self) -> bool:
-        """At most one non-zero coefficient."""
-        return self.mask.bit_count() <= 1
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check_group(other)
@@ -255,24 +219,11 @@ class GroupAlgebraElement(NamedTuple):
                 mask ^= 1 << int(mul[g, h])
         return GroupAlgebraElement(self.group, mask)
 
-    def conj(self) -> "GroupAlgebraElement":
-        """Replace each group element by its inverse."""
-        inv = self.group.inv
-        mask = 0
-        for g in self.support():
-            mask |= 1 << int(inv[g])
-        return GroupAlgebraElement(self.group, mask)
-
     def _check_group(self, other: "GroupAlgebraElement") -> None:
         if not self.group.same_group(other.group):
             raise PreconditionError(
                 f"elements live in different groups ({self.group.spec} vs {other.group.spec})"
             )
-
-    def name(self) -> str:
-        if self.mask == 0:
-            return "0"
-        return "+".join(self.group.element_name(g) for g in self.support())
 
 
 class GroupAlgebraMatrix:
@@ -296,22 +247,9 @@ class GroupAlgebraMatrix:
                     raise PreconditionError("entries must share the matrix group")
         self.entries = ent
 
-    @classmethod
-    def from_masks(cls, group: FiniteGroup, masks) -> "GroupAlgebraMatrix":
-        return cls(
-            group,
-            [[GroupAlgebraElement(group, int(m)) for m in row] for row in masks],
-        )
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def entry(self, i: int, j: int) -> GroupAlgebraElement:
-        return self.entries[i][j]
-
-    def is_monomial(self) -> bool:
-        return all(e.is_monomial() for row in self.entries for e in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupAlgebraMatrix):
@@ -424,10 +362,3 @@ def parse_ring_matrix(text: str, root: str | Path = "") -> GroupAlgebraMatrix:
             raise FormatError(f"expected {n} comma-separated entries", pos + 1)
         rows.append([parse_element(f, group, pos + 1) for f in fields])
     return GroupAlgebraMatrix(group, rows, cols=n)
-
-
-def emit_ring_matrix(m: GroupAlgebraMatrix) -> str:
-    lines = [f"{m.rows} {m.cols} group={m.group.spec}"]
-    for row in m.entries:
-        lines.append(",".join(e.name() for e in row))
-    return "\n".join(lines) + "\n"

@@ -86,9 +86,6 @@ class CSSCode:
     def m_z(self) -> int:
         return self.h_z.rows
 
-    def total_vertices(self) -> int:
-        return self.n + self.m_x + self.m_z
-
     def __repr__(self):
         kind = self.provenance.get("kind", "css")
         return (
@@ -233,26 +230,6 @@ def lifted_product(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
             "m1": r1, "n1": c1, "m2": r2, "n2": c2,
         },
     )
-
-
-def hgp_of_lifts(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
-    """Comparison baseline: expand both inputs first, then take the plain product.
-
-    Total vertex count is l times that of the lifted product of the same
-    inputs.
-    """
-    from .groups import binary_map
-
-    if not m1.group.same_group(m2.group):
-        raise PreconditionError("hgp_of_lifts needs one shared group")
-    code = hgp(ClassicalCode(binary_map(m1)), ClassicalCode(binary_map(m2)))
-    code.provenance = {
-        "kind": "hgp_of_lifts",
-        "group": m1.group.spec,
-        "l": m1.group.order,
-        "base": code.provenance,
-    }
-    return code
 
 
 def lift_with_regular_actions(

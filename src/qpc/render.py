@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import FormatError, PreconditionError, load_object, typed_list
@@ -271,20 +271,19 @@ _FORMATS = {
 def _draw(table: CoordinateTable, spec: RenderSpec, overlays, fmt: _Format) -> str:
     """One drawing loop: project once, then fill the format's templates."""
     bent, families = [], table.families()              # the options that bend each axis (3D)
-    try:
-        if table.kind == "2d":
-            points = {role: ([float(c[0]) for c in coords], [float(c[1]) for c in coords])
-                      for role, coords in families.items()}
-        else:
-            shear, lift = spec.x_shear, spec.y_scale
-            points = {role: ([float(x) + shear * float(y) for x, y, _ in coords],
-                             [float(z) + lift * float(y) for _, y, z in coords])
-                      for role, coords in families.items()}
-    except OverflowError:                              # float() of an int from 2^1024 - 2^970 up
+    every = chain.from_iterable(chain.from_iterable(families.values()))
+    if max(map(abs, every), default=0) > 2**53:        # a float holds each integer up to 2^53
         role, idx = next((role, idx) for role, coords in families.items()
-                         for idx, c in enumerate(coords) if max(map(abs, c)) >= 2**1024 - 2**970)
-        raise FormatError(f"vertex {role}[{idx}] has a coordinate too large to draw") from None
-    if table.kind == "3d":
+                         for idx, c in enumerate(coords) if max(map(abs, c)) > 2**53)
+        raise FormatError(f"vertex {role}[{idx}] has a coordinate too large to draw")
+    if table.kind == "2d":
+        points = {role: ([float(c[0]) for c in coords], [float(c[1]) for c in coords])
+                  for role, coords in families.items()}
+    else:
+        shear, lift = spec.x_shear, spec.y_scale
+        points = {role: ([float(x) + shear * float(y) for x, y, _ in coords],
+                         [float(z) + lift * float(y) for _, y, z in coords])
+                  for role, coords in families.items()}
         bent = [f"--shear {shear:g}", f"--yscale {lift:g}"]
         for axis, option in enumerate(bent):
             if not all(math.isfinite(v) for p in points.values() for v in p[axis]):

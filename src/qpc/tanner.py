@@ -3,8 +3,8 @@
 Graphs here are multisets of edges: quotients of free actions create
 parallel edges (the 6-cycle mod Z3 collapses to a double edge), and
 collapsing them silently would falsify every size claim downstream, so
-multiplicity is first class.  The GF(2) biadjacency reduces multiplicity
-mod 2 and reports when that reduction changed anything.
+multiplicity is first class.  The balanced product reduces it mod 2 in
+its check matrices and records how many entries that changed.
 
 A graph is a `Counter` of its distinct edges in first-listed order, read
 in pure Python by parsing, emitting, drawing and the covering check, so
@@ -177,14 +177,6 @@ class TannerGraph(_Graph):
         pos = np.arange(at.size) + np.repeat(start - (np.cumsum(degree) - degree), degree)
         return at, nbr[pos], mult[pos]
 
-    def biadjacency(self) -> tuple[BitMatrix, int]:
-        """Mod-2 check/bit adjacency plus the number of entries changed by reduction."""
-        from .gf2 import BitMatrix
-
-        odd = self.mult % 2 == 1
-        h = BitMatrix.from_entries(self.check_count, self.bit_count, self.end0[odd], self.end1[odd])
-        return h, int((self.mult > 1).sum())
-
     def __repr__(self):
         return (
             f"TannerGraph(checks={self.check_count}, bits={self.bit_count},"
@@ -201,14 +193,6 @@ class PlainGraph(_Graph):
     def __init__(self, vertex_count: int, edges):
         self.vertex_count = vertex_count
         self._merge(edges, (vertex_count, vertex_count), "")
-
-    @classmethod
-    def cycle(cls, n: int) -> "PlainGraph":
-        return cls(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def path(cls, n: int) -> "PlainGraph":
-        return cls(n, [(i, i + 1) for i in range(n - 1)])
 
     def part_sizes(self) -> dict[str, int]:
         return {"vertex": self.vertex_count}
@@ -438,12 +422,11 @@ def quotient(graph, action: GroupAction):
 
 
 class CoveringReport(NamedTuple):
-    """The violations of a vertex map, its lift size l (None unless every
-    fibre has l vertices) and each part's fibre sizes, one per base vertex."""
+    """The violations of a vertex map and its lift size l (None unless every
+    fibre of a part that maps any vertex has l vertices)."""
 
     violations: list
     lift_size: int | None
-    fibre_sizes: dict
 
     @property
     def valid(self) -> bool:
@@ -488,14 +471,14 @@ def verify_covering(cover, base, maps: dict) -> CoveringReport:
                     f"{part} {v}: incident edges map to {mapped}, base vertex {w} has {has}"
                 )
 
-    fibre_sizes, sizes = {}, set()
+    sizes = set()
     for part, fibre in images.items():
-        counts = [0] * base_sizes[part] if fibre else []
-        for v in fibre:
-            counts[v] += 1
-        fibre_sizes[part] = counts
-        sizes.update(counts)
-    return CoveringReport(violations, sizes.pop() if len(sizes) == 1 else None, fibre_sizes)
+        if fibre:  # counts of the base vertices reached, so a huge base part costs nothing
+            counts = Counter(fibre)
+            sizes.update(counts.values())
+            if len(counts) < base_sizes[part]:
+                sizes.add(0)  # a base vertex no cover vertex maps to
+    return CoveringReport(violations, sizes.pop() if len(sizes) == 1 else None)
 
 
 class Lift(NamedTuple):

@@ -1,29 +1,41 @@
 """Reference implementations that the tests compare qpc against.
 
 Each is a direct, unoptimised form of a result qpc reaches another way,
-or a view of a value that only the tests need:
+or a value or view that only the tests need:
 
 - rows of a `BitMatrix` as Python ints, and the row operations of an
   elimination, found by eliminating [source | I];
-- ring matrices over F2[G]: the Kronecker product with an identity, the
+- the check matrices of the cyclic repetition and [7,4] Hamming codes;
+- ring matrices over F2[G]: matrices of element bit masks, monomials and
+  conjugates of elements, the Kronecker product with an identity, the
   matrix product and the conjugate transpose, whose binary maps the
-  lifted product is checked against;
-- the Cartesian product of plain graphs and the shared-group action on it,
-  whose quotient is the balanced product of the paper's worked example;
-- the deck action tables of a lift, stacked one group element at a time.
+  lifted product is checked against, and a ring-matrix writer whose
+  terms `parse_element` reads;
+- cycles and paths, the Cartesian product of plain graphs and the
+  shared-group action on it, whose quotient is the balanced product of
+  the paper's worked example;
+- the deck action tables of a lift, stacked one group element at a time;
+- the product codes' comparisons: the vertex count of a code, the plain
+  product of two expanded ring matrices, a seeded hunt for a lifted
+  product whose checks anticommute, and the membership and independence
+  of a logical basis.
 
 This file is not collected by pytest; test modules import it by name.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
 
+from qpc.analysis import LogicalBasis
+from qpc.classical import ClassicalCode
 from qpc.errors import DimensionError, PreconditionError
-from qpc.gf2 import BitMatrix, _word_count, hstack, rref
-from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix
+from qpc.gf2 import BitMatrix, _word_count, hstack, matmul_t, rank, rref, vstack
+from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, binary_map
+from qpc.products import CSSCode, hgp, lifted_product
 from qpc.tanner import GroupAction, PlainGraph
 
 # -- GF(2) rows as ints, and row operations ------------------------------------
@@ -65,6 +77,21 @@ def row_ops(source: BitMatrix) -> BitMatrix:
     return reduced.columns(range(source.cols, source.cols + source.rows))
 
 
+# -- classical check matrices --------------------------------------------------
+
+
+def repetition_check(n: int) -> BitMatrix:
+    """Circulant n x n check matrix of the n-bit cyclic repetition code."""
+    i = np.arange(n)
+    return BitMatrix.from_entries(n, n, np.concatenate([i, i]), np.concatenate([i, (i + 1) % n]))
+
+
+def hamming_7_4_check() -> BitMatrix:
+    """3 x 7 check matrix whose columns are all non-zero 3-bit vectors."""
+    cols = [[(j >> b) & 1 for j in range(1, 8)] for b in range(3)]
+    return BitMatrix.from_dense(np.array(cols, dtype=np.uint8))
+
+
 # -- groups and ring matrices --------------------------------------------------
 
 
@@ -72,13 +99,43 @@ def is_abelian(group: FiniteGroup) -> bool:
     return bool(np.array_equal(group.mul, group.mul.T))
 
 
+def from_masks(group: FiniteGroup, masks) -> GroupAlgebraMatrix:
+    return GroupAlgebraMatrix(
+        group,
+        [[GroupAlgebraElement(group, int(m)) for m in row] for row in masks],
+    )
+
+
+def monomial(group: FiniteGroup, g: int) -> GroupAlgebraElement:
+    if not 0 <= g < group.order:
+        raise PreconditionError(f"element {g} out of range")
+    return GroupAlgebraElement(group, 1 << g)
+
+
+def conj(e: GroupAlgebraElement) -> GroupAlgebraElement:
+    """Replace each group element by its inverse."""
+    inv = e.group.inv
+    mask = 0
+    for g in e.support():
+        mask |= 1 << int(inv[g])
+    return GroupAlgebraElement(e.group, mask)
+
+
 def conj_transpose(m: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
     """Transpose the grid and invert every group element in each entry."""
     return GroupAlgebraMatrix(
         m.group,
-        [[m.entries[i][j].conj() for i in range(m.rows)] for j in range(m.cols)],
+        [[conj(m.entries[i][j]) for i in range(m.rows)] for j in range(m.cols)],
         cols=m.rows,
     )
+
+
+def emit_ring_matrix(m: GroupAlgebraMatrix) -> str:
+    """The ring-matrix file of m, each term written g<i>, which names element i of any group."""
+    lines = [f"{m.rows} {m.cols} group={m.group.spec}"]
+    for row in m.entries:
+        lines.append(",".join("+".join(f"g{g}" for g in e.support()) or "0" for e in row))
+    return "\n".join(lines) + "\n"
 
 
 def ring_kron_identity(m: GroupAlgebraMatrix, r: int, side: str) -> GroupAlgebraMatrix:
@@ -129,7 +186,16 @@ def ring_matmul(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMat
     return GroupAlgebraMatrix(a.group, out, cols=b.cols)
 
 
-# -- cartesian products and the shared-group action ----------------------------
+# -- graphs, cartesian products and the shared-group action --------------------
+
+
+def cycle(n: int) -> PlainGraph:
+    return PlainGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n: int) -> PlainGraph:
+    return PlainGraph(n, [(i, i + 1) for i in range(n - 1)])
+
 
 
 def cartesian_product_plain(a: PlainGraph, b: PlainGraph) -> PlainGraph:
@@ -167,7 +233,7 @@ def product_action_plain(
         )
     perms = np.empty((group.order, na * nb), dtype=np.int64)
     for h in range(group.order):
-        hinv = group.inverse(h)
+        hinv = int(group.inv[h])
         pa = act_a.perms["vertex"][hinv]
         pb = act_b.perms["vertex"][hinv]
         perms[h] = (pa[np.arange(na * nb) // nb] * nb) + pb[np.arange(na * nb) % nb]
@@ -189,6 +255,71 @@ def slot_perms(m: GroupAlgebraMatrix, left: bool) -> dict:
         base = (np.arange(count * l) // l) * l
         slot = np.arange(count * l) % l
         return np.stack([base + (group.mul[h, :] if left
-                                 else group.mul[:, group.inverse(h)])[slot] for h in range(l)])
+                                 else group.mul[:, group.inv[h]])[slot] for h in range(l)])
 
     return {"check": stack(m.rows), "bit": stack(m.cols)}
+
+
+# -- product-code comparisons --------------------------------------------------
+
+
+def total_vertices(code: CSSCode) -> int:
+    return code.n + code.m_x + code.m_z
+
+
+def hgp_of_lifts(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
+    """Comparison baseline: expand both inputs first, then take the plain product.
+
+    Total vertex count is l times that of the lifted product of the same
+    inputs.
+    """
+    if not m1.group.same_group(m2.group):
+        raise PreconditionError("hgp_of_lifts needs one shared group")
+    code = hgp(ClassicalCode(binary_map(m1)), ClassicalCode(binary_map(m2)))
+    code.provenance = {
+        "kind": "hgp_of_lifts",
+        "group": m1.group.spec,
+        "l": m1.group.order,
+        "base": code.provenance,
+    }
+    return code
+
+
+def search_noncommuting_lp(group, max_rows: int, max_cols: int, draws: int,
+                           seed: int):
+    """Seeded random hunt for a lifted product with anticommuting checks.
+
+    Returns (m1, m2, draw_index) for the first non-commuting instance,
+    or None when every draw commutes.
+    """
+    rng = random.Random(seed)
+
+    def random_matrix():
+        rows = rng.randint(1, max_rows)
+        cols = rng.randint(1, max_cols)
+        masks = [
+            [rng.getrandbits(group.order) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        return from_masks(group, masks)
+
+    for draw in range(draws):
+        m1 = random_matrix()
+        m2 = random_matrix()
+        code = lifted_product(m1, m2)
+        if not code.commuting:
+            return m1, m2, draw
+    return None
+
+
+def verify_logical_basis(code: CSSCode, basis: LogicalBasis) -> None:
+    """Kernel membership and stabiliser-independence of every representative."""
+    if not matmul_t(code.h_z, basis.x_logicals).is_zero():
+        raise AssertionError("an X logical leaves kernel(H_Z)")
+    if not matmul_t(code.h_x, basis.z_logicals).is_zero():
+        raise AssertionError("a Z logical leaves kernel(H_X)")
+    k = basis.x_logicals.rows
+    if rank(vstack(code.h_x, basis.x_logicals)) != rank(code.h_x) + k:
+        raise AssertionError("an X logical lies in the X stabiliser row space")
+    if rank(vstack(code.h_z, basis.z_logicals)) != rank(code.h_z) + k:
+        raise AssertionError("a Z logical lies in the Z stabiliser row space")

@@ -10,6 +10,8 @@ import qpc
 from qpc import analysis, classical, gf2, products
 from qpc.cli import main
 
+from oracles import repetition_check
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -405,7 +407,7 @@ class TestAnalyze:
         assert sum(m == h_z for m in reduced) == (exit_code == 0)
 
     def test_refused_toric_16_eliminates_nothing(self, tmp_path, capsys, monkeypatch):
-        rep = classical.ClassicalCode(classical.repetition_check(16))
+        rep = classical.ClassicalCode(repetition_check(16))
         code = products.hgp(rep, rep)
         (tmp_path / "hx.pcm").write_text(classical.emit_pcm_text(code.h_x))
         (tmp_path / "hz.pcm").write_text(classical.emit_pcm_text(code.h_z))
@@ -594,6 +596,17 @@ class TestVerify:
         assert code == 0
         assert "lift_size: 1" in out
 
+    @pytest.mark.parametrize("checks", [2, 9 * 10**18])
+    def test_base_vertex_outside_the_image_leaves_no_lift_size(self, tmp_path, capsys, checks):
+        # a base part of any declared size: only the base vertices a map reaches are counted
+        (tmp_path / "cover.graph").write_text("checks 1 bits 1\nc0 b0\n")
+        (tmp_path / "base.graph").write_text(f"checks {checks} bits 1\nc0 b0\n")
+        (tmp_path / "map.json").write_text('{"check_map": [0], "bit_map": [0]}')
+        code, out, err = run(capsys, "verify", "covering", "--cover", tmp_path / "cover.graph",
+                             "--base", tmp_path / "base.graph", "--map", tmp_path / "map.json")
+        assert (code, err) == (0, "")
+        assert out == "check: covering\nvalid: True\nlift_size: None\nviolations: []\n"
+
     def test_table_paths_are_read_beside_the_file(self, tmp_path, capsys, monkeypatch):
         # an action file and a ring file name their `table:` group by a path
         # relative to their own directory, whatever the working directory
@@ -776,11 +789,13 @@ class TestUsageErrors:
         {"role": "x", "index": 0, "coord": [0, 0, 0]},
         {"role": "z", "index": 0, "coord": [0, 2, 0]},
         {"role": "q1", "index": 0, "coord": [1, 1, 1]}]})
-    # an integer coordinate that no float holds, on the second vertex
-    LAYOUT_HUGE = {kind: json.dumps({"version": "qpc-layout/1", "kind": kind, "vertices": [
-        {"role": "x", "index": 0, "coord": [0] * width},
-        {"role": "z", "index": 0, "coord": [10**400] + [0] * (width - 1)}]})
-        for kind, width in (("2d", 2), ("3d", 3))}
+    # an integer coordinate that no float holds, on the second vertex: 10^400 is beyond
+    # every float, and 2^53 + 1 would be drawn at the first vertex's 2^53
+    LAYOUT_HUGE = {kind: json.dumps({"version": "qpc-layout/1", "kind": kind[:2], "vertices": [
+        {"role": "x", "index": 0, "coord": [x] + [0] * (width - 1)},
+        {"role": "z", "index": 0, "coord": [z] + [0] * (width - 1)}]})
+        for kind, width, x, z in (("2d huge", 2, 0, 10**400), ("3d huge", 3, 0, 10**400),
+                                  ("2d 2^53", 2, 2**53, 2**53 + 1))}
 
     @pytest.mark.parametrize("kind, fmt, option, message", [
         ("2d", "svg", "--scale", "--scale 1e+308 makes the drawing's width infinite"),
@@ -790,10 +805,11 @@ class TestUsageErrors:
         ("3d", "tikz", "--yscale", "--yscale 1e+308 makes a drawn coordinate infinite"),
         ("2d huge", "svg", None, "vertex z[0] has a coordinate too large to draw"),
         ("3d huge", "tikz", None, "vertex z[0] has a coordinate too large to draw"),
+        ("2d 2^53", "tikz", None, "vertex z[0] has a coordinate too large to draw"),
     ])
     def test_layout_that_overflows_is_refused(self, tmp_path, capsys, kind, fmt, option, message):
         layout = tmp_path / "layout.json"
-        layout.write_text(self.LAYOUT_HUGE[kind[:2]] if option is None else self.LAYOUT_3D)
+        layout.write_text(self.LAYOUT_HUGE[kind] if option is None else self.LAYOUT_3D)
         source = self.LAYOUT[1:3] if kind == "2d" else ["--input", layout]
         out_file = tmp_path / f"drawing.{fmt}"
         code, out, err = run(capsys, "layout", *source, "--format", fmt,
@@ -803,7 +819,8 @@ class TestUsageErrors:
         if option is None:                              # json keeps the exact integers
             code, emitted, err = run(capsys, "layout", *source, "--format", "json")
             layout.write_text(emitted)
-            assert (code, err) == (0, "") and "1" + "0" * 400 in emitted
+            assert (code, err) == (0, "")
+            assert json.loads(emitted)["vertices"] == json.loads(self.LAYOUT_HUGE[kind])["vertices"]
             assert run(capsys, "layout", *source, "--format", "json") == (0, emitted, "")
 
     @pytest.mark.parametrize("target", ["r.json", "."])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpc import gf2
-from qpc.classical import ClassicalCode, repetition_check
+from qpc.classical import ClassicalCode
 from qpc.errors import DimensionError
 from qpc.gf2 import (
     BitMatrix,
@@ -20,10 +20,11 @@ from qpc.gf2 import (
     transpose,
     vstack,
 )
-from qpc.groups import FiniteGroup, GroupAlgebraMatrix
+from qpc.groups import FiniteGroup
 from qpc.products import hgp, lifted_product
 
-from oracles import from_row_ints, row_int, row_ops, row_weight, rows_as_ints
+from oracles import (from_masks, from_row_ints, repetition_check, row_int, row_ops, row_weight,
+                     rows_as_ints)
 
 # Circulant parity check of the 3-bit repetition code; its rows sum to zero.
 CIRC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -531,7 +532,7 @@ def block_edge_cases():
     """Seeded matrices at the edges of block elimination, each tried against the oracle."""
     rng = np.random.default_rng(127)
     group = FiniteGroup.cyclic(127)
-    ring = lambda: GroupAlgebraMatrix.from_masks(  # noqa: E731  two-term entries over Z127
+    ring = lambda: from_masks(  # noqa: E731  two-term entries over Z127
         group, [[sum(1 << int(e) for e in rng.choice(127, 2, replace=False)) for _ in range(3)]
                 for _ in range(2)])
     lifted = lifted_product(ring(), ring())

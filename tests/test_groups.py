@@ -14,13 +14,13 @@ from qpc.groups import (
     GroupAlgebraElement,
     GroupAlgebraMatrix,
     binary_map,
-    emit_ring_matrix,
     parse_element,
     parse_group_spec,
     parse_ring_matrix,
 )
 
-from oracles import conj_transpose, is_abelian, ring_kron_identity, ring_matmul
+from oracles import (conj_transpose, emit_ring_matrix, is_abelian, monomial, ring_kron_identity,
+                     ring_matmul)
 
 
 def s3_table():
@@ -56,7 +56,7 @@ class TestGroupConstruction:
         g = FiniteGroup.cyclic(5)
         assert g.multiply(0, 3) == 3
         assert g.multiply(2, 4) == 1
-        assert g.inverse(2) == 3
+        assert int(g.inv[2]) == 3
 
     def test_trivial_group(self):
         g = FiniteGroup.cyclic(1)
@@ -157,12 +157,12 @@ class TestGroupConstruction:
 class TestBinaryMap:
     def test_identity_element_maps_to_identity(self):
         for group in (FiniteGroup.cyclic(4), s3()):
-            m = GroupAlgebraMatrix(group, [[GroupAlgebraElement.one(group)]])
+            m = GroupAlgebraMatrix(group, [[GroupAlgebraElement(group, 1)]])
             assert binary_map(m) == BitMatrix.identity(group.order)
 
     def test_z3_generator_is_cyclic_shift(self):
         group = FiniteGroup.cyclic(3)
-        z = GroupAlgebraElement.monomial(group, 1)
+        z = monomial(group, 1)
         out = binary_map(GroupAlgebraMatrix(group, [[z]]))
         # column q carries a one in row q+1 mod 3
         assert out.to_dense().tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
@@ -210,10 +210,10 @@ class TestBinaryMap:
         for g in range(group.order):
             for h in range(group.order):
                 a = binary_map(
-                    GroupAlgebraMatrix(group, [[GroupAlgebraElement.monomial(group, g)]])
+                    GroupAlgebraMatrix(group, [[monomial(group, g)]])
                 )
                 b = binary_map(
-                    GroupAlgebraMatrix(group, [[GroupAlgebraElement.monomial(group, h)]])
+                    GroupAlgebraMatrix(group, [[monomial(group, h)]])
                 )
                 if matmul(a, b) != matmul(b, a):
                     found = True
@@ -310,10 +310,9 @@ class TestRingMatrixFormat:
         assert parse_ring_matrix(emit_ring_matrix(m)) == m
 
     def test_roundtrip_product_group(self):
-        group = FiniteGroup.direct_product(2, 3)
-        text = "1 2 group=Z2xZ3\n1+x*y^2,y\n"
-        m = parse_ring_matrix(text)
-        assert emit_ring_matrix(m) == "1 2 group=Z2xZ3\n1+x*y^2,y\n"
+        m = parse_ring_matrix("1 2 group=Z2xZ3\n1+x*y^2,y\n")
+        assert [[e.support() for e in row] for row in m.entries] == [[(0, 5), (1,)]]
+        assert parse_ring_matrix(emit_ring_matrix(m)) == m
 
     def test_header_errors(self):
         with pytest.raises(FormatError):
@@ -324,7 +323,7 @@ class TestRingMatrixFormat:
     def test_term_arithmetic(self):
         group = FiniteGroup.cyclic(4)
         assert parse_element("x^2", group).support() == (2,)
-        assert parse_element("x+x", group).is_zero()
+        assert parse_element("x+x", group).mask == 0
         assert parse_element("x^4", group).support() == (0,)
 
     def test_random_roundtrip(self):

@@ -1,4 +1,5 @@
-"""Which modules each command loads, and the lazily resolved public API.
+"""Which modules each command loads, the lazily resolved public API, and
+what reaches each public name.
 
 Each command runs through `qpc.cli.main` in a fresh interpreter, which
 then lists the qpc modules, numpy, `numpy.ma`, `dataclasses` and
@@ -13,9 +14,18 @@ imports at a cost of about 17 ms per process, and none loads
 `dataclasses`, which pulls in `inspect`, `ast`, `dis` and `tokenize`:
 qpc's records are `typing.NamedTuple`s, so the commands without numpy
 load no `inspect` either.
+
+Every public name is reached by a command or the README's library
+sketch, run in process under `sys.setprofile`, or is one that perfbench
+patches by name, or waits on a pending list for the open ROADMAP item
+that will wire it; a pending name that a command reaches fails too, so
+that list only shrinks.
 """
 
+import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -30,6 +40,7 @@ import qpc
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 README = Path(__file__).resolve().parent.parent / "README.md"
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 WATCHED = ("numpy", "numpy.ma", "dataclasses", "inspect")
 RENDER_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.render"}
@@ -40,7 +51,7 @@ LIFT_Z3 = ["verify", "covering", "--cover", FIXTURES / "lift_1px_z3.graph", "--m
            "--base"]  # files without a directory are written by `work`
 
 # `qpc.__all__` as it stood when every submodule was imported eagerly, less
-# `CodeParams`, `QuotientLayout`, `CoveringMap` and `Oblique` (deleted) and four
+# `CodeParams`, `QuotientLayout`, `CoveringMap` and `Oblique` (deleted) and six
 # functions only the tests used (now in oracles.py).
 PUBLIC = [
     "BitMatrix", "BudgetError", "CSSCode", "CSSParams", "ClassicalCode", "CoordinateTable",
@@ -50,11 +61,48 @@ PUBLIC = [
     "SystematicBasis", "TannerGraph", "analysis", "balanced_product", "binary_map",
     "check_commutation", "classical", "css_distance", "css_from_matrices", "css_params",
     "emit", "errors", "gf2", "groups", "has_fixed_edge", "hgp", "hgp_canonical_logicals",
-    "hgp_distance_bound", "hgp_k_formula", "hgp_of_lifts", "is_free", "kernel_basis", "kron",
+    "hgp_distance_bound", "hgp_k_formula", "is_free", "kernel_basis", "kron",
     "lift_from_ring_matrix", "lift_with_regular_actions", "lifted_product",
     "line_layout_table", "logical_count", "lp_bp_coincide", "matmul", "parse_group_spec",
-    "parse_layout", "products", "quotient", "rank", "render", "rref", "search_noncommuting_lp",
-    "tanner", "verify_covering",
+    "parse_layout", "products", "quotient", "rank", "render", "rref", "tanner",
+    "verify_covering",
+]
+
+# Public names that no command and no README line reaches yet, each with the open
+# ROADMAP item that will wire it.
+PENDING = {
+    "hgp_canonical_logicals": "item 4 (see the distance)",
+    "LogicalBasis": "item 4 (see the distance)",
+    "SystematicBasis": "item 4 (see the distance)",
+    "lp_bp_coincide": "items 6 and 7 (left/right products, the lift route)",
+    "lift_with_regular_actions": "items 6 and 7 (left/right products, the lift route)",
+}
+# Public names that only perfbench reaches: its tracer patches each `TARGETS` entry by name.
+PERFBENCH_ONLY = {"kernel_basis"}
+
+# Commands that, with the README sketch, reach every other public name.  Files named
+# without a directory are in `work`; a comment names the error a command ends in.
+REACH = [
+    ["construct", "hgp", "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "hamming74.pcm",
+     "--out-prefix", "reach_hgp"],
+    ["construct", "lp", "--m1", FIXTURES / "rep3_z3.ring", "--m2", FIXTURES / "rep3_z3.ring",
+     "--out-prefix", "reach_lp"],
+    ["construct", "bp", "--graph-a", FIXTURES / "lift_1px_z3.graph",
+     "--graph-b", FIXTURES / "lift_1px_z3.graph", "--action-a", FIXTURES / "bp_a_z3.action.json",
+     "--action-b", FIXTURES / "bp_b_z3.action.json", "--out-prefix", "reach_bp"],
+    ["analyze", "--hx", "toric.hx.alist", "--hz", "toric.hz.pcm",
+     "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"],
+    ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm", "--budget", "2"],  # BudgetError
+    ["analyze", "--hx", "x12.pcm", "--hz", "z12.pcm"],       # checks that anticommute
+    ["analyze", "--hx", "x12.pcm", "--hz", "z13.pcm"],       # DimensionError
+    ["layout", "--input", "lp.layout.json", "--overlay", "z.overlay.json", "--format", "svg",
+     "--edges", "--out", "reach.svg"],
+    ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "tikz", "--out", "reach.tex"],
+    [*LINE3, FIXTURES / "line3_2lift.map.json"],
+    [*LINE3, "far.map.json"],                                # PreconditionError
+    ["verify", "action", "--graph", FIXTURES / "cycle6.graph",
+     "--action", FIXTURES / "cycle6_z3.action.json"],
+    ["analyze", "--hx", "x12.pcm", "--hz", "z12.pcm", "--budget", "-1"],  # FormatError
 ]
 
 
@@ -104,6 +152,68 @@ def work(tmp_path_factory):
     (root / "single.graph").write_text("checks 1 bits 1\nc0 b0\n")
     (root / "z3.map.json").write_text('{"check_map": [0, 0, 0], "bit_map": [0, 0, 0]}')
     return root
+
+
+def readme_sketch() -> str:
+    return re.search(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+
+
+def builder(cls: type) -> int | None:
+    """The id of the code that builds a `cls`: a record's generated `__new__`, else the
+    `__init__` that `cls` defines; None when it defines neither."""
+    made = vars(cls).get("__new__" if hasattr(cls, "_fields") else "__init__")
+    return id(getattr(made, "__func__", made).__code__) if made else None
+
+
+@pytest.fixture(scope="module")
+def reached(work) -> set[str]:
+    """The public names that the commands of `REACH` and the README sketch reach.
+
+    A function is reached when its code runs, a class when its `builder`
+    runs or a command ends in an instance of it, and a module when any of
+    its code runs.  Each command runs as `cli.main` runs it, less the
+    handler that turns the error it ends in into an exit code.
+    """
+    from qpc import cli
+
+    (work / "x12.pcm").write_text("1 2\n1 1\n")
+    (work / "z12.pcm").write_text("1 2\n1 0\n")
+    (work / "z13.pcm").write_text("1 3\n1 0 0\n")
+    (work / "far.map.json").write_text('{"vertex_map": [0, 0, 1, 1, 2, 9]}')
+    called, ended = {}, set()      # the code run, by id, and the errors commands end in
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called[id(frame.f_code)] = frame.f_code
+
+    cwd, previous = os.getcwd(), sys.getprofile()
+    os.chdir(work)
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in REACH:
+                try:
+                    args = cli.build_parser().parse_args([str(a) for a in argv])
+                    args.func(args)
+                except Exception as exc:
+                    ended.add(type(exc))
+            exec(readme_sketch(), {})
+    finally:
+        sys.setprofile(previous)
+        os.chdir(cwd)
+    files = {code.co_filename for code in called.values()}
+    names = set()
+    for name in qpc.__all__:
+        value = getattr(qpc, name)
+        if isinstance(value, type(qpc)):
+            hit = value.__file__ in files
+        elif isinstance(value, type):
+            hit = value in ended or builder(value) in called
+        else:
+            hit = id(value.__code__) in called
+        if hit:
+            names.add(name)
+    return names
 
 
 class TestImportSets:
@@ -235,7 +345,7 @@ class TestPublicApi:
 
     def test_readme_library_sketch_prints_its_comments(self, tmp_path):
         # each print(...) line's comment is its output; "..." stands for any text
-        sketch = re.search(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+        sketch = readme_sketch()
         expected = [line.split("# ", 1)[1] for line in sketch.splitlines() if line.startswith("print(")]
         result = subprocess.run(
             [sys.executable, "-c", sketch], cwd=tmp_path, capture_output=True, text=True,
@@ -246,3 +356,21 @@ class TestPublicApi:
         assert len(printed) == len(expected) > 0
         for got, want in zip(printed, expected):
             assert re.fullmatch(".*".join(map(re.escape, want.split("..."))), got), (got, want)
+
+
+class TestReach:
+    def test_every_public_name_is_reached_or_listed(self, reached):
+        unreached = set(qpc.__all__) - reached - set(PENDING) - PERFBENCH_ONLY
+        assert not unreached, f"no command, README line or perfbench target reaches {unreached}"
+
+    def test_pending_names_are_not_reached(self, reached):
+        # a name that a command now reaches leaves PENDING, so the list only shrinks
+        assert set(PENDING) <= set(qpc.__all__)
+        assert not reached & set(PENDING), f"now reached: {reached & set(PENDING)}"
+
+    def test_perfbench_only_names_are_tracing_targets(self, reached):
+        assign = next(node for node in ast.parse(TRACING.read_text()).body
+                      if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS")
+        assert PERFBENCH_ONLY <= {attr for _, attr, _ in ast.literal_eval(assign.value)}
+        assert PERFBENCH_ONLY <= set(qpc.__all__)
+        assert not reached & PERFBENCH_ONLY

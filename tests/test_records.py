@@ -11,11 +11,13 @@ are read from other fields, not stored.
 import pytest
 
 from qpc.analysis import CSSParams, hgp_canonical_logicals
-from qpc.classical import ClassicalCode, repetition_check
+from qpc.classical import ClassicalCode
 from qpc.gf2 import BitMatrix, rref
 from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, parse_element
 from qpc.render import _FORMATS, OperatorOverlay, RenderSpec
 from qpc.tanner import CoveringReport, Lift, PlainGraph, lift_from_ring_matrix, verify_covering
+
+from oracles import path, repetition_check
 
 Z3 = FiniteGroup.cyclic(3)
 
@@ -29,8 +31,7 @@ def lift():
 
 
 def covering_report():
-    path = PlainGraph.path(3)
-    return verify_covering(PlainGraph(6, [(0, 3), (1, 2), (2, 4), (3, 5)]), path,
+    return verify_covering(PlainGraph(6, [(0, 3), (1, 2), (2, 4), (3, 5)]), path(3),
                            {"vertex": [0, 0, 1, 1, 2, 2]})
 
 
@@ -90,7 +91,7 @@ def test_covering_report_valid_is_no_violation():
     bad = verify_covering(PlainGraph(3, [(0, 1), (1, 2)]), PlainGraph(2, [(0, 1)]),
                           {"vertex": [0, 1, 0]})
     assert not bad.valid and bad.violations
-    assert CoveringReport._fields == ("violations", "lift_size", "fibre_sizes")
+    assert CoveringReport._fields == ("violations", "lift_size")
 
 
 def test_lift_fields_hold_no_covering_record():

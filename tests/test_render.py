@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from qpc.classical import ClassicalCode, repetition_check
+from qpc.classical import ClassicalCode
 from qpc.errors import FormatError, PreconditionError
 from qpc.groups import FiniteGroup, GroupAlgebraMatrix, parse_element
 from qpc.products import hgp, lifted_product
@@ -17,6 +17,8 @@ from qpc.render import (
     emit,
     parse_layout,
 )
+
+from oracles import from_masks, repetition_check, total_vertices
 
 DRAWN = ("svg", "tikz", "dot")
 
@@ -192,12 +194,12 @@ class TestSvg:
     def test_3d_centres_stay_distinct_under_default_projection(self):
         # a lattice where shear 1/2 would collide ((1,0,1) vs (0,2,0))
         group = FiniteGroup.cyclic(2)
-        m1 = GroupAlgebraMatrix.from_masks(group, [[1, 2], [2, 1]])
-        m2 = GroupAlgebraMatrix.from_masks(group, [[1, 2, 1]])
+        m1 = from_masks(group, [[1, 2], [2, 1]])
+        m2 = from_masks(group, [[1, 2, 1]])
         code = lifted_product(m1, m2)
         doc = emit(code.layout, RenderSpec(), (), "svg")
         centres = svg_centres(doc, scale=12.0)
-        assert len(centres) == len(set(centres)) == code.total_vertices()
+        assert len(centres) == len(set(centres)) == total_vertices(code)
 
 
 class TestOtherFormats:
