@@ -11,7 +11,9 @@ l x l blocks, applied to the binary maps of its ring matrices.
 All three layouts follow one rule, `_layout`, in 2D (hypergraph) and
 3D (lifted/balanced): the x axis runs over first-factor checks then
 bits, the y axis over second-factor bits then checks, and the z axis
-(3D only) over group-element rows anchored at orbit basepoints.
+(3D only) over group-element rows anchored at orbit basepoints.  The
+balanced product numbers its pair classes by formula, k |B part| + w for
+first-factor basepoint k and second-factor vertex w (`_pair_classes`).
 A code's layout is built on first read, and its incidence edges on
 first read of `layout.edges`: writing files or analysing a code needs
 neither.  `groups` and `tanner` are imported by the constructors that
@@ -256,24 +258,19 @@ def lift_with_regular_actions(
 # -- balanced product ---------------------------------------------------------
 
 
-def _product_orbits(orbits_a: tuple, act_b: GroupAction, part_b: str):
-    """Orbits of (u, v) pairs under h . (u, v) = (u . h, h^-1 . v).
+def _pair_classes(orbits_a: tuple, perms_b: np.ndarray, inv: np.ndarray, u, v) -> np.ndarray:
+    """The class of each pair (u, v) of a balanced product; u and v broadcast.
 
-    With stored left actions both coordinates receive the inverse
-    element's permutation.  The action on the first factor is free, so
-    exactly one member of the orbit of (u, v) has the A-class basepoint
-    base(u) first, namely (base(u), pi_B(row(u)^-1) v), and that member is
-    the orbit's lexicographic minimum.  Returns the basepoints (u, v)
-    ascending, as a lexicographic scan meets them, and the class of every
-    pair as a `|A part| x |B part|` array.  `orbits_a` are the
-    `part_orbits` of the first factor's part.
+    The group acts by h . (u, v) = (u . h, h^-1 . v); with stored left
+    actions both coordinates receive the inverse element's permutation.
+    The action on the first factor is free, so exactly one member of the
+    orbit of (u, v) has a basepoint first, (base(u), pi_B(row(u)^-1) v),
+    and class k |B part| + w is that of the representative (basepoint k, w).
+    `orbits_a` are the `part_orbits` of the first factor's part and
+    `perms_b` the second factor's permutations of its part.
     """
-    bases, cls, row = orbits_a
-    pb = act_b.perms[part_b]
-    size_b = pb.shape[1]
-    keys = bases[cls][:, None] * size_b + pb[act_b.group.inv[row]]
-    reps, index = np.unique(keys, return_inverse=True)
-    return np.divmod(reps, size_b), index.reshape(keys.shape)
+    _, cls, row = orbits_a
+    return cls[u] * perms_b.shape[1] + perms_b[inv[row[u]], v]
 
 
 def balanced_product(
@@ -285,13 +282,14 @@ def balanced_product(
     """Quotient of the Cartesian Tanner complex by the shared group action.
 
     Qubits are classes of bit x bit and check x check pairs, X checks of
-    check x bit pairs, Z checks of bit x check pairs.  The action on the
-    first factor must be free and pin no edge; the second action only
-    has to be valid.  Parallel quotient edges are reduced mod 2 in the
-    parity-check matrices, with the reduction count recorded in
-    provenance.
+    check x bit pairs, Z checks of bit x check pairs, each numbered by
+    `_pair_classes`.  The action on the first factor must be free, so it
+    pins no edge either (an element fixing an edge fixes both its ends);
+    the second action only has to be valid.  Parallel quotient edges are
+    reduced mod 2 in the parity-check matrices, with the reduction count
+    recorded in provenance.
     """
-    from .tanner import has_fixed_edge, is_free, part_orbits
+    from .tanner import is_free, part_orbits
 
     group = act_a.group
     if not group.same_group(act_b.group):
@@ -302,70 +300,50 @@ def balanced_product(
     free, witness = is_free(act_a)
     if not free:
         raise PreconditionError("action on the first factor is not free", witness)
-    pinned, witness = has_fixed_edge(act_a)
-    if pinned:
-        raise PreconditionError(
-            "first factor has an edge pinned by a non-identity element", witness
-        )
 
     orbits_a = {part: part_orbits(act_a, part) for part in ("check", "bit")}
     orbits_b = {part: part_orbits(act_b, part) for part in ("check", "bit")}
-    reps, index = {}, {}
-    for name, (part_a, part_b) in _FAMILIES.items():
-        reps[name], index[name] = _product_orbits(orbits_a[part_a], act_b, part_b)
-    m1, n1 = (orbits_a[part][0].size for part in ("check", "bit"))
-    m2, n2 = (orbits_b[part][0].size for part in ("check", "bit"))
-
-    n_q1 = reps["q1"][0].size
-    n = n_q1 + reps["q2"][0].size
-    offset = {"q1": 0, "q2": n_q1}
+    m_a = {part: bases.size for part, (bases, _, _) in orbits_a.items()}
+    size_b = b.part_sizes()
+    classes = {name: m_a[pa] * size_b[pb] for name, (pa, pb) in _FAMILIES.items()}
+    n = classes["q1"] + classes["q2"]
+    offset = {"q1": 0, "q2": classes["q1"]}
     reduced = 0
 
     def fill(check_name):
-        # An edge of A at u keeps v and an edge of B at v keeps u.  From an X
-        # check (check u, bit v) the first reaches a bit x bit pair (Q1), the
+        # Row k |B part| + v is the class of (basepoint k, v).  An edge of A at
+        # the basepoint keeps v and an edge of B at v keeps the basepoint.  From
+        # an X check (check, bit) the first reaches a bit x bit pair (Q1), the
         # second a check x check pair (Q2); from a Z check the other way round.
         nonlocal reduced
-        u, v = reps[check_name]
         part_a, part_b = _FAMILIES[check_name]
         a_family, b_family = ("q1", "q2") if check_name == "x" else ("q2", "q1")
-        at_a, w_a, m_a = a.neighbours(part_a, u)
-        at_b, w_b, m_b = b.neighbours(part_b, v)
-        cols = np.concatenate([index[a_family][w_a, v[at_a]] + offset[a_family],
-                               index[b_family][u[at_b], w_b] + offset[b_family]])
-        cells, inverse = np.unique(np.concatenate([at_a, at_b]) * n + cols,
+        bases, cls, _ = orbits_a[part_a]
+        at, w = (a.end0, a.end1) if part_a == "check" else (a.end1, a.end0)
+        leaves = bases[cls[at]] == at  # the edges of A that leave a basepoint, by every v
+        k, v = cls[at[leaves]][:, None], np.arange(size_b[part_b])
+        keys_a = (k * size_b[part_b] + v) * n + offset[a_family] + _pair_classes(
+            orbits_a[_FAMILIES[a_family][0]], act_b.perms[part_b], group.inv, w[leaves][:, None], v)
+        at, w = (b.end0, b.end1) if part_b == "check" else (b.end1, b.end0)
+        k = np.arange(m_a[part_a])[:, None]  # every basepoint, by the edges of B
+        keys_b = ((k * size_b[part_b] + at) * n + offset[b_family]
+                  + k * size_b[_FAMILIES[b_family][1]] + w)
+        cells, inverse = np.unique(np.concatenate([keys_a.ravel(), keys_b.ravel()]),
                                    return_inverse=True)
-        counts = np.bincount(inverse.ravel(), np.concatenate([m_a, m_b]), cells.size)
+        mult = np.concatenate([np.repeat(a.mult[leaves], v.size), np.tile(b.mult, k.size)])
+        counts = np.bincount(inverse.ravel(), mult, cells.size)
         reduced += int((counts > 1).sum())
         odd = cells[counts % 2 == 1]
-        return BitMatrix.from_entries(u.size, n, odd // n, odd % n)
+        return BitMatrix.from_entries(classes[check_name], n, odd // n, odd % n)
 
     h_x = fill("x")
     h_z = fill("z")
 
     def layout(edges) -> CoordinateTable:
-        classes = {}
-        for name, (u, v) in reps.items():
-            part_a, part_b = _FAMILIES[name]
-            _, b_cls, b_row = orbits_b[part_b]
-            classes[name] = (orbits_a[part_a][1][u], b_cls[v], b_row[v])
-        return _layout("3d", m1, n2, classes, edges)
+        families = {name: (np.repeat(np.arange(m_a[pa]), size_b[pb]),
+                           *(np.tile(x, m_a[pa]) for x in orbits_b[pb][1:]))
+                    for name, (pa, pb) in _FAMILIES.items()}
+        return _layout("3d", m_a["check"], orbits_b["bit"][0].size, families, edges)
 
-    total = sum(u.size for u, _ in reps.values())
-    product_size = (a.check_count + a.bit_count) * (b.check_count + b.bit_count)
-    return CSSCode(
-        h_x,
-        h_z,
-        q1_size=n_q1,
-        layout=layout,
-        provenance={
-            "kind": "balanced_product",
-            "group": group.spec,
-            "order": group.order,
-            "m1": m1, "n1": n1, "m2": m2, "n2": n2,
-            "total_vertex_classes": total,
-            "product_vertices": product_size,
-            "mod2_reduced_entries": reduced,
-            "b_action_free": is_free(act_b)[0],
-        },
-    )
+    return CSSCode(h_x, h_z, q1_size=classes["q1"], layout=layout, provenance={
+        "kind": "balanced_product", "group": group.spec, "mod2_reduced_entries": reduced})

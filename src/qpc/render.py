@@ -168,7 +168,7 @@ def parse_layout(text: str):
         ends = edge if isinstance(edge, list) and len(edge) == 2 else []
         if not ends or not all(
             isinstance(end, list) and len(end) == 2 and isinstance(end[0], str)
-            and end[0] in families and isinstance(end[1], int)
+            and end[0] in families and type(end[1]) is int
             and 0 <= end[1] < len(families[end[0]])
             for end in ends
         ):

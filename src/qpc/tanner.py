@@ -9,10 +9,9 @@ its check matrices and records how many entries that changed.
 A graph is a `Counter` of its distinct edges in first-listed order, read
 in pure Python by parsing, emitting, drawing and the covering check, so
 those never import numpy.  The action half reads numpy views built on
-demand: int64 `end0`, `end1` and `mult`, and on Tanner graphs a CSR
-neighbour index, so a check over all edges is one array operation and a
-neighbourhood one slice.  It imports numpy, `gf2` and `groups` inside
-the functions that use them.
+demand: int64 `end0`, `end1` and `mult`, so a check over all edges is
+one array operation.  It imports numpy, `gf2` and `groups` inside the
+functions that use them.
 
 Actions are stored one permutation per group element per vertex part,
 composing as a left action (perm(gh) = perm(g) after perm(h)).  They are
@@ -136,13 +135,12 @@ class _Graph:
 class TannerGraph(_Graph):
     """Bipartite multigraph with check and bit parts."""
 
-    __slots__ = ("check_count", "bit_count", "_csr")
+    __slots__ = ("check_count", "bit_count")
     ENDS = ("check", "bit")
 
     def __init__(self, check_count: int, bit_count: int, edges):
         self.check_count = check_count
         self.bit_count = bit_count
-        self._csr = None
         self._merge(edges, (check_count, bit_count),
                     f" for {check_count} checks, {bit_count} bits")
 
@@ -153,29 +151,6 @@ class TannerGraph(_Graph):
 
     def part_sizes(self) -> dict[str, int]:
         return {"check": self.check_count, "bit": self.bit_count}
-
-    def neighbours(self, part: str, vertices: np.ndarray):
-        """(i, w, m) for each edge of multiplicity m from vertices[i] to w, row by row.
-
-        Read from the part's CSR index `(ptr, nbr, mult)`, built on the first
-        query: vertex v has the neighbours `nbr[ptr[v]:ptr[v + 1]]`, in edge order.
-        """
-        import numpy as np
-
-        if self._csr is None:
-            self._csr = {}
-            for name, size, vertex, nbr in (("check", self.check_count, self.end0, self.end1),
-                                            ("bit", self.bit_count, self.end1, self.end0)):
-                order = np.argsort(vertex, kind="stable")
-                ptr = np.zeros(size + 1, dtype=np.int64)
-                np.cumsum(np.bincount(vertex, minlength=size), out=ptr[1:])
-                self._csr[name] = ptr, nbr[order], self.mult[order]
-        ptr, nbr, mult = self._csr[part]
-        start = ptr[vertices]
-        degree = ptr[vertices + 1] - start
-        at = np.repeat(np.arange(len(vertices)), degree)
-        pos = np.arange(at.size) + np.repeat(start - (np.cumsum(degree) - degree), degree)
-        return at, nbr[pos], mult[pos]
 
     def __repr__(self):
         return (

@@ -823,6 +823,22 @@ class TestUsageErrors:
             assert json.loads(emitted)["vertices"] == json.loads(self.LAYOUT_HUGE[kind])["vertices"]
             assert run(capsys, "layout", *source, "--format", "json") == (0, emitted, "")
 
+    @pytest.mark.parametrize("edge", [
+        [["x", True], ["q1", 0]],            # a JSON boolean is not an index
+        [["x", 2], ["q1", 0]],               # out of range
+        [["y", 0], ["q1", 0]],               # unknown role
+        [["x", 0, 1], ["q1", 0]],            # an end of three items
+    ])
+    def test_malformed_layout_edge_exits_1(self, tmp_path, capsys, edge):
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps({"version": "qpc-layout/1", "kind": "2d", "vertices": [
+            {"role": "x", "index": 0, "coord": [0, 0]}, {"role": "x", "index": 1, "coord": [0, 1]},
+            {"role": "q1", "index": 0, "coord": [1, 0]}], "edges": [edge]}))
+        for fmt in ("svg", "json"):
+            code, out, err = run(capsys, "layout", "--input", layout, "--format", fmt, "--edges")
+            assert (code, out) == (1, "")
+            assert err == f"error: {layout}: edge {edge!r} does not join two listed vertices\n"
+
     @pytest.mark.parametrize("target", ["r.json", "."])
     def test_json_out_before_layout_is_refused(self, tmp_path, capsys, monkeypatch, target):
         monkeypatch.chdir(tmp_path)

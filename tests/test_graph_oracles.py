@@ -22,7 +22,7 @@ import pytest
 from qpc.errors import DimensionError, PreconditionError
 from qpc.gf2 import BitMatrix
 from qpc.groups import FiniteGroup
-from qpc.products import _product_orbits, balanced_product, lift_with_regular_actions
+from qpc.products import _pair_classes, balanced_product, lift_with_regular_actions
 from qpc.tanner import (
     GroupAction,
     PlainGraph,
@@ -499,6 +499,21 @@ def test_non_free_instances_are_generated():
     assert kinds[(False, True)] and kinds[(False, False)]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_free_tanner_action_pins_no_edge(seed):
+    # The action keeps the parts, so an element fixing an edge setwise fixes
+    # both its ends: `balanced_product` refuses a non-free action and needs
+    # no pinned-edge check.
+    rng = random.Random(7150 + seed)
+    kinds = Counter()
+    for _ in range(50):
+        group, graph, perms = random_instance(rng, tanner=True)
+        action = GroupAction(group, graph, perms)
+        kinds[(is_free(action)[0], has_fixed_edge(action)[0])] += 1
+    assert not kinds[(True, True)]
+    assert kinds[(True, False)] and kinds[(False, True)], kinds
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_corrupted_actions_refused_alike(seed):
     # The generating set is greedy (each generator is the lowest element not
@@ -634,15 +649,20 @@ def test_balanced_product_matches_oracle(seed):
             act_a, act_b = GroupAction(group, a, perms_a), GroupAction(group, b, perms_b)
         for part_a, part_b in (("bit", "bit"), ("check", "check"), ("check", "bit"),
                                ("bit", "check")):
-            (u, v), index = _product_orbits(part_orbits(act_a, part_a), act_b, part_b)
+            orbits_a = part_orbits(act_a, part_a)
+            size_a, size_b = act_a.perms[part_a].shape[1], act_b.perms[part_b].shape[1]
+            index = _pair_classes(orbits_a, act_b.perms[part_b], group.inv,
+                                  np.arange(size_a)[:, None], np.arange(size_b))
             orbits, want_index = oracle_product_orbits(act_a, part_a, act_b, part_b)
-            assert list(zip(u.tolist(), v.tolist())) == [rep for rep, _ in orbits]
+            # representative (basepoint k, w) has class k |B part| + w
+            assert [(u, w) for u in orbits_a[0].tolist() for w in range(size_b)] \
+                == [rep for rep, _ in orbits]
             assert {w: int(index[w]) for w in want_index} == want_index
         code = balanced_product(a, b, act_a, act_b)
         h_x, h_z, reduced, total, coords = oracle_balanced_product(a, b, act_a, act_b)
         assert code.h_x == h_x and code.h_z == h_z
         assert code.provenance["mod2_reduced_entries"] == reduced
-        assert code.provenance["total_vertex_classes"] == total
+        assert code.m_x + code.m_z + code.n == total
         table = code.layout
         assert (table.x_checks, table.z_checks, table.qubits_q1, table.qubits_q2) == coords
 
