@@ -5,8 +5,12 @@ kernel(H_X) minus the row space of H_Z.  `gf2.coset_min_weight` gives it,
 and the classical distances of the HGP cross-check, under one budget
 (default 2^24 steps); beyond it they are refused, never approximated.
 The logical count and the budget check read `gf2.rank`, so toric and
-planar codes are refused without eliminating; a decided distance reads
-`gf2.reduced`, which reduces each check matrix at most once.
+planar codes are refused without eliminating.  A decided distance of a
+code whose check matrices are graphs (at most two ones per column, as in
+every hypergraph product of repetition codes) is a shortest cycle found
+by breadth-first search in Python, so analysing one imports no numpy;
+any other reads `gf2.reduced`, which reduces each check matrix at most
+once, and enumerates.
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.
@@ -46,8 +50,7 @@ def check_commutation(code: CSSCode) -> tuple[bool, list[tuple[int, int]]]:
     """True iff H_X H_Z^T = 0; otherwise every anticommuting pair is listed."""
     if code.commuting:
         return True, []
-    rows, cols = code.commutator.nonzero()
-    return False, list(zip(rows.tolist(), cols.tolist()))
+    return False, sorted(code.commutator.ones())
 
 
 def logical_count(code: CSSCode) -> int:
@@ -69,7 +72,7 @@ def hgp_k_formula(c1: ClassicalCode, c2: ClassicalCode) -> int:
 
 
 def css_distance(code: CSSCode, budget: int = DEFAULT_BUDGET):
-    """Exact (d_x, d_z, d) by coset enumeration; refuses beyond `budget`.
+    """Exact (d_x, d_z, d) by `gf2.coset_min_weight`; refuses beyond `budget`.
 
     d_z is the lightest Z-type logical (kernel of H_X modulo H_Z rows);
     d_x symmetric.  All three are None when k = 0.

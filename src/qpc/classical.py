@@ -4,33 +4,31 @@ A code is its m x n check matrix H; codewords are the right kernel of H.
 Redundant checks are allowed everywhere (the 3-bit repetition example has
 one), so k is always computed as n - rank(H), never as n - m.
 
-Distances are exact: `gf2.coset_min_weight` with no stabiliser scores all
-non-zero combinations of a kernel basis, a packed table of low combinations
-per Gray-code step; codes with 2^k beyond the budget are refused from the
-rank of H, before any elimination, rather than estimated.  H's rank and
-reduced form are remembered by H itself (`gf2.rank`, `gf2.reduced`).
+Distances are exact: `gf2.coset_min_weight` with no stabiliser finds the
+shortest cycle of an H with at most two ones per column (its girth), and
+scores all non-zero combinations of any other kernel basis, a packed table
+of low combinations per Gray-code step; codes with 2^k beyond the budget
+are refused from the rank of H, before any elimination, not estimated.
+H's rank and reduced form are remembered by H itself (`gf2.rank`,
+`gf2.reduced`).
 
-The plain PCM and alist codecs handle the whole matrix at once.  The PCM
-emitter fills one byte array; the alist emitter finds all entries with one
-np.nonzero.  Both parsers accept a file in a few whole-file passes over
-its bytes, and read a refused file line by line, naming the same line
-with the same message as a line-by-line reader would.  The PCM parser
-deletes the spaces with one bytes.translate, finds the rows at the line
-ends and takes them with one strided gather.  The alist parser finds its
-tokens and their lines with flatnonzero and searchsorted, reads their
-values from the digits, one place value per pass, and checks every list
-with numpy.
+The emitters handle the whole matrix at once, with numpy: the PCM
+emitter fills one byte array, the alist emitter finds all entries with one
+np.nonzero.  The readers are pure Python and give a matrix that keeps its
+ones as Python ints, so reading and analysing a graph code imports no numpy.
+They read a refused file again line by line (`_pcm_error`,
+`_alist_error`), naming the same line with the same message as a
+line-by-line reader would.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import chain, compress, repeat
 from typing import NamedTuple, NoReturn
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .errors import FormatError, PreconditionError, read_file
-from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, rank, reduced, rref, transpose
+from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, np, rank, reduced, rref, transpose
 
 
 class SystematicBasis(NamedTuple):
@@ -68,8 +66,9 @@ class ClassicalCode:
     def min_distance(self, budget: int = DEFAULT_BUDGET) -> int | None:
         """Exact minimum weight of a non-zero codeword; None when k = 0.
 
-        `gf2.coset_min_weight` with no stabiliser enumerates the 2^k - 1
-        combinations of a kernel basis; refuses when 2^k exceeds `budget`.
+        `gf2.coset_min_weight` with no stabiliser: the girth of a graph H,
+        else the 2^k - 1 combinations of a kernel basis; refuses when 2^k
+        exceeds `budget`.
         A code with k = 0 is never refused.
         """
         return coset_min_weight(self.h, budget=budget) if self.dimension() else None
@@ -96,12 +95,11 @@ class ClassicalCode:
 # -- file formats -----------------------------------------------------------
 
 # Code points that str.split() and str.strip() treat as whitespace.
-_SPACE = np.zeros(0x110000, dtype=bool)
-_SPACE[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
-        *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
+_SPACE = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
+          *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
 # "\r\n" and every line break str.splitlines() knows become "\n", other spaces " ".
 _NORMAL = [("\r\n", "\n")] + [(chr(c), "\n" if len(f"a{chr(c)}a".splitlines()) == 2 else " ")
-                              for c in np.flatnonzero(_SPACE).tolist() if c not in (10, 32)]
+                              for c in _SPACE if c not in (10, 32)]
 
 
 def _normalised(text: str) -> str:
@@ -116,38 +114,43 @@ def parse_pcm_text(text: str) -> BitMatrix:
     """Plain format: first line "m n", then m lines of n space-separated 0/1.
 
     Blank lines are skipped and lines after the m-th row are ignored.  A
-    few whole-file passes accept a file; `_pcm_error` names a refused one.
+    row is read as bytes with a few scans: less its spaces it is n of "0"
+    and "1", no two of which touch (as `emit_pcm_text` writes them, one
+    space apart, with two slices), and its ones are found with find.
+    `_pcm_error` names a refused file's bad line.
     """
     text = _normalised(text)  # lines and tokens stay, so `_pcm_error` reads the result
-    text += "" if text[-1:] in ("", "\n") else "\n"  # every line ends in "\n"
     start = len(text) - len(text.lstrip())
-    end = text.find("\n", start)  # the header line's end
+    end = text.find("\n", start) % (len(text) + 1)  # the header line's end, or the text's
     try:
         m, n = map(int, text[start:end].split())
     except ValueError:
         return _pcm_error(text)
-    if m < 0 or not 0 <= n <= np.iinfo(np.intp).max:
+    if m < 0 or not 0 <= n <= sys.maxsize:  # the largest array dimension
         return _pcm_error(text)
-    data = text.encode("ascii", "replace")  # one byte per character, "?" past ASCII
-    solid = np.frombuffer(data.translate(None, b" "), dtype=np.uint8)
-    ends = np.flatnonzero(solid == ord("\n"))
-    width = np.diff(ends, prepend=-1) - 1  # non-space characters per line
     # rows are the first m non-blank lines after the header; with n = 0, the next m lines
-    top = text.count("\n", 0, end) + 1
-    rows = top + (np.flatnonzero(width[top:] != 0)[:m] if n
-                  else np.arange(min(m, width.size - top)))
-    if rows.size < m or (width[rows] != n).any():
+    lines = text[end + 1:].encode("ascii", "replace").splitlines()  # "?" past ASCII
+    rows = [line for line in lines if line.strip() or not n][:m]
+    ones: list[int] = []  # i * n + j
+    for i, line in enumerate(rows):
+        if len(line) == 2 * n - 1 and line[1::2].isspace():  # as written: no two entries touch
+            solid = line[::2]
+        elif b"11" in line.translate(_TOUCH):
+            return _pcm_error(text)
+        else:
+            solid = line.translate(None, b" ")
+        if len(solid) != n or solid.translate(None, b"01"):
+            return _pcm_error(text)
+        j = solid.find(b"1")
+        while j >= 0:
+            ones.append(i * n + j)
+            j = solid.find(b"1", j + 1)
+    if len(rows) < m:
         return _pcm_error(text)
-    if not (m and n):
-        return BitMatrix.zeros(m, n)
-    entries = sliding_window_view(solid, n)[ends[rows] - n]
-    # entries are single characters: the first two that touch lie past row m
-    codes = np.frombuffer(data, dtype=np.uint8)
-    pair = np.minimum(codes[end + 1:], codes[end:-1])
-    if entries.min() < ord("0") or entries.max() > ord("1") or pair.max() > ord(" ") and (
-            data.count(b"\n", 0, end + int(np.argmax(pair > ord(" ")))) <= rows[-1]):
-        return _pcm_error(text)
-    return BitMatrix.from_dense(entries)
+    return BitMatrix(m, n, flat=ones)
+
+
+_TOUCH = bytes.maketrans(b"0", b"1")  # two entries touch where "11" is left
 
 
 def _pcm_error(text: str) -> NoReturn:
@@ -181,7 +184,7 @@ def emit_pcm_text(h: BitMatrix) -> str:
 
 
 def parse_alist(text: str) -> BitMatrix:
-    """MacKay alist format, read in a few whole-file passes.
+    """MacKay alist format, read in Python.
 
     Tokens are split at any whitespace and lines at any line break that
     str.split() and str.splitlines() know; blank lines are skipped.  The
@@ -197,70 +200,34 @@ def parse_alist(text: str) -> BitMatrix:
     bad line.
     """
     text = _normalised(text)
-    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    edge = np.flatnonzero(np.diff((data != ord(" ")) & (data != ord("\n")),
-                                  prepend=False, append=False))
-    start, stop = edge[::2], edge[1::2]
-    # tokens per line, then per non-blank line, and each non-blank line's first token
-    count = np.diff(np.searchsorted(start, np.flatnonzero(data == ord("\n"))),
-                    prepend=0, append=start.size)
-    count = count[count > 0]
-    head = np.cumsum(count) - count
-    if not head.size or count[0] != 2:
-        return _alist_error(text)
-    header = [text[s:e] for s, e in zip(start[:2].tolist(), stop[:2].tolist())]
+    content = [tokens for tokens in map(str.split, text.split("\n")) if tokens]
     try:
-        n, m = map(int, header)
-    except ValueError:
+        n, m = map(int, content[0])
+        top = 2 + (n > 0) + (m > 0)  # the first list's line
+        if min(n, m) < 0 or len(content) < max(top + n + m, 2 if content[0] == ["0", "0"] else 4):
+            raise ValueError
+        col_deg = list(map(int, content[2])) if n else []
+        row_deg = list(map(int, content[top - 1])) if m else []
+        if (len(col_deg), len(row_deg)) != (n, m) or list(map(int, content[1])) != [
+                max(col_deg, default=0), max(row_deg, default=0)]:
+            raise ValueError
+        lists = content[top:top + n + m]
+        if [len(t) - t.count("0") for t in lists] != col_deg + row_deg:
+            raise ValueError
+        tokens = list(chain.from_iterable(lists))
+        live = list(map("0".__ne__, tokens))  # "0" pads a list
+        value = list(compress(map(int, tokens), live))
+        owner = list(compress(chain.from_iterable(map(repeat, range(n + m), map(len, lists))), live))
+        cut = sum(col_deg)  # the column lists' entries, then the row lists'
+        if cut and not 1 <= min(value[:cut]) <= max(value[:cut]) <= m:
+            raise ValueError
+        ones = {(v - 1) * n + a for v, a in zip(value[:cut], owner[:cut])}  # check * n + bit
+        if not all(0 < v <= n and (a - n) * n + v - 1 in ones
+                   for v, a in zip(value[cut:], owner[cut:])):
+            raise ValueError
+    except (IndexError, ValueError):
         return _alist_error(text)
-    top = 2 + (n > 0) + (m > 0)  # the first list's line
-    if ((head.size < 4 and header != ["0", "0"]) or min(n, m) < 0 or head.size < top + n + m
-            or count[1:top].tolist() != [2] + [n] * (n > 0) + [m] * (m > 0)):
-        return _alist_error(text)
-    # tokens from line 2 to the last list, and from the first list on
-    read = slice(head[1], head[top + n + m] if head.size > top + n + m else start.size)
-    lists = slice(head[top] if n + m else read.stop, read.stop)
-    value = _integers(text, data, start[read], stop[read])
-    if value is None:
-        return _alist_error(text)
-    degree, entry = value[2: 2 + n + m], value[lists.start - read.start:]
-    largest = [int(degree[:n].max()) if n else 0, int(degree[n:].max()) if m else 0]
-    owner = np.repeat(np.arange(n + m), count[top: top + n + m])
-    live = (stop[lists] - start[lists] != 1) | (data[start[lists]] != ord("0"))
-    if (value[:2].tolist() != largest
-            or (np.bincount(owner[live], minlength=n + m) != degree).any()
-            or ((entry < 1) | (entry > np.where(owner < n, m, n)))[live].any()):
-        return _alist_error(text)
-    col, row = live & (owner < n), live & (owner >= n)
-    h = BitMatrix.from_entries(m, n, entry[col] - 1, owner[col])
-    if not h.entries(owner[row] - n, entry[row] - 1).all():
-        return _alist_error(text)
-    return h
-
-
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-
-
-def _integers(text: str, data: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """int() of each token as int64, or None when int() or int64 refuses one.
-
-    Tokens of at most 18 digits are read from their bytes, all at once,
-    one place value per pass; any other token goes through int().
-    """
-    length = stop - start
-    value = np.zeros(start.size, dtype=np.int64)
-    odd = length > 18
-    for p in range(min(int(length.max()), 18)):
-        has = length > p
-        digit = data[stop - 1 - p] - np.uint8(ord("0"))  # other bytes land past 9
-        odd |= has & (digit > 9)
-        value += np.where(has, digit, 0) * _POW10[p]
-    for t in np.flatnonzero(odd).tolist():
-        try:
-            value[t] = int(text[start[t]:stop[t]])
-        except (ValueError, OverflowError):  # not an integer, or beyond int64
-            return None
-    return value
+    return BitMatrix(m, n, flat=list(ones))
 
 
 def _alist_error(text: str) -> NoReturn:

@@ -11,9 +11,13 @@ violation (reported with its witness), 3 enumeration budget exceeded;
 every failure prints one line on stderr, naming the input file of a
 parse error.  `analyze --budget` is the one setter of the
 distance-enumeration cap, which also bounds the `--c1/--c2` cross-check;
-0 means the default and a negative budget exits 1.  Each command
-imports only the layers it runs, so `layout --input`, `layout --graph`
-and `verify covering` never load numpy.
+0 means the default and a negative budget exits 1.  `analyze` reads
+and validates all its input files, `--c1/--c2` included, before any
+analysis.  Each command imports only the layers it runs, so `layout
+--input`, `layout --graph` and `verify covering` never load numpy, and
+neither does an `analyze` whose check matrices, and `--c1/--c2`
+matrices, hold at most two ones per column (every toric and planar
+code): its ranks, commutation and distances are read in Python.
 """
 
 from __future__ import annotations
@@ -122,6 +126,9 @@ def cmd_analyze(args) -> int:
     budget = args.budget or analysis.DEFAULT_BUDGET
     h_x = classical.read_check_matrix(args.hx)
     h_z = classical.read_check_matrix(args.hz)
+    # every input is read, and a bad one refused, before any analysis
+    factors = [classical.ClassicalCode(classical.read_check_matrix(path))
+               for path in (args.c1, args.c2) if path is not None]
     n = h_x.cols
     code = products.css_from_matrices(h_x, h_z)
     payload: dict = {"seed": args.seed, "n": n, "commuting": code.commuting}
@@ -143,9 +150,8 @@ def cmd_analyze(args) -> int:
             payload["d"] = f"budget exceeded ({exc.required_text} > {exc.limit})"
             _report(args, payload)
             return EXIT_BUDGET
-    if args.c1 is not None:
-        c1 = classical.ClassicalCode(classical.read_check_matrix(args.c1))
-        c2 = classical.ClassicalCode(classical.read_check_matrix(args.c2))
+    if factors:
+        c1, c2 = factors
         formula = analysis.hgp_k_formula(c1, c2)
         payload.update(hgp_k_formula=formula, hgp_k_matches=formula == k,
                        hgp_distance_bound=analysis.hgp_distance_bound(c1, c2, budget))

@@ -2,11 +2,15 @@
 
 Rows are packed little-endian into 64-bit words so that row operations
 (the inner loop of Gaussian elimination) are word-parallel XORs.  All
-arithmetic is exact mod 2.  A matrix's words never change once it is
+arithmetic is exact mod 2.  A matrix's entries never change once it is
 built (every operation returns a fresh value), so the rank and reduced
-form it remembers once read cannot go stale.
+form it remembers once read cannot go stale.  A matrix read from a file
+keeps the flat positions i * cols + j of its ones, which `rank`,
+`transpose`, `coset_min_weight` and `matmul_t` (by a graph) read in
+Python; its words are packed, and numpy imported, only when a word
+kernel first reads them.
 
-Every kernel stays on the packed words.  `transpose` moves 8x8 bit
+Every word kernel stays on the packed words.  `transpose` moves 8x8 bit
 blocks, one word each.  `rref` eliminates one 64-column word block per
 pass, in the manner of the Method of Four Russians (Albrecht, Bard &
 Hart, "Algorithm 898", ACM TOMS 37(1), 2010): the block's pivot rows are
@@ -27,7 +31,8 @@ entries, in chunks of bounded size (`_xor_rows`), `matmul_t` builds
 a b^T from the pairs of entries that share a column when they are few
 and otherwise gathers as `matmul` does, and `kron` maps entries.
 `coset_min_weight` is the one exact-distance entry, for classical and
-CSS codes, with the one budget `DEFAULT_BUDGET` (`check_budget`).
+CSS codes, with the one budget `DEFAULT_BUDGET` (`check_budget`): a
+shortest cycle (`_shortest_cycle`) for graph codes, else `min_weight`.
 
 Intended scale is "desk size" (a few thousand columns); there is no
 sparse storage, and a matrix with heavier columns is ranked in cubic time.
@@ -35,11 +40,23 @@ sparse storage, and a matrix with heavier columns is ranked in cubic time.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-import numpy as np
+from collections import Counter, defaultdict
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import BudgetError, DimensionError
+
+
+class _Numpy:  # numpy, imported on the first read of one of its names: word kernels read them
+    def __getattr__(self, name: str):
+        import numpy
+        return getattr(numpy, name)
+
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = _Numpy()
 
 _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
@@ -70,29 +87,38 @@ def _scatter(rows: int, cols: int, i, j, op: np.ufunc) -> np.ndarray:
 class BitMatrix:
     """Dense matrix over GF(2); `words[i, j // 64] >> (j % 64) & 1` is entry (i, j)."""
 
-    __slots__ = ("rows", "cols", "_words", "_rank", "_rref")
+    __slots__ = ("rows", "cols", "_packed", "_flat", "_rank", "_rref")
 
-    def __init__(self, rows: int, cols: int, words: np.ndarray):
+    def __init__(self, rows: int, cols: int, words: np.ndarray | None = None,
+                 flat: list[int] | None = None):
         if rows < 0 or cols < 0:
             raise DimensionError(f"negative shape ({rows}, {cols})")
-        if words.shape != (rows, _word_count(cols)):
+        if words is not None and words.shape != (rows, _word_count(cols)):
             raise DimensionError(
                 f"word buffer {words.shape} does not match shape ({rows}, {cols})"
             )
         self.rows = rows
         self.cols = cols
-        self._words = words
+        self._packed = words
+        self._flat = flat if words is None else None  # i * cols + j, distinct, in any order
         self._rank = self._rref = None  # filled on first read by rank(m) and reduced(m)
+
+    @property
+    def _words(self) -> np.ndarray:
+        if self._packed is None:                        # packed from `_flat` on first read
+            i, j = np.divmod(np.array(self._flat, dtype=np.int64), max(self.cols, 1))
+            self._packed = _scatter(self.rows, self.cols, i, j, np.bitwise_or)
+        return self._packed
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, np.zeros((rows, _word_count(cols)), dtype=np.uint64))
+        return cls(rows, cols, flat=[])
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_entries(n, n, np.arange(n), np.arange(n))
+        return cls(n, n, flat=list(range(0, n * n, n + 1)))
 
     @classmethod
     def from_dense(cls, array) -> "BitMatrix":
@@ -150,6 +176,12 @@ class BitMatrix:
         row, word = np.divmod(at[bits >> 6], max(self._words.shape[1], 1))
         return row, word * _WORD_BITS + (bits & 63)
 
+    def ones(self) -> Iterator[tuple[int, int]]:
+        """The (row, column) pairs of the ones as Python ints, each once, in no set order."""
+        if self._flat is None:
+            return zip(*(a.tolist() for a in self.nonzero()))
+        return map(divmod, self._flat, repeat(self.cols))
+
     def columns(self, idx) -> "BitMatrix":
         """The columns at `idx`, in that order (an index may repeat): rows of the transpose."""
         rows = transpose(self)._words[np.asarray(idx, dtype=np.int64)]
@@ -160,7 +192,7 @@ class BitMatrix:
         return int(np.bitwise_count(self._words).sum())
 
     def is_zero(self) -> bool:
-        return not self._words.any()
+        return not (self._flat if self._packed is None else self._packed.any())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
@@ -351,29 +383,56 @@ def reduced(m: BitMatrix) -> RrefResult:
 def rank(m: BitMatrix) -> int:
     """The rank of m, by its components when no column holds three ones, else `reduced(m).rank`.
 
-    Such an m is a graph on its rows and a ground node, a two-one column joining its rows
-    and a one-one column its row and ground: a spanning forest is a basis of the columns'
-    span, so the rank is the joins one union-find pass makes.  Either way it is found once.
+    Such an m is a graph on its rows and a ground node (`_edges`): a spanning forest
+    is a basis of the columns' span, so the rank is the joins one union-find pass
+    makes.  Either way it is found once.
     """
     if m._rank is not None:
         return m._rank
-    row, col = m.nonzero()
-    per_col = np.bincount(col)                          # columns up to the last with a one
-    if per_col.max(initial=0) > 2:
+    edges = _edges(m)
+    if edges is None:
         return reduced(m).rank                          # which remembers it
-    ones = per_col[per_col > 0]
-    row, end = row[np.argsort(col, kind="stable")], np.cumsum(ones)
-    parent = list(range(m.rows + 1))
+    parent = list(range(max(map(max, edges.values()), default=-1) + 1))
 
     def root(x: int) -> int:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]           # path halving
         return x
 
-    for a, b in zip(row[end - ones].tolist(), np.where(ones == 2, row[end - 1], m.rows).tolist()):
+    for a, b in edges.values():
         parent[root(a)] = root(b)
     m._rank = sum(p != x for x, p in enumerate(parent))  # each join makes one root a child
     return m._rank
+
+
+def _edges(m: BitMatrix) -> dict[int, tuple[int, int]] | None:
+    """m as a graph: each column with a one joins its two rows, or its row and ground,
+    `m.rows`; None when a column holds three ones."""
+    ends = defaultdict(list)
+    for i, j in m.ones():
+        ends[j].append(i)
+    if any(len(e) > 2 for e in ends.values()):
+        return None
+    return {j: (e[0], e[-1] if len(e) == 2 else m.rows) for j, e in ends.items()}
+
+
+def _forest(edges: dict[int, tuple[int, int]]) -> tuple[dict, dict]:
+    """A breadth-first spanning forest of the graph `edges`, parents before children:
+    each vertex's parent and their column (None at a root); and each vertex's
+    (neighbour, column) pairs."""
+    adj, up = defaultdict(list), {}
+    for j, (a, b) in edges.items():
+        adj[a].append((b, j))
+        adj[b].append((a, j))
+    for root in adj:
+        if root not in up:
+            up[root], queue = None, [root]
+            for x in queue:
+                for y, j in adj[x]:
+                    if y not in up:
+                        up[y] = (x, j)
+                        queue.append(y)
+    return up, adj
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
@@ -427,12 +486,21 @@ def matmul_t(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     When few pairs of entries share a column, the product is built from
     those pairs: each entry (i, j) of a meets each entry (k, j) of b, found
     among b's entries sorted by column, and an (i, k) met an odd number of
-    times is a one.  Otherwise it is `matmul(a, transpose(b))`, run on
-    the entries of a already unpacked here: words(b.rows) words gathered
-    per entry of a by `_xor_rows`.
+    times is a one; in Python when neither matrix is packed and no column
+    of b holds three ones (a code that is no graph is eliminated with numpy
+    anyway, and numpy meets its pairs several times faster).  Otherwise
+    it is `matmul(a, transpose(b))`, run on the entries of a already unpacked
+    here: words(b.rows) words gathered per entry of a by `_xor_rows`.
     """
     if a.cols != b.cols:
         raise DimensionError(f"matmul_t: column counts differ, {a.shape} vs {b.shape}")
+    if a._packed is None and b._packed is None:
+        by_col = defaultdict(list)
+        for k, j in b.ones():
+            by_col[j].append(k)
+        if max(map(len, by_col.values()), default=0) <= 2:  # at most 2 pairs per entry of a
+            met = Counter([i * b.rows + k for i, j in a.ones() for k in by_col[j]])
+            return BitMatrix(a.rows, b.rows, flat=[p for p, c in met.items() if c & 1])
     ai, aj = a.nonzero()
     bk, bj = b.nonzero()
     if not (ai.size and bk.size):                      # zero; a wide empty side is not counted
@@ -473,8 +541,10 @@ def transpose(m: BitMatrix) -> BitMatrix:
     Rows are padded to a multiple of 64 so that each output row fills
     whole words; the padding bits stay zero.  The blocks are transposed
     as words first, so the closing byte shuffle stays within one block
-    column at a time.
+    column at a time.  A matrix not packed has its flat positions moved.
     """
+    if m._packed is None:
+        return BitMatrix(m.cols, m.rows, flat=[j * m.rows + i for i, j in m.ones()])
     if m.rows == 0 or m.cols == 0:
         return BitMatrix.zeros(m.cols, m.rows)
     tall = _word_count(m.rows) * _WORD_BITS
@@ -574,9 +644,13 @@ def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
     The one exact-distance entry: a classical code passes no stabiliser,
     a CSS code calls it once per direction.  Refused from `rank(checks)`,
     before any elimination, when 2^(kernel dimension) exceeds `budget`;
-    None when no vector is outside.
+    None when no vector is outside.  Graph checks and stabiliser (none is
+    an empty graph) go to `_shortest_cycle`, any others to `min_weight`.
     """
     check_budget(checks.cols, rank(checks), budget)
+    edges, cycles = _edges(checks), {} if stab is None else _edges(stab)
+    if edges is not None and cycles is not None:
+        return _shortest_cycle(edges, checks.cols, _cycle_labels(cycles, checks.cols))
     kernel = reduced(checks).kernel
     # with no stabiliser there is nothing to clear: the kernel basis is the logicals
     if stab is None or not rank(stab):
@@ -587,3 +661,61 @@ def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
     basis, pivots = reduced(stab).basis, reduced(stab).pivot_cols
     logical = rref(add(kernel, matmul(kernel.columns(pivots), basis)))
     return min_weight(basis, logical.basis)
+
+
+def _cycle_labels(edges: dict[int, tuple[int, int]], n: int) -> list[int]:
+    """Each column's bits over the fundamental cycles of the graph `edges`: x is in the
+    span of its incidence rows exactly when the labels of x's columns XOR to zero.
+
+    Cycle t is closed by the t-th column off a breadth-first forest (a zero column
+    alone); a forest column lies on the cycles with one end below it.
+    """
+    up = _forest(edges)[0]
+    tree = {e[1] for e in up.values() if e}
+    labels, below = [0] * n, defaultdict(int)
+    for t, j in enumerate(j for j in range(n) if j not in tree):
+        labels[j] = 1 << t
+        for x in edges.get(j, ()):
+            below[x] ^= 1 << t
+    for y in reversed(up):                             # children before their parents
+        if up[y]:
+            x, j = up[y]
+            labels[j] = below[y]
+            below[x] ^= below[y]
+    return labels
+
+
+def _shortest_cycle(edges: dict[int, tuple[int, int]], n: int, labels: list[int]) -> int | None:
+    """The least weight of a cycle of the graph `edges` (kernel(checks), a zero column
+    a cycle alone) whose columns' labels XOR to non-zero; None when there is none.
+
+    Every cycle meets `cover`, an end of each column off a spanning forest (at most
+    dim vertices).  From each v of it, on the graph less those before, a breadth-
+    first search scores each column ab off its tree as depth(a) + depth(b) + 1 when
+    cls(a) ^ cls(b) ^ label(ab) != 0, cls XORing the labels on the tree path from v.
+    The least score is exact: a lightest such cycle C through v sums the tree cycles
+    of its columns off the tree, each no longer than C, and one of them counts
+    (Thomassen, J. Combin. Theory B 48, 1990).
+    """
+    if any(j not in edges and labels[j] for j in range(n)):
+        return 1
+    up, adj = _forest(edges)
+    tree = {e[1] for e in up.values() if e}
+    cover = dict.fromkeys(a for j, (a, _) in edges.items() if j not in tree)
+    best, done = n + 1, set()
+    for v in cover:
+        depth, cls, via, queue = {v: 0}, {v: 0}, {v: None}, [v]
+        for u in queue:
+            if 2 * depth[u] >= best:                   # no column from here on scores less
+                break
+            for w, j in adj[u]:
+                if w in done or j == via[u]:
+                    continue
+                c = cls[u] ^ labels[j]
+                if w not in depth:
+                    depth[w], cls[w], via[w] = depth[u] + 1, c, j
+                    queue.append(w)
+                elif c != cls[w]:
+                    best = min(best, depth[u] + depth[w] + 1)
+        done.add(v)
+    return best if best <= n else None

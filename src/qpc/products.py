@@ -19,6 +19,8 @@ first read of `layout.edges`: writing files or analysing a code needs
 neither.  `groups` and `tanner` are imported by the constructors that
 use them, and `render` by the layout builders, so hypergraph products
 load neither of the first two and analysis loads none of the three.
+numpy is imported by the constructors and layouts that use it, so
+wrapping two graph check matrices (`css_from_matrices`) imports none.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from .classical import ClassicalCode
 from .errors import DimensionError, PreconditionError
-from .gf2 import BitMatrix, hstack, kron, matmul_t, transpose
+from .gf2 import BitMatrix, hstack, kron, matmul_t, np, transpose
 
 if TYPE_CHECKING:
     from .groups import GroupAlgebraMatrix

@@ -23,7 +23,7 @@ from qpc.analysis import (
 )
 from qpc.classical import ClassicalCode
 from qpc.errors import BudgetError, PreconditionError
-from qpc.gf2 import BitMatrix, coset_min_weight, matmul, rank, transpose, vstack
+from qpc.gf2 import BitMatrix, add, coset_min_weight, matmul, rank, transpose, vstack
 from qpc.groups import (
     FiniteGroup,
     GroupAlgebraMatrix,
@@ -175,8 +175,10 @@ class TestCosetMinWeight:
             boundary(lambda budget: css_distance(code, budget), dim, css_distance(code))
 
     def test_hamming_rep3_analyze_reduces_each_matrix_once(self, tmp_path, monkeypatch):
-        # H_X and H_Z, then per classical code H and its kernel's logicals;
-        # with no stabiliser nothing is cleared, so the kernel is not reduced again
+        # H_X and H_Z and their kernels' logicals, then the Hamming code's H and
+        # H^T; with no stabiliser nothing is cleared, so no kernel is reduced
+        # again.  rep3 and its transpose are graphs: ranked by components, their
+        # distances found by breadth-first search, so neither is reduced.
         from qpc import cli, gf2
 
         fixtures = Path(__file__).resolve().parent.parent / "fixtures"
@@ -197,7 +199,7 @@ class TestCosetMinWeight:
                         monkeypatch.setattr(module, name, counted)
             analyze = ["analyze", "--hx", "ham.hx.alist", "--hz", "ham.hz.alist", *codes]
             assert cli.main(analyze) == 0
-        assert len(shapes) == 8, shapes
+        assert shapes == [(9, 30), (21, 30), (21, 30), (13, 30), (3, 7), (7, 3)]
 
 
 class TestCommutation:
@@ -329,14 +331,17 @@ class TestDistance:
         assert str(err.value) == "distance enumeration refused: needs 1024 steps, limit is 1023"
 
     def test_decided_distance_checks_pivots_against_components(self):
-        code = toric()
-        code.h_x._rank, code.h_z._rank = rank(code.h_x) - 1, rank(code.h_z) + 1  # same k
+        # A graph H_X with H_Z made heavier by a redundant row (a column of three
+        # ones): the Gray-code route eliminates H_X, whose rank its components gave.
+        # A code of two graphs is never eliminated.
+        h_x, h_z = toric().h_x, toric().h_z
+        h_z = vstack(h_z, add(BitMatrix(1, h_z.cols, h_z._words[:1]),
+                              BitMatrix(1, h_z.cols, h_z._words[1:2])))
+        code = css_from_matrices(h_x, h_z)
+        assert gf2._edges(h_x) is not None and gf2._edges(h_z) is None
+        code.h_x._rank = rank(code.h_x) - 1
         with pytest.raises(AssertionError, match="component count"):
             css_distance(code)
-        rep = ClassicalCode(repetition_check(3))
-        rep.h._rank = 1
-        with pytest.raises(AssertionError, match="component count"):
-            rep.min_distance()
 
     def test_refusal_text_stays_decimal_while_python_can_print_it(self):
         # 2^14284 has 4300 digits, the most Python converts to text by default
@@ -415,8 +420,9 @@ class TestDistanceBound:
         assert hgp_k_formula(c1, c2) == 4
         assert hgp_distance_bound(c1, c2) == 3
         assert c1.transpose_code() is c1.transpose_code()
+        # rep3 and its transpose are graphs: ranked by components, never reduced
         for code in (c1, c2, c1.transpose_code(), c2.transpose_code()):
-            assert sum(m is code.h for m in calls) == 1
+            assert sum(m is code.h for m in calls) == (code in (c1, c1.transpose_code()))
 
     def test_toric_meets_bound_exactly(self):
         _, _, d = css_distance(toric())

@@ -171,6 +171,26 @@ class TestAnalyze:
             "--out-prefix", tmp_path / "toric",
         )
 
+    @pytest.mark.parametrize("checks", ["anticommuting", "refused", "decided"])
+    @pytest.mark.parametrize("factor", ["missing", "malformed"])
+    def test_bad_cross_check_file_is_refused_before_analysis(self, tmp_path, capsys,
+                                                             checks, factor):
+        # --c1 and --c2 are read with --hx and --hz, so whatever the checks would
+        # give (a report, exit 3 or a distance), a bad factor file exits 1 first
+        self.build_toric(tmp_path, capsys)
+        (tmp_path / "x12.pcm").write_text("1 2\n1 1\n")
+        (tmp_path / "z12.pcm").write_text("1 2\n1 0\n")
+        (tmp_path / "malformed.pcm").write_text("1 2\n1\n")
+        hx, hz, extra = {"anticommuting": ("x12", "z12", []),
+                         "refused": ("toric.hx", "toric.hz", ["--budget", "1"]),
+                         "decided": ("toric.hx", "toric.hz", [])}[checks]
+        bad = tmp_path / f"{factor}.pcm"
+        for c1, c2 in ((bad, FIXTURES / "rep3.pcm"), (FIXTURES / "rep3.pcm", bad)):
+            code, out, err = run(capsys, "analyze", "--hx", tmp_path / f"{hx}.pcm",
+                                 "--hz", tmp_path / f"{hz}.pcm", "--c1", c1, "--c2", c2, *extra)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1 and str(bad) in err, err
+
     def test_toric_report(self, tmp_path, capsys):
         self.build_toric(tmp_path, capsys)
         code, out, _ = run(
@@ -402,9 +422,10 @@ class TestAnalyze:
         )
         assert code == exit_code
         assert ("params: [[18,2,3]]" in out) == (exit_code == 0)
-        # a refusal is read off the component ranks, so only a decided run eliminates
-        assert sum(m == h_x for m in reduced) == (exit_code == 0)
-        assert sum(m == h_z for m in reduced) == (exit_code == 0)
+        # a refusal is read off the component ranks and a toric distance is a
+        # shortest cycle, so no run eliminates a graph code (the Hamming x rep3
+        # analyze of test_analysis reduces each of its matrices once)
+        assert not any(m == h_x or m == h_z for m in reduced)
 
     def test_refused_toric_16_eliminates_nothing(self, tmp_path, capsys, monkeypatch):
         rep = classical.ClassicalCode(repetition_check(16))

@@ -674,6 +674,28 @@ class TestMatmulT:
                 took["packed" if len(packed) > before else "pairs"] += 1
         assert min(took.values()) >= 30, took
 
+    def test_matrices_read_from_files_meet_in_python_while_graphs(self, packed):
+        # matrices that keep their ones as flat positions, as the readers give them:
+        # a b with at most two ones per column meets a in Python, a heavier b with
+        # numpy; such a matrix is transposed without packing
+        rng = np.random.default_rng(2323)
+        took = {"python": 0, "numpy": 0}
+        for _ in range(80):
+            cols, weight = int(rng.integers(0, 40)), int(rng.choice([1, 2, 3]))
+            b = np.zeros((int(rng.integers(0, 30)), cols), dtype=np.uint8)
+            for j in range(cols):
+                b[rng.choice(b.shape[0], min(weight, b.shape[0]), replace=False), j] = 1
+            a = rng.random((int(rng.integers(0, 30)), cols)) < 0.3
+            left, right = (BitMatrix(*d.shape, flat=np.flatnonzero(d).tolist()) for d in (a, b))
+            got = matmul_t(left, right)
+            assert np.array_equal(got.to_dense(), a.astype(np.float32) @ b.T.astype(np.float32) % 2)
+            python = b.sum(axis=0).max(initial=0) <= 2
+            assert (left._packed is None) == python          # numpy unpacks a, packing it
+            took["python" if python else "numpy"] += 1
+            left = BitMatrix(*a.shape, flat=np.flatnonzero(a).tolist())
+            assert transpose(left) == BitMatrix.from_dense(a.T) and left._packed is None
+        assert min(took.values()) >= 15, took
+
     def test_matmul_t_on_codes(self, packed):
         # toric codes take the pairs, the Z127 lifted product the packed path;
         # H_X H_X^T does not vanish, so pairs met an odd number of times count

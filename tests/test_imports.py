@@ -8,7 +8,10 @@ then lists the qpc modules, numpy, `numpy.ma`, `dataclasses` and
 `errors` and `render`, and `verify covering` and `layout --graph` only
 `cli`, `errors` and `tanner` (plus `render` for the layout), so these
 commands run where numpy cannot be imported at all, with the same
-output.  `analyze` loads no `render`.
+output.  `analyze` loads no `render`, and an `analyze` of a code whose
+check matrices hold at most two ones per column (toric, planar, or two
+matrices that anticommute), refused or decided, loads no numpy either:
+it too runs where numpy cannot be imported, with the same output.
 No command loads `numpy.ma`, which `np.unique` without return options
 imports at a cost of about 17 ms per process, and none loads
 `dataclasses`, which pulls in `inspect`, `ast`, `dis` and `tokenize`:
@@ -93,6 +96,7 @@ REACH = [
     ["analyze", "--hx", "toric.hx.alist", "--hz", "toric.hz.pcm",
      "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"],
     ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm", "--budget", "2"],  # BudgetError
+    ["analyze", "--hx", "reach_hgp.hx.pcm", "--hz", "reach_hgp.hz.alist"],  # eliminates
     ["analyze", "--hx", "x12.pcm", "--hz", "z12.pcm"],       # checks that anticommute
     ["analyze", "--hx", "x12.pcm", "--hz", "z13.pcm"],       # DimensionError
     ["layout", "--input", "lp.layout.json", "--overlay", "z.overlay.json", "--format", "svg",
@@ -137,16 +141,24 @@ def loaded(cwd: Path, prelude: str, *argv) -> set[str]:
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
-    """A 2D and a 3D layout written by `construct`, an overlay file, and the
-    Tanner graph of 1 + x over Z3 as a 3-lift of a double edge (and not of
-    a single edge)."""
+    """The toric, planar and Hamming x rep3 codes and a 3D layout written by
+    `construct`, two check matrices that anticommute, an overlay file, and
+    the Tanner graph of 1 + x over Z3 as a 3-lift of a double edge (and not
+    of a single edge)."""
     root = tmp_path_factory.mktemp("imports")
     from qpc.cli import main
 
     assert main(["construct", "hgp", "--c1", str(FIXTURES / "rep3.pcm"),
                  "--c2", str(FIXTURES / "rep3.pcm"), "--out-prefix", str(root / "toric")]) == 0
+    assert main(["construct", "hgp", "--c1", str(FIXTURES / "hamming74.pcm"),
+                 "--c2", str(FIXTURES / "rep3.pcm"), "--out-prefix", str(root / "ham")]) == 0
+    (root / "path3.pcm").write_text("2 3\n1 1 0\n0 1 1\n")
+    assert main(["construct", "hgp", "--c1", str(root / "path3.pcm"),
+                 "--c2", str(root / "path3.pcm"), "--out-prefix", str(root / "planar")]) == 0
     assert main(["construct", "lp", "--m1", str(FIXTURES / "rep3_z3.ring"),
                  "--m2", str(FIXTURES / "rep3_z3.ring"), "--out-prefix", str(root / "lp")]) == 0
+    (root / "anti.hx.pcm").write_text("2 3\n1 1 0\n0 1 1\n")
+    (root / "anti.hz.pcm").write_text("1 3\n1 0 0\n")
     (root / "z.overlay.json").write_text('{"paulis": [[0, "Z"], [4, "X"]]}')
     (root / "double.graph").write_text("checks 1 bits 1\nc0 b0\nc0 b0\n")
     (root / "single.graph").write_text("checks 1 bits 1\nc0 b0\n")
@@ -239,11 +251,32 @@ class TestImportSets:
         assert (work / "blocked.svg").read_bytes().startswith(b"<svg")
 
     def test_analyze_loads_neither_groups_nor_tanner(self, work):
+        # a graph code's analysis is Python; the Hamming x rep3 HGP eliminates with numpy
         modules = loaded(work, "", "analyze", "--hx", work / "toric.hx.alist",
                          "--hz", work / "toric.hz.pcm",
                          "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm")
-        assert "numpy" in modules and "qpc.analysis" in modules
+        assert "numpy" not in modules and "qpc.analysis" in modules
         assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses"}
+        modules = loaded(work, "", "analyze", "--hx", work / "ham.hx.pcm",
+                         "--hz", work / "ham.hz.alist",
+                         "--c1", FIXTURES / "hamming74.pcm", "--c2", FIXTURES / "rep3.pcm")
+        assert {"numpy", "qpc.analysis"} <= modules
+        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses"}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm",
+         "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"],
+        ["analyze", "--hx", "toric.hx.alist", "--hz", "toric.hz.alist",
+         "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"],
+        ["analyze", "--hx", "planar.hx.alist", "--hz", "planar.hz.pcm",
+         "--c1", "path3.pcm", "--c2", "path3.pcm"],
+        ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm", "--budget", "1"],
+        ["analyze", "--hx", "anti.hx.pcm", "--hz", "anti.hz.pcm"],
+    ], ids=["toric-pcm", "toric-alist", "planar", "refused", "anticommuting"])
+    def test_graph_code_analyze_runs_with_numpy_blocked(self, work, argv):
+        code, out, modules = probe(work, 'sys.modules["numpy"] = None', *argv)
+        assert (code, out, modules) == probe(work, "", *argv)
+        assert out and "numpy" not in modules
 
     @pytest.mark.parametrize("cross_check", [False, True], ids=["checks", "with-c1-c2"])
     def test_analyze_loads_no_render(self, work, cross_check):
