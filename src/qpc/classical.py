@@ -113,11 +113,12 @@ def _normalised(text: str) -> str:
 def parse_pcm_text(text: str) -> BitMatrix:
     """Plain format: first line "m n", then m lines of n space-separated 0/1.
 
-    Blank lines are skipped and lines after the m-th row are ignored.  A
-    row is read as bytes with a few scans: less its spaces it is n of "0"
-    and "1", no two of which touch (as `emit_pcm_text` writes them, one
-    space apart, with two slices), and its ones are found with find.
-    `_pcm_error` names a refused file's bad line.
+    Blank lines are skipped and lines after the m-th row are ignored.  The
+    rows are read as bytes: as `emit_pcm_text` writes them (entries one
+    space apart, no blank line) by two slices of the whole block, else row
+    by row, where less its spaces a row is n of "0" and "1", no two of
+    which touch.  The ones are found with find; `_pcm_error` names a
+    refused file's bad line.
     """
     text = _normalised(text)  # lines and tokens stay, so `_pcm_error` reads the result
     start = len(text) - len(text.lstrip())
@@ -128,25 +129,24 @@ def parse_pcm_text(text: str) -> BitMatrix:
         return _pcm_error(text)
     if m < 0 or not 0 <= n <= sys.maxsize:  # the largest array dimension
         return _pcm_error(text)
-    # rows are the first m non-blank lines after the header; with n = 0, the next m lines
-    lines = text[end + 1:].encode("ascii", "replace").splitlines()  # "?" past ASCII
-    rows = [line for line in lines if line.strip() or not n][:m]
-    ones: list[int] = []  # i * n + j
-    for i, line in enumerate(rows):
-        if len(line) == 2 * n - 1 and line[1::2].isspace():  # as written: no two entries touch
-            solid = line[::2]
-        elif b"11" in line.translate(_TOUCH):
+    data = (text + "\n" * (text[-1:] != "\n")).encode("ascii", "replace")  # "?" past ASCII
+    block = data[end + 1:end + 1 + 2 * n * m]
+    solids = [block[::2]]  # as `emit_pcm_text` writes the rows: all the entries, row after row
+    if not (m and n and len(block) == 2 * n * m and block[1::2] == (b" " * (n - 1) + b"\n") * m
+            and not solids[0].translate(None, b"01")):
+        # rows are the first m non-blank lines after the header; with n = 0, the next m lines
+        rows = [line for line in data[end + 1:].splitlines() if line.strip() or not n][:m]
+        solids = [line.translate(None, b" ") for line in rows]
+        if len(rows) < m or any(len(solid) != n or solid.translate(None, b"01") or b"11" in
+                                line.translate(_TOUCH) for line, solid in zip(rows, solids)):
             return _pcm_error(text)
-        else:
-            solid = line.translate(None, b" ")
-        if len(solid) != n or solid.translate(None, b"01"):
-            return _pcm_error(text)
+    ones, at = [], 0  # i * n + j, and the position of the solid's first entry
+    for solid in solids:
         j = solid.find(b"1")
         while j >= 0:
-            ones.append(i * n + j)
+            ones.append(at + j)
             j = solid.find(b"1", j + 1)
-    if len(rows) < m:
-        return _pcm_error(text)
+        at += len(solid)
     return BitMatrix(m, n, flat=ones)
 
 
@@ -217,7 +217,8 @@ def parse_alist(text: str) -> BitMatrix:
         tokens = list(chain.from_iterable(lists))
         live = list(map("0".__ne__, tokens))  # "0" pads a list
         value = list(compress(map(int, tokens), live))
-        owner = list(compress(chain.from_iterable(map(repeat, range(n + m), map(len, lists))), live))
+        owner = chain.from_iterable(map(repeat, range(n + m), map(len, lists)))
+        owner = list(compress(owner, live))
         cut = sum(col_deg)  # the column lists' entries, then the row lists'
         if cut and not 1 <= min(value[:cut]) <= max(value[:cut]) <= m:
             raise ValueError

@@ -81,7 +81,8 @@ def components(h: BitMatrix) -> int:
 
 def factor_codes():
     """(length, check matrix) of the cycle and path codes of lengths 2 to 6; each has d = length."""
-    return [(length, make(length)) for make in (repetition_check, path_check) for length in range(2, 7)]
+    return [(length, make(length)) for make in (repetition_check, path_check)
+            for length in range(2, 7)]
 
 
 def random_css_cases():
@@ -141,7 +142,8 @@ class TestShortestCycle:
             columns = h_x.to_dense().T.tolist()
             seen["zero column"] += any(sum(c) == 0 for c in columns)
             seen["one-one column"] += any(sum(c) == 1 for c in columns)
-            seen["repeated column"] += len({tuple(c) for c in columns if any(c)}) < sum(map(any, columns))
+            distinct = {tuple(c) for c in columns if any(c)}
+            seen["repeated column"] += len(distinct) < sum(map(any, columns))
             rows = h_x.to_dense().tolist() + h_z.to_dense().tolist()
             seen["empty row"] += any(not any(row) for row in rows)
             seen["disconnected"] += h_x.weight() > 0 and components(h_x) > 1
