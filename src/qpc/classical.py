@@ -114,11 +114,9 @@ def parse_pcm_text(text: str) -> BitMatrix:
     """Plain format: first line "m n", then m lines of n space-separated 0/1.
 
     Blank lines are skipped and lines after the m-th row are ignored.  The
-    rows are read as bytes: as `emit_pcm_text` writes them (entries one
-    space apart, no blank line) by two slices of the whole block, else row
-    by row, where less its spaces a row is n of "0" and "1", no two of
-    which touch.  The ones are found with find; `_pcm_error` names a
-    refused file's bad line.
+    rows are read as bytes, where less its spaces a row is n of "0" and "1",
+    no two of which touch.  The ones are found with find; `_pcm_error` names
+    a refused file's bad line.
     """
     text = _normalised(text)  # lines and tokens stay, so `_pcm_error` reads the result
     start = len(text) - len(text.lstrip())
@@ -129,17 +127,13 @@ def parse_pcm_text(text: str) -> BitMatrix:
         return _pcm_error(text)
     if m < 0 or not 0 <= n <= sys.maxsize:  # the largest array dimension
         return _pcm_error(text)
-    data = (text + "\n" * (text[-1:] != "\n")).encode("ascii", "replace")  # "?" past ASCII
-    block = data[end + 1:end + 1 + 2 * n * m]
-    solids = [block[::2]]  # as `emit_pcm_text` writes the rows: all the entries, row after row
-    if not (m and n and len(block) == 2 * n * m and block[1::2] == (b" " * (n - 1) + b"\n") * m
-            and not solids[0].translate(None, b"01")):
-        # rows are the first m non-blank lines after the header; with n = 0, the next m lines
-        rows = [line for line in data[end + 1:].splitlines() if line.strip() or not n][:m]
-        solids = [line.translate(None, b" ") for line in rows]
-        if len(rows) < m or any(len(solid) != n or solid.translate(None, b"01") or b"11" in
-                                line.translate(_TOUCH) for line, solid in zip(rows, solids)):
-            return _pcm_error(text)
+    data = text[end + 1:].encode("ascii", "replace")  # "?" past ASCII
+    # rows are the first m non-blank lines after the header; with n = 0, the next m lines
+    rows = [line for line in data.splitlines() if line.strip() or not n][:m]
+    solids = [line.translate(None, b" ") for line in rows]
+    if len(rows) < m or any(len(solid) != n or solid.translate(None, b"01") or b"11" in
+                            line.translate(_TOUCH) for line, solid in zip(rows, solids)):
+        return _pcm_error(text)
     ones, at = [], 0  # i * n + j, and the position of the solid's first entry
     for solid in solids:
         j = solid.find(b"1")

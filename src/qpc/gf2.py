@@ -87,12 +87,14 @@ def _scatter(rows: int, cols: int, i, j, op: np.ufunc) -> np.ndarray:
 class BitMatrix:
     """Dense matrix over GF(2); `words[i, j // 64] >> (j % 64) & 1` is entry (i, j)."""
 
-    __slots__ = ("rows", "cols", "_packed", "_flat", "_rank", "_rref")
+    __slots__ = ("rows", "cols", "_packed", "_flat", "_rank", "_rref", "_graph")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray | None = None,
                  flat: list[int] | None = None):
         if rows < 0 or cols < 0:
             raise DimensionError(f"negative shape ({rows}, {cols})")
+        if words is None and flat is None:
+            raise DimensionError(f"shape ({rows}, {cols}) given neither words nor flat positions")
         if words is not None and words.shape != (rows, _word_count(cols)):
             raise DimensionError(
                 f"word buffer {words.shape} does not match shape ({rows}, {cols})"
@@ -101,7 +103,7 @@ class BitMatrix:
         self.cols = cols
         self._packed = words
         self._flat = flat if words is None else None  # i * cols + j, distinct, in any order
-        self._rank = self._rref = None  # filled on first read by rank(m) and reduced(m)
+        self._rank = self._rref = self._graph = None  # filled by rank, reduced and _edges
 
     @property
     def _words(self) -> np.ndarray:
@@ -407,13 +409,17 @@ def rank(m: BitMatrix) -> int:
 
 def _edges(m: BitMatrix) -> dict[int, tuple[int, int]] | None:
     """m as a graph: each column with a one joins its two rows, or its row and ground,
-    `m.rows`; None when a column holds three ones."""
-    ends = defaultdict(list)
-    for i, j in m.ones():
-        ends[j].append(i)
-    if any(len(e) > 2 for e in ends.values()):
-        return None
-    return {j: (e[0], e[-1] if len(e) == 2 else m.rows) for j, e in ends.items()}
+    `m.rows`; None from the first column found to hold three ones.  Found once per m."""
+    if m._graph is None:
+        ends = defaultdict(list)
+        for i, j in m.ones():
+            ends[j].append(i)
+            if len(ends[j]) > 2:
+                m._graph = (None,)
+                break
+        else:
+            m._graph = ({j: (e[0], e[-1] if len(e) == 2 else m.rows) for j, e in ends.items()},)
+    return m._graph[0]
 
 
 def _forest(edges: dict[int, tuple[int, int]]) -> tuple[dict, dict]:
@@ -494,13 +500,10 @@ def matmul_t(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """
     if a.cols != b.cols:
         raise DimensionError(f"matmul_t: column counts differ, {a.shape} vs {b.shape}")
-    if a._packed is None and b._packed is None:
-        by_col = defaultdict(list)
-        for k, j in b.ones():
-            by_col[j].append(k)
-        if max(map(len, by_col.values()), default=0) <= 2:  # at most 2 pairs per entry of a
-            met = Counter([i * b.rows + k for i, j in a.ones() for k in by_col[j]])
-            return BitMatrix(a.rows, b.rows, flat=[p for p, c in met.items() if c & 1])
+    edges = _edges(b) if a._packed is None and b._packed is None else None
+    if edges is not None:  # entry (i, j) of a meets b's rows at the ends of edge j, not ground
+        met = Counter([i * b.rows + k for i, j in a.ones() for k in edges.get(j, ()) if k < b.rows])
+        return BitMatrix(a.rows, b.rows, flat=[p for p, c in met.items() if c & 1])
     ai, aj = a.nonzero()
     bk, bj = b.nonzero()
     if not (ai.size and bk.size):                      # zero; a wide empty side is not counted

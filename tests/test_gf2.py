@@ -71,6 +71,10 @@ class TestStorage:
         back = from_row_ints([0b1101], 4)
         assert back == m
 
+    def test_neither_words_nor_flat_positions_is_refused(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\) given neither"):
+            BitMatrix(2, 3)
+
     def test_wide_matrix_crosses_word_boundary(self):
         dense = np.zeros((2, 150), dtype=np.uint8)
         dense[0, 149] = 1
@@ -165,6 +169,20 @@ class TestComponentRank:
         code = hgp(c, c)
         assert (rank(code.h_x), rank(code.h_z)) == (255, 255)
         assert code.h_x._rref is None and code.h_z._rref is None
+
+    def test_columns_are_grouped_once_and_stop_at_a_third_one(self, monkeypatch):
+        # rank, the commutator and the distance share one grouping of a matrix's
+        # columns, and a column's third one ends the grouping
+        read = []
+        monkeypatch.setattr(BitMatrix, "ones", lambda m: (read.append(m.shape) or divmod(p, m.cols)
+                                                          for p in m._flat))
+        h = BitMatrix(5, 6, flat=[p for i in range(5) for p in (7 * i, 7 * i + 1)])  # rep. code
+        assert rank(h) == 5 and gf2.coset_min_weight(h) == 6
+        assert matmul_t(BitMatrix.zeros(2, 6), h).is_zero()
+        assert read == [(5, 6)] * 10
+        heavy = BitMatrix(3, 40, flat=[0, 40, 80, *range(1, 40)])  # column 0 first, then row 0
+        assert gf2._edges(heavy) is None and gf2._edges(heavy) is None
+        assert read[10:] == [(3, 40)] * 3
 
     def test_reduced_refuses_a_rank_it_disagrees_with(self):
         m = repetition_check(5)
