@@ -15,7 +15,7 @@ H's rank and reduced form are remembered by H itself (`gf2.rank`,
 The emitters handle the whole matrix at once, with numpy: the PCM
 emitter fills one byte array, the alist emitter finds all entries with one
 np.nonzero.  The readers are pure Python and give a matrix that keeps its
-ones as Python ints, so reading and analysing a graph code imports no numpy.
+ones as Python ints, so reading and ranking a code imports no numpy.
 They read a refused file again line by line (`_pcm_error`,
 `_alist_error`), naming the same line with the same message as a
 line-by-line reader would.

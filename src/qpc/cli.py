@@ -15,9 +15,9 @@ distance-enumeration cap, which also bounds the `--c1/--c2` cross-check;
 and validates all its input files, `--c1/--c2` included, before any
 analysis.  Each command imports only the layers it runs, so `layout
 --input`, `layout --graph` and `verify covering` never load numpy, and
-neither does an `analyze` whose check matrices, and `--c1/--c2`
-matrices, hold at most two ones per column (every toric and planar
-code): its ranks, commutation and distances are read in Python.
+neither does an `analyze` that enumerates nothing, or whose matrices hold
+at most two ones per column (every toric and planar code): its ranks,
+commutation and graph distances are read in Python, up to `gf2`'s bounds.
 """
 
 from __future__ import annotations

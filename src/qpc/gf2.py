@@ -6,9 +6,9 @@ arithmetic is exact mod 2.  A matrix's entries never change once it is
 built (every operation returns a fresh value), so the rank and reduced
 form it remembers once read cannot go stale.  A matrix read from a file
 keeps the flat positions i * cols + j of its ones, which `rank`,
-`transpose`, `coset_min_weight` and `matmul_t` (by a graph) read in
-Python; its words are packed, and numpy imported, only when a word
-kernel first reads them.
+`transpose`, `matmul_t` (up to a pair bound) and `coset_min_weight` (of
+a graph code) read in Python; its words are packed, and numpy imported,
+only when a word kernel first reads them.
 
 Every word kernel stays on the packed words.  `transpose` moves 8x8 bit
 blocks, one word each.  `rref` eliminates one 64-column word block per
@@ -19,9 +19,9 @@ is cleared at once, by a gather per pivot it holds or by tables of 8
 pivot rows' XOR combinations, whichever reads fewer rows, so numpy is
 called per block rather than per pivot.  `rref` returns the reduced form
 and its pivots only; a kernel basis is derived from that result when
-read; `reduced` runs it at most once per matrix.  `rank` eliminates only
-a matrix with a column of three ones, and ranks any other by its graph's
-components (LaMacchia & Odlyzko, 1990).
+read; `reduced` runs it at most once per matrix.  `rank` counts a graph's
+components (LaMacchia & Odlyzko, 1990) and eliminates any other matrix
+read from a file, up to a size bound, as Python-int rows, else `rref`.
 `BitMatrix.nonzero` unpacks only the non-zero words,
 `BitMatrix.from_entries` sorts the positions and ORs each word's bits
 with one reduceat, `BitMatrix.entries` reads the entries at given
@@ -87,7 +87,7 @@ def _scatter(rows: int, cols: int, i, j, op: np.ufunc) -> np.ndarray:
 class BitMatrix:
     """Dense matrix over GF(2); `words[i, j // 64] >> (j % 64) & 1` is entry (i, j)."""
 
-    __slots__ = ("rows", "cols", "_packed", "_flat", "_rank", "_rref", "_graph")
+    __slots__ = ("rows", "cols", "_packed", "_flat", "_rank", "_rref", "_by_col")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray | None = None,
                  flat: list[int] | None = None):
@@ -103,7 +103,7 @@ class BitMatrix:
         self.cols = cols
         self._packed = words
         self._flat = flat if words is None else None  # i * cols + j, distinct, in any order
-        self._rank = self._rref = self._graph = None  # filled by rank, reduced and _edges
+        self._rank = self._rref = self._by_col = None  # filled by rank, reduced and _columns
 
     @property
     def _words(self) -> np.ndarray:
@@ -377,23 +377,33 @@ def reduced(m: BitMatrix) -> RrefResult:
     if m._rref is None:
         result = rref(m)
         if m._rank not in (None, result.rank):
-            raise AssertionError("an elimination's pivot count differs from its component count")
+            raise AssertionError("the pivot count differs from the rank found before elimination")
         m._rank, m._rref = result.rank, result
     return m._rref
 
 
+# `rank`'s Python ints won on seeded LDPC matrices of up to 8 Mi cells; on dense ones
+# they break even with numpy's import, packing and `rref` near 4 Mi cells.
+_ECHELON_CELLS = 1 << 22
+
+
 def rank(m: BitMatrix) -> int:
-    """The rank of m, by its components when no column holds three ones, else `reduced(m).rank`.
+    """The rank of m, found once: by its components when no column holds three ones,
+    else by eliminating its flat positions' rows as Python ints up to _ECHELON_CELLS
+    cells, and otherwise `reduced(m).rank`.
 
     Such an m is a graph on its rows and a ground node (`_edges`): a spanning forest
     is a basis of the columns' span, so the rank is the joins one union-find pass
-    makes.  Either way it is found once.
+    makes.  The ints keep a row per lead, its highest one, and XOR into each row the
+    row kept at its lead until it is zero or has a new lead.
     """
     if m._rank is not None:
         return m._rank
     edges = _edges(m)
     if edges is None:
-        return reduced(m).rank                          # which remembers it
+        ints = m._flat is not None and m.rows * m.cols <= _ECHELON_CELLS
+        m._rank = _echelon_rank(m) if ints else reduced(m).rank
+        return m._rank
     parent = list(range(max(map(max, edges.values()), default=-1) + 1))
 
     def root(x: int) -> int:
@@ -407,19 +417,37 @@ def rank(m: BitMatrix) -> int:
     return m._rank
 
 
-def _edges(m: BitMatrix) -> dict[int, tuple[int, int]] | None:
-    """m as a graph: each column with a one joins its two rows, or its row and ground,
-    `m.rows`; None from the first column found to hold three ones.  Found once per m."""
-    if m._graph is None:
-        ends = defaultdict(list)
+def _echelon_rank(m: BitMatrix) -> int:
+    """The number of leads `rank` keeps; `int.bit_length` reads a lead in one step."""
+    cols, bits, leads = m.cols, bytearray((m.rows * m.cols + 7) >> 3), {}
+    for p in m._flat:                                  # m's rows in one run of bits
+        bits[p >> 3] |= 1 << (p & 7)
+    for at in range(0, m.rows * cols, cols):
+        v = int.from_bytes(bits[at >> 3:(at + cols + 7) >> 3], "little") >> (at & 7) & ~(-1 << cols)
+        while v.bit_length() in leads:
+            v ^= leads[v.bit_length()]
+        if v:
+            leads[v.bit_length()] = v
+    return len(leads)
+
+
+def _columns(m: BitMatrix) -> dict[int, list[int]]:
+    """Each column of m that holds a one, mapped to its rows; found once per m."""
+    if m._by_col is None:
+        by_col = m._by_col = defaultdict(list)
         for i, j in m.ones():
-            ends[j].append(i)
-            if len(ends[j]) > 2:
-                m._graph = (None,)
-                break
-        else:
-            m._graph = ({j: (e[0], e[-1] if len(e) == 2 else m.rows) for j, e in ends.items()},)
-    return m._graph[0]
+            by_col[j].append(i)
+    return m._by_col
+
+
+def _edges(m: BitMatrix) -> dict[int, tuple[int, int]] | None:
+    """m as a graph (`_columns`): each column with a one joins its two rows, or its row
+    and ground, `m.rows`; None when a column holds three ones, at once when m averages
+    more than two ones a column."""
+    if (m.weight() if m._flat is None else len(m._flat)) > 2 * m.cols or any(
+            len(e) > 2 for e in _columns(m).values()):
+        return None
+    return {j: (e[0], e[-1] if len(e) == 2 else m.rows) for j, e in _columns(m).items()}
 
 
 def _forest(edges: dict[int, tuple[int, int]]) -> tuple[dict, dict]:
@@ -481,29 +509,31 @@ def _xor_rows(rows: int, i: np.ndarray, j: np.ndarray, words: np.ndarray) -> np.
 # paths measured even near 2.5 words per pair, so pairs are taken where they win
 # clearly (toric codes: 12 to 32 words per pair, 2.5x to 10x faster) and the
 # packed path is kept where the two are close (a Z127 lifted product, 2.5).
-# Past _MAX_PAIRS, the chunked gather bounds memory.
+# Past _MAX_PAIRS, the chunked gather bounds memory.  Python meets pairs at about
+# 0.5 us each against numpy's 0.3 us and import: even near 2^19 pairs, so 2^18.
 _PAIR_WORDS = 8
 _MAX_PAIRS = 1 << 20
+_PYTHON_PAIRS = 1 << 18
 
 
 def matmul_t(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """a @ b^T over GF(2): entry (i, k) is the parity of the columns rows a_i and b_k share.
 
     When few pairs of entries share a column, the product is built from
-    those pairs: each entry (i, j) of a meets each entry (k, j) of b, found
-    among b's entries sorted by column, and an (i, k) met an odd number of
-    times is a one; in Python when neither matrix is packed and no column
-    of b holds three ones (a code that is no graph is eliminated with numpy
-    anyway, and numpy meets its pairs several times faster).  Otherwise
-    it is `matmul(a, transpose(b))`, run on the entries of a already unpacked
+    those pairs: each entry (i, j) of a meets each entry (k, j) of b, and an
+    (i, k) met an odd number of times is a one; in Python, column by column
+    (`_columns`), when neither matrix is packed and the pairs, sum_j |a_j|
+    |b_j|, are at most _PYTHON_PAIRS, else with numpy.  Otherwise it is
+    `matmul(a, transpose(b))`, run on the entries of a already unpacked
     here: words(b.rows) words gathered per entry of a by `_xor_rows`.
     """
     if a.cols != b.cols:
         raise DimensionError(f"matmul_t: column counts differ, {a.shape} vs {b.shape}")
-    edges = _edges(b) if a._packed is None and b._packed is None else None
-    if edges is not None:  # entry (i, j) of a meets b's rows at the ends of edge j, not ground
-        met = Counter([i * b.rows + k for i, j in a.ones() for k in edges.get(j, ()) if k < b.rows])
-        return BitMatrix(a.rows, b.rows, flat=[p for p, c in met.items() if c & 1])
+    if a._packed is None and b._packed is None:
+        ca, cb = _columns(a), _columns(b)
+        if sum(len(e) * len(cb.get(j, ())) for j, e in ca.items()) <= _PYTHON_PAIRS:
+            met = Counter([i * b.rows + k for j, e in ca.items() for k in cb.get(j, ()) for i in e])
+            return BitMatrix(a.rows, b.rows, flat=[p for p, c in met.items() if c & 1])
     ai, aj = a.nonzero()
     bk, bj = b.nonzero()
     if not (ai.size and bk.size):                      # zero; a wide empty side is not counted

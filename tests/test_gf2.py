@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -134,34 +135,69 @@ def from_columns(rows: int, cols: int, column_rows: list[list[int]]) -> BitMatri
     return BitMatrix.from_entries(rows, cols, [r for r, _ in entries], [c for _, c in entries])
 
 
+def flat_from_columns(rows: int, cols: int, column_rows: list[list[int]]) -> BitMatrix:
+    """The same matrix as `from_columns`, kept as flat positions the way the readers give it."""
+    flat = [r * cols + c for c, rs in enumerate(column_rows) for r in rs]
+    return BitMatrix(rows, cols, flat=flat)
+
+
 class TestComponentRank:
-    """`rank` of a matrix whose columns hold at most two ones reads no elimination."""
+    """`rank` of a graph, or of a matrix read from a file within its cell bound, runs no `rref`."""
 
     def test_against_int_elimination(self):
+        # every path of `rank`: the components of a graph, Python ints for a matrix
+        # read as flat positions within _ECHELON_CELLS cells, else `reduced`; the
+        # bound is made small here so that seeded heavy and dense matrices fall on
+        # both sides.  A later `reduced` agrees with the rank found.
         rng = random.Random(1818)
-        seen = {"empty": 0, "one_one": 0, "empty_row": 0, "components": 0, "three": 0}
-        for trial in range(2400):
-            rows, cols, column_rows = graph_matrix(rng)
-            three = trial % 6 == 0 and rows >= 3 and cols
-            if three:                                   # one column with three ones
-                column_rows[rng.randrange(cols)] = rng.sample(range(rows), 3)
-            m = from_columns(rows, cols, column_rows)
-            expected = int_rank([sum(1 << c for c, rs in enumerate(column_rows) if r in rs)
-                                 for r in range(rows)])
-            reduced = []
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(gf2, "rref", lambda m: reduced.append(m) or rref(m))
-                got = rank(m)
-                assert rank(m) == got                    # remembered: no second elimination
-            assert got == expected, (rows, cols, column_rows)
-            assert len(reduced) == bool(three)           # only a three-one column eliminates
-            touched = {r for rs in column_rows for r in rs}
-            seen["empty"] += rows == 0 or cols == 0
-            seen["one_one"] += any(len(rs) == 1 for rs in column_rows)
-            seen["empty_row"] += 0 < len(touched) < rows
-            seen["components"] += rows - expected > 1
-            seen["three"] += bool(three)
-        assert min(seen.values()) >= 50, seen
+        seen = Counter()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gf2, "_ECHELON_CELLS", 300)
+            for trial in range(2400):
+                rows, cols, column_rows = graph_matrix(rng)
+                three = trial % 6 == 0 and rows >= 3 and cols
+                if three:                               # one column with three ones
+                    column_rows[rng.randrange(cols)] = rng.sample(range(rows), 3)
+                dense = trial % 6 == 1
+                if dense:                               # each entry a one with odds 1/2
+                    column_rows = [[r for r in range(rows) if rng.random() < 0.5]
+                                   for _ in range(cols)]
+                expected = int_rank([sum(1 << c for c, rs in enumerate(column_rows) if r in rs)
+                                     for r in range(rows)])
+                for m in (from_columns(rows, cols, column_rows),
+                          flat_from_columns(rows, cols, column_rows)):
+                    graph = max(map(len, column_rows), default=0) <= 2
+                    ints = not graph and m._flat is not None and rows * cols <= 300
+                    path = "components" if graph else "ints" if ints else "reduced"
+                    reduced = []
+                    patch.setattr(gf2, "rref", lambda m: reduced.append(m) or rref(m))
+                    got = rank(m)
+                    assert rank(m) == got                # remembered: no second elimination
+                    assert got == expected, (rows, cols, column_rows)
+                    assert len(reduced) == (path == "reduced"), path
+                    assert gf2.reduced(m).rank == expected
+                    seen[path] += 1
+                    seen["flat " + path] += m._flat is not None
+                touched = {r for rs in column_rows for r in rs}
+                seen["empty"] += rows == 0 or cols == 0
+                seen["one_one"] += any(len(rs) == 1 for rs in column_rows)
+                seen["empty_row"] += 0 < len(touched) < rows
+                seen["several components"] += rows - expected > 1
+                seen["three"] += bool(three)
+                seen["dense"] += dense and rows * cols > 0
+        assert len(seen) == 12 and min(seen.values()) >= 50, seen
+        # the bound itself: 2048 x 2048 cells of column weight 3 are eliminated as
+        # ints, one more row is reduced
+        for rows in (2048, 2049):
+            column_rows = [rng.sample(range(rows), 3) for _ in range(2048)]
+            m = flat_from_columns(rows, 2048, column_rows)
+            got = rank(m)
+            assert (m._rref is None) == (rows == 2048)
+            row_ints = [0] * rows
+            for c, rs in enumerate(column_rows):
+                for r in rs:
+                    row_ints[r] |= 1 << c
+            assert got == int_rank(row_ints) == gf2.reduced(m).rank
 
     def test_toric_checks_have_one_unmarked_component(self):
         # the L x L toric code's H_X: L^2 checks in one component, no one-one column
@@ -170,9 +206,10 @@ class TestComponentRank:
         assert (rank(code.h_x), rank(code.h_z)) == (255, 255)
         assert code.h_x._rref is None and code.h_z._rref is None
 
-    def test_columns_are_grouped_once_and_stop_at_a_third_one(self, monkeypatch):
+    def test_columns_are_grouped_at_most_once(self, monkeypatch):
         # rank, the commutator and the distance share one grouping of a matrix's
-        # columns, and a column's third one ends the grouping
+        # columns; a matrix that averages more than two ones a column is no graph
+        # without one, and a heavy column is found after one full grouping
         read = []
         monkeypatch.setattr(BitMatrix, "ones", lambda m: (read.append(m.shape) or divmod(p, m.cols)
                                                           for p in m._flat))
@@ -180,18 +217,23 @@ class TestComponentRank:
         assert rank(h) == 5 and gf2.coset_min_weight(h) == 6
         assert matmul_t(BitMatrix.zeros(2, 6), h).is_zero()
         assert read == [(5, 6)] * 10
+        dense = BitMatrix(3, 4, flat=[0, 1, 2, 3, 5, 6, 7, 8, 10])  # nine ones, rank 3
+        assert gf2._edges(dense) is None and rank(dense) == 3 and read == [(5, 6)] * 10
         heavy = BitMatrix(3, 40, flat=[0, 40, 80, *range(1, 40)])  # column 0 first, then row 0
         assert gf2._edges(heavy) is None and gf2._edges(heavy) is None
-        assert read[10:] == [(3, 40)] * 3
+        assert rank(heavy) == 2 and matmul_t(heavy, heavy).shape == (3, 3)
+        assert read[10:] == [(3, 40)] * 42
 
     def test_reduced_refuses_a_rank_it_disagrees_with(self):
-        m = repetition_check(5)
-        assert rank(m) == 4
-        m._rank = 3
-        with pytest.raises(AssertionError, match="component count"):
-            gf2.reduced(m)
-        m._rank = 4
-        assert gf2.reduced(m) is gf2.reduced(m) and gf2.reduced(m).rank == 4
+        # the rank found before, by components or by Python ints, against the pivots
+        heavy = BitMatrix(3, 4, flat=[0, 4, 8, 1, 6, 11])  # column 0 holds three ones
+        for m, r in ((repetition_check(5), 4), (heavy, 3)):
+            assert rank(m) == r and m._rref is None
+            m._rank = r - 1
+            with pytest.raises(AssertionError, match="the rank found before elimination"):
+                gf2.reduced(m)
+            m._rank = r
+            assert gf2.reduced(m) is gf2.reduced(m) and gf2.reduced(m).rank == r
 
 
 class TestRref:
@@ -692,24 +734,28 @@ class TestMatmulT:
                 took["packed" if len(packed) > before else "pairs"] += 1
         assert min(took.values()) >= 30, took
 
-    def test_matrices_read_from_files_meet_in_python_while_graphs(self, packed):
-        # matrices that keep their ones as flat positions, as the readers give them:
-        # a b with at most two ones per column meets a in Python, a heavier b with
-        # numpy; such a matrix is transposed without packing
+    def test_matrices_read_from_files_meet_in_python_up_to_the_pair_bound(self, packed,
+                                                                          monkeypatch):
+        # matrices that keep their ones as flat positions, as the readers give them,
+        # meet in Python while sum_j |a_j| |b_j| is at most _PYTHON_PAIRS, made small
+        # here, whatever b's column weight, and with numpy past it; such a matrix is
+        # transposed without packing
+        monkeypatch.setattr(gf2, "_PYTHON_PAIRS", 40)
         rng = np.random.default_rng(2323)
-        took = {"python": 0, "numpy": 0}
-        for _ in range(80):
-            cols, weight = int(rng.integers(0, 40)), int(rng.choice([1, 2, 3]))
+        took = {"python": 0, "numpy": 0, "python, heavy b": 0}
+        for _ in range(120):
+            cols, weight = int(rng.integers(0, 40)), int(rng.choice([1, 2, 3, 4]))
             b = np.zeros((int(rng.integers(0, 30)), cols), dtype=np.uint8)
             for j in range(cols):
                 b[rng.choice(b.shape[0], min(weight, b.shape[0]), replace=False), j] = 1
-            a = rng.random((int(rng.integers(0, 30)), cols)) < 0.3
+            a = rng.random((int(rng.integers(0, 30)), cols)) < rng.choice([0.05, 0.3])
             left, right = (BitMatrix(*d.shape, flat=np.flatnonzero(d).tolist()) for d in (a, b))
             got = matmul_t(left, right)
             assert np.array_equal(got.to_dense(), a.astype(np.float32) @ b.T.astype(np.float32) % 2)
-            python = b.sum(axis=0).max(initial=0) <= 2
+            python = int(a.sum(axis=0) @ b.sum(axis=0)) <= 40
             assert (left._packed is None) == python          # numpy unpacks a, packing it
             took["python" if python else "numpy"] += 1
+            took["python, heavy b"] += bool(python and b.sum(axis=0).max(initial=0) > 2)
             left = BitMatrix(*a.shape, flat=np.flatnonzero(a).tolist())
             assert transpose(left) == BitMatrix.from_dense(a.T) and left._packed is None
         assert min(took.values()) >= 15, took

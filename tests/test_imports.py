@@ -10,8 +10,9 @@ then lists the qpc modules, numpy, `numpy.ma`, `dataclasses` and
 commands run where numpy cannot be imported at all, with the same
 output.  `analyze` loads no `render`, and an `analyze` of a code whose
 check matrices hold at most two ones per column (toric, planar, or two
-matrices that anticommute), refused or decided, loads no numpy either:
-it too runs where numpy cannot be imported, with the same output.
+matrices that anticommute), refused or decided, loads no numpy either,
+nor does a refused `analyze` of a heavier code (Hamming x rep3): each
+runs where numpy cannot be imported, with the same output.
 No command loads `numpy.ma`, which `np.unique` without return options
 imports at a cost of about 17 ms per process, and none loads
 `dataclasses`, which pulls in `inspect`, `ast`, `dis` and `tokenize`:
@@ -251,7 +252,8 @@ class TestImportSets:
         assert (work / "blocked.svg").read_bytes().startswith(b"<svg")
 
     def test_analyze_loads_neither_groups_nor_tanner(self, work):
-        # a graph code's analysis is Python; the Hamming x rep3 HGP eliminates with numpy
+        # a graph code's analysis is Python; the decided Hamming x rep3 HGP enumerates
+        # its distance with numpy
         modules = loaded(work, "", "analyze", "--hx", work / "toric.hx.alist",
                          "--hz", work / "toric.hz.pcm",
                          "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm")
@@ -272,11 +274,15 @@ class TestImportSets:
          "--c1", "path3.pcm", "--c2", "path3.pcm"],
         ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm", "--budget", "1"],
         ["analyze", "--hx", "anti.hx.pcm", "--hz", "anti.hz.pcm"],
-    ], ids=["toric-pcm", "toric-alist", "planar", "refused", "anticommuting"])
+        ["analyze", "--hx", "ham.hx.pcm", "--hz", "ham.hz.alist", "--budget", "2",
+         "--c1", FIXTURES / "hamming74.pcm", "--c2", FIXTURES / "rep3.pcm"],
+    ], ids=["toric-pcm", "toric-alist", "planar", "refused", "anticommuting",
+            "hamming-rep3-refused"])
     def test_graph_code_analyze_runs_with_numpy_blocked(self, work, argv):
+        # the last is no graph code: its ranks and commutator are read in Python too
         code, out, modules = probe(work, 'sys.modules["numpy"] = None', *argv)
         assert (code, out, modules) == probe(work, "", *argv)
-        assert out and "numpy" not in modules
+        assert out and "numpy" not in modules and code == (3 if "--budget" in argv else 0)
 
     @pytest.mark.parametrize("cross_check", [False, True], ids=["checks", "with-c1-c2"])
     def test_analyze_loads_no_render(self, work, cross_check):
