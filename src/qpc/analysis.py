@@ -4,11 +4,11 @@ Distances are exact: Z-type distance is the minimum weight over
 kernel(H_X) minus the row space of H_Z.  `gf2.coset_min_weight` gives it,
 and the classical distances of the HGP cross-check, under one budget
 (default 2^24 steps); beyond it they are refused, never approximated.
-The logical count and the budget check read `gf2.rank`, which ranks a
-matrix read from a file in Python, so a refusal imports no numpy.  A
-decided distance of a code whose check matrices are graphs (at most two
-ones per column, as in every hypergraph product of repetition codes) is
-a shortest cycle found by breadth-first search in Python; any other
+The logical count and the budget check read `gf2.rank`, which ranks any
+matrix as Python ints, so a refusal of a code read from files imports no
+numpy.  A decided distance of a code whose check matrices are graphs (at
+most two ones per column, as in every hypergraph product of repetition
+codes) is a shortest cycle found by breadth-first search in Python; any other
 reads `gf2.reduced`, which reduces each check matrix at most once, and
 enumerates.
 

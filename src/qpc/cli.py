@@ -17,7 +17,8 @@ analysis.  Each command imports only the layers it runs, so `layout
 --input`, `layout --graph` and `verify covering` never load numpy, and
 neither does an `analyze` that enumerates nothing, or whose matrices hold
 at most two ones per column (every toric and planar code): its ranks,
-commutation and graph distances are read in Python, up to `gf2`'s bounds.
+commutation and graph distances are read in Python, the commutation up
+to the pair bound of `gf2.matmul_t`.
 """
 
 from __future__ import annotations

@@ -1,30 +1,28 @@
 """Dense GF(2) linear algebra on bit-packed matrices.
 
 Rows are packed little-endian into 64-bit words so that row operations
-(the inner loop of Gaussian elimination) are word-parallel XORs.  All
-arithmetic is exact mod 2.  A matrix's entries never change once it is
-built (every operation returns a fresh value), so the rank and reduced
-form it remembers once read cannot go stale.  A matrix read from a file
-keeps the flat positions i * cols + j of its ones, which `rank`,
-`transpose`, `matmul_t` (up to a pair bound) and `coset_min_weight` (of
-a graph code) read in Python; its words are packed, and numpy imported,
-only when a word kernel first reads them.
+are word-parallel XORs.  All arithmetic is exact mod 2.  A matrix's
+entries never change once it is built (every operation returns a fresh
+value), so the rank and reduced form it remembers once read cannot go
+stale.  A matrix read from a file keeps the flat positions i * cols + j
+of its ones, which `rank`, `transpose`, `matmul_t` (up to a pair bound)
+and `coset_min_weight` (of a graph code) read in Python; its words are
+packed, and numpy imported, only when a word kernel first reads them.
+
+Gaussian elimination has one implementation, on Python-int rows read
+from either kind of matrix (`_row_ints`): columns are reversed so that a
+row's lowest column is its highest one, which `int.bit_length` reads in
+one step, and an echelon basis keeps one row per lead (`_echelon`).
+`rank` counts a graph's components (LaMacchia & Odlyzko, 1990) and any
+other matrix's leads.  `rref` back-substitutes the echelon and packs its
+rows into words at the end; it returns the reduced form and its pivots
+only, a kernel basis is derived from that result when read, and `reduced`
+runs it at most once per matrix.
 
 Every word kernel stays on the packed words.  `transpose` moves 8x8 bit
-blocks, one word each.  `rref` eliminates one 64-column word block per
-pass, in the manner of the Method of Four Russians (Albrecht, Bard &
-Hart, "Algorithm 898", ACM TOMS 37(1), 2010): the block's pivot rows are
-found and reduced among themselves as Python ints, and every other row
-is cleared at once, by a gather per pivot it holds or by tables of 8
-pivot rows' XOR combinations, whichever reads fewer rows, so numpy is
-called per block rather than per pivot.  `rref` returns the reduced form
-and its pivots only; a kernel basis is derived from that result when
-read; `reduced` runs it at most once per matrix.  `rank` counts a graph's
-components (LaMacchia & Odlyzko, 1990) and eliminates any other matrix
-read from a file, up to a size bound, as Python-int rows, else `rref`.
-`BitMatrix.nonzero` unpacks only the non-zero words,
-`BitMatrix.from_entries` sorts the positions and ORs each word's bits
-with one reduceat, `BitMatrix.entries` reads the entries at given
+blocks, one word each.  `BitMatrix.nonzero` unpacks only the non-zero
+words, `BitMatrix.from_entries` sorts the positions and ORs each word's
+bits with one reduceat, `BitMatrix.entries` reads the entries at given
 positions, and `BitMatrix.columns` gathers columns as rows of the
 transpose; `matmul` XOR-reduces the rows of b gathered at a's
 entries, in chunks of bounded size (`_xor_rows`), `matmul_t` builds
@@ -59,7 +57,6 @@ else:
     np = _Numpy()
 
 _WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
 
 # Steps an exact distance may take: codes whose kernel has dimension 24 or less.
 DEFAULT_BUDGET = 1 << 24
@@ -257,119 +254,69 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _combine(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row t is the XOR of the rows at the ones of the word codes[t]; no code is zero.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte, bits reversed
 
-    Either the picks are peeled lowest first, one gather per pick, or (Four
-    Russians) each code byte reads a table of its 8 rows' 256 combinations
-    where it is non-zero.  The tables are built when they save more row
-    reads than they cost.
+
+def _row_ints(m: BitMatrix) -> list[int]:
+    """m's rows as Python ints (none when m has no columns), column j at bit cols - 1 - j,
+    so that a row's highest one, read in one step by `int.bit_length`, is its lowest column.
+
+    Both sources are one run of bits, most significant first, a row every `step`
+    bits: flat positions are set in it one by one, packed words are read by
+    `tobytes()` with each byte's bits reversed.
     """
-    out = np.zeros((codes.size, rows.shape[1]), dtype=np.uint64)
-    code_bytes = codes.view(np.uint8).reshape(-1, 8)
-    in_use = np.flatnonzero(code_bytes.any(axis=0))
-    # the picks a table saves (all but one per non-zero byte) against its 256 rows
-    if int(np.bitwise_count(codes).sum()) - np.count_nonzero(code_bytes) <= in_use.size << 8:
-        left = np.arange(codes.size)
-        while left.size:
-            low = codes & -codes
-            out[left] ^= rows[np.bitwise_count(low - 1)]
-            codes = codes ^ low
-            keep = np.flatnonzero(codes != 0)
-            left, codes = left[keep], codes[keep]
-        return out
-    for g in in_use.tolist():
-        hit = np.flatnonzero(code_bytes[:, g])
-        out[hit] ^= _xor_table(rows[8 * g : 8 * g + 8])[code_bytes[hit, g]]
-    return out
+    cols = m.cols
+    if not cols:
+        return []
+    if m._packed is None:
+        step, bits = cols, bytearray((m.rows * cols + 7) >> 3)
+        for p in m._flat:
+            bits[p >> 3] |= 0x80 >> (p & 7)
+    else:
+        step = m._packed.shape[1] * _WORD_BITS
+        bits = np.ascontiguousarray(m._packed).tobytes().translate(_REVERSED)
+    mask = ~(-1 << cols)
+    return [int.from_bytes(bits[at >> 3:(at + cols + 7) >> 3], "big") >> (-(at + cols) & 7) & mask
+            for at in range(0, m.rows * step, step)]
+
+
+def _echelon(rows: list[int]) -> dict[int, int]:
+    """An echelon basis of `_row_ints` rows: each lead, a row's bit length, mapped to
+    the one row kept with it.  Each row XORs in the row kept at its lead until it is
+    zero or has a new lead."""
+    leads: dict[int, int] = {}
+    for v in rows:
+        while (b := v.bit_length()) in leads:
+            v ^= leads[b]
+        if v:
+            leads[b] = v
+    return leads
 
 
 def rref(m: BitMatrix) -> RrefResult:
-    """Gaussian elimination to reduced row echelon form, one 64-column word block per pass.
+    """Gaussian elimination to reduced row echelon form, on Python-int rows.
 
-    Rows from pr down are zero left of block w.  Per block:
-
-    1. each row from pr down with a non-zero block word becomes a Python
-       int over the word columns those rows touch, the block word lowest;
-       their block words pick an echelon basis of the block, a lead being a
-       block word's lowest one, 64 rows at a time, stopping once it holds as
-       many rows as the block has columns in use.  After 64 rows that were
-       mostly dependent, the rows left that the basis spans are dropped with
-       one numpy pass per lead;
-    2. the basis is reduced at its leads: these are the block's pivot rows;
-    3. every other row with a one at a lead XORs in the pivot rows at its
-       leads, all rows at once (`_combine`), over the pivot rows' words only;
-    4. the pivot rows take rows pr.. in lead order, and the rows they
-       displace take the chosen rows' places.
-
-    The reduced form is unique, so which rows are chosen does not matter.
+    The echelon basis (`_echelon`) is back-substituted from its last pivot
+    column up: each pivot row XORs in the reduced rows at the later pivots
+    it holds.  The rows, in ascending pivot order, are packed into words
+    only at the end, the rows past the rank zero.
     """
-    r = m._words.copy()
-    flat = r.reshape(-1)
-    pivots: list[int] = []
-    pr = 0
-    for w in range(r.shape[1]):
-        if pr == m.rows:
-            break
-        nz = np.flatnonzero(r[:, w] != 0)
-        first = int(np.searchsorted(nz, pr))
-        if first == nz.size:
-            continue
-        rows = r[nz[first:], w:]
-        used = np.flatnonzero(rows.any(axis=0))            # words the rows touch; 0 is the block
-        size = used.size * 8
-        raw = np.ascontiguousarray(rows[:, used]).tobytes()
-        rank_bound = int(np.bitwise_or.reduce(rows[:, 0])).bit_count()
-        basis: dict[int, int] = {}                          # lead bit -> row over `used`
-        picked: list[int] = []                              # places in nz of the chosen rows
-        left = np.arange(nz.size - first)                   # rows not yet scanned
-        while left.size and len(picked) < rank_bound:
-            chunk, before = left[:_WORD_BITS], len(picked)
-            for t in chunk.tolist():
-                v = int.from_bytes(raw[t * size : (t + 1) * size], "little")
-                while v & -v in basis:
-                    v ^= basis[v & -v]
-                if v & _WORD_MASK:
-                    basis[v & -v] = v
-                    picked.append(first + t)
-                    if len(picked) == rank_bound:
-                        break
-            left = left[_WORD_BITS:]
-            if left.size and len(picked) < rank_bound and 2 * (len(picked) - before) < chunk.size:
-                # mostly dependent rows: drop, at once, the rows left that the basis spans
-                words = rows[left, 0]
-                for lead in sorted(basis):
-                    words[words & np.uint64(lead) != 0] ^= np.uint64(basis[lead] & _WORD_MASK)
-                left = left[words != 0]
-        lead_mask = sum(basis)
-        for lead in sorted(basis, reverse=True):            # higher leads are reduced already
-            v = basis[lead]
-            x = v & lead_mask ^ lead
-            while x:
-                v ^= basis[x & -x]
-                x &= x - 1
-            basis[lead] = v
-        by_bit = np.frombuffer(
-            b"".join(basis.get(1 << b, 0).to_bytes(size, "little") for b in range(_WORD_BITS)),
-            dtype=np.uint64).reshape(_WORD_BITS, used.size)
-        hit = np.delete(nz, picked)
-        codes = r[hit, w] & np.uint64(lead_mask)
-        hit, codes = hit[codes != 0], codes[codes != 0]
-        if hit.size:
-            support = np.flatnonzero(by_bit.any(axis=0))
-            change = _combine(codes, by_bit[:, support])
-            flat[(hit[:, None] * r.shape[1] + w + used[support]).ravel()] ^= change.ravel()
-        at_leads = [lead.bit_length() - 1 for lead in sorted(basis)]
-        chosen = nz[picked].tolist()
-        k = len(chosen)
-        taken = set(chosen)
-        displaced = [i for i in range(pr, pr + k) if i not in taken]
-        r[[i for i in chosen if i >= pr + k], w:] = r[displaced, w:]
-        r[pr : pr + k, w:] = 0
-        r[pr : pr + k, w + used] = by_bit[at_leads]
-        pivots.extend(w * _WORD_BITS + b for b in at_leads)
-        pr += k
-    return RrefResult(BitMatrix(m.rows, m.cols, r), tuple(pivots))
+    leads = _echelon(_row_ints(m))
+    later = 0                                          # the pivot bits already reduced
+    for b in sorted(leads):
+        v = leads[b]
+        while x := v & later:                          # a reduced row holds one pivot bit
+            v ^= leads[x.bit_length()]
+        leads[b] = v
+        later |= 1 << (b - 1)
+    order = sorted(leads, reverse=True)                # ascending pivot columns
+    nw = _word_count(m.cols)
+    pad = nw * _WORD_BITS - m.cols
+    raw = b"".join((leads[b] << pad).to_bytes(nw * 8, "big") for b in order).translate(_REVERSED)
+    words = np.frombuffer(bytearray(raw) + bytearray((m.rows - len(order)) * nw * 8),
+                          dtype=np.uint64)
+    return RrefResult(BitMatrix(m.rows, m.cols, words.reshape(m.rows, nw)),
+                      tuple(m.cols - b for b in order))
 
 
 def reduced(m: BitMatrix) -> RrefResult:
@@ -382,27 +329,19 @@ def reduced(m: BitMatrix) -> RrefResult:
     return m._rref
 
 
-# `rank`'s Python ints won on seeded LDPC matrices of up to 8 Mi cells; on dense ones
-# they break even with numpy's import, packing and `rref` near 4 Mi cells.
-_ECHELON_CELLS = 1 << 22
-
-
 def rank(m: BitMatrix) -> int:
     """The rank of m, found once: by its components when no column holds three ones,
-    else by eliminating its flat positions' rows as Python ints up to _ECHELON_CELLS
-    cells, and otherwise `reduced(m).rank`.
+    else as the number of leads `_echelon` keeps of its rows.
 
     Such an m is a graph on its rows and a ground node (`_edges`): a spanning forest
     is a basis of the columns' span, so the rank is the joins one union-find pass
-    makes.  The ints keep a row per lead, its highest one, and XOR into each row the
-    row kept at its lead until it is zero or has a new lead.
+    makes.
     """
     if m._rank is not None:
         return m._rank
     edges = _edges(m)
     if edges is None:
-        ints = m._flat is not None and m.rows * m.cols <= _ECHELON_CELLS
-        m._rank = _echelon_rank(m) if ints else reduced(m).rank
+        m._rank = len(_echelon(_row_ints(m)))
         return m._rank
     parent = list(range(max(map(max, edges.values()), default=-1) + 1))
 
@@ -415,20 +354,6 @@ def rank(m: BitMatrix) -> int:
         parent[root(a)] = root(b)
     m._rank = sum(p != x for x, p in enumerate(parent))  # each join makes one root a child
     return m._rank
-
-
-def _echelon_rank(m: BitMatrix) -> int:
-    """The number of leads `rank` keeps; `int.bit_length` reads a lead in one step."""
-    cols, bits, leads = m.cols, bytearray((m.rows * m.cols + 7) >> 3), {}
-    for p in m._flat:                                  # m's rows in one run of bits
-        bits[p >> 3] |= 1 << (p & 7)
-    for at in range(0, m.rows * cols, cols):
-        v = int.from_bytes(bits[at >> 3:(at + cols + 7) >> 3], "little") >> (at & 7) & ~(-1 << cols)
-        while v.bit_length() in leads:
-            v ^= leads[v.bit_length()]
-        if v:
-            leads[v.bit_length()] = v
-    return len(leads)
 
 
 def _columns(m: BitMatrix) -> dict[int, list[int]]:

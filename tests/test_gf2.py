@@ -142,17 +142,15 @@ def flat_from_columns(rows: int, cols: int, column_rows: list[list[int]]) -> Bit
 
 
 class TestComponentRank:
-    """`rank` of a graph, or of a matrix read from a file within its cell bound, runs no `rref`."""
+    """`rank` of a graph, or of any other matrix, runs no `rref`."""
 
     def test_against_int_elimination(self):
-        # every path of `rank`: the components of a graph, Python ints for a matrix
-        # read as flat positions within _ECHELON_CELLS cells, else `reduced`; the
-        # bound is made small here so that seeded heavy and dense matrices fall on
-        # both sides.  A later `reduced` agrees with the rank found.
+        # every path of `rank`: the components of a graph, else Python ints, for a
+        # matrix packed or read as flat positions.  A later `reduced` agrees with
+        # the rank found.
         rng = random.Random(1818)
         seen = Counter()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gf2, "_ECHELON_CELLS", 300)
             for trial in range(2400):
                 rows, cols, column_rows = graph_matrix(rng)
                 three = trial % 6 == 0 and rows >= 3 and cols
@@ -167,14 +165,13 @@ class TestComponentRank:
                 for m in (from_columns(rows, cols, column_rows),
                           flat_from_columns(rows, cols, column_rows)):
                     graph = max(map(len, column_rows), default=0) <= 2
-                    ints = not graph and m._flat is not None and rows * cols <= 300
-                    path = "components" if graph else "ints" if ints else "reduced"
+                    path = "components" if graph else "ints"
                     reduced = []
                     patch.setattr(gf2, "rref", lambda m: reduced.append(m) or rref(m))
                     got = rank(m)
                     assert rank(m) == got                # remembered: no second elimination
                     assert got == expected, (rows, cols, column_rows)
-                    assert len(reduced) == (path == "reduced"), path
+                    assert not reduced, path
                     assert gf2.reduced(m).rank == expected
                     seen[path] += 1
                     seen["flat " + path] += m._flat is not None
@@ -185,19 +182,7 @@ class TestComponentRank:
                 seen["several components"] += rows - expected > 1
                 seen["three"] += bool(three)
                 seen["dense"] += dense and rows * cols > 0
-        assert len(seen) == 12 and min(seen.values()) >= 50, seen
-        # the bound itself: 2048 x 2048 cells of column weight 3 are eliminated as
-        # ints, one more row is reduced
-        for rows in (2048, 2049):
-            column_rows = [rng.sample(range(rows), 3) for _ in range(2048)]
-            m = flat_from_columns(rows, 2048, column_rows)
-            got = rank(m)
-            assert (m._rref is None) == (rows == 2048)
-            row_ints = [0] * rows
-            for c, rs in enumerate(column_rows):
-                for r in rs:
-                    row_ints[r] |= 1 << c
-            assert got == int_rank(row_ints) == gf2.reduced(m).rank
+        assert len(seen) == 10 and min(seen.values()) >= 50, seen
 
     def test_toric_checks_have_one_unmarked_component(self):
         # the L x L toric code's H_X: L^2 checks in one component, no one-one column
@@ -536,7 +521,7 @@ class TestArithmetic:
 
 
 def oracle_rref(m: BitMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reference: the per-column elimination that block elimination replaced."""
+    """Reference: a per-column elimination on the packed words, one pivot at a time."""
     r = m._words.copy()
     pivots: list[int] = []
     pr = 0
@@ -572,7 +557,8 @@ def oracle_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def oracle_shapes():
-    """Seeded matrices of the shapes block elimination and the packed kernels must handle."""
+    """Seeded matrices of the shapes elimination and the packed kernels must handle:
+    widths about one, two and three words, rows past the width, duplicate rows."""
     rng = np.random.default_rng(2024)
     out = [np.zeros((0, 0)), np.zeros((0, 7)), np.zeros((5, 0)), np.zeros((0, 129))]
     for cols in (1, 63, 64, 65, 127, 129):
@@ -589,7 +575,8 @@ def oracle_shapes():
 
 
 def block_edge_cases():
-    """Seeded matrices at the edges of block elimination, each tried against the oracle."""
+    """Seeded matrices each tried against the oracle: Z127 lifted-product checks, zero
+    word runs between non-zero ones, low-rank leading columns, and dense shapes."""
     rng = np.random.default_rng(127)
     group = FiniteGroup.cyclic(127)
     ring = lambda: from_masks(  # noqa: E731  two-term entries over Z127
@@ -598,18 +585,18 @@ def block_edge_cases():
     lifted = lifted_product(ring(), ring())
     out = [lifted.h_x, lifted.h_z]                       # 762 x 1651 each
     gaps = rng.random((150, 320)) < 0.5
-    gaps[:, 64:192] = False                             # zero word blocks between non-zero ones
+    gaps[:, 64:192] = False                             # zero words between non-zero ones
     gaps[:, 256:] &= rng.random((150, 64)) < 0.05
     out.append(gaps)
     sparse = np.zeros((90, 400), dtype=bool)
     sparse[rng.integers(0, 90, 30), rng.integers(0, 400, 30)] = True
     sparse[:, 130:260] = False
     out.append(sparse)
-    # 200 rows active in block 0 with rank 40 there, then random blocks
+    # 200 rows of rank 40 in the first 64 columns, then random columns
     low_rank = (rng.integers(0, 2, (200, 40)) @ rng.integers(0, 2, (40, 64))) % 2
     out.append(np.hstack([low_rank, rng.random((200, 100)) < 0.5]))
     out.append(np.hstack([low_rank[:, :50], np.zeros((200, 100)), low_rank]))
-    # block 0: 100 rows of rank 10, then 200 rows adding rank 20, so rows survive the span filter
+    # the first 64 columns: 100 rows of rank 10, then 200 rows adding rank 20
     first, later = (rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, 64)) % 2
                     for rows, rank in ((100, 10), (200, 20)))
     out.append(np.hstack([np.vstack([first, later]), rng.random((300, 80)) < 0.5]))
@@ -636,17 +623,24 @@ def word_views():
     return out
 
 
+def flat_copy(m: BitMatrix) -> BitMatrix:
+    """The same matrix kept as flat positions, the form the file readers give."""
+    return BitMatrix(m.rows, m.cols, flat=[i * m.cols + j for i, j in m.ones()])
+
+
 class TestAgainstOracles:
     def test_rref_matches_per_column_loop(self):
-        for m in oracle_shapes():
-            res = rref(m)
-            words, pivots = oracle_rref(m)
-            assert np.array_equal(res.rref._words, words), m.shape
-            assert res.pivot_cols == pivots, m.shape
-            assert res.rank == len(pivots)
+        # packed words, views of other matrices' words, and flat positions
+        for packed in word_views():
+            words, pivots = oracle_rref(packed)
+            for m in (packed, flat_copy(packed)):
+                res = rref(m)
+                assert np.array_equal(res.rref._words, words), m.shape
+                assert res.pivot_cols == pivots, m.shape
+                assert res.rank == len(pivots)
 
     def test_rref_of_toric_code_matches(self):
-        # 1600 x 3200: many word blocks, few rows cleared per pivot, many swaps;
+        # 1600 x 3200: 1599 pivots, few rows cleared per pivot;
         # H_Z's cyclic I (x) H2 blocks combine into dense pivot rows
         code = ClassicalCode(repetition_check(40))
         product = hgp(code, code)
@@ -658,12 +652,13 @@ class TestAgainstOracles:
             assert transpose(h) == BitMatrix.from_dense(h.to_dense().T)
 
     def test_rref_of_block_edge_cases_matches(self):
-        for m in block_edge_cases():
-            res = rref(m)
-            words, pivots = oracle_rref(m)
-            assert np.array_equal(res.rref._words, words), m.shape
-            assert res.pivot_cols == pivots, m.shape
-            assert transpose(m) == BitMatrix.from_dense(m.to_dense().T), m.shape
+        for packed in block_edge_cases():
+            words, pivots = oracle_rref(packed)
+            for m in (packed, flat_copy(packed)):
+                res = rref(m)
+                assert np.array_equal(res.rref._words, words), m.shape
+                assert res.pivot_cols == pivots, m.shape
+                assert transpose(m) == BitMatrix.from_dense(m.to_dense().T), m.shape
 
     @pytest.mark.parametrize("cap", [8, 64, 1000, gf2._GATHER_BYTES])
     def test_matmul_matches_dense_rows(self, monkeypatch, cap):
