@@ -6,19 +6,19 @@ one), so k is always computed as n - rank(H), never as n - m.
 
 Distances are exact: `gf2.coset_min_weight` with no stabiliser finds the
 shortest cycle of an H with at most two ones per column (its girth), and
-scores all non-zero combinations of any other kernel basis, a packed table
-of low combinations per Gray-code step; codes with 2^k beyond the budget
-are refused from the rank of H, before any elimination, not estimated.
+scores all non-zero combinations of any other kernel basis, a table of
+low combinations packed into words per Gray-code step; codes with 2^k
+beyond the budget are refused from the rank of H, before any
+elimination, not estimated.
 H's rank and reduced form are remembered by H itself (`gf2.rank`,
 `gf2.reduced`).
 
-The emitters handle the whole matrix at once, with numpy: the PCM
-emitter fills one byte array, the alist emitter finds all entries with one
-np.nonzero.  The readers are pure Python and give a matrix that keeps its
-ones as Python ints, so reading and ranking a code imports no numpy.
-They read a refused file again line by line (`_pcm_error`,
-`_alist_error`), naming the same line with the same message as a
-line-by-line reader would.
+The readers and emitters are pure Python on a matrix's flat positions,
+so reading, ranking and writing a code imports no numpy: the PCM emitter
+sets one byte per one in a template of "0 " rows, the alist emitter reads
+the ones once in row-major order.  The readers read a refused file again
+line by line (`_pcm_error`, `_alist_error`), naming the same line with
+the same message as a line-by-line reader would.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import chain, compress, repeat
 from typing import NamedTuple, NoReturn
 
 from .errors import FormatError, PreconditionError, read_file
-from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, np, rank, reduced, rref, transpose
+from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, rank, reduced, rref, transpose
 
 
 class SystematicBasis(NamedTuple):
@@ -171,10 +171,14 @@ def _pcm_error(text: str) -> NoReturn:
 
 
 def emit_pcm_text(h: BitMatrix) -> str:
-    body = np.full((h.rows, max(2 * h.cols, 1)), ord(" "), dtype=np.uint8)
-    body[:, : 2 * h.cols : 2] = h.to_dense() + ord("0")
-    body[:, -1] = ord("\n")
-    return f"{h.rows} {h.cols}\n" + body.tobytes().decode("ascii")
+    """The plain format.  Every row is "0 " n times, its last space a newline, so the
+    entry at flat position p is byte 2 p of the body; each one sets it to "1"."""
+    head = f"{h.rows} {h.cols}\n".encode()
+    text = bytearray(b"0 " * (h.cols - 1) + b"0\n" if h.cols else b"\n") * h.rows
+    text[:0] = head                                     # one buffer: no second copy of the body
+    for p in h._flat:
+        text[len(head) + 2 * p] = 49                    # "1"
+    return text.decode("ascii")
 
 
 def parse_alist(text: str) -> BitMatrix:
@@ -285,40 +289,30 @@ def _alist_error(text: str) -> NoReturn:
     raise AssertionError("parse_alist refused an alist that reads line by line")
 
 
-def _decimal_rows(values: np.ndarray) -> str:
-    """Rows of integers as text, space-separated, one line per row."""
-    return "".join(" ".join(map(str, row)) + "\n" for row in values.tolist())
-
-
-def _padded_lists(owner: np.ndarray, values: np.ndarray, count: int, width: int) -> np.ndarray:
-    """One row per owner, its values in order, zero-padded to `width` (at least 1)."""
-    out = np.zeros((count, max(width, 1)), dtype=np.int64)
-    sizes = np.bincount(owner, minlength=count)
-    start = np.cumsum(sizes) - sizes
-    out[owner, np.arange(owner.size) - start[owner]] = values
-    return out
-
-
 def read_check_matrix(path: str) -> BitMatrix:
     """A check matrix file: alist when the name ends in `.alist`, plain PCM otherwise."""
     return read_file(path, parse_alist if path.endswith(".alist") else parse_pcm_text)
 
 
 def emit_alist(h: BitMatrix) -> str:
+    """MacKay alist: each column's checks and each row's bits, 1-indexed and ascending,
+    read off the ones in row-major order and padded with "0" to the largest degree."""
     m, n = h.shape
-    check, bit = h.nonzero()   # row-major: bits ascend within each check
-    col_deg = np.bincount(bit, minlength=n)
-    row_deg = np.bincount(check, minlength=m)
-    max_col = int(col_deg.max()) if n else 0
-    max_row = int(row_deg.max()) if m else 0
-    by_bit = np.argsort(bit, kind="stable")  # checks ascend within each bit
-    return "".join([
-        f"{n} {m}\n{max_col} {max_row}\n",
-        _decimal_rows(col_deg[None, :]),
-        _decimal_rows(row_deg[None, :]),
-        _decimal_rows(_padded_lists(bit[by_bit], check[by_bit] + 1, n, max_col)),
-        _decimal_rows(_padded_lists(check, bit + 1, m, max_row)),
-    ])
+    names = list(map(str, range(max(m, n) + 1)))      # each index as text, made once
+    bits, checks = [[] for _ in range(m)], [[] for _ in range(n)]
+    for p in sorted(h._flat):
+        i, j = divmod(p, n)
+        bits[i].append(names[j + 1])
+        checks[j].append(names[i + 1])
+    col_deg, row_deg = list(map(len, checks)), list(map(len, bits))
+    max_col, max_row = max(col_deg, default=0), max(row_deg, default=0)
+
+    def lines(lists: list[list[str]], width: int) -> str:
+        return "".join(" ".join(v + ["0"] * (width - len(v))) + "\n" for v in lists)
+
+    return "".join([f"{n} {m}\n{max_col} {max_row}\n",
+                    lines([list(map(str, col_deg)), list(map(str, row_deg))], 0),
+                    lines(checks, max(max_col, 1)), lines(bits, max(max_row, 1))])
 
 
 def _next_line(lines: list[str], start: int, blank: bool = False) -> int:

@@ -13,12 +13,13 @@ parse error.  `analyze --budget` is the one setter of the
 distance-enumeration cap, which also bounds the `--c1/--c2` cross-check;
 0 means the default and a negative budget exits 1.  `analyze` reads
 and validates all its input files, `--c1/--c2` included, before any
-analysis.  Each command imports only the layers it runs, so `layout
---input`, `layout --graph` and `verify covering` never load numpy, and
-neither does an `analyze` that enumerates nothing, or whose matrices hold
-at most two ones per column (every toric and planar code): its ranks,
-commutation and graph distances are read in Python, the commutation up
-to the pair bound of `gf2.matmul_t`.
+analysis.  Each command imports only the layers it runs, so `construct
+hgp`, `layout --input`, `layout --graph` and `verify covering` never load
+numpy, and neither does an `analyze` that enumerates nothing, or whose
+matrices hold at most two ones per column (every toric and planar code):
+its ranks, commutation and graph distances are read in Python.  Only the
+Gray-code walk of a decided distance of a code that is no graph, and the
+lifted and balanced products and `verify action`, import numpy.
 """
 
 from __future__ import annotations

@@ -279,9 +279,9 @@ def binary_map(m: GroupAlgebraMatrix) -> BitMatrix:
     i, j, g = np.array([(r, c, h) for r, row in enumerate(m.entries)
                         for c, e in enumerate(row) for h in e.support()],
                        dtype=np.int64).reshape(-1, 3).T
-    return BitMatrix.from_entries(m.rows * l, m.cols * l,
-                                  (i[:, None] * l + m.group.mul[g]).ravel(),
-                                  (j[:, None] * l + np.arange(l)).ravel())
+    cols = m.cols * l
+    return BitMatrix(m.rows * l, cols, ((i[:, None] * l + m.group.mul[g]) * cols
+                                        + (j[:, None] * l + np.arange(l))).ravel().tolist())
 
 
 # -- text format ------------------------------------------------------------

@@ -19,8 +19,9 @@ first read of `layout.edges`: writing files or analysing a code needs
 neither.  `groups` and `tanner` are imported by the constructors that
 use them, and `render` by the layout builders, so hypergraph products
 load neither of the first two and analysis loads none of the three.
-numpy is imported by the constructors and layouts that use it, so
-wrapping two graph check matrices (`css_from_matrices`) imports none.
+The hypergraph product and its layout move Python ints, so `hgp` and
+`css_from_matrices` import no numpy; the lifted and balanced products
+import it with `groups` and `tanner`.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from typing import TYPE_CHECKING, Callable
 
 from .classical import ClassicalCode
 from .errors import DimensionError, PreconditionError
-from .gf2 import BitMatrix, hstack, kron, matmul_t, np, transpose
+from .gf2 import BitMatrix, hstack, kron, matmul_t, transpose
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .groups import GroupAlgebraMatrix
     from .render import CoordinateTable
     from .tanner import GroupAction, TannerGraph
@@ -116,13 +119,12 @@ def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix) -> CSSCode:
 def _incidence_edges(h_x: BitMatrix, h_z: BitMatrix, q1_size: int) -> tuple:
     edges = []
     for role, h in (("x", h_x), ("z", h_z)):
-        for i, j in zip(*h.nonzero()):
-            j = int(j)
+        for i, j in sorted(h.ones()):                   # row-major
             if j < q1_size:
                 target = ("q1", j)
             else:
                 target = ("q2", j - q1_size)
-            edges.append(((role, int(i)), target))
+            edges.append(((role, i), target))
     return tuple(edges)
 
 
@@ -137,7 +139,7 @@ def _layout(kind: str, m1: int, n2: int, families: dict, edges) -> CoordinateTab
     """The coordinates of every product layout.
 
     `families[name]` holds the (first-factor class, second-factor class,
-    row) arrays of one vertex family in code order.  x is the first-factor
+    row) lists of one vertex family in code order.  x is the first-factor
     class, offset by m1 for bits; y the second-factor class, offset by n2
     for checks; z the row, dropped in "2d".
     """
@@ -147,8 +149,9 @@ def _layout(kind: str, m1: int, n2: int, families: dict, edges) -> CoordinateTab
     def coords(name):
         a, b, row = families[name]
         part_a, part_b = _FAMILIES[name]
-        axes = [(a + m1 * (part_a == "bit")).tolist(), (b + n2 * (part_b == "check")).tolist()]
-        return tuple(zip(*axes, *([row.tolist()] if kind == "3d" else [])))
+        da, db = m1 * (part_a == "bit"), n2 * (part_b == "check")
+        return tuple(zip([x + da for x in a], [y + db for y in b],
+                         *([row] if kind == "3d" else [])))
 
     return CoordinateTable(kind=kind, x_checks=coords("x"), z_checks=coords("z"),
                            qubits_q1=coords("q1"), qubits_q2=coords("q2"), edges=edges)
@@ -157,9 +160,12 @@ def _layout(kind: str, m1: int, n2: int, families: dict, edges) -> CoordinateTab
 def _grid(m1: int, n1: int, m2: int, n2: int, l: int) -> dict:
     """Families indexed (a * cols + b) * l + g, the order of the product matrices."""
     first, second = {"check": m1, "bit": n1}, {"check": m2, "bit": n2}
-    return {name: np.unravel_index(np.arange(first[pa] * second[pb] * l),
-                                   (first[pa], second[pb], l))
-            for name, (pa, pb) in _FAMILIES.items()}
+
+    def axes(f: int, s: int) -> tuple[list[int], list[int], list[int]]:
+        return ([a for a in range(f) for _ in range(s * l)],
+                [b for b in range(s) for _ in range(l)] * f, list(range(l)) * (f * s))
+
+    return {name: axes(first[pa], second[pb]) for name, (pa, pb) in _FAMILIES.items()}
 
 
 # -- hypergraph product -------------------------------------------------------
@@ -167,11 +173,10 @@ def _grid(m1: int, n1: int, m2: int, n2: int, l: int) -> dict:
 
 def _kron_identity(h: BitMatrix, r: int, l: int) -> BitMatrix:
     """H (x) I_r over l x l blocks: block (i, j) of H goes to (i r + p, j r + p), p < r."""
-    a, b = h.nonzero()
-    p = np.arange(r) * l
-    return BitMatrix.from_entries(h.rows * r, h.cols * r,
-                                  ((a + a // l * (r - 1) * l)[:, None] + p).ravel(),
-                                  ((b + b // l * (r - 1) * l)[:, None] + p).ravel())
+    cols, spread = h.cols * r, (r - 1) * l
+    steps = range(0, r * l * (cols + 1), l * (cols + 1))    # p l down and p l across
+    return BitMatrix(h.rows * r, cols, [(a + a // l * spread) * cols + b + b // l * spread + s
+                                        for a, b in h.ones() for s in steps])
 
 
 def _product(h1: BitMatrix, h2: BitMatrix, l: int) -> tuple[BitMatrix, BitMatrix]:
@@ -289,6 +294,8 @@ def balanced_product(
     reduced mod 2 in the parity-check matrices, with the reduction count
     recorded in provenance.
     """
+    import numpy as np
+
     from .tanner import is_free, part_orbits
 
     group = act_a.group
@@ -333,15 +340,14 @@ def balanced_product(
         mult = np.concatenate([np.repeat(a.mult[leaves], v.size), np.tile(b.mult, k.size)])
         counts = np.bincount(inverse.ravel(), mult, cells.size)
         reduced += int((counts > 1).sum())
-        odd = cells[counts % 2 == 1]
-        return BitMatrix.from_entries(classes[check_name], n, odd // n, odd % n)
+        return BitMatrix(classes[check_name], n, cells[counts % 2 == 1].tolist())
 
     h_x = fill("x")
     h_z = fill("z")
 
     def layout(edges) -> CoordinateTable:
-        families = {name: (np.repeat(np.arange(m_a[pa]), size_b[pb]),
-                           *(np.tile(x, m_a[pa]) for x in orbits_b[pb][1:]))
+        families = {name: (np.repeat(np.arange(m_a[pa]), size_b[pb]).tolist(),
+                           *(np.tile(x, m_a[pa]).tolist() for x in orbits_b[pb][1:]))
                     for name, (pa, pb) in _FAMILIES.items()}
         return _layout("3d", m_a["check"], orbits_b["bit"][0].size, families, edges)
 

@@ -146,8 +146,7 @@ class TannerGraph(_Graph):
 
     @classmethod
     def from_bitmatrix(cls, h: BitMatrix) -> "TannerGraph":
-        rows, cols = h.nonzero()
-        return cls(h.rows, h.cols, zip(rows.tolist(), cols.tolist()))
+        return cls(h.rows, h.cols, sorted(h.ones()))    # row-major
 
     def part_sizes(self) -> dict[str, int]:
         return {"check": self.check_count, "bit": self.bit_count}

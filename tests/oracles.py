@@ -3,8 +3,12 @@
 Each is a direct, unoptimised form of a result qpc reaches another way,
 or a value or view that only the tests need:
 
+- a `BitMatrix` from and as numpy arrays: from a dense array, its
+  ones' indices, its entries at given positions and its packed 64-bit
+  words;
 - rows of a `BitMatrix` as Python ints, and the row operations of an
   elimination, found by eliminating [source | I];
+- the numpy PCM and alist emitters that the Python ones replaced;
 - the check matrices of the cyclic repetition and [7,4] Hamming codes;
 - ring matrices over F2[G]: matrices of element bit masks, monomials and
   conjugates of elements, the Kronecker product with an identity, the
@@ -38,25 +42,61 @@ from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, bin
 from qpc.products import CSSCode, hgp, lifted_product
 from qpc.tanner import GroupAction, PlainGraph
 
+# -- GF(2) matrices as numpy arrays and packed words ---------------------------
+
+
+def from_dense(array) -> BitMatrix:
+    """The matrix of a 2-D array of 0/1 values (bit 0 of each value)."""
+    dense = np.atleast_2d(np.asarray(array))
+    if dense.ndim != 2:
+        raise DimensionError(f"expected 2-D input, got shape {dense.shape}")
+    rows, cols = dense.shape
+    return BitMatrix(rows, cols, np.flatnonzero(dense.astype(np.uint8) & 1).tolist())
+
+
+def nonzero(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the ones, row-major with columns ascending, as int64."""
+    return np.divmod(np.sort(np.array(m._flat, dtype=np.int64)), max(m.cols, 1))
+
+
+def entries(m: BitMatrix, i, j) -> np.ndarray:
+    """The entries at the positions (i[t], j[t]), as booleans; IndexError outside the shape."""
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    if ((i < 0) | (i >= m.rows) | (j < 0) | (j >= m.cols)).any():
+        raise IndexError(f"a position is out of range for {m.shape}")
+    return np.isin(i * m.cols + j, np.array(m._flat, dtype=np.int64))
+
+
+def packed_words(m: BitMatrix) -> np.ndarray:
+    """m packed little-endian into 64-bit words: `packed_words(m)[i, j // 64] >> (j % 64) & 1`
+    is entry (i, j), and the bits past the last column are zero."""
+    bits = np.zeros((m.rows, _word_count(m.cols) * 64), dtype=np.uint8)
+    bits[nonzero(m)] = 1
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+def from_words(words: np.ndarray, cols: int) -> BitMatrix:
+    """The matrix of `cols` columns packed in `words` as `packed_words` packs it."""
+    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=1, bitorder="little")
+    return from_dense(bits[:, :cols].reshape(words.shape[0], cols))
+
+
 # -- GF(2) rows as ints, and row operations ------------------------------------
 
 
 def from_row_ints(ints, cols: int) -> BitMatrix:
     """Rows given as little-endian integers (bit j of the int = column j)."""
-    rows = len(ints)
-    nw = _word_count(cols)
-    words = np.zeros((rows, nw), dtype=np.uint64)
+    flat = []
     for i, value in enumerate(ints):
         if value < 0 or value >> cols:
             raise DimensionError(f"row {i} does not fit in {cols} columns")
-        raw = int(value).to_bytes(nw * 8, "little")
-        words[i] = np.frombuffer(raw, dtype=np.uint64)
-    return BitMatrix(rows, cols, words)
+        flat += [i * cols + j for j in range(cols) if value >> j & 1]
+    return BitMatrix(len(ints), cols, flat)
 
 
 def row_int(m: BitMatrix, i: int) -> int:
     """Row i as a little-endian integer."""
-    return int.from_bytes(m._words[i].tobytes(), "little")
+    return sum(1 << j for r, j in m.ones() if r == i)
 
 
 def rows_as_ints(m: BitMatrix) -> list[int]:
@@ -64,7 +104,7 @@ def rows_as_ints(m: BitMatrix) -> list[int]:
 
 
 def row_weight(m: BitMatrix, i: int) -> int:
-    return int(np.bitwise_count(m._words[i]).sum())
+    return sum(r == i for r, _ in m.ones())
 
 
 def row_ops(source: BitMatrix) -> BitMatrix:
@@ -89,7 +129,48 @@ def repetition_check(n: int) -> BitMatrix:
 def hamming_7_4_check() -> BitMatrix:
     """3 x 7 check matrix whose columns are all non-zero 3-bit vectors."""
     cols = [[(j >> b) & 1 for j in range(1, 8)] for b in range(3)]
-    return BitMatrix.from_dense(np.array(cols, dtype=np.uint8))
+    return from_dense(np.array(cols, dtype=np.uint8))
+
+
+# -- the numpy emitters ---------------------------------------------------------
+
+
+def numpy_emit_pcm_text(h: BitMatrix) -> str:
+    body = np.full((h.rows, max(2 * h.cols, 1)), ord(" "), dtype=np.uint8)
+    body[:, : 2 * h.cols : 2] = h.to_dense() + ord("0")
+    body[:, -1] = ord("\n")
+    return f"{h.rows} {h.cols}\n" + body.tobytes().decode("ascii")
+
+
+def _decimal_rows(values: np.ndarray) -> str:
+    """Rows of integers as text, space-separated, one line per row."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in values.tolist())
+
+
+def _padded_lists(owner: np.ndarray, values: np.ndarray, count: int, width: int) -> np.ndarray:
+    """One row per owner, its values in order, zero-padded to `width` (at least 1)."""
+    out = np.zeros((count, max(width, 1)), dtype=np.int64)
+    sizes = np.bincount(owner, minlength=count)
+    start = np.cumsum(sizes) - sizes
+    out[owner, np.arange(owner.size) - start[owner]] = values
+    return out
+
+
+def numpy_emit_alist(h: BitMatrix) -> str:
+    m, n = h.shape
+    check, bit = nonzero(h)   # row-major: bits ascend within each check
+    col_deg = np.bincount(bit, minlength=n)
+    row_deg = np.bincount(check, minlength=m)
+    max_col = int(col_deg.max()) if n else 0
+    max_row = int(row_deg.max()) if m else 0
+    by_bit = np.argsort(bit, kind="stable")  # checks ascend within each bit
+    return "".join([
+        f"{n} {m}\n{max_col} {max_row}\n",
+        _decimal_rows(col_deg[None, :]),
+        _decimal_rows(row_deg[None, :]),
+        _decimal_rows(_padded_lists(bit[by_bit], check[by_bit] + 1, n, max_col)),
+        _decimal_rows(_padded_lists(check, bit + 1, m, max_row)),
+    ])
 
 
 # -- groups and ring matrices --------------------------------------------------

@@ -20,7 +20,7 @@ from qpc.analysis import (
 )
 from qpc.classical import ClassicalCode
 from qpc.errors import BudgetError
-from qpc.gf2 import BitMatrix, matmul, transpose
+from qpc.gf2 import matmul, transpose
 from qpc.groups import (
     FiniteGroup,
     GroupAlgebraMatrix,
@@ -44,8 +44,8 @@ from qpc.tanner import (
     verify_covering,
 )
 
-from oracles import (cartesian_product_plain, from_masks, hgp_of_lifts, product_action_plain,
-                     repetition_check, search_noncommuting_lp, total_vertices)
+from oracles import (cartesian_product_plain, from_dense, from_masks, hgp_of_lifts,
+                     product_action_plain, repetition_check, search_noncommuting_lp, total_vertices)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -64,7 +64,7 @@ def random_classical(rng, max_m, max_n):
     dense = np.array(
         [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], dtype=np.uint8
     )
-    return ClassicalCode(BitMatrix.from_dense(dense))
+    return ClassicalCode(from_dense(dense))
 
 
 def random_monomial(rng, group, rows, cols):

@@ -31,8 +31,8 @@ from qpc.groups import (
 )
 from qpc.products import css_from_matrices, hgp, lifted_product
 
-from oracles import (from_masks, from_row_ints, hamming_7_4_check, repetition_check, row_weight,
-                     rows_as_ints, search_noncommuting_lp, verify_logical_basis)
+from oracles import (from_dense, from_masks, from_row_ints, hamming_7_4_check, repetition_check,
+                     row_int, row_weight, rows_as_ints, search_noncommuting_lp, verify_logical_basis)
 
 
 def rep3():
@@ -106,7 +106,7 @@ def brute_force_coset(checks: BitMatrix, stab: BitMatrix) -> int | None:
 
 def random_check_matrix(rng, max_m, max_n, min_n=1):
     m, n = rng.randint(0, max_m), rng.randint(min_n, max_n)
-    return BitMatrix.from_dense(np.array(
+    return from_dense(np.array(
         [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], dtype=np.uint8
     ).reshape(m, n))
 
@@ -241,8 +241,8 @@ class TestCommutation:
                 n = int(rng.integers(1, 300))
                 h_x = rng.random((rng.integers(0, 100), n)) < density
                 h_z = rng.random((rng.integers(0, 3000), n)) < density
-                ok, pairs = check_commutation(css_from_matrices(BitMatrix.from_dense(h_x),
-                                                                BitMatrix.from_dense(h_z)))
+                ok, pairs = check_commutation(css_from_matrices(from_dense(h_x),
+                                                                from_dense(h_z)))
                 dense = h_x.astype(np.float32) @ h_z.T.astype(np.float32) % 2
                 assert pairs == list(zip(*map(np.ndarray.tolist, np.nonzero(dense))))
                 assert ok == (not pairs)
@@ -286,7 +286,7 @@ class TestKFormula:
             def rand_code():
                 m = rng.randint(1, 5)
                 n = rng.randint(1, 7)
-                return ClassicalCode(BitMatrix.from_dense(
+                return ClassicalCode(from_dense(
                     np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)])
                 ))
             c1, c2 = rand_code(), rand_code()
@@ -336,8 +336,8 @@ class TestDistance:
         # ones): the Gray-code route eliminates H_X, whose rank its components gave.
         # A code of two graphs is never eliminated.
         h_x, h_z = toric().h_x, toric().h_z
-        h_z = vstack(h_z, add(BitMatrix(1, h_z.cols, h_z._words[:1]),
-                              BitMatrix(1, h_z.cols, h_z._words[1:2])))
+        h_z = vstack(h_z, add(from_row_ints([row_int(h_z, 0)], h_z.cols),
+                              from_row_ints([row_int(h_z, 1)], h_z.cols)))
         code = css_from_matrices(h_x, h_z)
         assert gf2._edges(h_x) is not None and gf2._edges(h_z) is None
         code.h_x._rank = rank(code.h_x) - 1
@@ -356,10 +356,10 @@ class TestDistance:
         while tried < 6:
             m = rng.randint(1, 2)
             n = rng.randint(2, 3)
-            c1 = ClassicalCode(BitMatrix.from_dense(
+            c1 = ClassicalCode(from_dense(
                 np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)])
             ))
-            c2 = ClassicalCode(BitMatrix.from_dense(
+            c2 = ClassicalCode(from_dense(
                 np.array([[rng.randint(0, 1) for _ in range(2)] for _ in range(1)])
             ))
             code = hgp(c1, c2)
@@ -393,10 +393,10 @@ class TestDistanceBound:
         while checked < 10:
             m = rng.randint(1, 2)
             n = rng.randint(2, 4)
-            c1 = ClassicalCode(BitMatrix.from_dense(
+            c1 = ClassicalCode(from_dense(
                 np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)])
             ))
-            c2 = ClassicalCode(BitMatrix.from_dense(
+            c2 = ClassicalCode(from_dense(
                 np.array([[rng.randint(0, 1) for _ in range(3)] for _ in range(rng.randint(1, 2))])
             ))
             code = hgp(c1, c2)
@@ -539,7 +539,7 @@ class TestCanonicalLogicals:
     def test_transpose_only_blocks(self):
         # 1 check, 1 bit, zero entry: k = 1 and k^T = 1
         wide = ClassicalCode(BitMatrix.zeros(2, 1))
-        tall = ClassicalCode(BitMatrix.from_dense([[1], [1]]))
+        tall = ClassicalCode(from_dense([[1], [1]]))
         # tall: k = 0, k^T = 1; wide: k = 1, k^T = 2 -> only Q2 pairs survive
         assert hgp_k_formula(tall, tall) == 1
         basis = hgp_canonical_logicals(tall, tall)
@@ -552,10 +552,10 @@ class TestCanonicalLogicals:
         while built < 8:
             m = rng.randint(1, 3)
             n = rng.randint(1, 4)
-            c1 = ClassicalCode(BitMatrix.from_dense(
+            c1 = ClassicalCode(from_dense(
                 np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)])
             ))
-            c2 = ClassicalCode(BitMatrix.from_dense(
+            c2 = ClassicalCode(from_dense(
                 np.array([[rng.randint(0, 1) for _ in range(3)] for _ in range(2)])
             ))
             if hgp_k_formula(c1, c2) == 0:
@@ -568,10 +568,10 @@ class TestCanonicalLogicals:
     def test_matches_bit_scatter_loops(self):
         rng = random.Random(907)
         pairs = [(rep3(), rep3()), (ClassicalCode(hamming_7_4_check()), rep3()),
-                 (ClassicalCode(BitMatrix.from_dense([[1], [1]])),) * 2,
+                 (ClassicalCode(from_dense([[1], [1]])),) * 2,
                  (ClassicalCode(repetition_check(5)), ClassicalCode(hamming_7_4_check()))]
         while len(pairs) < 60:
-            c1, c2 = (ClassicalCode(BitMatrix.from_dense(np.array(
+            c1, c2 = (ClassicalCode(from_dense(np.array(
                 [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 4))]
             ))) for n in (rng.randint(1, 6), rng.randint(1, 6)))
             if hgp_k_formula(c1, c2):

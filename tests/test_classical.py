@@ -16,7 +16,7 @@ from qpc.classical import (
 from qpc.errors import BudgetError, FormatError, PreconditionError
 from qpc.gf2 import DEFAULT_BUDGET, BitMatrix, matmul, rank, transpose
 
-from oracles import hamming_7_4_check, repetition_check
+from oracles import from_dense, hamming_7_4_check, repetition_check
 
 
 def rep3():
@@ -43,7 +43,7 @@ def random_code(rng, max_m=5, max_n=8):
     dense = np.array(
         [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], dtype=np.uint8
     )
-    return ClassicalCode(BitMatrix.from_dense(dense))
+    return ClassicalCode(from_dense(dense))
 
 
 class TestDimension:

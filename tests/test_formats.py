@@ -20,7 +20,9 @@ import pytest
 from qpc import classical
 from qpc.classical import emit_alist, emit_pcm_text, parse_alist, parse_pcm_text
 from qpc.errors import FormatError
-from qpc.gf2 import BitMatrix
+from qpc.gf2 import BitMatrix, transpose
+
+from oracles import from_dense, numpy_emit_alist, numpy_emit_pcm_text
 
 # -- oracles ----------------------------------------------------------------
 
@@ -60,7 +62,7 @@ def oracle_parse_pcm_text(text: str) -> BitMatrix:
     if n >= 2**63:
         raise FormatError("header 'm n' exceeds the largest array dimension", idx + 1)
     dense = np.array(rows, dtype=np.uint8).reshape(m, n)
-    return BitMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def oracle_emit_pcm_text(h: BitMatrix) -> str:
@@ -154,7 +156,7 @@ def oracle_parse_alist(text: str) -> BitMatrix:
                 raise FormatError(
                     f"check {i} lists bit {b} absent from the column lists", ln
                 )
-    return BitMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def oracle_emit_alist(h: BitMatrix) -> str:
@@ -188,7 +190,7 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
     dense = np.array(
         [[rng.random() < p for _ in range(cols)] for _ in range(rows)], dtype=np.uint8
     ).reshape(rows, cols)
-    return BitMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def random_matrices(seed: int, count: int):
@@ -289,6 +291,26 @@ class TestEmitters:
     def test_alist_matches_oracle(self):
         for h in random_matrices(103, 60):
             assert emit_alist(h) == oracle_emit_alist(h), h.shape
+
+    def test_match_the_numpy_emitters_and_read_back(self):
+        # byte for byte the numpy emitters the Python ones replaced: no rows, no
+        # columns, neither, dense, every column weight from 1 to 6, and each
+        # transposed, whose ones are not in row-major order
+        rng = np.random.default_rng(109)
+        denses = [np.zeros((0, 5)), np.zeros((4, 0)), np.zeros((0, 0)), np.ones((7, 9)),
+                  rng.random((40, 130)) < 0.5]
+        for weight in range(1, 7):
+            rows, cols = int(rng.integers(weight, 40)), int(rng.integers(1, 150))
+            dense = np.zeros((rows, cols))
+            for j in range(cols):
+                dense[rng.choice(rows, weight, replace=False), j] = 1
+            denses.append(dense)
+        for dense in denses:
+            for h in (from_dense(dense), transpose(from_dense(dense))):
+                pcm, alist = emit_pcm_text(h), emit_alist(h)
+                assert pcm == numpy_emit_pcm_text(h), h.shape
+                assert alist == numpy_emit_alist(h), h.shape
+                assert parse_pcm_text(pcm) == h and parse_alist(alist) == h, h.shape
 
     def test_multi_digit_indices(self):
         # indices past 9, 99 and 999 exercise every digit count in a line
@@ -441,7 +463,7 @@ class TestLargePcm:
     @pytest.fixture(scope="class")
     def large(self):
         dense = np.random.default_rng(8101).random((400, 1000)) < 0.3
-        h = BitMatrix.from_dense(dense)
+        h = from_dense(dense)
         return h, emit_pcm_text(h)
 
     @staticmethod
@@ -515,7 +537,7 @@ class TestLargeAlist:
     @pytest.fixture(scope="class")
     def large(self):
         dense = np.random.default_rng(8201).random((400, 1000)) < 0.01
-        h = BitMatrix.from_dense(dense)
+        h = from_dense(dense)
         return h, emit_alist(h)
 
     @staticmethod

@@ -24,19 +24,19 @@ from qpc.gf2 import (
 from qpc.groups import FiniteGroup
 from qpc.products import hgp, lifted_product
 
-from oracles import (from_masks, from_row_ints, repetition_check, row_int, row_ops, row_weight,
-                     rows_as_ints)
+from oracles import (entries, from_dense, from_masks, from_row_ints, from_words, packed_words,
+                     repetition_check, row_int, row_ops, row_weight, rows_as_ints)
 
 # Circulant parity check of the 3-bit repetition code; its rows sum to zero.
 CIRC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
 
 
 def bm(rows):
-    return BitMatrix.from_dense(np.array(rows, dtype=np.uint8))
+    return from_dense(np.array(rows, dtype=np.uint8))
 
 
 def random_bitmatrix(rng, rows, cols):
-    return BitMatrix.from_dense(
+    return from_dense(
         np.array([[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)])
     )
 
@@ -51,20 +51,20 @@ class TestStorage:
                 [[rng.randint(0, 1) for _ in range(c)] for _ in range(r)],
                 dtype=np.uint8,
             ).reshape(r, c)
-            m = BitMatrix.from_dense(dense)
+            m = from_dense(dense)
             assert np.array_equal(m.to_dense(), dense)
             assert m.weight() == int(dense.sum())
 
     def test_entry_access(self):
         m = bm(CIRC)
-        assert m.entries([0, 0, 2], [0, 2, 1]).tolist() == [True, False, False]
+        assert entries(m, [0, 0, 2], [0, 2, 1]).tolist() == [True, False, False]
 
     @pytest.mark.parametrize("i, j", [([0], [40]), ([0], [-1]), ([3], [0]), ([-1], [0]),
                                       ([0, 2], [1, 3]), (0, 64)])
     def test_entries_outside_the_shape_raise(self, i, j):
         # (0, 40) and (0, -1) lie in row 0's word, past the last column
         with pytest.raises(IndexError, match=r"out of range for \(3, 3\)"):
-            bm(CIRC).entries(i, j)
+            entries(bm(CIRC), i, j)
 
     def test_row_ints(self):
         m = bm([[1, 0, 1, 1]])
@@ -72,17 +72,13 @@ class TestStorage:
         back = from_row_ints([0b1101], 4)
         assert back == m
 
-    def test_neither_words_nor_flat_positions_is_refused(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\) given neither"):
-            BitMatrix(2, 3)
-
     def test_wide_matrix_crosses_word_boundary(self):
         dense = np.zeros((2, 150), dtype=np.uint8)
         dense[0, 149] = 1
         dense[1, 63] = 1
         dense[1, 64] = 1
-        m = BitMatrix.from_dense(dense)
-        assert m.entries([0, 1, 1], [149, 63, 64]).all()
+        m = from_dense(dense)
+        assert entries(m, [0, 1, 1], [149, 63, 64]).all()
         assert m.weight() == 3
 
 
@@ -281,7 +277,7 @@ class TestRref:
                 [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)],
                 dtype=np.uint8,
             )
-            m = BitMatrix.from_dense(dense)
+            m = from_dense(dense)
             res = rref(m)
             assert res.rank == dense_rank(dense)
             assert matmul(row_ops(m), m) == res.rref
@@ -326,7 +322,7 @@ class TestKernel:
                 dense[t, f] = 1
                 for row, col in enumerate(res.pivot_cols):
                     dense[t, col] = reduced[row, f]
-            return BitMatrix.from_dense(dense) if free else BitMatrix.zeros(0, m.cols)
+            return from_dense(dense) if free else BitMatrix.zeros(0, m.cols)
 
         rng = random.Random(17)
         for _ in range(60):
@@ -345,7 +341,7 @@ class TestKernel:
             dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
             if rows > 2:
                 dense[rows // 2:] = dense[: rows - rows // 2] ^ dense[rows - rows // 2 - 1]
-            res = rref(BitMatrix.from_dense(dense))
+            res = rref(from_dense(dense))
             reduced = res.rref.to_dense()
             free = [c for c in range(cols) if c not in res.pivot_cols]
             oracle = np.zeros((len(free), cols), dtype=np.uint8)
@@ -376,13 +372,13 @@ class TestPackedTranspose:
         shapes += [tuple(rng.integers(0, 300, 2)) for _ in range(200)]
         for rows, cols in shapes:
             dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
-            m = BitMatrix.from_dense(dense)
+            m = from_dense(dense)
             t = transpose(m)
-            assert t == BitMatrix.from_dense(dense.T), (rows, cols)
+            assert t == from_dense(dense.T), (rows, cols)
             assert transpose(t) == m
 
     def test_padding_bits_stay_zero(self):
-        m = BitMatrix.from_dense(np.ones((70, 3), dtype=np.uint8))
+        m = from_dense(np.ones((70, 3), dtype=np.uint8))
         t = transpose(m)
         assert t.weight() == 210
         assert row_weight(t, 0) == 70
@@ -395,7 +391,7 @@ class TestColumns:
         shapes += [tuple(rng.integers(0, 200, 2)) for _ in range(60)]
         for rows, cols in shapes:
             dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
-            m = BitMatrix.from_dense(dense)
+            m = from_dense(dense)
             picks = [[]]
             if cols:
                 picks += [rng.permutation(cols).tolist(),               # every column, unsorted
@@ -413,9 +409,9 @@ class TestEntries:
         dense = rng.integers(0, 2, (9, 140), dtype=np.uint8)
         i, j = np.nonzero(dense)
         m = BitMatrix.from_entries(9, 140, np.concatenate([i, i]), np.concatenate([j, j]))
-        assert m == BitMatrix.from_dense(dense)
+        assert m == from_dense(dense)
         qi, qj = rng.integers(0, 9, 500), rng.integers(0, 140, 500)
-        assert np.array_equal(m.entries(qi, qj), dense[qi, qj] == 1)
+        assert np.array_equal(entries(m, qi, qj), dense[qi, qj] == 1)
 
     def test_from_entries_matches_dense_with_repeats(self):
         assert BitMatrix.from_entries(0, 0, [], []) == BitMatrix.zeros(0, 0)
@@ -433,7 +429,7 @@ class TestEntries:
                 dense = np.zeros((rows, cols), dtype=np.uint8)
                 dense[i, j] = 1
                 got = BitMatrix.from_entries(rows, cols, i, j)
-                assert got == BitMatrix.from_dense(dense), (rows, cols, count)
+                assert got == from_dense(dense), (rows, cols, count)
 
 
 class TestKron:
@@ -522,7 +518,7 @@ class TestArithmetic:
 
 def oracle_rref(m: BitMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reference: a per-column elimination on the packed words, one pivot at a time."""
-    r = m._words.copy()
+    r = packed_words(m).copy()
     pivots: list[int] = []
     pr = 0
     for c in range(m.cols):
@@ -547,13 +543,13 @@ def oracle_rref(m: BitMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def oracle_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Reference: the dense-row matmul that the packed gather replaced."""
-    out = np.zeros((a.rows, b._words.shape[1]), dtype=np.uint64)
+    out = np.zeros((a.rows, packed_words(b).shape[1]), dtype=np.uint64)
     dense_a = a.to_dense()
     for i in range(a.rows):
         picked = np.nonzero(dense_a[i])[0]
         if picked.size:
-            out[i] = np.bitwise_xor.reduce(b._words[picked], axis=0)
-    return BitMatrix(a.rows, b.cols, out)
+            out[i] = np.bitwise_xor.reduce(packed_words(b)[picked], axis=0)
+    return from_words(out, b.cols)
 
 
 def oracle_shapes():
@@ -571,7 +567,7 @@ def oracle_shapes():
     for _ in range(40):
         rows, cols = rng.integers(1, 90, 2)
         out.append(rng.random((rows, cols)) < rng.choice([0.01, 0.1, 0.5, 0.9]))
-    return [BitMatrix.from_dense(d.astype(np.uint8)) for d in out]
+    return [from_dense(d.astype(np.uint8)) for d in out]
 
 
 def block_edge_cases():
@@ -602,24 +598,22 @@ def block_edge_cases():
     out.append(np.hstack([np.vstack([first, later]), rng.random((300, 80)) < 0.5]))
     for shape in ((300, 700), (700, 300), (500, 1000), (129, 1000)):
         out.append(rng.random(shape) < 0.5)
-    return [m if isinstance(m, BitMatrix) else BitMatrix.from_dense(m.astype(np.uint8))
+    return [m if isinstance(m, BitMatrix) else from_dense(m.astype(np.uint8))
             for m in out]
 
 
 def word_views():
-    """Seeded matrices, and matrices on views of other matrices' words.
-
-    A reduced basis shares the words of its rref; every other row, and the
-    first word column of a wider matrix, are views that are not contiguous.
+    """Seeded matrices, and matrices cut from others: a reduced basis of one, every
+    other row of one, and the first word column (64 columns) of a wider one.
     """
     rng = np.random.default_rng(1212)
     out = oracle_shapes()
     for rows, cols in ((0, 130), (7, 0), (40, 64), (33, 200), (9, 129)):
-        m = BitMatrix.from_dense(rng.random((rows, cols)) < 0.3)
+        m = from_dense(rng.random((rows, cols)) < 0.3)
         out.append(rref(m).basis)
-        out.append(BitMatrix((rows + 1) // 2, cols, m._words[::2]))
+        out.append(from_words(packed_words(m)[::2], cols))
         if cols > 64:
-            out.append(BitMatrix(rows, 64, m._words[:, :1]))
+            out.append(from_words(packed_words(m)[:, :1], 64))
     return out
 
 
@@ -635,7 +629,7 @@ class TestAgainstOracles:
             words, pivots = oracle_rref(packed)
             for m in (packed, flat_copy(packed)):
                 res = rref(m)
-                assert np.array_equal(res.rref._words, words), m.shape
+                assert np.array_equal(packed_words(res.rref), words), m.shape
                 assert res.pivot_cols == pivots, m.shape
                 assert res.rank == len(pivots)
 
@@ -647,36 +641,26 @@ class TestAgainstOracles:
         for h in (product.h_x, product.h_z):
             res = rref(h)
             words, pivots = oracle_rref(h)
-            assert np.array_equal(res.rref._words, words)
+            assert np.array_equal(packed_words(res.rref), words)
             assert res.pivot_cols == pivots
-            assert transpose(h) == BitMatrix.from_dense(h.to_dense().T)
+            assert transpose(h) == from_dense(h.to_dense().T)
 
     def test_rref_of_block_edge_cases_matches(self):
         for packed in block_edge_cases():
             words, pivots = oracle_rref(packed)
             for m in (packed, flat_copy(packed)):
                 res = rref(m)
-                assert np.array_equal(res.rref._words, words), m.shape
+                assert np.array_equal(packed_words(res.rref), words), m.shape
                 assert res.pivot_cols == pivots, m.shape
-                assert transpose(m) == BitMatrix.from_dense(m.to_dense().T), m.shape
+                assert transpose(m) == from_dense(m.to_dense().T), m.shape
 
-    @pytest.mark.parametrize("cap", [8, 64, 1000, gf2._GATHER_BYTES])
-    def test_matmul_matches_dense_rows(self, monkeypatch, cap):
-        monkeypatch.setattr(gf2, "_GATHER_BYTES", cap)
-        rng = np.random.default_rng(cap)
+    @pytest.mark.parametrize("seed", [8, 64, 1000, 1 << 20])
+    def test_matmul_matches_dense_rows(self, seed):
+        rng = np.random.default_rng(seed)
         for a in oracle_shapes():
-            b = BitMatrix.from_dense(rng.random((a.cols, rng.integers(0, 140))) < 0.3)
+            b = from_dense(rng.random((a.cols, rng.integers(0, 140))) < 0.3)
             assert matmul(a, b) == oracle_matmul(a, b), (a.shape, b.shape)
             assert matmul(a, transpose(a)) == oracle_matmul(a, transpose(a))
-
-    def test_nonzero_matches_dense(self):
-        views = word_views()
-        assert sum(not m._words.flags.c_contiguous for m in views) >= 5
-        for m in views:
-            rows, cols = m.nonzero()
-            want = np.nonzero(m.to_dense())
-            assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1]), m.shape
-            assert rows.dtype == cols.dtype == np.int64
 
     def test_kron_and_hstack_match_dense(self):
         shapes = oracle_shapes()
@@ -685,89 +669,42 @@ class TestAgainstOracles:
             b = shapes[rng.randrange(len(shapes))]
             if a.rows * b.rows * a.cols * b.cols <= 1 << 20:
                 assert np.array_equal(kron(a, b).to_dense(), np.kron(a.to_dense(), b.to_dense()))
-            c = BitMatrix.from_dense(
+            c = from_dense(
                 np.random.default_rng(a.cols).random((a.rows, rng.choice([0, 1, 63, 64, 65, 130]))) < 0.5
             )
             for left, right in ((a, c), (c, a)):
                 out = hstack(left, right)
                 assert np.array_equal(out.to_dense(), np.concatenate(
                     [left.to_dense(), right.to_dense()], axis=1))
-                assert out == BitMatrix.from_dense(out.to_dense())   # padding bits stay zero
+                assert out == from_dense(out.to_dense())   # padding bits stay zero
 
 
 class TestMatmulT:
-    """`matmul_t` against dense numpy, on both sides of its cost rule."""
+    """`matmul_t` against dense numpy and against `matmul` of the transpose."""
 
-    @pytest.fixture
-    def packed(self, monkeypatch):
-        """One entry per product that took the packed path, `matmul(a, transpose(b))`.
-
-        That path gathers the rows of `transpose(b)` at the entries of a it has
-        already unpacked, so it is seen by its one call of `transpose`.
-        """
-        calls = []
-        transpose = gf2.transpose
-        monkeypatch.setattr(gf2, "transpose", lambda b: calls.append(b.shape) or transpose(b))
-        return calls
-
-    def test_matmul_t_matches_numpy_on_both_paths(self, packed):
-        # pairs win when b's columns are light against its row count, as in a tall
-        # sparse check matrix; b's first rows against b meet themselves at each of
-        # their ones, so a row of even weight gives a zero
+    def test_matmul_t_matches_numpy(self):
+        # sparse and dense sides, tall and short; b's first rows against b meet
+        # themselves at each of their ones, so a row of even weight gives a zero
         rng = np.random.default_rng(1214)
-        took = {"pairs": 0, "packed": 0}
         for _ in range(60):
             cols = int(rng.integers(0, 200))
             density = rng.choice([0.0005, 0.002, 0.01, 0.1, 0.5])
             a = rng.random((rng.integers(0, 300), cols)) < density
             b = rng.random((rng.integers(0, 3000), cols)) < density
             for left, right in ((a, b), (b[:50], b)):
-                before = len(packed)
-                got = matmul_t(BitMatrix.from_dense(left), BitMatrix.from_dense(right))
+                got = matmul_t(from_dense(left), from_dense(right))
                 want = left.astype(np.float32) @ right.T.astype(np.float32) % 2  # exact counts
                 assert np.array_equal(got.to_dense(), want), (left.shape, right.shape, density)
-                took["packed" if len(packed) > before else "pairs"] += 1
-        assert min(took.values()) >= 30, took
 
-    def test_matrices_read_from_files_meet_in_python_up_to_the_pair_bound(self, packed,
-                                                                          monkeypatch):
-        # matrices that keep their ones as flat positions, as the readers give them,
-        # meet in Python while sum_j |a_j| |b_j| is at most _PYTHON_PAIRS, made small
-        # here, whatever b's column weight, and with numpy past it; such a matrix is
-        # transposed without packing
-        monkeypatch.setattr(gf2, "_PYTHON_PAIRS", 40)
-        rng = np.random.default_rng(2323)
-        took = {"python": 0, "numpy": 0, "python, heavy b": 0}
-        for _ in range(120):
-            cols, weight = int(rng.integers(0, 40)), int(rng.choice([1, 2, 3, 4]))
-            b = np.zeros((int(rng.integers(0, 30)), cols), dtype=np.uint8)
-            for j in range(cols):
-                b[rng.choice(b.shape[0], min(weight, b.shape[0]), replace=False), j] = 1
-            a = rng.random((int(rng.integers(0, 30)), cols)) < rng.choice([0.05, 0.3])
-            left, right = (BitMatrix(*d.shape, flat=np.flatnonzero(d).tolist()) for d in (a, b))
-            got = matmul_t(left, right)
-            assert np.array_equal(got.to_dense(), a.astype(np.float32) @ b.T.astype(np.float32) % 2)
-            python = int(a.sum(axis=0) @ b.sum(axis=0)) <= 40
-            assert (left._packed is None) == python          # numpy unpacks a, packing it
-            took["python" if python else "numpy"] += 1
-            took["python, heavy b"] += bool(python and b.sum(axis=0).max(initial=0) > 2)
-            left = BitMatrix(*a.shape, flat=np.flatnonzero(a).tolist())
-            assert transpose(left) == BitMatrix.from_dense(a.T) and left._packed is None
-        assert min(took.values()) >= 15, took
-
-    def test_matmul_t_on_codes(self, packed):
-        # toric codes take the pairs, the Z127 lifted product the packed path;
-        # H_X H_X^T does not vanish, so pairs met an odd number of times count
+    def test_matmul_t_on_codes(self):
+        # toric codes and the Z127 lifted product; H_X H_X^T does not vanish, so
+        # pairs met an odd number of times count
         code = ClassicalCode(repetition_check(40))
         toric = hgp(code, code)
         lifted = block_edge_cases()[:2]
-        for a, b, path in ((toric.h_x, toric.h_z, "pairs"), (toric.h_x, toric.h_x, "pairs"),
-                           (toric.h_z, toric.h_z, "pairs"), (*lifted, "packed"),
-                           (lifted[0], lifted[0], "packed")):
-            before = len(packed)
-            got = matmul_t(a, b)
-            assert ("packed" if len(packed) > before else "pairs") == path, (a.shape, path)
-            assert got == oracle_matmul(a, transpose(b)), (a.shape, b.shape)
+        for a, b in ((toric.h_x, toric.h_z), (toric.h_x, toric.h_x), (toric.h_z, toric.h_z),
+                     tuple(lifted), (lifted[0], lifted[0])):
+            assert matmul_t(a, b) == oracle_matmul(a, transpose(b)), (a.shape, b.shape)
         assert matmul_t(toric.h_x, toric.h_z).is_zero()
         assert not matmul_t(toric.h_x, toric.h_x).is_zero()
 

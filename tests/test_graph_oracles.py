@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from qpc.errors import DimensionError, PreconditionError
-from qpc.gf2 import BitMatrix
 from qpc.groups import FiniteGroup
 from qpc.products import _pair_classes, balanced_product, lift_with_regular_actions
 from qpc.tanner import (
@@ -34,7 +33,7 @@ from qpc.tanner import (
     verify_covering,
 )
 
-from oracles import from_masks
+from oracles import from_dense, from_masks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -329,8 +328,8 @@ def oracle_balanced_product(a, b, act_a, act_b):
         reduced += int((counts_q1 > 1).sum() + (counts_q2 > 1).sum())
         return np.concatenate([counts_q1 % 2, counts_q2 % 2], axis=1).astype(np.uint8)
 
-    h_x = BitMatrix.from_dense(fill("x"))
-    h_z = BitMatrix.from_dense(fill("z"))
+    h_x = from_dense(fill("x"))
+    h_z = from_dense(fill("z"))
 
     def coords(name, a_cls, a_offset, b_cls, b_row, b_offset):
         return tuple((a_cls[u] + a_offset, b_cls[v] + b_offset, b_row[v])

@@ -297,7 +297,27 @@ class TestImportSets:
         modules = loaded(work, "", "construct", "hgp", "--c1", FIXTURES / "hamming74.pcm",
                          "--c2", FIXTURES / "rep3.pcm", "--out-prefix", work / "ham")
         assert "qpc.products" in modules
-        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses"}
+        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses", "numpy"}
+
+    @pytest.mark.parametrize("c1, c2", [("rep3", "rep3"), ("hamming74", "rep3"),
+                                        ("0x3", "rep3"), ("rep3", "2x0"), ("0x3", "2x0"),
+                                        ("0x0", "0x0")])
+    def test_construct_hgp_runs_with_numpy_blocked(self, tmp_path, c1, c2):
+        # the same report, exit code and five files where numpy cannot be imported,
+        # for factors with no rows, no columns or neither
+        shapes = {"0x3": "0 3\n", "2x0": "2 0\n\n\n", "0x0": "0 0\n"}
+        for name, text in shapes.items():
+            (tmp_path / f"{name}.pcm").write_text(text)
+        paths = [tmp_path / f"{c}.pcm" if c in shapes else FIXTURES / f"{c}.pcm" for c in (c1, c2)]
+        argv = ["construct", "hgp", "--c1", paths[0], "--c2", paths[1], "--out-prefix", "code"]
+        runs = []
+        for prelude in ('sys.modules["numpy"] = None', ""):
+            cwd = tmp_path / f"run{len(runs)}"
+            cwd.mkdir()
+            code, out, modules = probe(cwd, prelude, *argv)
+            assert code == 0 and out and "numpy" not in modules
+            runs.append((out, {f.name: f.read_bytes() for f in cwd.iterdir()}))
+        assert runs[0] == runs[1] and len(runs[0][1]) == 5
 
     @pytest.mark.parametrize("argv", [
         ["construct", "lp", "--m1", FIXTURES / "rep3_z3.ring", "--m2", FIXTURES / "rep3_z3.ring",

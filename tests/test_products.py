@@ -24,8 +24,8 @@ from qpc.products import (
 from qpc.render import CoordinateTable
 from qpc.tanner import GroupAction, TannerGraph
 
-from oracles import (conj_transpose, from_masks, hgp_of_lifts, repetition_check, ring_kron_identity,
-                     total_vertices)
+from oracles import (conj_transpose, from_dense, from_masks, hgp_of_lifts, repetition_check,
+                     ring_kron_identity, total_vertices)
 
 
 def rep3():
@@ -42,7 +42,7 @@ def random_classical(rng, max_m=4, max_n=5):
     dense = np.array(
         [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], dtype=np.uint8
     )
-    return ClassicalCode(BitMatrix.from_dense(dense))
+    return ClassicalCode(from_dense(dense))
 
 
 def random_monomial_matrix(rng, group, rows, cols, density=0.8):
@@ -96,7 +96,7 @@ class TestHgp:
             assert coord == (j // m2, (j % m2) + n2)
 
     def test_layout_coordinates_distinct(self):
-        code = hgp(rep3(), ClassicalCode(BitMatrix.from_dense([[1, 1]])))
+        code = hgp(rep3(), ClassicalCode(from_dense([[1, 1]])))
         coords = [
             c for fam in code.layout.families().values() for c in fam
         ]
@@ -126,7 +126,7 @@ class TestLiftedProduct:
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             masks = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
             ring = from_masks(group, masks)
-            classical = ClassicalCode(BitMatrix.from_dense(np.array(masks)))
+            classical = ClassicalCode(from_dense(np.array(masks)))
             lp = lifted_product(ring, ring)
             plain = hgp(classical, classical)
             assert lp.h_x == plain.h_x
@@ -138,8 +138,8 @@ class TestLiftedProduct:
         ring = from_masks(group, masks)
         lp = lifted_product(ring, ring)
         plain = hgp(
-            ClassicalCode(BitMatrix.from_dense(np.array(masks))),
-            ClassicalCode(BitMatrix.from_dense(np.array(masks))),
+            ClassicalCode(from_dense(np.array(masks))),
+            ClassicalCode(from_dense(np.array(masks))),
         )
         for fam in ("x_checks", "z_checks", "qubits_q1", "qubits_q2"):
             three_d = getattr(lp.layout, fam)
@@ -170,7 +170,7 @@ class TestLiftedProduct:
                 for j in range(m.cols):
                     for g in m.entries[i][j].support():
                         dense[i * l + mul[g], j * l + np.arange(l)] ^= 1
-            return BitMatrix.from_dense(dense)
+            return from_dense(dense)
 
         def ring_formula(m1, m2):
             (r1, c1), (r2, c2) = m1.shape, m2.shape

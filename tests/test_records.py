@@ -12,12 +12,12 @@ import pytest
 
 from qpc.analysis import CSSParams, hgp_canonical_logicals
 from qpc.classical import ClassicalCode
-from qpc.gf2 import BitMatrix, rref
+from qpc.gf2 import rref
 from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, parse_element
 from qpc.render import _FORMATS, OperatorOverlay, RenderSpec
 from qpc.tanner import CoveringReport, Lift, PlainGraph, lift_from_ring_matrix, verify_covering
 
-from oracles import path, repetition_check
+from oracles import from_dense, path, repetition_check
 
 Z3 = FiniteGroup.cyclic(3)
 
@@ -40,7 +40,7 @@ BUILD = {
     "CSSParams": lambda: CSSParams(n=18, k=2, d=3, d_x=3, d_z=3),
     "LogicalBasis": lambda: hgp_canonical_logicals(rep3(), rep3()),
     "SystematicBasis": lambda: rep3().systematic_basis(),
-    "RrefResult": lambda: rref(BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])),
+    "RrefResult": lambda: rref(from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])),
     "GroupAlgebraElement": lambda: parse_element("1+x^2", Z3),
     "RenderSpec": lambda: RenderSpec(include_edges=True),
     "OperatorOverlay": lambda: OperatorOverlay(((0, "Z"), (4, "X"))),
@@ -80,7 +80,7 @@ def test_css_params_repr_is_the_readme_line():
 
 @pytest.mark.parametrize("rows", [[[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[0, 0]], [[1, 0], [0, 1]]])
 def test_rref_rank_is_the_pivot_count(rows):
-    result = rref(BitMatrix.from_dense(rows))
+    result = rref(from_dense(rows))
     assert result.rank == len(result.pivot_cols)
     assert result._fields == ("rref", "pivot_cols")
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qpc.errors import FormatError, PreconditionError
-from qpc.gf2 import BitMatrix, matmul
+from qpc.gf2 import matmul
 from qpc.groups import (
     FiniteGroup,
     GroupAlgebraElement,
@@ -33,8 +33,8 @@ from qpc.tanner import (
     verify_covering,
 )
 
-from oracles import (cartesian_product_plain, cycle, from_masks, path, product_action_plain,
-                     slot_perms)
+from oracles import (cartesian_product_plain, cycle, from_dense, from_masks, nonzero, path,
+                     product_action_plain, slot_perms)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -79,7 +79,7 @@ class TestGraphs:
         assert g.edge_count() == 2
 
     def test_from_bitmatrix(self):
-        h = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+        h = from_dense([[1, 1, 0], [0, 1, 1]])
         g = TannerGraph.from_bitmatrix(h)
         assert g.edge_count() == 4
         assert g.edges == Counter({(0, 0): 1, (0, 1): 1, (1, 1): 1, (1, 2): 1})
@@ -171,10 +171,10 @@ class TestActionValidation:
         for g in range(action.group.order):
             cp = action.perms["check"][g]
             bp = action.perms["bit"][g]
-            p_check = BitMatrix.from_dense(
+            p_check = from_dense(
                 np.eye(graph.check_count, dtype=np.uint8)[:, cp.tolist()].T
             )
-            p_bit = BitMatrix.from_dense(
+            p_bit = from_dense(
                 np.eye(graph.bit_count, dtype=np.uint8)[:, bp.tolist()].T
             )
             # P[sigma(q), q] = 1 for both parts
@@ -570,9 +570,9 @@ class TestGraphProperties:
         rng = np.random.default_rng(905)
         for rows, cols in [(0, 0), (0, 5), (4, 0), (1, 1), (3, 7), (5, 64), (7, 65), (9, 130)]:
             for density in (0.0, 0.3, 1.0):
-                h = BitMatrix.from_dense((rng.random((rows, cols)) < density).astype(np.uint8))
+                h = from_dense((rng.random((rows, cols)) < density).astype(np.uint8))
                 g = TannerGraph.from_bitmatrix(h)
-                assert g == TannerGraph(rows, cols, list(zip(*(a.tolist() for a in h.nonzero()))))
+                assert g == TannerGraph(rows, cols, list(zip(*(a.tolist() for a in nonzero(h)))))
 
     @pytest.mark.parametrize("monomial", [True, False])
     @pytest.mark.parametrize("spec", ["Z2", "Z3", "Z5", "Z2xZ2", "Z2xZ3"])
