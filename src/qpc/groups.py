@@ -1,13 +1,15 @@
 """Finite groups and matrices over the group algebra F2[G].
 
-A group is an explicit multiplication table with the identity fixed at
-index 0; element ordering is frozen at construction so that the binary
-expansion of any algebra element is bit-for-bit reproducible.  Tables
-are checked exactly at every order: Latin square, identity, and Light's
-associativity test on a greedy generating set, which the group keeps as
-`generators` (group actions are validated on the same set).  A cyclic
-group or a product of two names its generators x (and y); any other
-table, read from a file or built in code, names g1 .. g(l-1).
+A group is an explicit multiplication table, a tuple of rows of Python
+ints, with the identity fixed at index 0; element ordering is frozen at
+construction so that the binary expansion of any algebra element is
+bit-for-bit reproducible.  Tables are checked exactly at every order:
+identity, Latin rows, and Light's associativity test on a greedy
+generating set, which the group keeps as `generators` (group actions are
+validated on the same set).  A cyclic group or a product of two names
+its generators x (and y); any other table, read from a file or built in
+code, names g1 .. g(l-1).  `parse_group_spec` builds each `Z<l>` or
+`Z<a>xZ<b>` group once per process.
 
 `binary_map` sends a group element to its left regular representation
 (B(g)[p, q] = 1 iff g * q = p) and extends linearly, which makes it a
@@ -18,36 +20,42 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DimensionError, FormatError, PreconditionError, read_file
 from .gf2 import BitMatrix
 
 
-# Z<l> and Z<a>xZ<b> build their l x l int64 table (32 MiB here, ~200 MB to check it).
+# Z<l> and Z<a>xZ<b> build their l x l table: at 2048 its rows hold 34 MB (they
+# share one int object per element), and checking it takes under 2 MB more.
 MAX_GROUP_ORDER = 2048
 
 
 class FiniteGroup:
-    """Finite group as an explicit l x l multiplication table, identity 0."""
+    """Finite group as an explicit l x l multiplication table, identity 0.
+
+    `mul_table` is l rows of l Python ints; `mul[g][h]` is g * h.
+    """
 
     __slots__ = ("order", "mul", "inv", "generators", "spec", "_gen_names")
 
     def __init__(self, mul_table, spec: str | None = None,
                  cyclic_shape: tuple[int, ...] | None = None):
-        mul = np.asarray(mul_table, dtype=np.int64)
-        order = mul.shape[0]
-        if mul.shape != (order, order):
-            raise PreconditionError(f"multiplication table must be square, got {mul.shape}")
-        if mul.min(initial=0) < 0 or mul.max(initial=0) >= order:
-            raise PreconditionError("table entries out of range")
-        self.generators = _validate_group_table(mul)
+        mul = tuple(map(tuple, mul_table))
+        order = len(mul)
+        widths = {len(row) for row in mul}
+        if widths != {order}:
+            raise PreconditionError(
+                f"multiplication table must be square, got {(order, *sorted(widths))}")
+        self.generators = _check_table(mul)
         self.order = order
         self.mul = mul
-        self.inv = np.argmax(mul == 0, axis=1)  # associative, so also the left inverse
+        self.inv = tuple(row.index(0) for row in mul)  # associative, so also the left inverse
         self.spec = spec or f"table:{order}"
         if cyclic_shape is None:
             self._gen_names = {f"g{i}": i for i in range(1, order)}
@@ -61,18 +69,18 @@ class FiniteGroup:
     def cyclic(cls, l: int) -> "FiniteGroup":
         if l < 1:
             raise PreconditionError(f"cyclic group order must be >= 1, got {l}")
-        idx = np.arange(l)
-        mul = (idx[:, None] + idx[None, :]) % l
-        return cls(mul, spec=f"Z{l}", cyclic_shape=(l,))
+        return cls(_rotations(tuple(range(l))), spec=f"Z{l}", cyclic_shape=(l,))
 
     @classmethod
     def direct_product(cls, a: int, b: int) -> "FiniteGroup":
         """Z_a x Z_b with elements ordered (i, j) -> i*b + j."""
         if a < 1 or b < 1:
             raise PreconditionError("cyclic factors must be >= 1")
-        ia = np.arange(a * b) // b
-        ib = np.arange(a * b) % b
-        mul = ((ia[:, None] + ia[None, :]) % a) * b + (ib[:, None] + ib[None, :]) % b
+        # row i*b + j lists, for each i2, block (i + i2) % a of Z_b row j
+        blocks = [[tuple(k * b + v for v in row) for row in _rotations(tuple(range(b)))]
+                  for k in range(a)]
+        mul = [tuple(chain.from_iterable(blocks[k][j] for k in ks))
+               for ks in _rotations(tuple(range(a))) for j in range(b)]
         return cls(mul, spec=f"Z{a}xZ{b}", cyclic_shape=(a, b))
 
     @classmethod
@@ -101,64 +109,82 @@ class FiniteGroup:
             rows.append(values)
         if order is None or len(rows) != order:
             raise FormatError(f"expected {order or '?'} table rows, got {len(rows)}")
-        return cls(np.array(rows), spec=spec)
+        return cls(rows, spec=spec)
 
     # -- structure -----------------------------------------------------
 
     def multiply(self, g: int, h: int) -> int:
-        return int(self.mul[g, h])
+        return self.mul[g][h]
 
     def generator_names(self) -> dict[str, int]:
         return dict(self._gen_names)
 
     def same_group(self, other: "FiniteGroup") -> bool:
         return self is other or (
-            self.order == other.order and np.array_equal(self.mul, other.mul)
+            self.order == other.order and self.mul == other.mul
         )
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.spec}, order={self.order})"
 
 
-def _validate_group_table(mul: np.ndarray) -> tuple[int, ...]:
+def _rotations(row: tuple) -> list[tuple]:
+    """The rotations of `row`, the i-th starting at row[i]: of range(l), the table of Z_l."""
+    return [row[i:] + row[:i] for i in range(len(row))]
+
+
+def _check_table(mul: tuple) -> tuple[int, ...]:
     """Check the group axioms exactly; return the generating set that proves them.
 
-    A Latin square with identity 0 is a loop.  Light's test decides
-    associativity from a generating set S alone: if (x s) y = x (s y) for
-    all x, y and each s in S, the elements with that property are closed
-    under products, so they are the whole loop.  S is built greedily: the
-    next generator is the lowest element that products of the earlier ones
-    do not reach.  The test costs |S| n^2 (|S| <= log2 n for a group) in
-    place of n^3.
+    A table with identity 0 and Latin rows and columns is a loop.  Light's
+    test decides associativity from a generating set S alone: if
+    (x s) y = x (s y) for all x, y and each s in S, the elements with that
+    property are closed under products and associate with each other, so
+    they are the whole loop.  S is built greedily: the next generator is
+    the lowest element that products of the earlier ones do not reach,
+    found by closing under right products with S.  The test costs
+    |S| n^2 (|S| <= log2 n for a group) in place of n^3.  A table that
+    passes it with Latin rows is a group, so its columns are Latin too:
+    they are read only when the test fails, to report a table that is no
+    Latin square as such.
     """
-    order = mul.shape[0]
-    if order == 0:
-        raise PreconditionError("empty group table")
-    idx = np.arange(order)
-    if not (np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx)):
+    order = len(mul)
+    idx = list(range(order))
+    latin_rows = True
+    for row in mul:
+        if sorted(row) != idx:
+            if min(row) < 0 or max(row) >= order:
+                raise PreconditionError("table entries out of range")
+            latin_rows = False
+    if not (list(mul[0]) == idx and [row[0] for row in mul] == idx):
         raise PreconditionError("element 0 is not a two-sided identity")
-    if not (np.array_equal(np.sort(mul, axis=1), np.tile(idx, (order, 1)))
-            and np.array_equal(np.sort(mul, axis=0), np.tile(idx[:, None], (1, order)))):
+    if not latin_rows:
         raise PreconditionError("table is not a Latin square")
     gens: list[int] = []
-    reached = idx == 0
-    while not reached.all():
-        s = int(np.argmin(reached))
-        left, right = mul[mul[:, s]], np.take(mul, mul[s], axis=1)  # (x s) y, x (s y)
-        if not np.array_equal(left, right):
-            x, y = np.argwhere(left != right)[0].tolist()
-            raise PreconditionError(f"associativity fails at triple {(x, s, y)}")
+    reached = {0}
+    s = 0
+    while len(reached) < order:
+        s = next(w for w in range(s + 1, order) if w not in reached)
+        times_s = itemgetter(*mul[s])          # row x -> x (s y) over every y
+        for x, row in enumerate(mul):
+            if mul[row[s]] != times_s(row):    # (x s) y against x (s y)
+                if any(sorted(col) != idx for col in zip(*mul)):
+                    raise PreconditionError("table is not a Latin square")
+                y = next(y for y, (a, b) in enumerate(zip(mul[row[s]], times_s(row))) if a != b)
+                raise PreconditionError(f"associativity fails at triple {(x, s, y)}")
         gens.append(s)
-        # close under products; each round multiplies the new elements by all
-        fresh = np.array([s])
-        while fresh.size:
-            reached[fresh] = True
-            members = np.flatnonzero(reached)
-            grown = np.concatenate([mul[np.ix_(fresh, members)].ravel(),
-                                    mul[np.ix_(members, fresh)].ravel()])
-            # a count, not np.unique, which would import numpy.ma
-            fresh = np.flatnonzero((np.bincount(grown, minlength=order) > 0) & ~reached)
+        fresh = {mul[m][s] for m in reached} - reached
+        while fresh:
+            reached |= fresh
+            fresh = {mul[m][t] for m in fresh for t in gens} - reached
     return tuple(gens)
+
+
+@lru_cache(maxsize=2)  # a command reads at most two group specs
+def _named_group(factors: tuple[int, ...]) -> FiniteGroup:
+    if len(factors) == 2:
+        return FiniteGroup.direct_product(*factors)
+    return FiniteGroup.cyclic(*factors)
 
 
 def parse_group_spec(spec: str, root: str | Path = "") -> FiniteGroup:
@@ -176,15 +202,13 @@ def parse_group_spec(spec: str, root: str | Path = "") -> FiniteGroup:
         factors = [int(f) for f in m.groups() if f is not None]
     except ValueError:  # more digits than Python converts
         factors = None
-    if factors is None or 8 * math.prod(factors) ** 2 > np.iinfo(np.intp).max:
+    if factors is None or 8 * math.prod(factors) ** 2 > sys.maxsize:
         raise FormatError("group table would exceed the largest array size")
     if 0 in factors:
         raise FormatError(f"group spec {spec!r} has a cyclic factor of order 0")
     if (order := math.prod(factors)) > MAX_GROUP_ORDER:
         raise FormatError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
-    if len(factors) == 2:
-        return FiniteGroup.direct_product(*factors)
-    return FiniteGroup.cyclic(*factors)
+    return _named_group(tuple(factors))
 
 
 class GroupAlgebraElement(NamedTuple):
@@ -216,7 +240,7 @@ class GroupAlgebraElement(NamedTuple):
         mask = 0
         for g in self.support():
             for h in other.support():
-                mask ^= 1 << int(mul[g, h])
+                mask ^= 1 << mul[g][h]
         return GroupAlgebraElement(self.group, mask)
 
     def _check_group(self, other: "GroupAlgebraElement") -> None:
@@ -275,13 +299,15 @@ def binary_map(m: GroupAlgebraMatrix) -> BitMatrix:
     to the sum of their permutation matrices, whose supports are disjoint.
     The output is ml x nl.
     """
-    l = m.group.order
-    i, j, g = np.array([(r, c, h) for r, row in enumerate(m.entries)
-                        for c, e in enumerate(row) for h in e.support()],
-                       dtype=np.int64).reshape(-1, 3).T
+    l, mul = m.group.order, m.group.mul
     cols = m.cols * l
-    return BitMatrix(m.rows * l, cols, ((i[:, None] * l + m.group.mul[g]) * cols
-                                        + (j[:, None] * l + np.arange(l))).ravel().tolist())
+    flat = []
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            for h in e.support():     # column j l + q of block (i, j) has its one in row i l + h q
+                corner = i * l * cols + j * l
+                flat += [corner + p * cols + q for q, p in enumerate(mul[h])]
+    return BitMatrix(m.rows * l, cols, flat)
 
 
 # -- text format ------------------------------------------------------------

@@ -13,15 +13,13 @@ All three layouts follow one rule, `_layout`, in 2D (hypergraph) and
 bits, the y axis over second-factor bits then checks, and the z axis
 (3D only) over group-element rows anchored at orbit basepoints.  The
 balanced product numbers its pair classes by formula, k |B part| + w for
-first-factor basepoint k and second-factor vertex w (`_pair_classes`).
+first-factor basepoint k and second-factor vertex w (`_pair_class`).
 A code's layout is built on first read, and its incidence edges on
 first read of `layout.edges`: writing files or analysing a code needs
 neither.  `groups` and `tanner` are imported by the constructors that
 use them, and `render` by the layout builders, so hypergraph products
 load neither of the first two and analysis loads none of the three.
-The hypergraph product and its layout move Python ints, so `hgp` and
-`css_from_matrices` import no numpy; the lifted and balanced products
-import it with `groups` and `tanner`.
+All three products and their layouts move Python ints.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .errors import DimensionError, PreconditionError
 from .gf2 import BitMatrix, hstack, kron, matmul_t, transpose
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .groups import GroupAlgebraMatrix
     from .render import CoordinateTable
     from .tanner import GroupAction, TannerGraph
@@ -263,8 +259,8 @@ def lift_with_regular_actions(
 # -- balanced product ---------------------------------------------------------
 
 
-def _pair_classes(orbits_a: tuple, perms_b: np.ndarray, inv: np.ndarray, u, v) -> np.ndarray:
-    """The class of each pair (u, v) of a balanced product; u and v broadcast.
+def _pair_class(orbits_a: tuple, perms_b: tuple, inv: tuple, u: int, v: int) -> int:
+    """The class of the pair (u, v) of a balanced product.
 
     The group acts by h . (u, v) = (u . h, h^-1 . v); with stored left
     actions both coordinates receive the inverse element's permutation.
@@ -275,7 +271,7 @@ def _pair_classes(orbits_a: tuple, perms_b: np.ndarray, inv: np.ndarray, u, v) -
     `perms_b` the second factor's permutations of its part.
     """
     _, cls, row = orbits_a
-    return cls[u] * perms_b.shape[1] + perms_b[inv[row[u]], v]
+    return cls[u] * len(perms_b[0]) + perms_b[inv[row[u]]][v]
 
 
 def balanced_product(
@@ -288,14 +284,12 @@ def balanced_product(
 
     Qubits are classes of bit x bit and check x check pairs, X checks of
     check x bit pairs, Z checks of bit x check pairs, each numbered by
-    `_pair_classes`.  The action on the first factor must be free, so it
+    `_pair_class`.  The action on the first factor must be free, so it
     pins no edge either (an element fixing an edge fixes both its ends);
     the second action only has to be valid.  Parallel quotient edges are
     reduced mod 2 in the parity-check matrices, with the reduction count
     recorded in provenance.
     """
-    import numpy as np
-
     from .tanner import is_free, part_orbits
 
     group = act_a.group
@@ -310,12 +304,18 @@ def balanced_product(
 
     orbits_a = {part: part_orbits(act_a, part) for part in ("check", "bit")}
     orbits_b = {part: part_orbits(act_b, part) for part in ("check", "bit")}
-    m_a = {part: bases.size for part, (bases, _, _) in orbits_a.items()}
+    m_a = {part: len(bases) for part, (bases, _, _) in orbits_a.items()}
     size_b = b.part_sizes()
     classes = {name: m_a[pa] * size_b[pb] for name, (pa, pb) in _FAMILIES.items()}
     n = classes["q1"] + classes["q2"]
     offset = {"q1": 0, "q2": classes["q1"]}
     reduced = 0
+
+    def ends(graph, part):
+        """The edges of `graph` as (end in `part`, other end, multiplicity)."""
+        if part == "check":
+            return [(u, v, mult) for (u, v), mult in graph.edges.items()]
+        return [(v, u, mult) for (u, v), mult in graph.edges.items()]
 
     def fill(check_name):
         # Row k |B part| + v is the class of (basepoint k, v).  An edge of A at
@@ -326,30 +326,31 @@ def balanced_product(
         part_a, part_b = _FAMILIES[check_name]
         a_family, b_family = ("q1", "q2") if check_name == "x" else ("q2", "q1")
         bases, cls, _ = orbits_a[part_a]
-        at, w = (a.end0, a.end1) if part_a == "check" else (a.end1, a.end0)
-        leaves = bases[cls[at]] == at  # the edges of A that leave a basepoint, by every v
-        k, v = cls[at[leaves]][:, None], np.arange(size_b[part_b])
-        keys_a = (k * size_b[part_b] + v) * n + offset[a_family] + _pair_classes(
-            orbits_a[_FAMILIES[a_family][0]], act_b.perms[part_b], group.inv, w[leaves][:, None], v)
-        at, w = (b.end0, b.end1) if part_b == "check" else (b.end1, b.end0)
-        k = np.arange(m_a[part_a])[:, None]  # every basepoint, by the edges of B
-        keys_b = ((k * size_b[part_b] + at) * n + offset[b_family]
-                  + k * size_b[_FAMILIES[b_family][1]] + w)
-        cells, inverse = np.unique(np.concatenate([keys_a.ravel(), keys_b.ravel()]),
-                                   return_inverse=True)
-        mult = np.concatenate([np.repeat(a.mult[leaves], v.size), np.tile(b.mult, k.size)])
-        counts = np.bincount(inverse.ravel(), mult, cells.size)
-        reduced += int((counts > 1).sum())
-        return BitMatrix(classes[check_name], n, cells[counts % 2 == 1].tolist())
+        orbits_w, perms_b = orbits_a[_FAMILIES[a_family][0]], act_b.perms[part_b]
+        width, width_w = size_b[part_b], size_b[_FAMILIES[b_family][1]]
+        counts: dict = {}
+        for at, w, mult in ends(a, part_a):
+            if bases[cls[at]] == at:    # the edges of A that leave a basepoint, by every v
+                top = cls[at] * width * n + offset[a_family]
+                for v in range(width):
+                    key = top + v * n + _pair_class(orbits_w, perms_b, group.inv, w, v)
+                    counts[key] = counts.get(key, 0) + mult
+        edges_b = ends(b, part_b)
+        for k in range(m_a[part_a]):    # every basepoint, by the edges of B
+            for at, w, mult in edges_b:
+                key = (k * width + at) * n + offset[b_family] + k * width_w + w
+                counts[key] = counts.get(key, 0) + mult
+        reduced += sum(c > 1 for c in counts.values())
+        return BitMatrix(classes[check_name], n, sorted(key for key, c in counts.items() if c % 2))
 
     h_x = fill("x")
     h_z = fill("z")
 
     def layout(edges) -> CoordinateTable:
-        families = {name: (np.repeat(np.arange(m_a[pa]), size_b[pb]).tolist(),
-                           *(np.tile(x, m_a[pa]).tolist() for x in orbits_b[pb][1:]))
+        families = {name: ([k for k in range(m_a[pa]) for _ in range(size_b[pb])],
+                           *(x * m_a[pa] for x in orbits_b[pb][1:]))
                     for name, (pa, pb) in _FAMILIES.items()}
-        return _layout("3d", m_a["check"], orbits_b["bit"][0].size, families, edges)
+        return _layout("3d", m_a["check"], len(orbits_b["bit"][0]), families, edges)
 
     return CSSCode(h_x, h_z, q1_size=classes["q1"], layout=layout, provenance={
         "kind": "balanced_product", "group": group.spec, "mod2_reduced_entries": reduced})

@@ -6,12 +6,10 @@ collapsing them silently would falsify every size claim downstream, so
 multiplicity is first class.  The balanced product reduces it mod 2 in
 its check matrices and records how many entries that changed.
 
-A graph is a `Counter` of its distinct edges in first-listed order, read
-in pure Python by parsing, emitting, drawing and the covering check, so
-those never import numpy.  The action half reads numpy views built on
-demand: int64 `end0`, `end1` and `mult`, so a check over all edges is
-one array operation.  It imports numpy, `gf2` and `groups` inside the
-functions that use them.
+A graph is a `Counter` of its distinct edges in first-listed order, and
+an action a tuple of permutation tuples, so every function here works on
+Python ints.  `gf2` and `groups` are imported by the functions that use
+them: reading and drawing a graph and the covering check load neither.
 
 Actions are stored one permutation per group element per vertex part,
 composing as a left action (perm(gh) = perm(g) after perm(h)).  They are
@@ -25,7 +23,7 @@ lowest element the earlier ones do not generate, so the lowest failing
 element of a full scan is always a generator: refusals name the same
 witness as a check of every element would.  Orbit basepoints are always
 the lowest vertex index so that layouts, quotient labellings and golden
-files are reproducible; `quotient` returns the `part_orbits` arrays it
+files are reproducible; `quotient` returns the `part_orbits` lists it
 numbered the quotient's vertices by.
 
 A covering map is a dict of base-vertex lists, one per part, checked by
@@ -41,28 +39,25 @@ import json
 import operator
 import sys
 from collections import Counter, defaultdict
+from itertools import compress, count
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionError, FormatError, PreconditionError, load_object, typed, typed_list
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .gf2 import BitMatrix
     from .groups import FiniteGroup, GroupAlgebraMatrix
 
 
 class _Graph:
-    """Distinct edges in a Counter, with numpy views built on first read.
+    """Distinct edges in a Counter.
 
     `_edges` maps each distinct edge (end0, end1) to its multiplicity, in
     the order its first copy was given; end0 lies in the part `ENDS[0]`,
-    end1 in `ENDS[1]`.  `end0`, `end1` and `mult` are int64 arrays of the
-    same edges in the same order, built from `_edges` on the first read of
-    any of them.
+    end1 in `ENDS[1]`.
     """
 
-    __slots__ = ("_edges", "end0", "end1", "mult")
+    __slots__ = ("_edges",)
     ENDS: tuple[str, str]
 
     def _merge(self, edges, sizes: tuple[int, int], range_note: str) -> None:
@@ -78,17 +73,6 @@ class _Graph:
             counter[(min(u, v), max(u, v)) if plain else (u, v)] += mult
         self._edges = counter
 
-    def __getattr__(self, name: str):
-        # only an unset slot reaches here: build the three views at once
-        if name not in ("end0", "end1", "mult"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        import numpy as np
-
-        ends = np.array(list(self._edges), dtype=np.int64).reshape(-1, 2)
-        self.end0, self.end1 = ends[:, 0], ends[:, 1]
-        self.mult = np.fromiter(self._edges.values(), dtype=np.int64, count=len(self._edges))
-        return getattr(self, name)
-
     @property
     def edges(self) -> Counter:
         """The edge multiset in edge order, as a new Counter on each read."""
@@ -96,17 +80,6 @@ class _Graph:
 
     def edge_count(self) -> int:
         return sum(self._edges.values())
-
-    def keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Edge keys of the ends (a, b), as in `end0`, `end1`; plain pairs unordered."""
-        if self.ENDS[0] == self.ENDS[1]:
-            a, b = a.clip(max=b), a.clip(min=b)  # the lower and the higher end
-        return a * self.part_sizes()[self.ENDS[1]] + b
-
-    def mapped_keys(self, action: "GroupAction", g: int) -> np.ndarray:
-        """Keys of the images of every edge under element g."""
-        return self.keys(action.perms[self.ENDS[0]][g][self.end0],
-                         action.perms[self.ENDS[1]][g][self.end1])
 
     def _tallies(self, part: str, relabel) -> dict[int, dict]:
         """Neighbour tallies of each vertex of `part` that has an edge.
@@ -188,11 +161,9 @@ class GroupAction:
     """
 
     def __init__(self, group: FiniteGroup, graph, perms: dict):
-        import numpy as np
-
         self.group = group
         self.graph = graph
-        self.perms = {part: np.asarray(p, dtype=np.int64) for part, p in perms.items()}
+        self.perms = {part: tuple(map(tuple, p)) for part, p in perms.items()}
         self._validate()
 
     # part layout: TannerGraph -> ("check", "bit"); PlainGraph -> ("vertex",)
@@ -200,8 +171,6 @@ class GroupAction:
     @classmethod
     def from_generators(cls, group, graph, gen_perms: list[dict]) -> "GroupAction":
         """Extend per-generator permutations to the whole group by composition."""
-        import numpy as np
-
         gens = generator_indices(group)
         if len(gen_perms) != len(gens):
             raise PreconditionError(
@@ -214,12 +183,8 @@ class GroupAction:
              for part, size in sizes.items()}
             for i, perm in enumerate(gen_perms)
         ]
-        full = {
-            part: np.full((group.order, size), -1, dtype=np.int64)
-            for part, size in sizes.items()
-        }
-        for part, size in sizes.items():
-            full[part][0] = np.arange(size)
+        full = {part: [tuple(range(size))] + [None] * (group.order - 1)
+                for part, size in sizes.items()}
         known = {0}
         frontier = [0]
         while frontier:
@@ -230,7 +195,7 @@ class GroupAction:
                     if h in known:
                         continue
                     for part in sizes:
-                        full[part][h] = arrs[part][full[part][g]]
+                        full[part][h] = tuple(map(arrs[part].__getitem__, full[part][g]))
                     known.add(h)
                     nxt.append(h)
             frontier = nxt
@@ -241,62 +206,60 @@ class GroupAction:
         return cls(group, graph, full)
 
     def _validate(self) -> None:
-        import numpy as np
-
         sizes = _part_sizes(self.graph)
         if set(self.perms) != set(sizes):
             raise PreconditionError(
                 f"action parts {sorted(self.perms)} do not match graph parts {sorted(sizes)}"
             )
-        order = self.group.order
+        order, mul = self.group.order, self.group.mul
         gens = self.group.generators
         for part, size in sizes.items():
-            arr = self.perms[part]
-            if arr.shape != (order, size):
+            rows = self.perms[part]
+            widths = {len(row) for row in rows}
+            if len(rows) != order or widths - {size}:
                 raise DimensionError(
-                    f"{part} permutation table has shape {arr.shape},"
+                    f"{part} permutation table has shape {(len(rows), *sorted(widths))},"
                     f" expected {(order, size)}"
                 )
-            idx = np.arange(size)
-            if not np.array_equal(arr[0], idx):
+            idx = list(range(size))
+            if list(rows[0]) != idx:
                 raise PreconditionError(f"identity element must act trivially on {part}s")
-            bad = np.flatnonzero((np.sort(arr, axis=1) != idx).any(axis=1))
-            if bad.size:
-                raise PreconditionError(f"element {bad[0]} is not a permutation of {part}s")
+            bad = next((g for g, row in enumerate(rows) if sorted(row) != idx), None)
+            if bad is not None:
+                raise PreconditionError(f"element {bad} is not a permutation of {part}s")
             for s in gens:
-                # perm(s g) against perm(s) after perm(g), for every g at once
-                bad = np.flatnonzero((arr[self.group.mul[s]] != arr[s][arr]).any(axis=1))
-                if bad.size:
-                    raise PreconditionError(
-                        f"homomorphism fails on {part}s at ({s}, {bad[0]})"
-                    )
-        graph = self.graph
-        keys = graph.keys(graph.end0, graph.end1)
-        order_k = np.argsort(keys)
+                # perm(s g) against perm(s) after perm(g), for every g
+                after_s = rows[s].__getitem__
+                bad = next((g for g, row in enumerate(rows)
+                            if rows[mul[s][g]] != tuple(map(after_s, row))), None)
+                if bad is not None:
+                    raise PreconditionError(f"homomorphism fails on {part}s at ({s}, {bad})")
+        # the images of distinct edges are distinct, so each keeping its
+        # multiplicity means the multiset is preserved
+        edges = self.graph._edges
+        first, second = self.graph.ENDS
         for s in gens:
-            mapped = graph.mapped_keys(self, s)
-            order_m = np.argsort(mapped)
-            if not (np.array_equal(mapped[order_m], keys[order_k])
-                    and np.array_equal(graph.mult[order_m], graph.mult[order_k])):
-                raise PreconditionError(
-                    f"element {s} does not preserve the edge multiset"
-                )
+            p0, p1 = self.perms[first][s], self.perms[second][s]
+            for (u, v), mult in edges.items():
+                a, b = p0[u], p1[v]
+                if edges.get((a, b) if first != second or a <= b else (b, a)) != mult:
+                    raise PreconditionError(
+                        f"element {s} does not preserve the edge multiset"
+                    )
 
 
 def _perm_key(part: str) -> str:
     return f"{part}_perm"
 
 
-def _permutation(values, size: int, where: str) -> np.ndarray:
+def _permutation(values, size: int, where: str) -> tuple[int, ...]:
     """A permutation list from an action file, with `size` entries in 0..size-1."""
-    import numpy as np
-
     if len(values) != size:
         raise PreconditionError(f"{where} permutation has {len(values)} entries, expected {size}")
     bad = [v for v in values if type(v) is not int or not 0 <= v < size]
     if bad:
         raise PreconditionError(f"{where} permutation entry {bad[0]!r} is not in 0..{size - 1}")
-    return np.asarray(values, dtype=np.int64)
+    return tuple(values)
 
 
 def _part_sizes(graph) -> dict[str, int]:
@@ -316,13 +279,13 @@ def generator_indices(group: FiniteGroup) -> list[int]:
 
 def is_free(action: GroupAction) -> tuple[bool, tuple | None]:
     """True iff no non-identity element fixes any vertex; witness otherwise."""
-    witness = None
-    for part in _part_sizes(action.graph):
-        fixed = action.perms[part][1:] == action.perms[part][0]  # the identity, validated
-        rows = fixed.any(axis=1).nonzero()[0]
-        if rows.size and (witness is None or rows[0] + 1 < witness[0]):
-            witness = (int(rows[0]) + 1, (part, int(fixed[rows[0]].argmax())))
-    return witness is None, witness
+    for g in range(1, action.group.order):
+        for part in _part_sizes(action.graph):
+            rows = action.perms[part]   # rows[0] is the identity, validated
+            v = next(compress(count(), map(operator.eq, rows[g], rows[0])), None)
+            if v is not None:
+                return False, (g, (part, v))
+    return True, None
 
 
 def has_fixed_edge(action: GroupAction) -> tuple[bool, tuple | None]:
@@ -331,35 +294,42 @@ def has_fixed_edge(action: GroupAction) -> tuple[bool, tuple | None]:
     Plain graphs use the literal condition: some edge joins v and g.v for
     a non-identity g.  On bipartite Tanner graphs that condition is
     vacuous across parts, so the check is instead for an edge fixed
-    setwise by a non-identity element.
+    setwise by a non-identity element, which only an element that fixes
+    a check and a bit can do.
     """
     graph = action.graph
-    e0, e1 = graph.end0, graph.end1
-    p0, p1 = (action.perms[part] for part in graph.ENDS)
+    p0s, p1s = (action.perms[part] for part in graph.ENDS)
     tanner = isinstance(graph, TannerGraph)
     for g in range(1, action.group.order):
-        a, b = p0[g][e0], p1[g][e1]
-        hit = (a == e0) & (b == e1) if tanner else (a == e1) | (b == e0)
-        if hit.any():
-            k = int(hit.argmax())
-            return True, (g, (int(e0[k]), int(e1[k])))
+        p0, p1 = p0s[g], p1s[g]
+        if tanner:
+            if not (any(map(operator.eq, p0, p0s[0])) and any(map(operator.eq, p1, p1s[0]))):
+                continue
+            hit = next((e for e in graph._edges if p0[e[0]] == e[0] and p1[e[1]] == e[1]), None)
+        else:
+            hit = next((e for e in graph._edges if p0[e[0]] == e[1] or p1[e[1]] == e[0]), None)
+        if hit is not None:
+            return True, (g, hit)
     return False, None
 
 
-def part_orbits(action: GroupAction, part: str):
-    """Orbits of one part as arrays: (basepoints, class of each vertex, row of each vertex).
+def part_orbits(action: GroupAction, part: str) -> tuple[list, list, list]:
+    """Orbits of one part as lists: (basepoints, class of each vertex, row of each vertex).
 
     Basepoints are the orbit minima in ascending order, so class c has
     basepoint `basepoints[c]`; `row[w]` is the lowest group element
     carrying the basepoint of w onto w.
     """
-    import numpy as np
-
-    arr = action.perms[part]
-    base_of = arr.min(axis=0)
-    basepoints, cls = np.unique(base_of, return_inverse=True)
-    row = (arr[:, base_of] == np.arange(arr.shape[1])).argmax(axis=0)
-    return basepoints, cls.ravel(), row
+    rows = action.perms[part]
+    size = len(rows[0])
+    basepoints, cls, row = [], [None] * size, [None] * size
+    for v in range(size):
+        if cls[v] is None:      # no lower vertex reaches v: a new orbit, at its minimum
+            for g, perm in enumerate(rows):
+                if cls[w := perm[v]] is None:
+                    cls[w], row[w] = len(basepoints), g
+            basepoints.append(v)
+    return basepoints, cls, row
 
 
 def quotient(graph, action: GroupAction):
@@ -370,26 +340,25 @@ def quotient(graph, action: GroupAction):
     `orbits[part]` the `part_orbits` of each part.  Edge multiplicity
     carries over from the input (all members of an orbit share it);
     several edge orbits between the same vertex classes stack up as
-    parallel edges.  Each edge orbit is represented by its member of
-    lowest key, found as a running minimum over the group.
+    parallel edges, in the order of their lowest members.
     """
-    import numpy as np
-
     if action.graph is not graph and action.graph != graph:
         raise PreconditionError("action was built for a different graph")
     orbits = {part: part_orbits(action, part) for part in _part_sizes(graph)}
-    keys = graph.keys(graph.end0, graph.end1)
-    lowest = keys.copy()
-    for g in range(1, action.group.order):
-        np.minimum(lowest, graph.mapped_keys(action, g), out=lowest)
-    reps = np.flatnonzero(lowest == keys)
-    reps = reps[np.argsort(keys[reps])]
-    first, second = (orbits[part][1] for part in graph.ENDS)   # the class of each vertex
-    ends = zip(first[graph.end0[reps]].tolist(), second[graph.end1[reps]].tolist())
+    first, second = graph.ENDS
+    p0s, p1s = action.perms[first], action.perms[second]
+    cls0, cls1 = orbits[first][1], orbits[second][1]
+    edges = graph._edges
+    seen = set()
     quotient_edges: Counter = Counter()
-    for pair, mult in zip(ends, graph.mult[reps].tolist()):
-        quotient_edges[pair] += mult
-    return type(graph)(*(bases.size for bases, _, _ in orbits.values()), quotient_edges), orbits
+    for u, v in sorted(edges):      # an edge not yet seen is the lowest of its orbit
+        if (u, v) in seen:
+            continue
+        for p0, p1 in zip(p0s, p1s):
+            a, b = p0[u], p1[v]
+            seen.add((a, b) if first != second or a <= b else (b, a))
+        quotient_edges[(cls0[u], cls1[v])] += edges[(u, v)]
+    return type(graph)(*(len(bases) for bases, _, _ in orbits.values()), quotient_edges), orbits
 
 
 # -- covering maps ------------------------------------------------------------
@@ -480,15 +449,14 @@ def lift_from_ring_matrix(m: GroupAlgebraMatrix, left: bool = False) -> Lift:
     as it does for every abelian group, and action validation refuses
     anything else.
     """
-    import numpy as np
-
     from .groups import binary_map
 
     group, l = m.group, m.group.order
     graph = TannerGraph.from_bitmatrix(binary_map(m))
-    table = group.mul if left else group.mul.T[group.inv]      # table[h, s]: the image of s
+    columns = list(zip(*group.mul))
+    table = group.mul if left else [columns[h] for h in group.inv]  # table[h][s]: the image of s
     action = GroupAction(group, graph, {
-        part: (table[:, None, :] + l * np.arange(count)[:, None]).reshape(l, count * l)
+        part: [tuple(i * l + t for i in range(count) for t in images) for images in table]
         for part, count in (("check", m.rows), ("bit", m.cols))})
     base = TannerGraph(m.rows, m.cols, Counter({
         (i, j): weight for i, row in enumerate(m.entries) for j, e in enumerate(row)
@@ -585,7 +553,7 @@ def emit_action(action: GroupAction) -> str:
         "group": action.group.spec,
         "generators": [
             {
-                _perm_key(part): action.perms[part][g].tolist()
+                _perm_key(part): list(action.perms[part][g])
                 for part in _part_sizes(action.graph)
             }
             for g in gens

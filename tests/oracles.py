@@ -10,6 +10,7 @@ or a value or view that only the tests need:
   elimination, found by eliminating [source | I];
 - the numpy PCM and alist emitters that the Python ones replaced;
 - the check matrices of the cyclic repetition and [7,4] Hamming codes;
+- the numpy group-table check that the Python one replaced;
 - ring matrices over F2[G]: matrices of element bit masks, monomials and
   conjugates of elements, the Kronecker product with an identity, the
   matrix product and the conjugate transpose, whose binary maps the
@@ -176,8 +177,50 @@ def numpy_emit_alist(h: BitMatrix) -> str:
 # -- groups and ring matrices --------------------------------------------------
 
 
+def _validate_group_table(mul: np.ndarray) -> tuple[int, ...]:
+    """Check the group axioms exactly; return the generating set that proves them.
+
+    A Latin square with identity 0 is a loop.  Light's test decides
+    associativity from a generating set S alone: if (x s) y = x (s y) for
+    all x, y and each s in S, the elements with that property are closed
+    under products, so they are the whole loop.  S is built greedily: the
+    next generator is the lowest element that products of the earlier ones
+    do not reach.  The test costs |S| n^2 (|S| <= log2 n for a group) in
+    place of n^3.
+    """
+    order = mul.shape[0]
+    if order == 0:
+        raise PreconditionError("empty group table")
+    idx = np.arange(order)
+    if not (np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx)):
+        raise PreconditionError("element 0 is not a two-sided identity")
+    if not (np.array_equal(np.sort(mul, axis=1), np.tile(idx, (order, 1)))
+            and np.array_equal(np.sort(mul, axis=0), np.tile(idx[:, None], (1, order)))):
+        raise PreconditionError("table is not a Latin square")
+    gens: list[int] = []
+    reached = idx == 0
+    while not reached.all():
+        s = int(np.argmin(reached))
+        left, right = mul[mul[:, s]], np.take(mul, mul[s], axis=1)  # (x s) y, x (s y)
+        if not np.array_equal(left, right):
+            x, y = np.argwhere(left != right)[0].tolist()
+            raise PreconditionError(f"associativity fails at triple {(x, s, y)}")
+        gens.append(s)
+        # close under products; each round multiplies the new elements by all
+        fresh = np.array([s])
+        while fresh.size:
+            reached[fresh] = True
+            members = np.flatnonzero(reached)
+            grown = np.concatenate([mul[np.ix_(fresh, members)].ravel(),
+                                    mul[np.ix_(members, fresh)].ravel()])
+            # a count, not np.unique, which would import numpy.ma
+            fresh = np.flatnonzero((np.bincount(grown, minlength=order) > 0) & ~reached)
+    return tuple(gens)
+
+
 def is_abelian(group: FiniteGroup) -> bool:
-    return bool(np.array_equal(group.mul, group.mul.T))
+    mul = np.array(group.mul)
+    return bool(np.array_equal(mul, mul.T))
 
 
 def from_masks(group: FiniteGroup, masks) -> GroupAlgebraMatrix:
@@ -315,10 +358,10 @@ def product_action_plain(
     perms = np.empty((group.order, na * nb), dtype=np.int64)
     for h in range(group.order):
         hinv = int(group.inv[h])
-        pa = act_a.perms["vertex"][hinv]
-        pb = act_b.perms["vertex"][hinv]
+        pa = np.array(act_a.perms["vertex"][hinv])
+        pb = np.array(act_b.perms["vertex"][hinv])
         perms[h] = (pa[np.arange(na * nb) // nb] * nb) + pb[np.arange(na * nb) % nb]
-    return GroupAction(group, product, {"vertex": perms})
+    return GroupAction(group, product, {"vertex": perms.tolist()})
 
 
 # -- deck actions of a lift ----------------------------------------------------
@@ -330,13 +373,13 @@ def slot_perms(m: GroupAlgebraMatrix, left: bool) -> dict:
     Slot s of block i is vertex i * l + s; h sends it to s * h^-1 (the
     right action, stored as a left one) or, with `left`, to h * s.
     """
-    group, l = m.group, m.group.order
+    group, l, mul = m.group, m.group.order, np.array(m.group.mul)
 
-    def stack(count: int) -> np.ndarray:
+    def stack(count: int) -> list:
         base = (np.arange(count * l) // l) * l
         slot = np.arange(count * l) % l
-        return np.stack([base + (group.mul[h, :] if left
-                                 else group.mul[:, group.inv[h]])[slot] for h in range(l)])
+        return np.stack([base + (mul[h, :] if left
+                                 else mul[:, group.inv[h]])[slot] for h in range(l)]).tolist()
 
     return {"check": stack(m.rows), "bit": stack(m.cols)}
 

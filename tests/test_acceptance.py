@@ -140,11 +140,11 @@ def _extend_with_fixed_bit(graph: TannerGraph, action: GroupAction):
     bigger = TannerGraph(graph.check_count, graph.bit_count + 1, edges)
     bit_perms = np.concatenate(
         [
-            action.perms["bit"],
+            np.array(action.perms["bit"]),
             np.full((l, 1), new_bit, dtype=np.int64),
         ],
         axis=1,
-    )
+    ).tolist()
     new_action = GroupAction(
         action.group, bigger, {"check": action.perms["check"], "bit": bit_perms}
     )

@@ -1,11 +1,10 @@
-"""Differential tests for the edge-array graph algorithms.
+"""Differential tests for the graph and action algorithms.
 
-The edge-scanning loops that `tanner` and `products.balanced_product` used
-before the edge-array view are kept below as oracles: action validation
-over every element pair, freeness, the fixed-edge test, quotients,
-covering checks, product orbits and the balanced product's matrices.
-The covering check, now a pure-Python pass over each vertex's edges, is
-also compared under maps with images moved, swapped and shuffled.
+Direct edge-scanning loops are kept below as oracles for `tanner` and
+`products.balanced_product`: action validation over every element pair,
+freeness, the fixed-edge test, orbits, quotients, covering checks,
+product orbits and the balanced product's matrices.  The covering check
+is also compared under maps with images moved, swapped and shuffled.
 Seeded random Tanner and plain graphs (parallel edges, loops on plain
 graphs) carry free and non-free actions of Z_l, Z_a x Z_b and S3; every
 result must be equal, witnesses and message text included, and a refused
@@ -21,7 +20,7 @@ import pytest
 
 from qpc.errors import DimensionError, PreconditionError
 from qpc.groups import FiniteGroup
-from qpc.products import _pair_classes, balanced_product, lift_with_regular_actions
+from qpc.products import _pair_class, balanced_product, lift_with_regular_actions
 from qpc.tanner import (
     GroupAction,
     PlainGraph,
@@ -102,7 +101,7 @@ def oracle_validate(group, graph, perms):
 def oracle_is_free(action):
     for g in range(1, action.group.order):
         for part in _parts(action.graph):
-            arr = action.perms[part][g]
+            arr = np.array(action.perms[part][g])
             fixed = np.nonzero(arr == np.arange(arr.size))[0]
             if fixed.size:
                 return False, (g, (part, int(fixed[0])))
@@ -127,7 +126,7 @@ def oracle_has_fixed_edge(action):
 
 
 def oracle_part_orbits(action, part):
-    arr = action.perms[part]
+    arr = np.array(action.perms[part])
     size = arr.shape[1]
     order = action.group.order
     seen = np.zeros(size, dtype=bool)
@@ -165,8 +164,8 @@ def oracle_quotient(graph, action):
     seen_edges = set()
     quotient_edges = Counter()
     if isinstance(graph, TannerGraph):
-        cp = action.perms["check"]
-        bp = action.perms["bit"]
+        cp = np.array(action.perms["check"])
+        bp = np.array(action.perms["bit"])
         for (c, b), mult in sorted(graph.edges.items()):
             if (c, b) in seen_edges:
                 continue
@@ -174,7 +173,7 @@ def oracle_quotient(graph, action):
             quotient_edges[(class_index[("check", c)], class_index[("bit", b)])] += mult
         result = TannerGraph(per_part_count["check"], per_part_count["bit"], quotient_edges)
     else:
-        vp = action.perms["vertex"]
+        vp = np.array(action.perms["vertex"])
         for (u, v), mult in sorted(graph.edges.items()):
             if (u, v) in seen_edges:
                 continue
@@ -258,8 +257,8 @@ def oracle_verify_covering(cover, base, maps):
 def oracle_product_orbits(act_a, part_a, act_b, part_b):
     group = act_a.group
     order = group.order
-    pa = act_a.perms[part_a]
-    pb = act_b.perms[part_b]
+    pa = np.array(act_a.perms[part_a])
+    pb = np.array(act_b.perms[part_b])
     size_b = pb.shape[1]
     inv = [int(group.inv[h]) for h in range(order)]
     seen = np.zeros(pa.shape[1] * size_b, dtype=bool)
@@ -370,7 +369,7 @@ def lift(rng, group, parts, loops, free=True):
     joined to each other and to whole orbits: the action stays valid but
     is not free.
     """
-    l, mul = group.order, group.mul
+    l, mul = group.order, np.array(group.mul)
     tanner = len(parts) == 2
     fixed = [0] * len(parts) if free else [rng.randint(1, 2) for _ in parts]
     first, last = parts[0], parts[-1]  # base part sizes of the two edge ends
@@ -448,6 +447,11 @@ def corrupt(rng, group, graph, perms):
     return perms
 
 
+def lists(perms):
+    """The permutation tables as lists of Python ints, as `GroupAction` takes them."""
+    return {part: arr.tolist() for part, arr in perms.items()}
+
+
 def outcome(fn, *args):
     try:
         fn(*args)
@@ -466,26 +470,26 @@ def test_valid_actions_match_oracles(seed):
         group, graph, perms = (through_quotient(rng) if rng.random() < 0.2
                                else random_instance(rng))
         assert outcome(oracle_validate, group, graph, perms) is None
-        action = GroupAction(group, graph, perms)
+        action = GroupAction(group, graph, lists(perms))
         assert is_free(action) == oracle_is_free(action)
         assert has_fixed_edge(action) == oracle_has_fixed_edge(action)
         for part in _parts(action.graph):
             bases, cls, row = part_orbits(action, part)
             want = oracle_part_orbits(action, part)
-            assert bases.tolist() == [v for v, _, _ in want]
+            assert bases == [v for v, _, _ in want]
             for ci, (_, members, rows) in enumerate(want):
-                assert np.flatnonzero(cls == ci).tolist() == members
+                assert np.flatnonzero(np.array(cls) == ci).tolist() == members
                 assert all(int(row[w]) == rows[w] for w in members)
         got, orbits = quotient(graph, action)
         want, (classes, basepoints, row_of) = oracle_quotient(graph, action)
         assert got == want and list(got.edges.items()) == list(want.edges.items())
         assert list(orbits) == list(_parts(graph))
         assert [(part, v) for part, (bases, _, _) in orbits.items()
-                for v in bases.tolist()] == list(basepoints)
-        assert [tuple((part, w) for w in np.flatnonzero(cls == c).tolist())
-                for part, (bases, cls, _) in orbits.items() for c in range(bases.size)] == list(classes)
+                for v in bases] == list(basepoints)
+        assert [tuple((part, w) for w in np.flatnonzero(np.array(cls) == c).tolist())
+                for part, (bases, cls, _) in orbits.items() for c in range(len(bases))] == list(classes)
         assert {(part, w): r for part, (_, _, row) in orbits.items()
-                for w, r in enumerate(row.tolist())} == row_of
+                for w, r in enumerate(row)} == row_of
 
 
 def test_non_free_instances_are_generated():
@@ -493,7 +497,7 @@ def test_non_free_instances_are_generated():
     kinds = Counter()
     for _ in range(60):
         group, graph, perms = random_instance(rng, free=False)
-        action = GroupAction(group, graph, perms)
+        action = GroupAction(group, graph, lists(perms))
         kinds[(is_free(action)[0], has_fixed_edge(action)[0])] += 1
     assert kinds[(False, True)] and kinds[(False, False)]
 
@@ -507,7 +511,7 @@ def test_free_tanner_action_pins_no_edge(seed):
     kinds = Counter()
     for _ in range(50):
         group, graph, perms = random_instance(rng, tanner=True)
-        action = GroupAction(group, graph, perms)
+        action = GroupAction(group, graph, lists(perms))
         kinds[(is_free(action)[0], has_fixed_edge(action)[0])] += 1
     assert not kinds[(True, True)]
     assert kinds[(True, False)] and kinds[(False, True)], kinds
@@ -530,7 +534,7 @@ def test_corrupted_actions_refused_alike(seed):
                 g, (i, j) = rng.randrange(2, arr.shape[0]), rng.sample(range(arr.shape[1]), 2)
                 arr[g, [i, j]] = arr[g, [j, i]]
         want = outcome(oracle_validate, group, graph, bad)
-        assert outcome(GroupAction, group, graph, bad) == want
+        assert outcome(GroupAction, group, graph, lists(bad)) == want
         refused[want[1].split(" ")[0] if want else None] += 1
     assert {"homomorphism", "element", "identity"} <= set(refused)
 
@@ -544,7 +548,7 @@ def test_homomorphism_checked_on_every_generator():
     bad = {part: arr[power] for part, arr in perms.items()}
     want = outcome(oracle_validate, group, lifted, bad)
     assert want == (PreconditionError, "homomorphism fails on checks at (3, 3)")
-    assert outcome(GroupAction, group, lifted, bad) == want
+    assert outcome(GroupAction, group, lifted, lists(bad)) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -645,18 +649,17 @@ def test_balanced_product_matches_oracle(seed):
             a, perms_a, _ = lift(rng, group, (rng.randint(1, 2), rng.randint(1, 3)), loops=False)
             b, perms_b, _ = lift(rng, group, (rng.randint(1, 2), rng.randint(1, 3)),
                                  loops=False, free=rng.random() < 0.5)
-            act_a, act_b = GroupAction(group, a, perms_a), GroupAction(group, b, perms_b)
+            act_a, act_b = GroupAction(group, a, lists(perms_a)), GroupAction(group, b, lists(perms_b))
         for part_a, part_b in (("bit", "bit"), ("check", "check"), ("check", "bit"),
                                ("bit", "check")):
             orbits_a = part_orbits(act_a, part_a)
-            size_a, size_b = act_a.perms[part_a].shape[1], act_b.perms[part_b].shape[1]
-            index = _pair_classes(orbits_a, act_b.perms[part_b], group.inv,
-                                  np.arange(size_a)[:, None], np.arange(size_b))
+            size_b = len(act_b.perms[part_b][0])
             orbits, want_index = oracle_product_orbits(act_a, part_a, act_b, part_b)
             # representative (basepoint k, w) has class k |B part| + w
-            assert [(u, w) for u in orbits_a[0].tolist() for w in range(size_b)] \
+            assert [(u, w) for u in orbits_a[0] for w in range(size_b)] \
                 == [rep for rep, _ in orbits]
-            assert {w: int(index[w]) for w in want_index} == want_index
+            assert {w: _pair_class(orbits_a, act_b.perms[part_b], group.inv, *w)
+                    for w in want_index} == want_index
         code = balanced_product(a, b, act_a, act_b)
         h_x, h_z, reduced, total, coords = oracle_balanced_product(a, b, act_a, act_b)
         assert code.h_x == h_x and code.h_z == h_z
@@ -673,7 +676,7 @@ def test_balanced_product_reductions_are_exercised():
         group = FiniteGroup.cyclic(rng.randint(2, 4))
         a, perms_a, _ = lift(rng, group, (2, 3), loops=False)
         b, perms_b, _ = lift(rng, group, (2, 3), loops=False)
-        code = balanced_product(a, b, GroupAction(group, a, perms_a),
-                                GroupAction(group, b, perms_b))
+        code = balanced_product(a, b, GroupAction(group, a, lists(perms_a)),
+                                GroupAction(group, b, lists(perms_b)))
         seen += code.provenance["mod2_reduced_entries"] > 0
     assert seen

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ from qpc.groups import (
     parse_ring_matrix,
 )
 
-from oracles import (conj_transpose, emit_ring_matrix, is_abelian, monomial, ring_kron_identity,
-                     ring_matmul)
+from oracles import (_validate_group_table, conj_transpose, emit_ring_matrix, is_abelian, monomial,
+                     ring_kron_identity, ring_matmul)
 
 
 def s3_table():
@@ -34,7 +35,35 @@ def s3_table():
 
 
 def s3():
-    return FiniteGroup(s3_table(), spec="S3")
+    return FiniteGroup(s3_table().tolist(), spec="S3")
+
+
+def random_group_table(rng) -> list[list[int]]:
+    """A cyclic, direct-product, S3 or dihedral multiplication table, identity first."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        l = rng.randint(1, 12)
+        return [[(i + j) % l for j in range(l)] for i in range(l)]
+    if kind == 1:
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        return [[(i // b + j // b) % a * b + (i + j) % b for j in range(a * b)]
+                for i in range(a * b)]
+    if kind == 2:
+        return s3_table().tolist()
+    # D_n as pairs (r, f), r^k f^e at k + n e, with (k, e)(k', e') = (k + (-1)^e k', e + e')
+    n = rng.randint(2, 6)
+    return [[(i % n + (-1) ** (i // n) * (j % n)) % n + n * ((i // n + j // n) % 2)
+             for j in range(2 * n)] for i in range(2 * n)]
+
+
+def _old_table_check(mul: np.ndarray) -> tuple[int, ...]:
+    """The square and range checks `FiniteGroup` made before the numpy table check."""
+    order = mul.shape[0]
+    if mul.shape != (order, order):
+        raise PreconditionError(f"multiplication table must be square, got {mul.shape}")
+    if mul.min(initial=0) < 0 or mul.max(initial=0) >= order:
+        raise PreconditionError("table entries out of range")
+    return _validate_group_table(mul)
 
 
 def random_element(rng, group, max_terms=3):
@@ -130,6 +159,47 @@ class TestGroupConstruction:
         assert 0 not in group.generators
         assert len(group.generators) <= max(group.order.bit_length() - 1, 0)
         assert list(group.generators) == sorted(group.generators)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_table_check_matches_numpy_oracle(self, seed):
+        # Group tables (cyclic, direct products, S3, dihedral), some relabelled, and
+        # their perturbations: a swap within a row or a column (no Latin square, only
+        # the rows or only the columns Latin), an intercalate swapped (a Latin square
+        # that is not associative) or one entry set at random (maybe out of range).
+        # The Python check gives the numpy check's verdict, message and generators.
+        rng = random.Random(3100 + seed)
+        verdicts = Counter()
+        for _ in range(80):
+            table = np.array(random_group_table(rng))
+            order = len(table)
+            kind = rng.randrange(6) if order > 2 else 0
+            if kind == 1:   # relabel by a permutation fixing the identity: still a group
+                sigma = np.array([0] + rng.sample(range(1, order), order - 1))
+                table[np.ix_(sigma, sigma)] = sigma[table]
+            elif kind in (2, 3):
+                x, (u, v) = rng.randrange(1, order), rng.sample(range(1, order), 2)
+                line = table[x] if kind == 2 else table[:, x]
+                line[[u, v]] = line[[v, u]]
+            elif kind == 4:
+                swaps = [(x, y, u, v) for x, y in itertools.combinations(range(1, order), 2)
+                         for u, v in itertools.combinations(range(1, order), 2)
+                         if table[x, u] == table[y, v] and table[x, v] == table[y, u]]
+                if swaps:
+                    x, y, u, v = rng.choice(swaps)
+                    table[[x, x, y, y], [u, v, u, v]] = table[[x, x, y, y], [v, u, v, u]]
+            elif kind == 5:
+                table[rng.randrange(order), rng.randrange(order)] = rng.randrange(order + 1)
+            try:
+                want = ("ok", _old_table_check(table))
+            except PreconditionError as exc:
+                want = ("refused", str(exc))
+            try:
+                got = ("ok", FiniteGroup(table.tolist()).generators)
+            except PreconditionError as exc:
+                got = ("refused", str(exc))
+            assert got == want, table.tolist()
+            verdicts[want[0] if want[0] == "ok" else want[1].split()[0]] += 1
+        assert set(verdicts) == {"ok", "table", "element", "associativity"}, verdicts
 
     def test_missing_identity_rejected(self):
         with pytest.raises(PreconditionError):

@@ -8,7 +8,9 @@ then lists the qpc modules, numpy, `numpy.ma`, `dataclasses` and
 `errors` and `render`, and `verify covering` and `layout --graph` only
 `cli`, `errors` and `tanner` (plus `render` for the layout), so these
 commands run where numpy cannot be imported at all, with the same
-output.  `analyze` loads no `render`, and an `analyze` of a code whose
+output.  So do `construct hgp | lp | bp` and `verify action`, whose
+groups, actions and products are Python ints: the same report, exit
+code and files.  `analyze` loads no `render`, and an `analyze` of a code whose
 check matrices hold at most two ones per column (toric, planar, or two
 matrices that anticommute), refused or decided, loads no numpy either,
 nor does a refused `analyze` of a heavier code (Hamming x rep3): each
@@ -20,10 +22,11 @@ qpc's records are `typing.NamedTuple`s, so the commands without numpy
 load no `inspect` either.
 
 Every public name is reached by a command or the README's library
-sketch, run in process under `sys.setprofile`, or is one that perfbench
-patches by name, or waits on a pending list for the open ROADMAP item
-that will wire it; a pending name that a command reaches fails too, so
-that list only shrinks.
+sketch, run in process under `sys.setprofile` (`FiniteGroup` through a
+table file: a `Z<l>` group is built once per process, maybe by an earlier
+test), or is one that perfbench patches by name, or waits on a pending
+list for the open ROADMAP item that will wire it; a pending name that a
+command reaches fails too, so that list only shrinks.
 """
 
 import ast
@@ -53,6 +56,15 @@ LINE3 = ["verify", "covering", "--cover", FIXTURES / "line3_2lift.graph",
          "--base", FIXTURES / "line3.graph", "--map"]
 LIFT_Z3 = ["verify", "covering", "--cover", FIXTURES / "lift_1px_z3.graph", "--map", "z3.map.json",
            "--base"]  # files without a directory are written by `work`
+Z3_ACTION = ["verify", "action", "--graph", FIXTURES / "cycle6.graph",
+             "--action", FIXTURES / "cycle6_z3.action.json"]
+S3_ACTION = ["verify", "action", "--graph", FIXTURES / "s3_lift.graph",
+             "--action", FIXTURES / "s3_lift.action.json"]
+LP_Z3 = ["construct", "lp", "--m1", FIXTURES / "rep3_z3.ring", "--m2", FIXTURES / "rep3_z3.ring"]
+BP_Z3 = ["construct", "bp", "--graph-a", FIXTURES / "lift_1px_z3.graph",
+         "--graph-b", FIXTURES / "lift_1px_z3.graph",
+         "--action-a", FIXTURES / "bp_a_z3.action.json",
+         "--action-b", FIXTURES / "bp_b_z3.action.json"]
 
 # `qpc.__all__` as it stood when every submodule was imported eagerly, less
 # `CodeParams`, `QuotientLayout`, `CoveringMap` and `Oblique` (deleted) and six
@@ -105,8 +117,8 @@ REACH = [
     ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "tikz", "--out", "reach.tex"],
     [*LINE3, FIXTURES / "line3_2lift.map.json"],
     [*LINE3, "far.map.json"],                                # PreconditionError
-    ["verify", "action", "--graph", FIXTURES / "cycle6.graph",
-     "--action", FIXTURES / "cycle6_z3.action.json"],
+    Z3_ACTION,
+    S3_ACTION,
     ["analyze", "--hx", "x12.pcm", "--hz", "z12.pcm", "--budget", "-1"],  # FormatError
 ]
 
@@ -165,6 +177,19 @@ def work(tmp_path_factory):
     (root / "single.graph").write_text("checks 1 bits 1\nc0 b0\n")
     (root / "z3.map.json").write_text('{"check_map": [0, 0, 0], "bit_map": [0, 0, 0]}')
     return root
+
+
+def assert_construct_runs_with_numpy_blocked(tmp_path: Path, argv: list) -> None:
+    """`construct` gives the same report, exit code and five files where numpy
+    cannot be imported, each run writing beside it by a relative prefix."""
+    runs = []
+    for prelude in ('sys.modules["numpy"] = None', ""):
+        cwd = tmp_path / f"run{len(runs)}"
+        cwd.mkdir()
+        code, out, modules = probe(cwd, prelude, *argv, "--out-prefix", "code")
+        assert code == 0 and out and "numpy" not in modules
+        runs.append((out, {f.name: f.read_bytes() for f in cwd.iterdir()}))
+    assert runs[0] == runs[1] and len(runs[0][1]) == 5
 
 
 def readme_sketch() -> str:
@@ -303,38 +328,29 @@ class TestImportSets:
                                         ("0x3", "rep3"), ("rep3", "2x0"), ("0x3", "2x0"),
                                         ("0x0", "0x0")])
     def test_construct_hgp_runs_with_numpy_blocked(self, tmp_path, c1, c2):
-        # the same report, exit code and five files where numpy cannot be imported,
         # for factors with no rows, no columns or neither
         shapes = {"0x3": "0 3\n", "2x0": "2 0\n\n\n", "0x0": "0 0\n"}
         for name, text in shapes.items():
             (tmp_path / f"{name}.pcm").write_text(text)
         paths = [tmp_path / f"{c}.pcm" if c in shapes else FIXTURES / f"{c}.pcm" for c in (c1, c2)]
-        argv = ["construct", "hgp", "--c1", paths[0], "--c2", paths[1], "--out-prefix", "code"]
-        runs = []
-        for prelude in ('sys.modules["numpy"] = None', ""):
-            cwd = tmp_path / f"run{len(runs)}"
-            cwd.mkdir()
-            code, out, modules = probe(cwd, prelude, *argv)
-            assert code == 0 and out and "numpy" not in modules
-            runs.append((out, {f.name: f.read_bytes() for f in cwd.iterdir()}))
-        assert runs[0] == runs[1] and len(runs[0][1]) == 5
+        assert_construct_runs_with_numpy_blocked(
+            tmp_path, ["construct", "hgp", "--c1", paths[0], "--c2", paths[1]])
+
+    @pytest.mark.parametrize("argv", [LP_Z3, BP_Z3], ids=["lp", "bp"])
+    def test_construct_lp_and_bp_run_with_numpy_blocked(self, tmp_path, argv):
+        assert_construct_runs_with_numpy_blocked(tmp_path, argv)
 
     @pytest.mark.parametrize("argv", [
-        ["construct", "lp", "--m1", FIXTURES / "rep3_z3.ring", "--m2", FIXTURES / "rep3_z3.ring",
-         "--out-prefix", "lp_again"],
-        ["construct", "bp", "--graph-a", FIXTURES / "lift_1px_z3.graph",
-         "--graph-b", FIXTURES / "lift_1px_z3.graph",
-         "--action-a", FIXTURES / "bp_a_z3.action.json",
-         "--action-b", FIXTURES / "bp_b_z3.action.json", "--out-prefix", "bp"],
-        ["verify", "action", "--graph", FIXTURES / "cycle6.graph",
-         "--action", FIXTURES / "cycle6_z3.action.json"],
+        [*LP_Z3, "--out-prefix", "lp_again"],
+        [*BP_Z3, "--out-prefix", "bp"],
+        Z3_ACTION,
         ["verify", "covering", "--cover", FIXTURES / "line3_2lift.graph",
          "--base", FIXTURES / "line3.graph", "--map", FIXTURES / "line3_2lift.map.json"],
     ], ids=["construct-lp", "construct-bp", "verify-action", "verify-covering"])
     def test_group_and_graph_commands_skip_numpy_ma(self, work, argv):
         modules = loaded(work, "", *argv)
         assert "qpc.tanner" in modules or "qpc.groups" in modules
-        assert not modules & {"numpy.ma", "dataclasses"}
+        assert not modules & {"numpy", "numpy.ma", "dataclasses"}
 
     def test_layout_graph_loads_tanner(self, work):
         # the probe sees a lazily imported layer when the command needs it; the
@@ -364,8 +380,12 @@ class TestImportSets:
         ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "tikz"],
         ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "svg", "--edges"],
         ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "dot", "--edges"],
+        Z3_ACTION,
+        S3_ACTION,
+        ["verify", "action", "--graph", FIXTURES / "b4.graph",     # not free: exits 2
+         "--action", FIXTURES / "b4_z3.action.json"],
     ], ids=["covering", "covering-bad", "covering-tanner", "covering-tanner-bad", "layout-tikz",
-            "layout-svg-edges", "layout-dot-edges"])
+            "layout-svg-edges", "layout-dot-edges", "action-z3", "action-s3", "action-refused"])
     def test_graph_commands_run_with_numpy_blocked(self, work, argv):
         code, out, modules = probe(work, 'sys.modules["numpy"] = None', *argv)
         assert (code, out, modules) == probe(work, "", *argv)

@@ -164,7 +164,7 @@ class TestLiftedProduct:
         # H_X = (m1 (x) I | I (x) m2*), H_Z = (I (x) m2 | m1* (x) I) over F2[G],
         # expanded by the dense loop that the entry-wise binary_map replaced
         def dense_binary_map(m):
-            l, mul = m.group.order, m.group.mul
+            l, mul = m.group.order, np.array(m.group.mul)
             dense = np.zeros((m.rows * l, m.cols * l), dtype=np.uint8)
             for i in range(m.rows):
                 for j in range(m.cols):
