@@ -330,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if (groups := sys.modules.get(f"{__package__}.groups")) is not None:  # Z<l> once per command
+        groups._named_group.cache_clear()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -1,4 +1,4 @@
-"""Exception types, the input-file reader and the typed JSON reader, shared across the package."""
+"""Exception types and the file, JSON and integer-table readers, shared across the package."""
 
 import json
 import math
@@ -83,3 +83,10 @@ def typed_list(data: dict, key: str, kind: type | None = None, where: str = "") 
         for k, entry in enumerate(value):
             typed(entry, kind, f"{where}{key!r} entry {k}")
     return value
+
+
+def int_rows(table) -> tuple[tuple[int, ...], ...]:
+    """`table` as rows of Python ints, which shift and serialise without overflow:
+    a numpy array is read by `tolist`, numpy scalars by `int`."""
+    rows = map(tuple, table.tolist() if hasattr(table, "tolist") else table)
+    return tuple(r if not r or type(r[0]) is int else tuple(map(int, r)) for r in rows)

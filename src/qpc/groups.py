@@ -9,7 +9,7 @@ generating set, which the group keeps as `generators` (group actions are
 validated on the same set).  A cyclic group or a product of two names
 its generators x (and y); any other table, read from a file or built in
 code, names g1 .. g(l-1).  `parse_group_spec` builds each `Z<l>` or
-`Z<a>xZ<b>` group once per process.
+`Z<a>xZ<b>` group once per command.
 
 `binary_map` sends a group element to its left regular representation
 (B(g)[p, q] = 1 iff g * q = p) and extends linearly, which makes it a
@@ -27,7 +27,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DimensionError, FormatError, PreconditionError, read_file
+from .errors import DimensionError, FormatError, PreconditionError, int_rows, read_file
 from .gf2 import BitMatrix
 
 
@@ -39,14 +39,14 @@ MAX_GROUP_ORDER = 2048
 class FiniteGroup:
     """Finite group as an explicit l x l multiplication table, identity 0.
 
-    `mul_table` is l rows of l Python ints; `mul[g][h]` is g * h.
+    `mul_table` is l rows of l ints, kept as Python ints; `mul[g][h]` is g * h.
     """
 
     __slots__ = ("order", "mul", "inv", "generators", "spec", "_gen_names")
 
     def __init__(self, mul_table, spec: str | None = None,
                  cyclic_shape: tuple[int, ...] | None = None):
-        mul = tuple(map(tuple, mul_table))
+        mul = int_rows(mul_table)
         order = len(mul)
         widths = {len(row) for row in mul}
         if widths != {order}:
@@ -120,9 +120,7 @@ class FiniteGroup:
         return dict(self._gen_names)
 
     def same_group(self, other: "FiniteGroup") -> bool:
-        return self is other or (
-            self.order == other.order and self.mul == other.mul
-        )
+        return self is other or self.mul == other.mul
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.spec}, order={self.order})"

@@ -42,7 +42,8 @@ from collections import Counter, defaultdict
 from itertools import compress, count
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DimensionError, FormatError, PreconditionError, load_object, typed, typed_list
+from .errors import (DimensionError, FormatError, PreconditionError, int_rows, load_object, typed,
+                     typed_list)
 
 if TYPE_CHECKING:
     from .gf2 import BitMatrix
@@ -154,16 +155,17 @@ class PlainGraph(_Graph):
 class GroupAction:
     """Type-preserving action of a finite group on a graph.
 
-    `perms[part][g]` is the permutation applied by element g; the table
-    composes as a left action and is validated for the homomorphism
-    property and edge-multiset invariance at construction, on the
-    group's generating set (exact; see the module docstring).
+    `perms[part][g]` is the permutation applied by element g, kept as
+    Python ints; the table composes as a left action and is validated
+    for the homomorphism property and edge-multiset invariance at
+    construction, on the group's generating set (exact; see the module
+    docstring).
     """
 
     def __init__(self, group: FiniteGroup, graph, perms: dict):
         self.group = group
         self.graph = graph
-        self.perms = {part: tuple(map(tuple, p)) for part, p in perms.items()}
+        self.perms = {part: int_rows(p) for part, p in perms.items()}
         self._validate()
 
     # part layout: TannerGraph -> ("check", "bit"); PlainGraph -> ("vertex",)
@@ -173,10 +175,8 @@ class GroupAction:
         """Extend per-generator permutations to the whole group by composition."""
         gens = generator_indices(group)
         if len(gen_perms) != len(gens):
-            raise PreconditionError(
-                f"group {group.spec} needs {len(gens)} generator permutations,"
-                f" got {len(gen_perms)}"
-            )
+            raise PreconditionError(f"group {group.spec} needs {len(gens)} generator"
+                                    f" permutations, got {len(gen_perms)}")
         sizes = _part_sizes(graph)
         gen_arrs = [
             {part: _permutation(perm[_perm_key(part)], size, f"generator {i}: {part}")
@@ -211,8 +211,7 @@ class GroupAction:
             raise PreconditionError(
                 f"action parts {sorted(self.perms)} do not match graph parts {sorted(sizes)}"
             )
-        order, mul = self.group.order, self.group.mul
-        gens = self.group.generators
+        order, mul, gens = self.group.order, self.group.mul, self.group.generators
         for part, size in sizes.items():
             rows = self.perms[part]
             widths = {len(row) for row in rows}
@@ -243,9 +242,7 @@ class GroupAction:
             for (u, v), mult in edges.items():
                 a, b = p0[u], p1[v]
                 if edges.get((a, b) if first != second or a <= b else (b, a)) != mult:
-                    raise PreconditionError(
-                        f"element {s} does not preserve the edge multiset"
-                    )
+                    raise PreconditionError(f"element {s} does not preserve the edge multiset")
 
 
 def _perm_key(part: str) -> str:

@@ -361,7 +361,7 @@ def product_action_plain(
         pa = np.array(act_a.perms["vertex"][hinv])
         pb = np.array(act_b.perms["vertex"][hinv])
         perms[h] = (pa[np.arange(na * nb) // nb] * nb) + pb[np.arange(na * nb) % nb]
-    return GroupAction(group, product, {"vertex": perms.tolist()})
+    return GroupAction(group, product, {"vertex": perms})
 
 
 # -- deck actions of a lift ----------------------------------------------------
@@ -375,11 +375,11 @@ def slot_perms(m: GroupAlgebraMatrix, left: bool) -> dict:
     """
     group, l, mul = m.group, m.group.order, np.array(m.group.mul)
 
-    def stack(count: int) -> list:
+    def stack(count: int) -> np.ndarray:
         base = (np.arange(count * l) // l) * l
         slot = np.arange(count * l) % l
         return np.stack([base + (mul[h, :] if left
-                                 else mul[:, group.inv[h]])[slot] for h in range(l)]).tolist()
+                                 else mul[:, group.inv[h]])[slot] for h in range(l)])
 
     return {"check": stack(m.rows), "bit": stack(m.cols)}
 

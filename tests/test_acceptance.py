@@ -144,7 +144,7 @@ def _extend_with_fixed_bit(graph: TannerGraph, action: GroupAction):
             np.full((l, 1), new_bit, dtype=np.int64),
         ],
         axis=1,
-    ).tolist()
+    )
     new_action = GroupAction(
         action.group, bigger, {"check": action.perms["check"], "bit": bit_perms}
     )

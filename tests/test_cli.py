@@ -706,6 +706,20 @@ class TestGroupSpecs:
                                " has a cyclic factor of order 0\n")
 
 
+    def test_each_command_builds_its_group_once(self, tmp_path, capsys, monkeypatch):
+        # both ring files name Z3: one table per command, also for a second command
+        # in the same process, so in-process timings compare with fresh processes
+        from qpc.groups import FiniteGroup
+
+        built, cyclic = [], FiniteGroup.cyclic.__func__
+        monkeypatch.setattr(FiniteGroup, "cyclic",
+                            classmethod(lambda cls, l: built.append(l) or cyclic(cls, l)))
+        for k in range(2):
+            code, _, _ = run(capsys, "construct", "lp", "--m1", FIXTURES / "rep3_z3.ring",
+                             "--m2", FIXTURES / "rep3_z3.ring", "--out-prefix", tmp_path / f"lp{k}")
+            assert code == 0 and built == [3] * (k + 1)
+
+
 class TestResourceTraps:
     """A header that names a huge size is refused before anything that size is built.
 

@@ -447,11 +447,6 @@ def corrupt(rng, group, graph, perms):
     return perms
 
 
-def lists(perms):
-    """The permutation tables as lists of Python ints, as `GroupAction` takes them."""
-    return {part: arr.tolist() for part, arr in perms.items()}
-
-
 def outcome(fn, *args):
     try:
         fn(*args)
@@ -470,7 +465,7 @@ def test_valid_actions_match_oracles(seed):
         group, graph, perms = (through_quotient(rng) if rng.random() < 0.2
                                else random_instance(rng))
         assert outcome(oracle_validate, group, graph, perms) is None
-        action = GroupAction(group, graph, lists(perms))
+        action = GroupAction(group, graph, perms)
         assert is_free(action) == oracle_is_free(action)
         assert has_fixed_edge(action) == oracle_has_fixed_edge(action)
         for part in _parts(action.graph):
@@ -497,7 +492,7 @@ def test_non_free_instances_are_generated():
     kinds = Counter()
     for _ in range(60):
         group, graph, perms = random_instance(rng, free=False)
-        action = GroupAction(group, graph, lists(perms))
+        action = GroupAction(group, graph, perms)
         kinds[(is_free(action)[0], has_fixed_edge(action)[0])] += 1
     assert kinds[(False, True)] and kinds[(False, False)]
 
@@ -511,7 +506,7 @@ def test_free_tanner_action_pins_no_edge(seed):
     kinds = Counter()
     for _ in range(50):
         group, graph, perms = random_instance(rng, tanner=True)
-        action = GroupAction(group, graph, lists(perms))
+        action = GroupAction(group, graph, perms)
         kinds[(is_free(action)[0], has_fixed_edge(action)[0])] += 1
     assert not kinds[(True, True)]
     assert kinds[(True, False)] and kinds[(False, True)], kinds
@@ -534,7 +529,7 @@ def test_corrupted_actions_refused_alike(seed):
                 g, (i, j) = rng.randrange(2, arr.shape[0]), rng.sample(range(arr.shape[1]), 2)
                 arr[g, [i, j]] = arr[g, [j, i]]
         want = outcome(oracle_validate, group, graph, bad)
-        assert outcome(GroupAction, group, graph, lists(bad)) == want
+        assert outcome(GroupAction, group, graph, bad) == want
         refused[want[1].split(" ")[0] if want else None] += 1
     assert {"homomorphism", "element", "identity"} <= set(refused)
 
@@ -548,7 +543,7 @@ def test_homomorphism_checked_on_every_generator():
     bad = {part: arr[power] for part, arr in perms.items()}
     want = outcome(oracle_validate, group, lifted, bad)
     assert want == (PreconditionError, "homomorphism fails on checks at (3, 3)")
-    assert outcome(GroupAction, group, lifted, lists(bad)) == want
+    assert outcome(GroupAction, group, lifted, bad) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -649,7 +644,7 @@ def test_balanced_product_matches_oracle(seed):
             a, perms_a, _ = lift(rng, group, (rng.randint(1, 2), rng.randint(1, 3)), loops=False)
             b, perms_b, _ = lift(rng, group, (rng.randint(1, 2), rng.randint(1, 3)),
                                  loops=False, free=rng.random() < 0.5)
-            act_a, act_b = GroupAction(group, a, lists(perms_a)), GroupAction(group, b, lists(perms_b))
+            act_a, act_b = GroupAction(group, a, perms_a), GroupAction(group, b, perms_b)
         for part_a, part_b in (("bit", "bit"), ("check", "check"), ("check", "bit"),
                                ("bit", "check")):
             orbits_a = part_orbits(act_a, part_a)
@@ -676,7 +671,7 @@ def test_balanced_product_reductions_are_exercised():
         group = FiniteGroup.cyclic(rng.randint(2, 4))
         a, perms_a, _ = lift(rng, group, (2, 3), loops=False)
         b, perms_b, _ = lift(rng, group, (2, 3), loops=False)
-        code = balanced_product(a, b, GroupAction(group, a, lists(perms_a)),
-                                GroupAction(group, b, lists(perms_b)))
+        code = balanced_product(a, b, GroupAction(group, a, perms_a),
+                                GroupAction(group, b, perms_b))
         seen += code.provenance["mod2_reduced_entries"] > 0
     assert seen

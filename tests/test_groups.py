@@ -35,7 +35,7 @@ def s3_table():
 
 
 def s3():
-    return FiniteGroup(s3_table().tolist(), spec="S3")
+    return FiniteGroup(s3_table(), spec="S3")
 
 
 def random_group_table(rng) -> list[list[int]]:
@@ -104,6 +104,18 @@ class TestGroupConstruction:
         g = s3()
         assert g.order == 6
         assert not is_abelian(g)
+
+    @pytest.mark.parametrize("wrap", [np.array, lambda t: [np.array(row) for row in t],
+                                      lambda t: [list(np.array(row)) for row in t]],
+                             ids=["array", "array-rows", "numpy-scalars"])
+    def test_numpy_tables_give_python_ints(self, wrap):
+        # a table of numpy ints kept as such would shift 1 << 70 in int64 and lose the term
+        table = [[(i + j) % 100 for j in range(100)] for i in range(100)]
+        group = FiniteGroup(wrap(table))
+        assert group.mul == FiniteGroup(table).mul
+        assert {type(v) for row in group.mul for v in row} == {int}
+        x35, x40 = (GroupAlgebraElement(group, 1 << k) for k in (35, 40))
+        assert (x35 * x35).support() == (70,) and (x40 * x40 * x40).support() == (20,)
 
     def test_non_latin_rejected(self):
         with pytest.raises(PreconditionError):
@@ -194,7 +206,7 @@ class TestGroupConstruction:
             except PreconditionError as exc:
                 want = ("refused", str(exc))
             try:
-                got = ("ok", FiniteGroup(table.tolist()).generators)
+                got = ("ok", FiniteGroup(table).generators)
             except PreconditionError as exc:
                 got = ("refused", str(exc))
             assert got == want, table.tolist()

@@ -22,11 +22,10 @@ qpc's records are `typing.NamedTuple`s, so the commands without numpy
 load no `inspect` either.
 
 Every public name is reached by a command or the README's library
-sketch, run in process under `sys.setprofile` (`FiniteGroup` through a
-table file: a `Z<l>` group is built once per process, maybe by an earlier
-test), or is one that perfbench patches by name, or waits on a pending
-list for the open ROADMAP item that will wire it; a pending name that a
-command reaches fails too, so that list only shrinks.
+sketch, run in process under `sys.setprofile`, or is one that perfbench
+patches by name, or waits on a pending list for the open ROADMAP item
+that will wire it; a pending name that a command reaches fails too, so
+that list only shrinks.
 """
 
 import ast

@@ -609,9 +609,10 @@ class TestGraphProperties:
                     for (c, b), mult in graph.edges.items() for _ in range(mult)])
                 perms = {}
                 for part, p in action.perms.items():
-                    perms[part] = np.empty((len(p), len(p[0])), dtype=np.int64)
-                    perms[part][:, sigma[part]] = sigma[part][np.array(p)]
-                moved = GroupAction(group, relabelled, {k: v.tolist() for k, v in perms.items()})
+                    p = np.array(p)
+                    perms[part] = np.empty_like(p)
+                    perms[part][:, sigma[part]] = sigma[part][p]
+                moved = GroupAction(group, relabelled, perms)
                 text = emit_action(moved)
                 back = parse_action(text, relabelled)
                 for part in graph.part_sizes():
