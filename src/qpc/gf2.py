@@ -10,11 +10,13 @@ at bit cols - 1 - j, so that a row's lowest column is its highest one,
 which `int.bit_length` reads in one step, and write them back as
 positions (`_flat_of`).
 
+A matrix whose columns hold at most two ones is a graph, read once into
+one breadth-first spanning forest (`_forest`) that it remembers: `rank`
+counts its tree edges, and the graph code distance reads it again.
 Gaussian elimination has one implementation: an echelon basis keeps one
-row per lead (`_echelon`).  `rank` counts a graph's components
-(LaMacchia & Odlyzko, 1990) and any other matrix's leads.  `rref`
-back-substitutes the echelon; it returns the reduced form and its pivots
-only, a kernel basis is derived from that result when read, and
+row per lead (`_echelon`), whose count is any other matrix's rank.
+`rref` back-substitutes the echelon; it returns the reduced form and its
+pivots only, a kernel basis is derived from that result when read, and
 `reduced` runs it at most once per matrix.  `matmul` XORs the rows of b
 at a's ones, and `matmul_t` the columns of b, read as the rows of its
 transpose.
@@ -174,21 +176,12 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
 
 
 def _row_ints(m: BitMatrix) -> list[int]:
-    """m's rows as Python ints (none when m has no columns), column j at bit cols - 1 - j,
-    so that a row's highest one, read in one step by `int.bit_length`, is its lowest column.
-
-    The positions are set, most significant first, in one run of bits that holds
-    a row every `cols` bits.
-    """
-    cols = m.cols
-    if not cols:
-        return []
-    bits = bytearray((m.rows * cols + 7) >> 3)
+    """m's rows as Python ints, column j at bit cols - 1 - j, so that a row's highest
+    one, read in one step by `int.bit_length`, is its lowest column."""
+    rows, top = [0] * m.rows, m.cols - 1
     for p in m._flat:
-        bits[p >> 3] |= 0x80 >> (p & 7)
-    mask = ~(-1 << cols)
-    return [int.from_bytes(bits[at >> 3:(at + cols + 7) >> 3], "big") >> (-(at + cols) & 7) & mask
-            for at in range(0, m.rows * cols, cols)]
+        rows[p // m.cols] |= 1 << (top - p % m.cols)
+    return rows
 
 
 def _flat_of(rows, cols: int) -> list[int]:
@@ -249,72 +242,66 @@ def reduced(m: BitMatrix) -> RrefResult:
 
 
 def rank(m: BitMatrix) -> int:
-    """The rank of m, found once: by its components when no column holds three ones,
-    else as the number of leads `_echelon` keeps of its rows.
-
-    Such an m is a graph on its rows and a ground node (`_edges`): a spanning forest
-    is a basis of the columns' span, so the rank is the joins one union-find pass
-    makes.
-    """
-    if m._rank is not None:
-        return m._rank
-    edges = _edges(m)
-    if edges is None:
-        m._rank = len(_echelon(_row_ints(m)))
-        return m._rank
-    parent = list(range(max(map(max, edges.values()), default=-1) + 1))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]           # path halving
-        return x
-
-    for a, b in edges.values():
-        parent[root(a)] = root(b)
-    m._rank = sum(p != x for x, p in enumerate(parent))  # each join makes one root a child
+    """The rank of m, found once: 0 when m has no ones, however wide; the tree edges of
+    its spanning forest (`_edges`), a basis of the columns' span, when no column holds
+    three ones; else the number of leads `_echelon` keeps of its rows."""
+    if m._rank is None:
+        if not m._flat:
+            m._rank = 0
+        elif (graph := _edges(m)) is None:
+            m._rank = len(_echelon(_row_ints(m)))
+        else:
+            m._rank = len(graph[2]) - graph[2].count(-1)  # each vertex but a root has a parent
     return m._rank
 
 
-def _edges(m: BitMatrix) -> dict[int, tuple[int, int]] | None:
-    """m as a graph, found once per m: each column with a one joins its first and
-    second rows, or its row and ground, `m.rows`; None when a column holds three
+def _edges(m: BitMatrix) -> tuple | None:
+    """`_forest(m)`, built once per m."""
+    if m._graph is None:
+        m._graph = _forest(m) or False
+    return m._graph or None
+
+
+def _forest(m: BitMatrix) -> tuple | None:
+    """m as a graph on its rows and a ground vertex, `rows`, with a breadth-first
+    spanning forest: (ends, adj, up, order); None at the first column found with three
     ones, at once when m averages more than two ones a column.
 
-    One pass over the ones keeps each column's first row and second row.
+    Column j joins its rows ends[2j] and ends[2j + 1], ground standing in for each
+    one it lacks (a zero column is a loop at ground).  Half-edge h is the end ends[h]
+    of column h >> 1, and h ^ 1 its other end.  adj[v] lists, by column, the far
+    half-edges of v's columns: one list per vertex, as the shortest-cycle search
+    reads it once per search.  up[v] is v's half-edge to its parent, -1 at a root;
+    `order` lists the vertices parents first.
     """
-    if m._graph is None:
-        m._graph = False
-        if len(m._flat) <= 2 * m.cols:
-            first, second, heavy = {}, {}, False
-            for i, j in m.ones():
-                if j not in first:
-                    first[j] = i
-                elif j not in second:
-                    second[j] = i
-                else:
-                    heavy = True
-            if not heavy:
-                m._graph = {j: (i, second.get(j, m.rows)) for j, i in first.items()}
-    return m._graph if m._graph is not False else None
-
-
-def _forest(edges: dict[int, tuple[int, int]]) -> tuple[dict, dict]:
-    """A breadth-first spanning forest of the graph `edges`, parents before children:
-    each vertex's parent and their column (None at a root); and each vertex's
-    (neighbour, column) pairs."""
-    adj, up = defaultdict(list), {}
-    for j, (a, b) in edges.items():
-        adj[a].append((b, j))
-        adj[b].append((a, j))
-    for root in adj:
-        if root not in up:
-            up[root], queue = None, [root]
+    rows, cols = m.rows, m.cols
+    if len(m._flat) > 2 * cols:
+        return None
+    first, second = [rows] * cols, [rows] * cols
+    for i, j in m.ones():
+        if first[j] == rows:
+            first[j] = i
+        elif second[j] == rows:
+            second[j] = i
+        else:
+            return None
+    ends = [0] * (2 * cols)
+    ends[::2], ends[1::2] = first, second
+    adj = [[] for _ in range(rows + 1)]
+    for h in range(2 * cols):
+        adj[ends[h ^ 1]].append(h)
+    up, order = [None] * (rows + 1), []
+    for root in range(rows + 1):
+        if up[root] is None:
+            up[root], queue = -1, [root]
             for x in queue:
-                for y, j in adj[x]:
-                    if y not in up:
-                        up[y] = (x, j)
+                for h in adj[x]:
+                    y = ends[h]
+                    if up[y] is None:
+                        up[y] = h
                         queue.append(y)
-    return up, adj
+            order += queue
+    return ends, adj, up, order
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
@@ -447,13 +434,12 @@ def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
     The one exact-distance entry: a classical code passes no stabiliser,
     a CSS code calls it once per direction.  Refused from `rank(checks)`,
     before any elimination, when 2^(kernel dimension) exceeds `budget`;
-    None when no vector is outside.  Graph checks and stabiliser (none is
-    an empty graph) go to `_shortest_cycle`, any others to `min_weight`.
+    None when no vector is outside.  Graph checks with a graph stabiliser, or
+    none, go to `_shortest_cycle`, any others to `min_weight`.
     """
     check_budget(checks.cols, rank(checks), budget)
-    edges, cycles = _edges(checks), {} if stab is None else _edges(stab)
-    if edges is not None and cycles is not None:
-        return _shortest_cycle(edges, checks.cols, _cycle_labels(cycles, checks.cols))
+    if _edges(checks) is not None and (labels := _cycle_labels(stab, checks.cols)) is not None:
+        return _shortest_cycle(checks, labels)
     kernel = reduced(checks).kernel
     # with no stabiliser there is nothing to clear: the kernel basis is the logicals
     if stab is None or not rank(stab):
@@ -466,33 +452,37 @@ def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
     return min_weight(basis, logical.basis)
 
 
-def _cycle_labels(edges: dict[int, tuple[int, int]], n: int) -> list[int]:
-    """Each column's bits over the fundamental cycles of the graph `edges`: x is in the
-    span of its incidence rows exactly when the labels of x's columns XOR to zero.
+def _cycle_labels(stab: BitMatrix | None, n: int) -> list[int] | None:
+    """Each of the n columns' bits over the fundamental cycles of the graph `stab`: x is
+    in the span of its rows exactly when the labels of x's columns XOR to zero.  With
+    no stabiliser each column is its own bit; None when `stab` is no graph.
 
-    Cycle t is closed by the t-th column off a breadth-first forest (a zero column
+    Cycle t is closed by the t-th column off the spanning forest (a zero column
     alone); a forest column lies on the cycles with one end below it.
     """
-    up = _forest(edges)[0]
-    tree = {e[1] for e in up.values() if e}
-    labels, below = [0] * n, defaultdict(int)
+    if stab is None:
+        return [1 << j for j in range(n)]
+    if (graph := _edges(stab)) is None:
+        return None
+    ends, _, up, order = graph
+    tree = {h >> 1 for h in up if h >= 0}
+    labels, below = [0] * n, [0] * len(up)
     for t, j in enumerate(j for j in range(n) if j not in tree):
         labels[j] = 1 << t
-        for x in edges.get(j, ()):
-            below[x] ^= 1 << t
-    for y in reversed(up):                             # children before their parents
-        if up[y]:
-            x, j = up[y]
-            labels[j] = below[y]
-            below[x] ^= below[y]
+        below[ends[2 * j]] ^= 1 << t
+        below[ends[2 * j + 1]] ^= 1 << t
+    for y in reversed(order):                          # children before their parents
+        if (h := up[y]) >= 0:
+            labels[h >> 1] = below[y]
+            below[ends[h ^ 1]] ^= below[y]
     return labels
 
 
-def _shortest_cycle(edges: dict[int, tuple[int, int]], n: int, labels: list[int]) -> int | None:
-    """The least weight of a cycle of the graph `edges` (kernel(checks), a zero column
+def _shortest_cycle(checks: BitMatrix, labels: list[int]) -> int | None:
+    """The least weight of a cycle of the graph `checks` (a kernel vector, a zero column
     a cycle alone) whose columns' labels XOR to non-zero; None when there is none.
 
-    Every cycle meets `cover`, an end of each column off a spanning forest (at most
+    Every cycle meets `cover`, an end of each column off the spanning forest (at most
     dim vertices).  From each v of it, on the graph less those before, a breadth-
     first search scores each column ab off its tree as depth(a) + depth(b) + 1 when
     cls(a) ^ cls(b) ^ label(ab) != 0, cls XORing the labels on the tree path from v.
@@ -500,25 +490,27 @@ def _shortest_cycle(edges: dict[int, tuple[int, int]], n: int, labels: list[int]
     of its columns off the tree, each no longer than C, and one of them counts
     (Thomassen, J. Combin. Theory B 48, 1990).
     """
-    if any(j not in edges and labels[j] for j in range(n)):
-        return 1
-    up, adj = _forest(edges)
-    tree = {e[1] for e in up.values() if e}
-    cover = dict.fromkeys(a for j, (a, _) in edges.items() if j not in tree)
+    ends, adj, up, _ = _edges(checks)
+    n = checks.cols
+    tree = {h >> 1 for h in up if h >= 0}
+    cover = dict.fromkeys(ends[2 * j] for j in range(n) if j not in tree)
+    half = [0] * (2 * n)                               # each half-edge's column label
+    half[::2], half[1::2] = labels, labels
     best, done = n + 1, set()
     for v in cover:
-        depth, cls, via, queue = {v: 0}, {v: 0}, {v: None}, [v]
+        depth, cls, via, queue = {v: 0}, {v: 0}, {v: -1}, [v]
         for u in queue:
             if 2 * depth[u] >= best:                   # no column from here on scores less
                 break
-            for w, j in adj[u]:
-                if w in done or j == via[u]:
+            d, c, back = depth[u] + 1, cls[u], via[u] ^ 1  # back: u's way in, as adj[u] lists it
+            for h in adj[u]:
+                w = ends[h]
+                if w in done or h == back:
                     continue
-                c = cls[u] ^ labels[j]
                 if w not in depth:
-                    depth[w], cls[w], via[w] = depth[u] + 1, c, j
+                    depth[w], cls[w], via[w] = d, c ^ half[h], h
                     queue.append(w)
-                elif c != cls[w]:
-                    best = min(best, depth[u] + depth[w] + 1)
+                elif c ^ half[h] != cls[w]:
+                    best = min(best, d + depth[w])
         done.add(v)
     return best if best <= n else None

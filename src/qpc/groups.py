@@ -25,10 +25,12 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionError, FormatError, PreconditionError, int_rows, read_file
-from .gf2 import BitMatrix
+
+if TYPE_CHECKING:
+    from .gf2 import BitMatrix
 
 
 # Z<l> and Z<a>xZ<b> build their l x l table: at 2048 its rows hold 34 MB (they
@@ -297,6 +299,8 @@ def binary_map(m: GroupAlgebraMatrix) -> BitMatrix:
     to the sum of their permutation matrices, whose supports are disjoint.
     The output is ml x nl.
     """
+    from .gf2 import BitMatrix
+
     l, mul = m.group.order, m.group.mul
     cols = m.cols * l
     flat = []

@@ -427,6 +427,23 @@ class TestAnalyze:
         # analyze of test_analysis reduces each of its matrices once)
         assert not any(m == h_x or m == h_z for m in reduced)
 
+    @pytest.mark.parametrize("cross_check, forests", [(False, 2), (True, 6)])
+    def test_each_check_matrix_builds_one_forest(self, tmp_path, capsys, monkeypatch,
+                                                 cross_check, forests):
+        # rank, the cycle labels and the shortest cycle read one spanning forest per
+        # matrix: H_X and H_Z, and with --c1/--c2 also c1, c2, c1^T and c2^T; a
+        # classical code has no stabiliser, so it labels its cycles without one
+        self.build_toric(tmp_path, capsys)
+        built = []
+        original = gf2._forest
+        monkeypatch.setattr(gf2, "_forest", lambda m: built.append(m) or original(m))
+        codes = ["--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"] * cross_check
+        code, out, _ = run(capsys, "analyze", "--hx", tmp_path / "toric.hx.pcm",
+                           "--hz", tmp_path / "toric.hz.pcm", *codes)
+        assert code == 0 and "params: [[18,2,3]]" in out
+        assert len(built) == forests
+        assert len(set(map(id, built))) == forests      # no matrix is read twice
+
     def test_refused_toric_16_eliminates_nothing(self, tmp_path, capsys, monkeypatch):
         rep = classical.ClassicalCode(repetition_check(16))
         code = products.hgp(rep, rep)

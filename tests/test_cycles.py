@@ -76,7 +76,8 @@ def cycle_space_rows(rng: random.Random, h_x: BitMatrix) -> BitMatrix:
 
 def components(h: BitMatrix) -> int:
     """Connected components of the graph of h's rows and ground, touched vertices only."""
-    return sum(e is None for e in gf2._forest(gf2._edges(h))[0].values())
+    ends, adj, up, _ = gf2._edges(h)
+    return sum(any(ends[e] != v for e in adj[v]) for v, e in enumerate(up) if e < 0)
 
 
 def factor_codes():

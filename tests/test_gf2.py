@@ -188,9 +188,9 @@ class TestComponentRank:
         assert code.h_x._rref is None and code.h_z._rref is None
 
     def test_columns_are_grouped_at_most_once(self, monkeypatch):
-        # rank, the commutator and the distance share one grouping of a matrix's
+        # rank, the commutator and the distance share one reading of a matrix's
         # columns; a matrix that averages more than two ones a column is no graph
-        # without one, and a heavy column is found after one full grouping
+        # without one, and a reading stops at the third one of a column
         read = []
         monkeypatch.setattr(BitMatrix, "ones", lambda m: (read.append(m.shape) or divmod(p, m.cols)
                                                           for p in m._flat))
@@ -203,7 +203,7 @@ class TestComponentRank:
         heavy = BitMatrix(3, 40, flat=[0, 40, 80, *range(1, 40)])  # column 0 first, then row 0
         assert gf2._edges(heavy) is None and gf2._edges(heavy) is None
         assert rank(heavy) == 2 and matmul_t(heavy, heavy).shape == (3, 3)
-        assert read[10:] == [(3, 40)] * 42
+        assert read[10:] == [(3, 40)] * 3
 
     def test_reduced_refuses_a_rank_it_disagrees_with(self):
         # the rank found before, by components or by Python ints, against the pivots

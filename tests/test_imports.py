@@ -5,12 +5,13 @@ Each command runs through `qpc.cli.main` in a fresh interpreter, which
 then lists the qpc modules, numpy, `numpy.ma`, `dataclasses` and
 `inspect` in its `sys.modules`.
 `import qpc` loads no submodule; `layout --input` loads only `cli`,
-`errors` and `render`, and `verify covering` and `layout --graph` only
-`cli`, `errors` and `tanner` (plus `render` for the layout), so these
-commands run where numpy cannot be imported at all, with the same
-output.  So do `construct hgp | lp | bp` and `verify action`, whose
-groups, actions and products are Python ints: the same report, exit
-code and files.  `analyze` loads no `render`, and an `analyze` of a code whose
+`errors` and `render`; `verify covering` and `layout --graph` only
+`cli`, `errors` and `tanner` (plus `render` for the layout); and
+`verify action` only those and `groups`, which imports `gf2` inside
+`binary_map` alone.  These commands run where numpy cannot be
+imported at all, with the same output.  So do `construct hgp | lp |
+bp`, whose groups, actions and products are Python ints: the same
+report, exit code and files.  `analyze` loads no `render`, and an `analyze` of a code whose
 check matrices hold at most two ones per column (toric, planar, or two
 matrices that anticommute), refused or decided, loads no numpy either,
 nor does a refused `analyze` of a heavier code (Hamming x rep3): each
@@ -370,6 +371,16 @@ class TestImportSets:
         code, _, modules = probe(work, "", *LINE3, FIXTURES / map_file)
         assert modules == GRAPH_ONLY
         assert code == (0 if map_file == "line3_2lift.map.json" else 2)
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (Z3_ACTION, 0), (S3_ACTION, 0),
+        (["verify", "action", "--graph", FIXTURES / "b4.graph",
+          "--action", FIXTURES / "b4_z3.action.json"], 2),
+    ], ids=["action-z3", "action-s3", "action-refused"])
+    def test_verify_action_loads_groups_and_tanner_only(self, work, argv, exit_code):
+        # a group table and an action are Python ints, and only binary_map needs gf2
+        code, _, modules = probe(work, "", *argv)
+        assert (code, modules) == (exit_code, GRAPH_ONLY | {"qpc.groups"})
 
     @pytest.mark.parametrize("argv", [
         [*LINE3, FIXTURES / "line3_2lift.map.json"],
