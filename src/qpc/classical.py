@@ -16,9 +16,12 @@ H's rank and reduced form are remembered by H itself (`gf2.rank`,
 The readers and emitters are pure Python on a matrix's flat positions,
 so reading, ranking and writing a code imports no numpy: the PCM emitter
 sets one byte per one in a template of "0 " rows, the alist emitter reads
-the ones once in row-major order.  The readers read a refused file again
-line by line (`_pcm_error`, `_alist_error`), naming the same line with
-the same message as a line-by-line reader would.
+the ones once in row-major order.  The PCM reader is one pass over the
+rows in file order, a few byte operations per long row, which refuses a
+file at its first bad line.  Only the alist reader has a refusal path:
+its lines are short and many (one per column and per check), so it checks
+a file in whole-file passes, and `_alist_error` reads a refused one again
+line by line to name its first bad line; a per-line pass costs more.
 """
 
 from __future__ import annotations
@@ -113,61 +116,54 @@ def _normalised(text: str) -> str:
 def parse_pcm_text(text: str) -> BitMatrix:
     """Plain format: first line "m n", then m lines of n space-separated 0/1.
 
-    Blank lines are skipped and lines after the m-th row are ignored.  The
-    rows are read as bytes, where less its spaces a row is n of "0" and "1",
-    no two of which touch.  The ones are found with find; `_pcm_error` names
-    a refused file's bad line.
+    Blank lines are skipped and lines after the m-th row are ignored.  One
+    pass reads the header, then the rows in file order as bytes, where less
+    its spaces a row is n of "0" and "1", no two of which touch; the ones
+    are found with find.  The first line that fails is refused at once,
+    numbered as `str.splitlines` counts, and a width no array holds only
+    after every row passed.  Unlike `parse_alist` there is no second,
+    refusal-only reader: a row is one long line, so its few byte operations
+    cost what a whole-file pass would.
     """
-    text = _normalised(text)  # lines and tokens stay, so `_pcm_error` reads the result
+    text = _normalised(text)  # lines and tokens stay, so line numbers do too
+    lines = text.encode("ascii", "replace").split(b"\n")  # "?" past ASCII
+    if not lines[-1]:
+        lines.pop()  # a last "\n" ends the last line; it starts none
     start = len(text) - len(text.lstrip())
-    end = text.find("\n", start) % (len(text) + 1)  # the header line's end, or the text's
+    if start == len(text):
+        raise FormatError("unexpected end of file", len(lines))
+    head = text.count("\n", 0, start)  # the header's line index
+    header = text[start:text.find("\n", start) % (len(text) + 1)].split()  # to its line's end
+    if len(header) != 2:
+        raise FormatError("expected header 'm n'", head + 1)
     try:
-        m, n = map(int, text[start:end].split())
+        m, n = map(int, header)
     except ValueError:
-        return _pcm_error(text)
-    if m < 0 or not 0 <= n <= sys.maxsize:  # the largest array dimension
-        return _pcm_error(text)
-    data = text[end + 1:].encode("ascii", "replace")  # "?" past ASCII
-    # rows are the first m non-blank lines after the header; with n = 0, the next m lines
-    rows = [line for line in data.splitlines() if line.strip() or not n][:m]
-    solids = [line.translate(None, b" ") for line in rows]
-    if len(rows) < m or any(len(solid) != n or solid.translate(None, b"01") or b"11" in
-                            line.translate(_TOUCH) for line, solid in zip(rows, solids)):
-        return _pcm_error(text)
-    ones, at = [], 0  # i * n + j, and the position of the solid's first entry
-    for solid in solids:
+        raise FormatError("expected integer header 'm n'", head + 1) from None
+    if m < 0 or n < 0:
+        raise FormatError("expected non-negative header 'm n'", head + 1)
+    ones, at, k = [], 0, head  # i * n + j, the row's first entry, and its line index
+    for _ in range(m):
+        k += 1
+        while n and k < len(lines) and not lines[k].strip():  # with n = 0, every line is a row
+            k += 1
+        if k == len(lines):
+            raise FormatError("unexpected end of file", k)
+        line = lines[k]
+        solid = line.translate(None, b" ")
+        if len(solid) != n or solid.translate(None, b"01") or b"11" in line.translate(_TOUCH):
+            raise FormatError(f"expected {n} entries of 0/1", k + 1)
         j = solid.find(b"1")
         while j >= 0:
             ones.append(at + j)
             j = solid.find(b"1", j + 1)
-        at += len(solid)
+        at += n
+    if n > sys.maxsize:  # the largest array dimension
+        raise FormatError("header 'm n' exceeds the largest array dimension", head + 1)
     return BitMatrix(m, n, flat=ones)
 
 
 _TOUCH = bytes.maketrans(b"0", b"1")  # two entries touch where "11" is left
-
-
-def _pcm_error(text: str) -> NoReturn:
-    """Raise for a refused PCM text, read line by line: its first bad line, else the width."""
-    lines = text.splitlines()
-    idx = _next_line(lines, 0)
-    header = lines[idx].split()
-    if len(header) != 2:
-        raise FormatError("expected header 'm n'", idx + 1)
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise FormatError("expected integer header 'm n'", idx + 1) from None
-    if m < 0 or n < 0:
-        raise FormatError("expected non-negative header 'm n'", idx + 1)
-    pos = idx
-    for _ in range(m):
-        # a row without entries is an empty line: the m lines after the header
-        pos = _next_line(lines, pos + 1, blank=n == 0)
-        fields = lines[pos].split()
-        if len(fields) != n or not set(fields) <= {"0", "1"}:
-            raise FormatError(f"expected {n} entries of 0/1", pos + 1)
-    raise FormatError("header 'm n' exceeds the largest array dimension", idx + 1)
 
 
 def emit_pcm_text(h: BitMatrix) -> str:
@@ -313,10 +309,3 @@ def emit_alist(h: BitMatrix) -> str:
     return "".join([f"{n} {m}\n{max_col} {max_row}\n",
                     lines([list(map(str, col_deg)), list(map(str, row_deg))], 0),
                     lines(checks, max(max_col, 1)), lines(bits, max(max_row, 1))])
-
-
-def _next_line(lines: list[str], start: int, blank: bool = False) -> int:
-    for idx in range(start, len(lines)):
-        if blank or lines[idx].strip():
-            return idx
-    raise FormatError("unexpected end of file", len(lines))

@@ -1,4 +1,4 @@
-"""Exception types and the file, JSON and integer-table readers, shared across the package."""
+"""Exception types and the file, line, JSON and integer-table readers, shared across the package."""
 
 import json
 import math
@@ -54,6 +54,14 @@ def read_file(path: str, parse, *args):
         return parse(Path(path).read_text(), *args)
     except (FormatError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def content_lines(text: str):
+    """(number, text before any "#") of each line that holds more than whitespace there,
+    numbered as `str.splitlines` counts lines from 1."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if (line := line.split("#", 1)[0]).strip():
+            yield number, line
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",

@@ -438,7 +438,7 @@ def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
     none, go to `_shortest_cycle`, any others to `min_weight`.
     """
     check_budget(checks.cols, rank(checks), budget)
-    if _edges(checks) is not None and (labels := _cycle_labels(stab, checks.cols)) is not None:
+    if _edges(checks) is not None and (labels := _cycle_labels(stab, checks)) is not None:
         return _shortest_cycle(checks, labels)
     kernel = reduced(checks).kernel
     # with no stabiliser there is nothing to clear: the kernel basis is the logicals
@@ -452,25 +452,26 @@ def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
     return min_weight(basis, logical.basis)
 
 
-def _cycle_labels(stab: BitMatrix | None, n: int) -> list[int] | None:
-    """Each of the n columns' bits over the fundamental cycles of the graph `stab`: x is
-    in the span of its rows exactly when the labels of x's columns XOR to zero.  With
-    no stabiliser each column is its own bit; None when `stab` is no graph.
+def _cycle_labels(stab: BitMatrix | None, checks: BitMatrix) -> list[int] | None:
+    """Each column's bits over the fundamental cycles of the graph `stab`: x is in the
+    span of its rows exactly when the labels of x's columns XOR to zero.  With no
+    stabiliser, only the columns off the checks' own spanning forest have a bit, one
+    each, as every cycle of the checks holds one; None when `stab` is no graph.
 
     Cycle t is closed by the t-th column off the spanning forest (a zero column
     alone); a forest column lies on the cycles with one end below it.
     """
-    if stab is None:
-        return [1 << j for j in range(n)]
-    if (graph := _edges(stab)) is None:
+    if (graph := _edges(checks if stab is None else stab)) is None:
         return None
     ends, _, up, order = graph
     tree = {h >> 1 for h in up if h >= 0}
-    labels, below = [0] * n, [0] * len(up)
-    for t, j in enumerate(j for j in range(n) if j not in tree):
+    labels, below = [0] * checks.cols, [0] * len(up)
+    for t, j in enumerate(j for j in range(checks.cols) if j not in tree):
         labels[j] = 1 << t
         below[ends[2 * j]] ^= 1 << t
         below[ends[2 * j + 1]] ^= 1 << t
+    if stab is None:
+        return labels
     for y in reversed(order):                          # children before their parents
         if (h := up[y]) >= 0:
             labels[h >> 1] = below[y]

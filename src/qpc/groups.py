@@ -27,7 +27,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DimensionError, FormatError, PreconditionError, int_rows, read_file
+from .errors import (DimensionError, FormatError, PreconditionError, content_lines, int_rows,
+                     read_file)
 
 if TYPE_CHECKING:
     from .gf2 import BitMatrix
@@ -46,8 +47,7 @@ class FiniteGroup:
 
     __slots__ = ("order", "mul", "inv", "generators", "spec", "_gen_names")
 
-    def __init__(self, mul_table, spec: str | None = None,
-                 cyclic_shape: tuple[int, ...] | None = None):
+    def __init__(self, mul_table, spec: str | None = None):
         mul = int_rows(mul_table)
         order = len(mul)
         widths = {len(row) for row in mul}
@@ -59,11 +59,7 @@ class FiniteGroup:
         self.mul = mul
         self.inv = tuple(row.index(0) for row in mul)  # associative, so also the left inverse
         self.spec = spec or f"table:{order}"
-        if cyclic_shape is None:
-            self._gen_names = {f"g{i}": i for i in range(1, order)}
-        else:  # x steps the first cyclic factor, y the second; a factor of order 1 has none
-            steps = {"x": math.prod(cyclic_shape[1:]), "y": 1}
-            self._gen_names = {n: steps[n] for n, size in zip("xy", cyclic_shape) if size > 1}
+        self._gen_names = {f"g{i}": i for i in range(1, order)}
 
     # -- constructors --------------------------------------------------
 
@@ -71,7 +67,9 @@ class FiniteGroup:
     def cyclic(cls, l: int) -> "FiniteGroup":
         if l < 1:
             raise PreconditionError(f"cyclic group order must be >= 1, got {l}")
-        return cls(_rotations(tuple(range(l))), spec=f"Z{l}", cyclic_shape=(l,))
+        group = cls(_rotations(tuple(range(l))), spec=f"Z{l}")
+        group._gen_names = {"x": 1} if l > 1 else {}
+        return group
 
     @classmethod
     def direct_product(cls, a: int, b: int) -> "FiniteGroup":
@@ -83,20 +81,19 @@ class FiniteGroup:
                   for k in range(a)]
         mul = [tuple(chain.from_iterable(blocks[k][j] for k in ks))
                for ks in _rotations(tuple(range(a))) for j in range(b)]
-        return cls(mul, spec=f"Z{a}xZ{b}", cyclic_shape=(a, b))
+        group = cls(mul, spec=f"Z{a}xZ{b}")
+        # x = (1, 0) steps the first factor, y = (0, 1) the second; one of order 1 has none
+        group._gen_names = {name: g for name, g, size in (("x", b, a), ("y", 1, b)) if size > 1}
+        return group
 
     @classmethod
     def from_table_text(cls, text: str, spec: str | None = None) -> "FiniteGroup":
         """Table file: first line the order l, then l rows of l indices."""
         rows = []
         order = None
-        for ln_no, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
+        for ln_no, line in content_lines(text):
             try:
-                values = [int(f) for f in fields]
+                values = [int(f) for f in line.split()]
             except ValueError:
                 raise FormatError("table entries must be integers", ln_no) from None
             if order is None:
@@ -359,34 +356,26 @@ def parse_element(text: str, group: FiniteGroup, ln: int = 0) -> GroupAlgebraEle
 def parse_ring_matrix(text: str, root: str | Path = "") -> GroupAlgebraMatrix:
     """Header "m n group=<spec>", then m comma-separated polynomial rows;
     a `table:` path in the spec is read from the directory `root`."""
-    lines = text.splitlines()
-    header_idx = None
-    for idx, raw in enumerate(lines):
-        if raw.split("#", 1)[0].strip():
-            header_idx = idx
-            break
-    if header_idx is None:
+    content = content_lines(text)
+    ln, line = next(content, (0, None))
+    if line is None:
         raise FormatError("empty ring-matrix file")
-    header = lines[header_idx].split("#", 1)[0].split()
+    header = line.split()
     if len(header) != 3 or not header[2].startswith("group="):
-        raise FormatError("expected header 'm n group=<spec>'", header_idx + 1)
+        raise FormatError("expected header 'm n group=<spec>'", ln)
     try:
         m, n = int(header[0]), int(header[1])
     except ValueError:
-        raise FormatError("expected integer dimensions", header_idx + 1) from None
+        raise FormatError("expected integer dimensions", ln) from None
     if m < 0 or n < 0:
-        raise FormatError("expected non-negative dimensions", header_idx + 1)
+        raise FormatError("expected non-negative dimensions", ln)
     group = parse_group_spec(header[2][len("group="):], root)
     rows = []
-    pos = header_idx
-    for _ in range(m):
-        pos += 1
-        while pos < len(lines) and not lines[pos].split("#", 1)[0].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise FormatError(f"expected {m} rows of entries", len(lines))
-        fields = lines[pos].split("#", 1)[0].split(",")
+    for _, (ln, line) in zip(range(m), content):
+        fields = line.split(",")
         if len(fields) != n:
-            raise FormatError(f"expected {n} comma-separated entries", pos + 1)
-        rows.append([parse_element(f, group, pos + 1) for f in fields])
+            raise FormatError(f"expected {n} comma-separated entries", ln)
+        rows.append([parse_element(f, group, ln) for f in fields])
+    if len(rows) < m:
+        raise FormatError(f"expected {m} rows of entries", len(text.splitlines()))
     return GroupAlgebraMatrix(group, rows, cols=n)

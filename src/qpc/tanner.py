@@ -42,8 +42,8 @@ from collections import Counter, defaultdict
 from itertools import compress, count
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (DimensionError, FormatError, PreconditionError, int_rows, load_object, typed,
-                     typed_list)
+from .errors import (DimensionError, FormatError, PreconditionError, content_lines, int_rows,
+                     load_object, typed, typed_list)
 
 if TYPE_CHECKING:
     from .gf2 import BitMatrix
@@ -199,10 +199,6 @@ class GroupAction:
                     known.add(h)
                     nxt.append(h)
             frontier = nxt
-        if len(known) != group.order:
-            raise PreconditionError(
-                f"generators reach only {len(known)} of {group.order} elements"
-            )
         return cls(group, graph, full)
 
     def _validate(self) -> None:
@@ -468,8 +464,7 @@ def lift_from_ring_matrix(m: GroupAlgebraMatrix, left: bool = False) -> Lift:
 
 def parse_graph(text: str):
     """Header "checks <m> bits <n>" or "vertices <v>", then one edge per line."""
-    content = ((ln, fields) for ln, raw in enumerate(text.splitlines(), start=1)
-               if (fields := raw.split("#", 1)[0].split()))
+    content = ((ln, line.split()) for ln, line in content_lines(text))
     pos, header = next(content, (0, None))
     if header is None:
         raise FormatError("empty graph file")

@@ -166,3 +166,17 @@ class TestShortestCycle:
             code = hgp(ClassicalCode(h), ClassicalCode(h))
             assert gf2.coset_min_weight(unpacked(code.h_x), unpacked(code.h_z), 1 << 64) == length
             assert gf2.coset_min_weight(unpacked(code.h_z), unpacked(code.h_x), 1 << 64) == length
+
+    def test_classical_labels_have_k_bits(self, monkeypatch):
+        # a classical code labels only the columns off its checks' spanning forest,
+        # one bit each: the length-1000 cycle code (k = 1) has labels 0 and 1, not 2^999
+        seen = []
+        search = gf2._shortest_cycle
+
+        def spy(checks, labels):
+            seen.append(labels)
+            return search(checks, labels)
+
+        monkeypatch.setattr(gf2, "_shortest_cycle", spy)
+        assert ClassicalCode(repetition_check(1000)).min_distance() == 1000
+        assert len(seen) == 1 and len(seen[0]) == 1000 and max(seen[0]) < 2 ** 1

@@ -423,6 +423,10 @@ class TestParsers:
         "",
         "1 x\n",
         "1 2 3\n",
+        "3 3\n0 1 0\n0 2 0\n",         # bad row, then missing rows: the bad row is named
+        "\n \t\n\n2 2\n1 0\n\n0 1\n",    # header after blank lines
+        "\n  \n1 2\n0 1 1\n",            # header after blank lines, long row
+        "\u20281 2\n0 1\n",              # line separator before the header
     ])
     def test_pcm_edge_cases_match_oracle(self, text):
         assert outcome(parse_pcm_text, text) == outcome(oracle_parse_pcm_text, text)

@@ -19,6 +19,7 @@ from qpc.groups import (
     parse_group_spec,
     parse_ring_matrix,
 )
+from qpc.tanner import parse_graph
 
 from oracles import (_validate_group_table, conj_transpose, emit_ring_matrix, is_abelian, monomial,
                      ring_kron_identity, ring_matmul)
@@ -461,3 +462,49 @@ class TestRingMatrixFormat:
             FiniteGroup.from_table_text("2\n0 1\n1 99999999999999999999\n")
         with pytest.raises(FormatError, match="null byte"):
             parse_group_spec("table:s3\0.table")
+
+
+def refusal(parse, text: str) -> str:
+    """The message of the FormatError `parse(text)` raises."""
+    with pytest.raises(FormatError) as caught:
+        parse(text)
+    return str(caught.value)
+
+
+class TestLineNumbers:
+    """The ring, table and graph readers name the line a refused text fails at, as
+    str.splitlines counts it: blank and comment-only lines count but hold no content."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("# ring\n\n  \n1 1\n1\n", "line 4: expected header 'm n group=<spec>'"),
+        ("\n# c\n1 x group=Z3\n", "line 3: expected integer dimensions"),
+        ("1 -1 group=Z3 # width\n", "line 1: expected non-negative dimensions"),
+        ("2 1 group=Z3\n1 # first\n# no second\n\n", "line 4: expected 2 rows of entries"),
+        ("2 1 group=Z3\r\n1\r\n\r\nz\r\n", "line 4: cannot parse term 'z'"),
+        ("1 2 group=Z3\u2028# c\u20281, q\n", "line 3: cannot parse term 'q'"),
+        ("1 2 group=Z3\n\n1 # , x\n", "line 3: expected 2 comma-separated entries"),
+        ("# only\n\n", "empty ring-matrix file"),
+    ])
+    def test_ring(self, text, message):
+        assert refusal(parse_ring_matrix, text) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("# S2\n\n2 2\n", "line 3: expected the group order alone"),
+        ("2\n0 1\n# row\n1 x\n", "line 4: table entries must be integers"),
+        ("2\r\n0 1\r\n\r\n1\r\n", "line 4: expected 2 entries"),
+        ("2\u20280 1\u2028\u20281 0 0\n", "line 4: expected 2 entries"),
+        ("2 # order\n0 1 # identity\n\n", "expected 2 table rows, got 1"),
+        ("\n# none\n", "expected ? table rows, got 0"),
+    ])
+    def test_table(self, text, message):
+        assert refusal(FiniteGroup.from_table_text, text) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("# graph\n\nchecks 1 bits\n", "line 3: expected 'checks <m> bits <n>'"),
+        ("vertices 2\n\nv0 v1\n# c\nv0 c1\n", "line 5: expected edge 'v<i> v<j>'"),
+        ("checks 1 bits 1\r\n\r\nc0 b0\u2028c0 bx # x\n", "line 4: expected an integer, got 'x'"),
+        ("  \n# c\nfoo 1 # bar\n", "line 3: unknown graph header 'foo 1'"),
+        ("# c\n \n", "empty graph file"),
+    ])
+    def test_graph(self, text, message):
+        assert refusal(parse_graph, text) == message
