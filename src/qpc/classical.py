@@ -16,19 +16,20 @@ H's rank and reduced form are remembered by H itself (`gf2.rank`,
 The readers and emitters are pure Python on a matrix's flat positions,
 so reading, ranking and writing a code imports no numpy: the PCM emitter
 sets one byte per one in a template of "0 " rows, the alist emitter reads
-the ones once in row-major order.  The PCM reader is one pass over the
-rows in file order, a few byte operations per long row, which refuses a
-file at its first bad line.  Only the alist reader has a refusal path:
-its lines are short and many (one per column and per check), so it checks
-a file in whole-file passes, and `_alist_error` reads a refused one again
-line by line to name its first bad line; a per-line pass costs more.
+the ones once in row-major order.  Each format has one reader.  The PCM
+reader is one pass over the rows in file order, a few byte operations per
+long row, which refuses a file at its first bad line.  The alist reader
+reads the header and degree lines once, in file order; its lists are short
+and many (one per column and per check), so it accepts them in whole-file
+passes, a per-list pass costing more, and walks them one at a time, from
+the tokens already split, only to name the first bad list of a refused file.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import chain, compress, repeat
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .errors import FormatError, PreconditionError, read_file
 from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, rank, reduced, rref, transpose
@@ -121,9 +122,9 @@ def parse_pcm_text(text: str) -> BitMatrix:
     its spaces a row is n of "0" and "1", no two of which touch; the ones
     are found with find.  The first line that fails is refused at once,
     numbered as `str.splitlines` counts, and a width no array holds only
-    after every row passed.  Unlike `parse_alist` there is no second,
-    refusal-only reader: a row is one long line, so its few byte operations
-    cost what a whole-file pass would.
+    after every row passed.  Unlike `parse_alist`'s lists, a row is not
+    accepted in a whole-file pass first: a row is one long line, so its few
+    byte operations cost what a whole-file pass would.
     """
     text = _normalised(text)  # lines and tokens stay, so line numbers do too
     lines = text.encode("ascii", "replace").split(b"\n")  # "?" past ASCII
@@ -189,23 +190,44 @@ def parse_alist(text: str) -> BitMatrix:
     pads a list, so a list of no entries is a line of "0"s.  A token is an
     integer as int() reads it.  Each list holds as many entries as its
     degree says, each in range, and each row entry is in the column lists;
-    lines after the last list are ignored.
-    `_alist_error` reads a refused file line by line and names its first
-    bad line.
+    lines after the last list are ignored.  The header and degree lines
+    are read once, in file order, and the lists in whole-file passes; only
+    a refused file's lists are walked one at a time, and numbered, to name
+    the first bad one.
     """
     text = _normalised(text)
     content = [tokens for tokens in map(str.split, text.split("\n")) if tokens]
+
+    def line(k: int) -> int:  # content line k's number, as str.splitlines counts from 1
+        return [i for i, s in enumerate(text.split("\n"), start=1) if s.strip()][k]
+
+    if len(content) < 4 and not (len(content) > 1 and content[0] == ["0", "0"]):
+        raise FormatError("alist needs header, degree lists and adjacency lists")
+    if len(content[0]) != 2:
+        raise FormatError("expected alist header 'n m'", line(0))
     try:
         n, m = map(int, content[0])
-        top = 2 + (n > 0) + (m > 0)  # the first list's line
-        if min(n, m) < 0 or len(content) < max(top + n + m, 2 if content[0] == ["0", "0"] else 4):
-            raise ValueError
-        col_deg = list(map(int, content[2])) if n else []
-        row_deg = list(map(int, content[top - 1])) if m else []
-        if (len(col_deg), len(row_deg)) != (n, m) or list(map(int, content[1])) != [
-                max(col_deg, default=0), max(row_deg, default=0)]:
-            raise ValueError
-        lists = content[top:top + n + m]
+    except ValueError:
+        raise FormatError("expected integer header 'n m'", line(0)) from None
+
+    def degrees(k: int, count: int, what: str) -> list[int]:
+        if len(content[k]) != count:
+            raise FormatError(f"expected {count} {what} degrees", line(k))
+        try:
+            return list(map(int, content[k]))
+        except ValueError:
+            raise FormatError(f"{what} degrees must be integers", line(k)) from None
+
+    max_deg = degrees(1, 2, "maximum")
+    col_deg = degrees(2, n, "column") if n else []
+    row_deg = degrees(2 + bool(n), m, "row") if m else []
+    largest = [max(col_deg, default=0), max(row_deg, default=0)]
+    if max_deg != largest:
+        raise FormatError(f"maximum degrees {max_deg[0]} {max_deg[1]}, degree lists give"
+                          f" {largest[0]} {largest[1]}", line(1))
+    top = 2 + bool(n) + bool(m)  # the first list's content line
+    lists = content[top:top + n + m]
+    try:
         if [len(t) - t.count("0") for t in lists] != col_deg + row_deg:
             raise ValueError
         tokens = list(chain.from_iterable(lists))
@@ -220,69 +242,32 @@ def parse_alist(text: str) -> BitMatrix:
         if not all(0 < v <= n and (a - n) * n + v - 1 in ones
                    for v, a in zip(value[cut:], owner[cut:])):
             raise ValueError
-    except (IndexError, ValueError):
-        return _alist_error(text)
+    except ValueError:  # refused: the first bad list, or the end of the file, says why
+        columns = set()  # (check, bit) of each column-list entry
+        for a, degree in enumerate(col_deg + row_deg):
+            if a == len(lists):
+                raise FormatError("unexpected end of alist")
+            try:
+                live = [int(t) for t in lists[a] if t != "0"]
+            except ValueError:
+                raise FormatError("adjacency entries must be integers", line(top + a)) from None
+            if len(live) != degree:
+                raise FormatError(
+                    f"bit {a}: {len(live)} checks listed, degree says {degree}" if a < n else
+                    f"check {a - n}: {len(live)} bits listed, degree says {degree}",
+                    line(top + a))
+            for v in live:
+                if a < n:
+                    if not 1 <= v <= m:
+                        raise FormatError(f"check index {v} out of range", line(top + a))
+                    columns.add((v - 1, a))
+                elif not 1 <= v <= n:
+                    raise FormatError(f"bit index {v} out of range", line(top + a))
+                elif (a - n, v - 1) not in columns:
+                    raise FormatError(f"check {a - n} lists bit {v} absent from the column lists",
+                                      line(top + a))
+        raise AssertionError("parse_alist refused an alist whose lists each read")
     return BitMatrix(m, n, flat=list(ones))
-
-
-def _alist_error(text: str) -> NoReturn:
-    """Raise for a refused alist text, read line by line: the error of its first bad line."""
-    content = [(k + 1, line.split()) for k, line in enumerate(text.splitlines()) if line.strip()]
-    if len(content) < 4 and not (len(content) > 1 and content[0][1] == ["0", "0"]):
-        raise FormatError("alist needs header, degree lists and adjacency lists")
-    lines = iter(content)
-
-    def take() -> tuple[int, list[str]]:
-        item = next(lines, None)
-        if item is None:
-            raise FormatError("unexpected end of alist")
-        return item
-
-    ln, header = take()
-    if len(header) != 2:
-        raise FormatError("expected alist header 'n m'", ln)
-    try:
-        n, m = map(int, header)
-    except ValueError:
-        raise FormatError("expected integer header 'n m'", ln) from None
-
-    def degrees(count: int, what: str) -> list[int]:
-        ln, tokens = take()
-        if len(tokens) != count:
-            raise FormatError(f"expected {count} {what} degrees", ln)
-        try:
-            return list(map(int, tokens))
-        except ValueError:
-            raise FormatError(f"{what} degrees must be integers", ln) from None
-
-    max_deg = degrees(2, "maximum")
-    col_deg = degrees(n, "column") if n else []
-    row_deg = degrees(m, "row") if m else []
-    largest = [max(col_deg, default=0), max(row_deg, default=0)]
-    if max_deg != largest:
-        raise FormatError(f"maximum degrees {max_deg[0]} {max_deg[1]}, degree lists give"
-                          f" {largest[0]} {largest[1]}", content[1][0])
-    columns = set()  # (check, bit) of each column-list entry
-    for a, degree in enumerate(col_deg + row_deg):
-        ln, tokens = take()
-        try:
-            live = [int(t) for t in tokens if t != "0"]
-        except ValueError:
-            raise FormatError("adjacency entries must be integers", ln) from None
-        if len(live) != degree:
-            raise FormatError(f"bit {a}: {len(live)} checks listed, degree says {degree}" if a < n
-                              else f"check {a - n}: {len(live)} bits listed, degree says {degree}",
-                              ln)
-        for v in live:
-            if a < n:
-                if not 1 <= v <= m:
-                    raise FormatError(f"check index {v} out of range", ln)
-                columns.add((v - 1, a))
-            elif not 1 <= v <= n:
-                raise FormatError(f"bit index {v} out of range", ln)
-            elif (a - n, v - 1) not in columns:
-                raise FormatError(f"check {a - n} lists bit {v} absent from the column lists", ln)
-    raise AssertionError("parse_alist refused an alist that reads line by line")
 
 
 def read_check_matrix(path: str) -> BitMatrix:

@@ -19,13 +19,15 @@ actions, graphs and check matrices are Python ints, so `construct`,
 that enumerates nothing, or whose matrices hold at most two ones per
 column (every toric and planar code): its ranks, commutation and graph
 distances are read in Python.  Only the Gray-code walk of a decided
-distance of a code that is no graph imports numpy.
+distance of a code that is no graph imports numpy.  `json` is loaded
+only to read or write JSON, and each command runs with the cyclic
+garbage collector paused; `main` restores the caller's setting.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import re
 import sys
@@ -68,6 +70,8 @@ def _report(args, payload: dict) -> None:
     for key, value in payload.items():
         print(f"{key}: {value}")
     if args.json_out:
+        import json
+
         _write(Path(args.json_out), json.dumps(payload, indent=2) + "\n")
 
 
@@ -332,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if (groups := sys.modules.get(f"{__package__}.groups")) is not None:  # Z<l> once per command
         groups._named_group.cache_clear()
+    collecting = gc.isenabled()
+    gc.disable()  # a command leaves at most a few thousand objects in cycles: no sweep pays
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -344,6 +350,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """Exception types and the file, line, JSON and integer-table readers, shared across the package."""
 
-import json
 import math
 from pathlib import Path
 
@@ -70,6 +69,8 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an inte
 
 def load_object(text: str, what: str) -> dict:
     """`text` as one JSON object; anything else is a `FormatError` naming `what`."""
+    import json
+
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also integers beyond 4300 digits

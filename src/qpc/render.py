@@ -16,7 +16,6 @@ flattens 3D tables; 2D tables are drawn as they are and ignore it.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -113,6 +112,8 @@ def emit(table: CoordinateTable, spec: RenderSpec, overlays, fmt: str) -> str:
 
 
 def _emit_json(table: CoordinateTable, spec: RenderSpec, overlays) -> str:
+    import json
+
     vertices = [{"role": role, "index": idx, "coord": [int(c) for c in coord]}
                 for role, coords in table.families().items() for idx, coord in enumerate(coords)]
     payload = {"version": SCHEMA_VERSION, "kind": table.kind, "vertices": vertices}

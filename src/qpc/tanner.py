@@ -35,7 +35,6 @@ covering map onto that base.  Records are `NamedTuple`s.
 
 from __future__ import annotations
 
-import json
 import operator
 import sys
 from collections import Counter, defaultdict
@@ -540,6 +539,8 @@ def parse_action(text: str, graph, root="") -> GroupAction:
 
 
 def emit_action(action: GroupAction) -> str:
+    import json
+
     gens = generator_indices(action.group)
     payload = {
         "group": action.group.spec,

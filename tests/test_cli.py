@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import qpc
 from qpc import analysis, classical, gf2, products
 from qpc.cli import main
+from qpc.errors import BudgetError, FormatError, PreconditionError
 
 from oracles import repetition_check
 
@@ -735,6 +737,37 @@ class TestGroupSpecs:
             code, _, _ = run(capsys, "construct", "lp", "--m1", FIXTURES / "rep3_z3.ring",
                              "--m2", FIXTURES / "rep3_z3.ring", "--out-prefix", tmp_path / f"lp{k}")
             assert code == 0 and built == [3] * (k + 1)
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_each_command_pauses_the_collector_and_restores_it(self, capsys, monkeypatch,
+                                                               enabled):
+        # a handler runs with the collector off; after each exit code the caller's
+        # setting is back, whether it was on or off
+        outcomes = [0, FormatError("bad"), PreconditionError("bad"), BudgetError("walk", 30, 2)]
+        seen = []
+
+        def handler(outcome):
+            def run_handler(args):
+                seen.append(gc.isenabled())
+                if isinstance(outcome, Exception):
+                    raise outcome
+                return outcome
+            return run_handler
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for code, outcome in enumerate(outcomes):
+                monkeypatch.setattr("qpc.cli.cmd_analyze", handler(outcome))
+                assert run(capsys, "analyze", "--hx", "x", "--hz", "x")[0] == code
+                assert gc.isenabled() is enabled
+            assert run(capsys, "analyze", "--hx", "x")[0] == 1  # a usage error
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * len(outcomes)
 
 
 class TestResourceTraps:

@@ -451,6 +451,25 @@ class TestParsers:
         "2 1\n1 y\n1 1\n2\n1\n1\n1 2\n",                         # not an integer
         "2 1\n1 3\n1 x\n2\n1\n1\n1 2\n",                         # bad degree first
         "0 0\n0 1\n",                                            # 0 for empty lists
+        "2 1 0\n1 2\n1 1\n2\n1\n1\n1 2\n",                       # three-token header
+        "2 x\n1 2\n1 1\n2\n1\n1\n1 2\n",                         # non-integer header
+        "2 1\n1 2\n1\n2\n1\n1\n1 2\n",                           # short column degrees
+        "2 1\n1 2\n1 1\nx\n1\n1\n1 2\n",                         # non-integer row degree
+        # each list refusal in the first list and in the last (or the last of its kind)
+        "3 2\n2 2\n1 2 1\n2 2\nx 0\n1 2\n2 0\n1 2 0\n2 3 0\n",   # non-integer entry
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n2 y 0\n",
+        "3 2\n2 2\n1 2 1\n2 2\n0 0\n1 2\n2 0\n1 2 0\n2 3 0\n",   # count below the degree
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n2 0 0\n",
+        "3 2\n2 2\n1 2 1\n2 2\n1 2\n1 2\n2 0\n1 2 0\n2 3 0\n",   # count above the degree
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n2 3 1\n",
+        "3 2\n2 2\n1 2 1\n2 2\n3 0\n1 2\n2 0\n1 2 0\n2 3 0\n",   # check index out of range
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n-1 0\n1 2 0\n2 3 0\n",
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n4 2 0\n2 3 0\n",   # bit index out of range
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n2 -3 0\n",
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 3 0\n2 3 0\n",   # bit absent from columns
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n2 1 0\n",
+        "3 2\n2 2\n1 2 1\n2 2\n",                                # end after the degree lines
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n",           # one list missing
     ])
     def test_alist_edge_cases_match_oracle(self, text):
         assert outcome(parse_alist, text) == outcome(oracle_parse_alist, text)

@@ -2,13 +2,15 @@
 what reaches each public name.
 
 Each command runs through `qpc.cli.main` in a fresh interpreter, which
-then lists the qpc modules, numpy, `numpy.ma`, `dataclasses` and
-`inspect` in its `sys.modules`.
+then lists the qpc modules, numpy, `numpy.ma`, `dataclasses`, `inspect`
+and `json` in its `sys.modules`.
 `import qpc` loads no submodule; `layout --input` loads only `cli`,
 `errors` and `render`; `verify covering` and `layout --graph` only
 `cli`, `errors` and `tanner` (plus `render` for the layout); and
 `verify action` only those and `groups`, which imports `gf2` inside
-`binary_map` alone.  These commands run where numpy cannot be
+`binary_map` alone.  `json` is loaded only by a command that reads or
+writes JSON: not by `analyze` without `--json-out`, nor by `layout
+--graph` to svg, tikz or dot.  These commands run where numpy cannot be
 imported at all, with the same output.  So do `construct hgp | lp |
 bp`, whose groups, actions and products are Python ints: the same
 report, exit code and files.  `analyze` loads no `render`, and an `analyze` of a code whose
@@ -49,7 +51,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 README = Path(__file__).resolve().parent.parent / "README.md"
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-WATCHED = ("numpy", "numpy.ma", "dataclasses", "inspect")
+WATCHED = ("numpy", "numpy.ma", "dataclasses", "inspect", "json")
 RENDER_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.render"}
 GRAPH_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.tanner"}
 LINE3 = ["verify", "covering", "--cover", FIXTURES / "line3_2lift.graph",
@@ -127,15 +129,15 @@ def probe(cwd: Path, prelude: str, *argv) -> tuple[int | None, str, set[str]]:
     """Run `prelude` and then `main(argv)`, if given, in a fresh interpreter.
 
     Returns the exit code of `main`, its stdout, and the qpc modules and
-    the `WATCHED` ones then loaded, which the interpreter prints as its
-    last line of stderr.
+    the `WATCHED` ones then loaded, which the interpreter lists before it
+    imports `json` to print them as its last line of stderr.
     """
-    lines = ["import json, sys", prelude, "code = None"]
+    lines = ["import sys", prelude, "code = None"]
     if argv:
         lines += ["from qpc.cli import main", f"code = main({[str(a) for a in argv]!r})"]
-    lines.append('print(json.dumps([code, sorted(m for m, mod in sys.modules.items()'
-                 f' if mod is not None and (m in {WATCHED!r}'
-                 ' or m.split(".")[0] == "qpc"))]), file=sys.stderr)')
+    lines += ['modules = sorted(m for m, mod in sys.modules.items()'
+              f' if mod is not None and (m in {WATCHED!r} or m.split(".")[0] == "qpc"))',
+              "import json", "print(json.dumps([code, modules]), file=sys.stderr)"]
     result = subprocess.run(
         [sys.executable, "-c", "\n".join(lines)], cwd=cwd, capture_output=True, text=True,
         timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -267,13 +269,13 @@ class TestImportSets:
         modules = loaded(work, "", "layout", "--input", work / f"{layout}.layout.json",
                          "--overlay", work / "z.overlay.json", "--format", fmt,
                          "--out", work / f"{layout}.{fmt}")
-        assert modules == RENDER_ONLY
+        assert modules == RENDER_ONLY | {"json"}
 
     def test_layout_input_runs_with_numpy_blocked(self, work):
         modules = loaded(work, 'sys.modules["numpy"] = None', "layout", "--input",
                          work / "lp.layout.json", "--format", "svg", "--edges",
                          "--out", work / "blocked.svg")
-        assert modules == RENDER_ONLY
+        assert modules == RENDER_ONLY | {"json"}
         assert (work / "blocked.svg").read_bytes().startswith(b"<svg")
 
     def test_analyze_loads_neither_groups_nor_tanner(self, work):
@@ -283,12 +285,12 @@ class TestImportSets:
                          "--hz", work / "toric.hz.pcm",
                          "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm")
         assert "numpy" not in modules and "qpc.analysis" in modules
-        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses"}
+        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses", "json"}
         modules = loaded(work, "", "analyze", "--hx", work / "ham.hx.pcm",
                          "--hz", work / "ham.hz.alist",
                          "--c1", FIXTURES / "hamming74.pcm", "--c2", FIXTURES / "rep3.pcm")
         assert {"numpy", "qpc.analysis"} <= modules
-        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses"}
+        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses", "json"}
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm",
@@ -369,7 +371,7 @@ class TestImportSets:
     @pytest.mark.parametrize("map_file", ["line3_2lift.map.json", "line3_2lift_bad.map.json"])
     def test_verify_covering_skips_numpy(self, work, map_file):
         code, _, modules = probe(work, "", *LINE3, FIXTURES / map_file)
-        assert modules == GRAPH_ONLY
+        assert modules == GRAPH_ONLY | {"json"}
         assert code == (0 if map_file == "line3_2lift.map.json" else 2)
 
     @pytest.mark.parametrize("argv, exit_code", [
@@ -380,7 +382,7 @@ class TestImportSets:
     def test_verify_action_loads_groups_and_tanner_only(self, work, argv, exit_code):
         # a group table and an action are Python ints, and only binary_map needs gf2
         code, _, modules = probe(work, "", *argv)
-        assert (code, modules) == (exit_code, GRAPH_ONLY | {"qpc.groups"})
+        assert (code, modules) == (exit_code, GRAPH_ONLY | {"qpc.groups", "json"})
 
     @pytest.mark.parametrize("argv", [
         [*LINE3, FIXTURES / "line3_2lift.map.json"],
