@@ -1,7 +1,7 @@
 """Workbench for constructing and verifying quantum CSS product codes.
 
 Each public name is imported from its home module on first access
-(PEP 562), so `import qpc` loads no submodule and no numpy.
+(PEP 562), so `import qpc` loads no submodule.
 """
 
 import importlib

@@ -4,13 +4,12 @@ Distances are exact: Z-type distance is the minimum weight over
 kernel(H_X) minus the row space of H_Z.  `gf2.coset_min_weight` gives it,
 and the classical distances of the HGP cross-check, under one budget
 (default 2^24 steps); beyond it they are refused, never approximated.
-The logical count and the budget check read `gf2.rank`, which ranks any
-matrix as Python ints, so a refusal of a code read from files imports no
-numpy.  A decided distance of a code whose check matrices are graphs (at
-most two ones per column, as in every hypergraph product of repetition
-codes) is a shortest cycle found by breadth-first search in Python; any other
-reads `gf2.reduced`, which reduces each check matrix at most once, and
-enumerates.
+The logical count and the budget check read `gf2.rank`, so a refusal
+reduces no matrix.  A decided distance of a code whose check matrices
+are graphs (at most two ones per column, as in every hypergraph product
+of repetition codes) is a shortest cycle found by breadth-first search;
+any other reads `gf2.reduced`, which reduces each check matrix at most
+once, and searches its kernel (`gf2.min_weight`).
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.

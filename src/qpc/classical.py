@@ -6,15 +6,13 @@ one), so k is always computed as n - rank(H), never as n - m.
 
 Distances are exact: `gf2.coset_min_weight` with no stabiliser finds the
 shortest cycle of an H with at most two ones per column (its girth), and
-scores all non-zero combinations of any other kernel basis, a table of
-low combinations packed into words per Gray-code step; codes with 2^k
-beyond the budget are refused from the rank of H, before any
-elimination, not estimated.
+searches the kernel of any other H by its systematic forms
+(`gf2.min_weight`); codes with 2^k beyond the budget are refused from
+the rank of H, before any elimination, not estimated.
 H's rank and reduced form are remembered by H itself (`gf2.rank`,
 `gf2.reduced`).
 
-The readers and emitters are pure Python on a matrix's flat positions,
-so reading, ranking and writing a code imports no numpy: the PCM emitter
+The readers and emitters work on a matrix's flat positions: the PCM emitter
 sets one byte per one in a template of "0 " rows, the alist emitter reads
 the ones once in row-major order.  Each format has one reader.  The PCM
 reader is one pass over the rows in file order, a few byte operations per

@@ -14,12 +14,7 @@ distance-enumeration cap, which also bounds the `--c1/--c2` cross-check;
 0 means the default and a negative budget exits 1.  `analyze` reads
 and validates all its input files, `--c1/--c2` included, before any
 analysis.  Each command imports only the layers it runs, and groups,
-actions, graphs and check matrices are Python ints, so `construct`,
-`layout` and `verify` never load numpy, and neither does an `analyze`
-that enumerates nothing, or whose matrices hold at most two ones per
-column (every toric and planar code): its ranks, commutation and graph
-distances are read in Python.  Only the Gray-code walk of a decided
-distance of a code that is no graph imports numpy.  `json` is loaded
+actions, graphs and check matrices are Python ints.  `json` is loaded
 only to read or write JSON, and each command runs with the cyclic
 garbage collector paused; `main` restores the caller's setting.
 """

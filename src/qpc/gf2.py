@@ -23,9 +23,9 @@ transpose.
 
 `coset_min_weight` is the one exact-distance entry, for classical and
 CSS codes, with the one budget `DEFAULT_BUDGET` (`check_budget`): a
-shortest cycle (`_shortest_cycle`) for graph codes, else `min_weight`,
-the Gray-code walk, which packs its rows into 64-bit words and is the
-one place that imports numpy.
+shortest cycle (`_shortest_cycle`) for graph codes, else `min_weight`, a
+Brouwer-Zimmermann search over systematic forms.  Only `to_dense`
+imports a module outside the standard library, numpy, for its callers.
 
 Intended scale is "desk size" (a few thousand columns); there is no
 sparse elimination, and a matrix with heavier columns is ranked in cubic time.
@@ -33,23 +33,18 @@ sparse elimination, and a matrix with heavier columns is ranked in cubic time.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import repeat
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from functools import reduce
+from itertools import chain, combinations, repeat
+from math import comb
+from operator import xor
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, DimensionError
 
-if TYPE_CHECKING:
-    import numpy as np
-
-_WORD_BITS = 64
-
 # Steps an exact distance may take: codes whose kernel has dimension 24 or less.
 DEFAULT_BUDGET = 1 << 24
-
-
-def _word_count(cols: int) -> int:
-    return (cols + _WORD_BITS - 1) // _WORD_BITS
 
 
 class BitMatrix:
@@ -86,7 +81,7 @@ class BitMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self) -> "numpy.ndarray":
         """The entries as a numpy uint8 array, for callers that work in numpy."""
         import numpy as np
 
@@ -163,16 +158,6 @@ class RrefResult(NamedTuple):
         flat = [t * cols + f for f, t in free.items()]
         flat += [free[c] * cols + pivots[r] for r, c in self.rref.ones() if c in free]
         return BitMatrix(len(free), cols, flat)
-
-
-def _xor_table(rows: np.ndarray) -> np.ndarray:
-    """All 2^t XOR combinations of t rows, by doubling: entry i XORs the rows at i's ones."""
-    import numpy as np
-
-    table = np.zeros((1 << rows.shape[0], rows.shape[1]), dtype=np.uint64)
-    for i in range(rows.shape[0]):
-        np.bitwise_xor(table[: 1 << i], rows[i], out=table[1 << i : 2 << i])
-    return table
 
 
 def _row_ints(m: BitMatrix) -> list[int]:
@@ -377,48 +362,65 @@ def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
                                              for i, j in a.ones() for x in inner])
 
 
-# Low combinations tabulated per min_weight step: at most 2^16 rows and 1 MiB.
-_TABLE_BITS = 16
-_TABLE_BYTES = 1 << 20
-
-
 def min_weight(stab: BitMatrix, logical: BitMatrix) -> int | None:
     """Exact minimum weight over span(stab + logical) with a non-zero logical part.
 
-    The rows, logical rows first, are packed into 64-bit words (`_row_ints`
-    read as little-endian bytes; a weight does not depend on the column
-    order).  The logical part is read off the combination index, never
-    re-solved.  All 2^t combinations of the first t rows are tabulated by
-    doubling; the remaining rows are walked in Gray-code order, one XOR per
-    step, and each step scores the whole table at once.  While the walk
-    holds no logical row, only table entries whose index holds one count.
-    None when `logical` has no rows.
+    A Brouwer-Zimmermann search (Grassl, in *Discovering Mathematics with
+    Magma*, Springer 2006).  Each logical row gains a tag column of its own:
+    only combinations with non-zero tag bits count.  Form j is `rref` of the
+    tagged rows with the code columns no earlier form pivots on first, so
+    its r_j pivots there are disjoint from the other forms'.  Forms are
+    built until the code columns run out or they have read 2^dim entries.
+    Level w scores each combination of w of a form's dim rows, as a sum of
+    a rows of its first half and w - a of its second, skipping pairs whose
+    tags cancel.  An unscored vector takes w + 1 rows or more of each form
+    done, so holds at least w + 1 - (dim - r_j) ones on its pivots: the
+    search stops once the best weight is at most the sum of these.  A level
+    that would take the combinations scored past 2^dim is taken from the
+    first form alone.  None when `logical` has no rows.
     """
     if logical.rows == 0:
         return None
-    import numpy as np
-
-    dim, words = stab.rows + logical.rows, _word_count(logical.cols)
-    rows = np.frombuffer(b"".join(v.to_bytes(8 * words, "little")
-                                  for v in _row_ints(vstack(logical, stab))),
-                         dtype=np.uint64).reshape(dim, words)
-    fit = (_TABLE_BYTES // (8 * max(words, 1))).bit_length() - 1
-    t = max(1, min(dim, _TABLE_BITS, fit))
-    table = _xor_table(rows[:t])
-    low_logical = np.arange(1 << t) & ((1 << min(logical.rows, t)) - 1) != 0
-    tables = (table[low_logical], table)   # by "the walk holds a logical row"
-    best = logical.cols                    # no weight exceeds the width
-    current = np.zeros(words, dtype=np.uint64)
-    walk_logical = 0
-    for step in range(1 << (dim - t)):
-        if step:
-            bit = (step & -step).bit_length() - 1
-            current ^= rows[t + bit]
-            if t + bit < logical.rows:
-                walk_logical ^= 1 << bit
-        scores = np.bitwise_count(tables[walk_logical != 0] ^ current).sum(axis=1)
-        best = min(best, int(scores.min()))
+    k, n = logical.rows, logical.cols
+    tagged = hstack(vstack(logical, stab),
+                    vstack(BitMatrix.identity(k), BitMatrix.zeros(stab.rows, k)))
+    free = sorted({j for _, j in tagged.ones() if j < n})  # a form pivots on the first of these
+    halves, ranks = [], []
+    while not halves or free and len(halves) * dim * n < 1 << dim:
+        # the tag columns come last, so they are the low k bits of each row
+        form = rref(tagged.columns(free + sorted(set(range(n + k)).difference(free))))
+        dim, pivots = form.rank, {free[p] for p in form.pivot_cols if p < len(free)}
+        rows = _row_ints(form.basis)
+        halves.append(((rows[:dim // 2], []), (rows[dim // 2:], [])))  # with `_sums` by size
+        ranks.append(len(pivots))
+        free = [j for j in free if j not in pivots]
+    best, scored = n, 0
+    for w in range(dim + 1):
+        if scored + len(halves) * comb(dim, w) > 1 << dim:
+            halves = halves[:1]
+        scored += len(halves) * comb(dim, w)
+        for j, ((low_rows, low), (high_rows, high)) in enumerate(halves):
+            low.append(_sums(low_rows, w, k))
+            high.append(_sums(high_rows, w, k))
+            for a in range(w + 1):                     # the shorter list of sums is walked
+                outer, (inner_tags, inner) = sorted((low[a], high[w - a]), key=lambda s: len(s[0]))
+                for t, c in zip(*outer):
+                    lo, hi = bisect_left(inner_tags, t), bisect_right(inner_tags, t)
+                    scores = map(int.bit_count, map(xor, chain(inner[:lo], inner[hi:]), repeat(c)))
+                    best = min(best, min(scores, default=n))
+            # the forms up to j have taken level w, the others level w - 1
+            lower = sum(max(0, w + (i <= j) - dim + r) for i, r in enumerate(ranks[:len(halves)]))
+            if best <= lower:
+                return best
     return best
+
+
+def _sums(rows: list[int], size: int, k: int) -> tuple[list[int], list[int]]:
+    """The XOR of each combination of `size` of `rows`, sorted by its tag, the low k
+    bits: their tags, and their code bits, the bits above the tag."""
+    tags = (1 << k) - 1
+    sums = sorted(map(reduce, repeat(xor), combinations(rows, size), repeat(0)), key=tags.__and__)
+    return [v & tags for v in sums], [v >> k for v in sums]
 
 
 def check_budget(cols: int, rank: int, budget: int) -> None:

@@ -8,6 +8,9 @@ or a value or view that only the tests need:
   words;
 - rows of a `BitMatrix` as Python ints, and the row operations of an
   elimination, found by eliminating [source | I];
+- the exact minimum weight by the numpy Gray-code walk that the
+  Brouwer-Zimmermann search replaced, and the rows a coset distance
+  searches;
 - the numpy PCM and alist emitters that the Python ones replaced;
 - the check matrices of the cyclic repetition and [7,4] Hamming codes;
 - the numpy group-table check that the Python one replaced;
@@ -38,12 +41,17 @@ import numpy as np
 from qpc.analysis import LogicalBasis
 from qpc.classical import ClassicalCode
 from qpc.errors import DimensionError, PreconditionError
-from qpc.gf2 import BitMatrix, _word_count, hstack, matmul_t, rank, rref, vstack
+from qpc.gf2 import (BitMatrix, _row_ints, add, hstack, matmul, matmul_t, rank, reduced, rref,
+                     vstack)
 from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, binary_map
 from qpc.products import CSSCode, hgp, lifted_product
 from qpc.tanner import GroupAction, PlainGraph
 
 # -- GF(2) matrices as numpy arrays and packed words ---------------------------
+
+
+def _word_count(cols: int) -> int:
+    return (cols + 63) // 64
 
 
 def from_dense(array) -> BitMatrix:
@@ -116,6 +124,67 @@ def row_ops(source: BitMatrix) -> BitMatrix:
     """
     reduced = rref(hstack(source, BitMatrix.identity(source.rows))).rref
     return reduced.columns(range(source.cols, source.cols + source.rows))
+
+
+# -- exact minimum weight by a Gray-code walk -----------------------------------
+
+# Low combinations tabulated per walk step: at most 2^16 rows and 1 MiB.
+_TABLE_BITS = 16
+_TABLE_BYTES = 1 << 20
+
+
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """All 2^t XOR combinations of t rows, by doubling: entry i XORs the rows at i's ones."""
+    table = np.zeros((1 << rows.shape[0], rows.shape[1]), dtype=np.uint64)
+    for i in range(rows.shape[0]):
+        np.bitwise_xor(table[: 1 << i], rows[i], out=table[1 << i : 2 << i])
+    return table
+
+
+def gray_walk(stab: BitMatrix, logical: BitMatrix) -> int | None:
+    """`gf2.min_weight` by scoring all 2^dim combinations: the minimum weight over
+    span(stab + logical) with a non-zero logical part, None when `logical` has no rows.
+
+    The rows, logical rows first, are packed into 64-bit words.  All 2^t
+    combinations of the first t rows are tabulated by doubling; the remaining
+    rows are walked in Gray-code order, one XOR per step, and each step scores
+    the whole table at once.  While the walk holds no logical row, only table
+    entries whose index holds one count.
+    """
+    if logical.rows == 0:
+        return None
+    dim, words = stab.rows + logical.rows, _word_count(logical.cols)
+    rows = np.frombuffer(b"".join(v.to_bytes(8 * words, "little")
+                                  for v in _row_ints(vstack(logical, stab))),
+                         dtype=np.uint64).reshape(dim, words)
+    fit = (_TABLE_BYTES // (8 * max(words, 1))).bit_length() - 1
+    t = max(1, min(dim, _TABLE_BITS, fit))
+    table = _xor_table(rows[:t])
+    low_logical = np.arange(1 << t) & ((1 << min(logical.rows, t)) - 1) != 0
+    tables = (table[low_logical], table)   # by "the walk holds a logical row"
+    best = logical.cols                    # no weight exceeds the width
+    current = np.zeros(words, dtype=np.uint64)
+    walk_logical = 0
+    for step in range(1 << (dim - t)):
+        if step:
+            bit = (step & -step).bit_length() - 1
+            current ^= rows[t + bit]
+            if t + bit < logical.rows:
+                walk_logical ^= 1 << bit
+        scores = np.bitwise_count(tables[walk_logical != 0] ^ current).sum(axis=1)
+        best = min(best, int(scores.min()))
+    return best
+
+
+def coset_rows(checks: BitMatrix, stab: BitMatrix | None) -> tuple[BitMatrix, BitMatrix]:
+    """The (stabiliser, logical) rows whose minimum weight `gf2.coset_min_weight` finds
+    for a code that is no graph: the stabiliser basis and the logical completions left
+    after clearing its pivot columns from the kernel basis of the checks."""
+    kernel = reduced(checks).kernel
+    if stab is None or not rank(stab):
+        return BitMatrix.zeros(0, kernel.cols), kernel
+    basis, pivots = reduced(stab).basis, reduced(stab).pivot_cols
+    return basis, rref(add(kernel, matmul(kernel.columns(pivots), basis))).basis
 
 
 # -- classical check matrices --------------------------------------------------

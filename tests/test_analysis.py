@@ -175,10 +175,11 @@ class TestCosetMinWeight:
             boundary(lambda budget: css_distance(code, budget), dim, css_distance(code))
 
     def test_hamming_rep3_analyze_reduces_each_matrix_once(self, tmp_path, monkeypatch):
-        # H_X and H_Z and their kernels' logicals, then the Hamming code's H; with
-        # no stabiliser nothing is cleared, so no kernel is reduced again.  Every
-        # matrix read from a file is ranked in Python: H^T (k = 0) needs no
-        # distance, and rep3 and its transpose are graphs, their distances found
+        # H_X and H_Z and their kernels' logicals, each direction's systematic forms
+        # of its tagged rows (dim rows, n + k columns), then the Hamming code's H and
+        # its forms; with no stabiliser nothing is cleared, so no kernel is reduced
+        # again.  Every matrix read from a file is ranked in Python: H^T (k = 0) needs
+        # no distance, and rep3 and its transpose are graphs, their distances found
         # by breadth-first search, so none of them is reduced.
         from qpc import cli, gf2
 
@@ -200,7 +201,8 @@ class TestCosetMinWeight:
                         monkeypatch.setattr(module, name, counted)
             analyze = ["analyze", "--hx", "ham.hx.alist", "--hz", "ham.hz.alist", *codes]
             assert cli.main(analyze) == 0
-        assert shapes == [(9, 30), (21, 30), (21, 30), (13, 30), (3, 7)]
+        assert shapes == [(9, 30), (21, 30), (21, 30), (21, 34), (21, 34), (13, 30), (13, 34),
+                          (13, 34), (13, 34), (3, 7), (4, 11)]
 
 
 class TestCommutation:

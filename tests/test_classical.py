@@ -73,14 +73,6 @@ class TestMinDistance:
             code = random_code(rng)
             assert code.min_distance() == brute_force_distance(code.h)
 
-    @pytest.mark.parametrize("bits", [1, 3])
-    def test_small_tables_match_exhaustive_oracle(self, monkeypatch, bits):
-        monkeypatch.setattr(gf2, "_TABLE_BITS", bits)
-        rng = random.Random(31 + bits)
-        for _ in range(25):
-            code = random_code(rng, max_m=4, max_n=10)
-            assert code.min_distance() == brute_force_distance(code.h)
-
     def test_refusal_names_the_bound(self):
         big = ClassicalCode(BitMatrix.zeros(1, 30))
         with pytest.raises(BudgetError) as err:

@@ -59,6 +59,26 @@ class TestConstruct:
         for suffix in ("hx.pcm", "hx.alist", "hz.pcm", "hz.alist", "layout.json"):
             assert (tmp_path / f"toric.{suffix}").exists()
 
+    @pytest.mark.parametrize("c1, c2", [("0 3\n", "rep3"), ("rep3", "2 0\n\n\n"),
+                                        ("0 3\n", "2 0\n\n\n"), ("0 0\n", "0 0\n")],
+                             ids=["0x3-rep3", "rep3-2x0", "0x3-2x0", "0x0-0x0"])
+    def test_hgp_of_factors_without_rows_or_columns(self, tmp_path, capsys, c1, c2):
+        # n = n1 n2 + m1 m2 qubits; H_X has m1 n2 rows, H_Z n1 m2, each read back alike
+        paths = []
+        for i, c in enumerate((c1, c2)):
+            paths.append(FIXTURES / f"{c}.pcm" if c == "rep3" else tmp_path / f"c{i}.pcm")
+            if c != "rep3":
+                paths[-1].write_text(c)
+        (m1, n1), (m2, n2) = (classical.read_check_matrix(str(p)).shape for p in paths)
+        code, out, _ = run(capsys, "construct", "hgp", "--c1", paths[0], "--c2", paths[1],
+                           "--out-prefix", tmp_path / "code")
+        assert code == 0 and f"n: {n1 * n2 + m1 * m2}\n" in out
+        for side, rows in (("hx", m1 * n2), ("hz", n1 * m2)):
+            pcm, alist = (classical.read_check_matrix(str(tmp_path / f"code.{side}.{ext}"))
+                          for ext in ("pcm", "alist"))
+            assert pcm == alist and pcm.shape == (rows, n1 * n2 + m1 * m2)
+        assert (tmp_path / "code.layout.json").exists()
+
     def test_lp_z1_equals_hgp_bit_exact(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -211,6 +231,16 @@ class TestAnalyze:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["k"] == 2 and report["d"] == 3
         assert report["hgp_distance_bound"] == 3
+
+    def test_planar_report(self, tmp_path, capsys):
+        # open 3-bit repetition codes: the planar code, a graph code read from alist and pcm
+        (tmp_path / "path3.pcm").write_text("2 3\n1 1 0\n0 1 1\n")
+        codes = ["--c1", tmp_path / "path3.pcm", "--c2", tmp_path / "path3.pcm"]
+        assert run(capsys, "construct", "hgp", *codes, "--out-prefix", tmp_path / "planar")[0] == 0
+        code, out, _ = run(capsys, "analyze", "--hx", tmp_path / "planar.hx.alist",
+                           "--hz", tmp_path / "planar.hz.pcm", *codes)
+        assert code == 0
+        assert "params: [[13,1,3]]\n" in out and "hgp_k_matches: True\n" in out
 
     def test_budget_exit_code(self, tmp_path, capsys):
         self.build_toric(tmp_path, capsys)

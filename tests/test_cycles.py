@@ -2,9 +2,10 @@
 
 `gf2.coset_min_weight` finds the distance of a code whose check matrices
 hold at most two ones per column as a shortest cycle outside the
-stabiliser's span.  Each case here is also decided as it was before that
-engine: the kernel basis of the reduced checks, the logicals left after
-clearing the stabiliser's pivot columns, and `gf2.min_weight` over them.
+stabiliser's span.  Each case here is also decided by enumeration: the
+kernel basis of the reduced checks, the logicals left after clearing the
+stabiliser's pivot columns, and the Gray-code walk over them
+(`oracles.gray_walk`).
 The cases are hypergraph products of cycle and path codes, random graph
 H_X with H_Z drawn from its cycle space, and random classical graph codes
 (whose distance is the girth), each also given as a matrix that keeps its
@@ -19,20 +20,15 @@ import pytest
 
 from qpc import gf2
 from qpc.classical import ClassicalCode
-from qpc.gf2 import BitMatrix, add, kernel_basis, matmul, min_weight, rank, reduced, rref
+from qpc.gf2 import BitMatrix, kernel_basis, rank
 from qpc.products import hgp
 
-from oracles import repetition_check
+from oracles import coset_rows, gray_walk, repetition_check
 
 
 def gray_min_weight(checks: BitMatrix, stab: BitMatrix | None) -> int | None:
     """The minimum weight over kernel(checks) outside rowspace(stab) by enumeration."""
-    kernel = reduced(checks).kernel
-    if stab is None or not rank(stab):
-        return min_weight(BitMatrix.zeros(0, kernel.cols), kernel)
-    basis, pivots = reduced(stab).basis, reduced(stab).pivot_cols
-    logical = rref(add(kernel, matmul(kernel.columns(pivots), basis)))
-    return min_weight(basis, logical.basis)
+    return gray_walk(*coset_rows(checks, stab))
 
 
 def unpacked(m: BitMatrix) -> BitMatrix:

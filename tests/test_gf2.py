@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -24,8 +25,9 @@ from qpc.gf2 import (
 from qpc.groups import FiniteGroup
 from qpc.products import hgp, lifted_product
 
-from oracles import (entries, from_dense, from_masks, from_row_ints, from_words, packed_words,
-                     repetition_check, row_int, row_ops, row_weight, rows_as_ints)
+from oracles import (coset_rows, entries, from_dense, from_masks, from_row_ints, from_words,
+                     gray_walk, packed_words, repetition_check, row_int, row_ops, row_weight,
+                     rows_as_ints)
 
 # Circulant parity check of the 3-bit repetition code; its rows sum to zero.
 CIRC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -737,57 +739,81 @@ def gray_oracle(stab_rows: list[int], logical_rows: list[int]) -> int | None:
     return best
 
 
-def table_bits(dim: int, cols: int) -> int:
-    """Rows min_weight tabulates for `dim` rows of `cols` bits."""
-    words = max(1, -(-cols // 64))
-    fit = (gf2._TABLE_BYTES // (8 * words)).bit_length() - 1
-    return max(1, min(dim, gf2._TABLE_BITS, fit))
+def random_rows(rng, rows: int, cols: int, density: float) -> BitMatrix:
+    return BitMatrix(rows, cols, [i * cols + j for i in range(rows) for j in range(cols)
+                                  if rng.random() < density])
+
+
+def random_hgp_direction(rng, max_rows: int, max_cols: int) -> tuple[BitMatrix, BitMatrix]:
+    """(checks, stabiliser) of one direction of the HGP of two random factors, each
+    with up to `max_rows` rows (none at times) and 1 to `max_cols` columns."""
+    a, b = (ClassicalCode(random_rows(rng, rng.randint(0, max_rows), rng.randint(1, max_cols),
+                                      rng.choice([0.3, 0.5]))) for _ in range(2))
+    code = hgp(a, b)
+    return rng.choice([(code.h_x, code.h_z), (code.h_z, code.h_x)])
+
+
+def cross_check_cases(rng) -> list[tuple[BitMatrix, BitMatrix]]:
+    """(stabiliser, logical) rows for `min_weight`, of dimension up to 24:
+
+    - random rows, which may be dependent: 1 to 7 logical rows and up to 6
+      stabiliser rows, some 65 to 2600 bits wide, and 17 logical rows and
+      one stabiliser row of 30 bits;
+    - both directions of hypergraph products of random factors, some with
+      no rows, some with k = 0, as `gf2.coset_min_weight` clears them;
+    - random classical codes, dense and sparse, among them one of each
+      dimension 18 and 21 to 24.
+    """
+    cases = [(random_rows(rng, 1, 30, 0.5), random_rows(rng, 17, 30, 0.5))]
+    for _ in range(300):
+        cols = rng.choice([rng.randint(1, 40), 65, 130, 200, 2600])
+        cases.append((random_rows(rng, rng.randint(0, 6), cols, 0.5),
+                      random_rows(rng, rng.randint(1, 7), cols, 0.5)))
+    while len(cases) < 800:
+        checks, stab = random_hgp_direction(rng, 4, 6)
+        if checks.cols - rank(checks) <= 20:
+            cases.append(coset_rows(checks, stab))
+    for dim in [rng.randint(1, 16) for _ in range(300)] + [18, 21, 22, 23, 24]:
+        while True:
+            cols = dim + rng.randint(1, 30)
+            h = random_rows(rng, cols - dim, cols, rng.choice([0.15, 0.5]))
+            if cols - rank(h) == dim:
+                break
+        cases.append(coset_rows(h, None))
+    return cases
 
 
 class TestMinWeight:
-    def check(self, rng, n_stab, n_log, cols):
-        stab = random_bitmatrix(rng, n_stab, cols) if n_stab else BitMatrix.zeros(0, cols)
-        logical = random_bitmatrix(rng, n_log, cols)
-        expected = gray_oracle(rows_as_ints(stab), rows_as_ints(logical))
-        assert min_weight(stab, logical) == expected
-
     def test_empty_logical_is_none(self):
         rng = random.Random(401)
         assert min_weight(random_bitmatrix(rng, 4, 9), BitMatrix.zeros(0, 9)) is None
         assert min_weight(BitMatrix.zeros(0, 9), BitMatrix.zeros(0, 9)) is None
 
-    def test_dimension_below_table_size(self):
-        rng = random.Random(409)
-        for _ in range(40):
-            n_log = rng.randint(1, 5)
-            n_stab = rng.randint(0, 6)
-            assert n_log + n_stab < gf2._TABLE_BITS
-            self.check(rng, n_stab, n_log, rng.randint(1, 40))
+    def test_matches_the_gray_walk(self):
+        cases = cross_check_cases(random.Random(409))
+        assert len(cases) >= 1000
+        assert any(not logical.rows for _, logical in cases)       # k = 0
+        assert max(stab.rows + logical.rows for stab, logical in cases) == 24
+        for stab, logical in cases:
+            got = min_weight(stab, logical)
+            assert got == gray_walk(stab, logical), (stab, logical)
+            if stab.rows + logical.rows <= 12:
+                assert got == gray_oracle(rows_as_ints(stab), rows_as_ints(logical))
 
-    def test_rows_wider_than_one_word(self):
-        rng = random.Random(419)
-        for cols in (65, 130, 200, 2600):
-            n_log = rng.randint(1, 4)
-            n_stab = 13 - n_log
-            if cols == 2600:
-                assert table_bits(13, cols) < 13   # the walk carries rows too
-            self.check(rng, n_stab, n_log, cols)
-
-    @pytest.mark.parametrize("bits", [1, 2, 3, 5])
-    def test_small_tables_split_logical_rows(self, monkeypatch, bits):
-        monkeypatch.setattr(gf2, "_TABLE_BITS", bits)
-        rng = random.Random(421 + bits)
-        for _ in range(30):
-            n_log = rng.randint(1, 7)
-            n_stab = rng.randint(0, 4)
-            self.check(rng, n_stab, n_log, rng.choice([5, 12, 70]))
-
-    def test_more_logical_rows_than_the_table(self):
-        rng = random.Random(431)
-        code = None
-        while code is None or code.dimension() != 18:
-            code = ClassicalCode(random_bitmatrix(rng, 12, 30))
-        assert table_bits(18, 30) == gf2._TABLE_BITS < 18
-        basis = kernel_basis(code.h)
-        assert code.min_distance() == gray_oracle([], rows_as_ints(basis))
-        self.check(rng, 1, 17, 30)
+    def test_no_code_of_dimension_18_to_24_takes_a_second(self):
+        # hypergraph products in either direction, dense and sparse classical codes
+        rng, slowest, count = random.Random(419), 0.0, 0
+        while count < 500:
+            if count % 3 == 0:
+                checks, stab = random_hgp_direction(rng, 5, 8)
+            else:
+                cols = rng.randint(24, 100)
+                checks, stab = random_rows(rng, cols - rng.randint(18, 24), cols,
+                                           0.5 if count % 3 == 1 else 0.1), None
+            stab, logical = coset_rows(checks, stab)
+            if logical.rows and 18 <= stab.rows + logical.rows <= 24:
+                start = time.perf_counter()
+                assert 0 < min_weight(stab, logical) <= checks.cols
+                slowest = max(slowest, time.perf_counter() - start)
+                count += 1
+        assert slowest < 1.0

@@ -2,27 +2,21 @@
 what reaches each public name.
 
 Each command runs through `qpc.cli.main` in a fresh interpreter, which
-then lists the qpc modules, numpy, `numpy.ma`, `dataclasses`, `inspect`
-and `json` in its `sys.modules`.
+then lists the qpc modules, numpy, `dataclasses`, `inspect` and `json`
+in its `sys.modules`.
 `import qpc` loads no submodule; `layout --input` loads only `cli`,
 `errors` and `render`; `verify covering` and `layout --graph` only
 `cli`, `errors` and `tanner` (plus `render` for the layout); and
 `verify action` only those and `groups`, which imports `gf2` inside
 `binary_map` alone.  `json` is loaded only by a command that reads or
 writes JSON: not by `analyze` without `--json-out`, nor by `layout
---graph` to svg, tikz or dot.  These commands run where numpy cannot be
-imported at all, with the same output.  So do `construct hgp | lp |
-bp`, whose groups, actions and products are Python ints: the same
-report, exit code and files.  `analyze` loads no `render`, and an `analyze` of a code whose
-check matrices hold at most two ones per column (toric, planar, or two
-matrices that anticommute), refused or decided, loads no numpy either,
-nor does a refused `analyze` of a heavier code (Hamming x rep3): each
-runs where numpy cannot be imported, with the same output.
-No command loads `numpy.ma`, which `np.unique` without return options
-imports at a cost of about 17 ms per process, and none loads
+--graph` to svg, tikz or dot.  `analyze` loads no `render`.  qpc needs
+no module outside the standard library: every command of `REACH`, and
+the decided distance of a code that is no graph (Hamming x rep3), runs
+where numpy cannot be imported, with its usual exit code.  None loads
 `dataclasses`, which pulls in `inspect`, `ast`, `dis` and `tokenize`:
-qpc's records are `typing.NamedTuple`s, so the commands without numpy
-load no `inspect` either.
+qpc's records are `typing.NamedTuple`s, so no command loads `inspect`
+either.
 
 Every public name is reached by a command or the README's library
 sketch, run in process under `sys.setprofile`, or is one that perfbench
@@ -51,22 +45,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 README = Path(__file__).resolve().parent.parent / "README.md"
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-WATCHED = ("numpy", "numpy.ma", "dataclasses", "inspect", "json")
+WATCHED = ("numpy", "dataclasses", "inspect", "json")
 RENDER_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.render"}
 GRAPH_ONLY = {"qpc", "qpc.cli", "qpc.errors", "qpc.tanner"}
 LINE3 = ["verify", "covering", "--cover", FIXTURES / "line3_2lift.graph",
          "--base", FIXTURES / "line3.graph", "--map"]
-LIFT_Z3 = ["verify", "covering", "--cover", FIXTURES / "lift_1px_z3.graph", "--map", "z3.map.json",
-           "--base"]  # files without a directory are written by `work`
 Z3_ACTION = ["verify", "action", "--graph", FIXTURES / "cycle6.graph",
              "--action", FIXTURES / "cycle6_z3.action.json"]
 S3_ACTION = ["verify", "action", "--graph", FIXTURES / "s3_lift.graph",
              "--action", FIXTURES / "s3_lift.action.json"]
-LP_Z3 = ["construct", "lp", "--m1", FIXTURES / "rep3_z3.ring", "--m2", FIXTURES / "rep3_z3.ring"]
-BP_Z3 = ["construct", "bp", "--graph-a", FIXTURES / "lift_1px_z3.graph",
-         "--graph-b", FIXTURES / "lift_1px_z3.graph",
-         "--action-a", FIXTURES / "bp_a_z3.action.json",
-         "--action-b", FIXTURES / "bp_b_z3.action.json"]
 
 # `qpc.__all__` as it stood when every submodule was imported eagerly, less
 # `CodeParams`, `QuotientLayout`, `CoveringMap` and `Oblique` (deleted) and six
@@ -98,31 +85,36 @@ PENDING = {
 # Public names that only perfbench reaches: its tracer patches each `TARGETS` entry by name.
 PERFBENCH_ONLY = {"kernel_basis"}
 
-# Commands that, with the README sketch, reach every other public name.  Files named
-# without a directory are in `work`; a comment names the error a command ends in.
+# Commands that, with the README sketch, reach every other public name, each with its
+# exit code.  Files named without a directory are in `work`; a comment names the error
+# a command ends in.
 REACH = [
-    ["construct", "hgp", "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "hamming74.pcm",
-     "--out-prefix", "reach_hgp"],
-    ["construct", "lp", "--m1", FIXTURES / "rep3_z3.ring", "--m2", FIXTURES / "rep3_z3.ring",
-     "--out-prefix", "reach_lp"],
-    ["construct", "bp", "--graph-a", FIXTURES / "lift_1px_z3.graph",
-     "--graph-b", FIXTURES / "lift_1px_z3.graph", "--action-a", FIXTURES / "bp_a_z3.action.json",
-     "--action-b", FIXTURES / "bp_b_z3.action.json", "--out-prefix", "reach_bp"],
-    ["analyze", "--hx", "toric.hx.alist", "--hz", "toric.hz.pcm",
-     "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"],
-    ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm", "--budget", "2"],  # BudgetError
-    ["analyze", "--hx", "reach_hgp.hx.pcm", "--hz", "reach_hgp.hz.alist"],  # eliminates
-    ["analyze", "--hx", "x12.pcm", "--hz", "z12.pcm"],       # checks that anticommute
-    ["analyze", "--hx", "x12.pcm", "--hz", "z13.pcm"],       # DimensionError
-    ["layout", "--input", "lp.layout.json", "--overlay", "z.overlay.json", "--format", "svg",
-     "--edges", "--out", "reach.svg"],
-    ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "tikz", "--out", "reach.tex"],
-    [*LINE3, FIXTURES / "line3_2lift.map.json"],
-    [*LINE3, "far.map.json"],                                # PreconditionError
-    Z3_ACTION,
-    S3_ACTION,
-    ["analyze", "--hx", "x12.pcm", "--hz", "z12.pcm", "--budget", "-1"],  # FormatError
+    (["construct", "hgp", "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "hamming74.pcm",
+      "--out-prefix", "reach_hgp"], 0),
+    (["construct", "lp", "--m1", FIXTURES / "rep3_z3.ring", "--m2", FIXTURES / "rep3_z3.ring",
+      "--out-prefix", "reach_lp"], 0),
+    (["construct", "bp", "--graph-a", FIXTURES / "lift_1px_z3.graph",
+      "--graph-b", FIXTURES / "lift_1px_z3.graph", "--action-a", FIXTURES / "bp_a_z3.action.json",
+      "--action-b", FIXTURES / "bp_b_z3.action.json", "--out-prefix", "reach_bp"], 0),
+    (["analyze", "--hx", "toric.hx.alist", "--hz", "toric.hz.pcm",
+      "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"], 0),
+    (["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm", "--budget", "2"], 3),  # BudgetError
+    (["analyze", "--hx", "reach_hgp.hx.pcm", "--hz", "reach_hgp.hz.alist"], 0),  # eliminates
+    (["analyze", "--hx", "x12.pcm", "--hz", "z12.pcm"], 0),       # checks that anticommute
+    (["analyze", "--hx", "x12.pcm", "--hz", "z13.pcm"], 1),       # DimensionError
+    (["layout", "--input", "lp.layout.json", "--overlay", "z.overlay.json", "--format", "svg",
+      "--edges", "--out", "reach.svg"], 0),
+    (["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "tikz", "--out", "reach.tex"],
+     0),
+    ([*LINE3, FIXTURES / "line3_2lift.map.json"], 0),
+    ([*LINE3, "far.map.json"], 2),                                # PreconditionError
+    (Z3_ACTION, 0),
+    (S3_ACTION, 0),
+    (["analyze", "--hx", "x12.pcm", "--hz", "z12.pcm", "--budget", "-1"], 1),  # FormatError
 ]
+# The decided distance of a code that is no graph: the search over its kernels.
+HAMMING_REP3 = ["analyze", "--hx", "ham.hx.pcm", "--hz", "ham.hz.alist",
+                "--c1", FIXTURES / "hamming74.pcm", "--c2", FIXTURES / "rep3.pcm"]
 
 
 def probe(cwd: Path, prelude: str, *argv) -> tuple[int | None, str, set[str]]:
@@ -157,9 +149,9 @@ def loaded(cwd: Path, prelude: str, *argv) -> set[str]:
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     """The toric, planar and Hamming x rep3 codes and a 3D layout written by
-    `construct`, two check matrices that anticommute, an overlay file, and
-    the Tanner graph of 1 + x over Z3 as a 3-lift of a double edge (and not
-    of a single edge)."""
+    `construct`, two check matrices that anticommute, an overlay file, the
+    Tanner graph of 1 + x over Z3 as a 3-lift of a double edge (and not of a
+    single edge), and the other files the `REACH` commands read."""
     root = tmp_path_factory.mktemp("imports")
     from qpc.cli import main
 
@@ -178,20 +170,12 @@ def work(tmp_path_factory):
     (root / "double.graph").write_text("checks 1 bits 1\nc0 b0\nc0 b0\n")
     (root / "single.graph").write_text("checks 1 bits 1\nc0 b0\n")
     (root / "z3.map.json").write_text('{"check_map": [0, 0, 0], "bit_map": [0, 0, 0]}')
+    (root / "x12.pcm").write_text("1 2\n1 1\n")
+    (root / "z12.pcm").write_text("1 2\n1 0\n")
+    (root / "z13.pcm").write_text("1 3\n1 0 0\n")
+    (root / "far.map.json").write_text('{"vertex_map": [0, 0, 1, 1, 2, 9]}')
+    assert main([str(a) for a in REACH[0][0][:-1]] + [str(root / "reach_hgp")]) == 0
     return root
-
-
-def assert_construct_runs_with_numpy_blocked(tmp_path: Path, argv: list) -> None:
-    """`construct` gives the same report, exit code and five files where numpy
-    cannot be imported, each run writing beside it by a relative prefix."""
-    runs = []
-    for prelude in ('sys.modules["numpy"] = None', ""):
-        cwd = tmp_path / f"run{len(runs)}"
-        cwd.mkdir()
-        code, out, modules = probe(cwd, prelude, *argv, "--out-prefix", "code")
-        assert code == 0 and out and "numpy" not in modules
-        runs.append((out, {f.name: f.read_bytes() for f in cwd.iterdir()}))
-    assert runs[0] == runs[1] and len(runs[0][1]) == 5
 
 
 def readme_sketch() -> str:
@@ -216,10 +200,6 @@ def reached(work) -> set[str]:
     """
     from qpc import cli
 
-    (work / "x12.pcm").write_text("1 2\n1 1\n")
-    (work / "z12.pcm").write_text("1 2\n1 0\n")
-    (work / "z13.pcm").write_text("1 3\n1 0 0\n")
-    (work / "far.map.json").write_text('{"vertex_map": [0, 0, 1, 1, 2, 9]}')
     called, ended = {}, set()      # the code run, by id, and the errors commands end in
 
     def profile(frame, event, arg):
@@ -231,7 +211,7 @@ def reached(work) -> set[str]:
     sys.setprofile(profile)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for argv in REACH:
+            for argv, _ in REACH:
                 try:
                     args = cli.build_parser().parse_args([str(a) for a in argv])
                     args.func(args)
@@ -271,45 +251,14 @@ class TestImportSets:
                          "--out", work / f"{layout}.{fmt}")
         assert modules == RENDER_ONLY | {"json"}
 
-    def test_layout_input_runs_with_numpy_blocked(self, work):
-        modules = loaded(work, 'sys.modules["numpy"] = None', "layout", "--input",
-                         work / "lp.layout.json", "--format", "svg", "--edges",
-                         "--out", work / "blocked.svg")
-        assert modules == RENDER_ONLY | {"json"}
-        assert (work / "blocked.svg").read_bytes().startswith(b"<svg")
-
     def test_analyze_loads_neither_groups_nor_tanner(self, work):
-        # a graph code's analysis is Python; the decided Hamming x rep3 HGP enumerates
-        # its distance with numpy
-        modules = loaded(work, "", "analyze", "--hx", work / "toric.hx.alist",
-                         "--hz", work / "toric.hz.pcm",
-                         "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm")
-        assert "numpy" not in modules and "qpc.analysis" in modules
-        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses", "json"}
-        modules = loaded(work, "", "analyze", "--hx", work / "ham.hx.pcm",
-                         "--hz", work / "ham.hz.alist",
-                         "--c1", FIXTURES / "hamming74.pcm", "--c2", FIXTURES / "rep3.pcm")
-        assert {"numpy", "qpc.analysis"} <= modules
-        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses", "json"}
-
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm",
-         "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"],
-        ["analyze", "--hx", "toric.hx.alist", "--hz", "toric.hz.alist",
-         "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"],
-        ["analyze", "--hx", "planar.hx.alist", "--hz", "planar.hz.pcm",
-         "--c1", "path3.pcm", "--c2", "path3.pcm"],
-        ["analyze", "--hx", "toric.hx.pcm", "--hz", "toric.hz.pcm", "--budget", "1"],
-        ["analyze", "--hx", "anti.hx.pcm", "--hz", "anti.hz.pcm"],
-        ["analyze", "--hx", "ham.hx.pcm", "--hz", "ham.hz.alist", "--budget", "2",
-         "--c1", FIXTURES / "hamming74.pcm", "--c2", FIXTURES / "rep3.pcm"],
-    ], ids=["toric-pcm", "toric-alist", "planar", "refused", "anticommuting",
-            "hamming-rep3-refused"])
-    def test_graph_code_analyze_runs_with_numpy_blocked(self, work, argv):
-        # the last is no graph code: its ranks and commutator are read in Python too
-        code, out, modules = probe(work, 'sys.modules["numpy"] = None', *argv)
-        assert (code, out, modules) == probe(work, "", *argv)
-        assert out and "numpy" not in modules and code == (3 if "--budget" in argv else 0)
+        # a graph code's distance is a shortest cycle, the Hamming x rep3 HGP's a search
+        # over its kernels: neither loads numpy
+        for argv in (["analyze", "--hx", work / "toric.hx.alist", "--hz", work / "toric.hz.pcm",
+                      "--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"], HAMMING_REP3):
+            modules = loaded(work, "", *argv)
+            assert "qpc.analysis" in modules
+            assert not modules & {"numpy", "qpc.groups", "qpc.tanner", "dataclasses", "json"}
 
     @pytest.mark.parametrize("cross_check", [False, True], ids=["checks", "with-c1-c2"])
     def test_analyze_loads_no_render(self, work, cross_check):
@@ -324,39 +273,21 @@ class TestImportSets:
         modules = loaded(work, "", "construct", "hgp", "--c1", FIXTURES / "hamming74.pcm",
                          "--c2", FIXTURES / "rep3.pcm", "--out-prefix", work / "ham")
         assert "qpc.products" in modules
-        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses", "numpy"}
+        assert not modules & {"qpc.groups", "qpc.tanner", "dataclasses"}
 
-    @pytest.mark.parametrize("c1, c2", [("rep3", "rep3"), ("hamming74", "rep3"),
-                                        ("0x3", "rep3"), ("rep3", "2x0"), ("0x3", "2x0"),
-                                        ("0x0", "0x0")])
-    def test_construct_hgp_runs_with_numpy_blocked(self, tmp_path, c1, c2):
-        # for factors with no rows, no columns or neither
-        shapes = {"0x3": "0 3\n", "2x0": "2 0\n\n\n", "0x0": "0 0\n"}
-        for name, text in shapes.items():
-            (tmp_path / f"{name}.pcm").write_text(text)
-        paths = [tmp_path / f"{c}.pcm" if c in shapes else FIXTURES / f"{c}.pcm" for c in (c1, c2)]
-        assert_construct_runs_with_numpy_blocked(
-            tmp_path, ["construct", "hgp", "--c1", paths[0], "--c2", paths[1]])
-
-    @pytest.mark.parametrize("argv", [LP_Z3, BP_Z3], ids=["lp", "bp"])
-    def test_construct_lp_and_bp_run_with_numpy_blocked(self, tmp_path, argv):
-        assert_construct_runs_with_numpy_blocked(tmp_path, argv)
-
-    @pytest.mark.parametrize("argv", [
-        [*LP_Z3, "--out-prefix", "lp_again"],
-        [*BP_Z3, "--out-prefix", "bp"],
-        Z3_ACTION,
-        ["verify", "covering", "--cover", FIXTURES / "line3_2lift.graph",
-         "--base", FIXTURES / "line3.graph", "--map", FIXTURES / "line3_2lift.map.json"],
-    ], ids=["construct-lp", "construct-bp", "verify-action", "verify-covering"])
-    def test_group_and_graph_commands_skip_numpy_ma(self, work, argv):
-        modules = loaded(work, "", *argv)
-        assert "qpc.tanner" in modules or "qpc.groups" in modules
-        assert not modules & {"numpy", "numpy.ma", "dataclasses"}
+    @pytest.mark.parametrize("argv, exit_code",
+                             [*REACH, (HAMMING_REP3, 0), ([*HAMMING_REP3, "--budget", "2"], 3)],
+                             ids=[f"{i}-{argv[0]}-{argv[1]}" for i, (argv, _) in enumerate(REACH)]
+                             + ["hamming-rep3", "hamming-rep3-refused"])
+    def test_commands_run_with_numpy_blocked(self, work, argv, exit_code):
+        # with numpy blocked, a command that imported it would end in ModuleNotFoundError,
+        # which no handler turns into an exit code, and the probe would fail
+        code, _, modules = probe(work, 'sys.modules["numpy"] = None', *argv)
+        assert code == exit_code and "numpy" not in modules
+        assert "dataclasses" not in modules
 
     def test_layout_graph_loads_tanner(self, work):
-        # the probe sees a lazily imported layer when the command needs it; the
-        # graph half of tanner needs no numpy
+        # the probe sees a lazily imported layer when the command needs it
         modules = loaded(work, "", "layout", "--graph", FIXTURES / "lift_1px_z3.graph",
                          "--format", "tikz", "--out", work / "lift.tex")
         assert modules == GRAPH_ONLY | RENDER_ONLY
@@ -383,25 +314,6 @@ class TestImportSets:
         # a group table and an action are Python ints, and only binary_map needs gf2
         code, _, modules = probe(work, "", *argv)
         assert (code, modules) == (exit_code, GRAPH_ONLY | {"qpc.groups", "json"})
-
-    @pytest.mark.parametrize("argv", [
-        [*LINE3, FIXTURES / "line3_2lift.map.json"],
-        [*LINE3, FIXTURES / "line3_2lift_bad.map.json"],
-        [*LIFT_Z3, "double.graph"],
-        [*LIFT_Z3, "single.graph"],
-        ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "tikz"],
-        ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "svg", "--edges"],
-        ["layout", "--graph", FIXTURES / "lift_1px_z3.graph", "--format", "dot", "--edges"],
-        Z3_ACTION,
-        S3_ACTION,
-        ["verify", "action", "--graph", FIXTURES / "b4.graph",     # not free: exits 2
-         "--action", FIXTURES / "b4_z3.action.json"],
-    ], ids=["covering", "covering-bad", "covering-tanner", "covering-tanner-bad", "layout-tikz",
-            "layout-svg-edges", "layout-dot-edges", "action-z3", "action-s3", "action-refused"])
-    def test_graph_commands_run_with_numpy_blocked(self, work, argv):
-        code, out, modules = probe(work, 'sys.modules["numpy"] = None', *argv)
-        assert (code, out, modules) == probe(work, "", *argv)
-        assert out and "numpy" not in modules
 
 
 class TestPublicApi:
