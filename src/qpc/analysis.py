@@ -8,8 +8,8 @@ The logical count and the budget check read `gf2.rank`, so a refusal
 reduces no matrix.  A decided distance of a code whose check matrices
 are graphs (at most two ones per column, as in every hypergraph product
 of repetition codes) is a shortest cycle found by breadth-first search;
-any other reads `gf2.reduced`, which reduces each check matrix at most
-once, and searches its kernel (`gf2.min_weight`).
+any other reduces only the check matrices, each at most once
+(`gf2.reduced`), and searches their kernels (`gf2.min_weight`).
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.

@@ -69,8 +69,8 @@ class ClassicalCode:
         """Exact minimum weight of a non-zero codeword; None when k = 0.
 
         `gf2.coset_min_weight` with no stabiliser: the girth of a graph H,
-        else the 2^k - 1 combinations of a kernel basis; refuses when 2^k
-        exceeds `budget`.
+        else the search over systematic forms of a kernel basis
+        (`gf2.min_weight`); refuses when 2^k exceeds `budget`.
         A code with k = 0 is never refused.
         """
         return coset_min_weight(self.h, budget=budget) if self.dimension() else None

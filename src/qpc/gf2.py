@@ -3,7 +3,7 @@
 A matrix is the flat positions i * cols + j of its ones, as Python ints.
 All arithmetic is exact mod 2.  A matrix's entries never change once it
 is built (every operation returns a fresh value), so the rank, reduced
-form and graph it remembers once read cannot go stale.  Stacking, sums,
+form and graph it remembers once read cannot go stale.  Stacking,
 transposes and Kronecker products move positions; products and
 elimination read a matrix's rows as Python ints (`_row_ints`), column j
 at bit cols - 1 - j, so that a row's lowest column is its highest one,
@@ -15,17 +15,19 @@ one breadth-first spanning forest (`_forest`) that it remembers: `rank`
 counts its tree edges, and the graph code distance reads it again.
 Gaussian elimination has one implementation: an echelon basis keeps one
 row per lead (`_echelon`), whose count is any other matrix's rank.
-`rref` back-substitutes the echelon; it returns the reduced form and its
-pivots only, a kernel basis is derived from that result when read, and
-`reduced` runs it at most once per matrix.  `matmul` XORs the rows of b
-at a's ones, and `matmul_t` the columns of b, read as the rows of its
-transpose.
+`_reduce` back-substitutes the echelon; `rref` writes its rows out as
+the reduced form and its pivots only, a kernel basis is derived from
+that result when read, and `reduced` runs it at most once per matrix.
+`matmul` XORs the rows of b at a's ones, and `matmul_t` the columns of
+b, read as the rows of its transpose.
 
 `coset_min_weight` is the one exact-distance entry, for classical and
 CSS codes, with the one budget `DEFAULT_BUDGET` (`check_budget`): a
 shortest cycle (`_shortest_cycle`) for graph codes, else `min_weight`, a
-Brouwer-Zimmermann search over systematic forms.  Only `to_dense`
-imports a module outside the standard library, numpy, for its callers.
+Brouwer-Zimmermann search over systematic forms, each one `_reduce` of
+rows held as Python ints, from the kernel of the reduced checks to the
+last combination scored.  Only `to_dense` imports a module outside the
+standard library, numpy, for its callers.
 
 Intended scale is "desk size" (a few thousand columns); there is no
 sparse elimination, and a matrix with heavier columns is ranked in cubic time.
@@ -34,11 +36,10 @@ sparse elimination, and a matrix with heavier columns is ranked in cubic time.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from functools import reduce
 from itertools import chain, combinations, repeat
 from math import comb
-from operator import xor
+from operator import or_, xor
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, DimensionError
@@ -92,15 +93,6 @@ class BitMatrix:
     def ones(self) -> Iterator[tuple[int, int]]:
         """The (row, column) pairs of the ones as Python ints, each once, in no set order."""
         return map(divmod, self._flat, repeat(self.cols))
-
-    def columns(self, idx) -> "BitMatrix":
-        """The columns at `idx`, in that order (an index may repeat)."""
-        at = defaultdict(list)                          # column -> its places in idx
-        for t, j in enumerate(idx):
-            at[j].append(t)
-        n = len(idx)
-        return BitMatrix(self.rows, n, [p // self.cols * n + t for p in self._flat
-                                        for t in at.get(p % self.cols, ())])
 
     def weight(self) -> int:
         """Total number of non-zero entries."""
@@ -195,22 +187,28 @@ def _echelon(rows: list[int]) -> dict[int, int]:
     return leads
 
 
-def rref(m: BitMatrix) -> RrefResult:
-    """Gaussian elimination to reduced row echelon form, on Python-int rows.
-
-    The echelon basis (`_echelon`) is back-substituted from its last pivot
-    column up: each pivot row XORs in the reduced rows at the later pivots
-    it holds.  The rows, in ascending pivot order, are the first rows of
-    the result; the rows past the rank are zero.
-    """
-    leads = _echelon(_row_ints(m))
-    later = 0                                          # the pivot bits already reduced
+def _reduce(rows: list[int]) -> dict[int, int]:
+    """The reduced echelon basis of `_row_ints` rows: `_echelon`, back-substituted from
+    its lowest lead up, each row XORing in the reduced rows at the other leads it holds,
+    so that a row holds one lead, its own."""
+    leads = _echelon(rows)
+    later = 0                                          # the lead bits already reduced
     for b in sorted(leads):
         v = leads[b]
-        while x := v & later:                          # a reduced row holds one pivot bit
+        while x := v & later:                          # a reduced row holds one lead bit
             v ^= leads[x.bit_length()]
         leads[b] = v
         later |= 1 << (b - 1)
+    return leads
+
+
+def rref(m: BitMatrix) -> RrefResult:
+    """Gaussian elimination to reduced row echelon form (`_reduce` of m's rows).
+
+    The rows, in ascending pivot order, are the first rows of the result;
+    the rows past the rank are zero.
+    """
+    leads = _reduce(_row_ints(m))
     order = sorted(leads, reverse=True)                # ascending pivot columns
     return RrefResult(BitMatrix(m.rows, m.cols, _flat_of(enumerate(map(leads.get, order)), m.cols)),
                       tuple(m.cols - b for b in order))
@@ -327,12 +325,6 @@ def _xor_rows(a: BitMatrix, rows: list[int], cols: int) -> BitMatrix:
     return BitMatrix(a.rows, cols, _flat_of(enumerate(out), cols))
 
 
-def add(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    return BitMatrix(a.rows, a.cols, list(set(a._flat).symmetric_difference(b._flat)))
-
-
 def transpose(m: BitMatrix) -> BitMatrix:
     """Entry (i, j) moves to (j, i): position i * cols + j to j * rows + i."""
     rows, cols = m.rows, m.cols
@@ -362,38 +354,40 @@ def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
                                              for i, j in a.ones() for x in inner])
 
 
-def min_weight(stab: BitMatrix, logical: BitMatrix) -> int | None:
-    """Exact minimum weight over span(stab + logical) with a non-zero logical part.
+def min_weight(stab: list[int], logical: list[int], n: int) -> int | None:
+    """Exact minimum weight over span(stab + logical) with a non-zero logical part, each
+    row a `_row_ints` row of n columns.
 
     A Brouwer-Zimmermann search (Grassl, in *Discovering Mathematics with
-    Magma*, Springer 2006).  Each logical row gains a tag column of its own:
-    only combinations with non-zero tag bits count.  Form j is `rref` of the
-    tagged rows with the code columns no earlier form pivots on first, so
-    its r_j pivots there are disjoint from the other forms'.  Forms are
-    built until the code columns run out or they have read 2^dim entries.
-    Level w scores each combination of w of a form's dim rows, as a sum of
-    a rows of its first half and w - a of its second, skipping pairs whose
-    tags cancel.  An unscored vector takes w + 1 rows or more of each form
-    done, so holds at least w + 1 - (dim - r_j) ones on its pivots: the
-    search stops once the best weight is at most the sum of these.  A level
-    that would take the combinations scored past 2^dim is taken from the
-    first form alone.  None when `logical` has no rows.
+    Magma*, Springer 2006).  Logical row t gains a tag bit of its own, 1 << t,
+    below its code bits: only combinations with non-zero tag bits count.
+    `free` holds the code columns no form pivots on yet.  Form j is `_reduce`
+    of the tagged rows, each with a copy of its `free` bits above it, so that
+    a row's lead is a free column while it holds one: its r_j pivots there,
+    read off the leads above the copy's base, are disjoint from the other
+    forms'.  Forms are built until the code columns run out or they have read
+    2^dim entries.  Level w scores each combination of w of a form's dim rows,
+    as a sum of a rows of its first half and w - a of its second, skipping
+    pairs whose tags cancel.  An unscored vector takes w + 1 rows or more of
+    each form done, so holds at least w + 1 - (dim - r_j) ones on its pivots:
+    the search stops once the best weight is at most the sum of these.  A
+    level that would take the combinations scored past 2^dim is taken from
+    the first form alone.  None when `logical` has no rows.
     """
-    if logical.rows == 0:
+    if not logical:
         return None
-    k, n = logical.rows, logical.cols
-    tagged = hstack(vstack(logical, stab),
-                    vstack(BitMatrix.identity(k), BitMatrix.zeros(stab.rows, k)))
-    free = sorted({j for _, j in tagged.ones() if j < n})  # a form pivots on the first of these
+    k = len(logical)
+    width = n + k                                      # a tagged row's bits
+    tagged = [v << k | 1 << t for t, v in enumerate(logical)] + [v << k for v in stab]
+    free = reduce(or_, chain(logical, stab)) << k      # the code columns holding a one
     halves, ranks = [], []
     while not halves or free and len(halves) * dim * n < 1 << dim:
-        # the tag columns come last, so they are the low k bits of each row
-        form = rref(tagged.columns(free + sorted(set(range(n + k)).difference(free))))
-        dim, pivots = form.rank, {free[p] for p in form.pivot_cols if p < len(free)}
-        rows = _row_ints(form.basis)
+        leads = _reduce([(v & free) << width | v for v in tagged])
+        dim, pivots = len(leads), sum(1 << (b - 1 - width) for b in leads if b > width)
+        rows = [leads[b] & ((1 << width) - 1) for b in sorted(leads, reverse=True)]
         halves.append(((rows[:dim // 2], []), (rows[dim // 2:], [])))  # with `_sums` by size
-        ranks.append(len(pivots))
-        free = [j for j in free if j not in pivots]
+        ranks.append(pivots.bit_count())
+        free ^= pivots
     best, scored = n, 0
     for w in range(dim + 1):
         if scored + len(halves) * comb(dim, w) > 1 << dim:
@@ -437,21 +431,20 @@ def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
     a CSS code calls it once per direction.  Refused from `rank(checks)`,
     before any elimination, when 2^(kernel dimension) exceeds `budget`;
     None when no vector is outside.  Graph checks with a graph stabiliser, or
-    none, go to `_shortest_cycle`, any others to `min_weight`.
+    none, go to `_shortest_cycle`, any others to `min_weight`: only the checks
+    are reduced (`reduced`), for their kernel, and the stabiliser rows are
+    brought to echelon form alone.
     """
     check_budget(checks.cols, rank(checks), budget)
     if _edges(checks) is not None and (labels := _cycle_labels(stab, checks)) is not None:
         return _shortest_cycle(checks, labels)
-    kernel = reduced(checks).kernel
-    # with no stabiliser there is nothing to clear: the kernel basis is the logicals
-    if stab is None or not rank(stab):
-        return min_weight(BitMatrix.zeros(0, kernel.cols), kernel)
-    # Clearing the stabiliser pivot columns leaves logical completions that,
-    # with the stabiliser basis, span the kernel: commuting checks put the
+    kernel = _row_ints(reduced(checks).kernel)
+    # The stabiliser's echelon rows, then the kernel rows that add a lead: logical
+    # completions that, with them, span the kernel, as commuting checks put the
     # stabilisers inside it.
-    basis, pivots = reduced(stab).basis, reduced(stab).pivot_cols
-    logical = rref(add(kernel, matmul(kernel.columns(pivots), basis)))
-    return min_weight(basis, logical.basis)
+    base = {} if stab is None else _echelon(_row_ints(stab))
+    logical = [v for b, v in _echelon([*base.values(), *kernel]).items() if b not in base]
+    return min_weight(list(base.values()), logical, checks.cols)
 
 
 def _cycle_labels(stab: BitMatrix | None, checks: BitMatrix) -> list[int] | None:

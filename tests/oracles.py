@@ -6,8 +6,9 @@ or a value or view that only the tests need:
 - a `BitMatrix` from and as numpy arrays: from a dense array, its
   ones' indices, its entries at given positions and its packed 64-bit
   words;
-- rows of a `BitMatrix` as Python ints, and the row operations of an
-  elimination, found by eliminating [source | I];
+- rows of a `BitMatrix` as Python ints, its columns at given indices, the
+  sum of two matrices, and the row operations of an elimination, found by
+  eliminating [source | I];
 - the exact minimum weight by the numpy Gray-code walk that the
   Brouwer-Zimmermann search replaced, and the rows a coset distance
   searches;
@@ -41,8 +42,7 @@ import numpy as np
 from qpc.analysis import LogicalBasis
 from qpc.classical import ClassicalCode
 from qpc.errors import DimensionError, PreconditionError
-from qpc.gf2 import (BitMatrix, _row_ints, add, hstack, matmul, matmul_t, rank, reduced, rref,
-                     vstack)
+from qpc.gf2 import BitMatrix, _row_ints, hstack, matmul_t, rank, reduced, rref, vstack
 from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, binary_map
 from qpc.products import CSSCode, hgp, lifted_product
 from qpc.tanner import GroupAction, PlainGraph
@@ -123,7 +123,19 @@ def row_ops(source: BitMatrix) -> BitMatrix:
     and carries the same row operations into the right block.
     """
     reduced = rref(hstack(source, BitMatrix.identity(source.rows))).rref
-    return reduced.columns(range(source.cols, source.cols + source.rows))
+    return columns(reduced, range(source.cols, source.cols + source.rows))
+
+
+def columns(m: BitMatrix, idx) -> BitMatrix:
+    """The columns of m at `idx`, in that order (an index may repeat)."""
+    idx = list(idx)
+    return from_dense(m.to_dense()[:, idx].reshape(m.rows, len(idx)))
+
+
+def add(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """a + b over GF(2): the ones of exactly one of them."""
+    assert a.shape == b.shape, (a.shape, b.shape)
+    return BitMatrix(a.rows, a.cols, list(set(a._flat) ^ set(b._flat)))
 
 
 # -- exact minimum weight by a Gray-code walk -----------------------------------
@@ -178,13 +190,22 @@ def gray_walk(stab: BitMatrix, logical: BitMatrix) -> int | None:
 
 def coset_rows(checks: BitMatrix, stab: BitMatrix | None) -> tuple[BitMatrix, BitMatrix]:
     """The (stabiliser, logical) rows whose minimum weight `gf2.coset_min_weight` finds
-    for a code that is no graph: the stabiliser basis and the logical completions left
-    after clearing its pivot columns from the kernel basis of the checks."""
+    for a code that is no graph: the stabiliser's echelon rows, then the rows of the
+    kernel basis of the checks that add a lead, each reduced as it was kept.
+
+    Rows are little-endian ints here, so a row's lead is its lowest column, the
+    lead `gf2._echelon` reads off its big-endian rows.
+    """
     kernel = reduced(checks).kernel
-    if stab is None or not rank(stab):
-        return BitMatrix.zeros(0, kernel.cols), kernel
-    basis, pivots = reduced(stab).basis, reduced(stab).pivot_cols
-    return basis, rref(add(kernel, matmul(kernel.columns(pivots), basis))).basis
+    stab = BitMatrix.zeros(0, kernel.cols) if stab is None else stab
+    kept, rows = {}, ([], [])                          # the stabiliser's, the logicals
+    for i, v in enumerate(rows_as_ints(stab) + rows_as_ints(kernel)):
+        while (v & -v) in kept:
+            v ^= kept[v & -v]
+        if v:
+            kept[v & -v] = v
+            rows[i >= stab.rows].append(v)
+    return tuple(from_row_ints(r, kernel.cols) for r in rows)
 
 
 # -- classical check matrices --------------------------------------------------

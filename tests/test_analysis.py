@@ -23,7 +23,7 @@ from qpc.analysis import (
 )
 from qpc.classical import ClassicalCode
 from qpc.errors import BudgetError, PreconditionError
-from qpc.gf2 import BitMatrix, add, coset_min_weight, matmul, rank, transpose, vstack
+from qpc.gf2 import BitMatrix, coset_min_weight, matmul, rank, transpose, vstack
 from qpc.groups import (
     FiniteGroup,
     GroupAlgebraMatrix,
@@ -31,8 +31,9 @@ from qpc.groups import (
 )
 from qpc.products import css_from_matrices, hgp, lifted_product
 
-from oracles import (from_dense, from_masks, from_row_ints, hamming_7_4_check, repetition_check,
-                     row_int, row_weight, rows_as_ints, search_noncommuting_lp, verify_logical_basis)
+from oracles import (add, from_dense, from_masks, from_row_ints, hamming_7_4_check,
+                     repetition_check, row_int, row_weight, rows_as_ints, search_noncommuting_lp,
+                     verify_logical_basis)
 
 
 def rep3():
@@ -175,12 +176,11 @@ class TestCosetMinWeight:
             boundary(lambda budget: css_distance(code, budget), dim, css_distance(code))
 
     def test_hamming_rep3_analyze_reduces_each_matrix_once(self, tmp_path, monkeypatch):
-        # H_X and H_Z and their kernels' logicals, each direction's systematic forms
-        # of its tagged rows (dim rows, n + k columns), then the Hamming code's H and
-        # its forms; with no stabiliser nothing is cleared, so no kernel is reduced
-        # again.  Every matrix read from a file is ranked in Python: H^T (k = 0) needs
-        # no distance, and rep3 and its transpose are graphs, their distances found
-        # by breadth-first search, so none of them is reduced.
+        # H_X and H_Z, for their kernels, then the Hamming code's H: the stabilisers,
+        # the logical completions and the systematic forms stay rows of Python ints.
+        # Every matrix read from a file is ranked in Python: H^T (k = 0) needs no
+        # distance, and rep3 and its transpose are graphs, their distances found by
+        # breadth-first search, so none of them is reduced.
         from qpc import cli, gf2
 
         fixtures = Path(__file__).resolve().parent.parent / "fixtures"
@@ -201,8 +201,19 @@ class TestCosetMinWeight:
                         monkeypatch.setattr(module, name, counted)
             analyze = ["analyze", "--hx", "ham.hx.alist", "--hz", "ham.hz.alist", *codes]
             assert cli.main(analyze) == 0
-        assert shapes == [(9, 30), (21, 30), (21, 30), (21, 34), (21, 34), (13, 30), (13, 34),
-                          (13, 34), (13, 34), (3, 7), (4, 11)]
+        assert shapes == [(9, 30), (21, 30), (3, 7)]
+
+    def test_hamming_squared_is_decided_beyond_the_walk(self):
+        # Hamming(7,4) x Hamming(7,4) is [[58,16,3]]: each direction's kernel has
+        # dimension 58 - 21 = 37, past the default budget
+        ham = ClassicalCode(hamming_7_4_check())
+        code = hgp(ham, ham)
+        assert (code.n, logical_count(code)) == (58, 16)
+        for checks, stab in ((code.h_x, code.h_z), (code.h_z, code.h_x)):
+            assert checks.cols - rank(checks) == 37
+            assert coset_min_weight(checks, stab, 1 << 37) == 3
+            with pytest.raises(BudgetError):
+                coset_min_weight(checks, stab)
 
 
 class TestCommutation:

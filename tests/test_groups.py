@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qpc.errors import FormatError, PreconditionError
-from qpc.gf2 import BitMatrix, add, matmul, transpose
+from qpc.gf2 import BitMatrix, matmul, transpose
 from qpc.groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
@@ -21,8 +21,8 @@ from qpc.groups import (
 )
 from qpc.tanner import parse_graph
 
-from oracles import (_validate_group_table, conj_transpose, emit_ring_matrix, is_abelian, monomial,
-                     ring_kron_identity, ring_matmul)
+from oracles import (_validate_group_table, add, conj_transpose, emit_ring_matrix, is_abelian,
+                     monomial, ring_kron_identity, ring_matmul)
 
 
 def s3_table():

@@ -83,7 +83,7 @@ PENDING = {
     "lift_with_regular_actions": "items 6 and 7 (left/right products, the lift route)",
 }
 # Public names that only perfbench reaches: its tracer patches each `TARGETS` entry by name.
-PERFBENCH_ONLY = {"kernel_basis"}
+PERFBENCH_ONLY = {"kernel_basis", "matmul"}
 
 # Commands that, with the README sketch, reach every other public name, each with its
 # exit code.  Files named without a directory are in `work`; a comment names the error
