@@ -8,8 +8,8 @@ The logical count and the budget check read `gf2.rank`, so a refusal
 reduces no matrix.  A decided distance of a code whose check matrices
 are graphs (at most two ones per column, as in every hypergraph product
 of repetition codes) is a shortest cycle found by breadth-first search;
-any other reduces only the check matrices, each at most once
-(`gf2.reduced`), and searches their kernels (`gf2.min_weight`).
+any other reduces only the check matrices, once each, for their kernels'
+int rows (`gf2._kernel`), which `gf2.min_weight` searches.
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.

@@ -9,8 +9,8 @@ shortest cycle of an H with at most two ones per column (its girth), and
 searches the kernel of any other H by its systematic forms
 (`gf2.min_weight`); codes with 2^k beyond the budget are refused from
 the rank of H, before any elimination, not estimated.
-H's rank and reduced form are remembered by H itself (`gf2.rank`,
-`gf2.reduced`).
+H's rank is remembered by H itself (`gf2.rank`); a decided distance of
+an H that is no graph reduces H once, for its kernel (`gf2._kernel`).
 
 The readers and emitters work on a matrix's flat positions: the PCM emitter
 sets one byte per one in a template of "0 " rows, the alist emitter reads
@@ -30,7 +30,7 @@ from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 from .errors import FormatError, PreconditionError, read_file
-from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, rank, reduced, rref, transpose
+from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, kernel_basis, rank, rref, transpose
 
 
 class SystematicBasis(NamedTuple):
@@ -76,7 +76,7 @@ class ClassicalCode:
         return coset_min_weight(self.h, budget=budget) if self.dimension() else None
 
     def transpose_code(self) -> "ClassicalCode":
-        """The code of H^T: checks and bits exchanged; one object, so H^T is reduced once."""
+        """The code of H^T: checks and bits exchanged; one object, so H^T is ranked once."""
         if self._transpose is None:
             self._transpose = ClassicalCode(transpose(self.h))
         return self._transpose
@@ -85,7 +85,7 @@ class ClassicalCode:
         """Codeword basis whose leading block is the identity after a column permutation."""
         if self.dimension() == 0:
             raise PreconditionError("k = 0: the code has no codeword basis")
-        basis = rref(reduced(self.h).kernel)
+        basis = rref(kernel_basis(self.h))
         pivots = list(basis.pivot_cols)
         rest = [c for c in range(self.n) if c not in set(pivots)]
         return SystematicBasis(column_permutation=tuple(pivots + rest), generator=basis.rref)

@@ -2,13 +2,12 @@
 
 A matrix is the flat positions i * cols + j of its ones, as Python ints.
 All arithmetic is exact mod 2.  A matrix's entries never change once it
-is built (every operation returns a fresh value), so the rank, reduced
-form and graph it remembers once read cannot go stale.  Stacking,
-transposes and Kronecker products move positions; products and
-elimination read a matrix's rows as Python ints (`_row_ints`), column j
-at bit cols - 1 - j, so that a row's lowest column is its highest one,
-which `int.bit_length` reads in one step, and write them back as
-positions (`_flat_of`).
+is built (every operation returns a fresh value), so the rank and graph
+it remembers once read cannot go stale.  Stacking, transposes and
+Kronecker products move positions; products and elimination read a
+matrix's rows as Python ints (`_row_ints`), column j at bit cols - 1 - j,
+so that a row's lowest column is its highest one, which `int.bit_length`
+reads in one step, and write them back as positions (`_flat_of`).
 
 A matrix whose columns hold at most two ones is a graph, read once into
 one breadth-first spanning forest (`_forest`) that it remembers: `rank`
@@ -16,8 +15,8 @@ counts its tree edges, and the graph code distance reads it again.
 Gaussian elimination has one implementation: an echelon basis keeps one
 row per lead (`_echelon`), whose count is any other matrix's rank.
 `_reduce` back-substitutes the echelon; `rref` writes its rows out as
-the reduced form and its pivots only, a kernel basis is derived from
-that result when read, and `reduced` runs it at most once per matrix.
+the reduced form and its pivots, and `_kernel` reads a kernel basis off
+the same rows, as Python ints, one row per free column.
 `matmul` XORs the rows of b at a's ones, and `matmul_t` the columns of
 b, read as the rows of its transpose.
 
@@ -25,7 +24,7 @@ b, read as the rows of its transpose.
 CSS codes, with the one budget `DEFAULT_BUDGET` (`check_budget`): a
 shortest cycle (`_shortest_cycle`) for graph codes, else `min_weight`, a
 Brouwer-Zimmermann search over systematic forms, each one `_reduce` of
-rows held as Python ints, from the kernel of the reduced checks to the
+rows held as Python ints, from the checks' kernel (`_kernel`) to the
 last combination scored.  Only `to_dense` imports a module outside the
 standard library, numpy, for its callers.
 
@@ -51,7 +50,7 @@ DEFAULT_BUDGET = 1 << 24
 class BitMatrix:
     """Dense matrix over GF(2); entry (i, j) is one when i * cols + j is in `_flat`."""
 
-    __slots__ = ("rows", "cols", "_flat", "_rank", "_rref", "_graph")
+    __slots__ = ("rows", "cols", "_flat", "_rank", "_graph")
 
     def __init__(self, rows: int, cols: int, flat: list[int]):
         if rows < 0 or cols < 0:
@@ -59,7 +58,7 @@ class BitMatrix:
         self.rows = rows
         self.cols = cols
         self._flat = flat  # i * cols + j, distinct, in any order
-        self._rank = self._rref = self._graph = None  # filled by rank, reduced and _edges
+        self._rank = self._graph = None  # filled by rank and _edges
 
     # -- constructors ------------------------------------------------------
 
@@ -121,8 +120,7 @@ class BitMatrix:
 class RrefResult(NamedTuple):
     """A matrix's reduced row echelon form `rref`, of the same shape.
 
-    `pivot_cols` is strictly increasing; the rank is its length.  The
-    kernel is derived from it only when read.
+    `pivot_cols` is strictly increasing; the rank is its length.
     """
 
     rref: BitMatrix
@@ -131,25 +129,6 @@ class RrefResult(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
-
-    @property
-    def basis(self) -> BitMatrix:
-        """The non-zero rows of `rref`, which hold all its ones: a basis of the row space."""
-        return BitMatrix(self.rank, self.rref.cols, self.rref._flat)
-
-    @property
-    def kernel(self) -> BitMatrix:
-        """Basis of the right kernel of the reduced matrix, one vector per free column.
-
-        The vector of the t-th free column f has a one at f and, at pivot
-        column pivot_cols[r], entry (r, f) of `rref`.
-        """
-        cols, pivots = self.rref.cols, self.pivot_cols
-        taken = set(pivots)
-        free = {f: t for t, f in enumerate(f for f in range(cols) if f not in taken)}
-        flat = [t * cols + f for f, t in free.items()]
-        flat += [free[c] * cols + pivots[r] for r, c in self.rref.ones() if c in free]
-        return BitMatrix(len(free), cols, flat)
 
 
 def _row_ints(m: BitMatrix) -> list[int]:
@@ -214,14 +193,21 @@ def rref(m: BitMatrix) -> RrefResult:
                       tuple(m.cols - b for b in order))
 
 
-def reduced(m: BitMatrix) -> RrefResult:
-    """rref(m), eliminated at most once per matrix; it must agree with a rank already found."""
-    if m._rref is None:
-        result = rref(m)
-        if m._rank not in (None, result.rank):
-            raise AssertionError("the pivot count differs from the rank found before elimination")
-        m._rank, m._rref = result.rank, result
-    return m._rref
+def _kernel(m: BitMatrix) -> list[int]:
+    """A basis of m's right kernel as `_row_ints` rows, one per free column, in ascending
+    column order: the free column's own bit, and the lead bit of each reduced row
+    (`_reduce`) that holds that column.  The pivot count must agree with a rank already
+    found."""
+    leads = _reduce(_row_ints(m))
+    if m._rank not in (None, len(leads)):
+        raise AssertionError("the pivot count differs from the rank found before elimination")
+    kernel = {f: 1 << (f - 1) for f in range(m.cols, 0, -1) if f not in leads}
+    for b, v in leads.items():
+        x = v ^ (1 << (b - 1))                         # the row's free columns
+        while x:
+            kernel[f := x.bit_length()] |= 1 << (b - 1)
+            x ^= 1 << (f - 1)
+    return list(kernel.values())
 
 
 def rank(m: BitMatrix) -> int:
@@ -288,11 +274,14 @@ def _forest(m: BitMatrix) -> tuple | None:
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
-    """Basis of the right kernel, one vector per row.
+    """Basis of the right kernel, one vector per row (`_kernel`, written out once).
 
     The result has `cols - rank(m)` rows; each row v satisfies m v = 0.
+    Row t has a one at the t-th free column of m's reduced form and at
+    no other free column.
     """
-    return rref(m).kernel
+    kernel = _kernel(m)
+    return BitMatrix(len(kernel), m.cols, _flat_of(enumerate(kernel), m.cols))
 
 
 def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -432,13 +421,13 @@ def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
     before any elimination, when 2^(kernel dimension) exceeds `budget`;
     None when no vector is outside.  Graph checks with a graph stabiliser, or
     none, go to `_shortest_cycle`, any others to `min_weight`: only the checks
-    are reduced (`reduced`), for their kernel, and the stabiliser rows are
-    brought to echelon form alone.
+    are reduced, once, for their kernel's int rows (`_kernel`), and the
+    stabiliser rows are brought to echelon form alone.
     """
     check_budget(checks.cols, rank(checks), budget)
     if _edges(checks) is not None and (labels := _cycle_labels(stab, checks)) is not None:
         return _shortest_cycle(checks, labels)
-    kernel = _row_ints(reduced(checks).kernel)
+    kernel = _kernel(checks)
     # The stabiliser's echelon rows, then the kernel rows that add a lead: logical
     # completions that, with them, span the kernel, as commuting checks put the
     # stabilisers inside it.

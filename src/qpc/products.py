@@ -43,7 +43,7 @@ class CSSCode:
     `layout` is given as a function of the incidence edges; the table is
     built on first read of `code.layout`, and its edges on first read of
     `code.layout.edges`.  `commutator` is H_X H_Z^T, computed once; the
-    ranks and reduced forms of H_X and H_Z are remembered by the matrices.
+    ranks and forests of H_X and H_Z are remembered by the matrices.
     """
 
     def __init__(self, h_x: BitMatrix, h_z: BitMatrix, q1_size: int,

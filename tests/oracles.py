@@ -42,7 +42,7 @@ import numpy as np
 from qpc.analysis import LogicalBasis
 from qpc.classical import ClassicalCode
 from qpc.errors import DimensionError, PreconditionError
-from qpc.gf2 import BitMatrix, _row_ints, hstack, matmul_t, rank, reduced, rref, vstack
+from qpc.gf2 import BitMatrix, _row_ints, hstack, kernel_basis, matmul_t, rank, rref, vstack
 from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, binary_map
 from qpc.products import CSSCode, hgp, lifted_product
 from qpc.tanner import GroupAction, PlainGraph
@@ -196,7 +196,7 @@ def coset_rows(checks: BitMatrix, stab: BitMatrix | None) -> tuple[BitMatrix, Bi
     Rows are little-endian ints here, so a row's lead is its lowest column, the
     lead `gf2._echelon` reads off its big-endian rows.
     """
-    kernel = reduced(checks).kernel
+    kernel = kernel_basis(checks)
     stab = BitMatrix.zeros(0, kernel.cols) if stab is None else stab
     kept, rows = {}, ([], [])                          # the stabiliser's, the logicals
     for i, v in enumerate(rows_as_ints(stab) + rows_as_ints(kernel)):

@@ -176,20 +176,25 @@ class TestCosetMinWeight:
             boundary(lambda budget: css_distance(code, budget), dim, css_distance(code))
 
     def test_hamming_rep3_analyze_reduces_each_matrix_once(self, tmp_path, monkeypatch):
-        # H_X and H_Z, for their kernels, then the Hamming code's H: the stabilisers,
-        # the logical completions and the systematic forms stay rows of Python ints.
-        # Every matrix read from a file is ranked in Python: H^T (k = 0) needs no
+        # H_X and H_Z, for their kernels, then the Hamming code's H: each kernel is
+        # read off the reduced rows as Python ints, as are the stabilisers, the
+        # logical completions and the systematic forms, so no `rref` runs.  Every
+        # matrix read from a file is ranked in Python: H^T (k = 0) needs no
         # distance, and rep3 and its transpose are graphs, their distances found by
         # breadth-first search, so none of them is reduced.
         from qpc import cli, gf2
 
         fixtures = Path(__file__).resolve().parent.parent / "fixtures"
-        original = gf2.rref
-        shapes = []
+        original, original_rref = gf2._kernel, gf2.rref
+        shapes, rrefs = [], []
 
         def counted(m):
             shapes.append(m.shape)
             return original(m)
+
+        def counted_rref(m):
+            rrefs.append(m.shape)
+            return original_rref(m)
 
         monkeypatch.chdir(tmp_path)
         codes = ["--c1", str(fixtures / "hamming74.pcm"), "--c2", str(fixtures / "rep3.pcm")]
@@ -199,9 +204,11 @@ class TestCosetMinWeight:
                 for name, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, name, counted)
+                    elif value is original_rref:
+                        monkeypatch.setattr(module, name, counted_rref)
             analyze = ["analyze", "--hx", "ham.hx.alist", "--hz", "ham.hz.alist", *codes]
             assert cli.main(analyze) == 0
-        assert shapes == [(9, 30), (21, 30), (3, 7)]
+        assert shapes == [(9, 30), (21, 30), (3, 7)] and rrefs == []
 
     def test_hamming_squared_is_decided_beyond_the_walk(self):
         # Hamming(7,4) x Hamming(7,4) is [[58,16,3]]: each direction's kernel has
@@ -428,8 +435,8 @@ class TestDistanceBound:
     def test_each_transposed_code_is_reduced_once(self, monkeypatch):
         # the HGP cross-check: hgp_k_formula, then hgp_distance_bound
         calls = []
-        real = gf2.rref
-        monkeypatch.setattr(gf2, "rref", lambda m: calls.append(m) or real(m))
+        real = gf2._kernel
+        monkeypatch.setattr(gf2, "_kernel", lambda m: calls.append(m) or real(m))
         c1, c2 = ClassicalCode(hamming_7_4_check()), rep3()
         assert hgp_k_formula(c1, c2) == 4
         assert hgp_distance_bound(c1, c2) == 3

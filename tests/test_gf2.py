@@ -143,11 +143,12 @@ class TestComponentRank:
     """`rank` of a graph, or of any other matrix, runs no `rref`."""
 
     def test_against_int_elimination(self):
-        # every path of `rank`: the components of a graph, else Python ints, for a
-        # matrix packed or read as flat positions.  A later `reduced` agrees with
-        # the rank found.
+        # every path of `rank`: the components of a graph, else one `_echelon` of
+        # Python ints, for a matrix packed or read as flat positions.  The kernel of
+        # a fresh copy agrees with the rank found.
         rng = random.Random(1818)
         seen = Counter()
+        echelon = gf2._echelon
         with pytest.MonkeyPatch.context() as patch:
             for trial in range(2400):
                 rows, cols, column_rows = graph_matrix(rng)
@@ -164,13 +165,15 @@ class TestComponentRank:
                           flat_from_columns(rows, cols, column_rows)):
                     graph = max(map(len, column_rows), default=0) <= 2
                     path = "components" if graph else "ints"
-                    reduced = []
-                    patch.setattr(gf2, "rref", lambda m: reduced.append(m) or rref(m))
+                    eliminated = []
+                    patch.setattr(gf2, "_echelon", lambda rows: eliminated.append(rows) or echelon(rows))
                     got = rank(m)
                     assert rank(m) == got                # remembered: no second elimination
+                    patch.undo()
                     assert got == expected, (rows, cols, column_rows)
-                    assert not reduced, path
-                    assert gf2.reduced(m).rank == expected
+                    assert len(eliminated) == (path == "ints"), path
+                    copy = BitMatrix(m.rows, m.cols, list(m._flat))
+                    assert len(gf2._kernel(copy)) == cols - expected
                     seen[path] += 1
                     seen["flat " + path] += m._flat is not None
                 touched = {r for rs in column_rows for r in rs}
@@ -187,7 +190,6 @@ class TestComponentRank:
         c = ClassicalCode(repetition_check(16))
         code = hgp(c, c)
         assert (rank(code.h_x), rank(code.h_z)) == (255, 255)
-        assert code.h_x._rref is None and code.h_z._rref is None
 
     def test_columns_are_grouped_at_most_once(self, monkeypatch):
         # rank, the commutator and the distance share one reading of a matrix's
@@ -207,16 +209,16 @@ class TestComponentRank:
         assert rank(heavy) == 2 and matmul_t(heavy, heavy).shape == (3, 3)
         assert read[10:] == [(3, 40)] * 3
 
-    def test_reduced_refuses_a_rank_it_disagrees_with(self):
+    def test_kernel_refuses_a_rank_it_disagrees_with(self):
         # the rank found before, by components or by Python ints, against the pivots
         heavy = BitMatrix(3, 4, flat=[0, 4, 8, 1, 6, 11])  # column 0 holds three ones
         for m, r in ((repetition_check(5), 4), (heavy, 3)):
-            assert rank(m) == r and m._rref is None
+            assert rank(m) == r
             m._rank = r - 1
             with pytest.raises(AssertionError, match="the rank found before elimination"):
-                gf2.reduced(m)
+                gf2._kernel(m)
             m._rank = r
-            assert gf2.reduced(m) is gf2.reduced(m) and gf2.reduced(m).rank == r
+            assert len(gf2._kernel(m)) == m.cols - r
 
 
 class TestRref:
@@ -314,7 +316,7 @@ class TestKernel:
 
 
     def test_matches_free_column_loop(self):
-        # the per-free-column fill that RrefResult.kernel replaced
+        # the per-free-column fill that the kernel's int rows replaced
         def loop_kernel(m):
             res = rref(m)
             free = [c for c in range(m.cols) if c not in set(res.pivot_cols)]
@@ -330,7 +332,7 @@ class TestKernel:
         for _ in range(60):
             m = random_bitmatrix(rng, rng.randint(0, 9), rng.randint(0, 150))
             assert kernel_basis(m) == loop_kernel(m)
-            assert rref(m).kernel == loop_kernel(m)
+            assert gf2._kernel(m) == _row_ints(loop_kernel(m))
 
 
     def test_matches_dense_oracle_across_word_boundaries(self):
@@ -349,7 +351,7 @@ class TestKernel:
             oracle = np.zeros((len(free), cols), dtype=np.uint8)
             oracle[np.arange(len(free)), free] = 1
             oracle[:, list(res.pivot_cols)] = reduced[: res.rank][:, free].T
-            kernel = res.kernel
+            kernel = kernel_basis(from_dense(dense))
             assert kernel.shape == (len(free), cols)
             assert np.array_equal(kernel.to_dense(), oracle), (rows, cols)
             assert not (dense.astype(int) @ oracle.T.astype(int) % 2).any()
@@ -586,7 +588,8 @@ def word_views():
     out = oracle_shapes()
     for rows, cols in ((0, 130), (7, 0), (40, 64), (33, 200), (9, 129)):
         m = from_dense(rng.random((rows, cols)) < 0.3)
-        out.append(rref(m).basis)
+        res = rref(m)
+        out.append(BitMatrix(res.rank, cols, res.rref._flat))
         out.append(from_words(packed_words(m)[::2], cols))
         if cols > 64:
             out.append(from_words(packed_words(m)[:, :1], 64))
