@@ -5,11 +5,11 @@ kernel(H_X) minus the row space of H_Z.  `gf2.coset_min_weight` gives it,
 and the classical distances of the HGP cross-check, under one budget
 (default 2^24 steps); beyond it they are refused, never approximated.
 The logical count and the budget check read `gf2.rank`, so a refusal
-reduces no matrix.  A decided distance of a code whose check matrices
-are graphs (at most two ones per column, as in every hypergraph product
-of repetition codes) is a shortest cycle found by breadth-first search;
-any other reduces only the check matrices, once each, for their kernels'
-int rows (`gf2._kernel`), which `gf2.min_weight` searches.
+reduces no matrix.  A decided direction with graph checks (at most two
+ones per column) is a shortest cycle found by breadth-first search,
+labelled by the opposite logicals, which reduce the stabiliser once
+(`gf2._kernel`); any other reduces its checks once, for their kernel's
+int rows, which `gf2.min_weight` searches.
 
 Non-commuting codes (possible for lifted products) get n only; k and d
 computations refuse them loudly.

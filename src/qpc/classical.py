@@ -9,8 +9,9 @@ shortest cycle of an H with at most two ones per column (its girth), and
 searches the kernel of any other H by its systematic forms
 (`gf2.min_weight`); codes with 2^k beyond the budget are refused from
 the rank of H, before any elimination, not estimated.
-H's rank is remembered by H itself (`gf2.rank`); a decided distance of
-an H that is no graph reduces H once, for its kernel (`gf2._kernel`).
+H's rank is remembered by H itself (`gf2.rank`); a decided distance
+reduces an H that is no graph once, for its kernel (`gf2._kernel`), and
+a graph H not at all: its cycle labels are read off its spanning forest.
 
 The readers and emitters work on a matrix's flat positions: the PCM emitter
 sets one byte per one in a template of "0 " rows, the alist emitter reads

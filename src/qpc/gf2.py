@@ -11,7 +11,7 @@ reads in one step, and write them back as positions (`_flat_of`).
 
 A matrix whose columns hold at most two ones is a graph, read once into
 one breadth-first spanning forest (`_forest`) that it remembers: `rank`
-counts its tree edges, and the graph code distance reads it again.
+counts its tree edges, and a graph code's distance reads the columns off it.
 Gaussian elimination has one implementation: an echelon basis keeps one
 row per lead (`_echelon`), whose count is any other matrix's rank.
 `_reduce` back-substitutes the echelon; `rref` writes its rows out as
@@ -22,11 +22,12 @@ b, read as the rows of its transpose.
 
 `coset_min_weight` is the one exact-distance entry, for classical and
 CSS codes, with the one budget `DEFAULT_BUDGET` (`check_budget`): a
-shortest cycle (`_shortest_cycle`) for graph codes, else `min_weight`, a
+shortest cycle (`_shortest_cycle`) for graph checks, else `min_weight`, a
 Brouwer-Zimmermann search over systematic forms, each one `_reduce` of
-rows held as Python ints, from the checks' kernel (`_kernel`) to the
-last combination scored.  Only `to_dense` imports a module outside the
-standard library, numpy, for its callers.
+rows held as Python ints.  Both read one coset rule, `_logicals`: the
+search the checks' logicals, the cycle engine the opposite ones, as its
+column labels.  Only `to_dense` imports a module outside the standard
+library, numpy, for its callers.
 
 Intended scale is "desk size" (a few thousand columns); there is no
 sparse elimination, and a matrix with heavier columns is ranked in cubic time.
@@ -220,7 +221,7 @@ def rank(m: BitMatrix) -> int:
         elif (graph := _edges(m)) is None:
             m._rank = len(_echelon(_row_ints(m)))
         else:
-            m._rank = len(graph[2]) - graph[2].count(-1)  # each vertex but a root has a parent
+            m._rank = m.cols - len(graph[2])           # the tree edges
     return m._rank
 
 
@@ -233,15 +234,15 @@ def _edges(m: BitMatrix) -> tuple | None:
 
 def _forest(m: BitMatrix) -> tuple | None:
     """m as a graph on its rows and a ground vertex, `rows`, with a breadth-first
-    spanning forest: (ends, adj, up, order); None at the first column found with three
-    ones, at once when m averages more than two ones a column.
+    spanning forest: (ends, adj, off); None at the first column found with three ones,
+    at once when m averages more than two ones a column.
 
     Column j joins its rows ends[2j] and ends[2j + 1], ground standing in for each
     one it lacks (a zero column is a loop at ground).  Half-edge h is the end ends[h]
     of column h >> 1, and h ^ 1 its other end.  adj[v] lists, by column, the far
     half-edges of v's columns: one list per vertex, as the shortest-cycle search
-    reads it once per search.  up[v] is v's half-edge to its parent, -1 at a root;
-    `order` lists the vertices parents first.
+    reads it once per search.  `off` lists the columns off the spanning forest in
+    ascending order: each closes one cycle, and every cycle holds one.
     """
     rows, cols = m.rows, m.cols
     if len(m._flat) > 2 * cols:
@@ -259,18 +260,16 @@ def _forest(m: BitMatrix) -> tuple | None:
     adj = [[] for _ in range(rows + 1)]
     for h in range(2 * cols):
         adj[ends[h ^ 1]].append(h)
-    up, order = [None] * (rows + 1), []
+    seen, tree = [False] * (rows + 1), [False] * cols
     for root in range(rows + 1):
-        if up[root] is None:
-            up[root], queue = -1, [root]
+        if not seen[root]:
+            seen[root], queue = True, [root]
             for x in queue:
                 for h in adj[x]:
-                    y = ends[h]
-                    if up[y] is None:
-                        up[y] = h
+                    if not seen[y := ends[h]]:
+                        seen[y] = tree[h >> 1] = True
                         queue.append(y)
-            order += queue
-    return ends, adj, up, order
+    return ends, adj, [j for j in range(cols) if not tree[j]]
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
@@ -414,52 +413,49 @@ def check_budget(cols: int, rank: int, budget: int) -> None:
 
 def coset_min_weight(checks: BitMatrix, stab: BitMatrix | None = None,
                      budget: int = DEFAULT_BUDGET) -> int | None:
-    """Exact minimum weight over kernel(checks) outside rowspace(stab).
+    """Exact minimum weight over kernel(checks) outside rowspace(stab), for a stabiliser
+    that commutes with the checks.
 
     The one exact-distance entry: a classical code passes no stabiliser,
     a CSS code calls it once per direction.  Refused from `rank(checks)`,
     before any elimination, when 2^(kernel dimension) exceeds `budget`;
-    None when no vector is outside.  Graph checks with a graph stabiliser, or
-    none, go to `_shortest_cycle`, any others to `min_weight`: only the checks
-    are reduced, once, for their kernel's int rows (`_kernel`), and the
-    stabiliser rows are brought to echelon form alone.
+    None when no vector is outside.  Graph checks go to `_shortest_cycle`,
+    whatever the stabiliser, any others to `min_weight`.  Each reduces at
+    most one matrix, once, for its kernel's int rows (`_kernel`): the search
+    the checks, the cycle engine the stabiliser, for its labels (`_cycle_labels`).
     """
     check_budget(checks.cols, rank(checks), budget)
-    if _edges(checks) is not None and (labels := _cycle_labels(stab, checks)) is not None:
-        return _shortest_cycle(checks, labels)
-    kernel = _kernel(checks)
-    # The stabiliser's echelon rows, then the kernel rows that add a lead: logical
-    # completions that, with them, span the kernel, as commuting checks put the
-    # stabilisers inside it.
+    if _edges(checks) is not None:
+        return _shortest_cycle(checks, _cycle_labels(stab, checks))
+    return min_weight(*_logicals(checks, stab), checks.cols)
+
+
+def _logicals(checks: BitMatrix, stab: BitMatrix | None) -> tuple[list[int], list[int]]:
+    """(stab's echelon rows, logical rows) as `_row_ints` rows: the logicals are the
+    kernel rows of the checks (`_kernel`) that add a lead to the stabiliser's echelon
+    rows.  When the checks commute with `stab`, its rows lie in kernel(checks), and
+    the two lists together are a basis of it."""
     base = {} if stab is None else _echelon(_row_ints(stab))
-    logical = [v for b, v in _echelon([*base.values(), *kernel]).items() if b not in base]
-    return min_weight(list(base.values()), logical, checks.cols)
+    logical = [v for b, v in _echelon([*base.values(), *_kernel(checks)]).items() if b not in base]
+    return list(base.values()), logical
 
 
-def _cycle_labels(stab: BitMatrix | None, checks: BitMatrix) -> list[int] | None:
-    """Each column's bits over the fundamental cycles of the graph `stab`: x is in the
-    span of its rows exactly when the labels of x's columns XOR to zero.  With no
-    stabiliser, only the columns off the checks' own spanning forest have a bit, one
-    each, as every cycle of the checks holds one; None when `stab` is no graph.
+def _cycle_labels(stab: BitMatrix | None, checks: BitMatrix) -> list[int]:
+    """Each column's label: x in kernel(checks) is in rowspace(stab) exactly when the
+    labels of x's columns XOR to zero.
 
-    Cycle t is closed by the t-th column off the spanning forest (a zero column
-    alone); a forest column lies on the cycles with one end below it.
+    Bit t of column j is bit j of the t-th opposite logical (`_logicals(stab, checks)`).
+    rowspace(stab) = kernel(stab)^perp, and for commuting checks the checks' rows and
+    the opposite logicals span kernel(stab), while x is orthogonal to the checks' rows.
+    With no stabiliser, the opposite logicals are the unit vectors at the columns off
+    the checks' spanning forest, as every cycle of the checks holds one.
     """
-    if (graph := _edges(checks if stab is None else stab)) is None:
-        return None
-    ends, _, up, order = graph
-    tree = {h >> 1 for h in up if h >= 0}
-    labels, below = [0] * checks.cols, [0] * len(up)
-    for t, j in enumerate(j for j in range(checks.cols) if j not in tree):
-        labels[j] = 1 << t
-        below[ends[2 * j]] ^= 1 << t
-        below[ends[2 * j + 1]] ^= 1 << t
-    if stab is None:
-        return labels
-    for y in reversed(order):                          # children before their parents
-        if (h := up[y]) >= 0:
-            labels[h >> 1] = below[y]
-            below[ends[h ^ 1]] ^= below[y]
+    n = checks.cols
+    logical = (_logicals(stab, checks)[1] if stab is not None
+               else [1 << (n - 1 - j) for j in _edges(checks)[2]])
+    labels = [0] * n
+    for p in _flat_of(enumerate(logical), n):
+        labels[p % n] |= 1 << (p // n)
     return labels
 
 
@@ -475,10 +471,9 @@ def _shortest_cycle(checks: BitMatrix, labels: list[int]) -> int | None:
     of its columns off the tree, each no longer than C, and one of them counts
     (Thomassen, J. Combin. Theory B 48, 1990).
     """
-    ends, adj, up, _ = _edges(checks)
+    ends, adj, off = _edges(checks)
     n = checks.cols
-    tree = {h >> 1 for h in up if h >= 0}
-    cover = dict.fromkeys(ends[2 * j] for j in range(n) if j not in tree)
+    cover = dict.fromkeys(ends[2 * j] for j in off)
     half = [0] * (2 * n)                               # each half-edge's column label
     half[::2], half[1::2] = labels, labels
     best, done = n + 1, set()

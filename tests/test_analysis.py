@@ -31,8 +31,8 @@ from qpc.groups import (
 )
 from qpc.products import css_from_matrices, hgp, lifted_product
 
-from oracles import (add, from_dense, from_masks, from_row_ints, hamming_7_4_check,
-                     repetition_check, row_int, row_weight, rows_as_ints, search_noncommuting_lp,
+from oracles import (from_dense, from_masks, from_row_ints, hamming_7_4_check,
+                     repetition_check, row_weight, rows_as_ints, search_noncommuting_lp,
                      verify_logical_basis)
 
 
@@ -352,15 +352,12 @@ class TestDistance:
         assert str(err.value) == "distance enumeration refused: needs 1024 steps, limit is 1023"
 
     def test_decided_distance_checks_pivots_against_components(self):
-        # A graph H_X with H_Z made heavier by a redundant row (a column of three
-        # ones): the Gray-code route eliminates H_X, whose rank its components gave.
-        # A code of two graphs is never eliminated.
-        h_x, h_z = toric().h_x, toric().h_z
-        h_z = vstack(h_z, add(from_row_ints([row_int(h_z, 0)], h_z.cols),
-                              from_row_ints([row_int(h_z, 1)], h_z.cols)))
-        code = css_from_matrices(h_x, h_z)
-        assert gf2._edges(h_x) is not None and gf2._edges(h_z) is None
-        code.h_x._rank = rank(code.h_x) - 1
+        # The toric H_Z is a graph, ranked by its components.  The labels of d_z,
+        # the opposite logicals, reduce it (`gf2._kernel`), and its pivots must
+        # agree with that rank.
+        code = toric()
+        assert gf2._edges(code.h_z) is not None
+        code.h_z._rank = rank(code.h_z) - 1
         with pytest.raises(AssertionError, match="the rank found before elimination"):
             css_distance(code)
 

@@ -440,7 +440,8 @@ class TestAnalyze:
         for module in (gf2, classical, products, analysis, qpc):
             for name, value in list(vars(module).items()):
                 if any(value is f for f in originals):
-                    monkeypatch.setattr(module, name, lambda m, f=value: reduced.append(m) or f(m))
+                    monkeypatch.setattr(module, name,
+                                        lambda m, f=value: reduced.append((f.__name__, m)) or f(m))
         code, out, _ = run(
             capsys,
             "analyze",
@@ -450,17 +451,20 @@ class TestAnalyze:
         )
         assert code == exit_code
         assert ("params: [[18,2,3]]" in out) == (exit_code == 0)
-        # a refusal is read off the component ranks and a toric distance is a
-        # shortest cycle, so no run eliminates a graph code (the Hamming x rep3
-        # analyze of test_analysis reduces each of its matrices once)
-        assert not any(m == h_x or m == h_z for m in reduced)
+        # a refusal is read off the component ranks, so it reduces nothing; a
+        # toric distance is a shortest cycle, labelled by the opposite logicals,
+        # so each direction reduces its stabiliser once, for its kernel, and no
+        # run calls rref
+        assert reduced == [("_kernel", h_z), ("_kernel", h_x)] * (exit_code == 0)
 
     @pytest.mark.parametrize("cross_check, forests", [(False, 2), (True, 6)])
     def test_each_check_matrix_builds_one_forest(self, tmp_path, capsys, monkeypatch,
                                                  cross_check, forests):
-        # rank, the cycle labels and the shortest cycle read one spanning forest per
-        # matrix: H_X and H_Z, and with --c1/--c2 also c1, c2, c1^T and c2^T; a
-        # classical code has no stabiliser, so it labels its cycles without one
+        # rank, the classical cycle labels and the shortest cycle read one spanning
+        # forest per matrix: H_X and H_Z, and with --c1/--c2 also c1, c2, c1^T and
+        # c2^T; a CSS direction labels its cycles by its reduced stabiliser, with no
+        # forest of it, and a classical code has no stabiliser, so it labels the
+        # columns off its checks' forest
         self.build_toric(tmp_path, capsys)
         built = []
         original = gf2._forest

@@ -14,7 +14,11 @@ except the two dot ones (`layout_lp_dot_edges_overlay`,
 overlaid qubits; any byte that moves fails here.  `verify_action_s3`
 was recorded when action files over table groups began to list the
 group's generating set; its action file names its table by the path
-`s3.table`, which is read from the action file's own directory.
+`s3.table`, which is read from the action file's own directory.  The
+rep3 x K4 entries (`construct_hgp_rep3_k4`, `analyze_rep3_k4`) were
+recorded while d_z of a code with graph X checks and Z checks that are
+no graph was still found by the search over its kernel, before the cycle
+engine took it.
 
 `python tests/test_golden.py` prints the manifest of the qpc on the
 import path, in the format of `golden_manifest.json`.
@@ -86,6 +90,10 @@ COMMANDS = (
                                    "--overlay", _f("zyx.overlay.json")]),
     ("layout_toric_dot_overlay", ["layout", "--input", "out/toric.layout.json", "--format", "dot",
                                   "--overlay", _f("zyx.overlay.json")]),
+    ("construct_hgp_rep3_k4", ["construct", "hgp", "--c1", _f("rep3.pcm"), "--c2", _f("k4.pcm"),
+                               "--out-prefix", "out/k4"]),
+    ("analyze_rep3_k4", ["analyze", "--hx", "out/k4.hx.pcm", "--hz", "out/k4.hz.pcm",
+                         "--c1", _f("rep3.pcm"), "--c2", _f("k4.pcm")]),
 )
 
 
