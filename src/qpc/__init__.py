@@ -8,15 +8,13 @@ import importlib
 
 # The submodule that defines each public name.
 _EXPORTS = {
-    "analysis": "CSSParams LogicalBasis check_commutation css_distance css_params"
-                " hgp_canonical_logicals hgp_distance_bound hgp_k_formula logical_count"
-                " lp_bp_coincide",
-    "classical": "ClassicalCode SystematicBasis",
+    "analysis": "CSSParams check_commutation css_distance css_params hgp_distance_bound"
+                " hgp_k_formula logical_count",
+    "classical": "ClassicalCode",
     "errors": "BudgetError DimensionError FormatError PreconditionError",
-    "gf2": "BitMatrix RrefResult kernel_basis kron matmul rank rref",
+    "gf2": "BitMatrix kernel_basis kron matmul rank rref",
     "groups": "FiniteGroup GroupAlgebraElement GroupAlgebraMatrix binary_map parse_group_spec",
-    "products": "CSSCode balanced_product css_from_matrices hgp lift_with_regular_actions"
-                " lifted_product",
+    "products": "CSSCode balanced_product css_from_matrices hgp lifted_product",
     "render": "CoordinateTable OperatorOverlay RenderSpec emit line_layout_table parse_layout",
     "tanner": "GroupAction PlainGraph TannerGraph has_fixed_edge is_free lift_from_ring_matrix"
               " quotient verify_covering",

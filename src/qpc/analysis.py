@@ -1,4 +1,8 @@
-"""Parameter extraction and verification for constructed CSS codes.
+"""The parameters of a constructed CSS code and the HGP cross-checks.
+
+A code's commutation, logical count and exact distances, and the two
+checks of a hypergraph product against its classical factors: k from
+their dimensions and d against their distances.
 
 Distances are exact: Z-type distance is the minimum weight over
 kernel(H_X) minus the row space of H_Z.  `gf2.coset_min_weight` gives it,
@@ -17,16 +21,12 @@ computations refuse them loudly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .classical import ClassicalCode
 from .errors import PreconditionError
-from .gf2 import (DEFAULT_BUDGET, BitMatrix, check_budget, coset_min_weight, hstack, kron,
-                  matmul_t, rank, vstack)
-from .products import CSSCode, balanced_product, lift_with_regular_actions, lifted_product
-
-if TYPE_CHECKING:
-    from .groups import GroupAlgebraMatrix
+from .gf2 import DEFAULT_BUDGET, check_budget, coset_min_weight, rank
+from .products import CSSCode
 
 
 class CSSParams(NamedTuple):
@@ -35,14 +35,6 @@ class CSSParams(NamedTuple):
     d: int | None = None
     d_x: int | None = None
     d_z: int | None = None
-
-
-class LogicalBasis(NamedTuple):
-    """Paired logical representatives: pairing[i][j] = <x_i, z_j> = delta_ij."""
-
-    x_logicals: BitMatrix
-    z_logicals: BitMatrix
-    pairing: BitMatrix
 
 
 def check_commutation(code: CSSCode) -> tuple[bool, list[tuple[int, int]]]:
@@ -108,67 +100,3 @@ def hgp_distance_bound(c1: ClassicalCode, c2: ClassicalCode,
         if d is not None:
             candidates.append(d)
     return min(candidates) if candidates else None
-
-
-def hgp_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBasis:
-    """Canonical anticommuting pairs from systematic classical bases.
-
-    Z logicals place a codeword of the first code along a Q1 row at one
-    of the second code's systematic bits, kron(G1, U2) with U2 the unit
-    rows at those bits, and the transpose analogue on Q2; X logicals are
-    dual.  The pairing matrix comes out exactly the identity, which also
-    certifies that no representative sits in the opposite stabiliser
-    row space.
-    """
-    c1t, c2t = c1.transpose_code(), c2.transpose_code()
-    if c1.dimension() * c2.dimension() + c1t.dimension() * c2t.dimension() == 0:
-        raise PreconditionError("code has no logical qubits")
-
-    def units(basis) -> BitMatrix:
-        k = basis.generator.rows
-        return BitMatrix.from_entries(k, len(basis.column_permutation), range(k),
-                                      basis.column_permutation[:k])
-
-    def blocks(a: ClassicalCode, b: ClassicalCode) -> tuple[BitMatrix, BitMatrix]:
-        """kron(G_a, U_b) and kron(U_a, G_b); no rows when either code has k = 0."""
-        if a.dimension() * b.dimension() == 0:
-            return (BitMatrix.zeros(0, a.n * b.n),) * 2
-        sa, sb = a.systematic_basis(), b.systematic_basis()
-        return kron(sa.generator, units(sb)), kron(units(sa), sb.generator)
-
-    z_q1, x_q1 = blocks(c1, c2)
-    x_q2, z_q2 = blocks(c1t, c2t)
-
-    def place(q1: BitMatrix, q2: BitMatrix) -> BitMatrix:
-        return vstack(hstack(q1, BitMatrix.zeros(q1.rows, q2.cols)),
-                      hstack(BitMatrix.zeros(q2.rows, q1.cols), q2))
-
-    x_logicals, z_logicals = place(x_q1, x_q2), place(z_q1, z_q2)
-    basis = LogicalBasis(x_logicals, z_logicals, matmul_t(x_logicals, z_logicals))
-    if basis.pairing != BitMatrix.identity(x_logicals.rows):
-        raise AssertionError("canonical logical pairing failed to reduce to identity")
-    return basis
-
-
-def lp_bp_coincide(
-    m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix
-) -> tuple[bool, list[int] | None]:
-    """Compare the lifted product with the balanced product of its lifts.
-
-    Both routes use the canonical vertex ordering; coincidence means the
-    parity-check matrices agree under the identity relabelling, which is
-    returned as the qubit permutation.  Inputs whose expanded graphs do
-    not admit the paired regular actions (left multiplication fails to
-    preserve the second graph for non-central entries) are rejected.
-    """
-    try:
-        graph_a, graph_b, act_a, act_b = lift_with_regular_actions(m1, m2)
-    except PreconditionError as exc:
-        raise PreconditionError(
-            f"inputs do not lift as quotient-compatible coverings: {exc}"
-        ) from exc
-    bp = balanced_product(graph_a, graph_b, act_a, act_b)
-    lp = lifted_product(m1, m2)
-    if bp.h_x == lp.h_x and bp.h_z == lp.h_z:
-        return True, list(range(lp.n))
-    return False, None

@@ -1,6 +1,7 @@
 """Classical binary linear codes given by parity-check matrices.
 
 A code is its m x n check matrix H; codewords are the right kernel of H.
+A code gives its dimension, its exact distance and the code of H^T.
 Redundant checks are allowed everywhere (the 3-bit repetition example has
 one), so k is always computed as n - rank(H), never as n - m.
 
@@ -28,23 +29,9 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, compress, repeat
-from typing import NamedTuple
 
-from .errors import FormatError, PreconditionError, read_file
-from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, kernel_basis, rank, rref, transpose
-
-
-class SystematicBasis(NamedTuple):
-    """Codeword basis in systematic order.
-
-    Permuting columns by `column_permutation` (new position p holds old
-    column column_permutation[p]) makes the leading k x k block of
-    `generator` the identity, so the first k permuted bits carry the
-    logical information.
-    """
-
-    column_permutation: tuple[int, ...]
-    generator: BitMatrix
+from .errors import FormatError, read_file
+from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, rank, transpose
 
 
 class ClassicalCode:
@@ -81,15 +68,6 @@ class ClassicalCode:
         if self._transpose is None:
             self._transpose = ClassicalCode(transpose(self.h))
         return self._transpose
-
-    def systematic_basis(self) -> SystematicBasis:
-        """Codeword basis whose leading block is the identity after a column permutation."""
-        if self.dimension() == 0:
-            raise PreconditionError("k = 0: the code has no codeword basis")
-        basis = rref(kernel_basis(self.h))
-        pivots = list(basis.pivot_cols)
-        rest = [c for c in range(self.n) if c not in set(pivots)]
-        return SystematicBasis(column_permutation=tuple(pivots + rest), generator=basis.rref)
 
     def __repr__(self) -> str:
         return f"ClassicalCode(n={self.n}, m={self.m})"

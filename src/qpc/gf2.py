@@ -71,11 +71,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, list(range(0, n * n, n + 1)))
 
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, i, j) -> "BitMatrix":
-        """Ones at the positions (i[t], j[t]), each inside the shape; a position may repeat."""
-        return cls(rows, cols, list({int(a) * cols + int(b) for a, b in zip(i, j)}))
-
     # -- accessors ---------------------------------------------------------
 
     @property

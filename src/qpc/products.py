@@ -235,27 +235,6 @@ def lifted_product(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
     )
 
 
-def lift_with_regular_actions(
-    m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix
-) -> tuple[TannerGraph, TannerGraph, GroupAction, GroupAction]:
-    """Expanded Tanner graphs of both inputs with their deck actions.
-
-    `lift_from_ring_matrix(m1)` and `lift_from_ring_matrix(m2, left=True)`:
-    the first factor carries slot right-multiplication (stored as the
-    left action s -> s * h^-1), the second slot left-multiplication;
-    feeding these to `balanced_product` reproduces the lifted product
-    under the identity labelling.  Left multiplication only preserves
-    the second graph when conjugation fixes its entries, as in an
-    abelian group, so other inputs are rejected by action validation.
-    """
-    from .tanner import lift_from_ring_matrix
-
-    if not m1.group.same_group(m2.group):
-        raise PreconditionError("both matrices must share one group")
-    a, b = lift_from_ring_matrix(m1), lift_from_ring_matrix(m2, left=True)
-    return a.graph, b.graph, a.action, b.action
-
-
 # -- balanced product ---------------------------------------------------------
 
 

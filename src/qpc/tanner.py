@@ -431,22 +431,19 @@ class Lift(NamedTuple):
     maps: dict
 
 
-def lift_from_ring_matrix(m: GroupAlgebraMatrix, left: bool = False) -> Lift:
+def lift_from_ring_matrix(m: GroupAlgebraMatrix) -> Lift:
     """Expand m by the binary map, with the group acting on every block's slots.
 
     Element h sends slot s to s*h^-1, which is a deck action for every
     group (B(g) is left multiplication by g, and right multiplications
-    commute with it).  With `left`, h sends s to h*s instead; that keeps
-    the edges only when conjugation by each h fixes each entry's support,
-    as it does for every abelian group, and action validation refuses
-    anything else.
+    commute with it).
     """
     from .groups import binary_map
 
     group, l = m.group, m.group.order
     graph = TannerGraph.from_bitmatrix(binary_map(m))
     columns = list(zip(*group.mul))
-    table = group.mul if left else [columns[h] for h in group.inv]  # table[h][s]: the image of s
+    table = [columns[h] for h in group.inv]  # table[h][s]: the image of s
     action = GroupAction(group, graph, {
         part: [tuple(i * l + t for i in range(count) for t in images) for images in table]
         for part, count in (("check", m.rows), ("bit", m.cols))})

@@ -3,9 +3,9 @@
 Each is a direct, unoptimised form of a result qpc reaches another way,
 or a value or view that only the tests need:
 
-- a `BitMatrix` from and as numpy arrays: from a dense array, its
-  ones' indices, its entries at given positions and its packed 64-bit
-  words;
+- a `BitMatrix` from and as numpy arrays: from a dense array or the
+  positions of its ones, its ones' indices, its entries at given
+  positions and its packed 64-bit words;
 - rows of a `BitMatrix` as Python ints, its columns at given indices, the
   sum of two matrices, and the row operations of an elimination, found by
   eliminating [source | I];
@@ -13,7 +13,8 @@ or a value or view that only the tests need:
   Brouwer-Zimmermann search replaced, and the rows a coset distance
   searches;
 - the numpy PCM and alist emitters that the Python ones replaced;
-- the check matrices of the cyclic repetition and [7,4] Hamming codes;
+- the check matrices of the cyclic repetition and [7,4] Hamming codes,
+  and a classical code's codeword basis in systematic form;
 - the numpy group-table check that the Python one replaced;
 - ring matrices over F2[G]: matrices of element bit masks, monomials and
   conjugates of elements, the Kronecker product with an identity, the
@@ -23,11 +24,14 @@ or a value or view that only the tests need:
 - cycles and paths, the Cartesian product of plain graphs and the
   shared-group action on it, whose quotient is the balanced product of
   the paper's worked example;
-- the deck action tables of a lift, stacked one group element at a time;
+- the deck action tables of a lift, stacked one group element at a time,
+  and the lifts of two ring matrices with the paired regular actions
+  (right multiplication on the first, left on the second);
 - the product codes' comparisons: the vertex count of a code, the plain
-  product of two expanded ring matrices, a seeded hunt for a lifted
-  product whose checks anticommute, and the membership and independence
-  of a logical basis.
+  product of two expanded ring matrices, the lifted product against the
+  balanced product of those lifts, a seeded hunt for a lifted product
+  whose checks anticommute, the canonical logical basis of a hypergraph
+  product, and the membership and independence of a logical basis.
 
 This file is not collected by pytest; test modules import it by name.
 """
@@ -36,16 +40,17 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
-from qpc.analysis import LogicalBasis
 from qpc.classical import ClassicalCode
 from qpc.errors import DimensionError, PreconditionError
-from qpc.gf2 import BitMatrix, _row_ints, hstack, kernel_basis, matmul_t, rank, rref, vstack
+from qpc.gf2 import (BitMatrix, _row_ints, hstack, kernel_basis, kron, matmul_t, rank, rref,
+                     vstack)
 from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, binary_map
-from qpc.products import CSSCode, hgp, lifted_product
-from qpc.tanner import GroupAction, PlainGraph
+from qpc.products import CSSCode, balanced_product, hgp, lifted_product
+from qpc.tanner import GroupAction, PlainGraph, TannerGraph, lift_from_ring_matrix
 
 # -- GF(2) matrices as numpy arrays and packed words ---------------------------
 
@@ -61,6 +66,11 @@ def from_dense(array) -> BitMatrix:
         raise DimensionError(f"expected 2-D input, got shape {dense.shape}")
     rows, cols = dense.shape
     return BitMatrix(rows, cols, np.flatnonzero(dense.astype(np.uint8) & 1).tolist())
+
+
+def from_entries(rows: int, cols: int, i, j) -> BitMatrix:
+    """Ones at the positions (i[t], j[t]), each inside the shape; a position may repeat."""
+    return BitMatrix(rows, cols, list({int(a) * cols + int(b) for a, b in zip(i, j)}))
 
 
 def nonzero(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -214,13 +224,36 @@ def coset_rows(checks: BitMatrix, stab: BitMatrix | None) -> tuple[BitMatrix, Bi
 def repetition_check(n: int) -> BitMatrix:
     """Circulant n x n check matrix of the n-bit cyclic repetition code."""
     i = np.arange(n)
-    return BitMatrix.from_entries(n, n, np.concatenate([i, i]), np.concatenate([i, (i + 1) % n]))
+    return from_entries(n, n, np.concatenate([i, i]), np.concatenate([i, (i + 1) % n]))
 
 
 def hamming_7_4_check() -> BitMatrix:
     """3 x 7 check matrix whose columns are all non-zero 3-bit vectors."""
     cols = [[(j >> b) & 1 for j in range(1, 8)] for b in range(3)]
     return from_dense(np.array(cols, dtype=np.uint8))
+
+
+class SystematicBasis(NamedTuple):
+    """Codeword basis in systematic order.
+
+    Permuting columns by `column_permutation` (new position p holds old
+    column column_permutation[p]) makes the leading k x k block of
+    `generator` the identity, so the first k permuted bits carry the
+    logical information.
+    """
+
+    column_permutation: tuple[int, ...]
+    generator: BitMatrix
+
+
+def systematic_basis(code: ClassicalCode) -> SystematicBasis:
+    """Codeword basis whose leading block is the identity after a column permutation."""
+    if code.dimension() == 0:
+        raise PreconditionError("k = 0: the code has no codeword basis")
+    basis = rref(kernel_basis(code.h))
+    pivots = list(basis.pivot_cols)
+    rest = [c for c in range(code.n) if c not in set(pivots)]
+    return SystematicBasis(column_permutation=tuple(pivots + rest), generator=basis.rref)
 
 
 # -- the numpy emitters ---------------------------------------------------------
@@ -474,6 +507,25 @@ def slot_perms(m: GroupAlgebraMatrix, left: bool) -> dict:
     return {"check": stack(m.rows), "bit": stack(m.cols)}
 
 
+def lift_with_regular_actions(
+    m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix
+) -> tuple[TannerGraph, TannerGraph, GroupAction, GroupAction]:
+    """Expanded Tanner graphs of both inputs with their deck actions.
+
+    The first factor carries slot right-multiplication (stored as the
+    left action s -> s * h^-1, `lift_from_ring_matrix`), the second slot
+    left-multiplication (`slot_perms(m2, left=True)`); feeding these to
+    `balanced_product` reproduces the lifted product under the identity
+    labelling.  Left multiplication only preserves the second graph when
+    conjugation fixes its entries, as in an abelian group, so other
+    inputs are rejected by action validation.
+    """
+    if not m1.group.same_group(m2.group):
+        raise PreconditionError("both matrices must share one group")
+    a, b = lift_from_ring_matrix(m1), lift_from_ring_matrix(m2)
+    return a.graph, b.graph, a.action, GroupAction(m2.group, b.graph, slot_perms(m2, left=True))
+
+
 # -- product-code comparisons --------------------------------------------------
 
 
@@ -497,6 +549,30 @@ def hgp_of_lifts(m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix) -> CSSCode:
         "base": code.provenance,
     }
     return code
+
+
+def lp_bp_coincide(
+    m1: GroupAlgebraMatrix, m2: GroupAlgebraMatrix
+) -> tuple[bool, list[int] | None]:
+    """Compare the lifted product with the balanced product of its lifts.
+
+    Both routes use the canonical vertex ordering; coincidence means the
+    parity-check matrices agree under the identity relabelling, which is
+    returned as the qubit permutation.  Inputs whose expanded graphs do
+    not admit the paired regular actions (left multiplication fails to
+    preserve the second graph for non-central entries) are rejected.
+    """
+    try:
+        graph_a, graph_b, act_a, act_b = lift_with_regular_actions(m1, m2)
+    except PreconditionError as exc:
+        raise PreconditionError(
+            f"inputs do not lift as quotient-compatible coverings: {exc}"
+        ) from exc
+    bp = balanced_product(graph_a, graph_b, act_a, act_b)
+    lp = lifted_product(m1, m2)
+    if bp.h_x == lp.h_x and bp.h_z == lp.h_z:
+        return True, list(range(lp.n))
+    return False, None
 
 
 def search_noncommuting_lp(group, max_rows: int, max_cols: int, draws: int,
@@ -524,6 +600,57 @@ def search_noncommuting_lp(group, max_rows: int, max_cols: int, draws: int,
         if not code.commuting:
             return m1, m2, draw
     return None
+
+
+# -- logical bases of a hypergraph product -----------------------------------------
+
+
+class LogicalBasis(NamedTuple):
+    """Paired logical representatives: pairing[i][j] = <x_i, z_j> = delta_ij."""
+
+    x_logicals: BitMatrix
+    z_logicals: BitMatrix
+    pairing: BitMatrix
+
+
+def hgp_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBasis:
+    """Canonical anticommuting pairs from systematic classical bases.
+
+    Z logicals place a codeword of the first code along a Q1 row at one
+    of the second code's systematic bits, kron(G1, U2) with U2 the unit
+    rows at those bits, and the transpose analogue on Q2; X logicals are
+    dual.  The pairing matrix comes out exactly the identity, which also
+    certifies that no representative sits in the opposite stabiliser
+    row space.
+    """
+    c1t, c2t = c1.transpose_code(), c2.transpose_code()
+    if c1.dimension() * c2.dimension() + c1t.dimension() * c2t.dimension() == 0:
+        raise PreconditionError("code has no logical qubits")
+
+    def units(basis) -> BitMatrix:
+        k = basis.generator.rows
+        return from_entries(k, len(basis.column_permutation), range(k),
+                            basis.column_permutation[:k])
+
+    def blocks(a: ClassicalCode, b: ClassicalCode) -> tuple[BitMatrix, BitMatrix]:
+        """kron(G_a, U_b) and kron(U_a, G_b); no rows when either code has k = 0."""
+        if a.dimension() * b.dimension() == 0:
+            return (BitMatrix.zeros(0, a.n * b.n),) * 2
+        sa, sb = systematic_basis(a), systematic_basis(b)
+        return kron(sa.generator, units(sb)), kron(units(sa), sb.generator)
+
+    z_q1, x_q1 = blocks(c1, c2)
+    x_q2, z_q2 = blocks(c1t, c2t)
+
+    def place(q1: BitMatrix, q2: BitMatrix) -> BitMatrix:
+        return vstack(hstack(q1, BitMatrix.zeros(q1.rows, q2.cols)),
+                      hstack(BitMatrix.zeros(q2.rows, q1.cols), q2))
+
+    x_logicals, z_logicals = place(x_q1, x_q2), place(z_q1, z_q2)
+    basis = LogicalBasis(x_logicals, z_logicals, matmul_t(x_logicals, z_logicals))
+    if basis.pairing != BitMatrix.identity(x_logicals.rows):
+        raise AssertionError("canonical logical pairing failed to reduce to identity")
+    return basis
 
 
 def verify_logical_basis(code: CSSCode, basis: LogicalBasis) -> None:

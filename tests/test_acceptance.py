@@ -16,7 +16,6 @@ from qpc.analysis import (
     hgp_distance_bound,
     hgp_k_formula,
     logical_count,
-    lp_bp_coincide,
 )
 from qpc.classical import ClassicalCode
 from qpc.errors import BudgetError
@@ -30,7 +29,6 @@ from qpc.groups import (
 from qpc.products import (
     balanced_product,
     hgp,
-    lift_with_regular_actions,
     lifted_product,
 )
 from qpc.render import OperatorOverlay, RenderSpec, emit, parse_layout
@@ -45,7 +43,8 @@ from qpc.tanner import (
 )
 
 from oracles import (cartesian_product_plain, from_dense, from_masks, hgp_of_lifts,
-                     product_action_plain, repetition_check, search_noncommuting_lp, total_vertices)
+                     lift_with_regular_actions, lp_bp_coincide, product_action_plain,
+                     repetition_check, search_noncommuting_lp, total_vertices)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -8,18 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpc import analysis, gf2
+from qpc import gf2
 from qpc.analysis import (
     CSSParams,
-    LogicalBasis,
     check_commutation,
     css_distance,
     css_params,
-    hgp_canonical_logicals,
     hgp_distance_bound,
     hgp_k_formula,
     logical_count,
-    lp_bp_coincide,
 )
 from qpc.classical import ClassicalCode
 from qpc.errors import BudgetError, PreconditionError
@@ -31,9 +28,9 @@ from qpc.groups import (
 )
 from qpc.products import css_from_matrices, hgp, lifted_product
 
-from oracles import (from_dense, from_masks, from_row_ints, hamming_7_4_check,
-                     repetition_check, row_weight, rows_as_ints, search_noncommuting_lp,
-                     verify_logical_basis)
+from oracles import (LogicalBasis, from_dense, from_masks, from_row_ints, hamming_7_4_check,
+                     hgp_canonical_logicals, lp_bp_coincide, repetition_check, row_weight,
+                     rows_as_ints, search_noncommuting_lp, systematic_basis, verify_logical_basis)
 
 
 def rep3():
@@ -249,7 +246,13 @@ class TestCommutation:
     def test_pairs_are_read_off_the_kept_commutator(self, monkeypatch):
         m1, m2, _ = search_noncommuting_lp(s3(), 2, 2, 10_000, seed=11)
         code = lifted_product(m1, m2)
-        monkeypatch.setattr(analysis, "matmul_t", lambda a, b: pytest.fail("H_X H_Z^T again"))
+        # every qpc module that binds the product, patched once the code is built
+        bound = [name for name, module in sys.modules.items()
+                 if name.startswith("qpc.") and vars(module).get("matmul_t") is gf2.matmul_t]
+        assert {"qpc.gf2", "qpc.products"} <= set(bound)
+        for name in bound:
+            monkeypatch.setattr(sys.modules[name], "matmul_t",
+                                lambda a, b: pytest.fail("H_X H_Z^T again"))
         ok, pairs = check_commutation(code)
         assert not ok and len(pairs) == code.commutator.weight() > 0
 
@@ -466,8 +469,8 @@ def oracle_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBa
     z_rows = []
     x_rows = []
     if k1 * k2:
-        sys1 = c1.systematic_basis()
-        sys2 = c2.systematic_basis()
+        sys1 = systematic_basis(c1)
+        sys2 = systematic_basis(c2)
         gen1 = rows_as_ints(sys1.generator)
         gen2 = rows_as_ints(sys2.generator)
         for a in range(k1):
@@ -493,8 +496,8 @@ def oracle_canonical_logicals(c1: ClassicalCode, c2: ClassicalCode) -> LogicalBa
                     j2 += 1
                 x_rows.append(vec2)
     if k1t * k2t:
-        sys1t = c1t.systematic_basis()
-        sys2t = c2t.systematic_basis()
+        sys1t = systematic_basis(c1t)
+        sys2t = systematic_basis(c2t)
         gen1t = rows_as_ints(sys1t.generator)
         gen2t = rows_as_ints(sys2t.generator)
         offset = n1 * n2

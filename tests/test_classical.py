@@ -16,7 +16,8 @@ from qpc.classical import (
 from qpc.errors import BudgetError, FormatError, PreconditionError
 from qpc.gf2 import DEFAULT_BUDGET, BitMatrix, matmul, rank, transpose
 
-from oracles import from_dense, hamming_7_4_check, repetition_check
+from oracles import (from_dense, from_entries, hamming_7_4_check, repetition_check,
+                     systematic_basis)
 
 
 def rep3():
@@ -90,7 +91,7 @@ class TestMinDistance:
         # each column holds one or two ones, so the rank is a component count
         rng = np.random.default_rng(19)
         ends = rng.integers(0, 300, size=(2, 600))
-        h = BitMatrix.from_entries(300, 600, ends.ravel(), np.tile(np.arange(600), 2))
+        h = from_entries(300, 600, ends.ravel(), np.tile(np.arange(600), 2))
         original = gf2.rref
 
         def refuse(m):
@@ -138,17 +139,17 @@ class TestTransposeCode:
 
 class TestSystematicBasis:
     def test_repetition_single_codeword(self):
-        basis = rep3().systematic_basis()
+        basis = systematic_basis(rep3())
         assert basis.generator.to_dense().tolist() == [[1, 1, 1]]
         assert len(basis.column_permutation) == 3
 
     def test_zero_dimension_refused(self):
         with pytest.raises(PreconditionError):
-            ClassicalCode(BitMatrix.identity(2)).systematic_basis()
+            systematic_basis(ClassicalCode(BitMatrix.identity(2)))
 
     def test_hamming_identity_block(self):
         code = ClassicalCode(hamming_7_4_check())
-        basis = code.systematic_basis()
+        basis = systematic_basis(code)
         gen = basis.generator
         assert gen.shape == (4, 7)
         # generator rows are codewords
@@ -163,7 +164,7 @@ class TestSystematicBasis:
             code = random_code(rng)
             if code.dimension() == 0:
                 continue
-            basis = code.systematic_basis()
+            basis = systematic_basis(code)
             assert matmul(code.h, transpose(basis.generator)).is_zero()
             assert rank(basis.generator) == code.dimension()
 
@@ -218,7 +219,7 @@ class TestExhaustiveAgreement:
     def test_distance_via_all_codewords(self):
         # enumerate the full codebook through the systematic generator
         code = ClassicalCode(hamming_7_4_check())
-        basis = code.systematic_basis()
+        basis = systematic_basis(code)
         gen = basis.generator.to_dense()
         weights = []
         for picks in itertools.product([0, 1], repeat=4):

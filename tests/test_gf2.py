@@ -25,9 +25,9 @@ from qpc.gf2 import (
 from qpc.groups import FiniteGroup
 from qpc.products import hgp, lifted_product
 
-from oracles import (coset_rows, entries, from_dense, from_masks, from_row_ints, from_words,
-                     gray_walk, packed_words, repetition_check, row_int, row_ops, row_weight,
-                     rows_as_ints)
+from oracles import (coset_rows, entries, from_dense, from_entries, from_masks, from_row_ints,
+                     from_words, gray_walk, packed_words, repetition_check, row_int, row_ops,
+                     row_weight, rows_as_ints)
 
 # Circulant parity check of the 3-bit repetition code; its rows sum to zero.
 CIRC = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -130,7 +130,7 @@ def graph_matrix(rng: random.Random) -> tuple[int, int, list[list[int]]]:
 
 def from_columns(rows: int, cols: int, column_rows: list[list[int]]) -> BitMatrix:
     entries = [(r, c) for c, rs in enumerate(column_rows) for r in rs]
-    return BitMatrix.from_entries(rows, cols, [r for r, _ in entries], [c for _, c in entries])
+    return from_entries(rows, cols, [r for r, _ in entries], [c for _, c in entries])
 
 
 def flat_from_columns(rows: int, cols: int, column_rows: list[list[int]]) -> BitMatrix:
@@ -393,16 +393,16 @@ class TestEntries:
         rng = np.random.default_rng(29)
         dense = rng.integers(0, 2, (9, 140), dtype=np.uint8)
         i, j = np.nonzero(dense)
-        m = BitMatrix.from_entries(9, 140, np.concatenate([i, i]), np.concatenate([j, j]))
+        m = from_entries(9, 140, np.concatenate([i, i]), np.concatenate([j, j]))
         assert m == from_dense(dense)
         qi, qj = rng.integers(0, 9, 500), rng.integers(0, 140, 500)
         assert np.array_equal(entries(m, qi, qj), dense[qi, qj] == 1)
 
     def test_from_entries_matches_dense_with_repeats(self):
-        assert BitMatrix.from_entries(0, 0, [], []) == BitMatrix.zeros(0, 0)
-        assert BitMatrix.from_entries(5, 70, [], []) == BitMatrix.zeros(5, 70)
-        assert BitMatrix.from_entries(0, 70, [], []) == BitMatrix.zeros(0, 70)
-        assert BitMatrix.from_entries(2, 3, range(2), [2, 0]) == bm([[0, 0, 1], [1, 0, 0]])
+        assert from_entries(0, 0, [], []) == BitMatrix.zeros(0, 0)
+        assert from_entries(5, 70, [], []) == BitMatrix.zeros(5, 70)
+        assert from_entries(0, 70, [], []) == BitMatrix.zeros(0, 70)
+        assert from_entries(2, 3, range(2), [2, 0]) == bm([[0, 0, 1], [1, 0, 0]])
         rng = np.random.default_rng(1213)
         for rows, cols in ((1, 1), (3, 64), (9, 65), (40, 300), (200, 1)):
             for count in (1, 10, 500):
@@ -413,7 +413,7 @@ class TestEntries:
                 i, j = np.concatenate([i, i]), np.concatenate([j, j])
                 dense = np.zeros((rows, cols), dtype=np.uint8)
                 dense[i, j] = 1
-                got = BitMatrix.from_entries(rows, cols, i, j)
+                got = from_entries(rows, cols, i, j)
                 assert got == from_dense(dense), (rows, cols, count)
 
 

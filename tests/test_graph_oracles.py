@@ -20,7 +20,7 @@ import pytest
 
 from qpc.errors import DimensionError, PreconditionError
 from qpc.groups import FiniteGroup
-from qpc.products import _pair_class, balanced_product, lift_with_regular_actions
+from qpc.products import _pair_class, balanced_product
 from qpc.tanner import (
     GroupAction,
     PlainGraph,
@@ -32,7 +32,7 @@ from qpc.tanner import (
     verify_covering,
 )
 
-from oracles import from_dense, from_masks
+from oracles import from_dense, from_masks, lift_with_regular_actions
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -20,9 +20,7 @@ either.
 
 Every public name is reached by a command or the README's library
 sketch, run in process under `sys.setprofile`, or is one that perfbench
-patches by name, or waits on a pending list for the open ROADMAP item
-that will wire it; a pending name that a command reaches fails too, so
-that list only shrinks.
+patches by name; there is no other exception.
 """
 
 import ast
@@ -56,33 +54,21 @@ S3_ACTION = ["verify", "action", "--graph", FIXTURES / "s3_lift.graph",
              "--action", FIXTURES / "s3_lift.action.json"]
 
 # `qpc.__all__` as it stood when every submodule was imported eagerly, less
-# `CodeParams`, `QuotientLayout`, `CoveringMap` and `Oblique` (deleted) and six
-# functions only the tests used (now in oracles.py).
+# `CodeParams`, `QuotientLayout`, `CoveringMap` and `Oblique` (deleted), eleven
+# names no command called (now in oracles.py) and `RrefResult` (still in `gf2`).
 PUBLIC = [
     "BitMatrix", "BudgetError", "CSSCode", "CSSParams", "ClassicalCode", "CoordinateTable",
     "DimensionError", "FiniteGroup", "FormatError", "GroupAction",
-    "GroupAlgebraElement", "GroupAlgebraMatrix", "LogicalBasis", "OperatorOverlay",
-    "PlainGraph", "PreconditionError", "RenderSpec", "RrefResult",
-    "SystematicBasis", "TannerGraph", "analysis", "balanced_product", "binary_map",
-    "check_commutation", "classical", "css_distance", "css_from_matrices", "css_params",
-    "emit", "errors", "gf2", "groups", "has_fixed_edge", "hgp", "hgp_canonical_logicals",
-    "hgp_distance_bound", "hgp_k_formula", "is_free", "kernel_basis", "kron",
-    "lift_from_ring_matrix", "lift_with_regular_actions", "lifted_product",
-    "line_layout_table", "logical_count", "lp_bp_coincide", "matmul", "parse_group_spec",
-    "parse_layout", "products", "quotient", "rank", "render", "rref", "tanner",
-    "verify_covering",
+    "GroupAlgebraElement", "GroupAlgebraMatrix", "OperatorOverlay",
+    "PlainGraph", "PreconditionError", "RenderSpec", "TannerGraph", "analysis",
+    "balanced_product", "binary_map", "check_commutation", "classical", "css_distance",
+    "css_from_matrices", "css_params", "emit", "errors", "gf2", "groups", "has_fixed_edge",
+    "hgp", "hgp_distance_bound", "hgp_k_formula", "is_free", "kernel_basis", "kron",
+    "lift_from_ring_matrix", "lifted_product", "line_layout_table", "logical_count", "matmul",
+    "parse_group_spec", "parse_layout", "products", "quotient", "rank", "render", "rref",
+    "tanner", "verify_covering",
 ]
 
-# Public names that no command and no README line reaches yet, each with the open
-# ROADMAP item that will wire it.
-PENDING = {
-    "hgp_canonical_logicals": "item 4 (see the distance)",
-    "LogicalBasis": "item 4 (see the distance)",
-    "SystematicBasis": "item 4 (see the distance)",
-    "RrefResult": "item 4 (see the distance)",
-    "lp_bp_coincide": "items 6 and 7 (left/right products, the lift route)",
-    "lift_with_regular_actions": "items 6 and 7 (left/right products, the lift route)",
-}
 # Public names that only perfbench reaches: its tracer patches each `TARGETS` entry by name.
 PERFBENCH_ONLY = {"kernel_basis", "matmul", "rref"}
 
@@ -365,14 +351,9 @@ class TestPublicApi:
 
 
 class TestReach:
-    def test_every_public_name_is_reached_or_listed(self, reached):
-        unreached = set(qpc.__all__) - reached - set(PENDING) - PERFBENCH_ONLY
+    def test_every_public_name_is_reached(self, reached):
+        unreached = set(qpc.__all__) - reached - PERFBENCH_ONLY
         assert not unreached, f"no command, README line or perfbench target reaches {unreached}"
-
-    def test_pending_names_are_not_reached(self, reached):
-        # a name that a command now reaches leaves PENDING, so the list only shrinks
-        assert set(PENDING) <= set(qpc.__all__)
-        assert not reached & set(PENDING), f"now reached: {reached & set(PENDING)}"
 
     def test_perfbench_only_names_are_tracing_targets(self, reached):
         assign = next(node for node in ast.parse(TRACING.read_text()).body

@@ -18,14 +18,14 @@ from qpc.products import (
     balanced_product,
     css_from_matrices,
     hgp,
-    lift_with_regular_actions,
     lifted_product,
 )
 from qpc.render import CoordinateTable
 from qpc.tanner import GroupAction, TannerGraph
 
-from oracles import (conj_transpose, from_dense, from_masks, hgp_of_lifts, repetition_check,
-                     ring_kron_identity, total_vertices)
+from oracles import (conj_transpose, from_dense, from_masks, hgp_of_lifts,
+                     lift_with_regular_actions, repetition_check, ring_kron_identity,
+                     total_vertices)
 
 
 def rep3():

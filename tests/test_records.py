@@ -10,14 +10,14 @@ are read from other fields, not stored.
 
 import pytest
 
-from qpc.analysis import CSSParams, hgp_canonical_logicals
+from qpc.analysis import CSSParams
 from qpc.classical import ClassicalCode
 from qpc.gf2 import rref
 from qpc.groups import FiniteGroup, GroupAlgebraElement, GroupAlgebraMatrix, parse_element
 from qpc.render import _FORMATS, OperatorOverlay, RenderSpec
 from qpc.tanner import CoveringReport, Lift, PlainGraph, lift_from_ring_matrix, verify_covering
 
-from oracles import from_dense, path, repetition_check
+from oracles import from_dense, hgp_canonical_logicals, path, repetition_check, systematic_basis
 
 Z3 = FiniteGroup.cyclic(3)
 
@@ -39,7 +39,7 @@ def covering_report():
 BUILD = {
     "CSSParams": lambda: CSSParams(n=18, k=2, d=3, d_x=3, d_z=3),
     "LogicalBasis": lambda: hgp_canonical_logicals(rep3(), rep3()),
-    "SystematicBasis": lambda: rep3().systematic_basis(),
+    "SystematicBasis": lambda: systematic_basis(rep3()),
     "RrefResult": lambda: rref(from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])),
     "GroupAlgebraElement": lambda: parse_element("1+x^2", Z3),
     "RenderSpec": lambda: RenderSpec(include_edges=True),
