@@ -1,5 +1,9 @@
-"""The parameters of a constructed CSS code and the HGP cross-checks.
+"""CSS codes, their parameters, and the HGP cross-checks.
 
+`CSSCode` holds a code's check matrices, and `css_from_matrices` wraps
+matrices read back from files; the product builders in `products`
+return the same type.  Both live here, so `qpc analyze` loads no
+product builder, and a code's layout loads `render` only when read.
 A code's commutation, logical count and exact distances, and the two
 checks of a hypergraph product against its classical factors: k from
 their dimensions and d against their distances.
@@ -21,12 +25,102 @@ computations refuse them loudly.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .classical import ClassicalCode
-from .errors import PreconditionError
-from .gf2 import DEFAULT_BUDGET, check_budget, coset_min_weight, rank
-from .products import CSSCode
+from .errors import DimensionError, PreconditionError
+from .gf2 import DEFAULT_BUDGET, BitMatrix, check_budget, coset_min_weight, matmul_t, rank
+
+if TYPE_CHECKING:
+    from .render import CoordinateTable
+
+
+class CSSCode:
+    """CSS code as an (H_X, H_Z) pair with provenance and a layout.
+
+    `layout` is given as a function of the incidence edges; the table is
+    built on first read of `code.layout`, and its edges on first read of
+    `code.layout.edges`.  `commutator` is H_X H_Z^T, computed once; the
+    ranks and forests of H_X and H_Z are remembered by the matrices.
+    """
+
+    def __init__(self, h_x: BitMatrix, h_z: BitMatrix, q1_size: int,
+                 layout: Callable[[Callable[[], tuple]], CoordinateTable], provenance: dict):
+        if h_x.cols != h_z.cols:
+            raise DimensionError(
+                f"H_X has {h_x.cols} columns but H_Z has {h_z.cols}"
+            )
+        self.h_x = h_x
+        self.h_z = h_z
+        self.n = h_x.cols
+        self.q1_size = q1_size
+        self.q2_size = self.n - q1_size
+        if self.q2_size < 0:
+            raise DimensionError(f"q1 block {q1_size} exceeds n = {self.n}")
+        self._layout = layout
+        self.provenance = provenance
+        self.commutator = matmul_t(h_x, h_z)
+
+    @property
+    def commuting(self) -> bool:
+        return self.commutator.is_zero()
+
+    @cached_property
+    def layout(self) -> CoordinateTable:
+        table = self._layout(lambda: _incidence_edges(self.h_x, self.h_z, self.q1_size))
+        if (
+            len(table.x_checks) != self.m_x
+            or len(table.z_checks) != self.m_z
+            or len(table.qubits_q1) != self.q1_size
+            or len(table.qubits_q2) != self.q2_size
+        ):
+            raise DimensionError("layout does not cover every vertex exactly once")
+        return table
+
+    @property
+    def m_x(self) -> int:
+        return self.h_x.rows
+
+    @property
+    def m_z(self) -> int:
+        return self.h_z.rows
+
+    def __repr__(self):
+        kind = self.provenance.get("kind", "css")
+        return (
+            f"CSSCode({kind}, n={self.n}, m_x={self.m_x}, m_z={self.m_z},"
+            f" commuting={self.commuting})"
+        )
+
+
+def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix) -> CSSCode:
+    """Wrap raw check matrices, e.g. read back from files.
+
+    Without block provenance every qubit is in Q1, and the code gets the
+    line layout of `render.line_table` (X checks, then Z checks, then
+    qubits, by index), mirroring the classical convention.
+    """
+
+    def layout(edges) -> CoordinateTable:
+        from .render import line_table
+
+        return line_table(h_x.rows, h_z.rows, h_x.cols, edges)
+
+    return CSSCode(h_x, h_z, q1_size=h_x.cols, layout=layout,
+                   provenance={"kind": "from-matrices"})
+
+
+def _incidence_edges(h_x: BitMatrix, h_z: BitMatrix, q1_size: int) -> tuple:
+    edges = []
+    for role, h in (("x", h_x), ("z", h_z)):
+        for i, j in sorted(h.ones()):                   # row-major
+            if j < q1_size:
+                target = ("q1", j)
+            else:
+                target = ("q2", j - q1_size)
+            edges.append(((role, i), target))
+    return tuple(edges)
 
 
 class CSSParams(NamedTuple):

@@ -16,7 +16,17 @@ and validates all its input files, `--c1/--c2` included, before any
 analysis.  Each command imports only the layers it runs, and groups,
 actions, graphs and check matrices are Python ints.  `json` is loaded
 only to read or write JSON, and each command runs with the cyclic
-garbage collector paused; `main` restores the caller's setting.
+garbage collector paused; `main` restores the caller's setting and
+never freezes.  Input files are read, and output files written, as
+UTF-8 whatever the locale.
+
+The program, `qpc` or `python -m qpc.cli`, is `run`: `main`, then
+`gc.freeze()`.  The interpreter's exit collections then walk none of
+the objects the command, `site` and the imports left behind, and the
+OS takes their memory back at exit.  `atexit` handlers, stdio flushing
+and exit codes are unchanged: every file is written by
+`Path.write_text`, which closes it at once, and qpc defines no
+`__del__`.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ EXIT_BUDGET = 3
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
 
 
 def _emit_code_files(code, prefix: str) -> list[str]:
@@ -118,7 +128,7 @@ def cmd_bp(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from . import analysis, classical, products
+    from . import analysis, classical
 
     if (args.c1 is None) != (args.c2 is None):
         raise FormatError("qpc analyze: --c1 and --c2 must be given together")
@@ -131,7 +141,7 @@ def cmd_analyze(args) -> int:
     factors = [classical.ClassicalCode(classical.read_check_matrix(path))
                for path in (args.c1, args.c2) if path is not None]
     n = h_x.cols
-    code = products.css_from_matrices(h_x, h_z)
+    code = analysis.css_from_matrices(h_x, h_z)
     payload: dict = {"seed": args.seed, "n": n, "commuting": code.commuting}
     if not code.commuting:
         _, pairs = analysis.check_commutation(code)
@@ -350,5 +360,12 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> int:
+    """The `qpc` program: `main` on the process's arguments, then the heap frozen for exit."""
+    code = main()
+    gc.freeze()  # exit collections skip frozen objects; the OS takes their memory back
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

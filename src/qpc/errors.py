@@ -48,9 +48,10 @@ class FormatError(ValueError):
 
 
 def read_file(path: str, parse, *args):
-    """`parse(text, *args)` of the file at `path`; a parse or decode error names the file."""
+    """`parse(text, *args)` of the file at `path`, read as UTF-8 whatever the locale;
+    a parse or decode error names the file."""
     try:
-        return parse(Path(path).read_text(), *args)
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
     except (FormatError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -18,110 +18,24 @@ A code's layout is built on first read, and its incidence edges on
 first read of `layout.edges`: writing files or analysing a code needs
 neither.  `groups` and `tanner` are imported by the constructors that
 use them, and `render` by the layout builders, so hypergraph products
-load neither of the first two and analysis loads none of the three.
-All three products and their layouts move Python ints.
+load neither of the first two.  `CSSCode` and `css_from_matrices` live
+in `analysis`, which reads them, so analysing a code loads none of this
+module.  All three products and their layouts move Python ints.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
+from .analysis import CSSCode, css_from_matrices  # noqa: F401 (perfbench traces it by this name)
 from .classical import ClassicalCode
-from .errors import DimensionError, PreconditionError
-from .gf2 import BitMatrix, hstack, kron, matmul_t, transpose
+from .errors import PreconditionError
+from .gf2 import BitMatrix, hstack, kron, transpose
 
 if TYPE_CHECKING:
     from .groups import GroupAlgebraMatrix
     from .render import CoordinateTable
     from .tanner import GroupAction, TannerGraph
-
-
-class CSSCode:
-    """CSS code as an (H_X, H_Z) pair with provenance and a layout.
-
-    `layout` is given as a function of the incidence edges; the table is
-    built on first read of `code.layout`, and its edges on first read of
-    `code.layout.edges`.  `commutator` is H_X H_Z^T, computed once; the
-    ranks and forests of H_X and H_Z are remembered by the matrices.
-    """
-
-    def __init__(self, h_x: BitMatrix, h_z: BitMatrix, q1_size: int,
-                 layout: Callable[[Callable[[], tuple]], CoordinateTable], provenance: dict):
-        if h_x.cols != h_z.cols:
-            raise DimensionError(
-                f"H_X has {h_x.cols} columns but H_Z has {h_z.cols}"
-            )
-        self.h_x = h_x
-        self.h_z = h_z
-        self.n = h_x.cols
-        self.q1_size = q1_size
-        self.q2_size = self.n - q1_size
-        if self.q2_size < 0:
-            raise DimensionError(f"q1 block {q1_size} exceeds n = {self.n}")
-        self._layout = layout
-        self.provenance = provenance
-        self.commutator = matmul_t(h_x, h_z)
-
-    @property
-    def commuting(self) -> bool:
-        return self.commutator.is_zero()
-
-    @cached_property
-    def layout(self) -> CoordinateTable:
-        table = self._layout(lambda: _incidence_edges(self.h_x, self.h_z, self.q1_size))
-        if (
-            len(table.x_checks) != self.m_x
-            or len(table.z_checks) != self.m_z
-            or len(table.qubits_q1) != self.q1_size
-            or len(table.qubits_q2) != self.q2_size
-        ):
-            raise DimensionError("layout does not cover every vertex exactly once")
-        return table
-
-    @property
-    def m_x(self) -> int:
-        return self.h_x.rows
-
-    @property
-    def m_z(self) -> int:
-        return self.h_z.rows
-
-    def __repr__(self):
-        kind = self.provenance.get("kind", "css")
-        return (
-            f"CSSCode({kind}, n={self.n}, m_x={self.m_x}, m_z={self.m_z},"
-            f" commuting={self.commuting})"
-        )
-
-
-def css_from_matrices(h_x: BitMatrix, h_z: BitMatrix) -> CSSCode:
-    """Wrap raw check matrices, e.g. read back from files.
-
-    Without block provenance every qubit is in Q1, and the code gets the
-    line layout of `render.line_table` (X checks, then Z checks, then
-    qubits, by index), mirroring the classical convention.
-    """
-
-    def layout(edges) -> CoordinateTable:
-        from .render import line_table
-
-        return line_table(h_x.rows, h_z.rows, h_x.cols, edges)
-
-    return CSSCode(h_x, h_z, q1_size=h_x.cols, layout=layout,
-                   provenance={"kind": "from-matrices"})
-
-
-def _incidence_edges(h_x: BitMatrix, h_z: BitMatrix, q1_size: int) -> tuple:
-    edges = []
-    for role, h in (("x", h_x), ("z", h_z)):
-        for i, j in sorted(h.ones()):                   # row-major
-            if j < q1_size:
-                target = ("q1", j)
-            else:
-                target = ("q2", j - q1_size)
-            edges.append(((role, i), target))
-    return tuple(edges)
 
 
 # The factor parts each vertex family pairs: X checks are first-factor

@@ -49,6 +49,13 @@ class CoordinateTable:
         if self.kind not in ("2d", "3d"):
             raise PreconditionError(f"unknown layout kind {self.kind!r}")
         width = 2 if self.kind == "2d" else 3
+        # one set of widths and one of coordinates; only a refusal walks vertex by vertex
+        coords = list(chain.from_iterable(self.families().values()))
+        if set(map(len, coords)) - {width} or len(set(coords)) != len(coords):
+            self._refuse(width)
+
+    def _refuse(self, width: int):
+        """Name the first vertex, in family order, whose width is wrong or that clashes."""
         seen = {}
         for role, coords in self.families().items():
             for idx, coord in enumerate(coords):

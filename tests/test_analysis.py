@@ -249,7 +249,7 @@ class TestCommutation:
         # every qpc module that binds the product, patched once the code is built
         bound = [name for name, module in sys.modules.items()
                  if name.startswith("qpc.") and vars(module).get("matmul_t") is gf2.matmul_t]
-        assert {"qpc.gf2", "qpc.products"} <= set(bound)
+        assert {"qpc.gf2", "qpc.analysis"} <= set(bound)
         for name in bound:
             monkeypatch.setattr(sys.modules[name], "matmul_t",
                                 lambda a, b: pytest.fail("H_X H_Z^T again"))

@@ -793,11 +793,88 @@ class TestCollector:
                 monkeypatch.setattr("qpc.cli.cmd_analyze", handler(outcome))
                 assert run(capsys, "analyze", "--hx", "x", "--hz", "x")[0] == code
                 assert gc.isenabled() is enabled
+                assert gc.get_freeze_count() == 0  # only the program entry, `run`, freezes
             assert run(capsys, "analyze", "--hx", "x")[0] == 1  # a usage error
             assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == 0
         finally:
             (gc.enable if was else gc.disable)()
         assert seen == [False] * len(outcomes)
+
+
+def toric_files(root: Path) -> tuple[Path, Path]:
+    """The toric code's H_X and H_Z as plain PCM files under `root`."""
+    assert main(["construct", "hgp", "--c1", str(FIXTURES / "rep3.pcm"),
+                 "--c2", str(FIXTURES / "rep3.pcm"), "--out-prefix", str(root / "toric")]) == 0
+    return root / "toric.hx.pcm", root / "toric.hz.pcm"
+
+
+class TestExitPath:
+    """`python -m qpc.cli` runs `run`: `main`, then the heap frozen for exit."""
+
+    COVER = ["verify", "covering", "--cover", FIXTURES / "line3_2lift.graph",
+             "--base", FIXTURES / "line3.graph", "--map"]
+
+    @pytest.mark.parametrize("exit_code", [0, 1, 2, 3])
+    def test_program_matches_main(self, tmp_path, capsys, exit_code):
+        h_x, h_z = toric_files(tmp_path)
+        capsys.readouterr()
+        argv = {0: ["analyze", "--hx", h_x, "--hz", h_z],
+                1: ["analyze", "--hx", h_x],                                # a usage error
+                2: [*self.COVER, FIXTURES / "line3_2lift_bad.map.json"],
+                3: ["analyze", "--hx", h_x, "--hz", h_z, "--budget", "2"]}[exit_code]
+        in_process = run(capsys, *argv)
+        program = run_process(tmp_path, *argv)
+        assert in_process[0] == exit_code
+        assert (program.returncode, program.stdout, program.stderr) == in_process
+
+    def test_atexit_handlers_still_run(self, tmp_path):
+        # the handler runs after the freeze, and the exit code is the command's
+        argv = [*self.COVER, FIXTURES / "line3_2lift_bad.map.json"]
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print('atexit, frozen:', gc.get_freeze_count() > 0))\n"
+                  f"sys.argv = ['qpc', *{[str(a) for a in argv]!r}]\n"
+                  "runpy.run_module('qpc.cli', run_name='__main__')\n")
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                                text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert result.returncode == 2, result.stderr
+        assert result.stdout.startswith("check: covering\n")
+        assert result.stdout.endswith("\natexit, frozen: True\n")
+
+
+class TestLocale:
+    """Input files are read as UTF-8 whatever the locale."""
+
+    @staticmethod
+    def run_in_c_locale(cwd, utf8_mode: int, *argv):
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-X", f"utf8={utf8_mode}", *map(str, argv)],
+            cwd=cwd, capture_output=True, text=True, timeout=120, env=env)
+
+    def test_c_locale_is_ascii(self, tmp_path):
+        # otherwise the test below would read its files as UTF-8 either way
+        result = self.run_in_c_locale(
+            tmp_path, 0, "-c", "import locale; print(locale.getpreferredencoding(False))")
+        assert result.stdout.strip().lower().replace("-", "") != "utf8"
+
+    def test_unicode_separators_read_alike(self, tmp_path, capsys):
+        # U+00A0 separates entries and U+2028 ends lines, in a PCM and in an alist file
+        h_x, h_z = toric_files(tmp_path)
+        capsys.readouterr()
+        code, plain, _ = run(capsys, "analyze", "--hx", h_x, "--hz", h_z)
+        assert code == 0
+        for path in (h_x, tmp_path / "toric.hz.alist"):
+            text = path.read_text(encoding="utf-8")
+            (tmp_path / f"wide.{path.name}").write_text(
+                text.replace(" ", "\u00a0").replace("\n", "\u2028"), encoding="utf-8")
+        argv = ["-m", "qpc.cli", "analyze", "--hx", tmp_path / "wide.toric.hx.pcm",
+                "--hz", tmp_path / "wide.toric.hz.alist"]
+        for utf8_mode in (0, 1):
+            result = self.run_in_c_locale(tmp_path, utf8_mode, *argv)
+            assert (result.returncode, result.stdout, result.stderr) == (0, plain, "")
 
 
 class TestResourceTraps:

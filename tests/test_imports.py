@@ -10,7 +10,8 @@ in its `sys.modules`.
 `verify action` only those and `groups`, which imports `gf2` inside
 `binary_map` alone.  `json` is loaded only by a command that reads or
 writes JSON: not by `analyze` without `--json-out`, nor by `layout
---graph` to svg, tikz or dot.  `analyze` loads no `render`.  qpc needs
+--graph` to svg, tikz or dot.  `analyze` loads no `render` and no
+`products`.  qpc needs
 no module outside the standard library: every command of `REACH`, and
 the decided distance of a code that is no graph (Hamming x rep3), runs
 where numpy cannot be imported, with its usual exit code.  None loads
@@ -249,12 +250,13 @@ class TestImportSets:
 
     @pytest.mark.parametrize("cross_check", [False, True], ids=["checks", "with-c1-c2"])
     def test_analyze_loads_no_render(self, work, cross_check):
-        # the layout builders import render on first read of a layout; analyze reads none
+        # the layout builders import render on first read of a layout; analyze reads none,
+        # and CSSCode lives in analysis, so no product builder is loaded either
         codes = ["--c1", FIXTURES / "rep3.pcm", "--c2", FIXTURES / "rep3.pcm"] * cross_check
         modules = loaded(work, "", "analyze", "--hx", work / "toric.hx.alist",
                          "--hz", work / "toric.hz.alist", *codes)
-        assert {"qpc.products", "qpc.analysis"} <= modules
-        assert not modules & {"qpc.render", "dataclasses"}
+        assert {"qpc.classical", "qpc.gf2", "qpc.analysis"} <= modules
+        assert not modules & {"qpc.products", "qpc.render", "dataclasses"}
 
     def test_construct_hgp_loads_neither_groups_nor_tanner(self, work):
         modules = loaded(work, "", "construct", "hgp", "--c1", FIXTURES / "hamming74.pcm",

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpc import products
+from qpc import analysis
 from qpc.classical import ClassicalCode
 from qpc.errors import PreconditionError
 from qpc.gf2 import BitMatrix, hstack, matmul, transpose
@@ -20,7 +20,7 @@ from qpc.products import (
     hgp,
     lifted_product,
 )
-from qpc.render import CoordinateTable
+from qpc.render import ROLE_ORDER, CoordinateTable
 from qpc.tanner import GroupAction, TannerGraph
 
 from oracles import (conj_transpose, from_dense, from_masks, hgp_of_lifts,
@@ -319,17 +319,48 @@ class TestCoordinateTable:
                 qubits_q2=(),
             )
 
+    def test_seeded_refusals_name_the_first_bad_vertex(self):
+        # small boxes and mixed widths: accepted tables, clashes and wrong widths, each
+        # refusal naming the first vertex, in family order, that a walk finds at fault
+        def first_fault(kind, families):
+            width, seen = 2 if kind == "2d" else 3, {}
+            for role, coords in zip(ROLE_ORDER, families):
+                for idx, coord in enumerate(coords):
+                    if len(coord) != width:
+                        return f"{role}[{idx}] has {len(coord)} components, expected {width}"
+                    if coord in seen:
+                        return f"coordinate clash: {role}[{idx}] and {seen[coord]} at {coord}"
+                    seen[coord] = f"{role}[{idx}]"
+            return None
+
+        rng = random.Random(2027)
+        reached = set()
+        for _ in range(600):
+            kind = rng.choice(("2d", "3d"))
+            widths = (2, 2, 2, 2, 3) if kind == "2d" else (3, 3, 3, 3, 2)
+            families = [tuple(tuple(rng.randrange(4) for _ in range(rng.choice(widths)))
+                              for _ in range(rng.randrange(4))) for _ in ROLE_ORDER]
+            fault = first_fault(kind, families)
+            if fault is None:
+                CoordinateTable(kind, *families)
+            else:
+                with pytest.raises(PreconditionError) as refused:
+                    CoordinateTable(kind, *families)
+                assert str(refused.value) == fault
+            reached.add(fault and fault.split()[1])
+        assert reached == {None, "clash:", "has"}
+
 
 class TestLazyLayout:
     def test_layout_and_edges_are_built_on_first_read(self, monkeypatch):
         calls = []
-        real = products._incidence_edges
+        real = analysis._incidence_edges
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(products, "_incidence_edges", counted)
+        monkeypatch.setattr(analysis, "_incidence_edges", counted)
         group = FiniteGroup.cyclic(3)
         codes = [hgp(rep3(), rep3()), lifted_product(ring_1px(group), ring_1px(group))]
         a, b, act_a, act_b = lift_with_regular_actions(ring_1px(group), ring_1px(group))
