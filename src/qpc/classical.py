@@ -16,19 +16,20 @@ a graph H not at all: its cycle labels are read off its spanning forest.
 
 The readers and emitters work on a matrix's flat positions: the PCM emitter
 sets one byte per one in a template of "0 " rows, the alist emitter reads
-the ones once in row-major order.  Each format has one reader.  The PCM
-reader is one pass over the rows in file order, a few byte operations per
-long row, which refuses a file at its first bad line.  The alist reader
-reads the header and degree lines once, in file order; its lists are short
-and many (one per column and per check), so it accepts them in whole-file
-passes, a per-list pass costing more, and walks them one at a time, from
-the tokens already split, only to name the first bad list of a refused file.
+the ones once in row-major order.  The PCM reader reads a file laid out as
+that emitter writes it in a few whole-text passes, and any other in one
+pass over the rows in file order, a few byte operations per long row, which
+refuses a file at its first bad line.  The alist reader reads the header
+and degree lines once, in file order; its lists are short and many (one per
+column and per check), so it accepts them in whole-file passes, a per-list
+pass costing more, and walks them one at a time, from the tokens already
+split, only to name the first bad list of a refused file.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 
 from .errors import FormatError, read_file
 from .gf2 import DEFAULT_BUDGET, BitMatrix, coset_min_weight, rank, transpose
@@ -91,18 +92,40 @@ def _normalised(text: str) -> str:
     return text
 
 
+def _emitted(text: str) -> BitMatrix | None:
+    """The matrix of a text laid out exactly as `emit_pcm_text` writes it, with m, n >= 1
+    in plain digits; else None.  Its length is compared before anything is built."""
+    head, _, body = text.partition("\n")
+    shape = head.split(" ")
+    if len(head) > 40 or len(shape) != 2 or not all(  # 40: a shape past any text's length
+            s.isdigit() and s.isascii() and s[0] != "0" for s in shape):
+        return None
+    m, n = map(int, shape)
+    if len(body) != 2 * m * n or body[1::2] != (" " * (n - 1) + "\n") * m:
+        return None
+    digits = body[::2]
+    runs = digits.split("1")  # the zeros before each one, and after the last
+    if digits.count("0") + len(runs) - 1 != m * n:
+        return None
+    ones = list(accumulate(map((1).__add__, map(len, runs[1:])), initial=len(runs[0])))
+    ones.pop()  # the end of the last run of zeros, m * n, is no one
+    return BitMatrix(m, n, flat=ones)
+
+
 def parse_pcm_text(text: str) -> BitMatrix:
     """Plain format: first line "m n", then m lines of n space-separated 0/1.
 
-    Blank lines are skipped and lines after the m-th row are ignored.  One
-    pass reads the header, then the rows in file order as bytes, where less
-    its spaces a row is n of "0" and "1", no two of which touch; the ones
-    are found with find.  The first line that fails is refused at once,
-    numbered as `str.splitlines` counts, and a width no array holds only
-    after every row passed.  Unlike `parse_alist`'s lists, a row is not
-    accepted in a whole-file pass first: a row is one long line, so its few
-    byte operations cost what a whole-file pass would.
+    A text laid out exactly as `emit_pcm_text` writes it is read in a few
+    whole-text passes (`_emitted`).  Any other is read by one pass, which
+    reads the header, then the rows in file order as bytes, where less its
+    spaces a row is n of "0" and "1", no two of which touch; the ones are
+    found with find.  Blank lines are skipped and lines after the m-th row
+    are ignored.  The first line that fails is refused at once, numbered as
+    `str.splitlines` counts, and a width no array holds only after every
+    row passed.
     """
+    if (h := _emitted(text)) is not None:
+        return h
     text = _normalised(text)  # lines and tokens stay, so line numbers do too
     lines = text.encode("ascii", "replace").split(b"\n")  # "?" past ASCII
     if not lines[-1]:
@@ -166,11 +189,11 @@ def parse_alist(text: str) -> BitMatrix:
     bits.  The degree line of zero columns or rows takes no line; "0"
     pads a list, so a list of no entries is a line of "0"s.  A token is an
     integer as int() reads it.  Each list holds as many entries as its
-    degree says, each in range, and each row entry is in the column lists;
-    lines after the last list are ignored.  The header and degree lines
-    are read once, in file order, and the lists in whole-file passes; only
-    a refused file's lists are walked one at a time, and numbered, to name
-    the first bad one.
+    degree says, each in range and none twice, and the row lists give each
+    check exactly the bits the column lists give it; lines after the last
+    list are ignored.  The header and degree lines are read once, in file
+    order, and the lists in whole-file passes; only a refused file's lists
+    are walked one at a time, and numbered, to name the first bad one.
     """
     text = _normalised(text)
     content = [tokens for tokens in map(str.split, text.split("\n")) if tokens]
@@ -216,11 +239,13 @@ def parse_alist(text: str) -> BitMatrix:
         if cut and not 1 <= min(value[:cut]) <= max(value[:cut]) <= m:
             raise ValueError
         ones = {(v - 1) * n + a for v, a in zip(value[:cut], owner[:cut])}  # check * n + bit
-        if not all(0 < v <= n and (a - n) * n + v - 1 in ones
-                   for v, a in zip(value[cut:], owner[cut:])):
+        # no index twice in a list, and the row lists give each check the column lists' bits
+        if (len(ones) != cut or len(value) != 2 * cut
+                or cut and not 1 <= min(value[cut:]) <= max(value[cut:]) <= n
+                or {(a - n) * n + v - 1 for v, a in zip(value[cut:], owner[cut:])} != ones):
             raise ValueError
     except ValueError:  # refused: the first bad list, or the end of the file, says why
-        columns = set()  # (check, bit) of each column-list entry
+        columns = {}  # check -> the 1-indexed bits its column-list entries give it
         for a, degree in enumerate(col_deg + row_deg):
             if a == len(lists):
                 raise FormatError("unexpected end of alist")
@@ -233,16 +258,25 @@ def parse_alist(text: str) -> BitMatrix:
                     f"bit {a}: {len(live)} checks listed, degree says {degree}" if a < n else
                     f"check {a - n}: {len(live)} bits listed, degree says {degree}",
                     line(top + a))
+            # the bits the column lists give a row list's check; the list's entries so far
+            bits, seen = columns.get(a - n, set()), set()
             for v in live:
                 if a < n:
                     if not 1 <= v <= m:
                         raise FormatError(f"check index {v} out of range", line(top + a))
-                    columns.add((v - 1, a))
+                    columns.setdefault(v - 1, set()).add(a + 1)
                 elif not 1 <= v <= n:
                     raise FormatError(f"bit index {v} out of range", line(top + a))
-                elif (a - n, v - 1) not in columns:
+                elif v not in bits:
                     raise FormatError(f"check {a - n} lists bit {v} absent from the column lists",
                                       line(top + a))
+                if v in seen:
+                    raise FormatError(f"bit {a}: check {v} listed twice" if a < n else
+                                      f"check {a - n}: bit {v} listed twice", line(top + a))
+                seen.add(v)
+            if a >= n and len(seen) != len(bits):
+                raise FormatError(f"check {a - n} omits bit {min(bits - seen)} given by the"
+                                  " column lists", line(top + a))
         raise AssertionError("parse_alist refused an alist whose lists each read")
     return BitMatrix(m, n, flat=list(ones))
 

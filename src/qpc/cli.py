@@ -2,9 +2,12 @@
 
 The grammar is declared per command: `construct hgp | lp | bp`,
 `analyze`, `layout` and `verify covering | action` each take only the
-options they use, and any other option is a usage error.  `--seed` and
-`--json-out` are global and come before the command; `--json-out` is a
-usage error before `layout`, which prints no report.  All runs are
+options they use, and any other option is a usage error.  `main` builds
+only the top-level command its arguments name, and the whole grammar
+for help, for no command word, and to parse again after a usage error,
+so every message is the whole grammar's.  `--seed` and `--json-out` are
+global and come before the command; `--json-out` is a usage error
+before `layout`, which prints no report.  All runs are
 deterministic: identical inputs and seed produce identical bytes.  Exit
 codes: 0 success, 1 usage, parse or I/O failure, 2 precondition
 violation (reported with its witness), 3 enumeration budget exceeded;
@@ -280,7 +283,8 @@ def _command(sub, name: str, func, summary: str, inputs: dict[str, str]) -> argp
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole grammar, or with `command` only the top-level command of that name, if any."""
     parser = _Parser(
         prog="qpc",
         description="Construct and verify quantum CSS product codes.",
@@ -290,52 +294,78 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json-out", help="also write the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    products = sub.add_parser("construct", help="build a product code").add_subparsers(
-        dest="product", required=True)
-    for name, func, summary, inputs in (
-        ("hgp", cmd_hgp, "hypergraph product of two classical codes",
-         {"--c1": "first classical PCM", "--c2": "second classical PCM"}),
-        ("lp", cmd_lp, "lifted product of two ring matrices",
-         {"--m1": "first ring matrix", "--m2": "second ring matrix"}),
-        ("bp", cmd_bp, "balanced product of two Tanner graphs",
-         {"--graph-a": "first Tanner graph", "--graph-b": "second Tanner graph",
-          "--action-a": "action on the first graph",
-          "--action-b": "action on the second graph"}),
-    ):
-        _command(products, name, func, summary, inputs).add_argument(
-            "--out-prefix", required=True, help="path prefix of the written files")
+    if command in (None, "construct"):
+        products = sub.add_parser("construct", help="build a product code").add_subparsers(
+            dest="product", required=True)
+        for name, func, summary, inputs in (
+            ("hgp", cmd_hgp, "hypergraph product of two classical codes",
+             {"--c1": "first classical PCM", "--c2": "second classical PCM"}),
+            ("lp", cmd_lp, "lifted product of two ring matrices",
+             {"--m1": "first ring matrix", "--m2": "second ring matrix"}),
+            ("bp", cmd_bp, "balanced product of two Tanner graphs",
+             {"--graph-a": "first Tanner graph", "--graph-b": "second Tanner graph",
+              "--action-a": "action on the first graph",
+              "--action-b": "action on the second graph"}),
+        ):
+            _command(products, name, func, summary, inputs).add_argument(
+                "--out-prefix", required=True, help="path prefix of the written files")
 
-    analyze = _command(sub, "analyze", cmd_analyze, "report code parameters",
-                       {"--hx": "X-check PCM (.pcm or .alist)",
-                        "--hz": "Z-check PCM (.pcm or .alist)"})
-    analyze.add_argument("--budget", type=int, default=0,
-                         help="distance enumeration cap; 0 means the default (2^24)")
-    analyze.add_argument("--c1", help="classical input for the HGP cross-check (with --c2)")
-    analyze.add_argument("--c2", help="classical input for the HGP cross-check (with --c1)")
+    if command in (None, "analyze"):
+        analyze = _command(sub, "analyze", cmd_analyze, "report code parameters",
+                           {"--hx": "X-check PCM (.pcm or .alist)",
+                            "--hz": "Z-check PCM (.pcm or .alist)"})
+        analyze.add_argument("--budget", type=int, default=0,
+                             help="distance enumeration cap; 0 means the default (2^24)")
+        analyze.add_argument("--c1", help="classical input for the HGP cross-check (with --c2)")
+        analyze.add_argument("--c2", help="classical input for the HGP cross-check (with --c1)")
 
-    layout = _command(sub, "layout", cmd_layout, "render a layout JSON file or a graph", {})
-    source = layout.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="layout JSON file")
-    source.add_argument("--graph", help="Tanner graph file (1D line layout)")
-    layout.add_argument("--format", required=True,
-                        choices=["svg", "tikz", "dot", "json"])
-    layout.add_argument("--out", help="output file (default stdout)")
-    layout.add_argument("--overlay", help="overlay JSON file")
-    layout.add_argument("--edges", action="store_true", help="draw edges")
-    layout.add_argument("--scale", type=partial(_finite, positive=True), default=12.0,
-                        help="svg units per layout unit, positive")
-    layout.add_argument("--shear", type=_finite, default=0.45, help="oblique shear (3D only)")
-    layout.add_argument("--yscale", type=_finite, default=0.3, help="oblique y scale (3D only)")
+    if command in (None, "layout"):
+        layout = _command(sub, "layout", cmd_layout, "render a layout JSON file or a graph", {})
+        source = layout.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", help="layout JSON file")
+        source.add_argument("--graph", help="Tanner graph file (1D line layout)")
+        layout.add_argument("--format", required=True,
+                            choices=["svg", "tikz", "dot", "json"])
+        layout.add_argument("--out", help="output file (default stdout)")
+        layout.add_argument("--overlay", help="overlay JSON file")
+        layout.add_argument("--edges", action="store_true", help="draw edges")
+        layout.add_argument("--scale", type=partial(_finite, positive=True), default=12.0,
+                            help="svg units per layout unit, positive")
+        layout.add_argument("--shear", type=_finite, default=0.45, help="oblique shear (3D only)")
+        layout.add_argument("--yscale", type=_finite, default=0.3,
+                            help="oblique y scale (3D only)")
 
-    checks = sub.add_parser("verify", help="check coverings and actions").add_subparsers(
-        dest="check", required=True)
-    _command(checks, "covering", cmd_covering, "check a covering map",
-             {"--cover": "cover graph", "--base": "base graph", "--map": "vertex map JSON"})
-    _command(checks, "action", cmd_action, "check a group action",
-             {"--graph": "graph file", "--action": "action JSON"}).add_argument(
-        "--lenient", action="store_true",
-        help="exit 0 even when freeness or edge checks fail")
+    if command in (None, "verify"):
+        checks = sub.add_parser("verify", help="check coverings and actions").add_subparsers(
+            dest="check", required=True)
+        _command(checks, "covering", cmd_covering, "check a covering map",
+                 {"--cover": "cover graph", "--base": "base graph", "--map": "vertex map JSON"})
+        _command(checks, "action", cmd_action, "check a group action",
+                 {"--graph": "graph file", "--action": "action JSON"}).add_argument(
+            "--lenient", action="store_true",
+            help="exit 0 even when freeness or edge checks fail")
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed by the part of the grammar its command word names (the first word
+    not an option or the value of `--seed` or `--json-out`); by the whole grammar for
+    help, for no command word, and again after a usage error, so that every message and
+    help text is the whole grammar's.  A parse the part accepts, the whole gives alike."""
+    words, command = iter(argv), None
+    if not any(a.startswith("-h") or len(a) >= 3 and "--help".startswith(a) for a in argv):
+        for word in words:
+            if len(word) >= 3 and ("--seed".startswith(word) or "--json-out".startswith(word)):
+                next(words, None)  # the option's value, which may be a command's name
+            elif not word.startswith("-"):
+                command = word
+                break
+    try:
+        return build_parser(command).parse_args(argv)
+    except FormatError:
+        if command is None:
+            raise
+        return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -344,7 +374,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # a command leaves at most a few thousand objects in cycles: no sweep pays
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (FormatError, DimensionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1053,3 +1053,75 @@ class TestUsageErrors:
                      self.LAYOUT, self.COVERING, self.ACTION, self.ACTION + ["--lenient"]):
             code, _, err = run(capsys, *argv)
             assert (code, err) == (0, ""), argv
+
+
+class TestGrammar:
+    """A command line is parsed by only the part of the grammar its command word
+    names, and gives what the whole grammar gives: the same Namespace, or the same
+    message, or the same help text and exit code."""
+
+    U = TestUsageErrors
+    F = [str(a) for a in U.ANALYZE[1:]]  # --hx rep3.pcm --hz rep3.pcm
+    CORPUS = [
+        # every command, well formed
+        U.HGP + ["--out-prefix", "h"], U.LP + ["--out-prefix", "l"],
+        U.BP + ["--out-prefix", "b"], U.ANALYZE, U.LAYOUT, U.COVERING, U.ACTION,
+        U.ACTION + ["--lenient"], U.LAYOUT + ["--scale=-inf"], U.LAYOUT + ["--shear", "-1"],
+        # the messages pinned in TestUsageErrors
+        U.ANALYZE + ["--budget", "abc"], ["frob"], ["construct", "xx", "--out-prefix", "x"],
+        ["verify", "both"], U.HGP[:-2], U.LP[:2] + ["--out-prefix", "x"], U.BP,
+        U.ANALYZE[:3], U.LAYOUT[:3], U.COVERING[:-2], U.ACTION[:4],
+        U.LP + ["--out-prefix", "x", "--c1", "f"], U.COVERING + ["--lenient"],
+        U.LAYOUT + ["--input", "f"], U.LAYOUT[:1] + U.LAYOUT[3:],
+        U.ACTION + ["--lenient", "--lenient"], U.HGP + ["--c1", "f"],
+        # abbreviations, and global options and their values before the command
+        ["analyze", *F, "--bud", "5"], ["--json", "x", "analyze", *F], ["--se", "3", "analyze", *F],
+        ["--seed=3", "--json-out=r.json", "analyze", *F], ["--s", "x", "analyze", *F],
+        ["--json-out", "analyze", "analyze", *F], ["--json-out", "analyze", *F],
+        ["--seed", "analyze", "analyze", *F], ["--json-out", "layout", *U.LAYOUT],
+        ["--jsonx", "r", "analyze", *F], ["--", "analyze", *F], ["-1", "analyze", *F],
+        ["frob", "analyze", *F], ["analyze", *F, "layout"], ["analyze", "analyze", *F],
+        ["layout", "analyze"], ["analyze", *F, "--c"], ["analyze", *F, "--b", "2"],
+        # no command, or no argument at all
+        [], ["--seed", "3"], ["--seed"], ["--json-out"], ["--seed", "x", "analyze", *F],
+    ] + [
+        # help, at each level and spelled every way
+        [*prefix, flag]
+        for prefix in ([], ["construct"], ["construct", "hgp"], ["construct", "lp"],
+                       ["construct", "bp"], ["analyze"], ["layout"], ["verify"],
+                       ["verify", "covering"], ["verify", "action"], ["--seed", "3"])
+        for flag in ("-h", "--help", "--h", "--he", "-hh")
+    ] + [["-h", "analyze", *F], ["analyze", *F, "--help"], ["analyze", "--hel", "x"],
+         ["--help=x", "analyze"], ["analyze", "-hx"]]
+
+    @staticmethod
+    def parsed(parse, argv, capsys):
+        try:
+            result = ("namespace", vars(parse(argv)))
+        except FormatError as exc:
+            result = ("usage error", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [[str(a) for a in argv] for argv in CORPUS],
+                             ids=lambda argv: " ".join(Path(a).name for a in argv) or "-")
+    def test_same_as_the_whole_grammar(self, capsys, argv):
+        from qpc import cli
+
+        whole = self.parsed(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+        assert self.parsed(cli._parse, argv, capsys) == whole
+
+    def test_well_formed_commands_build_one_command(self, monkeypatch):
+        from qpc import cli
+
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                            or build(command))
+        for argv, word in ((self.U.HGP + ["--out-prefix", "h"], "construct"),
+                           (["--json-out", "analyze", *self.U.ANALYZE], "analyze"),
+                           (["--se", "3", *self.U.LAYOUT], "layout"),
+                           (self.U.ACTION, "verify")):
+            cli._parse([str(a) for a in argv])
+            assert built.pop() == word and not built
+

@@ -4,15 +4,17 @@ The per-entry implementations that the whole-matrix codecs replaced are
 kept below as oracles.  Every case must give the same text, the same
 matrix, or a FormatError with the same line and message in both versions.
 A negative PCM header is refused by the new parser only.  The oracles
-carry the three rules added after them.  Every emitted file reads back:
+carry the four rules added after them.  Every emitted file reads back:
 a row, column or degree list with no entries is an empty line (the m
 lines after a "m 0" PCM header, and no content line in an alist).  A PCM
 header past the largest numpy dimension is a FormatError.  Line 2 of an
 alist must hold exactly the largest column and row degrees, 0 for an
-empty list.
+empty list.  An alist list names no index twice, and a row list names
+every bit the column lists give its check.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +143,8 @@ def oracle_parse_alist(text: str) -> BitMatrix:
         for c in live:
             if not 1 <= c <= m:
                 raise FormatError(f"check index {c} out of range", ln)
+            if dense[c - 1, j]:
+                raise FormatError(f"bit {j}: check {c} listed twice", ln)
             dense[c - 1, j] = 1
     for i in range(m):
         ln, entries = take()
@@ -149,6 +153,7 @@ def oracle_parse_alist(text: str) -> BitMatrix:
             raise FormatError(
                 f"check {i}: {len(live)} bits listed, degree says {row_deg[i]}", ln
             )
+        seen = []
         for b in live:
             if not 1 <= b <= n:
                 raise FormatError(f"bit index {b} out of range", ln)
@@ -156,6 +161,12 @@ def oracle_parse_alist(text: str) -> BitMatrix:
                 raise FormatError(
                     f"check {i} lists bit {b} absent from the column lists", ln
                 )
+            if b in seen:
+                raise FormatError(f"check {i}: bit {b} listed twice", ln)
+            seen.append(b)
+        for b in range(1, n + 1):
+            if dense[i, b - 1] and b not in seen:
+                raise FormatError(f"check {i} omits bit {b} given by the column lists", ln)
     return from_dense(dense)
 
 
@@ -470,9 +481,88 @@ class TestParsers:
         "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n2 1 0\n",
         "3 2\n2 2\n1 2 1\n2 2\n",                                # end after the degree lines
         "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n",           # one list missing
+        # row and column lists that describe different matrices
+        "2 1\n2 2\n2 0\n2\n1 1\n0 0\n1 1\n",                     # check 1 twice in column 1
+        "2 1\n1 1\n1 1\n1\n1\n1\n1\n",                          # row omits bit 2
+        "2 1\n1 2\n1 1\n2\n1\n1\n1 1\n",                         # bit 1 twice in the row
+        "3 2\n2 2\n1 2 1\n1 2\n1 0\n1 2\n2 0\n1 0\n2 3 0\n",     # first row omits bit 2
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2 0\n3 3 0\n",   # last row: bit 3 twice
+        "3 2\n2 3\n1 2 1\n2 3\n1 0\n1 2\n2 0\n1 2 0\n2 3 1\n",   # more row than column entries
     ])
     def test_alist_edge_cases_match_oracle(self, text):
         assert outcome(parse_alist, text) == outcome(oracle_parse_alist, text)
+
+
+class TestEmittedLayout:
+    """A text laid out exactly as `emit_pcm_text` writes it takes the whole-text path;
+    any edit of it goes to the row reader, and every text reads as the oracle reads it."""
+
+    @staticmethod
+    def canonical(seed: int) -> tuple[BitMatrix, str]:
+        h = random_matrix(random.Random(seed), 5, 9)
+        return h, emit_pcm_text(h)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_round_trips(self, seed):
+        rng = random.Random(7100 + seed)
+        for rows, cols in ((1, 1), (1, rng.randint(2, 200)), (rng.randint(2, 200), 1),
+                           (rng.randint(2, 40), rng.randint(2, 300))):
+            for density in (0.0, 0.02, 0.5, 1.0):  # empty, sparse, dense, full
+                h = BitMatrix(rows, cols, [p for p in range(rows * cols) if rng.random() < density])
+                text = emit_pcm_text(h)
+                assert classical._emitted(text) == h == parse_pcm_text(text), (rows, cols)
+
+    @staticmethod
+    def edits(text: str, rng: random.Random) -> dict[str, str]:
+        head, body = text.split("\n", 1)
+        digit = 2 * rng.randrange(len(body) // 2)            # an entry's place in the body
+        space = rng.choice([i for i, c in enumerate(body) if c == " "])
+
+        def at(i: int, new: str) -> str:
+            return head + "\n" + body[:i] + new + body[i + 1:]
+
+        return {
+            "flipped digit": at(digit, "10"[int(body[digit])]),
+            "digit 2": at(digit, "2"),
+            "double space": at(space, "  "),
+            "tab": at(space, "\t"),
+            "dropped space": at(space, ""),
+            "no last newline": text[:-1],
+            "crlf": text.replace("\n", "\r\n"),
+            "leading blank line": "\n" + text,
+            "trailing line": text + "0 1\n",
+            "plus header": "+" + text,
+            "zero header": "0" + text,
+            "header space": text.replace("\n", " \n", 1),
+            "arabic-indic header": text.replace("5", "\u0665", 1),
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edits_read_as_the_oracle_reads_them(self, seed):
+        h, text = self.canonical(7200 + seed)
+        for name, edited in self.edits(text, random.Random(7300 + seed)).items():
+            # a flipped digit keeps the layout; every other edit leaves it
+            assert (classical._emitted(edited) is None) is (name != "flipped digit"), name
+            assert outcome(parse_pcm_text, edited) == outcome(oracle_parse_pcm_text, edited), name
+
+    def test_only_other_layouts_are_normalised(self, monkeypatch):
+        calls = []
+        normalised = classical._normalised
+        monkeypatch.setattr(classical, "_normalised", lambda t: calls.append(t) or normalised(t))
+        h, text = self.canonical(7400)
+        assert parse_pcm_text(text) == h and calls == []
+        assert parse_pcm_text(text.replace("\n", "\r\n")) == h and len(calls) == 1
+
+    def test_huge_header_over_one_row_is_refused_at_once(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as refused:
+                parse_pcm_text("1 999999999999999\n0 1 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "line 2: expected 999999999999999 entries of 0/1"
+        assert peak < 2**16  # nothing the header's size was built
 
 
 class TestLargePcm:
@@ -580,6 +670,13 @@ class TestLargeAlist:
         last = lines[1403].split(" ")
         absent = next(b for b in range(1, 1001) if not dense[399, b - 1])
         value, under = last[0], lines[1401].split(" ")[0]
+        # the first column of two checks names its first twice; the last row below the
+        # largest degree leaves out its first bit, its degree one less
+        twice = next(j for j in range(1000) if lines[4 + j].split(" ")[1] != "0")
+        row_deg = list(map(int, lines[3].split(" ")))
+        short = max(i for i in range(400) if 0 < row_deg[i] < max(row_deg))
+        omitted = edit(3, short, str(row_deg[short] - 1)).split("\n")
+        omitted[1004 + short] = "0" + omitted[1004 + short][len(lines[1004 + short].split(" ")[0]):]
         return {
             # files that read back, in spellings a line-by-line reader accepts
             "crlf": text.replace("\n", "\r\n"),
@@ -602,6 +699,8 @@ class TestLargeAlist:
             "late negative bit": edit(1401, 0, "-3"),
             "late token past int64": edit(1403, 0, "9" * 25),
             "late absent bit": edit(1403, 0, str(absent)),
+            "early check twice": edit(4 + twice, 1, lines[4 + twice].split(" ")[0]),
+            "late omitted bit": "\n".join(omitted),
             "early degree": edit(2, 1, str(int(lines[2].split(" ")[1]) + 1)),
             "late degree": edit(3, 399, str(int(lines[3].split(" ")[399]) + 1)),
             "late list short": edit(1403, 0, "0"),
@@ -621,6 +720,11 @@ class TestLargeAlist:
                            ("late negative bit", 1402), ("late token past int64", 1404),
                            ("late absent bit", 1404), ("late list short", 1404)):
             assert got.pop(name)[:2] == ("error", line), name
+        # a column list among lines 5-1004, and a row list among lines 1005-1404
+        _, line, message = got.pop("early check twice")
+        assert line <= 1004 and message.endswith("listed twice"), message
+        _, line, message = got.pop("late omitted bit")
+        assert line > 1300 and message.endswith("given by the column lists"), message
         for name in ("early degree", "late degree", "missing last list", "maximum degrees",
                      "header token"):
             assert got.pop(name)[0] == "error", name
